@@ -55,8 +55,8 @@ fn bench_prediction(c: &mut Criterion) {
     group.finish();
 
     // The serving-side warm query: the same rules behind a
-    // `ServableModel`, answered per query. `scratch_reuse` is the shard
-    // workers' path (one `PredictScratch` per worker lifetime);
+    // `ServableModel`, answered per query. `scratch_reuse` is the
+    // server's path (one `PredictScratch` per serving thread);
     // `fresh_alloc` is what every query paid before — the per-query
     // `HashMap` was the hot-path allocation this pair exists to keep
     // honest.

@@ -1,10 +1,10 @@
 //! Benchmark: the prediction-serving subsystem.
 //!
-//! Measures the two serving paths across shard counts: single-query
-//! latency (`predict`) and batched throughput (`predict_batch`), with warm
-//! per-shard caches — the steady state a long-lived deployment sits in.
+//! Measures the in-process server API: single-query latency (`predict`)
+//! and batched throughput (`predict_batch`), both running the kernel on
+//! the bench thread.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use gps_core::{censys_dataset, run_gps, GpsConfig, ModelSnapshot};
 use gps_serve::{PredictionServer, Query, ServableModel, ServeConfig};
 use gps_synthnet::{Internet, UniverseConfig};
@@ -24,8 +24,8 @@ fn trained_snapshot() -> ModelSnapshot {
 }
 
 fn queries(snapshot: &ModelSnapshot, count: usize) -> Vec<Query> {
-    // Query IPs drawn from the trained priors subnets (cache-friendly mix,
-    // 64 distinct subnets).
+    // Query IPs drawn from the trained priors subnets (64 distinct
+    // subnets).
     let mut rng = Rng::new(0xBE7C);
     let subnets: Vec<u32> = snapshot
         .priors
@@ -52,32 +52,23 @@ fn bench_serving(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("serving");
     group.sample_size(10);
-    for shards in [1usize, 4, 8] {
-        let server = PredictionServer::start(
-            ServableModel::from_snapshot(snapshot.clone()),
-            ServeConfig {
-                shards,
-                ..ServeConfig::default()
-            },
-        );
-        // Warm every (subnet, evidence) slot once.
-        server.predict_batch(workload.clone());
-
-        group.throughput(criterion::Throughput::Elements(1));
-        group.bench_with_input(BenchmarkId::new("single_query", shards), &shards, |b, _| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let query = workload[i % workload.len()].clone();
-                i += 1;
-                server.predict(query)
-            });
+    let server = PredictionServer::start(
+        ServableModel::from_snapshot(snapshot),
+        ServeConfig::default(),
+    );
+    group.throughput(criterion::Throughput::Elements(1));
+    group.bench_function("single_query", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            let query = workload[i % workload.len()].clone();
+            i += 1;
+            server.predict(query)
         });
-        group.throughput(criterion::Throughput::Elements(workload.len() as u64));
-        group.bench_with_input(BenchmarkId::new("batched_4096", shards), &shards, |b, _| {
-            b.iter(|| server.predict_batch(workload.clone()))
-        });
-        server.shutdown();
-    }
+    });
+    group.throughput(criterion::Throughput::Elements(workload.len() as u64));
+    group.bench_function("batched_4096", |b| {
+        b.iter(|| server.predict_batch(workload.clone()))
+    });
     group.finish();
 }
 

@@ -31,8 +31,6 @@ pub struct Args {
     pub no_compiled: bool,
     /// TCP address for serve/query/reload/models.
     pub addr: String,
-    /// Shard count for serve (0 = auto).
-    pub shards: usize,
     /// serve: connection-driving strategy (threads | events).
     pub transport: String,
     /// serve: live-connection cap (0 = unlimited).
@@ -54,9 +52,6 @@ pub struct Args {
     pub max_retries: usize,
     /// serve: structured query-log path (one JSON line per request).
     pub query_log: Option<String>,
-    /// serve: query log to replay through the caches at startup and
-    /// after every hot reload.
-    pub warm_from: Option<String>,
     /// reload: snapshot path to switch the server to (None = re-read).
     pub reload_model: Option<String>,
     /// reload: which model id to reload (positional; None = the default).
@@ -134,7 +129,6 @@ impl Default for Args {
             format: SnapshotFormat::Json,
             no_compiled: false,
             addr: "127.0.0.1:4615".to_string(),
-            shards: 0,
             transport: "threads".to_string(),
             max_conns: 0,
             idle_timeout: 0.0,
@@ -145,7 +139,6 @@ impl Default for Args {
             request_timeout: 2.0,
             max_retries: 1,
             query_log: None,
-            warm_from: None,
             reload_model: None,
             reload_name: None,
             query_model: None,
@@ -282,10 +275,6 @@ impl Args {
                     args.max_retries = parse_num(&value("--max-retries")?, "--max-retries")?;
                 }
                 "--query-log" => args.query_log = Some(value("--query-log")?),
-                "--warm-from" => args.warm_from = Some(value("--warm-from")?),
-                "--shards" => {
-                    args.shards = parse_num(&value("--shards")?, "--shards")?;
-                }
                 "--transport" => {
                     let t = value("--transport")?;
                     // `events-poll` (the portable-poller variant) is
@@ -414,19 +403,13 @@ mod tests {
         assert_eq!(args.command, Command::ExportModel);
         assert_eq!(args.model, "/tmp/m.json");
 
-        let args = Args::parse([
-            "serve",
-            "--model",
-            "m.json",
-            "--addr",
-            "127.0.0.1:9999",
-            "--shards",
-            "8",
-        ])
-        .unwrap();
+        let args = Args::parse(["serve", "--model", "m.json", "--addr", "127.0.0.1:9999"]).unwrap();
         assert_eq!(args.command, Command::Serve);
         assert_eq!(args.addr, "127.0.0.1:9999");
-        assert_eq!(args.shards, 8);
+        // The flags of the deleted worker pool and warm-up replay are
+        // unknown flags now, not silently accepted.
+        assert!(Args::parse(["serve", "--shards", "8"]).is_err());
+        assert!(Args::parse(["serve", "--warm-from", "/tmp/q.log"]).is_err());
 
         let args = Args::parse([
             "query",
@@ -548,7 +531,6 @@ mod tests {
         let args = Args::parse(["serve"]).unwrap();
         assert_eq!(args.model, "gps-model.json");
         assert_eq!(args.addr, "127.0.0.1:4615");
-        assert_eq!(args.shards, 0, "0 = auto");
         assert_eq!(args.transport, "threads", "threads stays the default");
         assert_eq!(args.max_conns, 0, "0 = unlimited");
         assert_eq!(args.idle_timeout, 0.0, "0 = never");
@@ -573,22 +555,17 @@ mod tests {
             "127.0.0.1:8080",
             "--query-log",
             "/tmp/queries.log",
-            "--warm-from",
-            "/tmp/warm.log",
         ])
         .unwrap();
         assert_eq!(args.http_addr.as_deref(), Some("127.0.0.1:8080"));
         assert_eq!(args.query_log.as_deref(), Some("/tmp/queries.log"));
-        assert_eq!(args.warm_from.as_deref(), Some("/tmp/warm.log"));
 
         let args = Args::parse(["serve"]).unwrap();
         assert!(args.http_addr.is_none(), "no gateway by default");
         assert!(args.query_log.is_none());
-        assert!(args.warm_from.is_none());
 
         assert!(Args::parse(["serve", "--http-addr"]).is_err());
         assert!(Args::parse(["serve", "--query-log"]).is_err());
-        assert!(Args::parse(["serve", "--warm-from"]).is_err());
     }
 
     #[test]

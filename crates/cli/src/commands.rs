@@ -288,18 +288,6 @@ pub fn cmd_export_model(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolve the serve shard count (`--shards 0` = auto).
-fn resolve_shards(requested: usize) -> usize {
-    if requested > 0 {
-        requested
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(8)
-    }
-}
-
 /// Resolve the serve model list: every `--model` occurrence, each
 /// `name=path` or a bare path (bare = the default model id). No `--model`
 /// at all falls back to the single default snapshot path.
@@ -334,7 +322,6 @@ fn resolve_transport(args: &Args) -> Result<gps_serve::TransportConfig, String> 
 /// (`--transport threads|events`).
 pub fn cmd_serve(args: &Args) -> Result<(), String> {
     let entries = resolve_models(args);
-    let shards = resolve_shards(args.shards);
     let transport = resolve_transport(args)?;
     // Fail fast across the whole registry: peek every manifest (header
     // read, cheap) before the expensive full loads, so a typo'd path or
@@ -357,14 +344,8 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
         );
         models.push((name.clone(), ServableModel::from_snapshot(snapshot)));
     }
-    let server = PredictionServer::start_named(
-        models,
-        ServeConfig {
-            shards,
-            ..ServeConfig::default()
-        },
-    )
-    .map_err(|e| format!("--model: {e}"))?;
+    let server = PredictionServer::start_named(models, ServeConfig::default())
+        .map_err(|e| format!("--model: {e}"))?;
     // Record each source so `gps reload` (without --model) and --watch can
     // re-read them.
     for (name, path) in &entries {
@@ -378,15 +359,6 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("--query-log {path}: {e}"))?;
         server.set_query_log(Arc::new(log));
         println!("query log: {path}");
-    }
-    if let Some(path) = &args.warm_from {
-        // Replay before accepting traffic, and re-register the source so
-        // every hot reload re-warms the fresh generation's caches.
-        let replayed = server
-            .warm_replay(std::path::Path::new(path), None)
-            .map_err(|e| format!("--warm-from {path}: {e}"))?;
-        server.set_warm_source(path);
-        println!("warmed caches from {path}: {replayed} distinct queries replayed");
     }
     let _watcher = if args.watch {
         println!(
@@ -417,7 +389,7 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
         None => None,
     };
     println!(
-        "serving {} model(s) on {} with {shards} shards, {} transport{}{} (JSON or GPSQ binary frames, negotiated per connection; try `gps query`)",
+        "serving {} model(s) on {}, {} transport{}{} (JSON or GPSQ binary frames, negotiated per connection; try `gps query`)",
         entries.len(),
         listener
             .local_addr()
@@ -573,10 +545,8 @@ pub fn cmd_models(args: &Args) -> Result<(), String> {
             str_of("checksum"),
         );
         println!(
-            "      {} requests, {} hits / {} misses, {} reloads{}{}",
+            "      {} requests, {} reloads{}{}",
             num_of("requests"),
-            num_of("cache_hits"),
-            num_of("cache_misses"),
             num_of("reloads"),
             model
                 .get("last_reload_unix")
@@ -708,10 +678,7 @@ mod tests {
         let step = snapshot.manifest.step_prefix;
         let server = PredictionServer::start(
             ServableModel::from_snapshot(snapshot),
-            ServeConfig {
-                shards: 2,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         );
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -760,10 +727,7 @@ mod tests {
         // Serve A, then hot-swap to B over the wire.
         let server = PredictionServer::start(
             ServableModel::from_snapshot(snapshot_a),
-            ServeConfig {
-                shards: 2,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         );
         server.set_model_path(&path_a);
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -855,10 +819,7 @@ mod tests {
                 ("nine".to_string(), ServableModel::from_snapshot(snapshot_a)),
                 ("ten".to_string(), ServableModel::from_snapshot(snapshot_b)),
             ],
-            ServeConfig {
-                shards: 2,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         )
         .unwrap();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -916,10 +877,7 @@ mod tests {
         let snapshot = ModelSnapshot::load_serving(&args.model).unwrap();
         let server = PredictionServer::start(
             ServableModel::from_snapshot(snapshot),
-            ServeConfig {
-                shards: 2,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         );
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();

@@ -55,7 +55,6 @@ SERVING OPTIONS:
     --no-compiled       export-model: omit the precompiled CMPL section
                         from binary snapshots (loaders recompile on load)
     --addr A            TCP address (default 127.0.0.1:4615)
-    --shards N          serve worker shards (default: auto)
     --transport T       serve: threads (default, one thread/conn) |
                         events (epoll event loops; holds 10k+ conns)
     --max-conns N       serve: live-connection cap (default unlimited)
@@ -64,8 +63,6 @@ SERVING OPTIONS:
     --http-addr A       serve: HTTP/1.1 gateway (GET /metrics /stats
                         /models /healthz, POST /predict /batch /reset-stats)
     --query-log PATH    serve: structured query log, one JSON line/request
-    --warm-from PATH    serve: replay a query log through the caches at
-                        startup and after every hot reload
     --ip A.B.C.D        query target
 
 ROUTING OPTIONS (gps route):
@@ -86,10 +83,10 @@ EXAMPLES:
     gps run --workload censys --seed-fraction 0.02 --step 16 --csv curve.csv
     gps compare --workload lzr
     gps export-model --quick --model /tmp/gps-model.gpsb --format binary
-    gps serve --model /tmp/gps-model.gpsb --addr 127.0.0.1:4615 --shards 8 --watch
+    gps serve --model /tmp/gps-model.gpsb --addr 127.0.0.1:4615 --watch
     gps serve --model quick=/tmp/a.gpsb --model lzr=/tmp/b.gpsb
     gps serve --model /tmp/a.gpsb --transport events --max-conns 20000 --idle-timeout 60
-    gps serve --model /tmp/a.gpsb --http-addr 127.0.0.1:8080 --query-log /tmp/q.log --warm-from /tmp/q.log
+    gps serve --model /tmp/a.gpsb --http-addr 127.0.0.1:8080 --query-log /tmp/q.log
     gps query --addr 127.0.0.1:4615 --ip 10.1.2.3 --open 80
     gps query --addr 127.0.0.1:4615 --ip 10.1.2.3 --model lzr
     gps query --addr 127.0.0.1:4615 --ip 10.1.2.3 --wire binary

@@ -67,8 +67,8 @@ impl Query {
 /// The warm fold is a port-indexed dense accumulator: one `f64` slot per
 /// possible port, epoch-stamped so "reset" is a counter bump instead of a
 /// clear, plus a touched-port list to harvest results without scanning all
-/// 65536 slots. A long-lived caller (each shard worker owns one) pays the
-/// ~1 MiB allocation once; the per-query cost is a few array stores.
+/// 65536 slots. A long-lived caller (each serving thread owns one) pays
+/// the ~1 MiB allocation once; the per-query cost is a few array stores.
 #[derive(Default)]
 pub struct PredictScratch {
     /// Best probability seen for each port this epoch (valid iff stamped).
@@ -149,7 +149,6 @@ pub struct ServableModel {
     net_prefixes: Vec<u8>,
     /// Whether the model was trained with ASN keys.
     uses_asn: bool,
-    step_prefix: u8,
 }
 
 impl ServableModel {
@@ -175,7 +174,6 @@ impl ServableModel {
         let uses_asn = snapshot.manifest.net_features.contains(&NetFeature::Asn);
 
         ServableModel {
-            step_prefix,
             manifest: snapshot.manifest,
             compiled,
             net_prefixes,
@@ -192,18 +190,6 @@ impl ServableModel {
         &self.compiled
     }
 
-    /// The finest subnet prefix any lookup depends on. Two IPs sharing
-    /// this subnet (with identical evidence) get identical answers — the
-    /// cache key granularity and the shard-partition invariant.
-    pub fn cache_prefix(&self) -> u8 {
-        self.net_prefixes
-            .iter()
-            .copied()
-            .chain([self.step_prefix])
-            .max()
-            .unwrap_or(16)
-    }
-
     /// Answer one query: ranked `(port, probability)`, descending, open
     /// ports excluded, truncated to `top` (when nonzero). Allocates fresh
     /// working memory per call; loops should hold a [`PredictScratch`]
@@ -213,7 +199,7 @@ impl ServableModel {
     }
 
     /// [`predict`](Self::predict) with caller-owned scratch memory, so a
-    /// long-lived caller (a shard worker, a benchmark loop) pays the
+    /// long-lived caller (a serving thread, a benchmark loop) pays the
     /// dense accumulator's allocation once instead of per query. Answers
     /// are identical to [`predict`](Self::predict) — the scratch is
     /// epoch-reset on entry and never read across calls.
@@ -513,12 +499,6 @@ mod tests {
         let mut query = Query::new(Ip::from_octets(10, 1, 2, 3)).with_open([80]);
         query.top = 1;
         assert_eq!(model.predict(&query).len(), 1);
-    }
-
-    #[test]
-    fn cache_prefix_is_finest_relevant() {
-        let model = ServableModel::from_snapshot(snapshot());
-        assert_eq!(model.cache_prefix(), 16);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The prediction-serving subsystem: GPS's trained artifacts, persisted by
 //! `gps-core`'s [`snapshot`](gps_core::snapshot) layer, loaded behind a
-//! long-lived sharded server that answers "which ports should I probe on
-//! this IP?" queries at wire speed.
+//! long-lived server that answers "which ports should I probe on this
+//! IP?" queries at wire speed.
 //!
 //! The paper's pitch is that the conditional-probability model makes
 //! all-port discovery cheap to *compute* (13 minutes on a parallel engine,
@@ -16,22 +16,24 @@
 //!   observed ports through the §5.4 rules);
 //! - [`server`] — [`PredictionServer`]: a *registry* of named models
 //!   (one per scan universe/day — compare quick vs full or LZR-filtered
-//!   vs raw from one process) behind N shard worker threads
-//!   (hash-partitioned by the query IP's /16), bounded work queues,
-//!   opportunistic request batching, per-shard LRU answer caches keyed by
-//!   (model, generation, subnet, evidence), [`ServerStats`] counters with
-//!   a per-model breakdown, and zero-downtime snapshot hot-reload
-//!   (epoch-published models + the [`watch_snapshot_file`] control path
-//!   covering every registered snapshot file);
-//! - [`cache`] — the O(1) LRU used by each shard;
+//!   vs raw from one process), [`ServerStats`] counters with a per-model
+//!   breakdown, and zero-downtime snapshot hot-reload (epoch-published
+//!   models + the [`watch_snapshot_file`] control path covering every
+//!   registered snapshot file). A prediction is a table lookup (§5.4,
+//!   Eq. 4–7) of a few hundred nanoseconds, and an LZR-style scanner
+//!   asks per host with that host's own evidence, so answers rarely
+//!   repeat: every query runs the compiled kernel on the thread that
+//!   received it — no worker pool, no answer cache;
 //! - [`proto`] — a length-prefixed JSON frame protocol over TCP plus the
 //!   blocking [`Client`] used by `gps query` and the loadgen bench;
 //! - [`transport`] / [`net`] — how connections are driven: one thread
 //!   per connection (default) or the event-driven multiplexed transport
 //!   (`--transport events`: epoll/poll readiness loops, incremental
-//!   frame decoding, shard completion queues) for C10K-scale fan-in,
-//!   both behind the same request core and both honoring `--max-conns`
-//!   and `--idle-timeout`.
+//!   frame decoding) for C10K-scale fan-in, both behind the same request
+//!   core and both honoring `--max-conns` and `--idle-timeout`. Either
+//!   way a request is answered, in order, on the thread that read it — a
+//!   65,536-query batch occupies its connection thread or event loop for
+//!   the length of the batch, as an admin reload already does.
 //!
 //! ## Quick start
 //!
@@ -50,7 +52,7 @@
 //! // Serve it.
 //! let server = PredictionServer::start(
 //!     ServableModel::from_snapshot(snapshot),
-//!     ServeConfig { shards: 2, ..ServeConfig::default() },
+//!     ServeConfig::default(),
 //! );
 //! let ip = gps_types::Ip(net.host_ips()[0]);
 //! let ranked = server.predict(Query::new(ip));
@@ -58,19 +60,16 @@
 //! ```
 
 pub mod artifact;
-pub mod cache;
 pub mod hist;
 pub mod net;
 pub mod proto;
 pub mod query_log;
 pub mod router;
 pub mod server;
-mod shard;
 pub mod transport;
 mod wire;
 
 pub use artifact::{PredictScratch, Query, Ranked, ReferenceModel, ServableModel};
-pub use cache::LruCache;
 pub use hist::{EndpointLabel, HistogramSet, LatencyHistogram, WireLabel};
 pub use net::{DecodeError, FrameDecoder, WireFormat};
 pub use proto::{serve_tcp, Client, ClientConfig, ClientError, ReloadOutcome};

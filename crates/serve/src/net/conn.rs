@@ -2,10 +2,10 @@
 //!
 //! A [`Conn`] owns one nonblocking socket and everything needed to resume
 //! it mid-anything: the incremental frame decoder (reads can tear frames
-//! at any byte), the response-ordering window (pipelined requests finish
-//! out of order across shards but must be answered in request order — the
-//! blocking `Client` relies on it), and the outbound buffer with explicit
-//! backpressure.
+//! at any byte) and the outbound buffer with explicit backpressure.
+//! Requests are answered one at a time on the loop's thread, so replies
+//! enter the outbound buffer in request order (the blocking `Client`
+//! relies on it) with nothing to reorder.
 //!
 //! ## Bounds
 //!
@@ -13,15 +13,16 @@
 //!
 //! - the *inbound* side buffers at most one frame (the decoder), itself
 //!   capped at `MAX_FRAME_BYTES`;
-//! - at most [`MAX_PIPELINE`] requests may be awaiting answers — frames
-//!   a read burst decodes past that park (bounded by the burst) and the
-//!   connection's read interest drops, so the kernel's receive buffer,
-//!   and then the peer's congestion window, absorb the rest (TCP
-//!   backpressure, not server memory);
 //! - once more than [`WRITE_HIGH_WATER`] response bytes are queued on a
-//!   connection, reading pauses the same way until the peer drains.
+//!   connection, nothing more is answered or read until the peer drains:
+//!   frames the current read burst already decoded park (bounded by the
+//!   burst, [`READ_BUDGET`]) and the connection's read interest drops, so
+//!   the kernel's receive buffer, and then the peer's congestion window,
+//!   absorb the rest (TCP backpressure, not server memory). The outbound
+//!   buffer therefore never holds more than the high-water mark plus one
+//!   reply.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -31,13 +32,9 @@ use super::http::{HttpError, HttpParser, HttpRequest};
 use super::poller::Interest;
 use crate::proto::MAX_FRAME_BYTES;
 
-/// Outbound bytes queued past which the connection stops reading new
-/// requests until the peer drains.
+/// Outbound bytes queued past which the connection stops answering and
+/// reading requests until the peer drains.
 pub(crate) const WRITE_HIGH_WATER: usize = 256 * 1024;
-
-/// Most requests one connection may have in the answer window
-/// (submitted-or-answered but not yet serialized to the socket buffer).
-pub(crate) const MAX_PIPELINE: u64 = 128;
 
 /// Per-readiness-event read budget: a firehose connection yields to its
 /// loop-mates after this many bytes (level-triggered polling re-reports
@@ -84,21 +81,16 @@ pub(crate) struct Conn {
     frame_scratch: Vec<Vec<u8>>,
     /// Reused HTTP-parser output vec.
     http_scratch: Vec<HttpRequest>,
-    /// Sequence assigned to the next accepted request frame.
-    next_seq: u64,
-    /// Sequence whose response goes out next (order preservation).
-    flush_seq: u64,
-    /// Responses that finished ahead of an earlier request, keyed by seq.
-    ready: HashMap<u64, Vec<u8>>,
-    /// Decoded request frames waiting for pipeline-window space: one
-    /// read burst can decode more frames than [`MAX_PIPELINE`] allows in
-    /// flight, and bytes already read from the kernel cannot be pushed
-    /// back — so the excess parks here (bounded by one read burst,
-    /// because a connection with parked frames stops reading) and the
-    /// event loop releases it as answers flush.
+    /// Whether any response has reached the outbound buffer yet.
+    answered: bool,
+    /// Decoded request frames waiting for the outbound buffer to drain
+    /// below [`WRITE_HIGH_WATER`]: one read burst can decode thousands of
+    /// tiny frames whose replies are not tiny, and bytes already read
+    /// from the kernel cannot be pushed back — so the rest of the burst
+    /// parks here (bounded by one read burst, because a connection with
+    /// parked frames stops reading) and the event loop releases it as the
+    /// socket drains.
     pub parked: VecDeque<Payload>,
-    /// Predict requests submitted to shard workers, not yet completed.
-    pub in_flight: usize,
     out: Vec<u8>,
     out_pos: usize,
     pub last_activity: Instant,
@@ -131,11 +123,8 @@ impl Conn {
             proto,
             frame_scratch: Vec::new(),
             http_scratch: Vec::new(),
-            next_seq: 0,
-            flush_seq: 0,
-            ready: HashMap::new(),
+            answered: false,
             parked: VecDeque::new(),
-            in_flight: 0,
             out: Vec::new(),
             out_pos: 0,
             last_activity: Instant::now(),
@@ -157,19 +146,6 @@ impl Conn {
             ConnProto::Frames(decoder) => decoder.format().unwrap_or(WireFormat::Json),
             ConnProto::Http(_) => WireFormat::Json,
         }
-    }
-
-    /// Claim the sequence slot for a newly accepted request.
-    pub fn next_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Requests accepted whose responses have not yet reached the
-    /// outbound buffer.
-    pub fn outstanding(&self) -> u64 {
-        self.next_seq - self.flush_seq
     }
 
     /// Outbound bytes not yet accepted by the kernel.
@@ -238,27 +214,12 @@ impl Conn {
         }
     }
 
-    /// Queue the response for request `seq`, releasing it (and any
-    /// directly following ready responses) into the outbound buffer in
-    /// request order. The caller *encodes* the response: when `seq` is
-    /// next in line — the common case under ordered or lightly reordered
-    /// completion — the encoder writes **directly into the connection's
-    /// outbound buffer**, zero intermediate allocation per frame. Only a
-    /// response finishing ahead of an earlier request's pays for a
-    /// parking buffer.
-    pub fn enqueue_with(&mut self, seq: u64, encode: impl FnOnce(&mut Vec<u8>)) {
-        if seq == self.flush_seq {
-            encode(&mut self.out);
-            self.flush_seq += 1;
-        } else {
-            let mut frame = Vec::new();
-            encode(&mut frame);
-            self.ready.insert(seq, frame);
-        }
-        while let Some(bytes) = self.ready.remove(&self.flush_seq) {
-            self.out.extend_from_slice(&bytes);
-            self.flush_seq += 1;
-        }
+    /// Queue the next response. The caller *encodes* it, **directly
+    /// into the connection's outbound buffer** — zero intermediate
+    /// allocation per frame.
+    pub fn enqueue_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        encode(&mut self.out);
+        self.answered = true;
     }
 
     /// Push buffered bytes into the socket until it would block or the
@@ -288,39 +249,32 @@ impl Conn {
     /// answer (a just-accepted health check must not be cut off before
     /// it even sends its request).
     pub fn answered_any(&self) -> bool {
-        self.flush_seq > 0
+        self.answered
     }
 
-    /// Whether a freshly decoded request may enter the pipeline window
-    /// now (otherwise it parks).
-    pub fn window_open(&self) -> bool {
-        self.outstanding() < MAX_PIPELINE
+    /// Whether the next decoded request may be answered now (otherwise
+    /// it parks until the peer reads what is already queued).
+    pub fn writable_room(&self) -> bool {
+        self.buffered() <= WRITE_HIGH_WATER
     }
 
     /// The interest this connection's state implies right now.
     pub fn wants(&self) -> Interest {
         Interest {
-            readable: !self.read_closed
-                && self.parked.is_empty()
-                && self.buffered() <= WRITE_HIGH_WATER
-                && self.window_open(),
+            readable: !self.read_closed && self.parked.is_empty() && self.writable_room(),
             writable: self.buffered() > 0,
         }
     }
 
     /// Everything accepted has been answered and flushed.
     pub fn drained(&self) -> bool {
-        self.parked.is_empty()
-            && self.in_flight == 0
-            && self.outstanding() == 0
-            && self.buffered() == 0
+        self.parked.is_empty() && self.buffered() == 0
     }
 
-    /// Idle past `timeout` with nothing in flight on its behalf — the
-    /// slowloris/dead-peer condition. A connection waiting on the
-    /// *server* (shard work outstanding) is never idle.
+    /// No byte moved in either direction for `timeout` — the
+    /// slowloris/dead-peer condition.
     pub fn idle_expired(&self, timeout: Duration, now: Instant) -> bool {
-        self.in_flight == 0 && now.duration_since(self.last_activity) >= timeout
+        now.duration_since(self.last_activity) >= timeout
     }
 }
 
@@ -338,42 +292,14 @@ mod tests {
     }
 
     #[test]
-    fn responses_release_in_request_order() {
-        let (server, _client) = pair();
-        let mut conn = Conn::new(server, 1);
-        let a = conn.next_seq();
-        let b = conn.next_seq();
-        let c = conn.next_seq();
-        assert_eq!(conn.outstanding(), 3);
-        // Completions arrive out of order; nothing flushes past a gap.
-        conn.enqueue_with(c, |out| out.extend_from_slice(b"C"));
-        assert_eq!(conn.buffered(), 0);
-        conn.enqueue_with(a, |out| out.extend_from_slice(b"A"));
-        assert_eq!(conn.buffered(), 1, "A releases, C still gapped behind B");
-        conn.enqueue_with(b, |out| out.extend_from_slice(b"B"));
-        assert_eq!(conn.buffered(), 3, "B releases itself and the parked C");
-        assert_eq!(conn.outstanding(), 0);
-        assert_eq!(&conn.out, b"ABC");
-    }
-
-    #[test]
     fn backpressure_pauses_reading() {
         let (server, _client) = pair();
         let mut conn = Conn::new(server, 1);
         assert!(conn.wants().readable);
-        let seq = conn.next_seq();
-        conn.enqueue_with(seq, |out| out.resize(WRITE_HIGH_WATER + 1, 0));
+        conn.enqueue_with(|out| out.resize(WRITE_HIGH_WATER + 1, 0));
+        assert!(!conn.writable_room(), "new frames must park");
         assert!(!conn.wants().readable, "over the write high-water mark");
         assert!(conn.wants().writable);
-        // A full pipeline window pauses reads too.
-        let (server2, _client2) = pair();
-        let mut conn2 = Conn::new(server2, 2);
-        for _ in 0..MAX_PIPELINE {
-            assert!(conn2.window_open());
-            conn2.next_seq();
-        }
-        assert!(!conn2.window_open(), "window full: new frames must park");
-        assert!(!conn2.wants().readable, "pipeline window exhausted");
         // Parked frames alone also pause reading (they must drain first).
         let (server3, _client3) = pair();
         let mut conn3 = Conn::new(server3, 3);
@@ -383,33 +309,17 @@ mod tests {
     }
 
     #[test]
-    fn in_order_completions_encode_straight_into_the_out_buffer() {
+    fn responses_encode_straight_into_the_out_buffer() {
         let (server, _client) = pair();
         let mut conn = Conn::new(server, 1);
-        let a = conn.next_seq();
-        let b = conn.next_seq();
-        // A is next in line: its encoder must see the outbound buffer
-        // itself (watch the base pointer stay put after the write).
-        conn.enqueue_with(a, |out| {
+        assert!(!conn.answered_any());
+        conn.enqueue_with(|out| {
             assert!(out.is_empty(), "handed the real out buffer at its tail");
             out.extend_from_slice(b"A");
         });
         assert_eq!(conn.buffered(), 1);
-        conn.enqueue_with(b, |out| out.extend_from_slice(b"B"));
+        conn.enqueue_with(|out| out.extend_from_slice(b"B"));
         assert_eq!(&conn.out, b"AB");
-        assert_eq!(conn.outstanding(), 0);
-    }
-
-    #[test]
-    fn idle_expiry_spares_connections_waiting_on_shards() {
-        let (server, _client) = pair();
-        let mut conn = Conn::new(server, 1);
-        let long_ago = Instant::now() + Duration::from_secs(60);
-        assert!(conn.idle_expired(Duration::from_secs(1), long_ago));
-        conn.in_flight = 1;
-        assert!(
-            !conn.idle_expired(Duration::from_secs(1), long_ago),
-            "waiting on the server is not idleness"
-        );
+        assert!(conn.answered_any());
     }
 }

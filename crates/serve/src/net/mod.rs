@@ -10,8 +10,8 @@
 //!   and the loopback-UDP `Waker`;
 //! - `decoder` — incremental length-prefixed frame decoding (shared
 //!   with the blocking transport's `read_frame_text`);
-//! - `conn` — the per-connection state machine: decoder, response
-//!   ordering window, bounded write buffer, idle clock;
+//! - `conn` — the per-connection state machine: decoder, bounded write
+//!   buffer, idle clock;
 //! - this module — the accept/dispatch loop and N event-loop threads.
 //!
 //! ## Flow
@@ -19,25 +19,26 @@
 //! The accept thread hands each connection to an event loop round-robin
 //! (after the `max_conns` gate). A loop owns its connections outright:
 //! readable sockets are drained through the decoder; each complete frame
-//! runs the shared request core (`proto::classify`). Finished responses
-//! serialize immediately; predict work fans out to the shard workers
-//! through `PredictionServer::enqueue_partitioned`, tagged so the reply
-//! lands in this loop's `CompletionQueue`, which wakes the loop. A
-//! connection's responses are released strictly in request order (the
-//! protocol is pipelined but ordered), writes are buffered with
-//! backpressure (a slow reader pauses its own reads, never the loop),
-//! and connections idle past `idle_timeout` with nothing in flight are
-//! swept — one slowloris cannot hold a thread, and ten thousand idle
-//! scanners cost only their sockets and a few hundred bytes each.
+//! runs the shared request core (`proto::classify`) and is answered
+//! right there, on the loop's thread — predicts included
+//! (`proto::PredictWork::answer` runs the kernel in place) — straight
+//! into the connection's write buffer. One thread answers a connection's
+//! frames one at a time, so responses leave in request order (the
+//! protocol is pipelined but ordered) by construction. Writes are
+//! buffered with backpressure (a slow reader pauses its own requests,
+//! never the loop), and connections idle past `idle_timeout` are swept —
+//! one slowloris cannot hold a thread, and ten thousand idle scanners
+//! cost only their sockets and a few hundred bytes each.
 //!
-//! Deliberate tradeoff: admin commands (`reload`/`load` do snapshot
-//! disk I/O) run inline on the event-loop thread, briefly delaying that
-//! loop's other connections. They are rare, trusted-operator actions,
-//! and the GPSB serving load they trigger is sub-millisecond to
-//! low-millisecond (see the snapshot_load bench) — well under a normal
-//! scheduling hiccup. If admin latency ever matters, the fix is a side
-//! thread completing through the same `CompletionQueue` the predicts
-//! use; the protocol needs no change.
+//! Deliberate tradeoff: everything runs inline on the event-loop thread,
+//! briefly delaying that loop's other connections. A single predict is
+//! a few hundred nanoseconds; the long requests are a 65,536-query
+//! `batch` frame, which occupies its loop for the length of the batch
+//! (tens of milliseconds), and the admin commands (`reload`/`load` do
+//! snapshot disk I/O; the GPSB serving load they trigger is
+//! sub-millisecond to low-millisecond, see the snapshot_load bench).
+//! The first is bounded by `MAX_BATCH_QUERIES`, the second is a rare,
+//! trusted-operator action.
 
 mod conn;
 mod decoder;
@@ -51,15 +52,13 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::artifact::{Query, Ranked};
 use crate::hist::WireLabel;
 use crate::proto;
-use crate::server::{CacheLayer, L1Outcome, L1Slot, ModelEntry, PredictionServer};
-use crate::shard::ReplySink;
+use crate::server::PredictionServer;
 use crate::transport::TransportConfig;
 use conn::{Conn, Payload, ReadOutcome};
 use poller::{wake_pair, Event, Interest, Poller, WakeReceiver, Waker};
@@ -68,32 +67,6 @@ use poller::{wake_pair, Event, Interest, Poller, WakeReceiver, Waker};
 /// so they never collide).
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// Where shard workers deliver answers for jobs submitted by an event
-/// loop: a queue plus the loop's waker. Pushes coalesce — only the push
-/// into an empty queue wakes (the loop drains everything per pass).
-pub(crate) struct CompletionQueue {
-    items: Mutex<Vec<(usize, Vec<Arc<Ranked>>)>>,
-    waker: Waker,
-}
-
-impl CompletionQueue {
-    pub(crate) fn push(&self, tag: usize, answers: Vec<Arc<Ranked>>) {
-        let was_empty = {
-            let mut items = self.items.lock().expect("completion queue lock");
-            let was_empty = items.is_empty();
-            items.push((tag, answers));
-            was_empty
-        };
-        if was_empty {
-            self.waker.wake();
-        }
-    }
-
-    fn drain(&self) -> Vec<(usize, Vec<Arc<Ranked>>)> {
-        std::mem::take(&mut *self.items.lock().expect("completion queue lock"))
-    }
-}
-
 /// The accept thread's handle to one event loop. Streams are tagged with
 /// whether they came from the HTTP gateway listener.
 struct LoopHandle {
@@ -101,49 +74,13 @@ struct LoopHandle {
     waker: Waker,
 }
 
-/// One predict request awaiting shard completions.
-struct PendingPredict {
-    conn: u64,
-    seq: u64,
-    batch: bool,
-    /// How to encode the eventual reply (format, echoed id).
-    ctx: proto::ReplyCtx,
-    results: Vec<Option<Arc<Ranked>>>,
-    /// Sub-batches still out with shard workers.
-    remaining: usize,
-    /// Single queries that missed the transport-level L1 carry their
-    /// reserved slot, so the completed answer seeds the cache.
-    l1: Option<L1Slot>,
-    /// Observability context: the model answering, which wire the
-    /// request arrived on, when it was accepted, the first query's key
-    /// fields (for the query log), and the shard-hit counter when
-    /// cache-layer tracing is on.
-    entry: Arc<ModelEntry>,
-    wire: WireLabel,
-    started: Instant,
-    first: Option<Query>,
-    hits: Option<Arc<AtomicU64>>,
-}
-
-/// One shard sub-batch in flight: which pending request it belongs to
-/// and which original query indices it answers.
-struct SubJob {
-    pending: u64,
-    indices: Vec<usize>,
-}
-
 struct EventLoop {
     server: Arc<PredictionServer>,
     poller: Poller,
     wake_rx: WakeReceiver,
     incoming: Arc<Mutex<Vec<(TcpStream, bool)>>>,
-    completions: Arc<CompletionQueue>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    pending: HashMap<u64, PendingPredict>,
-    next_pending: u64,
-    subjobs: HashMap<usize, SubJob>,
-    next_tag: usize,
     idle_timeout: Option<Duration>,
     scratch: Vec<u8>,
     frames: Vec<Payload>,
@@ -181,16 +118,8 @@ pub(crate) fn serve_events(
             poller,
             wake_rx,
             incoming: incoming.clone(),
-            completions: Arc::new(CompletionQueue {
-                items: Mutex::new(Vec::new()),
-                waker: waker.clone(),
-            }),
             conns: HashMap::new(),
             next_token: 0,
-            pending: HashMap::new(),
-            next_pending: 0,
-            subjobs: HashMap::new(),
-            next_tag: 0,
             idle_timeout: config.idle_timeout,
             scratch: vec![0u8; 16 * 1024],
             frames: Vec::new(),
@@ -281,7 +210,6 @@ impl EventLoop {
                 self.handle_conn_event(event);
             }
             self.adopt_incoming();
-            self.drain_completions();
             if let Some(every) = sweep_every {
                 if last_sweep.elapsed() >= every {
                     last_sweep = Instant::now();
@@ -294,8 +222,8 @@ impl EventLoop {
         }
     }
 
-    /// While the server drains, close every connection whose outstanding
-    /// work has fully flushed — in-flight replies still finish first,
+    /// While the server drains, close every connection whose replies
+    /// have fully flushed — queued replies still finish first,
     /// and a connection that has not yet been answered at all (e.g. a
     /// health check racing the drain) gets to ask its question.
     fn sweep_draining(&mut self) {
@@ -354,16 +282,17 @@ impl EventLoop {
             };
             let outcome = conn.read_ready(&mut self.scratch, &mut self.frames);
             // Frames decoded before any break are valid — answer them.
-            // A read burst can decode more frames than the pipeline
-            // window admits (bytes already read can't be pushed back to
-            // the kernel): the excess parks on the connection and is
-            // released by `after_progress` as answers flush.
+            // A read burst can decode more frames than the write buffer
+            // has room to answer (bytes already read can't be pushed back
+            // to the kernel): once the buffer is over its high-water mark
+            // the rest park on the connection and are released by
+            // `after_progress` as the socket drains.
             let frames: Vec<Payload> = self.frames.drain(..).collect();
             for payload in frames {
                 let park = self
                     .conns
                     .get(&event.token)
-                    .is_some_and(|c| !c.parked.is_empty() || !c.window_open());
+                    .is_some_and(|c| !c.parked.is_empty() || !c.writable_room());
                 match self.conns.get_mut(&event.token) {
                     None => break, // connection died answering an earlier frame
                     Some(conn) if park => conn.parked.push_back(payload),
@@ -394,7 +323,6 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let seq = conn.next_seq();
         let format = conn.wire_format();
         let started = Instant::now();
         let (wire, action) = match payload {
@@ -421,7 +349,7 @@ impl EventLoop {
                                 conn.read_closed = true;
                             }
                         }
-                        self.complete_with(token, seq, |out| {
+                        self.complete_with(token, |_, out| {
                             http::append_response(
                                 out,
                                 status,
@@ -449,20 +377,18 @@ impl EventLoop {
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.read_closed = true;
                 }
-                self.complete_with(token, seq, |out| http::append_error(out, &error));
+                self.complete_with(token, |_, out| http::append_error(out, &error));
                 return;
             }
         };
-        self.dispatch(token, seq, wire, started, action);
+        self.dispatch(token, wire, started, action);
     }
 
-    /// Run one classified action: serialize finished replies inline, fan
-    /// predict work out to the shard workers. `wire` and `started` feed
-    /// the latency histograms and the query log.
+    /// Run one classified action and serialize its reply. `wire` and
+    /// `started` feed the latency histograms and the query log.
     fn dispatch(
         &mut self,
         token: u64,
-        seq: u64,
         wire: WireLabel,
         started: Instant,
         action: proto::FrameAction,
@@ -477,108 +403,12 @@ impl EventLoop {
                         conn.read_closed = true;
                     }
                 }
-                self.complete_with(token, seq, |out| proto::encode_ready(reply, out));
+                self.complete_with(token, |_, out| proto::encode_ready(reply, out));
                 proto::record_admin(&self.server, wire, started);
             }
-            proto::FrameAction::Predict {
-                entry,
-                queries,
-                batch,
-                ctx,
-            } if queries.is_empty() => {
-                self.mark_http_close(token, &ctx);
-                self.complete_with(token, seq, |out| {
-                    proto::encode_predict_reply(&ctx, &[], batch, out)
-                });
-                proto::record_predict(
-                    &self.server,
-                    &entry,
-                    wire,
-                    batch,
-                    0,
-                    None,
-                    CacheLayer::Miss,
-                    started,
-                );
-            }
-            proto::FrameAction::Predict {
-                entry,
-                queries,
-                batch,
-                ctx,
-            } => {
-                let trace = self.server.query_log().is_some();
-                let first = if trace {
-                    queries.first().cloned()
-                } else {
-                    None
-                };
-                // Warm single queries answer inline from the L1 — no
-                // shard hop, no completion-queue round trip, and the
-                // reply serializes straight into the write buffer.
-                let mut l1 = None;
-                if !batch && queries.len() == 1 {
-                    match self.server.l1_get(&entry, &queries[0], started) {
-                        L1Outcome::Hit(answer) => {
-                            self.mark_http_close(token, &ctx);
-                            self.complete_with(token, seq, |out| {
-                                proto::encode_predict_reply(&ctx, &[answer], false, out)
-                            });
-                            proto::record_predict(
-                                &self.server,
-                                &entry,
-                                wire,
-                                false,
-                                1,
-                                first.as_ref(),
-                                CacheLayer::L1,
-                                started,
-                            );
-                            return;
-                        }
-                        L1Outcome::Miss(slot) => l1 = Some(slot),
-                    }
-                }
-                let hits = trace.then(|| Arc::new(AtomicU64::new(0)));
-                let pending_id = self.next_pending;
-                self.next_pending += 1;
-                let n = queries.len();
-                let sink = ReplySink::Queue(self.completions.clone());
-                let server = self.server.clone();
-                let mut remaining = 0usize;
-                server.enqueue_partitioned(&entry, queries, &sink, hits.as_ref(), |indices| {
-                    let tag = self.next_tag;
-                    self.next_tag += 1;
-                    self.subjobs.insert(
-                        tag,
-                        SubJob {
-                            pending: pending_id,
-                            indices,
-                        },
-                    );
-                    remaining += 1;
-                    tag
-                });
-                self.pending.insert(
-                    pending_id,
-                    PendingPredict {
-                        conn: token,
-                        seq,
-                        batch,
-                        ctx,
-                        results: vec![None; n],
-                        remaining,
-                        l1,
-                        entry,
-                        wire,
-                        started,
-                        first,
-                        hits,
-                    },
-                );
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.in_flight += 1;
-                }
+            proto::FrameAction::Predict(work) => {
+                self.mark_http_close(token, &work.ctx);
+                self.complete_with(token, |server, out| work.answer(server, wire, started, out));
             }
         }
     }
@@ -597,70 +427,16 @@ impl EventLoop {
         }
     }
 
-    /// Shard answers that arrived since the last pass.
-    fn drain_completions(&mut self) {
-        for (tag, answers) in self.completions.drain() {
-            let Some(subjob) = self.subjobs.remove(&tag) else {
-                continue;
-            };
-            let Some(pending) = self.pending.get_mut(&subjob.pending) else {
-                continue;
-            };
-            for (&idx, answer) in subjob.indices.iter().zip(answers) {
-                pending.results[idx] = Some(answer);
-            }
-            pending.remaining -= 1;
-            if pending.remaining > 0 {
-                continue;
-            }
-            let pending = self
-                .pending
-                .remove(&subjob.pending)
-                .expect("pending present");
-            let answers: Vec<Arc<Ranked>> = pending
-                .results
-                .into_iter()
-                .map(|r| r.expect("every query answered"))
-                .collect();
-            if let Some(slot) = pending.l1 {
-                self.server.l1_put(slot, answers[0].clone());
-            }
-            if let Some(conn) = self.conns.get_mut(&pending.conn) {
-                conn.in_flight -= 1;
-            }
-            let layer = match &pending.hits {
-                Some(hits) => {
-                    CacheLayer::of_shard_hits(hits.load(Ordering::Relaxed), answers.len() as u64)
-                }
-                None => CacheLayer::Miss,
-            };
-            proto::record_predict(
-                &self.server,
-                &pending.entry,
-                pending.wire,
-                pending.batch,
-                answers.len() as u64,
-                pending.first.as_ref(),
-                layer,
-                pending.started,
-            );
-            self.mark_http_close(pending.conn, &pending.ctx);
-            self.complete_with(pending.conn, pending.seq, |out| {
-                proto::encode_predict_reply(&pending.ctx, &answers, pending.batch, out)
-            });
-        }
-    }
-
-    /// Serialize a finished response into its connection's ordered
-    /// window and push whatever is now flushable. The encoder runs
-    /// against the connection's own outbound buffer whenever `seq` is
-    /// next in line (`Conn::enqueue_with`) — the zero-intermediate-copy
+    /// Serialize a response into its connection's outbound buffer and
+    /// push whatever is now flushable. The encoder runs against the
+    /// buffer itself (`Conn::enqueue_with`) — the zero-intermediate-copy
     /// path the binary wire format is built around.
-    fn complete_with(&mut self, token: u64, seq: u64, encode: impl FnOnce(&mut Vec<u8>)) {
+    fn complete_with(&mut self, token: u64, encode: impl FnOnce(&PredictionServer, &mut Vec<u8>)) {
         let Some(conn) = self.conns.get_mut(&token) else {
-            return; // connection died while the answer was computed
+            return; // closed answering an earlier frame of this burst
         };
-        conn.enqueue_with(seq, encode);
+        let server = &self.server;
+        conn.enqueue_with(|out| encode(server, out));
         conn.touch();
         if conn.flush().is_err() {
             self.close(token, false);
@@ -669,16 +445,17 @@ impl EventLoop {
         self.after_progress(token);
     }
 
-    /// Release parked request frames into freed pipeline-window space,
-    /// re-derive poller interest after any state change, and finish off
-    /// connections that are fully drained after a half-close.
+    /// Release parked request frames once the write buffer has drained
+    /// below its high-water mark, re-derive poller interest after any
+    /// state change, and finish off connections that are fully drained
+    /// after a half-close.
     fn after_progress(&mut self, token: u64) {
         // The drain is not re-entered from the `after_progress` calls
         // that handling a released request triggers (complete → here).
         if !self.draining_parked {
             self.draining_parked = true;
             while let Some(conn) = self.conns.get_mut(&token) {
-                if conn.parked.is_empty() || !conn.window_open() {
+                if conn.parked.is_empty() || !conn.writable_room() {
                     break;
                 }
                 let payload = conn.parked.pop_front().expect("parked nonempty");
@@ -708,9 +485,8 @@ impl EventLoop {
         }
     }
 
-    /// Close connections that idled out (nothing in flight, no bytes for
-    /// `idle_timeout` — the slowloris rule lives in
-    /// [`Conn::idle_expired`]).
+    /// Close connections that idled out (no bytes for `idle_timeout` —
+    /// the slowloris rule lives in [`Conn::idle_expired`]).
     fn sweep_idle(&mut self) {
         let Some(timeout) = self.idle_timeout else {
             return;
@@ -740,10 +516,7 @@ impl EventLoop {
             stats.conns_timed_out.fetch_add(1, Ordering::Relaxed);
         }
         stats.conns_closed.fetch_add(1, Ordering::Relaxed);
-        // Dropping the conn closes the socket. Pending predicts
-        // referencing this token finish harmlessly: their completions
-        // find no connection and are dropped.
-        drop(conn);
+        drop(conn); // closes the socket
     }
 
     /// A connection that never became a `Conn` (registration failed) is

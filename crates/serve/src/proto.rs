@@ -64,7 +64,7 @@ use crate::artifact::{Query, Ranked};
 use crate::hist::{EndpointLabel, WireLabel};
 use crate::net::http;
 use crate::net::{FrameDecoder, WireFormat};
-use crate::server::{unix_now_millis, CacheLayer, ModelEntry, PredictionServer};
+use crate::server::{unix_now_millis, ModelEntry, PredictionServer};
 use crate::transport::TransportConfig;
 use crate::wire;
 use gps_types::binary::ByteWriter;
@@ -78,9 +78,9 @@ pub const MAX_FRAME_BYTES: u32 = 16 << 20;
 /// Largest batch a single `batch` request may carry.
 pub const MAX_BATCH_QUERIES: usize = 65_536;
 
-/// Most open-port evidence entries a single query may carry. Evidence
-/// becomes part of per-shard LRU cache keys, so unbounded lists from the
-/// wire would let one client pin gigabytes of key data in the caches.
+/// Most open-port evidence entries a single query may carry: each one
+/// costs a rule-table walk, so the cap bounds the work one query can ask
+/// for.
 pub const MAX_OPEN_PORTS: usize = 64;
 
 /// Largest `top` a query may request over the wire (bounds response size).
@@ -317,7 +317,7 @@ pub(crate) const OVERSIZE_REPLY: &str = "response exceeds frame size cap";
 
 /// How the reply to one classified request frame must be encoded — the
 /// per-request state a transport carries from classification to reply
-/// serialization (for predict work, across the shard round trip).
+/// serialization.
 pub(crate) enum ReplyCtx {
     /// A JSON-session frame: set the echoed id, serialize as JSON text.
     Json { id: Option<Json> },
@@ -332,7 +332,7 @@ pub(crate) enum ReplyCtx {
     Http { id: Option<Json>, keep_alive: bool },
 }
 
-/// A finished (no shard work) reply, ready to serialize.
+/// A finished (no predict work) reply, ready to serialize.
 pub(crate) enum ReadyReply {
     /// JSON response on a JSON session.
     Json { response: Json, id: Option<Json> },
@@ -354,14 +354,67 @@ pub(crate) enum ReadyReply {
 /// work plus the context to encode its eventual answer.
 pub(crate) enum FrameAction {
     Ready(ReadyReply),
-    Predict {
-        entry: Arc<ModelEntry>,
-        queries: Vec<Query>,
-        /// `batch` frames answer with the batch shape, singles with the
-        /// single shape — in either format.
-        batch: bool,
-        ctx: ReplyCtx,
-    },
+    Predict(PredictWork),
+}
+
+/// Classified predict work: the resolved model, the parsed queries, and
+/// how to encode the answer.
+pub(crate) struct PredictWork {
+    entry: Arc<ModelEntry>,
+    queries: Vec<Query>,
+    /// `batch` frames answer with the batch shape, singles with the
+    /// single shape — in either format.
+    batch: bool,
+    pub(crate) ctx: ReplyCtx,
+}
+
+impl PredictWork {
+    /// Answer every query on the calling thread and append the reply
+    /// frame to `out` — the one way either transport executes predict
+    /// work. Then the per-request observability: the request latency goes
+    /// into the model's histogram cell (a batch frame of `n` queries
+    /// counts `n` samples, keeping histogram counts summable against
+    /// `requests`; the server-level predict cells are derived at snapshot
+    /// time by summing the models, so the hot path pays for one histogram
+    /// update, not two) and, when a query log is configured, one
+    /// structured record carrying the first query's key fields.
+    pub(crate) fn answer(
+        mut self,
+        server: &PredictionServer,
+        wire: WireLabel,
+        started: Instant,
+        out: &mut Vec<u8>,
+    ) {
+        let n = self.queries.len() as u64;
+        let answers = server.predict_batch_entry(&self.entry, &mut self.queries);
+        encode_predict_reply(&self.ctx, &answers, self.batch, out);
+        let latency_ns = started.elapsed().as_nanos() as u64;
+        let endpoint = if self.batch {
+            EndpointLabel::Batch
+        } else {
+            EndpointLabel::Single
+        };
+        let entry = self.entry;
+        entry
+            .counters
+            .hists
+            .cell(wire, endpoint)
+            .record_n(latency_ns, n);
+        if let (Some(log), Some(first)) = (server.query_log(), self.queries.first()) {
+            log.push(QueryLogRecord {
+                ts_ms: unix_now_millis(),
+                model: entry.id.clone(),
+                wire: wire.as_str().to_string(),
+                endpoint: endpoint.as_str().to_string(),
+                ip: first.ip,
+                open: first.open.iter().map(|p| p.0).collect(),
+                asn: first.asn,
+                top: first.top,
+                latency_ns,
+                generation: entry.generation(),
+            });
+        }
+    }
 }
 
 /// An error reply shaped for the reply context.
@@ -465,7 +518,7 @@ pub(crate) fn encode_ready(reply: ReadyReply, out: &mut Vec<u8>) {
 /// into `out` — no intermediate `String` or `Vec` per frame.
 pub(crate) fn encode_predict_reply(
     ctx: &ReplyCtx,
-    answers: &[Arc<Ranked>],
+    answers: &[Ranked],
     batch: bool,
     out: &mut Vec<u8>,
 ) {
@@ -518,17 +571,16 @@ fn optional_str<'a>(request: &'a Json, field: &str) -> Result<Option<&'a str>, S
 /// How one request frame is to be answered. `classify` is the request
 /// core both transports share: every command except the predicts is
 /// fully computed here; the predicts come back as *work* (the resolved
-/// model entry plus parsed queries), because the blocking transport
-/// executes them in place while the event transport pipelines them into
-/// the shard workers and answers when completions return. Running the
-/// same classification and the same response builders is what makes the
-/// two transports answer byte-identically — asserted by the
-/// transport-parity e2e suite.
+/// model entry plus parsed queries), which the transport runs on its own
+/// thread through [`PredictWork::answer`]. Running the same
+/// classification and the same response builders is what makes the two
+/// transports answer byte-identically — asserted by the transport-parity
+/// e2e suite.
 pub(crate) enum Action {
     /// The response, finished.
     Ready(Json),
-    /// Shard work: answer with [`predict_response`] once every query in
-    /// `queries` has its answer.
+    /// Predict work: answer with [`predict_response`] over the answers to
+    /// `queries`.
     Predict {
         entry: Arc<ModelEntry>,
         queries: Vec<Query>,
@@ -539,15 +591,12 @@ pub(crate) enum Action {
 }
 
 /// Build the success reply for completed predict work (both shapes).
-pub(crate) fn predict_response(answers: &[Arc<Ranked>], batch: bool) -> Json {
+pub(crate) fn predict_response(answers: &[Ranked], batch: bool) -> Json {
     let mut json = ok_response();
     if batch {
         json.set(
             "results",
-            answers
-                .iter()
-                .map(|r| ranked_to_json(r))
-                .collect::<Vec<_>>(),
+            answers.iter().map(ranked_to_json).collect::<Vec<_>>(),
         );
     } else {
         json.set("predictions", ranked_to_json(&answers[0]));
@@ -844,12 +893,12 @@ pub(crate) fn classify_json(
                         ReplyShape::BinaryAdmin => ReplyCtx::BinaryAdmin { id },
                         ReplyShape::Http { keep_alive } => ReplyCtx::Http { id, keep_alive },
                     };
-                    return FrameAction::Predict {
+                    return FrameAction::Predict(PredictWork {
                         entry,
                         queries,
                         batch,
                         ctx,
-                    };
+                    });
                 }
             }
         }
@@ -879,66 +928,18 @@ fn predict_action(
         Some(id) => server.entry(id),
     };
     match entry {
-        Ok(entry) => FrameAction::Predict {
+        Ok(entry) => FrameAction::Predict(PredictWork {
             entry,
             queries,
             batch,
             ctx,
-        },
+        }),
         Err(e) => FrameAction::Ready(ready_error(ctx, e)),
     }
 }
 
-/// Per-request observability shared by both transports: record the
-/// request latency into the server-level and per-model histogram cells —
-/// a batch frame of `n` queries counts `n` samples, keeping histogram
-/// counts summable against `requests` — and, when a query log is
-/// configured, append one structured record carrying the first query's
-/// key fields (what warm replay needs back).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn record_predict(
-    server: &PredictionServer,
-    entry: &ModelEntry,
-    wire: WireLabel,
-    batch: bool,
-    n: u64,
-    first: Option<&Query>,
-    layer: CacheLayer,
-    started: Instant,
-) {
-    let latency_ns = started.elapsed().as_nanos() as u64;
-    let endpoint = if batch {
-        EndpointLabel::Batch
-    } else {
-        EndpointLabel::Single
-    };
-    // Per-model only: the server-level predict cells are derived at
-    // snapshot time by summing the models, so the hot path pays for one
-    // histogram update, not two.
-    entry
-        .counters
-        .hists
-        .cell(wire, endpoint)
-        .record_n(latency_ns, n);
-    if let (Some(log), Some(first)) = (server.query_log(), first) {
-        log.push(QueryLogRecord {
-            ts_ms: unix_now_millis(),
-            model: entry.id.clone(),
-            wire: wire.as_str().to_string(),
-            endpoint: endpoint.as_str().to_string(),
-            ip: first.ip,
-            open: first.open.iter().map(|p| p.0).collect(),
-            asn: first.asn,
-            top: first.top,
-            cache: layer.as_str().to_string(),
-            latency_ns,
-            generation: entry.generation(),
-        });
-    }
-}
-
-/// Record one admin-shaped request (anything that never reaches the
-/// shards) into the server-level histogram matrix.
+/// Record one admin-shaped request (anything that is not a predict)
+/// into the server-level histogram matrix.
 pub(crate) fn record_admin(server: &PredictionServer, wire: WireLabel, started: Instant) {
     server
         .server_stats()
@@ -987,45 +988,7 @@ pub fn serve_connection(server: &PredictionServer, stream: TcpStream) -> io::Res
                 encode_ready(reply, &mut response_buf);
                 record_admin(server, wire, started);
             }
-            FrameAction::Predict {
-                entry,
-                queries,
-                batch,
-                ctx,
-            } => {
-                // Predict work executes in place — the blocking
-                // transport's path through the shared core. Cache-layer
-                // tracing costs an Arc bump per request, so it runs only
-                // when a query log wants the attribution.
-                let n = queries.len() as u64;
-                let trace = server.query_log().is_some();
-                let first = if trace {
-                    queries.first().cloned()
-                } else {
-                    None
-                };
-                let layer = if batch {
-                    let (answers, layer) =
-                        server.predict_batch_entry_traced(entry.clone(), queries, trace);
-                    encode_predict_reply(&ctx, &answers, true, &mut response_buf);
-                    layer
-                } else {
-                    let query = queries.into_iter().next().expect("one query");
-                    let (answer, layer) = server.predict_entry_traced(entry.clone(), query, trace);
-                    encode_predict_reply(&ctx, &[answer], false, &mut response_buf);
-                    layer
-                };
-                record_predict(
-                    server,
-                    &entry,
-                    wire,
-                    batch,
-                    n,
-                    first.as_ref(),
-                    layer,
-                    started,
-                );
-            }
+            FrameAction::Predict(work) => work.answer(server, wire, started, &mut response_buf),
         }
         // Write coalescing: while the read buffer already holds more of
         // a pipelined burst, keep encoding into the same buffer and send

@@ -6,10 +6,12 @@
 //! while they keep flowing into a running scan, and a single `gps serve`
 //! process is a single point of failure:
 //!
-//! - **Placement.** Single queries are consistent-hashed by the query
-//!   IP's /16 with the same Fibonacci hash the server's shards use
-//!   (`Core::owner_of`), so one /16's answers concentrate on one backend and
-//!   its caches stay hot.
+//! - **Placement.** Single queries are hashed by the query IP's /16
+//!   (`Core::owner_of`, a Fibonacci hash): a stateless spread that every
+//!   router instance computes alike, and that splits a batch into at
+//!   most one sub-batch per backend. Backends keep no per-query state,
+//!   so any of them can answer any query — which is what makes retrying
+//!   on an alternate safe.
 //! - **Health.** Every backend carries a health state (`Up` → `Suspect`
 //!   → `Down`) driven by a periodic `ping` prober *and* passively by
 //!   forwarding errors. A downed backend is retried after an exponential
@@ -213,9 +215,9 @@ struct Core {
 }
 
 impl Core {
-    /// Which backend owns an IP: the same /16 Fibonacci hash the
-    /// server's shards use, so a backend sees a stable subset of /16s
-    /// and its caches stay hot across router restarts.
+    /// Which backend owns an IP: a Fibonacci hash of its /16, so
+    /// sequential /16s spread across backends and the owner depends on
+    /// nothing but the query.
     fn owner_of(&self, ip: gps_types::Ip) -> usize {
         let slash16 = ip.0 >> 16;
         let h = (slash16 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -671,7 +673,7 @@ fn handle_json(
         "predict" => match query_from_json(&request) {
             Ok(query) => match route_single(core, pool, model.as_deref(), &query) {
                 Ok(ranking) => {
-                    encode_predict_reply(&ctx, &[Arc::new(ranking)], false, out);
+                    encode_predict_reply(&ctx, &[ranking], false, out);
                 }
                 Err(e) => encode_ready(ready_error(ctx, e.message()), out),
             },
@@ -701,8 +703,7 @@ fn handle_json(
             }
             match route_batch(core, pool, model.as_deref(), &queries) {
                 Ok(rankings) => {
-                    let answers: Vec<Arc<Ranked>> = rankings.into_iter().map(Arc::new).collect();
-                    encode_predict_reply(&ctx, &answers, true, out);
+                    encode_predict_reply(&ctx, &rankings, true, out);
                 }
                 Err(e) => encode_ready(ready_error(ctx, e.message()), out),
             }
@@ -785,9 +786,7 @@ fn serve_front_connection(core: &Core, stream: TcpStream) -> io::Result<()> {
                     core.requests.fetch_add(1, Ordering::Relaxed);
                     let ctx = ReplyCtx::Binary { id };
                     match route_single(core, &mut pool, model.as_deref(), &query) {
-                        Ok(ranking) => {
-                            encode_predict_reply(&ctx, &[Arc::new(ranking)], false, &mut out)
-                        }
+                        Ok(ranking) => encode_predict_reply(&ctx, &[ranking], false, &mut out),
                         Err(e) => encode_ready(
                             ReadyReply::BinaryError {
                                 id,
@@ -801,11 +800,7 @@ fn serve_front_connection(core: &Core, stream: TcpStream) -> io::Result<()> {
                     core.requests.fetch_add(1, Ordering::Relaxed);
                     let ctx = ReplyCtx::Binary { id };
                     match route_batch(core, &mut pool, model.as_deref(), &queries) {
-                        Ok(rankings) => {
-                            let answers: Vec<Arc<Ranked>> =
-                                rankings.into_iter().map(Arc::new).collect();
-                            encode_predict_reply(&ctx, &answers, true, &mut out)
-                        }
+                        Ok(rankings) => encode_predict_reply(&ctx, &rankings, true, &mut out),
                         Err(e) => encode_ready(
                             ReadyReply::BinaryError {
                                 id,

@@ -8,10 +8,9 @@
 //!   connection counts stay in the hundreds. The default.
 //! - [`Transport::Events`] — N event-loop threads multiplexing
 //!   nonblocking sockets over `epoll` (or the portable `poll(2)`
-//!   fallback), with incremental frame decoding and shard completion
-//!   queues (`crate::net`). Holds tens of thousands of mostly-idle
-//!   connections — the LZR-style scanning fan-in the serving layer
-//!   exists for.
+//!   fallback), with incremental frame decoding (`crate::net`). Holds
+//!   tens of thousands of mostly-idle connections — the LZR-style
+//!   scanning fan-in the serving layer exists for.
 //!
 //! Both transports share the request core (`proto::classify` + response
 //! builders) and both honor `max_conns` / `idle_timeout`, so the choice
@@ -63,8 +62,7 @@ pub struct TransportConfig {
     /// dropped immediately and counted in `conns_rejected`.
     pub max_conns: usize,
     /// Close a connection that goes this long without sending a byte
-    /// (half-sent frames included) while nothing is in flight for it.
-    /// `None` = never.
+    /// (half-sent frames included). `None` = never.
     pub idle_timeout: Option<Duration>,
     /// Event transport only: number of event-loop threads (0 = auto).
     pub event_loops: usize,

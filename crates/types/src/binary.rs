@@ -6,8 +6,8 @@
 //! every key is re-tokenized. GPSB is the binary sibling used by
 //! `gps-core::snapshot` for the bulk sections. This module is only the
 //! byte-level layer — what a `varint` is, how a section is framed — so the
-//! snapshot layer and any future artifact (query logs, cache warm-up
-//! files) share one set of primitives.
+//! snapshot layer and any future artifact (query logs) share one set of
+//! primitives.
 //!
 //! ## Conventions
 //!

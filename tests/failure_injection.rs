@@ -279,23 +279,11 @@ mod router_resilience {
     #[test]
     fn zero_failed_queries_through_backend_kill_and_restart() {
         let b0 = KillableBackend::start(
-            Arc::new(PredictionServer::start(
-                model(),
-                ServeConfig {
-                    shards: 1,
-                    ..ServeConfig::default()
-                },
-            )),
+            Arc::new(PredictionServer::start(model(), ServeConfig::default())),
             "127.0.0.1:0",
         );
         let b1 = KillableBackend::start(
-            Arc::new(PredictionServer::start(
-                model(),
-                ServeConfig {
-                    shards: 1,
-                    ..ServeConfig::default()
-                },
-            )),
+            Arc::new(PredictionServer::start(model(), ServeConfig::default())),
             "127.0.0.1:0",
         );
         let handle = start_router(&[b0.addr, b1.addr]);
@@ -421,23 +409,11 @@ mod router_resilience {
     #[test]
     fn batches_survive_a_backend_kill() {
         let b0 = KillableBackend::start(
-            Arc::new(PredictionServer::start(
-                model(),
-                ServeConfig {
-                    shards: 1,
-                    ..ServeConfig::default()
-                },
-            )),
+            Arc::new(PredictionServer::start(model(), ServeConfig::default())),
             "127.0.0.1:0",
         );
         let b1 = KillableBackend::start(
-            Arc::new(PredictionServer::start(
-                model(),
-                ServeConfig {
-                    shards: 1,
-                    ..ServeConfig::default()
-                },
-            )),
+            Arc::new(PredictionServer::start(model(), ServeConfig::default())),
             "127.0.0.1:0",
         );
         let handle = start_router(&[b0.addr, b1.addr]);
@@ -513,13 +489,7 @@ mod serve_churn {
     }
 
     fn spawn(transport: &str) -> (Arc<PredictionServer>, SocketAddr) {
-        let server = Arc::new(PredictionServer::start(
-            model(),
-            ServeConfig {
-                shards: 2,
-                ..ServeConfig::default()
-            },
-        ));
+        let server = Arc::new(PredictionServer::start(model(), ServeConfig::default()));
         let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
         let addr = listener.local_addr().expect("local addr");
         let config = TransportConfig::named(transport).expect("known transport");
@@ -553,9 +523,9 @@ mod serve_churn {
 
     /// Many connect → query → disconnect cycles, interleaved with
     /// mid-frame disconnects (a length prefix promising bytes that never
-    /// come, a torn prefix, a request whose answer nobody reads): no
-    /// shard worker may wedge, and the connection counters must balance
-    /// to zero live connections afterward, on every transport.
+    /// come, a torn prefix, a request whose answer nobody reads): nothing
+    /// may wedge, and the connection counters must balance to zero live
+    /// connections afterward, on every transport.
     #[test]
     fn connection_churn_and_midframe_disconnects_leave_server_healthy() {
         for transport in serve_transports() {
@@ -590,8 +560,8 @@ mod serve_churn {
                 }
             }
             // A request whose answer nobody reads: send a full predict
-            // frame and immediately disconnect — the shard still computes
-            // it, the reply lands on a dead connection, nothing wedges.
+            // frame and immediately disconnect — the reply lands on a dead
+            // connection, nothing wedges.
             for _ in 0..5 {
                 let mut stream = TcpStream::connect(addr).expect("connect");
                 let mut frame = gps::types::Json::obj();
@@ -614,8 +584,8 @@ mod serve_churn {
                 "{transport}: no idle timeout configured, none may fire"
             );
 
-            // ...and the shard workers are not wedged: a fresh client
-            // still gets every answer, promptly.
+            // ...and the server is not wedged: a fresh client still gets
+            // every answer, promptly.
             let mut client = Client::connect(addr).expect("fresh connect");
             for i in 0..50u32 {
                 let ip = Ip::from_octets(10, (i % 3) as u8, 1, 1);
@@ -631,16 +601,15 @@ mod serve_churn {
                     .expect("post-churn batch")
                     .len(),
                 64,
-                "{transport}: batches still fan out across every shard"
+                "{transport}: batches across many /16s still answer in full"
             );
             let stats = await_stats(server.as_ref(), transport, |s| {
                 s.conns_accepted == expected_conns + 1
             });
-            // The request counters moved for the post-churn traffic, so
-            // shards are demonstrably servicing work.
+            // The request counters moved for the post-churn traffic.
             assert!(
                 stats.requests >= expected_conns / 2 + 50 + 64,
-                "{transport}: shards served throughout: {stats:?}"
+                "{transport}: served throughout: {stats:?}"
             );
             drop(client);
             await_stats(server.as_ref(), transport, |s| {

@@ -9,9 +9,10 @@ use gps::engine::{Backend, ExecLedger};
 use gps::scan::{CyclicPermutation, ServiceObservation};
 use gps::serve::{
     Client, PredictScratch, PredictionServer, Query, ReferenceModel, ServableModel, ServeConfig,
-    WireFormat,
+    TransportConfig, WireFormat,
 };
 use gps::types::rng::Rng;
+use gps::types::testutil::{serve_transports, serve_wires};
 use gps::types::{Ip, Port, ServiceKey, Subnet, Sym};
 use proptest::prelude::*;
 
@@ -328,12 +329,12 @@ proptest! {
         );
     }
 
-    /// JSON ↔ GPSQ wire parity over the live protocol stack: the same
-    /// random request served through a JSON connection and a binary
-    /// connection of one server yields a **bit-identical** `Ranked` —
-    /// same ports in the same order, same probability bit patterns —
-    /// for cold and warm queries, single and batch shapes, against the
-    /// trained artifact's direct `predict` as the common reference.
+    /// Every front door answers with the model's own bits: the same
+    /// random request served through every transport × wire format
+    /// yields a **bit-identical** `Ranked` — same ports in the same
+    /// order, same probability bit patterns — to the trained artifact's
+    /// direct `ServableModel::predict`, for cold and warm queries, single
+    /// and batch shapes, an explicit `top` and the server's default.
     #[test]
     fn wire_formats_serve_bit_identical_predictions(
         ips in proptest::collection::vec(any::<u32>(), 24..25),
@@ -341,54 +342,93 @@ proptest! {
         asn in any::<bool>(),
     ) {
         let artifacts = served_artifacts();
-        let (_server, json, binary) = parity_server();
-        let mut json = json.lock().expect("json client lock");
-        let mut binary = binary.lock().expect("binary client lock");
         let mut queries = Vec::new();
+        let mut expected = Vec::new();
         for (i, ip) in ips.into_iter().enumerate() {
             let mut query = Query::new(Ip(ip));
-            query.top = 16;
+            // Every other query leaves `top` to the server's default.
+            query.top = if i % 2 == 0 { 16 } else { 0 };
             if i % 3 == 0 {
                 query.open = vec![Port(evidence_port), Port(80)];
             }
             if asn && i % 4 == 0 {
                 query.asn = Some(u32::from(evidence_port));
             }
-            let expected = artifacts.original.predict(&query);
-            let via_json = json.predict(&query).expect("json predict");
-            let via_binary = binary.predict(&query).expect("binary predict");
-            prop_assert_eq!(&via_json, &expected, "json equals the artifact");
-            prop_assert_eq!(&via_binary.len(), &expected.len());
-            for (b, e) in via_binary.iter().zip(&expected) {
-                prop_assert_eq!(b.0, e.0, "binary ports equal the artifact's");
-                prop_assert_eq!(
-                    b.1.to_bits(),
-                    e.1.to_bits(),
-                    "binary probability bits equal the artifact's"
-                );
+            let mut direct = query.clone();
+            if direct.top == 0 {
+                direct.top = ServeConfig::default().default_top;
             }
+            expected.push(ranked_bits(&artifacts.original.predict(&direct)));
             queries.push(query);
         }
-        // One batch frame per format carries the same queries.
-        let batch_json = json.predict_batch(&queries).expect("json batch");
-        let batch_binary = binary.predict_batch(&queries).expect("binary batch");
-        for ((a, b), query) in batch_json.iter().zip(&batch_binary).zip(&queries) {
-            prop_assert_eq!(a.len(), b.len(), "batch ranking sizes for {:?}", query);
-            for (x, y) in a.iter().zip(b) {
-                prop_assert_eq!(x.0, y.0);
-                prop_assert_eq!(x.1.to_bits(), y.1.to_bits());
+        for door in parity_doors() {
+            let mut client = door.client.lock().expect("client lock");
+            for (query, expected) in queries.iter().zip(&expected) {
+                let served = client.predict(query).expect("predict");
+                prop_assert_eq!(&ranked_bits(&served), expected, "{}: {:?}", door.label, query);
+            }
+            // One batch frame carries the same queries.
+            let batch = client.predict_batch(&queries).expect("batch");
+            prop_assert_eq!(batch.len(), queries.len(), "{}: batch size", door.label);
+            for ((served, expected), query) in batch.iter().zip(&expected).zip(&queries) {
+                prop_assert_eq!(
+                    &ranked_bits(served),
+                    expected,
+                    "{}: batch {:?}",
+                    door.label,
+                    query
+                );
             }
         }
     }
 
-    /// Per-model cache isolation across reloads: with models A and B
-    /// registered, warm B's shard caches over random queries, hot-reload
-    /// A, and require that (a) B's answers stay bit-identical to its
-    /// pre-reload answers and to the direct artifact lookup, and (b) B's
-    /// warmed entries are *still cache hits* — A's reload evicted zero of
-    /// B's entries (per-model hit/miss counters prove it).
+    /// `ServableModel::predict_with` is a function of the evidence *set*:
+    /// any permutation and any duplication of `open` gives the same bits.
+    /// The warm fold takes a max per port and the ranking sorts by a
+    /// total order, so nothing downstream needs the evidence canonical.
     #[test]
-    fn reloading_one_model_leaves_other_models_caches_intact(
+    fn predictions_ignore_evidence_order_and_duplicates(
+        ip in any::<u32>(),
+        open in proptest::collection::vec(1u16..2000, 1..7),
+        shuffle_seed in any::<u64>(),
+        asn_raw in 0u32..100,
+        top in 0usize..20,
+    ) {
+        let artifacts = served_artifacts();
+        let mut scratch = PredictScratch::default();
+        // Known-predictive ports in the mix, so rules actually fire.
+        let mut query = Query::new(Ip(ip)).with_open(open.iter().copied().chain([80, 443]));
+        query.asn = (asn_raw < 50).then_some(asn_raw);
+        query.top = top;
+        let want = ranked_bits(&artifacts.original.predict_with(&mut scratch, &query));
+
+        let mut rng = Rng::new(shuffle_seed);
+        let mut mangled = query.clone();
+        // Duplicate a random half of the evidence, then shuffle it all.
+        for port in query.open.iter().filter(|_| rng.chance(0.5)) {
+            mangled.open.push(*port);
+        }
+        for i in (1..mangled.open.len()).rev() {
+            mangled.open.swap(i, rng.gen_range(i as u64 + 1) as usize);
+        }
+        for model in [&artifacts.original, &artifacts.via_gpsb] {
+            prop_assert_eq!(
+                &ranked_bits(&model.predict_with(&mut scratch, &mangled)),
+                &want,
+                "evidence {:?} vs {:?}",
+                &mangled.open,
+                &query.open
+            );
+        }
+    }
+
+    /// Per-model isolation across reloads: with models A and B
+    /// registered, hot-reloading A leaves every one of B's answers
+    /// bit-identical to its pre-reload answer and to the direct artifact
+    /// lookup, and leaves B's generation alone — while A's next answer
+    /// already comes from its new model.
+    #[test]
+    fn reloading_one_model_leaves_other_models_answers_intact(
         ips in proptest::collection::vec(any::<u32>(), 40..41),
         evidence_port in 1u16..2000,
     ) {
@@ -416,92 +456,90 @@ proptest! {
                 ("a".to_string(), tiny_model(443)),
                 ("b".to_string(), model_b),
             ],
-            ServeConfig { shards: 2, ..ServeConfig::default() },
+            ServeConfig::default(),
         )
         .expect("registry starts");
+        let probe_a = || {
+            server
+                .predict_for("a", Query::new(Ip(1)).with_open([80]))
+                .expect("model a")[0]
+                .0
+        };
 
-        // Warm pass, then a verify pass that must be all hits.
-        let expected: Vec<_> = queries
+        let before: Vec<_> = queries
             .iter()
             .map(|q| server.predict_for("b", q.clone()).expect("model b"))
             .collect();
-        for (query, expected) in queries.iter().zip(&expected) {
+        for (query, before) in queries.iter().zip(&before) {
             prop_assert_eq!(
-                &artifacts.original.predict(query),
-                &**expected,
+                &ranked_bits(&artifacts.original.predict(query)),
+                &ranked_bits(before),
                 "served B equals the direct artifact lookup"
             );
         }
-        let warmed = server.model_stats("b").expect("b registered");
-        for (query, expected) in queries.iter().zip(&expected) {
-            prop_assert_eq!(&server.predict_for("b", query.clone()).unwrap(), expected);
-        }
-        let before = server.model_stats("b").expect("b registered");
-        prop_assert_eq!(
-            before.cache_hits,
-            warmed.cache_hits + queries.len() as u64,
-            "every warmed query is a hit"
-        );
+        prop_assert_eq!(probe_a(), Port(443));
 
-        // Hot-reload A; B must neither recompute nor change a bit.
         server.reload_model("a", tiny_model(8443)).expect("reload a");
         prop_assert_eq!(server.generation_of("a").unwrap(), 1);
-        prop_assert_eq!(
-            server
-                .predict_for("a", Query::new(Ip(1)).with_open([80]))
-                .unwrap()[0]
-                .0,
-            Port(8443),
-            "A really serves its new epoch"
-        );
-        for (query, expected) in queries.iter().zip(&expected) {
-            prop_assert_eq!(&server.predict_for("b", query.clone()).unwrap(), expected);
+        prop_assert_eq!(server.generation_of("b").unwrap(), 0);
+        prop_assert_eq!(probe_a(), Port(8443), "A's next answer is its new model's");
+        for (query, before) in queries.iter().zip(&before) {
+            prop_assert_eq!(
+                &ranked_bits(&server.predict_for("b", query.clone()).unwrap()),
+                &ranked_bits(before),
+                "B after A's reload, {:?}",
+                query
+            );
         }
-        let after = server.model_stats("b").expect("b registered");
-        prop_assert_eq!(
-            after.cache_hits,
-            before.cache_hits + queries.len() as u64,
-            "A's reload evicted zero of B's cache entries"
-        );
-        prop_assert_eq!(after.cache_misses, before.cache_misses, "B never recomputed");
-        server.shutdown();
+        prop_assert_eq!(server.model_stats("b").unwrap().reloads, 0);
     }
 }
 
-/// One TCP server over the trained artifact plus one long-lived client
-/// per wire format, shared across property cases (server + connect setup
-/// would otherwise dominate the suite). Mutexed because proptest runs
-/// cases sequentially but the statics outlive each case.
-#[allow(clippy::type_complexity)]
-fn parity_server() -> (
-    &'static Arc<PredictionServer>,
-    &'static std::sync::Mutex<Client>,
-    &'static std::sync::Mutex<Client>,
-) {
-    use std::sync::Mutex;
-    static STATE: OnceLock<(Arc<PredictionServer>, Mutex<Client>, Mutex<Client>)> = OnceLock::new();
-    let (server, json, binary) = STATE.get_or_init(|| {
-        let model = ServableModel::from_snapshot(
-            ModelSnapshot::from_binary_bytes(&served_artifacts().gpsb_bytes).expect("gpsb parses"),
-        );
-        let server = Arc::new(PredictionServer::start(
-            model,
-            ServeConfig {
-                shards: 2,
-                ..ServeConfig::default()
-            },
-        ));
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
-        let addr = listener.local_addr().expect("local addr");
-        {
-            let server = server.clone();
-            std::thread::spawn(move || gps::serve::serve_tcp(server, listener));
+/// A ranking as comparable bits: ports and `f64::to_bits`.
+fn ranked_bits(ranked: &[(Port, f64)]) -> Vec<(u16, u64)> {
+    ranked.iter().map(|&(p, v)| (p.0, v.to_bits())).collect()
+}
+
+/// One client on one transport × wire format of the parity matrix.
+struct ParityDoor {
+    label: String,
+    client: std::sync::Mutex<Client>,
+}
+
+/// One TCP server over the trained artifact per transport, and one
+/// long-lived client per wire format on each, shared across property
+/// cases (server + connect setup would otherwise dominate the suite).
+/// Mutexed because proptest runs cases sequentially but the statics
+/// outlive each case.
+fn parity_doors() -> &'static [ParityDoor] {
+    static DOORS: OnceLock<Vec<ParityDoor>> = OnceLock::new();
+    DOORS.get_or_init(|| {
+        let mut doors = Vec::new();
+        for transport in serve_transports() {
+            let model = ServableModel::from_snapshot(
+                ModelSnapshot::from_binary_bytes(&served_artifacts().gpsb_bytes)
+                    .expect("gpsb parses"),
+            );
+            let server = Arc::new(PredictionServer::start(model, ServeConfig::default()));
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+            let addr = listener.local_addr().expect("local addr");
+            let config = TransportConfig::named(transport).expect("known transport");
+            std::thread::spawn(move || gps::serve::serve(server, listener, config));
+            for wire in serve_wires() {
+                let format = match wire {
+                    "binary" => WireFormat::Binary,
+                    _ => WireFormat::Json,
+                };
+                doors.push(ParityDoor {
+                    label: format!("{transport}/{wire}"),
+                    client: std::sync::Mutex::new(
+                        Client::connect_with(addr, format).expect("parity client"),
+                    ),
+                });
+            }
         }
-        let json = Client::connect_with(addr, WireFormat::Json).expect("json client");
-        let binary = Client::connect_with(addr, WireFormat::Binary).expect("binary client");
-        (server, Mutex::new(json), Mutex::new(binary))
-    });
-    (server, json, binary)
+        doors
+    })
 }
 
 /// A minimal distinguishable model for the registry property: one rule

@@ -116,13 +116,15 @@ fn model() -> ServableModel {
 }
 
 fn spawn(transport: &str, config: TransportConfig) -> (Arc<PredictionServer>, SocketAddr) {
-    let server = Arc::new(PredictionServer::start(
-        model(),
-        ServeConfig {
-            shards: 2,
-            ..ServeConfig::default()
-        },
-    ));
+    spawn_model(model(), transport, config)
+}
+
+fn spawn_model(
+    model: ServableModel,
+    transport: &str,
+    config: TransportConfig,
+) -> (Arc<PredictionServer>, SocketAddr) {
+    let server = Arc::new(PredictionServer::start(model, ServeConfig::default()));
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
     let addr = listener.local_addr().expect("local addr");
     let config = TransportConfig {
@@ -501,6 +503,125 @@ fn pipelined_binary_burst_answers_in_order() {
                 "{transport}: binary responses come back in request order"
             );
         }
+    }
+}
+
+/// A model whose cold answer for 10.0.0.0/16 ranks `ports` ports: one
+/// tiny request, one big reply.
+fn wide_priors_model(ports: u16) -> ServableModel {
+    let snapshot = gps::core::ModelSnapshot {
+        manifest: ModelManifest {
+            format: (FORMAT_MAJOR, FORMAT_MINOR),
+            universe_seed: 0,
+            dataset_name: "adversarial-wide".into(),
+            step_prefix: 16,
+            min_prob: 1e-5,
+            interactions: Interactions::ALL,
+            net_features: vec![NetFeature::Slash(16)],
+            hosts_in: 0,
+            distinct_keys: 0,
+            cooccur_entries: 0,
+            num_rules: 0,
+            num_priors: ports as usize,
+            checksum: 0,
+        },
+        model: CondModel::from_parts(HashMap::new(), Interactions::ALL),
+        rules: FeatureRules::from_parts(HashMap::new()),
+        priors: (0..ports)
+            .map(|i| PriorsEntry {
+                port: Port(1000 + i),
+                subnet: Subnet::of_ip(Ip::from_octets(10, 0, 0, 0), 16),
+                // Scattered weights: rank order is not port order.
+                coverage: 1 + (u64::from(i) * 7919) % 1000,
+            })
+            .collect(),
+        compiled: None,
+    };
+    ServableModel::from_snapshot(snapshot)
+}
+
+/// The most payload the kernel can hold between a writer and a peer that
+/// never reads: the largest send buffer plus the largest receive buffer
+/// TCP autotuning may grow to.
+fn kernel_socket_slack() -> u64 {
+    let max_of = |path: &str| -> Option<u64> {
+        let text = std::fs::read_to_string(path).ok()?;
+        text.split_whitespace().nth(2)?.parse().ok()
+    };
+    max_of("/proc/sys/net/ipv4/tcp_wmem").unwrap_or(32 << 20)
+        + max_of("/proc/sys/net/ipv4/tcp_rmem").unwrap_or(32 << 20)
+}
+
+/// A peer pipelines a thousand tiny requests with big replies and does
+/// not read. Every reply completes the moment its request is decoded, so
+/// nothing but the write buffer's high-water mark stands between one
+/// 64 KiB read burst and ~90 MB of queued replies: the connection must
+/// stop answering once the mark is passed (at most one reply over it),
+/// park the rest of the burst, and pick up again — in order — when the
+/// peer finally reads. The server's request counter is the witness: each
+/// answered request put one reply either into the kernel's socket
+/// buffers or into the connection's own.
+#[test]
+fn non_reading_pipelined_client_cannot_grow_the_write_buffer() {
+    const REQUESTS: u64 = 1200;
+    const PORTS: u16 = 8000;
+    /// `WRITE_HIGH_WATER` in `crates/serve/src/net/conn.rs`.
+    const HIGH_WATER: u64 = 256 * 1024;
+    /// A GPSQ ranking entry is a port varint (>= 1 byte) and 8 raw
+    /// probability bytes.
+    const MIN_REPLY_BYTES: u64 = 9 * PORTS as u64;
+    // answered * reply <= kernel + HIGH_WATER + reply, with reply bounded
+    // from below.
+    let most_answerable = (kernel_socket_slack() + HIGH_WATER) / MIN_REPLY_BYTES + 1;
+
+    for transport in ["events", "events-poll"] {
+        let (server, addr) = spawn_model(
+            wide_priors_model(PORTS),
+            transport,
+            TransportConfig::default(),
+        );
+        let mut query = Query::new(Ip::from_octets(10, 0, 0, 1));
+        query.top = PORTS as usize;
+        let expected = server.model().predict(&query);
+        assert_eq!(expected.len(), PORTS as usize, "one reply ranks every port");
+
+        let mut client = Client::connect_with(addr, WireFormat::Binary).expect("connect");
+        let ids: Vec<u64> = (0..REQUESTS)
+            .map(|_| client.predict_send(None, &query).expect("pipelined send"))
+            .collect();
+
+        // Not reading. Wait for the server to go quiet.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut answered = 0;
+        let mut quiet_since = Instant::now();
+        while answered == 0 || quiet_since.elapsed() < Duration::from_millis(300) {
+            assert!(Instant::now() < deadline, "{transport}: never went quiet");
+            std::thread::sleep(Duration::from_millis(20));
+            let now = server.stats().requests;
+            if now != answered {
+                answered = now;
+                quiet_since = Instant::now();
+            }
+        }
+        assert!(
+            answered <= most_answerable,
+            "{transport}: {answered} replies queued for a peer that reads nothing \
+             (kernel buffers + high-water + one reply hold at most {most_answerable})"
+        );
+
+        // Now read: every reply arrives, in request order, bit for bit.
+        for id in ids {
+            let ranked = client.predict_recv(id).expect("reply in order");
+            assert!(
+                ranked.len() == expected.len()
+                    && ranked
+                        .iter()
+                        .zip(&expected)
+                        .all(|(got, want)| got.0 == want.0 && got.1.to_bits() == want.1.to_bits()),
+                "{transport}: reply {id} differs from the model's answer"
+            );
+        }
+        assert_eq!(server.stats().requests, REQUESTS, "{transport}");
     }
 }
 

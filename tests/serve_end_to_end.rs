@@ -118,10 +118,7 @@ fn concurrent_tcp_clients_match_direct_lookups() {
         assert_eq!(loaded.manifest, reference.manifest);
         let server = Arc::new(PredictionServer::start(
             ServableModel::from_snapshot(loaded),
-            ServeConfig {
-                shards: 4,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         ));
         let addr = spawn_transport(server.clone(), transport);
 
@@ -181,19 +178,17 @@ fn concurrent_tcp_clients_match_direct_lookups() {
             handle.join().expect("client thread");
         }
 
-        // The server really served this traffic, and the per-subnet cache
-        // saw repeated subnets.
+        // The server really served this traffic.
         let stats = server.stats();
         assert!(
             stats.requests >= 6 * 190,
             "{transport}: requests {}",
             stats.requests
         );
-        assert!(
-            stats.cache_hits > 0,
-            "{transport}: repeated subnets must hit the cache"
+        assert_eq!(
+            stats.models.iter().map(|m| m.requests).sum::<u64>(),
+            stats.requests
         );
-        assert_eq!(stats.per_shard.iter().sum::<u64>(), stats.requests);
         assert_eq!(
             stats.conns_accepted, 6,
             "{transport}: six clients connected"
@@ -205,8 +200,7 @@ fn concurrent_tcp_clients_match_direct_lookups() {
 /// it from concurrent clients, swap in a *different* model via the
 /// `reload` wire command mid-traffic, and require (a) zero failed
 /// queries throughout, (b) a generation bump, and (c) post-reload
-/// answers matching the new artifact (cache invalidation included) — on
-/// every transport.
+/// answers matching the new artifact — on every transport.
 #[test]
 fn hot_reload_serves_new_model_with_zero_failed_queries() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -235,10 +229,7 @@ fn hot_reload_serves_new_model_with_zero_failed_queries() {
     for transport in serve_transports() {
         let server = PredictionServer::start(
             ServableModel::from_snapshot(ModelSnapshot::load_serving(&path_a).expect("load a")),
-            ServeConfig {
-                shards: 4,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         );
         server.set_model_path(&path_a);
         let addr = spawn_transport(Arc::new(server), transport);
@@ -328,7 +319,7 @@ fn hot_reload_serves_new_model_with_zero_failed_queries() {
             model_b.predict(&probe),
             "{transport}: post-reload answers come from the new artifact"
         );
-        // A warm (rules-path) probe too: stale cache entries surface here.
+        // A warm (rules-path) probe too.
         let mut warm = Query::new(Ip(net_b.host_ips()[0]));
         warm.open = vec![Port(443)];
         warm.top = 16;
@@ -400,10 +391,7 @@ fn two_models_served_by_id_over_one_connection() {
                     ServableModel::from_snapshot(snapshot_b.clone()),
                 ),
             ],
-            ServeConfig {
-                shards: 4,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         )
         .expect("registry starts");
         let addr = spawn_transport(Arc::new(server), transport);
@@ -572,10 +560,7 @@ fn json_and_binary_clients_answer_bit_identically() {
         let loaded = ModelSnapshot::load(&path).expect("load snapshot");
         let server = Arc::new(PredictionServer::start(
             ServableModel::from_snapshot(loaded),
-            ServeConfig {
-                shards: 4,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         ));
         let addr = spawn_transport(server, transport);
         let mut json = Client::connect_with(addr, WireFormat::Json).expect("json client");
@@ -653,10 +638,7 @@ fn server_survives_malformed_frames() {
     for transport in serve_transports() {
         let server = Arc::new(PredictionServer::start(
             ServableModel::from_snapshot(snapshot.clone()),
-            ServeConfig {
-                shards: 2,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         ));
         let addr = spawn_transport(server.clone(), transport);
 
