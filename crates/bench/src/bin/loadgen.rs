@@ -8,8 +8,8 @@
 //! - `engine` (default): clients call the in-process server API — the
 //!   kernel plus the server's registry and counters, no wire;
 //! - `--tcp`: clients speak the length-prefixed JSON frame protocol to a
-//!   loopback listener — measures the full wire stack, served by
-//!   `--transport threads` (default) or `--transport events`.
+//!   loopback listener — measures the full wire stack on the event
+//!   loops.
 //!
 //! **Connection-scaling mode** (`--connections N`): open N persistent
 //! connections (implies `--tcp`) and spread the request load across all
@@ -24,7 +24,7 @@
 //! serve` process instead (no training, no in-process server; queries
 //! use arbitrary deterministic IPs and the default model). CI's smoke
 //! job uses this to drive a thousand connections against a real
-//! `--transport events` server while hot-reloading it.
+//! `gps serve` while hot-reloading it.
 //!
 //! With `--models N` (N > 1) each request targets one of N registered
 //! models (round-robin-ish by rng), each trained on its own universe and
@@ -41,7 +41,6 @@
 //! --subnets N      distinct query /16s per model    (default 64)
 //! --models N       registered models, mixed traffic (default 1)
 //! --tcp            use the TCP transport
-//! --transport T    TCP serving transport: threads | events (default threads)
 //! --wire W         TCP wire format: json | binary | both (default json;
 //!                  non-json implies --tcp; `both` replays the identical
 //!                  traffic once per format and prints them side by side)
@@ -84,7 +83,6 @@ struct Options {
     subnets: usize,
     models: usize,
     tcp: bool,
-    transport: String,
     wire: String,
     pipeline: usize,
     connections: usize,
@@ -102,7 +100,6 @@ impl Default for Options {
             subnets: 64,
             models: 1,
             tcp: false,
-            transport: "threads".to_string(),
             wire: "json".to_string(),
             pipeline: 1,
             connections: 0,
@@ -128,7 +125,6 @@ fn parse_options() -> Result<Options, String> {
             "--subnets" => options.subnets = num(&value("--subnets")?)?,
             "--models" => options.models = num(&value("--models")?)?,
             "--tcp" => options.tcp = true,
-            "--transport" => options.transport = value("--transport")?,
             "--wire" => options.wire = value("--wire")?,
             "--pipeline" => options.pipeline = num(&value("--pipeline")?)?,
             "--connections" => options.connections = num(&value("--connections")?)?,
@@ -176,7 +172,6 @@ fn parse_options() -> Result<Options, String> {
     if options.addr.is_some() && options.models > 1 {
         return Err("--addr targets an external server; --models must stay 1".to_string());
     }
-    TransportConfig::named(&options.transport).map_err(|e| format!("--transport: {e}"))?;
     Ok(options)
 }
 
@@ -384,17 +379,17 @@ fn main() {
         }
     };
 
-    // TCP transport: a listener on the chosen serving transport (or the
-    // external server's address).
+    // TCP transport: a loopback listener (or the external server's
+    // address).
     let tcp_addr: Option<SocketAddr> = match (&server, external) {
         (_, Some(addr)) => Some(addr),
         (Some(server), None) if options.tcp => {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
             let addr = listener.local_addr().expect("local addr");
             let server = server.clone();
-            let config =
-                TransportConfig::named(&options.transport).expect("transport validated at parse");
-            std::thread::spawn(move || gps_serve::serve(server, listener, config));
+            std::thread::spawn(move || {
+                gps_serve::serve(server, listener, TransportConfig::default())
+            });
             Some(addr)
         }
         _ => None,
@@ -643,7 +638,7 @@ fn main() {
             options.batch,
             match (options.tcp, external) {
                 (_, Some(_)) => "external".to_string(),
-                (true, None) => format!("tcp/{}", options.transport),
+                (true, None) => "tcp".to_string(),
                 (false, None) => "engine".to_string(),
             },
             if options.tcp {
@@ -804,7 +799,7 @@ fn main() {
                 "transport",
                 match (options.tcp, external) {
                     (_, Some(_)) => "external",
-                    (true, None) => options.transport.as_str(),
+                    (true, None) => "tcp",
                     (false, None) => "engine",
                 },
             );

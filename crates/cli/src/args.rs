@@ -31,8 +31,6 @@ pub struct Args {
     pub no_compiled: bool,
     /// TCP address for serve/query/reload/models.
     pub addr: String,
-    /// serve: connection-driving strategy (threads | events).
-    pub transport: String,
     /// serve: live-connection cap (0 = unlimited).
     pub max_conns: usize,
     /// serve: close connections idle this many seconds (0 = never;
@@ -129,7 +127,6 @@ impl Default for Args {
             format: SnapshotFormat::Json,
             no_compiled: false,
             addr: "127.0.0.1:4615".to_string(),
-            transport: "threads".to_string(),
             max_conns: 0,
             idle_timeout: 0.0,
             watch: false,
@@ -275,17 +272,6 @@ impl Args {
                     args.max_retries = parse_num(&value("--max-retries")?, "--max-retries")?;
                 }
                 "--query-log" => args.query_log = Some(value("--query-log")?),
-                "--transport" => {
-                    let t = value("--transport")?;
-                    // `events-poll` (the portable-poller variant) is
-                    // accepted for tests/debugging but not advertised.
-                    if !matches!(t.as_str(), "threads" | "events" | "events-poll") {
-                        return Err(ParseError(format!(
-                            "unknown transport {t:?} (threads|events)"
-                        )));
-                    }
-                    args.transport = t;
-                }
                 "--max-conns" => {
                     args.max_conns = parse_num(&value("--max-conns")?, "--max-conns")?;
                 }
@@ -406,10 +392,13 @@ mod tests {
         let args = Args::parse(["serve", "--model", "m.json", "--addr", "127.0.0.1:9999"]).unwrap();
         assert_eq!(args.command, Command::Serve);
         assert_eq!(args.addr, "127.0.0.1:9999");
-        // The flags of the deleted worker pool and warm-up replay are
-        // unknown flags now, not silently accepted.
+        // The flags of the deleted worker pool, warm-up replay and
+        // thread-per-connection transport are unknown flags now, not
+        // silently accepted.
         assert!(Args::parse(["serve", "--shards", "8"]).is_err());
         assert!(Args::parse(["serve", "--warm-from", "/tmp/q.log"]).is_err());
+        let err = Args::parse(["serve", "--transport", "events"]).unwrap_err();
+        assert!(err.0.contains("unknown flag"), "{}", err.0);
 
         let args = Args::parse([
             "query",
@@ -531,7 +520,6 @@ mod tests {
         let args = Args::parse(["serve"]).unwrap();
         assert_eq!(args.model, "gps-model.json");
         assert_eq!(args.addr, "127.0.0.1:4615");
-        assert_eq!(args.transport, "threads", "threads stays the default");
         assert_eq!(args.max_conns, 0, "0 = unlimited");
         assert_eq!(args.idle_timeout, 0.0, "0 = never");
         assert!(Args::parse(["query", "--open", "80,abc"]).is_err());
@@ -569,31 +557,13 @@ mod tests {
     }
 
     #[test]
-    fn parses_transport_flags() {
-        let args = Args::parse([
-            "serve",
-            "--transport",
-            "events",
-            "--max-conns",
-            "10000",
-            "--idle-timeout",
-            "30",
-        ])
-        .unwrap();
-        assert_eq!(args.transport, "events");
+    fn parses_connection_flags() {
+        let args = Args::parse(["serve", "--max-conns", "10000", "--idle-timeout", "30"]).unwrap();
         assert_eq!(args.max_conns, 10000);
         assert_eq!(args.idle_timeout, 30.0);
         // Fractional idle timeouts serve the tests' short deadlines.
         let args = Args::parse(["serve", "--idle-timeout", "0.25"]).unwrap();
         assert_eq!(args.idle_timeout, 0.25);
-        // The hidden poll-fallback variant parses; junk does not.
-        assert_eq!(
-            Args::parse(["serve", "--transport", "events-poll"])
-                .unwrap()
-                .transport,
-            "events-poll"
-        );
-        assert!(Args::parse(["serve", "--transport", "iouring"]).is_err());
         assert!(Args::parse(["serve", "--idle-timeout", "-1"]).is_err());
         assert!(Args::parse(["serve", "--max-conns"]).is_err());
     }

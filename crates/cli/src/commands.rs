@@ -305,24 +305,22 @@ fn resolve_models(args: &Args) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Resolve the serve transport flags into a `TransportConfig`.
-fn resolve_transport(args: &Args) -> Result<gps_serve::TransportConfig, String> {
-    let mut config = gps_serve::TransportConfig::named(&args.transport)
-        .map_err(|e| format!("--transport: {e}"))?;
-    config.max_conns = args.max_conns;
-    if args.idle_timeout > 0.0 {
-        config.idle_timeout = Some(std::time::Duration::from_secs_f64(args.idle_timeout));
+/// Resolve the serve connection flags into a `TransportConfig`.
+fn resolve_transport(args: &Args) -> gps_serve::TransportConfig {
+    gps_serve::TransportConfig {
+        max_conns: args.max_conns,
+        idle_timeout: (args.idle_timeout > 0.0)
+            .then(|| std::time::Duration::from_secs_f64(args.idle_timeout)),
+        ..gps_serve::TransportConfig::default()
     }
-    Ok(config)
 }
 
 /// `gps serve` — load one or more snapshots (`--model name=path`,
 /// repeatable; the first is the default model) and answer prediction
-/// queries over TCP until killed, on the chosen transport
-/// (`--transport threads|events`).
+/// queries over TCP until killed.
 pub fn cmd_serve(args: &Args) -> Result<(), String> {
     let entries = resolve_models(args);
-    let transport = resolve_transport(args)?;
+    let transport = resolve_transport(args);
     // Fail fast across the whole registry: peek every manifest (header
     // read, cheap) before the expensive full loads, so a typo'd path or
     // foreign-version snapshot in slot N is reported without first
@@ -389,13 +387,12 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
         None => None,
     };
     println!(
-        "serving {} model(s) on {}, {} transport{}{} (JSON or GPSQ binary frames, negotiated per connection; try `gps query`)",
+        "serving {} model(s) on {}{}{} (JSON or GPSQ binary frames, negotiated per connection; try `gps query`)",
         entries.len(),
         listener
             .local_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| args.addr.clone()),
-        transport.transport.name(),
         if transport.max_conns > 0 {
             format!(", max {} conns", transport.max_conns)
         } else {
@@ -682,7 +679,13 @@ mod tests {
         );
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        std::thread::spawn(move || gps_serve::serve_tcp(Arc::new(server), listener));
+        std::thread::spawn(move || {
+            gps_serve::serve(
+                Arc::new(server),
+                listener,
+                gps_serve::TransportConfig::default(),
+            )
+        });
 
         let mut client = gps_serve::Client::connect(addr).unwrap();
         client.ping().unwrap();
@@ -735,7 +738,9 @@ mod tests {
         let server = Arc::new(server);
         {
             let server = server.clone();
-            std::thread::spawn(move || gps_serve::serve_tcp(server, listener));
+            std::thread::spawn(move || {
+                gps_serve::serve(server, listener, gps_serve::TransportConfig::default())
+            });
         }
         let mut client = gps_serve::Client::connect(addr).unwrap();
         let outcome = client
@@ -824,7 +829,13 @@ mod tests {
         .unwrap();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        std::thread::spawn(move || gps_serve::serve_tcp(Arc::new(server), listener));
+        std::thread::spawn(move || {
+            gps_serve::serve(
+                Arc::new(server),
+                listener,
+                gps_serve::TransportConfig::default(),
+            )
+        });
 
         let mut client = gps_serve::Client::connect(addr).unwrap();
         let hex = gps_types::json::u64_to_hex;
@@ -850,51 +861,18 @@ mod tests {
     }
 
     #[test]
-    fn transport_flags_resolve_and_events_transport_serves() {
-        use crate::args::Command;
-        // Flag resolution.
-        let args = Args::parse(["serve", "--transport", "events", "--max-conns", "9"]).unwrap();
-        let config = resolve_transport(&args).unwrap();
-        assert_eq!(config.transport, gps_serve::Transport::Events);
+    fn connection_flags_resolve() {
+        let args = Args::parse(["serve", "--max-conns", "9"]).unwrap();
+        let config = resolve_transport(&args);
         assert_eq!(config.max_conns, 9);
         assert!(config.idle_timeout.is_none());
+        assert!(!config.poll_fallback);
         let args = Args::parse(["serve", "--idle-timeout", "2.5"]).unwrap();
-        let config = resolve_transport(&args).unwrap();
-        assert_eq!(config.transport, gps_serve::Transport::Threads);
+        let config = resolve_transport(&args);
         assert_eq!(
             config.idle_timeout,
             Some(std::time::Duration::from_millis(2500))
         );
-
-        // An exported model served over the events transport answers
-        // `gps query`-style traffic (cmd_serve blocks, so drive the same
-        // layers directly, exactly like the round-trip test above).
-        let dir = TestDir::new("events-round-trip");
-        let mut args = quick_args(Command::ExportModel);
-        args.model = path_str(&dir, "model.gpsb");
-        args.format = crate::args::SnapshotFormat::Binary;
-        cmd_export_model(&args).unwrap();
-        let snapshot = ModelSnapshot::load_serving(&args.model).unwrap();
-        let server = PredictionServer::start(
-            ServableModel::from_snapshot(snapshot),
-            ServeConfig::default(),
-        );
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        std::thread::spawn(move || {
-            gps_serve::serve(
-                Arc::new(server),
-                listener,
-                gps_serve::TransportConfig::events(),
-            )
-        });
-        let mut client = gps_serve::Client::connect(addr).unwrap();
-        client.ping().unwrap();
-        let manifest = client.manifest().unwrap();
-        assert!(manifest.get("checksum").is_some());
-        client
-            .predict(&Query::new(Ip::from_octets(10, 0, 0, 1)))
-            .unwrap();
     }
 
     #[test]

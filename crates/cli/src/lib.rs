@@ -55,8 +55,6 @@ SERVING OPTIONS:
     --no-compiled       export-model: omit the precompiled CMPL section
                         from binary snapshots (loaders recompile on load)
     --addr A            TCP address (default 127.0.0.1:4615)
-    --transport T       serve: threads (default, one thread/conn) |
-                        events (epoll event loops; holds 10k+ conns)
     --max-conns N       serve: live-connection cap (default unlimited)
     --idle-timeout S    serve: drop conns silent for S seconds (default never)
     --watch             serve: hot-reload when a snapshot file changes
@@ -85,7 +83,7 @@ EXAMPLES:
     gps export-model --quick --model /tmp/gps-model.gpsb --format binary
     gps serve --model /tmp/gps-model.gpsb --addr 127.0.0.1:4615 --watch
     gps serve --model quick=/tmp/a.gpsb --model lzr=/tmp/b.gpsb
-    gps serve --model /tmp/a.gpsb --transport events --max-conns 20000 --idle-timeout 60
+    gps serve --model /tmp/a.gpsb --max-conns 20000 --idle-timeout 60
     gps serve --model /tmp/a.gpsb --http-addr 127.0.0.1:8080 --query-log /tmp/q.log
     gps query --addr 127.0.0.1:4615 --ip 10.1.2.3 --open 80
     gps query --addr 127.0.0.1:4615 --ip 10.1.2.3 --model lzr

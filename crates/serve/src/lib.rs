@@ -26,14 +26,13 @@
 //!   received it — no worker pool, no answer cache;
 //! - [`proto`] — a length-prefixed JSON frame protocol over TCP plus the
 //!   blocking [`Client`] used by `gps query` and the loadgen bench;
-//! - [`transport`] / [`net`] — how connections are driven: one thread
-//!   per connection (default) or the event-driven multiplexed transport
-//!   (`--transport events`: epoll/poll readiness loops, incremental
-//!   frame decoding) for C10K-scale fan-in, both behind the same request
-//!   core and both honoring `--max-conns` and `--idle-timeout`. Either
-//!   way a request is answered, in order, on the thread that read it — a
-//!   65,536-query batch occupies its connection thread or event loop for
-//!   the length of the batch, as an admin reload already does.
+//! - [`transport`] / [`net`] — how connections are driven: event loops
+//!   (epoll/poll readiness, incremental frame decoding, one write per
+//!   read burst) that serve two pipelined connections and C10K-scale
+//!   fan-in alike, honoring `--max-conns` and `--idle-timeout`. A request
+//!   is answered, in order, on the loop that read it — a 65,536-query
+//!   batch occupies its event loop for the length of the batch, as an
+//!   admin reload already does.
 //!
 //! ## Quick start
 //!
@@ -72,11 +71,11 @@ mod wire;
 pub use artifact::{PredictScratch, Query, Ranked, ReferenceModel, ServableModel};
 pub use hist::{EndpointLabel, HistogramSet, LatencyHistogram, WireLabel};
 pub use net::{DecodeError, FrameDecoder, WireFormat};
-pub use proto::{serve_tcp, Client, ClientConfig, ClientError, ReloadOutcome};
+pub use proto::{Client, ClientConfig, ClientError, ReloadOutcome};
 pub use query_log::QueryLog;
 pub use router::{Router, RouterConfig, RouterHandle};
 pub use server::{
     validate_model_id, watch_snapshot_file, ModelStatsSnapshot, PredictionServer, ReloadWatcher,
     ServeConfig, ServerStats, StatsSnapshot, DEFAULT_MODEL_ID, MAX_MODEL_ID_LEN,
 };
-pub use transport::{serve, serve_with_http, Transport, TransportConfig};
+pub use transport::{serve, serve_with_http, TransportConfig};

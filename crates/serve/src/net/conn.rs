@@ -1,4 +1,4 @@
-//! Per-connection state for the event transport.
+//! Per-connection state for the event loops.
 //!
 //! A [`Conn`] owns one nonblocking socket and everything needed to resume
 //! it mid-anything: the incremental frame decoder (reads can tear frames
@@ -83,13 +83,13 @@ pub(crate) struct Conn {
     http_scratch: Vec<HttpRequest>,
     /// Whether any response has reached the outbound buffer yet.
     answered: bool,
-    /// Decoded request frames waiting for the outbound buffer to drain
-    /// below [`WRITE_HIGH_WATER`]: one read burst can decode thousands of
-    /// tiny frames whose replies are not tiny, and bytes already read
-    /// from the kernel cannot be pushed back — so the rest of the burst
-    /// parks here (bounded by one read burst, because a connection with
-    /// parked frames stops reading) and the event loop releases it as the
-    /// socket drains.
+    /// Decoded request frames not yet answered. A read burst lands here
+    /// and the event loop answers it front to back; one burst can decode
+    /// thousands of tiny frames whose replies are not tiny, and bytes
+    /// already read from the kernel cannot be pushed back — so once the
+    /// outbound buffer is over [`WRITE_HIGH_WATER`] the rest of the burst
+    /// stays parked (bounded by one read burst, because a connection with
+    /// parked frames stops reading) until the socket drains.
     pub parked: VecDeque<Payload>,
     out: Vec<u8>,
     out_pos: usize,
@@ -133,7 +133,7 @@ impl Conn {
         }
     }
 
-    pub fn touch(&mut self) {
+    fn touch(&mut self) {
         self.last_activity = Instant::now();
     }
 
@@ -321,5 +321,29 @@ mod tests {
         conn.enqueue_with(|out| out.extend_from_slice(b"B"));
         assert_eq!(&conn.out, b"AB");
         assert!(conn.answered_any());
+    }
+
+    #[test]
+    fn burst_replies_stay_buffered_until_the_single_flush() {
+        use std::io::Read;
+        let (server, mut client) = pair();
+        client.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(server, 1);
+        for reply in [&b"one"[..], b"two", b"three"] {
+            conn.enqueue_with(|out| out.extend_from_slice(reply));
+        }
+        assert_eq!(conn.buffered(), 11, "enqueueing writes nothing");
+        let mut got = [0u8; 16];
+        assert_eq!(
+            client.read(&mut got).unwrap_err().kind(),
+            io::ErrorKind::WouldBlock,
+            "the peer has seen no byte yet"
+        );
+        conn.flush().unwrap();
+        assert_eq!(conn.buffered(), 0);
+        assert!(conn.drained());
+        client.set_nonblocking(false).unwrap();
+        client.read_exact(&mut got[..11]).unwrap();
+        assert_eq!(&got[..11], b"onetwothree", "one write, request order");
     }
 }

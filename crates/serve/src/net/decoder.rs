@@ -12,14 +12,14 @@
 //! evidently broken; there is no way to answer it in a format it will
 //! parse).
 //!
-//! The blocking transport can afford to `read_exact` its way through a
-//! frame; an event loop cannot block, so [`FrameDecoder`] consumes
-//! whatever bytes the socket had — a frame split at any byte boundary,
-//! several pipelined frames in one read — and yields complete payloads as
-//! they close. Both transports use this decoder (`read_frame_payload`
-//! drives it with exact-sized reads), so "parses a torn length prefix
-//! correctly" and "negotiates the format exactly once" are properties of
-//! one implementation, tested once, at every split point.
+//! An event loop cannot block its way through a frame, so
+//! [`FrameDecoder`] consumes whatever bytes the socket had — a frame
+//! split at any byte boundary, several pipelined frames in one read — and
+//! yields complete payloads as they close. The blocking `Client` and the
+//! router use this decoder too (`read_frame_payload` drives it with
+//! exact-sized reads), so "parses a torn length prefix correctly" and
+//! "negotiates the format exactly once" are properties of one
+//! implementation, tested once, at every split point.
 
 use std::fmt;
 
@@ -123,7 +123,7 @@ impl FrameDecoder {
     }
 
     /// Exactly how many bytes complete the current prefix or body. A
-    /// caller that reads at most this many (the blocking transport) never
+    /// caller that reads at most this many (`read_frame_payload`) never
     /// consumes bytes belonging to the next frame.
     pub fn need(&self) -> usize {
         match &self.state {

@@ -1,5 +1,5 @@
-//! The event-driven multiplexed transport (`gps serve --transport
-//! events`).
+//! The connection engine: every socket `gps serve` holds is driven by
+//! these event loops.
 //!
 //! Layout, bottom up:
 //!
@@ -9,7 +9,7 @@
 //! - `poller` — both backends behind one level-triggered interface,
 //!   and the loopback-UDP `Waker`;
 //! - `decoder` — incremental length-prefixed frame decoding (shared
-//!   with the blocking transport's `read_frame_text`);
+//!   with the blocking `Client`'s `read_frame_payload`);
 //! - `conn` — the per-connection state machine: decoder, bounded write
 //!   buffer, idle clock;
 //! - this module — the accept/dispatch loop and N event-loop threads.
@@ -24,7 +24,8 @@
 //! (`proto::PredictWork::answer` runs the kernel in place) — straight
 //! into the connection's write buffer. One thread answers a connection's
 //! frames one at a time, so responses leave in request order (the
-//! protocol is pipelined but ordered) by construction. Writes are
+//! protocol is pipelined but ordered) by construction, and the replies
+//! to one read burst leave in one `write(2)`. Writes are
 //! buffered with backpressure (a slow reader pauses its own requests,
 //! never the loop), and connections idle past `idle_timeout` are swept —
 //! one slowloris cannot hold a thread, and ten thousand idle scanners
@@ -59,7 +60,7 @@ use std::time::{Duration, Instant};
 use crate::hist::WireLabel;
 use crate::proto;
 use crate::server::PredictionServer;
-use crate::transport::TransportConfig;
+use crate::transport::{event_loops, TransportConfig};
 use conn::{Conn, Payload, ReadOutcome};
 use poller::{wake_pair, Event, Interest, Poller, WakeReceiver, Waker};
 
@@ -84,31 +85,23 @@ struct EventLoop {
     idle_timeout: Option<Duration>,
     scratch: Vec<u8>,
     frames: Vec<Payload>,
-    /// Guards against re-entering the parked-frame drain from the
-    /// `after_progress` calls that request handling itself triggers.
-    draining_parked: bool,
 }
 
-/// Accept loop(s) + N event-loop threads. Blocks forever, like
-/// `proto::serve_tcp`. `listener` serves the frame protocol, `http` the
-/// HTTP gateway; both may be given (the usual `--http-addr` deployment —
-/// connections from both multiplex onto the same loops), and at least
-/// one must be.
+/// Accept loop(s) + N event-loop threads. Blocks forever. `listener`
+/// serves the frame protocol, `http` the HTTP gateway (`--http-addr`);
+/// connections from both multiplex onto the same loops.
 pub(crate) fn serve_events(
     server: Arc<PredictionServer>,
-    listener: Option<TcpListener>,
+    listener: TcpListener,
     http: Option<TcpListener>,
     config: &TransportConfig,
 ) -> io::Result<()> {
-    let loops = config.event_loops_or_auto();
+    let loops = event_loops(std::thread::available_parallelism());
     let mut handles = Vec::with_capacity(loops);
     for index in 0..loops {
         let mut poller = Poller::new(config.poll_fallback)?;
         if index == 0 {
-            eprintln!(
-                "event transport: {} backend, {loops} loop(s)",
-                poller.backend()
-            );
+            eprintln!("event loops: {} backend, {loops} loop(s)", poller.backend());
         }
         let (waker, wake_rx) = wake_pair()?;
         poller.register(wake_rx.fd(), WAKE_TOKEN, Interest::READ)?;
@@ -123,7 +116,6 @@ pub(crate) fn serve_events(
             idle_timeout: config.idle_timeout,
             scratch: vec![0u8; 16 * 1024],
             frames: Vec::new(),
-            draining_parked: false,
         };
         std::thread::Builder::new()
             .name(format!("gps-serve-loop-{index}"))
@@ -133,23 +125,15 @@ pub(crate) fn serve_events(
     }
     let handles = Arc::new(handles);
     let max_conns = config.max_conns_or_unlimited();
-    match (listener, http) {
-        (Some(listener), Some(http)) => {
-            let server2 = server.clone();
-            let handles2 = handles.clone();
-            std::thread::Builder::new()
-                .name("gps-http-accept".to_string())
-                .spawn(move || accept_into(server2, http, handles2, max_conns, true))
-                .expect("spawn http accept thread");
-            accept_into(server, listener, handles, max_conns, false)
-        }
-        (Some(listener), None) => accept_into(server, listener, handles, max_conns, false),
-        (None, Some(http)) => accept_into(server, http, handles, max_conns, true),
-        (None, None) => Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "serve_events needs at least one listener",
-        )),
+    if let Some(http) = http {
+        let server = server.clone();
+        let handles = handles.clone();
+        std::thread::Builder::new()
+            .name("gps-accept-http".to_string())
+            .spawn(move || accept_into(server, http, handles, max_conns, true))
+            .expect("spawn http accept thread");
     }
+    accept_into(server, listener, handles, max_conns, false)
 }
 
 /// One listener's accept loop, handing connections to the event loops
@@ -281,36 +265,18 @@ impl EventLoop {
                 return;
             };
             let outcome = conn.read_ready(&mut self.scratch, &mut self.frames);
-            // Frames decoded before any break are valid — answer them.
-            // A read burst can decode more frames than the write buffer
-            // has room to answer (bytes already read can't be pushed back
-            // to the kernel): once the buffer is over its high-water mark
-            // the rest park on the connection and are released by
-            // `after_progress` as the socket drains.
-            let frames: Vec<Payload> = self.frames.drain(..).collect();
-            for payload in frames {
-                let park = self
-                    .conns
-                    .get(&event.token)
-                    .is_some_and(|c| !c.parked.is_empty() || !c.writable_room());
-                match self.conns.get_mut(&event.token) {
-                    None => break, // connection died answering an earlier frame
-                    Some(conn) if park => conn.parked.push_back(payload),
-                    Some(_) => self.handle_request(event.token, payload),
-                }
-            }
+            // Frames decoded before any break are valid and are answered
+            // by `after_progress`, behind whatever is still parked.
+            conn.parked.extend(self.frames.drain(..));
             match outcome {
                 ReadOutcome::Progress => {}
                 ReadOutcome::PeerClosed | ReadOutcome::Broken => {
                     // Half-close, or framing broke: either way no further
                     // requests can be read, but requests already accepted
                     // (frames decoded before the break) still get their
-                    // answers — the blocking transport behaves the same,
-                    // answering sequentially until it hits the bad bytes.
-                    // `after_progress` closes once everything drains.
-                    if let Some(conn) = self.conns.get_mut(&event.token) {
-                        conn.read_closed = true;
-                    }
+                    // answers. `after_progress` closes once everything
+                    // drains.
+                    conn.read_closed = true;
                 }
             }
         }
@@ -427,41 +393,47 @@ impl EventLoop {
         }
     }
 
-    /// Serialize a response into its connection's outbound buffer and
-    /// push whatever is now flushable. The encoder runs against the
-    /// buffer itself (`Conn::enqueue_with`) — the zero-intermediate-copy
-    /// path the binary wire format is built around.
+    /// Serialize a response into its connection's outbound buffer; the
+    /// burst's single flush in `after_progress` sends it. The encoder
+    /// runs against the buffer itself (`Conn::enqueue_with`) — the
+    /// zero-intermediate-copy path the binary wire format is built around.
     fn complete_with(&mut self, token: u64, encode: impl FnOnce(&PredictionServer, &mut Vec<u8>)) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return; // closed answering an earlier frame of this burst
         };
         let server = &self.server;
         conn.enqueue_with(|out| encode(server, out));
-        conn.touch();
-        if conn.flush().is_err() {
-            self.close(token, false);
-            return;
-        }
-        self.after_progress(token);
     }
 
-    /// Release parked request frames once the write buffer has drained
-    /// below its high-water mark, re-derive poller interest after any
-    /// state change, and finish off connections that are fully drained
-    /// after a half-close.
+    /// Answer the connection's decoded frames in order and send the
+    /// replies with one write when the burst is answered — a pipelined
+    /// peer costs one `write(2)` per read burst, not one per reply. A
+    /// burst can decode more frames than the write buffer has room to
+    /// answer (bytes already read can't be pushed back to the kernel):
+    /// over the high-water mark the socket first gets the chance to take
+    /// what is queued, and if it cannot the rest stay parked until it
+    /// drains. Then re-derive poller interest, and finish off
+    /// connections that are fully drained after a half-close.
     fn after_progress(&mut self, token: u64) {
-        // The drain is not re-entered from the `after_progress` calls
-        // that handling a released request triggers (complete → here).
-        if !self.draining_parked {
-            self.draining_parked = true;
-            while let Some(conn) = self.conns.get_mut(&token) {
-                if conn.parked.is_empty() || !conn.writable_room() {
-                    break;
+        loop {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
+            };
+            if conn.writable_room() {
+                if let Some(payload) = conn.parked.pop_front() {
+                    self.handle_request(token, payload);
+                    continue;
                 }
-                let payload = conn.parked.pop_front().expect("parked nonempty");
-                self.handle_request(token, payload);
             }
-            self.draining_parked = false;
+            if conn.flush().is_err() {
+                self.close(token, false);
+                return;
+            }
+            // Whether frames stay parked is decided after the flush: a
+            // peer that reads meanwhile makes room with no further event.
+            if conn.parked.is_empty() || !conn.writable_room() {
+                break;
+            }
         }
         let Some(conn) = self.conns.get_mut(&token) else {
             return;

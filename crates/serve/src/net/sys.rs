@@ -1,4 +1,4 @@
-//! The raw readiness syscalls the event transport sits on.
+//! The raw readiness syscalls the event loops sit on.
 //!
 //! Two backends, both declared directly against the C library the binary
 //! already links (the offline crate budget buys no `libc`):
@@ -7,7 +7,7 @@
 //!   readiness API that stays O(ready) as registered-descriptor counts
 //!   grow to C10K and beyond;
 //! - [`portable`] — `poll(2)`, POSIX-portable and O(registered) per
-//!   wait, kept as the fallback so the transport (and its tests) run on
+//!   wait, kept as the fallback so the event loops (and their tests) run on
 //!   any Unix and so the Linux build can still exercise the
 //!   backend-agnostic paths.
 //!
@@ -45,6 +45,19 @@ pub mod epoll {
         pub data: u64,
     }
 
+    // The kernel reads and writes this struct through raw pointers: a
+    // layout that differs from its own is memory corruption, not an error
+    // return, so the build fails instead.
+    #[cfg(target_arch = "x86_64")]
+    const _: () = assert!(
+        std::mem::size_of::<EpollEvent>() == 12 && std::mem::offset_of!(EpollEvent, data) == 4
+    );
+    // (32-bit x86 aligns `u64` to 4 in C and in Rust alike: 12 and 4.)
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "x86")))]
+    const _: () = assert!(
+        std::mem::size_of::<EpollEvent>() == 16 && std::mem::offset_of!(EpollEvent, data) == 8
+    );
+
     extern "C" {
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
@@ -53,6 +66,8 @@ pub mod epoll {
 
     /// A fresh epoll instance (close-on-exec), closed on drop.
     pub fn create() -> io::Result<OwnedFd> {
+        // SAFETY: takes a flags word and no pointer; it touches no memory
+        // of ours and reports failure as -1.
         let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if fd < 0 {
             return Err(io::Error::last_os_error());

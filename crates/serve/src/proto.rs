@@ -8,7 +8,7 @@
 //! text encode/decode, rankings as varint-delta ports + raw f64 bits);
 //! anything else is a JSON session, the original protocol described
 //! here. The choice is sticky per connection; both formats answer every
-//! command identically (asserted by the wire-format × transport parity
+//! command identically (asserted by the wire-format × poller parity
 //! e2e matrix). JSON requests are objects with a `cmd` field:
 //!
 //! ```text
@@ -46,17 +46,13 @@
 //! in `server.rs`); like `stats`, the admin commands are trusted-operator
 //! surface — anyone who can reach the port can point the server at a
 //! different snapshot *file path*, so bind to loopback or put an
-//! authenticating proxy in front. The server is std-only and speaks this
-//! protocol over either of two transports (`crate::transport`): the
-//! thread-per-connection loop in this module — simplest, lowest latency
-//! at moderate fan-in — and the event-driven loop in `crate::net`, which
-//! multiplexes tens of thousands of mostly-idle connections over a few
-//! threads. Request handling is shared (`classify` + the response
-//! builders), so the transports answer identically.
+//! authenticating proxy in front. The server is std-only; the event
+//! loops in `crate::net` drive its sockets, and every inbound frame —
+//! either wire format, and the HTTP gateway's commands — goes through
+//! the request core here (`classify` + the response builders).
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::Ordering;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -65,7 +61,6 @@ use crate::hist::{EndpointLabel, WireLabel};
 use crate::net::http;
 use crate::net::{FrameDecoder, WireFormat};
 use crate::server::{unix_now_millis, ModelEntry, PredictionServer};
-use crate::transport::TransportConfig;
 use crate::wire;
 use gps_types::binary::ByteWriter;
 use gps_types::json::Json;
@@ -316,7 +311,7 @@ pub(crate) fn append_binary_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut By
 pub(crate) const OVERSIZE_REPLY: &str = "response exceeds frame size cap";
 
 /// How the reply to one classified request frame must be encoded — the
-/// per-request state a transport carries from classification to reply
+/// per-request state carried from classification to reply
 /// serialization.
 pub(crate) enum ReplyCtx {
     /// A JSON-session frame: set the echoed id, serialize as JSON text.
@@ -370,8 +365,7 @@ pub(crate) struct PredictWork {
 
 impl PredictWork {
     /// Answer every query on the calling thread and append the reply
-    /// frame to `out` — the one way either transport executes predict
-    /// work. Then the per-request observability: the request latency goes
+    /// frame to `out` — the one way predict work executes. Then the per-request observability: the request latency goes
     /// into the model's histogram cell (a batch frame of `n` queries
     /// counts `n` samples, keeping histogram counts summable against
     /// `requests`; the server-level predict cells are derived at snapshot
@@ -569,13 +563,12 @@ fn optional_str<'a>(request: &'a Json, field: &str) -> Result<Option<&'a str>, S
 }
 
 /// How one request frame is to be answered. `classify` is the request
-/// core both transports share: every command except the predicts is
+/// core every front door shares: every command except the predicts is
 /// fully computed here; the predicts come back as *work* (the resolved
-/// model entry plus parsed queries), which the transport runs on its own
+/// model entry plus parsed queries), which the event loop runs on its own
 /// thread through [`PredictWork::answer`]. Running the same
-/// classification and the same response builders is what makes the two
-/// transports answer byte-identically — asserted by the transport-parity
-/// e2e suite.
+/// classification and the same response builders is what makes the
+/// wires answer identically — asserted by the parity e2e suite.
 pub(crate) enum Action {
     /// The response, finished.
     Ready(Json),
@@ -777,7 +770,7 @@ pub(crate) fn classify(server: &PredictionServer, request: &Json) -> Action {
         }
         "shutdown" => {
             // Enter drain: the accept gates stop admitting, the query
-            // log is flushed, and the transports close connections once
+            // log is flushed, and the event loops close connections once
             // their in-flight replies finish. The reply itself still
             // goes out on this connection — drain never cuts off an
             // answer already owed.
@@ -809,8 +802,8 @@ pub(crate) fn classify(server: &PredictionServer, request: &Json) -> Action {
 
 /// Classify one raw frame payload — either wire format — into a finished
 /// reply or predict work plus its reply context. This is the one entry
-/// point both transports feed every inbound frame through, which is what
-/// makes threads/events and json/binary answer identically.
+/// point every inbound frame goes through, which is what makes json and
+/// binary answer identically.
 pub(crate) fn classify_payload(
     server: &PredictionServer,
     format: WireFormat,
@@ -946,120 +939,6 @@ pub(crate) fn record_admin(server: &PredictionServer, wire: WireLabel, started: 
         .hists
         .cell(wire, EndpointLabel::Admin)
         .record(started.elapsed().as_nanos() as u64);
-}
-
-/// Serve one accepted connection until EOF or a framing error. A frame
-/// that is well-framed but semantically garbage gets an error *response*
-/// — only breakage that desynchronizes the stream (or flips wire format
-/// mid-session) closes the connection. One frame decoder and one
-/// response buffer live for the whole connection: the decoder carries
-/// the negotiated wire format, and every reply — JSON or GPSQ — encodes
-/// into the same reused buffer instead of allocating per frame.
-pub fn serve_connection(server: &PredictionServer, stream: TcpStream) -> io::Result<()> {
-    let mut reader = io::BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut decoder = FrameDecoder::new(MAX_FRAME_BYTES);
-    let mut response_buf: Vec<u8> = Vec::new();
-    /// Responses coalesce in the reused buffer past this only while more
-    /// pipelined requests are already buffered; then they flush in one
-    /// write.
-    const WRITE_COALESCE_CAP: usize = 64 * 1024;
-    loop {
-        let payload = match read_frame_payload(&mut reader, &mut decoder) {
-            Ok(Some(payload)) => payload,
-            // EOF or framing death: everything answered so far still
-            // goes out (a pipelined peer's valid frames are answered
-            // even when a later frame kills the connection).
-            result => {
-                if !response_buf.is_empty() {
-                    let _ = writer.write_all(&response_buf);
-                }
-                return result.map(|_| ());
-            }
-        };
-        let started = Instant::now();
-        let format = decoder.format().unwrap_or(WireFormat::Json);
-        let wire = match format {
-            WireFormat::Json => WireLabel::Json,
-            WireFormat::Binary => WireLabel::Gpsq,
-        };
-        match classify_payload(server, format, &payload) {
-            FrameAction::Ready(reply) => {
-                encode_ready(reply, &mut response_buf);
-                record_admin(server, wire, started);
-            }
-            FrameAction::Predict(work) => work.answer(server, wire, started, &mut response_buf),
-        }
-        // Write coalescing: while the read buffer already holds more of
-        // a pipelined burst, keep encoding into the same buffer and send
-        // the whole run of responses in one syscall once the burst (or
-        // the cap) is reached. A request/response peer sees every reply
-        // before this connection blocks on the next read, so the closed
-        // loop is never delayed.
-        if reader.buffer().is_empty() || response_buf.len() >= WRITE_COALESCE_CAP {
-            writer.write_all(&response_buf)?;
-            response_buf.clear();
-        }
-        // Draining: every reply owed so far went out (including the
-        // `shutdown` ack itself); close instead of reading more work.
-        if server.is_draining() && reader.buffer().is_empty() {
-            if !response_buf.is_empty() {
-                writer.write_all(&response_buf)?;
-            }
-            return Ok(());
-        }
-    }
-}
-
-/// Accept loop: one thread per connection. Blocks forever; run it on a
-/// dedicated thread if the caller needs to keep working. Equivalent to
-/// [`crate::transport::serve`] with a default (threads-transport)
-/// [`TransportConfig`].
-pub fn serve_tcp(server: Arc<PredictionServer>, listener: TcpListener) -> io::Result<()> {
-    serve_blocking(server, listener, &TransportConfig::default())
-}
-
-/// The thread-per-connection transport with its knobs: `max_conns` caps
-/// live connections (excess accepts are dropped on the floor, counted in
-/// `conns_rejected`), `idle_timeout` rides on `SO_RCVTIMEO` — a
-/// connection that sends no byte for that long (mid-frame or between
-/// frames alike) is closed and counted in `conns_timed_out`.
-pub(crate) fn serve_blocking(
-    server: Arc<PredictionServer>,
-    listener: TcpListener,
-    config: &TransportConfig,
-) -> io::Result<()> {
-    let max_conns = config.max_conns_or_unlimited();
-    let idle_timeout = config.idle_timeout;
-    for stream in listener.incoming() {
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        if !server.server_stats().try_admit(max_conns, false) {
-            continue; // dropping the stream closes it
-        }
-        let server = server.clone();
-        std::thread::Builder::new()
-            .name("gps-serve-conn".to_string())
-            .spawn(move || {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(idle_timeout);
-                let result = serve_connection(&server, stream);
-                let stats = server.server_stats();
-                if let Err(e) = result {
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) {
-                        stats.conns_timed_out.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                stats.conns_closed.fetch_add(1, Ordering::Relaxed);
-            })
-            .expect("spawn connection thread");
-    }
-    Ok(())
 }
 
 /// A blocking protocol client (used by `gps query`, `gps reload`,
@@ -1421,8 +1300,8 @@ impl Client {
     /// [`predict_recv`](Self::predict_recv). The frame is buffered, not
     /// flushed — consecutive sends coalesce into one syscall, which is
     /// where pipelining's amortization comes from. Responses come back
-    /// in request order (the server guarantees it on both transports),
-    /// so receive in send order, per connection.
+    /// in request order (the server guarantees it), so receive in send
+    /// order, per connection.
     pub fn predict_send(&mut self, model: Option<&str>, query: &Query) -> io::Result<u64> {
         let id = self.next_id;
         self.next_id += 1;

@@ -738,7 +738,7 @@ fn ready_of(ctx: ReplyCtx, response: Json) -> ReadyReply {
 }
 
 /// Serve one accepted front connection until EOF, framing error, or
-/// drain. The mirror of the server's `serve_connection`, with routing in
+/// drain: one blocking thread per front connection, with routing in
 /// place of local predict work.
 fn serve_front_connection(core: &Core, stream: TcpStream) -> io::Result<()> {
     let mut reader = io::BufReader::new(stream.try_clone()?);

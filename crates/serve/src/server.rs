@@ -154,7 +154,7 @@ pub(crate) struct ModelCounters {
     /// Unix seconds of the last completed reload (0 = never reloaded).
     pub last_reload_unix: AtomicU64,
     /// Per-(wire, endpoint) latency histograms, recorded by the
-    /// transports at reply time.
+    /// event loops at reply time.
     pub hists: HistogramSet,
 }
 
@@ -227,11 +227,11 @@ pub struct ServerStats {
     pub latency_ns_total: AtomicU64,
     pub latency_ns_max: AtomicU64,
     /// Server-level per-(wire, endpoint) latency histograms, recorded by
-    /// the transports at reply time.
+    /// the event loops at reply time.
     pub hists: HistogramSet,
     /// Completed hot reloads since start, across every model.
     pub reloads: AtomicU64,
-    /// Connections the serving transport accepted (either transport).
+    /// Connections the accept threads admitted.
     pub conns_accepted: AtomicU64,
     /// Connections fully closed (clean EOF, error, or timeout alike).
     pub conns_closed: AtomicU64,
@@ -242,17 +242,15 @@ pub struct ServerStats {
     /// (never counted in `conns_accepted`).
     pub conns_rejected: AtomicU64,
     /// Set by the `shutdown` admin command: the server stops admitting
-    /// new connections, finishes in-flight replies, and closes. Both
-    /// transports consult it through [`try_admit`](Self::try_admit).
+    /// new connections, finishes in-flight replies, and closes. The
+    /// accept threads consult it through [`try_admit`](Self::try_admit).
     pub(crate) draining: AtomicBool,
 }
 
 impl ServerStats {
-    /// The accept-loop gate both transports share: under `max_conns` the
-    /// connection is counted accepted and admitted; at or over it, the
-    /// rejection is counted and the caller drops the socket. Keeping the
-    /// count-and-decide in one place keeps `--max-conns` semantics
-    /// identical across transports.
+    /// The accept-loop gate: under `max_conns` the connection is counted
+    /// accepted and admitted; at or over it, the rejection is counted and
+    /// the caller drops the socket.
     ///
     /// Several accept threads share the gate (the frame and the HTTP
     /// listener), so check and count are one compare-and-swap on
@@ -409,7 +407,7 @@ pub struct StatsSnapshot {
     pub uptime_secs: f64,
     /// Completed reloads across every model.
     pub reloads: u64,
-    /// Transport connection counters (both transports feed them).
+    /// Connection counters (the accept threads and event loops feed them).
     pub conns_accepted: u64,
     pub conns_closed: u64,
     /// `conns_accepted - conns_closed` at snapshot time: connections the
@@ -571,13 +569,13 @@ impl PredictionServer {
             .ok_or_else(|| format!("unknown model {id:?}"))
     }
 
-    /// The entry the id-less API routes to (for the transports' shared
-    /// request core).
+    /// The entry the id-less API routes to (for the shared request
+    /// core).
     pub(crate) fn default_entry(&self) -> &Arc<ModelEntry> {
         &self.default_entry
     }
 
-    /// The shared counters, for the transports (which account
+    /// The shared counters, for the event loops (which account
     /// connections) — what [`stats`](Self::stats) snapshots.
     pub(crate) fn server_stats(&self) -> &ServerStats {
         &self.stats
@@ -840,7 +838,7 @@ impl PredictionServer {
             .iter()
             .map(|entry| ModelStatsSnapshot::of(entry, Arc::ptr_eq(entry, &self.default_entry)))
             .collect();
-        // Server-level histograms: the transports record predict traffic
+        // Server-level histograms: the event loops record predict traffic
         // per model only (one hot-path update per request), so the
         // server totals are the models summed into the server-level set,
         // which itself holds just the admin samples.
@@ -901,10 +899,10 @@ impl PredictionServer {
         }
     }
 
-    /// Enter drain: stop admitting new connections (both transports'
-    /// accept gates reject while draining), flush the query log so every
+    /// Enter drain: stop admitting new connections (the accept gate
+    /// rejects while draining), flush the query log so every
     /// already-served request is on disk, and let in-flight replies
-    /// finish. Idempotent. The transports and the CLI watch
+    /// finish. Idempotent. The event loops and the CLI watch
     /// [`is_draining`](Self::is_draining) to close connections and exit.
     pub fn begin_drain(&self) {
         self.stats.draining.store(true, Ordering::Release);

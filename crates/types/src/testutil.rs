@@ -47,27 +47,26 @@ impl Drop for TestDir {
     }
 }
 
-/// The serving-transport matrix the e2e / adversarial / failure-injection
-/// suites parameterize over. Names are resolved by
+/// The poller matrix the e2e / adversarial / failure-injection suites
+/// parameterize over. Names are resolved by
 /// `gps_serve::TransportConfig::named`:
 ///
-/// - `threads` — the thread-per-connection transport;
-/// - `events` — the event-driven transport on the platform's best
-///   readiness backend (epoll on Linux);
-/// - `events-poll` — the event transport pinned to the portable
-///   `poll(2)` backend, so both pollers are covered on every platform.
+/// - `events` — the event loops on the platform's best readiness
+///   backend (epoll on Linux);
+/// - `events-poll` — the event loops pinned to the portable `poll(2)`
+///   backend, so both pollers are covered on every platform.
 ///
 /// Setting `GPS_TEST_TRANSPORT` (a comma-separated subset of the names)
 /// restricts the matrix — CI uses it to run the whole e2e suite once per
-/// transport explicitly.
+/// poller explicitly.
 pub fn serve_transports() -> Vec<&'static str> {
-    env_matrix("GPS_TEST_TRANSPORT", &["threads", "events", "events-poll"])
+    env_matrix("GPS_TEST_TRANSPORT", &["events", "events-poll"])
 }
 
 /// The wire-format matrix the serving suites cross with
 /// [`serve_transports`]: `json` (the original text protocol) and
 /// `binary` (GPSQ). Setting `GPS_TEST_WIRE` (comma-separated subset)
-/// restricts it — CI pins one binary-wire run per transport this way.
+/// restricts it — CI pins one binary-wire run per poller this way.
 pub fn serve_wires() -> Vec<&'static str> {
     env_matrix("GPS_TEST_WIRE", &["json", "binary"])
 }
@@ -208,7 +207,7 @@ mod tests {
         let transports = serve_transports();
         assert!(!transports.is_empty());
         for t in transports {
-            assert!(["threads", "events", "events-poll"].contains(&t), "{t}");
+            assert!(["events", "events-poll"].contains(&t), "{t}");
         }
         let wires = serve_wires();
         assert!(!wires.is_empty());

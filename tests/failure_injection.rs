@@ -135,7 +135,7 @@ mod router_resilience {
     use gps::core::{CondModel, FeatureRules, Interactions, NetFeature, PriorsEntry};
     use gps::serve::{
         Client, PredictionServer, Query, Router, RouterConfig, RouterHandle, ServableModel,
-        ServeConfig,
+        ServeConfig, TransportConfig,
     };
     use gps::types::{Ip, Port, Subnet};
 
@@ -174,6 +174,9 @@ mod router_resilience {
     /// A backend whose process death is simulated the hard way: stop
     /// accepting AND slam every live connection shut (`kill -9` as seen
     /// from the router — no FIN handshake courtesy, readers get resets).
+    /// `gps_serve::serve` never returns and owns its sockets, so the
+    /// router dials a byte relay in front of it and the relay is what
+    /// dies: it keeps a clone of every socket it holds, on both sides.
     struct KillableBackend {
         addr: SocketAddr,
         server: Arc<PredictionServer>,
@@ -196,10 +199,17 @@ mod router_resilience {
                 }
             };
             let addr = listener.local_addr().expect("local addr");
+            let upstream = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
+            let upstream_addr = upstream.local_addr().expect("upstream addr");
+            {
+                let server = server.clone();
+                std::thread::spawn(move || {
+                    gps::serve::serve(server, upstream, TransportConfig::default())
+                });
+            }
             let live: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
             let stop = Arc::new(AtomicBool::new(false));
             {
-                let server = server.clone();
                 let live = live.clone();
                 let stop = stop.clone();
                 std::thread::spawn(move || {
@@ -207,17 +217,20 @@ mod router_resilience {
                         if stop.load(Ordering::Acquire) {
                             return; // drops the listener, freeing the port
                         }
-                        let stream = match stream {
-                            Ok(s) => s,
-                            Err(_) => continue,
-                        };
-                        live.lock()
-                            .expect("live list")
-                            .push(stream.try_clone().expect("clone stream"));
-                        let server = server.clone();
-                        std::thread::spawn(move || {
-                            let _ = gps::serve::proto::serve_connection(&server, stream);
-                        });
+                        let Ok(front) = stream else { continue };
+                        let back = TcpStream::connect(upstream_addr).expect("dial upstream");
+                        for side in [&front, &back] {
+                            let _ = side.set_nodelay(true);
+                            live.lock()
+                                .expect("live list")
+                                .push(side.try_clone().expect("clone stream"));
+                        }
+                        let (front2, back2) = (
+                            front.try_clone().expect("clone stream"),
+                            back.try_clone().expect("clone stream"),
+                        );
+                        std::thread::spawn(move || relay(front, back));
+                        std::thread::spawn(move || relay(back2, front2));
                     }
                 });
             }
@@ -239,6 +252,13 @@ mod router_resilience {
             }
             (self.server, self.addr)
         }
+    }
+
+    /// One direction of the relay: copy until either side ends, then pass
+    /// the end of stream on.
+    fn relay(mut from: TcpStream, mut to: TcpStream) {
+        let _ = std::io::copy(&mut from, &mut to);
+        let _ = to.shutdown(Shutdown::Write);
     }
 
     /// The router's /16 owner hash, mirrored here so tests can aim

@@ -1,10 +1,7 @@
-//! Adversarial-client tests for the serving transports: slowloris
+//! Adversarial-client tests for the serving event loops: slowloris
 //! half-frames, byte-dribbled requests, pipelined bursts, oversized
 //! length prefixes, trailing garbage, and connection caps. Each case
-//! runs against every transport (`gps_types::testutil::serve_transports`)
-//! where the behavior is transport-independent; the slowloris sweep and
-//! connection-cap semantics are asserted per transport with its own
-//! mechanism (poll-based sweep vs `SO_RCVTIMEO`).
+//! runs on both pollers (`gps_types::testutil::serve_transports`).
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -16,7 +13,8 @@ use gps::core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
 use gps::core::{CondModel, FeatureRules, Interactions, NetFeature, PriorsEntry};
 use gps::serve::proto::{read_frame, write_frame};
 use gps::serve::{
-    Client, PredictionServer, Query, ServableModel, ServeConfig, TransportConfig, WireFormat,
+    Client, PredictionServer, Query, Ranked, ServableModel, ServeConfig, TransportConfig,
+    WireFormat,
 };
 use gps::types::testutil::{serve_transports, DribbleProxy};
 use gps::types::{Ip, Json, Port, Subnet};
@@ -128,8 +126,9 @@ fn spawn_model(
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
     let addr = listener.local_addr().expect("local addr");
     let config = TransportConfig {
-        transport: transport.parse().expect("known transport"),
-        poll_fallback: transport == "events-poll",
+        poll_fallback: TransportConfig::named(transport)
+            .expect("known transport")
+            .poll_fallback,
         ..config
     };
     {
@@ -625,6 +624,79 @@ fn non_reading_pipelined_client_cannot_grow_the_write_buffer() {
     }
 }
 
+/// One client write carrying a whole pipelined burst whose replies cross
+/// the write high-water mark several times mid-burst. The event loop
+/// queues a burst's replies and sends them with one flush, flushing early
+/// only when the buffer is over the mark — so a dropped or reordered tail
+/// shows here: every reply must arrive, in request order, bit-identical
+/// to the model's own answer, and the connection must still serve.
+#[test]
+fn one_write_burst_crossing_high_water_answers_in_order() {
+    const BURST: usize = 48;
+    const PORTS: u16 = 4000;
+    for transport in serve_transports() {
+        let (server, addr) = spawn_model(
+            wide_priors_model(PORTS),
+            transport,
+            TransportConfig::default(),
+        );
+        // Distinct `top` per request: replies differ in length and
+        // content (>= 9 bytes per ranked port, ~36 KiB each against a
+        // 256 KiB mark), so a swapped pair cannot pass.
+        let queries: Vec<Query> = (0..BURST)
+            .map(|i| {
+                let mut query = Query::new(Ip::from_octets(10, 0, 0, 1));
+                query.top = PORTS as usize - i;
+                query
+            })
+            .collect();
+        let mut client = Client::connect_with(addr, WireFormat::Binary).expect("connect");
+        // Sends only buffer (about 1 KiB in all, under the client's
+        // 8 KiB writer): the first recv flushes the burst as one write.
+        let ids: Vec<u64> = queries
+            .iter()
+            .map(|query| client.predict_send(None, query).expect("buffered send"))
+            .collect();
+        let check = |i: usize, ranked: Ranked| {
+            let expected = server.model().predict(&queries[i]);
+            assert!(
+                ranked.len() == expected.len()
+                    && ranked
+                        .iter()
+                        .zip(&expected)
+                        .all(|(got, want)| got.0 == want.0 && got.1.to_bits() == want.1.to_bits()),
+                "{transport}: reply {i} differs from the model's answer"
+            );
+        };
+        check(0, client.predict_recv(ids[0]).expect("first reply"));
+
+        // Read the rest only after the server has answered all it can
+        // with nobody reading.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut answered = 0;
+        let mut quiet_since = Instant::now();
+        while answered < BURST as u64 && quiet_since.elapsed() < Duration::from_millis(300) {
+            assert!(Instant::now() < deadline, "{transport}: never went quiet");
+            std::thread::sleep(Duration::from_millis(10));
+            let now = server.stats().requests;
+            if now != answered {
+                answered = now;
+                quiet_since = Instant::now();
+            }
+        }
+        for (i, &id) in ids.iter().enumerate().skip(1) {
+            check(i, client.predict_recv(id).expect("reply in order"));
+        }
+        check(
+            0,
+            client
+                .predict(&queries[0])
+                .expect("connection still usable"),
+        );
+        assert_eq!(server.stats().requests, BURST as u64 + 1, "{transport}");
+    }
+}
+
 /// Valid binary frame, then garbage whose first bytes read as a ~4GB
 /// length prefix: the valid frame is answered, then the connection
 /// closes (framing death), like the JSON trailing-garbage case.
@@ -825,7 +897,7 @@ mod router_adversarial {
     /// (fast again).
     #[test]
     fn stalling_backend_hits_deadline_and_alternate_answers() {
-        let (_real_server, real_addr) = spawn("threads", TransportConfig::default());
+        let (_real_server, real_addr) = spawn("events", TransportConfig::default());
         let (stall_addr, stall_conns) = spawn_staller();
         let handle = Router::start(
             "127.0.0.1:0",
@@ -882,7 +954,7 @@ mod router_adversarial {
     /// backend link never propagates to clients.
     #[test]
     fn garbage_frame_backend_is_marked_down_without_poisoning_the_front() {
-        let (_real_server, real_addr) = spawn("threads", TransportConfig::default());
+        let (_real_server, real_addr) = spawn("events", TransportConfig::default());
         let garbage_addr = spawn_garbage();
         let handle = Router::start(
             "127.0.0.1:0",
@@ -995,12 +1067,11 @@ mod serve_drain {
             assert!(server.is_draining(), "{transport}: draining flag set");
             assert!(server.stats().draining, "{transport}: stats report it");
 
-            // The answered-and-idle connection closes. The transports
-            // differ in *when*: the events loop sweeps it shut at once,
-            // while the threads transport (blocked in read) serves at
-            // most one more already-written request before noticing the
-            // drain. Any reply that does arrive must still be correct,
-            // and within two attempts the close must have landed.
+            // The answered-and-idle connection closes: its event loop
+            // sweeps it shut on its next wake, so at most one request
+            // that raced the sweep is still served. Any reply that does
+            // arrive must still be correct, and within two attempts the
+            // close must have landed.
             let mut closed = false;
             for i in 0..2u8 {
                 match busy.predict(&Query::new(Ip::from_octets(10, 0, 2 + i, 2)).with_open([80])) {

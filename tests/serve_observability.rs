@@ -70,8 +70,9 @@ fn spawn_http(
     let addr = listener.local_addr().expect("frame addr");
     let http_addr = http.local_addr().expect("http addr");
     let config = TransportConfig {
-        transport: transport.parse().expect("known transport"),
-        poll_fallback: transport == "events-poll",
+        poll_fallback: TransportConfig::named(transport)
+            .expect("known transport")
+            .poll_fallback,
         ..config
     };
     {
@@ -177,8 +178,7 @@ fn assert_closed_within(mut stream: TcpStream, deadline: Duration, what: &str) {
 }
 
 /// The admin surface: /healthz, /stats, /models, /metrics, plus 404 and
-/// 405 mapping — on every transport (the threads transport runs the
-/// gateway on a sidecar event loop; behavior must be identical).
+/// 405 mapping — on both pollers.
 #[test]
 fn http_gateway_serves_admin_endpoints_on_every_transport() {
     for transport in serve_transports() {
@@ -494,7 +494,7 @@ fn reset_stats_zeroes_traffic_but_preserves_generation_and_membership() {
 /// `Connection: close`, and slowloris idling.
 #[test]
 fn http_gateway_survives_adversarial_clients() {
-    for transport in ["events", "threads"] {
+    for transport in serve_transports() {
         let (server, _addr, http_addr) = spawn_http(
             transport,
             TransportConfig {
