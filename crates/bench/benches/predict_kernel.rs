@@ -14,8 +14,8 @@
 //!
 //! Both sides answer through their reusable-scratch entry points so the
 //! comparison is kernel vs kernel, not allocator vs allocator. A second
-//! group times the two `ServableModel::from_snapshot` paths: CMPL bulk
-//! load vs compile-from-tables.
+//! group times GPSB bytes to a query-ready `ServableModel` (the CMPL bulk
+//! load).
 
 use std::collections::HashMap;
 
@@ -63,8 +63,7 @@ fn batch_queries(net: &Internet) -> Vec<Query> {
 fn bench_predict_kernel(c: &mut Criterion) {
     let net = Internet::generate(&UniverseConfig::tiny(101));
     let snapshot = trained_snapshot(&net);
-    let bytes_with_cmpl = snapshot.to_binary_bytes_with(true);
-    let bytes_without_cmpl = snapshot.to_binary_bytes_with(false);
+    let bytes = snapshot.to_binary_bytes();
     let reference = ReferenceModel::from_snapshot(&snapshot);
     let compiled = ServableModel::from_snapshot(snapshot);
 
@@ -118,13 +117,7 @@ fn bench_predict_kernel(c: &mut Criterion) {
     build.sample_size(20);
     build.bench_function("load_with_cmpl", |b| {
         b.iter(|| {
-            let snapshot = ModelSnapshot::from_binary_bytes(&bytes_with_cmpl).unwrap();
-            ServableModel::from_snapshot(snapshot)
-        })
-    });
-    build.bench_function("load_compile_fallback", |b| {
-        b.iter(|| {
-            let snapshot = ModelSnapshot::from_binary_bytes(&bytes_without_cmpl).unwrap();
+            let snapshot = ModelSnapshot::from_binary_bytes(&bytes).unwrap();
             ServableModel::from_snapshot(snapshot)
         })
     });

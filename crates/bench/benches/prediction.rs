@@ -78,7 +78,6 @@ fn bench_prediction(c: &mut Criterion) {
                 num_priors: 0,
                 checksum: 0,
             },
-            model: gps_core::CondModel::from_parts(Default::default(), Interactions::ALL),
             rules,
             priors: Vec::new(),
             compiled: None,

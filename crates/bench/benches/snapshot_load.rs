@@ -1,20 +1,11 @@
-//! Benchmark: snapshot load time, JSON vs GPSB binary.
+//! Benchmark: GPSB snapshot load and encode time.
 //!
 //! The serving subsystem's restart/reload latency is dominated by parsing
 //! the snapshot. This bench trains once on the quick universe, saves the
-//! same model in both formats, and measures:
-//!
-//! - full load (`ModelSnapshot::load`) — what `gps export-model`
-//!   consumers pay;
-//! - serving load (`ModelSnapshot::load_serving`) — what `gps serve` and
-//!   a hot reload pay (the binary path hash-verifies the co-occurrence
-//!   model section without parsing it).
-//!
-//! The acceptance bar for the GPSB format is binary ≥ 3× faster than
-//! JSON on the quick universe; `full/binary` vs `full/json` is the
-//! comparison. Serialization (`save`) is measured too for completeness.
+//! model, and measures `ModelSnapshot::load` — what `gps serve` and a hot
+//! reload pay — and `to_binary_bytes`, what `gps export-model` pays.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use gps_core::{censys_dataset, run_gps, GpsConfig, ModelSnapshot};
 use gps_synthnet::{Internet, UniverseConfig};
 
@@ -32,35 +23,20 @@ fn trained_snapshot() -> ModelSnapshot {
 
 fn bench_snapshot_load(c: &mut Criterion) {
     let snapshot = trained_snapshot();
-    let dir = std::env::temp_dir();
-    let json_path = dir.join(format!("gps_bench_snapshot_{}.json", std::process::id()));
-    let bin_path = dir.join(format!("gps_bench_snapshot_{}.gpsb", std::process::id()));
-    snapshot.save(&json_path).expect("save json");
-    snapshot.save_binary(&bin_path).expect("save binary");
-    let json_size = std::fs::metadata(&json_path).expect("json meta").len();
-    let bin_size = std::fs::metadata(&bin_path).expect("binary meta").len();
-    eprintln!("snapshot sizes: json {json_size} bytes, binary {bin_size} bytes");
+    let path = std::env::temp_dir().join(format!("gps_bench_snapshot_{}.gpsb", std::process::id()));
+    snapshot.save_binary(&path).expect("save");
+    let size = std::fs::metadata(&path).expect("meta").len();
+    eprintln!("snapshot size: {size} bytes");
 
     let mut group = c.benchmark_group("snapshot_load");
     group.sample_size(20);
-    for (format, path) in [("json", &json_path), ("binary", &bin_path)] {
-        group.bench_with_input(BenchmarkId::new("full", format), path, |b, path| {
-            b.iter(|| ModelSnapshot::load(path).expect("load"))
-        });
-        group.bench_with_input(BenchmarkId::new("serving", format), path, |b, path| {
-            b.iter(|| ModelSnapshot::load_serving(path).expect("load_serving"))
-        });
-    }
-    group.bench_with_input(BenchmarkId::new("save", "json"), &(), |b, ()| {
-        b.iter(|| snapshot.to_json_string())
+    group.bench_function("load", |b| {
+        b.iter(|| ModelSnapshot::load(&path).expect("load"))
     });
-    group.bench_with_input(BenchmarkId::new("save", "binary"), &(), |b, ()| {
-        b.iter(|| snapshot.to_binary_bytes())
-    });
+    group.bench_function("encode", |b| b.iter(|| snapshot.to_binary_bytes()));
     group.finish();
 
-    std::fs::remove_file(&json_path).ok();
-    std::fs::remove_file(&bin_path).ok();
+    std::fs::remove_file(&path).ok();
 }
 
 criterion_group!(benches, bench_snapshot_load);

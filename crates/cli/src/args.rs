@@ -24,11 +24,6 @@ pub struct Args {
     /// path (bare = the default model id). Empty = single-model serve
     /// from [`Args::model`].
     pub models: Vec<String>,
-    /// Snapshot encoding for export-model.
-    pub format: SnapshotFormat,
-    /// export-model: omit the derived CMPL section from binary snapshots
-    /// (smaller file; loaders recompile at load time).
-    pub no_compiled: bool,
     /// TCP address for serve/query/reload/models.
     pub addr: String,
     /// serve: live-connection cap (0 = unlimited).
@@ -85,13 +80,6 @@ pub enum Command {
     Help,
 }
 
-/// On-disk snapshot encoding (`gps export-model --format`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotFormat {
-    Json,
-    Binary,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     Censys,
@@ -122,10 +110,8 @@ impl Default for Args {
             step: 16,
             budget: None,
             csv: None,
-            model: "gps-model.json".to_string(),
+            model: "gps-model.gpsb".to_string(),
             models: Vec::new(),
-            format: SnapshotFormat::Json,
-            no_compiled: false,
             addr: "127.0.0.1:4615".to_string(),
             max_conns: 0,
             idle_timeout: 0.0,
@@ -238,18 +224,6 @@ impl Args {
                         _ => args.model = v,
                     }
                 }
-                "--format" => {
-                    args.format = match value("--format")?.as_str() {
-                        "json" => SnapshotFormat::Json,
-                        "binary" => SnapshotFormat::Binary,
-                        other => {
-                            return Err(ParseError(format!(
-                                "unknown format {other:?} (json|binary)"
-                            )))
-                        }
-                    };
-                }
-                "--no-compiled" => args.no_compiled = true,
                 "--watch" => args.watch = true,
                 "--addr" => args.addr = value("--addr")?,
                 "--http-addr" => args.http_addr = Some(value("--http-addr")?),
@@ -380,16 +354,16 @@ mod tests {
         let args = Args::parse([
             "export-model",
             "--model",
-            "/tmp/m.json",
+            "/tmp/m.gpsb",
             "--quick",
             "--seed",
             "9",
         ])
         .unwrap();
         assert_eq!(args.command, Command::ExportModel);
-        assert_eq!(args.model, "/tmp/m.json");
+        assert_eq!(args.model, "/tmp/m.gpsb");
 
-        let args = Args::parse(["serve", "--model", "m.json", "--addr", "127.0.0.1:9999"]).unwrap();
+        let args = Args::parse(["serve", "--model", "m.gpsb", "--addr", "127.0.0.1:9999"]).unwrap();
         assert_eq!(args.command, Command::Serve);
         assert_eq!(args.addr, "127.0.0.1:9999");
         // The flags of the deleted worker pool, warm-up replay and
@@ -422,37 +396,23 @@ mod tests {
     }
 
     #[test]
-    fn parses_format_watch_and_reload() {
-        let args = Args::parse([
-            "export-model",
-            "--model",
-            "/tmp/m.gpsb",
-            "--format",
-            "binary",
-        ])
-        .unwrap();
-        assert_eq!(args.format, SnapshotFormat::Binary);
+    fn parses_export_watch_and_reload() {
+        let args = Args::parse(["export-model", "--model", "/tmp/m.gpsb"]).unwrap();
         assert_eq!(args.model, "/tmp/m.gpsb");
         assert_eq!(
-            Args::parse(["export-model"]).unwrap().format,
-            SnapshotFormat::Json,
-            "json stays the default"
+            Args::parse(["export-model"]).unwrap().model,
+            "gps-model.gpsb"
         );
-        assert!(Args::parse(["export-model", "--format", "xml"]).is_err());
 
-        // --no-compiled strips the derived CMPL section from binary
-        // exports; default keeps it.
-        let args = Args::parse([
-            "export-model",
-            "--model",
-            "/tmp/m.gpsb",
-            "--format",
-            "binary",
-            "--no-compiled",
-        ])
-        .unwrap();
-        assert!(args.no_compiled);
-        assert!(!Args::parse(["export-model"]).unwrap().no_compiled);
+        // A snapshot is one GPSB container with every section: nothing
+        // selects an encoding or strips CMPL any more.
+        for gone in [
+            &["export-model", "--format", "binary"][..],
+            &["export-model", "--no-compiled"],
+        ] {
+            let err = Args::parse(gone.iter().copied()).unwrap_err();
+            assert!(err.0.contains("unknown flag"), "{}", err.0);
+        }
 
         let args = Args::parse(["serve", "--model", "m.gpsb", "--watch"]).unwrap();
         assert!(args.watch);
@@ -471,7 +431,7 @@ mod tests {
         .unwrap();
         assert_eq!(args.command, Command::Reload);
         assert_eq!(args.reload_model.as_deref(), Some("/tmp/new.gpsb"));
-        assert_eq!(args.model, "gps-model.json");
+        assert_eq!(args.model, "gps-model.gpsb");
         assert!(Args::parse(["reload"]).unwrap().reload_model.is_none());
     }
 
@@ -499,7 +459,7 @@ mod tests {
         // query: --model is a model *id*, not a path.
         let args = Args::parse(["query", "--ip", "10.0.0.1", "--model", "full"]).unwrap();
         assert_eq!(args.query_model.as_deref(), Some("full"));
-        assert_eq!(args.model, "gps-model.json", "snapshot path untouched");
+        assert_eq!(args.model, "gps-model.gpsb", "snapshot path untouched");
 
         // reload: positional model id, optionally with a new path.
         let args = Args::parse(["reload", "full", "--model", "/tmp/b2.gpsb"]).unwrap();
@@ -518,7 +478,7 @@ mod tests {
     #[test]
     fn serving_defaults() {
         let args = Args::parse(["serve"]).unwrap();
-        assert_eq!(args.model, "gps-model.json");
+        assert_eq!(args.model, "gps-model.gpsb");
         assert_eq!(args.addr, "127.0.0.1:4615");
         assert_eq!(args.max_conns, 0, "0 = unlimited");
         assert_eq!(args.idle_timeout, 0.0, "0 = never");

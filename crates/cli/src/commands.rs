@@ -11,7 +11,7 @@ use gps_serve::{PredictionServer, Query, ServableModel, ServeConfig};
 use gps_synthnet::{stats, Internet, PortCensus, UniverseConfig};
 use gps_types::Ip;
 
-use crate::args::{Args, SnapshotFormat, Workload};
+use crate::args::{Args, Workload};
 
 /// Build the universe described by the common flags.
 pub fn universe(args: &Args) -> Internet {
@@ -255,22 +255,12 @@ pub fn cmd_export_model(args: &Args) -> Result<(), String> {
     };
     let run = run_gps(&net, &ds, &config);
     let snapshot = ModelSnapshot::from_run(&run, &config, args.seed);
-    match args.format {
-        SnapshotFormat::Json => snapshot.save(&args.model),
-        SnapshotFormat::Binary => snapshot.save_binary_with(&args.model, !args.no_compiled),
-    }
-    .map_err(|e| format!("--model {}: {e}", args.model))?;
+    snapshot
+        .save_binary(&args.model)
+        .map_err(|e| format!("--model {}: {e}", args.model))?;
     let m = &snapshot.manifest;
     println!("exported model to {}:", args.model);
-    println!(
-        "  format:       {}.{} ({})",
-        m.format.0,
-        m.format.1,
-        match args.format {
-            SnapshotFormat::Json => "json",
-            SnapshotFormat::Binary => "GPSB binary",
-        }
-    );
+    println!("  format:       GPSB {}.{}", m.format.0, m.format.1);
     println!(
         "  dataset:      {} (universe seed {:#x})",
         m.dataset_name, m.universe_seed
@@ -331,10 +321,7 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     let mut models = Vec::with_capacity(entries.len());
     for (name, path) in &entries {
-        // load_serving: the co-occurrence model (the largest section) is
-        // not used for query answering, only rules + priors are.
-        let snapshot =
-            ModelSnapshot::load_serving(path).map_err(|e| format!("--model {path}: {e}"))?;
+        let snapshot = ModelSnapshot::load(path).map_err(|e| format!("--model {path}: {e}"))?;
         let m = &snapshot.manifest;
         println!(
             "loaded {name} from {path} ({} keys, {} rules, {} priors, checksum {:016x})",
@@ -666,7 +653,7 @@ mod tests {
         use crate::args::Command;
         let dir = TestDir::new("round-trip");
         let mut args = quick_args(Command::ExportModel);
-        args.model = path_str(&dir, "model.json");
+        args.model = path_str(&dir, "model.gpsb");
         cmd_export_model(&args).unwrap();
 
         // Serve on an ephemeral port (cmd_serve blocks, so drive the
@@ -705,14 +692,13 @@ mod tests {
 
     #[test]
     fn binary_export_then_serve_then_wire_reload() {
-        use crate::args::{Command, SnapshotFormat};
+        use crate::args::Command;
         let dir = TestDir::new("wire-reload");
         let path_a = std::path::PathBuf::from(path_str(&dir, "a.gpsb"));
         let path_b = std::path::PathBuf::from(path_str(&dir, "b.gpsb"));
 
-        // Two binary snapshots from different universes (different seeds).
+        // Two snapshots from different universes (different seeds).
         let mut args = quick_args(Command::ExportModel);
-        args.format = SnapshotFormat::Binary;
         args.model = path_a.to_string_lossy().into_owned();
         args.seed = 9;
         cmd_export_model(&args).unwrap();
@@ -723,8 +709,8 @@ mod tests {
 
         // The exported files are GPSB and load like any snapshot.
         assert!(std::fs::read(&path_a).unwrap().starts_with(b"GPSB"));
-        let snapshot_a = ModelSnapshot::load_serving(&path_a).unwrap();
-        let snapshot_b = ModelSnapshot::load_serving(&path_b).unwrap();
+        let snapshot_a = ModelSnapshot::load(&path_a).unwrap();
+        let snapshot_b = ModelSnapshot::load(&path_b).unwrap();
         assert_ne!(snapshot_a.manifest.checksum, snapshot_b.manifest.checksum);
 
         // Serve A, then hot-swap to B over the wire.
@@ -760,16 +746,43 @@ mod tests {
         );
         // Reload without --model re-reads the (updated) recorded path.
         assert_eq!(client.reload(None).unwrap().generation, 2);
+
+        // A JSON file (the encoding format 1 also had) is refused at every
+        // door with an error naming GPSB, and the server keeps answering
+        // from model B on its recorded path.
+        let json_path = path_str(&dir, "old.json");
+        std::fs::write(&json_path, "{\"manifest\":{\"format\":[1,0]},\"body\":{}}").unwrap();
+        let query = Query::new(Ip(0x0A00_0001));
+        let before = client.predict(&query).unwrap();
+        let mut serve_args = quick_args(Command::Serve);
+        serve_args.model = json_path.clone();
+        for err in [
+            client.reload(Some(&json_path)).unwrap_err().to_string(),
+            client
+                .load_model("old", &json_path)
+                .unwrap_err()
+                .to_string(),
+            cmd_serve(&serve_args).unwrap_err(),
+        ] {
+            assert!(err.contains("not a GPSB container"), "{err}");
+        }
+        assert_eq!(client.predict(&query).unwrap(), before);
+        assert_eq!(client.list_models().unwrap().len(), 1);
+        let outcome = client.reload(None).unwrap();
+        assert_eq!(outcome.generation, 3);
+        assert_eq!(
+            outcome.checksum,
+            gps_types::json::u64_to_hex(snapshot_b.manifest.checksum)
+        );
     }
 
     #[test]
     fn multi_model_serve_queries_each_by_id() {
-        use crate::args::{Command, SnapshotFormat};
+        use crate::args::Command;
         let dir = TestDir::new("multi-model");
         let path_a = path_str(&dir, "a.gpsb");
         let path_b = path_str(&dir, "b.gpsb");
         let mut args = quick_args(Command::ExportModel);
-        args.format = SnapshotFormat::Binary;
         args.model = path_a.clone();
         args.seed = 9;
         cmd_export_model(&args).unwrap();
@@ -807,15 +820,15 @@ mod tests {
             resolve_models(&Args::parse(["serve"]).unwrap()),
             vec![(
                 gps_serve::DEFAULT_MODEL_ID.to_string(),
-                "gps-model.json".to_string()
+                "gps-model.gpsb".to_string()
             )]
         );
 
         // Stand the registry up the way cmd_serve does (cmd_serve blocks
         // on its accept loop, so drive the same layers directly) and
         // query both models over one TCP connection.
-        let snapshot_a = ModelSnapshot::load_serving(&path_a).unwrap();
-        let snapshot_b = ModelSnapshot::load_serving(&path_b).unwrap();
+        let snapshot_a = ModelSnapshot::load(&path_a).unwrap();
+        let snapshot_b = ModelSnapshot::load(&path_b).unwrap();
         assert_ne!(snapshot_a.manifest.checksum, snapshot_b.manifest.checksum);
         let checksum_a = snapshot_a.manifest.checksum;
         let checksum_b = snapshot_b.manifest.checksum;

@@ -45,15 +45,12 @@ RUN/COMPARE/EXPORT OPTIONS:
     --csv PATH          write the discovery curve as CSV
 
 SERVING OPTIONS:
-    --model PATH        snapshot file (default gps-model.json); for
+    --model PATH        GPSB snapshot file (default gps-model.gpsb); for
                         `serve`, repeatable as NAME=PATH to serve several
                         models keyed by id (first = default model); for
                         `query`, a model *id* on the server; for `reload`,
                         the snapshot to switch the server to (default:
                         re-read the file it is serving)
-    --format F          export-model encoding: json | binary (GPSB)
-    --no-compiled       export-model: omit the precompiled CMPL section
-                        from binary snapshots (loaders recompile on load)
     --addr A            TCP address (default 127.0.0.1:4615)
     --max-conns N       serve: live-connection cap (default unlimited)
     --idle-timeout S    serve: drop conns silent for S seconds (default never)
@@ -80,7 +77,7 @@ EXAMPLES:
     gps universe --blocks 16
     gps run --workload censys --seed-fraction 0.02 --step 16 --csv curve.csv
     gps compare --workload lzr
-    gps export-model --quick --model /tmp/gps-model.gpsb --format binary
+    gps export-model --quick --model /tmp/gps-model.gpsb
     gps serve --model /tmp/gps-model.gpsb --addr 127.0.0.1:4615 --watch
     gps serve --model quick=/tmp/a.gpsb --model lzr=/tmp/b.gpsb
     gps serve --model /tmp/a.gpsb --max-conns 20000 --idle-timeout 60

@@ -135,11 +135,6 @@ pub struct CondModel {
 }
 
 impl CondModel {
-    /// Reassemble a model from its stored parts (snapshot deserialization).
-    pub fn from_parts(keys: HashMap<CondKey, KeyStats>, interactions: Interactions) -> CondModel {
-        CondModel { keys, interactions }
-    }
-
     /// Compute the co-occurrence model over host-grouped seed records.
     pub fn build(
         hosts: &[HostRecord],

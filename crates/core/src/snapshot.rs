@@ -1,60 +1,45 @@
 //! Persistent model artifacts.
 //!
-//! Everything `run_gps` trains — the conditional-probability model (Eq.
-//! 4–7), the "most predictive feature values" rules list (§5.4), and the
-//! priors scan list (§5.3) — can be saved to a single versioned snapshot
-//! file and reloaded later by the serving subsystem (`gps-serve`) without
-//! re-running the pipeline. This is what turns the repo from a one-shot
-//! batch reproduction into a servable system: train once with
+//! What `run_gps` trains for a server to answer from — the "most
+//! predictive feature values" rules list (§5.4) and the priors scan list
+//! (§5.3) — is saved to a single versioned snapshot file and reloaded
+//! later by the serving subsystem (`gps-serve`) without re-running the
+//! pipeline. This is what turns the repo from a one-shot batch
+//! reproduction into a servable system: train once with
 //! `gps export-model`, answer prediction queries for as long as the model
 //! stays fresh with `gps serve`.
 //!
-//! ## Formats
+//! ## Format
 //!
-//! Two interchangeable on-disk encodings carry the same snapshot;
-//! [`load`](ModelSnapshot::load) auto-detects by the leading bytes.
-//!
-//! **JSON** (see `gps_types::json` for why JSON and not serde):
-//!
-//! ```text
-//! {"manifest": {format, universe_seed, dataset, config, stats, checksum},
-//!  "body": {"model": ..., "rules": ..., "priors": ...}}
-//! ```
-//!
-//! The manifest's `checksum` field is FNV-1a over the canonical
-//! serialization of the manifest (checksum zeroed) followed by the
-//! canonical serialization of `body`; `load` re-serializes the parsed
-//! document (the writer is deterministic, so this is byte-identical to
-//! what `save` hashed) and rejects mismatches — corrupting manifest
-//! fields that drive serving (step_prefix, net_features) fails the same
-//! check as body corruption. Version checks are split by field:
-//! a different `format` major is rejected, a newer minor is accepted
-//! (minor bumps may only add fields, which the parser ignores).
-//!
-//! **GPSB binary** (`gps_types::binary`): JSON parsing dominates load
-//! time on big universes — every probability goes through float
-//! formatting and re-tokenization — so
-//! [`save_binary`](ModelSnapshot::save_binary) writes the same data as
-//! length-prefixed, per-section-checksummed little-endian sections:
+//! A snapshot is one GPSB container (`gps_types::binary`):
+//! length-prefixed, per-section-checksummed little-endian sections.
 //!
 //! ```text
 //! "GPSB" | container version (u8)
 //! MANI section: the manifest as JSON text  (forward-compatible header)
-//! MODL section: co-occurrence model        (varint counts, binary keys)
 //! RULE section: feature rules              (f64 bit patterns, exact)
 //! PRIO section: priors scan list
+//! CMPL section: RULE + PRIO compiled       (see [`crate::compiled`])
 //! ```
 //!
 //! Each section is `tag | u32 length | payload | u64 FNV-1a of payload`,
-//! so corruption is pinned to a section and `load_serving` can *skip*
-//! the MODL payload (hash-verify only, never parse — the bulk of the
-//! file) while still checking the integrity of every byte. The manifest
-//! stays JSON inside its section: new manifest fields from newer minor
-//! versions ride through without a binary schema change, and the
-//! manifest `checksum` field keeps its JSON-body definition in both
-//! formats, so a snapshot converted binary→JSON is byte-identical to one
-//! saved as JSON directly. Probabilities are stored as IEEE-754 bit
-//! patterns, so a binary round trip is bit-exact by construction.
+//! so corruption is pinned to a section, and all four are required. The
+//! manifest stays JSON inside its section: new manifest fields from newer
+//! minor versions ride through without a binary schema change. It lists
+//! the tags of the sections that follow it, and a reader requires the
+//! container to hold exactly those. Probabilities are stored as IEEE-754
+//! bit patterns, so a round trip is bit-exact by construction.
+//!
+//! The manifest's `checksum` field — the identity `/models`, reload
+//! outcomes and `gps models` report — is FNV-1a over the canonical
+//! serialization of the manifest (checksum zeroed) followed by the RULE
+//! and PRIO payloads. Every load recomputes it, so an edit that re-seals
+//! a section's own FNV still fails, and corrupting a manifest field that
+//! drives serving (step_prefix, net_features) fails the same check as
+//! corrupting a rule. CMPL is derived from RULE + PRIO and stays outside
+//! it. Version checks are split by field: a different `format` major is
+//! rejected, a newer minor is accepted (minor bumps may only add manifest
+//! fields and sections, which the reader ignores once they verify).
 //!
 //! Interned symbols (`Sym`) are stored as raw `u32`s: they are only
 //! meaningful together with the universe that produced them, which is
@@ -71,28 +56,26 @@ use gps_types::json::{fnv64, u64_from_hex, u64_to_hex, Json};
 use gps_types::{FeatureKind, FeatureValue, GpsError, Port, Subnet, Sym};
 
 use crate::config::{GpsConfig, Interactions, NetFeature};
-use crate::model::{CondKey, CondModel, KeyStats, NetKey};
+use crate::model::{CondKey, NetKey};
 use crate::pipeline::GpsRun;
 use crate::predict::FeatureRules;
 use crate::priors::PriorsEntry;
 
 /// Snapshot format version. Major changes break compatibility; minor
-/// changes only add fields.
-pub const FORMAT_MAJOR: u32 = 1;
+/// changes only add fields. Major 1 also carried the co-occurrence model
+/// (a `MODL` section) and had a JSON encoding; neither is read any more.
+pub const FORMAT_MAJOR: u32 = 2;
 pub const FORMAT_MINOR: u32 = 0;
 
 /// GPSB section tags. MANI must come first (it gates version checks);
 /// unknown tags from newer minor versions are skipped after their
 /// checksum verifies.
 const SEC_MANIFEST: [u8; 4] = *b"MANI";
-const SEC_MODEL: [u8; 4] = *b"MODL";
 const SEC_RULES: [u8; 4] = *b"RULE";
 const SEC_PRIORS: [u8; 4] = *b"PRIO";
 /// Compiled struct-of-arrays form of RULE + PRIO (see [`crate::compiled`]):
-/// derived data, loadable with a few validated bulk reads. Optional — a
-/// container without it compiles at load time — and excluded from the
-/// manifest checksum (which keeps its JSON definition), so binary → JSON
-/// conversion stays byte-identical.
+/// derived data, loadable with a few validated bulk reads, and excluded
+/// from the manifest checksum.
 const SEC_COMPILED: [u8; 4] = *b"CMPL";
 
 /// Net-key discriminants inside binary conditioning keys.
@@ -120,25 +103,24 @@ pub struct ModelManifest {
     pub cooccur_entries: u64,
     pub num_rules: usize,
     pub num_priors: usize,
-    /// FNV-1a over the canonical manifest (this field zeroed) + body
-    /// serializations.
+    /// FNV-1a over the canonical manifest (this field zeroed) followed by
+    /// the RULE and PRIO section payloads.
     pub checksum: u64,
 }
 
-/// A trained, persistable GPS model: manifest + the three artifacts.
+/// A trained, persistable GPS model: manifest + the artifacts a server
+/// answers from.
 #[derive(Debug, Clone)]
 pub struct ModelSnapshot {
     pub manifest: ModelManifest,
-    pub model: CondModel,
     pub rules: FeatureRules,
     pub priors: Vec<PriorsEntry>,
     /// The compiled struct-of-arrays form of `rules` + `priors`, present
-    /// when this snapshot was loaded from a GPSB container with a `CMPL`
-    /// section. Derived data: serializers always recompile from the
-    /// authoritative fields, and loaders without it compile on demand.
+    /// on every loaded snapshot (from its `CMPL` section). Derived data:
+    /// the writer always recompiles from the authoritative fields, and a
+    /// snapshot built in memory compiles on demand.
     pub compiled: Option<crate::compiled::CompiledModel>,
 }
-
 /// Errors from snapshot persistence.
 #[derive(Debug)]
 pub enum SnapshotError {
@@ -206,51 +188,119 @@ impl ModelSnapshot {
                 num_priors: run.priors_list.len(),
                 checksum: 0,
             },
-            model: run.model.clone(),
             rules: run.rules.clone(),
             priors: run.priors_list.clone(),
             compiled: None,
         };
-        snapshot.manifest.checksum = checksum_of(&snapshot.manifest, &snapshot.body_text());
+        snapshot.manifest.checksum = checksum_of(
+            &snapshot.manifest,
+            &rules_to_binary(&snapshot.rules),
+            &priors_to_binary(&snapshot.priors),
+        );
         snapshot
     }
 
-    /// Serialize the snapshot to its on-disk JSON text.
-    pub fn to_json_string(&self) -> String {
-        // The body is serialized exactly once and spliced in, so the bytes
-        // the checksum covers are the bytes written. The checksum is always
-        // recomputed here: the fields are public, so the snapshot may have
-        // been edited since construction and a stored stale checksum would
-        // produce a file that can never be loaded.
-        let body = self.body_text();
-        let manifest = manifest_to_json(&ModelManifest {
-            checksum: checksum_of(&self.manifest, &body),
+    /// Serialize the snapshot to GPSB bytes.
+    pub fn to_binary_bytes(&self) -> Vec<u8> {
+        let rules = rules_to_binary(&self.rules);
+        let priors = priors_to_binary(&self.priors);
+        // The checksum is always recomputed here: the fields are public,
+        // so the snapshot may have been edited since construction and a
+        // stored stale checksum would produce a file that can never be
+        // loaded.
+        let mut manifest = manifest_to_json(&ModelManifest {
+            checksum: checksum_of(&self.manifest, &rules, &priors),
             ..self.manifest.clone()
         });
+        // CMPL is compiled fresh from the authoritative fields for the
+        // same reason, never copied from `self.compiled`. Compilation is
+        // deterministic, so identical snapshots still produce identical
+        // bytes.
+        let compiled = crate::compiled::CompiledModel::compile(
+            &self.rules,
+            &self.priors,
+            self.manifest.step_prefix,
+        );
+        let body = [
+            (SEC_RULES, rules),
+            (SEC_PRIORS, priors),
+            (SEC_COMPILED, compiled_to_binary(&compiled)),
+        ];
+        // The MANI frame declares the sections that follow it, and readers
+        // require the container's tags to match exactly — otherwise
+        // corrupting a section tag would demote that section to "unknown,
+        // skip". `manifest_from_json` ignores the field, so the checksum
+        // does not cover it; the MANI section's own FNV does.
+        manifest.set(
+            "sections",
+            body.iter()
+                .map(|(tag, _)| Json::Str(String::from_utf8_lossy(tag).into_owned()))
+                .collect::<Vec<_>>(),
+        );
         let mut manifest_text = String::new();
         manifest.write(&mut manifest_text);
-        format!("{{\"manifest\":{manifest_text},\"body\":{body}}}")
-    }
 
-    /// Parse a snapshot from its on-disk JSON text, verifying version and
-    /// checksum.
-    pub fn from_json_str(text: &str) -> Result<ModelSnapshot, SnapshotError> {
-        Self::from_json_impl(text, true)
-    }
-
-    fn from_json_impl(text: &str, with_model: bool) -> Result<ModelSnapshot, SnapshotError> {
-        let doc = Json::parse(text)?;
-        let manifest = manifest_from_json(doc.req("manifest")?)?;
-        if manifest.format.0 != FORMAT_MAJOR {
-            return Err(SnapshotError::Version {
-                found: manifest.format,
-                supported: (FORMAT_MAJOR, FORMAT_MINOR),
-            });
+        let mut out = ByteWriter::with_capacity(
+            64 + manifest_text.len() + body.iter().map(|(_, p)| p.len() + 16).sum::<usize>(),
+        );
+        out.put_bytes(&GPSB_MAGIC);
+        out.put_u8(GPSB_CONTAINER_VERSION);
+        write_section(&mut out, SEC_MANIFEST, manifest_text.as_bytes())
+            .expect("snapshot section under 4 GiB");
+        for (tag, payload) in &body {
+            write_section(&mut out, *tag, payload).expect("snapshot section under 4 GiB");
         }
-        let body = doc.req("body")?;
-        let mut body_text = String::new();
-        body.write(&mut body_text);
-        let computed = checksum_of(&manifest, &body_text);
+        out.into_bytes()
+    }
+
+    /// Parse a snapshot from GPSB bytes, verifying the container version,
+    /// the manifest format major, every section checksum, the section
+    /// list, and the manifest checksum — in that order, before any body
+    /// section is decoded.
+    pub fn from_binary_bytes(bytes: &[u8]) -> Result<ModelSnapshot, SnapshotError> {
+        let mut reader = open_container(bytes)?;
+        let (manifest, manifest_doc) = read_manifest(&mut reader)?;
+        let mut declared: Vec<[u8; 4]> = Vec::new();
+        for name in manifest_doc
+            .req("sections")?
+            .as_arr()
+            .ok_or_else(|| malformed("manifest sections must be an array"))?
+        {
+            declared.push(
+                name.as_str()
+                    .and_then(|s| s.as_bytes().try_into().ok())
+                    .ok_or_else(|| malformed("bad manifest section tag"))?,
+            );
+        }
+
+        let (mut rules, mut priors, mut compiled) = (None, None, None);
+        let mut found: Vec<[u8; 4]> = Vec::new();
+        while let Some(section) = read_section(&mut reader)? {
+            // Every section is integrity-checked, unknown ones included:
+            // "loads cleanly" must mean "every byte hashes".
+            verify_section(&section)?;
+            found.push(section.tag);
+            let slot = match section.tag {
+                SEC_RULES => &mut rules,
+                SEC_PRIORS => &mut priors,
+                SEC_COMPILED => &mut compiled,
+                SEC_MANIFEST => return Err(malformed("duplicate MANI section").into()),
+                // Unknown tags are future minor-version sections.
+                _ => continue,
+            };
+            if slot.replace(section.payload).is_some() {
+                return Err(malformed("duplicate GPSB section").into());
+            }
+        }
+        declared.sort_unstable();
+        found.sort_unstable();
+        if declared != found {
+            return Err(malformed("container sections disagree with manifest").into());
+        }
+        let rules = rules.ok_or_else(|| malformed("missing RULE section"))?;
+        let priors = priors.ok_or_else(|| malformed("missing PRIO section"))?;
+        let compiled = compiled.ok_or_else(|| malformed("missing CMPL section"))?;
+        let computed = checksum_of(&manifest, rules, priors);
         if computed != manifest.checksum {
             return Err(SnapshotError::Checksum {
                 expected: manifest.checksum,
@@ -258,509 +308,84 @@ impl ModelSnapshot {
             });
         }
 
-        let interactions = manifest.interactions;
-        let mut keys: HashMap<CondKey, KeyStats> = HashMap::new();
-        if with_model {
-            let model_json = body.req("model")?;
-            let key_rows = model_json
-                .req("keys")?
-                .as_arr()
-                .ok_or_else(|| malformed("model keys must be an array"))?;
-            for entry in key_rows {
-                let row = entry
-                    .as_arr()
-                    .ok_or_else(|| malformed("model key row must be an array"))?;
-                if row.len() != 3 {
-                    return Err(malformed("model key row must be [key, hosts, targets]").into());
-                }
-                let key = key_from_json(&row[0])?;
-                let hosts = row[1].as_u64().ok_or_else(|| malformed("bad host count"))? as u32;
-                let targets = targets_from_json(&row[2])?
-                    .into_iter()
-                    .map(|(p, v)| (p, v as u32))
-                    .collect();
-                keys.insert(key, KeyStats { hosts, targets });
-            }
-        }
-        let model = CondModel::from_parts(keys, interactions);
-
-        let rule_rows = body
-            .req("rules")?
-            .as_arr()
-            .ok_or_else(|| malformed("rules must be an array"))?;
-        let mut rules: HashMap<CondKey, Vec<(Port, f64)>> = HashMap::new();
-        for entry in rule_rows {
-            let row = entry
-                .as_arr()
-                .ok_or_else(|| malformed("rule row must be an array"))?;
-            if row.len() != 2 {
-                return Err(malformed("rule row must be [key, targets]").into());
-            }
-            rules.insert(key_from_json(&row[0])?, targets_from_json(&row[1])?);
-        }
-        let rules = FeatureRules::from_parts(rules);
-
-        let prior_rows = body
-            .req("priors")?
-            .as_arr()
-            .ok_or_else(|| malformed("priors must be an array"))?;
-        let mut priors = Vec::new();
-        for entry in prior_rows {
-            let row = entry
-                .as_arr()
-                .ok_or_else(|| malformed("priors row must be an array"))?;
-            if row.len() != 4 {
-                return Err(malformed("priors row must be [port, base, prefix, coverage]").into());
-            }
-            let port = Port(
-                row[0]
-                    .as_u64()
-                    .and_then(|v| u16::try_from(v).ok())
-                    .ok_or_else(|| malformed("bad priors port"))?,
-            );
-            let base = row[1]
-                .as_u64()
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| malformed("bad priors base"))?;
-            let prefix = row[2]
-                .as_u64()
-                .and_then(|v| u8::try_from(v).ok())
-                .filter(|&p| p <= 32)
-                .ok_or_else(|| malformed("bad priors prefix"))?;
-            let coverage = row[3]
-                .as_u64()
-                .ok_or_else(|| malformed("bad priors coverage"))?;
-            priors.push(PriorsEntry {
-                port,
-                subnet: Subnet::of_ip(gps_types::Ip(base), prefix),
-                coverage,
-            });
-        }
-
         Ok(ModelSnapshot {
-            manifest,
-            model,
-            rules,
-            priors,
-            compiled: None,
-        })
-    }
-
-    /// Serialize the snapshot to GPSB binary bytes, including the
-    /// compiled `CMPL` section.
-    pub fn to_binary_bytes(&self) -> Vec<u8> {
-        self.to_binary_bytes_with(true)
-    }
-
-    /// [`to_binary_bytes`](Self::to_binary_bytes) with control over the
-    /// derived `CMPL` section (`gps export-model --no-compiled` writes
-    /// without it; loaders then compile at load time).
-    pub fn to_binary_bytes_with(&self, include_compiled: bool) -> Vec<u8> {
-        // The manifest checksum keeps its JSON definition (hash of the
-        // canonical JSON manifest + body) in both formats, so converting
-        // binary->JSON reproduces the JSON file byte-for-byte. Like
-        // `to_json_string`, it is recomputed here in case the public
-        // fields were edited since construction.
-        let manifest = ModelManifest {
-            checksum: checksum_of(&self.manifest, &self.body_text()),
-            ..self.manifest.clone()
-        };
-        // The MANI frame additionally declares the body sections this
-        // writer emitted ("sections", binary-only; `manifest_from_json`
-        // ignores it, so the checksum and the JSON encoding are
-        // unaffected). Readers that see the list require the container's
-        // tags to match it exactly — without it, corrupting a section tag
-        // would demote that section to "unknown, skip" and a file with a
-        // missing-but-optional section (CMPL) would load cleanly.
-        let mut section_names = vec!["MODL", "RULE", "PRIO"];
-        if include_compiled {
-            section_names.push("CMPL");
-        }
-        let mut manifest_json = manifest_to_json(&manifest);
-        manifest_json.set(
-            "sections",
-            section_names
-                .iter()
-                .map(|&s| Json::Str(s.into()))
-                .collect::<Vec<_>>(),
-        );
-        let mut manifest_text = String::new();
-        manifest_json.write(&mut manifest_text);
-
-        let mut model_keys: Vec<(&CondKey, &KeyStats)> = self.model.iter().collect();
-        model_keys.sort_by_key(|(k, _)| **k);
-        let mut model = ByteWriter::with_capacity(32 * model_keys.len());
-        model.put_varint(model_keys.len() as u64);
-        for (key, stats) in model_keys {
-            key_to_binary(key, &mut model);
-            model.put_varint(stats.hosts as u64);
-            model.put_varint(stats.targets.len() as u64);
-            for &(port, count) in &stats.targets {
-                model.put_u16(port.0);
-                model.put_varint(count as u64);
-            }
-        }
-
-        let mut rule_rows: Vec<(&CondKey, &Vec<(Port, f64)>)> = self.rules.iter().collect();
-        rule_rows.sort_by_key(|(k, _)| **k);
-        let mut rules = ByteWriter::with_capacity(32 * rule_rows.len());
-        rules.put_varint(rule_rows.len() as u64);
-        for (key, targets) in rule_rows {
-            key_to_binary(key, &mut rules);
-            rules.put_varint(targets.len() as u64);
-            for &(port, prob) in targets {
-                rules.put_u16(port.0);
-                rules.put_f64(prob);
-            }
-        }
-
-        let mut priors = ByteWriter::with_capacity(12 * self.priors.len());
-        priors.put_varint(self.priors.len() as u64);
-        for entry in &self.priors {
-            priors.put_u16(entry.port.0);
-            priors.put_u32(entry.subnet.base().0);
-            priors.put_u8(entry.subnet.prefix_len());
-            priors.put_varint(entry.coverage);
-        }
-
-        let compiled = if include_compiled {
-            // Always compiled fresh from the authoritative fields (which
-            // are public and may have been edited), never copied from
-            // `self.compiled`. Compilation is deterministic, so identical
-            // snapshots still produce identical bytes.
-            Some(compiled_to_binary(
-                &crate::compiled::CompiledModel::compile(
-                    &self.rules,
-                    &self.priors,
-                    self.manifest.step_prefix,
-                ),
-            ))
-        } else {
-            None
-        };
-
-        let model = model.into_bytes();
-        let rules = rules.into_bytes();
-        let priors = priors.into_bytes();
-        let mut out = ByteWriter::with_capacity(
-            64 + manifest_text.len()
-                + model.len()
-                + rules.len()
-                + priors.len()
-                + compiled.as_ref().map_or(0, Vec::len),
-        );
-        out.put_bytes(&GPSB_MAGIC);
-        out.put_u8(GPSB_CONTAINER_VERSION);
-        let mut sections = vec![
-            (SEC_MANIFEST, manifest_text.as_bytes()),
-            (SEC_MODEL, &model[..]),
-            (SEC_RULES, &rules[..]),
-            (SEC_PRIORS, &priors[..]),
-        ];
-        if let Some(compiled) = &compiled {
-            sections.push((SEC_COMPILED, &compiled[..]));
-        }
-        for (tag, payload) in sections {
-            write_section(&mut out, tag, payload).expect("snapshot section under 4 GiB");
-        }
-        out.into_bytes()
-    }
-
-    /// Parse a snapshot from GPSB binary bytes, verifying the container
-    /// version, the manifest format major, and every section checksum.
-    pub fn from_binary_bytes(bytes: &[u8]) -> Result<ModelSnapshot, SnapshotError> {
-        Self::from_binary_impl(bytes, true)
-    }
-
-    fn from_binary_impl(bytes: &[u8], with_model: bool) -> Result<ModelSnapshot, SnapshotError> {
-        let mut reader = ByteReader::new(bytes);
-        if reader.take(4).ok() != Some(&GPSB_MAGIC[..]) {
-            return Err(malformed("missing GPSB magic").into());
-        }
-        let container = reader.u8()?;
-        if container != GPSB_CONTAINER_VERSION {
-            return Err(malformed("unsupported GPSB container version").into());
-        }
-
-        // The manifest section must come first: it gates the format
-        // version before any body section is interpreted.
-        let manifest_section =
-            read_section(&mut reader)?.ok_or_else(|| malformed("empty GPSB container"))?;
-        if manifest_section.tag != SEC_MANIFEST {
-            return Err(malformed("first GPSB section must be the manifest").into());
-        }
-        verify_section(&manifest_section)?;
-        let manifest_text = std::str::from_utf8(manifest_section.payload)
-            .map_err(|_| malformed("manifest is not utf-8"))?;
-        let manifest_doc = Json::parse(manifest_text)?;
-        let manifest = manifest_from_json(&manifest_doc)?;
-        if manifest.format.0 != FORMAT_MAJOR {
-            return Err(SnapshotError::Version {
-                found: manifest.format,
-                supported: (FORMAT_MAJOR, FORMAT_MINOR),
-            });
-        }
-        // The MANI frame may declare the body sections the writer emitted
-        // (older writers did not). When it does, the container's tags must
-        // match it exactly: a corrupted tag byte otherwise turns a real
-        // section into an unknown-but-checksummed one, which would be
-        // silently skipped.
-        let declared: Option<Vec<[u8; 4]>> = match manifest_doc.get("sections") {
-            None => None,
-            Some(json) => {
-                let names = json
-                    .as_arr()
-                    .ok_or_else(|| malformed("manifest sections must be an array"))?;
-                let mut tags = Vec::with_capacity(names.len());
-                for name in names {
-                    let tag: [u8; 4] = name
-                        .as_str()
-                        .and_then(|s| s.as_bytes().try_into().ok())
-                        .ok_or_else(|| malformed("bad manifest section tag"))?;
-                    tags.push(tag);
-                }
-                Some(tags)
-            }
-        };
-
-        let mut model: Option<HashMap<CondKey, KeyStats>> = None;
-        let mut rules: Option<HashMap<CondKey, Vec<(Port, f64)>>> = None;
-        let mut priors: Option<Vec<PriorsEntry>> = None;
-        let mut compiled: Option<crate::compiled::CompiledModel> = None;
-        let mut seen: Vec<[u8; 4]> = Vec::new();
-        while let Some(section) = read_section(&mut reader)? {
-            // Every section is integrity-checked, including skipped and
-            // unknown ones: "loads cleanly" must mean "every byte hashes".
-            verify_section(&section)?;
-            seen.push(section.tag);
-            match section.tag {
-                SEC_MODEL => {
-                    if model.is_some() {
-                        return Err(malformed("duplicate MODL section").into());
-                    }
-                    model = Some(if with_model {
-                        model_from_binary(section.payload)?
-                    } else {
-                        HashMap::new()
-                    });
-                }
-                SEC_RULES => {
-                    if rules.is_some() {
-                        return Err(malformed("duplicate RULE section").into());
-                    }
-                    rules = Some(rules_from_binary(section.payload)?);
-                }
-                SEC_PRIORS => {
-                    if priors.is_some() {
-                        return Err(malformed("duplicate PRIO section").into());
-                    }
-                    priors = Some(priors_from_binary(section.payload)?);
-                }
-                SEC_COMPILED => {
-                    if compiled.is_some() {
-                        return Err(malformed("duplicate CMPL section").into());
-                    }
-                    // A present-but-invalid CMPL section is corruption and
-                    // must fail the load; only a *missing* section falls
-                    // back to compiling at load time.
-                    compiled = Some(compiled_from_binary(section.payload, &manifest)?);
-                }
-                SEC_MANIFEST => return Err(malformed("duplicate MANI section").into()),
-                // Unknown tags are future minor-version sections.
-                _ => {}
-            }
-        }
-        if let Some(mut declared) = declared {
-            let mut found = seen;
-            declared.sort_unstable();
-            found.sort_unstable();
-            if declared != found {
-                return Err(malformed("container sections disagree with manifest").into());
-            }
-        }
-
-        Ok(ModelSnapshot {
-            model: CondModel::from_parts(
-                model.ok_or_else(|| malformed("missing MODL section"))?,
-                manifest.interactions,
-            ),
-            rules: FeatureRules::from_parts(
-                rules.ok_or_else(|| malformed("missing RULE section"))?,
-            ),
-            priors: priors.ok_or_else(|| malformed("missing PRIO section"))?,
-            compiled,
+            rules: FeatureRules::from_parts(rules_from_binary(rules)?),
+            priors: priors_from_binary(priors)?,
+            compiled: Some(compiled_from_binary(compiled, &manifest)?),
             manifest,
         })
     }
 
-    /// Write the snapshot to a file in JSON format.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        write_atomically(path.as_ref(), self.to_json_string().as_bytes())
-    }
-
-    /// Write the snapshot to a file in GPSB binary format.
+    /// Write the snapshot to a file.
     pub fn save_binary(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
         write_atomically(path.as_ref(), &self.to_binary_bytes())
     }
 
-    /// [`save_binary`](Self::save_binary) with control over the derived
-    /// `CMPL` section.
-    pub fn save_binary_with(
-        &self,
-        path: impl AsRef<Path>,
-        include_compiled: bool,
-    ) -> Result<(), SnapshotError> {
-        write_atomically(path.as_ref(), &self.to_binary_bytes_with(include_compiled))
-    }
-
-    /// Read, version-check, and checksum-verify a snapshot file. The
-    /// format is auto-detected: files opening with the `GPSB` magic are
-    /// binary, anything else is parsed as JSON.
+    /// Read, version-check, and checksum-verify a snapshot file.
     pub fn load(path: impl AsRef<Path>) -> Result<ModelSnapshot, SnapshotError> {
-        Self::load_impl(path.as_ref(), true)
-    }
-
-    /// Like [`load`](Self::load), but skips materializing the
-    /// co-occurrence model — usually the largest section, and unused by
-    /// the serving layer (which answers from rules + priors). The
-    /// integrity checks still cover the full file (the binary format
-    /// hash-verifies the model section without parsing it); the returned
-    /// snapshot's `model` is empty.
-    pub fn load_serving(path: impl AsRef<Path>) -> Result<ModelSnapshot, SnapshotError> {
-        Self::load_impl(path.as_ref(), false)
+        Self::from_binary_bytes(&std::fs::read(path.as_ref())?)
     }
 
     /// Read only the manifest of a snapshot file — the registry helper
     /// behind `list-models`-style tooling that must describe many
-    /// snapshots without materializing any of them. For GPSB files only
-    /// the leading MANI section is read from disk (and checksum-verified);
-    /// for JSON the document is parsed but the body is neither
-    /// checksum-verified nor decoded — full integrity is what
-    /// [`load`](Self::load)/[`load_serving`](Self::load_serving) are for.
-    /// The format major is checked in both encodings.
+    /// snapshots without materializing any of them. Only the leading MANI
+    /// section is read from disk, checksum-verified and gated on the
+    /// format major; full integrity is what [`load`](Self::load) is for.
     pub fn load_manifest(path: impl AsRef<Path>) -> Result<ModelManifest, SnapshotError> {
         use std::io::Read;
         let mut file = std::fs::File::open(path.as_ref())?;
-        let mut head = [0u8; 13];
-        let mut filled = 0;
-        while filled < head.len() {
-            match file.read(&mut head[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(SnapshotError::Io(e)),
-            }
-        }
-        let manifest = if filled == head.len() && head.starts_with(&GPSB_MAGIC) {
-            // magic(4) | container(1) | tag(4) | payload length (u32 LE):
-            // enough to size a read of just the manifest frame.
-            if head[4] != GPSB_CONTAINER_VERSION {
-                return Err(malformed("unsupported GPSB container version").into());
-            }
-            if head[5..9] != SEC_MANIFEST {
-                return Err(malformed("first GPSB section must be the manifest").into());
-            }
-            let len = u32::from_le_bytes(head[9..13].try_into().unwrap()) as usize;
-            // The length field is untrusted input: bound it by the bytes
-            // actually on disk before sizing the read buffer, or a
-            // corrupt header could drive a multi-GiB allocation.
-            let on_disk = file.metadata()?.len().saturating_sub(head.len() as u64);
-            if (len as u64) + 8 > on_disk {
-                return Err(malformed("manifest section exceeds file size").into());
-            }
-            let mut frame = vec![0u8; len + 8];
-            file.read_exact(&mut frame)?;
-            let payload = &frame[..len];
-            if fnv64(payload) != u64::from_le_bytes(frame[len..].try_into().unwrap()) {
-                return Err(SnapshotError::Checksum {
-                    expected: u64::from_le_bytes(frame[len..].try_into().unwrap()),
-                    computed: fnv64(payload),
-                });
-            }
-            let text =
-                std::str::from_utf8(payload).map_err(|_| malformed("manifest is not utf-8"))?;
-            manifest_from_json(&Json::parse(text)?)?
-        } else {
-            let mut bytes = head[..filled].to_vec();
-            file.read_to_end(&mut bytes)?;
-            let text = std::str::from_utf8(&bytes)
-                .map_err(|_| malformed("snapshot is neither GPSB nor utf-8 JSON"))?;
-            manifest_from_json(Json::parse(text)?.req("manifest")?)?
-        };
-        if manifest.format.0 != FORMAT_MAJOR {
-            return Err(SnapshotError::Version {
-                found: manifest.format,
-                supported: (FORMAT_MAJOR, FORMAT_MINOR),
-            });
-        }
-        Ok(manifest)
-    }
-
-    fn load_impl(path: &Path, with_model: bool) -> Result<ModelSnapshot, SnapshotError> {
-        let bytes = std::fs::read(path)?;
-        if bytes.starts_with(&GPSB_MAGIC) {
-            return Self::from_binary_impl(&bytes, with_model);
-        }
-        let text = std::str::from_utf8(&bytes)
-            .map_err(|_| malformed("snapshot is neither GPSB nor utf-8 JSON"))?;
-        Self::from_json_impl(text, with_model)
-    }
-
-    /// Canonical serialization of the three artifacts (the checksummed
-    /// bytes). Keys are sorted so identical models produce identical files.
-    fn body_text(&self) -> String {
-        let mut model_keys: Vec<(&CondKey, &KeyStats)> = self.model.iter().collect();
-        model_keys.sort_by_key(|(k, _)| **k);
-        let keys_json: Vec<Json> = model_keys
-            .into_iter()
-            .map(|(key, stats)| {
-                Json::Arr(vec![
-                    key_to_json(key),
-                    Json::Num(stats.hosts as f64),
-                    targets_to_json(stats.targets.iter().map(|&(p, c)| (p, c as f64))),
-                ])
-            })
-            .collect();
-        let mut model_json = Json::obj();
-        model_json.set("keys", keys_json);
-
-        let mut rule_rows: Vec<(&CondKey, &Vec<(Port, f64)>)> = self.rules.iter().collect();
-        rule_rows.sort_by_key(|(k, _)| **k);
-        let rules_json: Vec<Json> = rule_rows
-            .into_iter()
-            .map(|(key, targets)| {
-                Json::Arr(vec![
-                    key_to_json(key),
-                    targets_to_json(targets.iter().copied()),
-                ])
-            })
-            .collect();
-
-        let priors_json: Vec<Json> = self
-            .priors
-            .iter()
-            .map(|e| {
-                Json::Arr(vec![
-                    Json::Num(e.port.0 as f64),
-                    Json::Num(e.subnet.base().0 as f64),
-                    Json::Num(e.subnet.prefix_len() as f64),
-                    Json::Num(e.coverage as f64),
-                ])
-            })
-            .collect();
-
-        let mut body = Json::obj();
-        body.set("model", model_json)
-            .set("rules", rules_json)
-            .set("priors", priors_json);
-        let mut text = String::new();
-        body.write(&mut text);
-        text
+        // magic(4) | container(1) | tag(4) | payload length (u32 LE):
+        // enough to size a read of just the manifest frame.
+        let mut bytes = Vec::new();
+        file.by_ref().take(13).read_to_end(&mut bytes)?;
+        let mut head = open_container(&bytes)?;
+        head.take(4)?;
+        // The length field is untrusted input, so it caps the read rather
+        // than sizing a buffer: a corrupt header reads at most the file.
+        let frame_rest = u64::from(head.u32()?) + 8;
+        file.take(frame_rest).read_to_end(&mut bytes)?;
+        Ok(read_manifest(&mut open_container(&bytes)?)?.0)
     }
 }
 
 fn malformed(reason: &'static str) -> GpsError {
     GpsError::parse("snapshot", "", reason)
+}
+
+/// Check the magic and container version; the reader is left at the
+/// first section. This is the error any non-GPSB file (a JSON snapshot
+/// from format 1, say) gets.
+fn open_container(bytes: &[u8]) -> Result<ByteReader<'_>, SnapshotError> {
+    let mut reader = ByteReader::new(bytes);
+    if reader.take(4).ok() != Some(&GPSB_MAGIC[..]) {
+        return Err(malformed("not a GPSB container (missing GPSB magic)").into());
+    }
+    if reader.u8()? != GPSB_CONTAINER_VERSION {
+        return Err(malformed("unsupported GPSB container version").into());
+    }
+    Ok(reader)
+}
+
+/// Read the manifest section, which must come first: it gates the format
+/// version before any body section is interpreted. Also returns the
+/// parsed MANI document for the fields [`ModelManifest`] does not carry.
+fn read_manifest(reader: &mut ByteReader<'_>) -> Result<(ModelManifest, Json), SnapshotError> {
+    let section = read_section(reader)?.ok_or_else(|| malformed("empty GPSB container"))?;
+    if section.tag != SEC_MANIFEST {
+        return Err(malformed("first GPSB section must be the manifest").into());
+    }
+    verify_section(&section)?;
+    let text =
+        std::str::from_utf8(section.payload).map_err(|_| malformed("manifest is not utf-8"))?;
+    let doc = Json::parse(text)?;
+    let manifest = manifest_from_json(&doc)?;
+    if manifest.format.0 != FORMAT_MAJOR {
+        return Err(SnapshotError::Version {
+            found: manifest.format,
+            supported: (FORMAT_MAJOR, FORMAT_MINOR),
+        });
+    }
+    Ok((manifest, doc))
 }
 
 /// Write-then-rename so a crash mid-write (or a concurrent reader) never
@@ -798,16 +423,17 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
 }
 
 /// How many leading bytes [`header_fingerprint`] hashes. Covers the whole
-/// manifest in both encodings (the JSON document opens with the manifest
-/// object; a GPSB container opens with the MANI section), and the manifest
-/// embeds the body checksum — so any content change moves the fingerprint.
+/// manifest (a GPSB container opens with the MANI section), and the
+/// manifest embeds the checksum over RULE + PRIO — so any content change
+/// moves the fingerprint.
 pub const HEADER_FINGERPRINT_BYTES: usize = 4096;
 
 /// Cheap content fingerprint of a snapshot file: FNV-1a over its first
 /// [`HEADER_FINGERPRINT_BYTES`] bytes. Used by the serving file watcher
 /// alongside `(mtime, size)` — a same-size overwrite inside the
 /// filesystem's mtime granularity still changes the manifest header bytes
-/// (the embedded checksum covers the body), so the poll cannot miss it.
+/// (the embedded checksum covers the rules and priors), so the poll
+/// cannot miss it.
 pub fn header_fingerprint(path: impl AsRef<Path>) -> std::io::Result<u64> {
     use std::io::Read;
     let mut head = vec![0u8; HEADER_FINGERPRINT_BYTES];
@@ -825,7 +451,7 @@ pub fn header_fingerprint(path: impl AsRef<Path>) -> std::io::Result<u64> {
 }
 
 /// Map a GPSB section checksum mismatch onto [`SnapshotError::Checksum`]
-/// so corruption reports the same way in both formats.
+/// so corruption reports the same way at the section and manifest layers.
 fn verify_section(section: &gps_types::binary::Section<'_>) -> Result<(), SnapshotError> {
     let computed = section.computed_checksum();
     if section.stored_checksum != computed {
@@ -837,8 +463,8 @@ fn verify_section(section: &gps_types::binary::Section<'_>) -> Result<(), Snapsh
     Ok(())
 }
 
-/// Binary key encoding, mirroring [`key_to_json`]: class discriminant,
-/// anchor port, then the class-dependent app/net parts.
+/// Binary key encoding: class discriminant, anchor port, then the
+/// class-dependent app/net parts.
 fn key_to_binary(key: &CondKey, out: &mut ByteWriter) {
     out.put_u8(key.class());
     out.put_u16(key.port().0);
@@ -894,25 +520,35 @@ fn key_from_binary(reader: &mut ByteReader<'_>) -> Result<CondKey, GpsError> {
     }
 }
 
-fn model_from_binary(payload: &[u8]) -> Result<HashMap<CondKey, KeyStats>, GpsError> {
-    let mut reader = ByteReader::new(payload);
-    // Minimum entry sizes: a bare Eq. 4 key is 3 bytes, plus one-byte
-    // varints for the counts; each co-occurrence target is >= 3 bytes.
-    let count = bounded_count(&mut reader, 5)?;
-    let mut keys = HashMap::with_capacity(count);
-    for _ in 0..count {
-        let key = key_from_binary(&mut reader)?;
-        let hosts = reader.varint_u32()?;
-        let num_targets = bounded_count(&mut reader, 3)?;
-        let mut targets = Vec::with_capacity(num_targets);
-        for _ in 0..num_targets {
-            let port = Port(reader.u16()?);
-            targets.push((port, reader.varint_u32()?));
+/// RULE payload. Keys are sorted so identical models produce identical
+/// bytes.
+fn rules_to_binary(rules: &FeatureRules) -> Vec<u8> {
+    let mut rows: Vec<(&CondKey, &Vec<(Port, f64)>)> = rules.iter().collect();
+    rows.sort_by_key(|(k, _)| **k);
+    let mut out = ByteWriter::with_capacity(32 * rows.len());
+    out.put_varint(rows.len() as u64);
+    for (key, targets) in rows {
+        key_to_binary(key, &mut out);
+        out.put_varint(targets.len() as u64);
+        for &(port, prob) in targets {
+            out.put_u16(port.0);
+            out.put_f64(prob);
         }
-        keys.insert(key, KeyStats { hosts, targets });
     }
-    expect_consumed(&reader, "MODL")?;
-    Ok(keys)
+    out.into_bytes()
+}
+
+/// PRIO payload, in scan-list order.
+fn priors_to_binary(priors: &[PriorsEntry]) -> Vec<u8> {
+    let mut out = ByteWriter::with_capacity(12 * priors.len());
+    out.put_varint(priors.len() as u64);
+    for entry in priors {
+        out.put_u16(entry.port.0);
+        out.put_u32(entry.subnet.base().0);
+        out.put_u8(entry.subnet.prefix_len());
+        out.put_varint(entry.coverage);
+    }
+    out.into_bytes()
 }
 
 fn rules_from_binary(payload: &[u8]) -> Result<HashMap<CondKey, Vec<(Port, f64)>>, GpsError> {
@@ -1101,18 +737,20 @@ fn expect_consumed(reader: &ByteReader<'_>, _section: &'static str) -> Result<()
 }
 
 /// FNV-1a over the canonical manifest serialization (checksum field
-/// zeroed) followed by the canonical body serialization — so corruption
-/// of manifest fields that drive serving behavior (step_prefix,
+/// zeroed) followed by the RULE and PRIO payloads — so corruption of
+/// manifest fields that drive serving behavior (step_prefix,
 /// net_features, ...) is caught, not just body corruption.
-fn checksum_of(manifest: &ModelManifest, body_text: &str) -> u64 {
-    let mut input = String::new();
+fn checksum_of(manifest: &ModelManifest, rules: &[u8], priors: &[u8]) -> u64 {
+    let mut text = String::new();
     manifest_to_json(&ModelManifest {
         checksum: 0,
         ..manifest.clone()
     })
-    .write(&mut input);
-    input.push_str(body_text);
-    fnv64(input.as_bytes())
+    .write(&mut text);
+    let mut input = text.into_bytes();
+    input.extend_from_slice(rules);
+    input.extend_from_slice(priors);
+    fnv64(&input)
 }
 
 fn manifest_to_json(m: &ModelManifest) -> Json {
@@ -1260,138 +898,12 @@ fn manifest_from_json(json: &Json) -> Result<ModelManifest, GpsError> {
     })
 }
 
-/// Key encoding: `[class, port, ...]` with the Eq. class as discriminant.
-/// Class 5/7 append `[kind_index, sym]`; class 6/7 append either
-/// `["s", prefix, base]` or `["a", asn]`.
-fn key_to_json(key: &CondKey) -> Json {
-    let mut parts = vec![
-        Json::Num(key.class() as f64),
-        Json::Num(key.port().0 as f64),
-    ];
-    if let Some(f) = key.app() {
-        parts.push(Json::Num(f.kind.index() as f64));
-        parts.push(Json::Num(f.value.0 as f64));
-    }
-    if let Some(net) = key.net() {
-        match net {
-            NetKey::Slash(len, base) => {
-                parts.push(Json::Str("s".into()));
-                parts.push(Json::Num(len as f64));
-                parts.push(Json::Num(base as f64));
-            }
-            NetKey::Asn(n) => {
-                parts.push(Json::Str("a".into()));
-                parts.push(Json::Num(n as f64));
-            }
-        }
-    }
-    Json::Arr(parts)
-}
-
-fn key_from_json(json: &Json) -> Result<CondKey, GpsError> {
-    let parts = json
-        .as_arr()
-        .ok_or_else(|| malformed("key must be an array"))?;
-    let class = parts
-        .first()
-        .and_then(Json::as_u64)
-        .ok_or_else(|| malformed("bad key class"))?;
-    let port = Port(
-        parts
-            .get(1)
-            .and_then(Json::as_u64)
-            .and_then(|v| u16::try_from(v).ok())
-            .ok_or_else(|| malformed("bad key port"))?,
-    );
-    let app_at = |i: usize| -> Result<FeatureValue, GpsError> {
-        let kind_idx = parts
-            .get(i)
-            .and_then(Json::as_u64)
-            .and_then(|v| usize::try_from(v).ok())
-            .ok_or_else(|| malformed("bad feature kind"))?;
-        let kind = *FeatureKind::ALL
-            .get(kind_idx)
-            .ok_or_else(|| malformed("feature kind out of range"))?;
-        let sym = parts
-            .get(i + 1)
-            .and_then(Json::as_u64)
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| malformed("bad feature sym"))?;
-        Ok(FeatureValue::new(kind, Sym(sym)))
-    };
-    let net_at = |i: usize| -> Result<NetKey, GpsError> {
-        match parts.get(i).and_then(Json::as_str) {
-            Some("s") => {
-                let len = parts
-                    .get(i + 1)
-                    .and_then(Json::as_u64)
-                    .and_then(|v| u8::try_from(v).ok())
-                    .filter(|&p| p <= 32)
-                    .ok_or_else(|| malformed("bad net prefix"))?;
-                let base = parts
-                    .get(i + 2)
-                    .and_then(Json::as_u64)
-                    .and_then(|v| u32::try_from(v).ok())
-                    .ok_or_else(|| malformed("bad net base"))?;
-                Ok(NetKey::Slash(len, base))
-            }
-            Some("a") => Ok(NetKey::Asn(
-                parts
-                    .get(i + 1)
-                    .and_then(Json::as_u64)
-                    .and_then(|v| u32::try_from(v).ok())
-                    .ok_or_else(|| malformed("bad asn"))?,
-            )),
-            _ => Err(malformed("bad net key tag")),
-        }
-    };
-    match class {
-        4 => Ok(CondKey::Port(port)),
-        5 => Ok(CondKey::PortApp(port, app_at(2)?)),
-        6 => Ok(CondKey::PortNet(port, net_at(2)?)),
-        7 => Ok(CondKey::PortAppNet(port, app_at(2)?, net_at(4)?)),
-        _ => Err(malformed("unknown key class")),
-    }
-}
-
-fn targets_to_json(targets: impl Iterator<Item = (Port, f64)>) -> Json {
-    Json::Arr(
-        targets
-            .map(|(port, v)| Json::Arr(vec![Json::Num(port.0 as f64), Json::Num(v)]))
-            .collect(),
-    )
-}
-
-fn targets_from_json(json: &Json) -> Result<Vec<(Port, f64)>, GpsError> {
-    json.as_arr()
-        .ok_or_else(|| malformed("targets must be an array"))?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_arr()
-                .ok_or_else(|| malformed("target must be [port, value]"))?;
-            if pair.len() != 2 {
-                return Err(malformed("target must be [port, value]"));
-            }
-            let port = Port(
-                pair[0]
-                    .as_u64()
-                    .and_then(|v| u16::try_from(v).ok())
-                    .ok_or_else(|| malformed("bad target port"))?,
-            );
-            let value = pair[1]
-                .as_f64()
-                .ok_or_else(|| malformed("bad target value"))?;
-            Ok((port, value))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::NetFeature;
     use crate::host::group_by_host;
+    use crate::model::CondModel;
     use gps_engine::{Backend, ExecLedger};
     use gps_scan::ServiceObservation;
     use gps_types::testutil::TestDir;
@@ -1447,28 +959,54 @@ mod tests {
                 num_priors: priors.len(),
                 checksum: 0,
             },
-            model,
             rules,
             priors,
             compiled: None,
         };
-        snapshot.manifest.checksum = checksum_of(&snapshot.manifest, &snapshot.body_text());
+        snapshot.manifest.checksum = checksum_of(
+            &snapshot.manifest,
+            &rules_to_binary(&snapshot.rules),
+            &priors_to_binary(&snapshot.priors),
+        );
         snapshot
+    }
+
+    /// Rebuild a container section by section: `edit` returns the payload
+    /// to write for each tag (`None` drops the section), and every kept
+    /// section's own FNV is re-sealed — so only the checks above the
+    /// section layer can object to the result.
+    fn rebuilt(bytes: &[u8], mut edit: impl FnMut([u8; 4], &[u8]) -> Option<Vec<u8>>) -> Vec<u8> {
+        let mut reader = open_container(bytes).unwrap();
+        let mut out = ByteWriter::new();
+        out.put_bytes(&GPSB_MAGIC);
+        out.put_u8(GPSB_CONTAINER_VERSION);
+        while let Some(section) = read_section(&mut reader).unwrap() {
+            if let Some(payload) = edit(section.tag, section.payload) {
+                write_section(&mut out, section.tag, &payload).unwrap();
+            }
+        }
+        out.into_bytes()
+    }
+
+    /// `rebuilt` with a text substitution inside the MANI payload.
+    fn with_manifest_edit(bytes: &[u8], from: &str, to: &str) -> Vec<u8> {
+        rebuilt(bytes, |tag, payload| {
+            if tag != SEC_MANIFEST {
+                return Some(payload.to_vec());
+            }
+            let text = std::str::from_utf8(payload).unwrap();
+            assert!(text.contains(from), "{from} not in {text}");
+            Some(text.replace(from, to).into_bytes())
+        })
     }
 
     #[test]
     fn round_trip_preserves_everything() {
         let snapshot = trained_snapshot();
-        let text = snapshot.to_json_string();
-        let loaded = ModelSnapshot::from_json_str(&text).unwrap();
+        let bytes = snapshot.to_binary_bytes();
+        let loaded = ModelSnapshot::from_binary_bytes(&bytes).unwrap();
         assert_eq!(loaded.manifest, snapshot.manifest);
         assert_eq!(loaded.priors, snapshot.priors);
-        assert_eq!(loaded.model.len(), snapshot.model.len());
-        for (key, stats) in snapshot.model.iter() {
-            let other = loaded.model.stats(key).expect("key survives round trip");
-            assert_eq!(stats.hosts, other.hosts);
-            assert_eq!(stats.targets, other.targets);
-        }
         assert_eq!(loaded.rules.len(), snapshot.rules.len());
         for (key, targets) in snapshot.rules.iter() {
             assert_eq!(loaded.rules.get(key), Some(targets.as_slice()));
@@ -1479,18 +1017,20 @@ mod tests {
     fn serialization_is_deterministic() {
         let a = trained_snapshot();
         let b = trained_snapshot();
-        assert_eq!(a.to_json_string(), b.to_json_string());
-        // And stable across a round trip.
-        let loaded = ModelSnapshot::from_json_str(&a.to_json_string()).unwrap();
-        assert_eq!(loaded.to_json_string(), a.to_json_string());
+        assert_eq!(a.to_binary_bytes(), b.to_binary_bytes());
+        // And stable across a round trip: save -> load -> save is
+        // byte-identical.
+        let loaded = ModelSnapshot::from_binary_bytes(&a.to_binary_bytes()).unwrap();
+        assert_eq!(loaded.to_binary_bytes(), a.to_binary_bytes());
     }
 
     #[test]
     fn save_load_file() {
         let dir = TestDir::new("save-load");
         let snapshot = trained_snapshot();
-        let path = dir.path("snapshot.json");
-        snapshot.save(&path).unwrap();
+        let path = dir.path("snapshot.gpsb");
+        snapshot.save_binary(&path).unwrap();
+        assert!(std::fs::read(&path).unwrap().starts_with(b"GPSB"));
         let loaded = ModelSnapshot::load(&path).unwrap();
         assert_eq!(loaded.manifest, snapshot.manifest);
     }
@@ -1506,16 +1046,12 @@ mod tests {
         let path = Arc::new(dir.path("model.gpsb"));
         let snapshot = Arc::new(trained_snapshot());
         let mut writers = Vec::new();
-        for t in 0..4 {
+        for _ in 0..4 {
             let path = path.clone();
             let snapshot = snapshot.clone();
             writers.push(std::thread::spawn(move || {
-                for i in 0..12 {
-                    if (t + i) % 2 == 0 {
-                        snapshot.save_binary(&*path).expect("binary save");
-                    } else {
-                        snapshot.save(&*path).expect("json save");
-                    }
+                for _ in 0..12 {
+                    snapshot.save_binary(&*path).expect("save");
                     // Every observable state of the file is loadable.
                     ModelSnapshot::load(&*path).expect("snapshot stays complete");
                 }
@@ -1572,62 +1108,90 @@ mod tests {
     fn load_manifest_reads_header_only() {
         let dir = TestDir::new("manifest-peek");
         let snapshot = trained_snapshot();
-        let json_path = dir.path("model.json");
-        let bin_path = dir.path("model.gpsb");
-        snapshot.save(&json_path).unwrap();
-        snapshot.save_binary(&bin_path).unwrap();
+        let path = dir.path("model.gpsb");
+        snapshot.save_binary(&path).unwrap();
         assert_eq!(
-            ModelSnapshot::load_manifest(&json_path).unwrap(),
+            ModelSnapshot::load_manifest(&path).unwrap(),
             snapshot.manifest
         );
+        // Nothing past the MANI frame is read: the peek still answers
+        // when every body section has been cut off.
+        let bytes = std::fs::read(&path).unwrap();
+        let mani_only = rebuilt(&bytes, |tag, payload| {
+            (tag == SEC_MANIFEST).then(|| payload.to_vec())
+        });
+        std::fs::write(&path, &mani_only).unwrap();
         assert_eq!(
-            ModelSnapshot::load_manifest(&bin_path).unwrap(),
+            ModelSnapshot::load_manifest(&path).unwrap(),
             snapshot.manifest
         );
-        // GPSB: a corrupted manifest byte fails the section checksum even
-        // though nothing past the MANI frame is read.
-        let mut bytes = std::fs::read(&bin_path).unwrap();
-        bytes[20] ^= 0x01;
-        std::fs::write(&bin_path, &bytes).unwrap();
+        assert!(ModelSnapshot::load(&path).is_err());
+        // A corrupted manifest byte fails the section checksum.
+        let mut corrupt = bytes.clone();
+        corrupt[20] ^= 0x01;
+        std::fs::write(&path, &corrupt).unwrap();
         assert!(matches!(
-            ModelSnapshot::load_manifest(&bin_path),
+            ModelSnapshot::load_manifest(&path),
             Err(SnapshotError::Checksum { .. } | SnapshotError::Malformed(_))
         ));
+        // A corrupted length field reads at most the file, then fails.
+        let mut huge = bytes.clone();
+        huge[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &huge).unwrap();
+        assert!(matches!(
+            ModelSnapshot::load_manifest(&path),
+            Err(SnapshotError::Malformed(_))
+        ));
+        for len in [0, 3, 12] {
+            std::fs::write(&path, &bytes[..len]).unwrap();
+            assert!(matches!(
+                ModelSnapshot::load_manifest(&path),
+                Err(SnapshotError::Malformed(_))
+            ));
+        }
         // Foreign major is rejected from the peek too.
         let mut bumped = snapshot.clone();
         bumped.manifest.format = (FORMAT_MAJOR + 1, 0);
-        bumped.save_binary(&bin_path).unwrap();
+        bumped.save_binary(&path).unwrap();
         assert!(matches!(
-            ModelSnapshot::load_manifest(&bin_path),
+            ModelSnapshot::load_manifest(&path),
             Err(SnapshotError::Version { .. })
         ));
     }
 
     #[test]
     fn checksum_detects_corruption() {
-        let snapshot = trained_snapshot();
-        let text = snapshot.to_json_string();
-        // Flip a digit inside the body (a priors coverage count).
-        let idx = text.rfind("\"priors\":[[").unwrap() + 11;
-        let mut corrupt = text.clone();
-        let original = corrupt.as_bytes()[idx];
-        let replacement = if original == b'1' { '2' } else { '1' };
-        corrupt.replace_range(idx..idx + 1, &replacement.to_string());
-        match ModelSnapshot::from_json_str(&corrupt) {
-            Err(SnapshotError::Checksum { .. }) => {}
-            other => panic!("expected checksum failure, got {other:?}"),
+        // Flip one byte inside the RULE payload and re-seal that
+        // section's own FNV, so `verify_section` passes: the manifest
+        // checksum is what must catch it.
+        let clean = trained_snapshot().to_binary_bytes();
+        for target in [SEC_RULES, SEC_PRIORS] {
+            let corrupt = rebuilt(&clean, |tag, payload| {
+                let mut payload = payload.to_vec();
+                if tag == target {
+                    *payload.last_mut().unwrap() ^= 0x01;
+                }
+                Some(payload)
+            });
+            assert_ne!(corrupt, clean);
+            match ModelSnapshot::from_binary_bytes(&corrupt) {
+                Err(SnapshotError::Checksum { expected, computed }) => {
+                    assert_ne!(expected, computed)
+                }
+                other => panic!("expected checksum failure, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn checksum_covers_manifest_fields() {
         // Corrupting a manifest field that drives serving behavior (the
-        // step prefix) must fail verification, not load silently.
-        let snapshot = trained_snapshot();
-        let text = snapshot
-            .to_json_string()
-            .replace("\"step_prefix\":16", "\"step_prefix\":20");
-        match ModelSnapshot::from_json_str(&text) {
+        // step prefix) must fail verification, not load silently — even
+        // with the MANI section re-sealed, and before CMPL (whose own step
+        // prefix now disagrees) is looked at.
+        let clean = trained_snapshot().to_binary_bytes();
+        let corrupt = with_manifest_edit(&clean, "\"step_prefix\":16", "\"step_prefix\":20");
+        match ModelSnapshot::from_binary_bytes(&corrupt) {
             Err(SnapshotError::Checksum { .. }) => {}
             other => panic!("expected checksum failure, got {other:?}"),
         }
@@ -1635,47 +1199,167 @@ mod tests {
 
     #[test]
     fn malformed_sections_are_rejected_not_emptied() {
-        // A wrong-typed section must be a Malformed error, not an empty
-        // model. The checksum is recomputed over the tampered body so
-        // only the type validation can reject it.
+        // A section that does not decode must be a Malformed error, not
+        // an empty model. The section is re-sealed and the manifest
+        // checksum recomputed over the tampered payload, so only the
+        // decoder can reject it.
         let snapshot = trained_snapshot();
-        for section in ["rules", "priors"] {
-            let mut doc = Json::parse(&snapshot.to_json_string()).unwrap();
-            let Json::Obj(fields) = &mut doc else {
-                unreachable!()
-            };
-            let body = &mut fields.iter_mut().find(|(k, _)| k == "body").unwrap().1;
-            let Json::Obj(body_fields) = body else {
-                unreachable!()
-            };
-            body_fields
-                .iter_mut()
-                .find(|(k, _)| k == section)
-                .unwrap()
-                .1 = Json::obj();
-            let mut body_text = String::new();
-            body.write(&mut body_text);
-            let mut manifest = snapshot.manifest.clone();
-            manifest.checksum = checksum_of(&manifest, &body_text);
-            let mut manifest_text = String::new();
-            manifest_to_json(&manifest).write(&mut manifest_text);
-            let text = format!("{{\"manifest\":{manifest_text},\"body\":{body_text}}}");
-            match ModelSnapshot::from_json_str(&text) {
-                Err(SnapshotError::Malformed(_)) => {}
-                other => panic!("object-typed {section} should be Malformed, got {other:?}"),
+        let clean = snapshot.to_binary_bytes();
+        let rules = rules_to_binary(&snapshot.rules);
+        let priors = priors_to_binary(&snapshot.priors);
+        type Tamper = fn(&[u8]) -> Vec<u8>;
+        let tamperings: [(&str, Tamper); 3] = [
+            ("trailing byte", |p| [p, &[0]].concat()),
+            ("cut short", |p| p[..p.len() - 1].to_vec()),
+            ("count beyond payload", |p| {
+                [&[0xFF, 0xFF, 0x03], &p[1..]].concat()
+            }),
+        ];
+        for target in [SEC_RULES, SEC_PRIORS] {
+            for (what, tamper) in tamperings {
+                let (bad_rules, bad_priors) = if target == SEC_RULES {
+                    (tamper(&rules), priors.clone())
+                } else {
+                    (rules.clone(), tamper(&priors))
+                };
+                let resealed = rebuilt(&clean, |tag, payload| {
+                    Some(match tag {
+                        SEC_RULES => bad_rules.clone(),
+                        SEC_PRIORS => bad_priors.clone(),
+                        _ => payload.to_vec(),
+                    })
+                });
+                let text = with_manifest_edit(
+                    &resealed,
+                    &u64_to_hex(snapshot.manifest.checksum),
+                    &u64_to_hex(checksum_of(&snapshot.manifest, &bad_rules, &bad_priors)),
+                );
+                match ModelSnapshot::from_binary_bytes(&text) {
+                    Err(SnapshotError::Malformed(_)) => {}
+                    other => panic!(
+                        "{what} in {} should be Malformed, got {other:?}",
+                        String::from_utf8_lossy(&target)
+                    ),
+                }
             }
         }
     }
 
     #[test]
+    fn sections_must_match_the_manifest_list_and_include_cmpl() {
+        let clean = trained_snapshot().to_binary_bytes();
+        let without_cmpl = |bytes: &[u8]| {
+            rebuilt(bytes, |tag, payload| {
+                (tag != SEC_COMPILED).then(|| payload.to_vec())
+            })
+        };
+        // CMPL cut out of the container but still declared.
+        assert!(matches!(
+            ModelSnapshot::from_binary_bytes(&without_cmpl(&clean)),
+            Err(SnapshotError::Malformed(_))
+        ));
+        // A consistent container that never had one: no compile-at-load
+        // fallback, CMPL is required.
+        let undeclared = with_manifest_edit(&clean, ",\"CMPL\"]", "]");
+        match ModelSnapshot::from_binary_bytes(&without_cmpl(&undeclared)) {
+            Err(SnapshotError::Malformed(e)) => {
+                assert!(e.to_string().contains("missing CMPL"), "{e}")
+            }
+            other => panic!("CMPL-less container should be Malformed, got {other:?}"),
+        }
+        // CMPL present but undeclared, and no list at all.
+        assert!(matches!(
+            ModelSnapshot::from_binary_bytes(&undeclared),
+            Err(SnapshotError::Malformed(_))
+        ));
+        let unlisted = with_manifest_edit(&clean, "\"sections\":", "\"parts\":");
+        assert!(matches!(
+            ModelSnapshot::from_binary_bytes(&unlisted),
+            Err(SnapshotError::Malformed(_))
+        ));
+    }
+
+    #[test]
     fn rejects_foreign_major_version() {
-        let snapshot = trained_snapshot();
-        let text = snapshot
-            .to_json_string()
-            .replace("\"format\":[1,", "\"format\":[2,");
-        match ModelSnapshot::from_json_str(&text) {
-            Err(SnapshotError::Version { found, .. }) => assert_eq!(found.0, 2),
+        let clean = trained_snapshot().to_binary_bytes();
+        let text = with_manifest_edit(
+            &clean,
+            &format!("\"format\":[{FORMAT_MAJOR},"),
+            &format!("\"format\":[{},", FORMAT_MAJOR + 1),
+        );
+        match ModelSnapshot::from_binary_bytes(&text) {
+            Err(SnapshotError::Version { found, .. }) => assert_eq!(found.0, FORMAT_MAJOR + 1),
             other => panic!("expected version failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_a_format_1_container() {
+        // What the previous major wrote: format [1,0], the co-occurrence
+        // model in a MODL section, no CMPL requirement. Hand-assembled,
+        // since no writer for it exists any more. It must be refused by
+        // version, before any section is interpreted.
+        let snapshot = trained_snapshot();
+        let mut manifest = manifest_to_json(&ModelManifest {
+            format: (1, 0),
+            ..snapshot.manifest.clone()
+        });
+        manifest.set(
+            "sections",
+            ["MODL", "RULE", "PRIO"]
+                .map(|s| Json::Str(s.into()))
+                .to_vec(),
+        );
+        let mut manifest_text = String::new();
+        manifest.write(&mut manifest_text);
+        let mut out = ByteWriter::new();
+        out.put_bytes(&GPSB_MAGIC);
+        out.put_u8(GPSB_CONTAINER_VERSION);
+        for (tag, payload) in [
+            (SEC_MANIFEST, manifest_text.into_bytes()),
+            (*b"MODL", vec![0]),
+            (SEC_RULES, rules_to_binary(&snapshot.rules)),
+            (SEC_PRIORS, priors_to_binary(&snapshot.priors)),
+        ] {
+            write_section(&mut out, tag, &payload).unwrap();
+        }
+        let bytes = out.into_bytes();
+        match ModelSnapshot::from_binary_bytes(&bytes) {
+            Err(e @ SnapshotError::Version { found: (1, 0), .. }) => {
+                assert!(e.to_string().contains("unsupported snapshot format 1.0"))
+            }
+            other => panic!("expected version failure, got {other:?}"),
+        }
+        let dir = TestDir::new("format-1");
+        let path = dir.path("old.gpsb");
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            ModelSnapshot::load_manifest(&path),
+            Err(SnapshotError::Version { found: (1, 0), .. })
+        ));
+    }
+
+    #[test]
+    fn json_files_are_refused_by_name() {
+        // Format 1's JSON encoding has no reader: no sniffing, no
+        // fallback, and the error says what was expected instead.
+        let dir = TestDir::new("json-refused");
+        let path = dir.path("model.json");
+        std::fs::write(
+            &path,
+            "{\"manifest\":{\"format\":[1,0]},\"body\":{\"rules\":[],\"priors\":[]}}",
+        )
+        .unwrap();
+        for result in [
+            ModelSnapshot::load(&path).map(|s| s.manifest),
+            ModelSnapshot::load_manifest(&path),
+        ] {
+            match result {
+                Err(e @ SnapshotError::Malformed(_)) => {
+                    assert!(e.to_string().contains("not a GPSB container"), "{e}")
+                }
+                other => panic!("a JSON file should be Malformed, got {other:?}"),
+            }
         }
     }
 
@@ -1686,76 +1370,30 @@ mod tests {
         // (a raw text edit would — correctly — fail the checksum).
         let mut snapshot = trained_snapshot();
         snapshot.manifest.format = (FORMAT_MAJOR, 99);
-        let loaded = ModelSnapshot::from_json_str(&snapshot.to_json_string()).unwrap();
-        assert_eq!(loaded.manifest.format, (FORMAT_MAJOR, 99));
-    }
-
-    #[test]
-    fn load_serving_skips_model_but_verifies() {
-        let dir = TestDir::new("serving");
-        let snapshot = trained_snapshot();
-        let path = dir.path("snapshot.json");
-        snapshot.save(&path).unwrap();
-        let served = ModelSnapshot::load_serving(&path).unwrap();
-        assert!(served.model.is_empty(), "model section skipped");
-        assert_eq!(served.manifest, snapshot.manifest);
-        assert_eq!(served.priors, snapshot.priors);
-        assert_eq!(served.rules.len(), snapshot.rules.len());
-        // Corruption is still caught on the serving path.
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(
-            &path,
-            text.replace("\"step_prefix\":16", "\"step_prefix\":20"),
-        )
-        .unwrap();
-        assert!(matches!(
-            ModelSnapshot::load_serving(&path),
-            Err(SnapshotError::Checksum { .. })
-        ));
-    }
-
-    #[test]
-    fn binary_round_trip_preserves_everything() {
-        let snapshot = trained_snapshot();
         let bytes = snapshot.to_binary_bytes();
         let loaded = ModelSnapshot::from_binary_bytes(&bytes).unwrap();
-        assert_eq!(loaded.manifest, snapshot.manifest);
-        assert_eq!(loaded.priors, snapshot.priors);
-        assert_eq!(loaded.model.len(), snapshot.model.len());
-        for (key, stats) in snapshot.model.iter() {
-            let other = loaded.model.stats(key).expect("key survives round trip");
-            assert_eq!(stats.hosts, other.hosts);
-            assert_eq!(stats.targets, other.targets);
-        }
-        assert_eq!(loaded.rules.len(), snapshot.rules.len());
-        for (key, targets) in snapshot.rules.iter() {
-            assert_eq!(loaded.rules.get(key), Some(targets.as_slice()));
-        }
-        // Binary -> JSON reproduces the directly-saved JSON byte-for-byte.
-        assert_eq!(loaded.to_json_string(), snapshot.to_json_string());
-        // And binary serialization is deterministic too.
-        assert_eq!(loaded.to_binary_bytes(), bytes);
-    }
-
-    #[test]
-    fn load_auto_detects_format_by_magic() {
-        let dir = TestDir::new("auto-detect");
-        let snapshot = trained_snapshot();
-        let json_path = dir.path("snapshot.json");
-        let bin_path = dir.path("snapshot.gpsb");
-        snapshot.save(&json_path).unwrap();
-        snapshot.save_binary(&bin_path).unwrap();
-        assert!(std::fs::read(&bin_path).unwrap().starts_with(b"GPSB"));
-        let from_json = ModelSnapshot::load(&json_path).unwrap();
-        let from_bin = ModelSnapshot::load(&bin_path).unwrap();
-        assert_eq!(from_json.manifest, from_bin.manifest);
-        assert_eq!(from_json.priors, from_bin.priors);
-        assert_eq!(from_json.to_json_string(), from_bin.to_json_string());
-        // load_serving on the binary path skips the model but keeps the rest.
-        let served = ModelSnapshot::load_serving(&bin_path).unwrap();
-        assert!(served.model.is_empty());
-        assert_eq!(served.rules.len(), snapshot.rules.len());
-        assert_eq!(served.priors, snapshot.priors);
+        assert_eq!(loaded.manifest.format, (FORMAT_MAJOR, 99));
+        // What a minor bump may add rides through: a manifest field this
+        // build does not know, and a section it does not know (declared,
+        // and verified before it is skipped).
+        let extended = {
+            let mut out = ByteWriter::from_vec(with_manifest_edit(
+                &bytes,
+                "\"CMPL\"]",
+                "\"CMPL\",\"XTRA\"],\"trained_at\":1790000000",
+            ));
+            write_section(&mut out, *b"XTRA", b"future").unwrap();
+            out.into_bytes()
+        };
+        let loaded = ModelSnapshot::from_binary_bytes(&extended).unwrap();
+        assert_eq!(loaded.manifest.format, (FORMAT_MAJOR, 99));
+        let mut torn = extended.clone();
+        let last = torn.len() - 9;
+        torn[last] ^= 0x01;
+        assert!(matches!(
+            ModelSnapshot::from_binary_bytes(&torn),
+            Err(SnapshotError::Checksum { .. })
+        ));
     }
 
     #[test]
@@ -1763,21 +1401,17 @@ mod tests {
         let snapshot = trained_snapshot();
         let clean = snapshot.to_binary_bytes();
         // Flip one byte in every section payload region; each must fail
-        // with a checksum error (both on the full and the serving path).
+        // with a checksum error.
         let step = (clean.len() / 59).max(1);
         let mut hits = 0;
         for i in (5..clean.len()).step_by(step) {
             let mut corrupt = clean.clone();
             corrupt[i] ^= 0x10;
-            let full = ModelSnapshot::from_binary_bytes(&corrupt);
-            assert!(full.is_err(), "flip at byte {i} must not load");
-            if matches!(full, Err(SnapshotError::Checksum { .. })) {
+            let loaded = ModelSnapshot::from_binary_bytes(&corrupt);
+            assert!(loaded.is_err(), "flip at byte {i} must not load");
+            if matches!(loaded, Err(SnapshotError::Checksum { .. })) {
                 hits += 1;
             }
-            assert!(
-                ModelSnapshot::from_binary_impl(&corrupt, false).is_err(),
-                "flip at byte {i} must not load for serving either"
-            );
         }
         assert!(hits > 0, "at least some flips must land in payloads");
     }
@@ -1825,19 +1459,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_is_smaller_than_json() {
-        let snapshot = trained_snapshot();
-        let json = snapshot.to_json_string();
-        let binary = snapshot.to_binary_bytes();
-        assert!(
-            binary.len() < json.len(),
-            "binary {} >= json {}",
-            binary.len(),
-            json.len()
-        );
-    }
-
-    #[test]
     fn from_run_packages_pipeline_output() {
         use crate::dataset::censys_dataset;
         use gps_synthnet::{Internet, UniverseConfig};
@@ -1856,8 +1477,16 @@ mod tests {
             run.model_stats.distinct_keys
         );
         assert!(snapshot.manifest.checksum != 0);
-        let loaded = ModelSnapshot::from_json_str(&snapshot.to_json_string()).unwrap();
+        let bytes = snapshot.to_binary_bytes();
+        let loaded = ModelSnapshot::from_binary_bytes(&bytes).unwrap();
         assert_eq!(loaded.priors, snapshot.priors);
+        // The checksum `from_run` reports is the one the file carries,
+        // and two exports of one run are byte-identical.
+        assert_eq!(loaded.manifest.checksum, snapshot.manifest.checksum);
+        assert_eq!(
+            ModelSnapshot::from_run(&run, &config, 77).to_binary_bytes(),
+            bytes
+        );
     }
 
     #[test]
@@ -1873,30 +1502,6 @@ mod tests {
             snapshot.manifest.step_prefix,
         );
         assert_eq!(loaded.compiled, Some(expected));
-        // The serving path carries it too.
-        let dir = TestDir::new("cmpl-serving");
-        let path = dir.path("m.gpsb");
-        snapshot.save_binary(&path).unwrap();
-        let served = ModelSnapshot::load_serving(&path).unwrap();
-        assert!(served.compiled.is_some());
-    }
-
-    #[test]
-    fn cmpl_less_binary_loads_without_compiled() {
-        let snapshot = trained_snapshot();
-        let with = snapshot.to_binary_bytes_with(true);
-        let without = snapshot.to_binary_bytes_with(false);
-        assert!(without.len() < with.len());
-        assert_eq!(snapshot.to_binary_bytes(), with, "compiled is the default");
-        // The stripped form has no CMPL section and no trace of the tag.
-        assert!(!without.windows(4).any(|w| w == SEC_COMPILED));
-        let loaded = ModelSnapshot::from_binary_bytes(&without).unwrap();
-        assert!(loaded.compiled.is_none());
-        // Everything authoritative survives identically.
-        assert_eq!(loaded.manifest, snapshot.manifest);
-        assert_eq!(loaded.to_json_string(), snapshot.to_json_string());
-        // Re-serializing regains the CMPL section: it is derived data.
-        assert_eq!(loaded.to_binary_bytes(), with);
     }
 
     #[test]
@@ -1906,9 +1511,10 @@ mod tests {
         // is what catches it.
         let snapshot = trained_snapshot();
         let clean = snapshot.to_binary_bytes();
+        // The last occurrence: the first is the name in MANI's section list.
         let pos = clean
             .windows(4)
-            .position(|w| w == SEC_COMPILED)
+            .rposition(|w| w == SEC_COMPILED)
             .expect("CMPL tag present");
         for i in 0..4 {
             let mut corrupt = clean.clone();

@@ -383,7 +383,7 @@ fn normalize(ranked: &mut Ranked) {
 mod tests {
     use super::*;
     use gps_core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
-    use gps_core::{CondModel, Interactions, PriorsEntry};
+    use gps_core::{Interactions, PriorsEntry};
     use std::collections::HashMap as Map;
 
     fn snapshot() -> ModelSnapshot {
@@ -436,7 +436,6 @@ mod tests {
                 num_priors: 3,
                 checksum: 0,
             },
-            model: CondModel::from_parts(Map::new(), Interactions::ALL),
             rules: FeatureRules::from_parts(rules),
             priors,
             compiled: None,

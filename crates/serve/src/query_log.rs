@@ -40,6 +40,18 @@ struct Shared {
     cycled: Condvar,
 }
 
+impl Shared {
+    /// The full-ring decision, on a ring the caller holds locked: append,
+    /// or drop and count once the writer is `RING_CAPACITY` behind.
+    fn offer(&self, ring: &mut Vec<QueryLogRecord>, record: QueryLogRecord) {
+        if ring.len() >= RING_CAPACITY {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        } else {
+            ring.push(record);
+        }
+    }
+}
+
 /// An open query log. Cheap to share (`Arc`); the embedded writer
 /// thread is joined when the last handle drops.
 pub struct QueryLog {
@@ -115,12 +127,7 @@ impl QueryLog {
     /// the ring is full.
     pub fn push(&self, record: QueryLogRecord) {
         let mut ring = self.shared.ring.lock().expect("query log ring poisoned");
-        if ring.len() >= RING_CAPACITY {
-            drop(ring);
-            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        ring.push(record);
+        self.shared.offer(&mut ring, record);
     }
 
     /// Records dropped because the ring was full.
@@ -213,16 +220,18 @@ mod tests {
         let dir = TestDir::new("query-log-drop");
         let path = dir.path("queries.log");
         let log = QueryLog::open(&path).unwrap();
-        // Hold the writer back by flooding faster than one flush interval
-        // can plausibly drain isn't deterministic — instead stuff the ring
-        // directly past capacity within one lock window.
+        // Flooding faster than one flush interval can plausibly drain
+        // isn't deterministic — instead fill the ring and offer the extra
+        // record within one lock window, so the writer cannot drain in
+        // between.
         {
             let mut ring = log.shared.ring.lock().unwrap();
             for n in 0..RING_CAPACITY {
-                ring.push(record(n as u32));
+                log.shared.offer(&mut ring, record(n as u32));
             }
+            assert_eq!(log.dropped(), 0);
+            log.shared.offer(&mut ring, record(9_999_999));
         }
-        log.push(record(9_999_999));
         assert_eq!(log.dropped(), 1);
         drop(log);
         let text = std::fs::read_to_string(&path).unwrap();

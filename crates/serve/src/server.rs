@@ -651,8 +651,7 @@ impl PredictionServer {
         path: &Path,
     ) -> Result<Arc<ServableModel>, String> {
         validate_model_id(id)?;
-        let snapshot =
-            ModelSnapshot::load_serving(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let snapshot = ModelSnapshot::load(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let model = ServableModel::from_snapshot(snapshot);
         self.load_model(id, model, Some(path.to_path_buf()))?;
         self.model_of(id)
@@ -741,8 +740,8 @@ impl PredictionServer {
         // Load outside the lock (it is the expensive part); publish and
         // the path update inside it, so generation, served model, and
         // recorded path always agree.
-        let snapshot = ModelSnapshot::load_serving(&source)
-            .map_err(|e| format!("{}: {e}", source.display()))?;
+        let snapshot =
+            ModelSnapshot::load(&source).map_err(|e| format!("{}: {e}", source.display()))?;
         let model = Arc::new(ServableModel::from_snapshot(snapshot));
         let _guard = entry.reload_lock.lock().expect("reload lock");
         let generation = self.publish(entry, model.clone());
@@ -1111,7 +1110,7 @@ pub fn watch_snapshot_file(server: Arc<PredictionServer>, interval: Duration) ->
 mod tests {
     use super::*;
     use gps_core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
-    use gps_core::{CondModel, FeatureRules, Interactions, NetFeature, PriorsEntry};
+    use gps_core::{FeatureRules, Interactions, NetFeature, PriorsEntry};
     use gps_types::{Ip, Port, Subnet};
     use std::collections::HashMap;
 
@@ -1134,7 +1133,6 @@ mod tests {
                 num_priors: 1,
                 checksum: 0,
             },
-            model: CondModel::from_parts(HashMap::new(), Interactions::ALL),
             rules: FeatureRules::from_parts(rules),
             priors: vec![PriorsEntry {
                 port: Port(22),
@@ -1224,7 +1222,6 @@ mod tests {
                 num_priors: 1,
                 checksum: 0,
             },
-            model: CondModel::from_parts(HashMap::new(), Interactions::ALL),
             rules: FeatureRules::from_parts(rules),
             priors: vec![PriorsEntry {
                 port: Port(2222),
@@ -1347,7 +1344,6 @@ mod tests {
                     num_priors: 1,
                     checksum: 0,
                 },
-                model: CondModel::from_parts(HashMap::new(), Interactions::ALL),
                 rules: FeatureRules::from_parts(rules),
                 priors: vec![PriorsEntry {
                     port: Port(22),
@@ -1359,7 +1355,7 @@ mod tests {
         };
         make(443).save_binary(&path).unwrap();
         let server = Arc::new(PredictionServer::start(
-            ServableModel::from_snapshot(ModelSnapshot::load_serving(&path).unwrap()),
+            ServableModel::from_snapshot(ModelSnapshot::load(&path).unwrap()),
             ServeConfig::default(),
         ));
         server.set_model_path(&path);
@@ -1547,7 +1543,6 @@ mod tests {
                     num_priors: 1,
                     checksum: 0,
                 },
-                model: CondModel::from_parts(HashMap::new(), Interactions::ALL),
                 rules: FeatureRules::from_parts(rules),
                 priors: vec![PriorsEntry {
                     port: Port(22),
@@ -1561,9 +1556,8 @@ mod tests {
         let path_b = dir.path("b.gpsb");
         make(443).save_binary(&path_a).unwrap();
         make(9000).save_binary(&path_b).unwrap();
-        let load = |p: &std::path::Path| {
-            ServableModel::from_snapshot(ModelSnapshot::load_serving(p).unwrap())
-        };
+        let load =
+            |p: &std::path::Path| ServableModel::from_snapshot(ModelSnapshot::load(p).unwrap());
         let server = Arc::new(
             PredictionServer::start_named(
                 vec![

@@ -1,13 +1,12 @@
 //! GPSB binary codec primitives.
 //!
-//! The JSON snapshot format (`gps_types::json`) is self-describing and
-//! diffable, but parsing it dominates model load time on big universes:
-//! every float goes through shortest-round-trip formatting and back, and
-//! every key is re-tokenized. GPSB is the binary sibling used by
-//! `gps-core::snapshot` for the bulk sections. This module is only the
-//! byte-level layer — what a `varint` is, how a section is framed — so the
-//! snapshot layer and any future artifact (query logs) share one set of
-//! primitives.
+//! JSON (`gps_types::json`) is self-describing and diffable, but parsing
+//! it would dominate model load time on big universes: every float goes
+//! through shortest-round-trip formatting and back, and every key is
+//! re-tokenized. GPSB is the container `gps-core::snapshot` writes
+//! instead. This module is only the byte-level layer — what a `varint`
+//! is, how a section is framed — so the snapshot layer and any future
+//! artifact (query logs) share one set of primitives.
 //!
 //! ## Conventions
 //!

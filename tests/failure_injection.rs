@@ -132,7 +132,7 @@ mod router_resilience {
     use std::time::{Duration, Instant};
 
     use gps::core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
-    use gps::core::{CondModel, FeatureRules, Interactions, NetFeature, PriorsEntry};
+    use gps::core::{FeatureRules, Interactions, NetFeature, PriorsEntry};
     use gps::serve::{
         Client, PredictionServer, Query, Router, RouterConfig, RouterHandle, ServableModel,
         ServeConfig, TransportConfig,
@@ -159,7 +159,6 @@ mod router_resilience {
                 num_priors: 1,
                 checksum: 0,
             },
-            model: CondModel::from_parts(HashMap::new(), Interactions::ALL),
             rules: FeatureRules::from_parts(rules),
             priors: vec![PriorsEntry {
                 port: Port(22),
@@ -469,7 +468,7 @@ mod serve_churn {
     use std::time::{Duration, Instant};
 
     use gps::core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
-    use gps::core::{CondModel, FeatureRules, Interactions, NetFeature, PriorsEntry};
+    use gps::core::{FeatureRules, Interactions, NetFeature, PriorsEntry};
     use gps::serve::{
         Client, PredictionServer, Query, ServableModel, ServeConfig, StatsSnapshot, TransportConfig,
     };
@@ -496,7 +495,6 @@ mod serve_churn {
                 num_priors: 1,
                 checksum: 0,
             },
-            model: CondModel::from_parts(HashMap::new(), Interactions::ALL),
             rules: FeatureRules::from_parts(rules),
             priors: vec![PriorsEntry {
                 port: Port(22),

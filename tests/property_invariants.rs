@@ -152,21 +152,15 @@ proptest! {
     }
 }
 
-/// A model trained once on the quick universe, served three ways: from
-/// the in-memory artifact, after a JSON round trip, and after the full
-/// JSON → GPSB binary → JSON conversion chain. Training and
+/// A model trained once on the quick universe, served two ways: from
+/// the in-memory artifact and from its GPSB bytes. Training and
 /// (de)serialization dominate the cost, so property cases share them.
 /// The GPSB bytes ride along for the decoder-rejection properties.
 struct ServedArtifacts {
     original: ServableModel,
-    via_json: ServableModel,
-    via_binary: ServableModel,
     /// Served straight from the GPSB bytes — `compiled` arrives through
     /// the CMPL section's bulk load rather than being compiled in-process.
     via_gpsb: ServableModel,
-    /// Served from CMPL-less GPSB bytes — the compile-at-load fallback
-    /// for snapshots written before the section existed.
-    via_gpsb_no_cmpl: ServableModel,
     /// The pre-kernel HashMap implementation, the parity baseline.
     reference: ReferenceModel,
     gpsb_bytes: Vec<u8>,
@@ -184,33 +178,21 @@ fn served_artifacts() -> &'static ServedArtifacts {
         };
         let run = gps::core::run_gps(&net, &dataset, &config);
         let snapshot = ModelSnapshot::from_run(&run, &config, 77);
-        let json = snapshot.to_json_string();
-        let reloaded = ModelSnapshot::from_json_str(&json).expect("round trip parses");
-        // JSON -> binary -> JSON: the chain must be lossless down to the
-        // serialized bytes (probabilities travel as f64 bit patterns).
-        let gpsb_bytes = reloaded.to_binary_bytes();
+        let gpsb_bytes = snapshot.to_binary_bytes();
         let from_binary = ModelSnapshot::from_binary_bytes(&gpsb_bytes).expect("binary parses");
         assert_eq!(
-            from_binary.to_json_string(),
-            json,
-            "JSON -> GPSB -> JSON must be byte-identical"
+            from_binary.to_binary_bytes(),
+            gpsb_bytes,
+            "save -> load -> save must be byte-identical"
         );
-        let via_binary =
-            ModelSnapshot::from_json_str(&from_binary.to_json_string()).expect("reparses");
         assert!(
             from_binary.compiled.is_some(),
             "GPSB bytes carry the CMPL section"
         );
-        let no_cmpl_bytes = reloaded.to_binary_bytes_with(false);
-        let no_cmpl = ModelSnapshot::from_binary_bytes(&no_cmpl_bytes).expect("no-CMPL parses");
-        assert!(no_cmpl.compiled.is_none(), "--no-compiled bytes lack CMPL");
         ServedArtifacts {
             reference: ReferenceModel::from_snapshot(&snapshot),
             original: ServableModel::from_snapshot(snapshot),
-            via_json: ServableModel::from_snapshot(reloaded),
-            via_binary: ServableModel::from_snapshot(via_binary),
             via_gpsb: ServableModel::from_snapshot(from_binary),
-            via_gpsb_no_cmpl: ServableModel::from_snapshot(no_cmpl),
             gpsb_bytes,
         }
     })
@@ -219,11 +201,9 @@ fn served_artifacts() -> &'static ServedArtifacts {
 proptest! {
     /// Save → load of a trained snapshot reproduces identical `predict`
     /// output: for random IPs (cold and with random open-port evidence),
-    /// the models served from the JSON round trip and from the full
-    /// JSON → binary → JSON chain answer exactly like the model served
-    /// from the in-memory artifact. Probabilities are compared
-    /// bit-exactly — both the JSON float encoding and the GPSB f64 bit
-    /// patterns must round-trip.
+    /// the model served from the GPSB bytes answers exactly like the
+    /// model served from the in-memory artifact. Probabilities are
+    /// compared bit-exactly — the GPSB f64 bit patterns must round-trip.
     #[test]
     fn snapshot_round_trip_preserves_predictions(
         ips in proptest::collection::vec(any::<u32>(), 1000..1001),
@@ -237,18 +217,14 @@ proptest! {
                 query.open = vec![Port(evidence_port), Port(80)];
             }
             let expected = artifacts.original.predict(&query);
-            prop_assert_eq!(&artifacts.via_json.predict(&query), &expected);
-            prop_assert_eq!(&artifacts.via_binary.predict(&query), &expected);
             prop_assert_eq!(&artifacts.via_gpsb.predict(&query), &expected);
-            prop_assert_eq!(&artifacts.via_gpsb_no_cmpl.predict(&query), &expected);
         }
     }
 
     /// The compiled kernel is **bit-identical** to the HashMap reference
     /// path on random warm/cold query mixes: same ports in the same
     /// order, same f64 bit patterns — whether the compiled form was
-    /// built in-process, bulk-loaded from the CMPL section, or
-    /// recompiled from a CMPL-less snapshot.
+    /// built in-process or bulk-loaded from the CMPL section.
     #[test]
     fn compiled_kernel_matches_reference_bit_identical(
         ips in proptest::collection::vec(any::<u32>(), 200..201),
@@ -275,11 +251,7 @@ proptest! {
                 .iter()
                 .map(|&(p, v)| (p.0, v.to_bits()))
                 .collect();
-            for model in [
-                &artifacts.original,
-                &artifacts.via_gpsb,
-                &artifacts.via_gpsb_no_cmpl,
-            ] {
+            for model in [&artifacts.original, &artifacts.via_gpsb] {
                 let got: Vec<(u16, u64)> = model
                     .predict_with(&mut scratch, &query)
                     .iter()
@@ -291,9 +263,7 @@ proptest! {
     }
 
     /// Any single corrupted byte in a GPSB snapshot makes the decoder
-    /// refuse to load it — on the full path and the model-skipping
-    /// serving path alike (the serving path must not skip *verifying*
-    /// what it does not parse).
+    /// refuse to load it — from bytes and from a file alike.
     #[test]
     fn gpsb_decoder_rejects_corrupted_sections(
         position in any::<u64>(),
@@ -307,15 +277,15 @@ proptest! {
             ModelSnapshot::from_binary_bytes(&corrupt).is_err(),
             "flip {flip:#04x} at byte {position} must not load"
         );
-        // The serving path sees the same corruption through a temp file.
+        // `gps serve` sees the same corruption through a temp file.
         let path = std::env::temp_dir().join(format!(
             "gps_prop_corrupt_{}_{position}_{flip}.gpsb",
             std::process::id()
         ));
         std::fs::write(&path, &corrupt).expect("write corrupt file");
-        let serving = ModelSnapshot::load_serving(&path);
+        let from_file = ModelSnapshot::load(&path);
         std::fs::remove_file(&path).ok();
-        prop_assert!(serving.is_err(), "serving load of flipped byte {position} must fail");
+        prop_assert!(from_file.is_err(), "file load of flipped byte {position} must fail");
     }
 
     /// A truncated GPSB file never loads, whatever the cut point.
@@ -565,7 +535,6 @@ fn tiny_model(target: u16) -> ServableModel {
             num_priors: 1,
             checksum: 0,
         },
-        model: CondModel::from_parts(std::collections::HashMap::new(), Interactions::ALL),
         rules: gps::core::FeatureRules::from_parts(rules),
         priors: vec![gps::core::PriorsEntry {
             port: Port(22),

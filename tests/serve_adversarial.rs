@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gps::core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
-use gps::core::{CondModel, FeatureRules, Interactions, NetFeature, PriorsEntry};
+use gps::core::{FeatureRules, Interactions, NetFeature, PriorsEntry};
 use gps::serve::proto::{read_frame, write_frame};
 use gps::serve::{
     Client, PredictionServer, Query, Ranked, ServableModel, ServeConfig, TransportConfig,
@@ -101,7 +101,6 @@ fn model() -> ServableModel {
             num_priors: 1,
             checksum: 0,
         },
-        model: CondModel::from_parts(HashMap::new(), Interactions::ALL),
         rules: FeatureRules::from_parts(rules),
         priors: vec![PriorsEntry {
             port: Port(22),
@@ -524,7 +523,6 @@ fn wide_priors_model(ports: u16) -> ServableModel {
             num_priors: ports as usize,
             checksum: 0,
         },
-        model: CondModel::from_parts(HashMap::new(), Interactions::ALL),
         rules: FeatureRules::from_parts(HashMap::new()),
         priors: (0..ports)
             .map(|i| PriorsEntry {

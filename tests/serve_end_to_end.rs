@@ -63,8 +63,8 @@ fn train_and_export(dir: &TestDir) -> (Internet, ModelSnapshot, std::path::PathB
     };
     let run = run_gps(&net, &dataset, &config);
     let snapshot = ModelSnapshot::from_run(&run, &config, 42);
-    let path = dir.path("model.json");
-    snapshot.save(&path).expect("export");
+    let path = dir.path("model.gpsb");
+    snapshot.save_binary(&path).expect("export");
     (net, snapshot, path)
 }
 
@@ -228,7 +228,7 @@ fn hot_reload_serves_new_model_with_zero_failed_queries() {
 
     for transport in serve_transports() {
         let server = PredictionServer::start(
-            ServableModel::from_snapshot(ModelSnapshot::load_serving(&path_a).expect("load a")),
+            ServableModel::from_snapshot(ModelSnapshot::load(&path_a).expect("load a")),
             ServeConfig::default(),
         );
         server.set_model_path(&path_a);

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gps::core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
-use gps::core::{CondModel, FeatureRules, Interactions, NetFeature, PriorsEntry};
+use gps::core::{FeatureRules, Interactions, NetFeature, PriorsEntry};
 use gps::serve::{
     Client, PredictionServer, Query, QueryLog, ServableModel, ServeConfig, TransportConfig,
     WireFormat,
@@ -43,7 +43,6 @@ fn snapshot() -> gps::core::ModelSnapshot {
             num_priors: 1,
             checksum: 0,
         },
-        model: CondModel::from_parts(HashMap::new(), Interactions::ALL),
         rules: FeatureRules::from_parts(rules),
         priors: vec![PriorsEntry {
             port: Port(22),
