@@ -39,7 +39,7 @@ pub struct Args {
     pub backends: Vec<String>,
     /// route: health-probe cadence in seconds.
     pub probe_interval: f64,
-    /// route: per-backend-attempt deadline in seconds.
+    /// route: seconds a backend link may owe replies without progress.
     pub request_timeout: f64,
     /// route: alternate backends tried after the owner fails.
     pub max_retries: usize,

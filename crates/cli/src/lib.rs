@@ -66,7 +66,8 @@ ROUTING OPTIONS (gps route):
     --http-addr A       HTTP sideline (GET /healthz /metrics /stats,
                         POST /shutdown)
     --probe-interval S  health-probe cadence in seconds (default 0.5)
-    --request-timeout S per-backend-attempt deadline (default 2)
+    --request-timeout S backend link deadline: no progress while owing
+                        replies for S seconds fails it (default 2)
     --max-retries N     alternate backends tried per query (default 1)
     --open P1,P2        query evidence: ports known open on the target
     --asn N             query evidence: the target's ASN

@@ -15,11 +15,12 @@
 //! An event loop cannot block its way through a frame, so
 //! [`FrameDecoder`] consumes whatever bytes the socket had — a frame
 //! split at any byte boundary, several pipelined frames in one read — and
-//! yields complete payloads as they close. The blocking `Client` and the
-//! router use this decoder too (`read_frame_payload` drives it with
-//! exact-sized reads), so "parses a torn length prefix correctly" and
-//! "negotiates the format exactly once" are properties of one
-//! implementation, tested once, at every split point.
+//! yields complete payloads as they close. The router feeds it the same
+//! way (its front read bursts and its backend links), and the blocking
+//! `Client` uses it too (`read_frame_payload` drives it with exact-sized
+//! reads), so "parses a torn length prefix correctly" and "negotiates the
+//! format exactly once" are properties of one implementation, tested
+//! once, at every split point.
 
 use std::fmt;
 

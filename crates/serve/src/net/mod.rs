@@ -7,9 +7,10 @@
 //!   `epoll_ctl` / `epoll_wait`, plus `poll(2)` as the portable
 //!   fallback);
 //! - `poller` — both backends behind one level-triggered interface,
-//!   and the loopback-UDP `Waker`;
+//!   and the loopback-UDP `Waker` (the router's backend links wait on
+//!   it too);
 //! - `decoder` — incremental length-prefixed frame decoding (shared
-//!   with the blocking `Client`'s `read_frame_payload`);
+//!   with the router and the blocking `Client`'s `read_frame_payload`);
 //! - `conn` — the per-connection state machine: decoder, bounded write
 //!   buffer, idle clock;
 //! - this module — the accept/dispatch loop and N event-loop threads.
@@ -44,7 +45,7 @@
 mod conn;
 mod decoder;
 pub(crate) mod http;
-mod poller;
+pub(crate) mod poller;
 mod sys;
 
 pub use decoder::{DecodeError, FrameDecoder, WireFormat};

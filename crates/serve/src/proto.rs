@@ -414,19 +414,26 @@ impl PredictWork {
 /// An error reply shaped for the reply context.
 pub(crate) fn ready_error(ctx: ReplyCtx, message: String) -> ReadyReply {
     match ctx {
-        ReplyCtx::Json { id } => ReadyReply::Json {
-            response: error_response(message),
-            id,
-        },
         ReplyCtx::Binary { id } => ReadyReply::BinaryError { id, message },
-        ReplyCtx::BinaryAdmin { id } => ReadyReply::BinaryAdmin {
-            response: error_response(message),
-            id,
-        },
+        ctx => ready_json(ctx, error_response(message)),
+    }
+}
+
+/// A finished JSON response in the envelope the reply context calls for.
+pub(crate) fn ready_json(ctx: ReplyCtx, response: Json) -> ReadyReply {
+    match ctx {
+        ReplyCtx::Json { id } => ReadyReply::Json { response, id },
+        ReplyCtx::BinaryAdmin { id } => ReadyReply::BinaryAdmin { response, id },
         ReplyCtx::Http { id, keep_alive } => ReadyReply::Http {
-            response: error_response(message),
+            response,
             id,
             keep_alive,
+        },
+        // A native GPSQ context has no JSON envelope: it answers through
+        // `encode_predict_reply` or pong/error frames.
+        ReplyCtx::Binary { id } => ReadyReply::BinaryError {
+            id,
+            message: "internal: JSON reply on a binary context".to_string(),
         },
     }
 }
@@ -941,6 +948,23 @@ pub(crate) fn record_admin(server: &PredictionServer, wire: WireLabel, started: 
         .record(started.elapsed().as_nanos() as u64);
 }
 
+/// Connect within `timeout`. `TcpStream::connect_timeout` wants one
+/// resolved address; try each resolution like `TcpStream::connect` does.
+pub(crate) fn connect_timeout(
+    addr: impl ToSocketAddrs,
+    timeout: Duration,
+) -> io::Result<TcpStream> {
+    let mut last = None;
+    for resolved in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&resolved, timeout) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => last = Some(e),
+        }
+    }
+    Err(last
+        .unwrap_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no addresses to connect")))
+}
+
 /// A blocking protocol client (used by `gps query`, `gps reload`,
 /// loadgen, and tests), speaking either wire format — pick with
 /// [`connect_with`](Client::connect_with); [`connect`](Client::connect)
@@ -968,8 +992,8 @@ pub struct Client {
 /// Connection settings for [`Client::connect_config`]. The plain
 /// constructors ([`Client::connect`], [`Client::connect_with`]) keep
 /// their historical no-timeout behavior; anything that must survive a
-/// hung or dead server — the router's backend connections, `gps query`
-/// against a remote box — sets deadlines here.
+/// hung or dead server — the router's prober, `gps query` against a
+/// remote box — sets deadlines here.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     pub wire: WireFormat,
@@ -1090,29 +1114,7 @@ impl Client {
     pub fn connect_config(addr: impl ToSocketAddrs, config: &ClientConfig) -> io::Result<Client> {
         let stream = match config.connect_timeout {
             None => TcpStream::connect(addr)?,
-            Some(timeout) => {
-                // `connect_timeout` wants one resolved address; try each
-                // resolution like `TcpStream::connect` does.
-                let mut last = None;
-                let mut stream = None;
-                for resolved in addr.to_socket_addrs()? {
-                    match TcpStream::connect_timeout(&resolved, timeout) {
-                        Ok(s) => {
-                            stream = Some(s);
-                            break;
-                        }
-                        Err(e) => last = Some(e),
-                    }
-                }
-                match stream {
-                    Some(s) => s,
-                    None => {
-                        return Err(last.unwrap_or_else(|| {
-                            io::Error::new(io::ErrorKind::InvalidInput, "no addresses to connect")
-                        }))
-                    }
-                }
-            }
+            Some(timeout) => connect_timeout(addr, timeout)?,
         };
         stream.set_nodelay(true)?;
         stream.set_read_timeout(config.read_timeout)?;

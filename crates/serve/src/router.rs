@@ -1,46 +1,53 @@
 //! The GPSQ routing tier: a thin, model-free process that speaks the
 //! full frame protocol (JSON and GPSQ alike) on its front listener and
-//! fans work out to N `gps serve` backends over pooled GPSQ clients.
+//! forwards predict work to N `gps serve` backends over GPSQ links.
 //!
 //! Fault tolerance is the point — the paper's predictions only matter
 //! while they keep flowing into a running scan, and a single `gps serve`
 //! process is a single point of failure:
 //!
-//! - **Placement.** Single queries are hashed by the query IP's /16
+//! - **Placement.** Queries are hashed by their IP's /16
 //!   (`Core::owner_of`, a Fibonacci hash): a stateless spread that every
-//!   router instance computes alike, and that splits a batch into at
-//!   most one sub-batch per backend. Backends keep no per-query state,
-//!   so any of them can answer any query — which is what makes retrying
-//!   on an alternate safe.
-//! - **Health.** Every backend carries a health state (`Up` → `Suspect`
-//!   → `Down`) driven by a periodic `ping` prober *and* passively by
-//!   forwarding errors. A downed backend is retried after an exponential
-//!   backoff with deterministic jitter; the first successful call (or
-//!   probe) brings it back.
-//! - **Retry.** Predict queries are idempotent, so a retryable failure
-//!   (timeout, reset, garbage frame) is retried on the next healthy
-//!   backend — bounded by [`RouterConfig::max_retries`]. Application
-//!   errors from a backend (`ok:false`) are deterministic and forwarded
-//!   verbatim, never retried.
-//! - **Shedding.** When no healthy backend remains for a query, the
-//!   router answers an explicit `overloaded` error instead of queueing
-//!   or hanging — the scanner's loop stays latency-bounded.
+//!   router computes alike, splitting a batch into at most one part per
+//!   backend. Backends keep no per-query state, so any of them can answer
+//!   any query — which is what makes retrying on an alternate safe.
+//! - **Health.** Each backend walks `Up` → `Suspect` → `Down` on
+//!   failures, fed by a periodic `ping` prober and by link failures; a
+//!   downed backend is retried after exponential backoff with
+//!   deterministic jitter, and one success brings it back.
+//! - **Retry.** A link fails on a connect error, I/O error, EOF, garbage
+//!   frame, id mismatch, or no progress for
+//!   [`RouterConfig::request_timeout`] while it owes replies; every part
+//!   it had not answered moves to its next available backend — one retry
+//!   per move, at most [`RouterConfig::max_retries`] per part. A
+//!   backend's `ok:false` answer is deterministic: forwarded verbatim,
+//!   never retried, and the link (still in step) is kept.
+//! - **Shedding.** A part with no healthy backend left answers its frame
+//!   with an explicit `overloaded` error instead of queueing or hanging;
+//!   a batch is never answered partially.
 //! - **Drain.** The `shutdown` admin command (wire or HTTP) flips
 //!   `/healthz` to 503 `draining`, stops accepting connections,
 //!   finishes in-flight replies, then closes.
 //!
-//! Batches are partitioned by owner and fanned out concurrently, one
-//! sub-batch per owning backend, with the same per-group retry; a group
-//! that exhausts its retries fails the whole frame with one error reply
-//! (partial answers are never silently dropped).
+//! **The hop.** Each front connection has one blocking thread that
+//! forwards a read burst, not a frame: every complete frame the socket
+//! delivered gets a reply slot, in request order; each single query and
+//! each owner's part of a batch becomes one GPSQ request on that
+//! backend's link (a nonblocking stream the connection owns); and one
+//! poller wait loop writes and reads every link until nothing is owed.
+//! The backends compute in parallel with no router thread per backend,
+//! and since reads interleave with writes a large reply cannot wedge a
+//! link. Admin frames run after the burst's predicts; all replies leave
+//! in one write.
 //!
 //! The router holds no model: every reply a client sees was computed by
 //! a backend, re-framed through the same `proto` encoders the server
 //! uses, so a client cannot tell the router from a plain `gps serve`.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -48,10 +55,11 @@ use std::time::{Duration, Instant};
 use gps_types::Json;
 
 use crate::artifact::{Query, Ranked};
+use crate::net::poller::{Event, Interest, Poller};
 use crate::net::{FrameDecoder, WireFormat};
 use crate::proto::{
-    encode_predict_reply, encode_ready, error_response, ok_response, query_from_json,
-    read_frame_payload, ready_error, Client, ClientConfig, ClientError, ReadyReply, ReplyCtx,
+    append_binary_frame, connect_timeout, encode_predict_reply, encode_ready, ok_response,
+    query_from_json, ready_error, ready_json, Client, ClientConfig, ReadyReply, ReplyCtx,
     MAX_BATCH_QUERIES, MAX_FRAME_BYTES,
 };
 use crate::wire;
@@ -64,12 +72,13 @@ pub struct RouterConfig {
     pub backends: Vec<String>,
     /// Cadence of the active `ping` prober.
     pub probe_interval: Duration,
-    /// Per-attempt deadline on every backend call (connect, read, and
-    /// write alike). A stalled backend surfaces as a retryable timeout
-    /// within this bound.
+    /// How long a backend link that owes replies may go without a byte
+    /// moving (and the bound on connecting it) before it fails and its
+    /// unanswered parts move on. A stalled backend costs a read burst
+    /// one such deadline, however many of its queries it held.
     pub request_timeout: Duration,
-    /// Most *additional* backends tried after the owner fails or is
-    /// unavailable.
+    /// Most times one request part moves off a failed backend to an
+    /// alternate; each move is one retry.
     pub max_retries: usize,
 }
 
@@ -124,7 +133,8 @@ struct BackendState {
     meta: Mutex<HealthMeta>,
     /// Requests this backend answered successfully.
     forwarded: AtomicU64,
-    /// Failed attempts against this backend (timeouts, resets, garbage).
+    /// Failures against this backend: links (timeouts, resets, garbage)
+    /// and probes.
     errors: AtomicU64,
 }
 
@@ -205,9 +215,9 @@ struct Core {
     stop: AtomicBool,
     started: Instant,
     requests: AtomicU64,
-    /// Failed attempts that moved on to another backend.
+    /// Request parts moved off a failed backend to an alternate.
     retries: AtomicU64,
-    /// Queries answered `overloaded` because no backend was available.
+    /// Frames answered `overloaded` because a part had no backend left.
     shed: AtomicU64,
     conns_accepted: AtomicU64,
     conns_closed: AtomicU64,
@@ -224,10 +234,6 @@ impl Core {
         (h >> 32) as usize % self.backends.len()
     }
 
-    fn backend_client_config(&self) -> ClientConfig {
-        ClientConfig::timeouts(WireFormat::Binary, self.config.request_timeout)
-    }
-
     fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
     }
@@ -240,6 +246,7 @@ impl Core {
     /// loadgen's external mode reads (so `--addr <router>` runs work
     /// unchanged) plus a `"router"` section with the health picture.
     fn stats_json(&self) -> Json {
+        let count = |counter: &AtomicU64| Json::Num(counter.load(Ordering::Relaxed) as f64);
         let mut backends = Vec::with_capacity(self.backends.len());
         for b in &self.backends {
             let mut entry = Json::obj();
@@ -247,33 +254,21 @@ impl Core {
                 .set("addr", b.addr.as_str())
                 .set("health", b.health().as_str())
                 .set("up", b.health() != Health::Down)
-                .set(
-                    "forwarded",
-                    Json::Num(b.forwarded.load(Ordering::Relaxed) as f64),
-                )
-                .set("errors", Json::Num(b.errors.load(Ordering::Relaxed) as f64));
+                .set("forwarded", count(&b.forwarded))
+                .set("errors", count(&b.errors));
             backends.push(entry);
         }
         let mut router = Json::obj();
         router
             .set("backends", backends)
-            .set(
-                "retries_total",
-                Json::Num(self.retries.load(Ordering::Relaxed) as f64),
-            )
-            .set(
-                "shed_total",
-                Json::Num(self.shed.load(Ordering::Relaxed) as f64),
-            )
+            .set("retries_total", count(&self.retries))
+            .set("shed_total", count(&self.shed))
             .set("draining", self.is_draining());
         let accepted = self.conns_accepted.load(Ordering::Relaxed);
         let closed = self.conns_closed.load(Ordering::Relaxed);
         let mut json = Json::obj();
         json.set("version", env!("CARGO_PKG_VERSION"))
-            .set(
-                "requests",
-                Json::Num(self.requests.load(Ordering::Relaxed) as f64),
-            )
+            .set("requests", count(&self.requests))
             .set("uptime_secs", self.started.elapsed().as_secs_f64())
             .set("conns_accepted", Json::Num(accepted as f64))
             .set("conns_closed", Json::Num(closed as f64))
@@ -281,10 +276,7 @@ impl Core {
                 "conns_active",
                 Json::Num(accepted.saturating_sub(closed) as f64),
             )
-            .set(
-                "conns_rejected",
-                Json::Num(self.conns_rejected.load(Ordering::Relaxed) as f64),
-            )
+            .set("conns_rejected", count(&self.conns_rejected))
             .set("draining", self.is_draining())
             .set("router", router);
         json
@@ -365,252 +357,513 @@ impl Core {
     }
 }
 
-/// Why a routed call could not be answered with a ranking.
-enum RouteError {
-    /// Every eligible backend failed or was unavailable — answered as
-    /// the explicit `overloaded` error.
-    Overloaded,
-    /// A backend understood the request and said no; forwarded verbatim.
-    Server(String),
-}
-
-impl RouteError {
-    fn message(self) -> String {
-        match self {
-            RouteError::Overloaded => OVERLOADED.to_string(),
-            RouteError::Server(message) => message,
-        }
-    }
-}
-
-/// Per-connection pool of lazily connected backend clients. A client
-/// that errors is dropped (never reused — the stream position is
-/// untrustworthy) and reconnected on the next call.
-struct BackendPool {
-    clients: Vec<Option<Client>>,
-}
-
-impl BackendPool {
-    fn new(n: usize) -> BackendPool {
-        BackendPool {
-            clients: (0..n).map(|_| None).collect(),
-        }
-    }
-}
-
-/// One attempt against backend `idx` through the pool: connect if
-/// needed, run `call`, classify the outcome. On success the backend is
-/// marked up; on a transport/protocol failure the client is dropped and
-/// the backend penalized. `Err(Some(msg))` is a deterministic server
-/// error (do not retry); `Err(None)` is a failed attempt (retry
-/// elsewhere).
-fn attempt<T>(
-    core: &Core,
-    slot: &mut Option<Client>,
-    idx: usize,
-    call: impl FnOnce(&mut Client) -> io::Result<T>,
-) -> Result<T, Option<String>> {
-    let backend = &core.backends[idx];
-    if slot.is_none() {
-        match Client::connect_config(backend.addr.as_str(), &core.backend_client_config()) {
-            Ok(client) => *slot = Some(client),
-            Err(_) => {
-                backend.record_failure();
-                return Err(None);
-            }
-        }
-    }
-    let client = slot.as_mut().expect("client just ensured");
-    match call(client) {
-        Ok(value) => {
-            backend.record_ok();
-            backend.forwarded.fetch_add(1, Ordering::Relaxed);
-            Ok(value)
-        }
-        Err(e) => {
-            *slot = None; // never reuse a stream that failed mid-call
-            match ClientError::from_io(e) {
-                // An application error is an *answer*: the backend is
-                // healthy, the reply deterministic — forward it.
-                ClientError::Server(message) => {
-                    backend.record_ok();
-                    Err(Some(message))
-                }
-                // Timeouts, resets, and garbage frames alike: penalize
-                // and let the caller try another backend.
-                ClientError::Retryable(_) | ClientError::Fatal(_) => {
-                    backend.record_failure();
-                    Err(None)
-                }
-            }
-        }
-    }
-}
-
 /// The backend order for a query owned by `owner`: the owner first, then
 /// the rest round-robin — the deterministic alternate list retries walk.
 fn candidates(owner: usize, n: usize) -> impl Iterator<Item = usize> {
     (0..n).map(move |i| (owner + i) % n)
 }
 
-/// Route one single-query predict: the owner first, then up to
-/// `max_retries` alternates, skipping backends in backoff.
-fn route_single(
-    core: &Core,
-    pool: &mut BackendPool,
-    model: Option<&str>,
-    query: &Query,
-) -> Result<Ranked, RouteError> {
-    let owner = core.owner_of(query.ip);
-    let mut attempts = 0usize;
-    let budget = core.config.max_retries + 1;
-    for idx in candidates(owner, core.backends.len()) {
-        if attempts >= budget {
-            break;
-        }
-        if !core.backends[idx].available() {
-            continue;
-        }
-        if attempts > 0 {
-            core.retries.fetch_add(1, Ordering::Relaxed);
-        }
-        attempts += 1;
-        match attempt(core, &mut pool.clients[idx], idx, |c| {
-            c.predict_on(model, query)
-        }) {
-            Ok(ranking) => return Ok(ranking),
-            Err(Some(message)) => return Err(RouteError::Server(message)),
-            Err(None) => continue,
-        }
-    }
-    core.shed.fetch_add(1, Ordering::Relaxed);
-    Err(RouteError::Overloaded)
+/// Bytes one `read(2)` takes from a front socket or a backend link.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// One front read burst on its way through the hop: a reply slot per
+/// frame, in request order, and the backend parts its predicts split
+/// into.
+#[derive(Default)]
+struct Burst {
+    slots: Vec<Slot>,
+    /// The predict frames, in slot order.
+    routed: Vec<Routed>,
+    parts: Vec<Part>,
 }
 
-/// Route one batch: partition by owner, fan the sub-batches out
-/// concurrently (one thread per owning backend), then retry any failed
-/// group sequentially on its alternates. Answers return in request
-/// order; a group that exhausts retries fails the whole frame.
-fn route_batch(
-    core: &Core,
-    pool: &mut BackendPool,
-    model: Option<&str>,
-    queries: &[Query],
-) -> Result<Vec<Ranked>, RouteError> {
-    let n = core.backends.len();
-    let mut groups: HashMap<usize, (Vec<usize>, Vec<Query>)> = HashMap::new();
-    for (idx, query) in queries.iter().enumerate() {
-        let owner = core.owner_of(query.ip);
-        let group = groups.entry(owner).or_default();
-        group.0.push(idx);
-        group.1.push(query.clone());
-    }
-    let mut results: Vec<Option<Ranked>> = vec![None; queries.len()];
-    // First pass: every group against its owner, concurrently. Each
-    // group borrows its owner's pool slot — owners are distinct by
-    // construction, so the mutable borrows are disjoint.
-    let mut failed: Vec<(usize, Vec<usize>, Vec<Query>)> = Vec::new();
-    {
-        /// One fanned-out group's result: original indices, the queries
-        /// (kept for the retry pass), the owner, and the attempt outcome.
-        type GroupOutcome = (
-            Vec<usize>,
-            Vec<Query>,
-            usize,
-            Result<Vec<Ranked>, Option<String>>,
-        );
-        let mut slots: HashMap<usize, &mut Option<Client>> =
-            pool.clients.iter_mut().enumerate().collect();
-        let mut outcomes: Vec<GroupOutcome> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (owner, (indices, group_queries)) in groups {
-                let slot = slots.remove(&owner).expect("distinct owners");
-                let core = &core;
-                handles.push(scope.spawn(move || {
-                    let outcome = if core.backends[owner].available() {
-                        attempt(core, slot, owner, |c| {
-                            c.predict_batch_on(model, &group_queries)
-                        })
-                    } else {
-                        Err(None)
-                    };
-                    (indices, group_queries, owner, outcome)
-                }));
+/// How one front frame of a burst is answered.
+enum Slot {
+    /// Answered when decoded: malformed frames and pongs.
+    Ready(ReadyReply),
+    /// Predict work, answered from the next entry of `Burst::routed`.
+    Routed,
+    /// A command the router answers itself, after the burst's predicts.
+    Admin { ctx: ReplyCtx, cmd: String },
+}
+
+/// One predict frame in flight.
+struct Routed {
+    ctx: ReplyCtx,
+    model: Option<String>,
+    batch: bool,
+    /// One ranking per query, in request order, filled as parts return.
+    answers: Vec<Ranked>,
+    /// Set when a part failed — a backend's error verbatim, or
+    /// [`OVERLOADED`]; the first failure answers the whole frame.
+    error: Option<String>,
+}
+
+/// One backend request: a single query, or one owner's share of a batch.
+struct Part {
+    /// Index into `Burst::routed`.
+    routed: usize,
+    /// Where each query's answer goes in the frame's `answers`.
+    positions: Vec<usize>,
+    queries: Vec<Query>,
+    owner: usize,
+    /// Position in `candidates(owner, n)` of the backend the part is on.
+    step: usize,
+    /// Moves off failed backends so far; each counted one retry.
+    moves: usize,
+}
+
+impl Burst {
+    /// Decode one front frame into its reply slot (and, for a predict,
+    /// its parts) — the router's analog of the server's
+    /// `classify_payload`.
+    fn push_frame(&mut self, core: &Core, format: WireFormat, payload: &[u8]) {
+        match format {
+            // The decoder already refused non-UTF-8 JSON frames.
+            WireFormat::Json => {
+                let text = std::str::from_utf8(payload).unwrap_or_default();
+                self.push_json(core, text, |id| ReplyCtx::Json { id })
             }
-            for handle in handles {
-                outcomes.push(handle.join().expect("batch fan-out thread"));
+            WireFormat::Binary => match wire::decode_request(payload) {
+                Err(e) => self.refuse(ReplyCtx::Binary { id: e.id }, e.message),
+                Ok(wire::Request::Ping { id }) => {
+                    core.requests.fetch_add(1, Ordering::Relaxed);
+                    self.slots.push(Slot::Ready(ReadyReply::Pong { id }));
+                }
+                Ok(wire::Request::Predict { id, model, query }) => {
+                    core.requests.fetch_add(1, Ordering::Relaxed);
+                    self.predict(core, ReplyCtx::Binary { id }, model, vec![query], false);
+                }
+                Ok(wire::Request::Batch { id, model, queries }) => {
+                    core.requests.fetch_add(1, Ordering::Relaxed);
+                    self.predict(core, ReplyCtx::Binary { id }, model, queries, true);
+                }
+                Ok(wire::Request::Admin { json }) => {
+                    self.push_json(core, &json, |id| ReplyCtx::BinaryAdmin { id })
+                }
+            },
+        }
+    }
+
+    /// One JSON-semantics request: a predict to route, a command for the
+    /// router itself, or an error reply.
+    fn push_json(&mut self, core: &Core, text: &str, ctx_of: impl Fn(Option<Json>) -> ReplyCtx) {
+        let request = match Json::parse(text) {
+            Ok(json) => json,
+            Err(e) => return self.refuse(ctx_of(None), format!("bad json: {e}")),
+        };
+        let ctx = ctx_of(request.get("id").cloned());
+        let cmd = match request.get("cmd").and_then(Json::as_str) {
+            Some(cmd) => cmd.to_string(),
+            None => return self.refuse(ctx, "missing cmd".to_string()),
+        };
+        let model = match request.get("model") {
+            None => None,
+            Some(Json::Str(id)) => Some(id.clone()),
+            Some(_) => return self.refuse(ctx, "model must be a string".to_string()),
+        };
+        core.requests.fetch_add(1, Ordering::Relaxed);
+        let queries = match cmd.as_str() {
+            "predict" => query_from_json(&request).map(|query| vec![query]),
+            "batch" => match request.get("queries").and_then(Json::as_arr) {
+                Some(items) if items.len() <= MAX_BATCH_QUERIES => {
+                    items.iter().map(query_from_json).collect()
+                }
+                Some(_) => Err("batch too large".to_string()),
+                None => Err("missing queries".to_string()),
+            },
+            _ => return self.slots.push(Slot::Admin { ctx, cmd }),
+        };
+        match queries {
+            Ok(queries) => self.predict(core, ctx, model, queries, cmd == "batch"),
+            Err(e) => self.refuse(ctx, e),
+        }
+    }
+
+    fn refuse(&mut self, ctx: ReplyCtx, message: String) {
+        self.slots.push(Slot::Ready(ready_error(ctx, message)));
+    }
+
+    /// Queue one predict frame: a single query is one part, a batch one
+    /// part per owning backend.
+    fn predict(
+        &mut self,
+        core: &Core,
+        ctx: ReplyCtx,
+        model: Option<String>,
+        queries: Vec<Query>,
+        batch: bool,
+    ) {
+        let routed = self.routed.len();
+        let mut part_of: Vec<Option<usize>> = vec![None; core.backends.len()];
+        let answers = vec![Vec::new(); queries.len()];
+        for (position, query) in queries.into_iter().enumerate() {
+            let owner = core.owner_of(query.ip);
+            let p = *part_of[owner].get_or_insert_with(|| {
+                self.parts.push(Part {
+                    routed,
+                    positions: Vec::new(),
+                    queries: Vec::new(),
+                    owner,
+                    step: 0,
+                    moves: 0,
+                });
+                self.parts.len() - 1
+            });
+            self.parts[p].positions.push(position);
+            self.parts[p].queries.push(query);
+        }
+        self.routed.push(Routed {
+            ctx,
+            model,
+            batch,
+            answers,
+            error: None,
+        });
+        self.slots.push(Slot::Routed);
+    }
+}
+
+/// A backend link: one nonblocking GPSQ stream with its unsent requests,
+/// its reply decoder, and the request ids it still owes, in order.
+struct Link {
+    stream: TcpStream,
+    out: Vec<u8>,
+    /// Bytes of `out` the kernel has taken.
+    sent: usize,
+    decoder: FrameDecoder,
+    /// The parts sent and not yet answered, in send order — the order the
+    /// backend answers in. A part's index in the burst is its request id:
+    /// a part visits a backend at most once, and a link owes nothing
+    /// between bursts.
+    owed: VecDeque<usize>,
+    /// When a byte last moved while the link owed replies.
+    progress: Instant,
+    /// Whether the poller watches the link for writability.
+    watch_write: bool,
+}
+
+impl Link {
+    /// Connect to backend `b` (within the request timeout) and register
+    /// the link with `poller` under token `b`.
+    fn connect(core: &Core, b: usize, poller: &mut Poller) -> io::Result<Link> {
+        let stream = connect_timeout(core.backends[b].addr.as_str(), core.config.request_timeout)?;
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
+        poller.register(stream.as_raw_fd(), b as u64, Interest::READ)?;
+        Ok(Link {
+            stream,
+            out: Vec::new(),
+            sent: 0,
+            decoder: FrameDecoder::new(MAX_FRAME_BYTES),
+            owed: VecDeque::new(),
+            progress: Instant::now(),
+            watch_write: false,
+        })
+    }
+
+    /// Queue part `p` as one GPSQ request.
+    fn send(&mut self, p: usize, part: &Part, model: Option<&str>, batch: bool) {
+        let id = p as u64;
+        let encoded = append_binary_frame(&mut self.out, |w| {
+            if batch {
+                wire::encode_batch(Some(id), model, &part.queries, w);
+            } else {
+                wire::encode_predict(Some(id), model, &part.queries[0], w);
             }
         });
-        for (indices, group_queries, owner, outcome) in outcomes {
-            match outcome {
-                Ok(rankings) if rankings.len() == indices.len() => {
-                    for (slot_idx, ranking) in indices.iter().zip(rankings) {
-                        results[*slot_idx] = Some(ranking);
-                    }
+        // A part re-encodes a subset of a frame that fit the cap, and GPSQ
+        // is never longer than the JSON it may have arrived as.
+        assert!(encoded, "a part fits the frame cap its front frame fit");
+        if self.owed.is_empty() {
+            self.progress = Instant::now();
+        }
+        self.owed.push_back(p);
+    }
+
+    /// Write until the kernel stops taking bytes, then keep the poller's
+    /// write interest in step with what is left; `Err` means the link is
+    /// gone.
+    fn flush(&mut self, poller: &mut Poller, token: usize) -> io::Result<()> {
+        while self.sent < self.out.len() {
+            match self.stream.write(&self.out[self.sent..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    self.sent += n;
+                    self.progress = Instant::now();
                 }
-                Ok(_) => {
-                    // A short reply is protocol breakage; retry the group.
-                    failed.push((owner, indices, group_queries));
-                }
-                Err(Some(message)) => return Err(RouteError::Server(message)),
-                Err(None) => failed.push((owner, indices, group_queries)),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
             }
+        }
+        if self.sent == self.out.len() {
+            self.out.clear();
+            self.sent = 0;
+        }
+        let writable = self.sent < self.out.len();
+        if writable != self.watch_write {
+            let interest = Interest {
+                writable,
+                ..Interest::READ
+            };
+            poller.modify(self.stream.as_raw_fd(), token as u64, interest)?;
+            self.watch_write = writable;
+        }
+        Ok(())
+    }
+
+    /// One read; the reply payloads it completes go to `replies`. EOF and
+    /// undecodable bytes are errors, raised after the replies decoded
+    /// before them.
+    fn read(&mut self, chunk: &mut [u8], replies: &mut Vec<Vec<u8>>) -> io::Result<()> {
+        match self.stream.read(chunk) {
+            Ok(0) => Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                self.progress = Instant::now();
+                self.decoder
+                    .feed(&chunk[..n], replies)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+            }
+            Err(e) => match e.kind() {
+                io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted => Ok(()),
+                _ => Err(e),
+            },
         }
     }
-    // Retry pass: each failed group walks its alternates in order.
-    for (owner, indices, group_queries) in failed {
-        let mut answered = false;
-        let mut attempts = 0usize;
-        for idx in candidates(owner, n).skip(1) {
-            if attempts >= core.config.max_retries {
-                break;
-            }
-            if !core.backends[idx].available() {
-                continue;
-            }
-            attempts += 1;
-            core.retries.fetch_add(1, Ordering::Relaxed);
-            match attempt(core, &mut pool.clients[idx], idx, |c| {
-                c.predict_batch_on(model, &group_queries)
-            }) {
-                Ok(rankings) if rankings.len() == indices.len() => {
-                    for (slot_idx, ranking) in indices.iter().zip(rankings) {
-                        results[*slot_idx] = Some(ranking);
-                    }
-                    answered = true;
-                    break;
+
+    /// File each decoded reply against the request at the head of the
+    /// owed queue. A reply to the wrong id, of the wrong kind or length,
+    /// or to nothing at all is a protocol break: the caller fails the link.
+    fn deliver(
+        &mut self,
+        backend: &BackendState,
+        replies: &mut Vec<Vec<u8>>,
+        burst: &mut Burst,
+    ) -> io::Result<()> {
+        let answered = !replies.is_empty();
+        for payload in replies.drain(..) {
+            let broken = || io::Error::new(io::ErrorKind::InvalidData, "reply out of step");
+            let p = *self.owed.front().ok_or_else(broken)?;
+            let id = p as u64;
+            let part = &burst.parts[p];
+            let routed = &mut burst.routed[part.routed];
+            match wire::decode_response(&payload) {
+                Ok(wire::Response::Predict { id: got, ranking })
+                    if got == Some(id) && !routed.batch =>
+                {
+                    routed.answers[part.positions[0]] = ranking;
+                    backend.forwarded.fetch_add(1, Ordering::Relaxed);
                 }
-                Ok(_) | Err(None) => continue,
-                Err(Some(message)) => return Err(RouteError::Server(message)),
+                Ok(wire::Response::Batch { id: got, rankings })
+                    if got == Some(id)
+                        && routed.batch
+                        && rankings.len() == part.positions.len() =>
+                {
+                    for (&position, ranking) in part.positions.iter().zip(rankings) {
+                        routed.answers[position] = ranking;
+                    }
+                    backend.forwarded.fetch_add(1, Ordering::Relaxed);
+                }
+                // An application error is an *answer*: deterministic, and
+                // the stream is still in step — forward it, keep the link.
+                Ok(wire::Response::Error { id: got, message }) if got == Some(id) => {
+                    routed.error.get_or_insert(message);
+                }
+                _ => return Err(broken()),
             }
+            self.owed.pop_front();
         }
-        if !answered {
-            core.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(RouteError::Overloaded);
+        if answered {
+            backend.record_ok();
         }
+        Ok(())
     }
-    Ok(results
-        .into_iter()
-        .map(|r| r.expect("every query answered or frame errored"))
-        .collect())
 }
 
-/// Handle one admin-shaped JSON command against the router itself.
-/// Returns `None` for commands the router does not implement.
-fn admin_response(core: &Core, pool: &mut BackendPool, cmd: &str) -> Option<Json> {
+/// One front connection's side of the hop: a link per backend (connected
+/// on first use, dropped on failure) and the poller that drives them.
+struct Hop<'a> {
+    core: &'a Core,
+    links: Vec<Option<Link>>,
+    /// Backends whose link failed during the current burst: not tried
+    /// again before the next one, so a dead or black-holed backend costs
+    /// a burst one failure, not one per part.
+    failed: Vec<bool>,
+    poller: Poller,
+    events: Vec<Event>,
+    chunk: Vec<u8>,
+    replies: Vec<Vec<u8>>,
+}
+
+impl<'a> Hop<'a> {
+    fn new(core: &'a Core) -> io::Result<Hop<'a>> {
+        Ok(Hop {
+            core,
+            links: core.backends.iter().map(|_| None).collect(),
+            failed: vec![false; core.backends.len()],
+            poller: Poller::new(false)?,
+            events: Vec::new(),
+            chunk: vec![0u8; READ_CHUNK],
+            replies: Vec::new(),
+        })
+    }
+
+    /// Answer one read burst's frames into `out`, in request order:
+    /// route every predict, then run the admin commands, then encode.
+    fn answer(&mut self, format: WireFormat, frames: &mut Vec<Vec<u8>>, out: &mut Vec<u8>) {
+        let mut burst = Burst::default();
+        for payload in frames.drain(..) {
+            burst.push_frame(self.core, format, &payload);
+        }
+        self.exchange(&mut burst);
+        let mut routed = burst.routed.into_iter();
+        for slot in burst.slots {
+            match slot {
+                Slot::Ready(reply) => encode_ready(reply, out),
+                Slot::Routed => {
+                    let frame = routed.next().expect("one routed entry per routed slot");
+                    match frame.error {
+                        Some(message) => encode_ready(ready_error(frame.ctx, message), out),
+                        None => encode_predict_reply(&frame.ctx, &frame.answers, frame.batch, out),
+                    }
+                }
+                Slot::Admin { ctx, cmd } => encode_ready(admin_reply(self.core, ctx, &cmd), out),
+            }
+        }
+    }
+
+    /// Put every part of the burst on a backend link, then write and read
+    /// the links until each part is answered or its frame shed. A link
+    /// that fails hands its unanswered parts back for re-placement.
+    fn exchange(&mut self, burst: &mut Burst) {
+        let timeout = self.core.config.request_timeout;
+        self.failed.fill(false);
+        let mut queue: VecDeque<(usize, bool)> =
+            (0..burst.parts.len()).map(|p| (p, false)).collect();
+        loop {
+            self.place(burst, &mut queue);
+            let mut wait: Option<Duration> = None;
+            for b in 0..self.links.len() {
+                let Some(link) = self.links[b].as_mut().filter(|l| !l.owed.is_empty()) else {
+                    continue;
+                };
+                let alive = link.flush(&mut self.poller, b);
+                let left = timeout.saturating_sub(link.progress.elapsed());
+                if alive.is_err() || left.is_zero() {
+                    self.fail(b, &mut queue);
+                } else {
+                    wait = Some(wait.map_or(left, |w| w.min(left)));
+                }
+            }
+            if !queue.is_empty() {
+                continue;
+            }
+            let Some(wait) = wait else {
+                return; // nothing owed on any link
+            };
+            if self.poller.wait(Some(wait), &mut self.events).is_err() {
+                continue; // the deadlines above still bound the burst
+            }
+            for i in 0..self.events.len() {
+                let event = self.events[i];
+                let b = event.token as usize;
+                let Some(link) = self.links[b].as_mut() else {
+                    continue; // failed earlier in this pass
+                };
+                // A no-op unless requests are waiting for room.
+                let mut result = link.flush(&mut self.poller, b);
+                if result.is_ok() && (event.readable || event.failed) {
+                    result = link.read(&mut self.chunk, &mut self.replies);
+                    let delivered = link.deliver(&self.core.backends[b], &mut self.replies, burst);
+                    result = result.and(delivered);
+                }
+                if result.is_err() {
+                    self.fail(b, &mut queue);
+                }
+            }
+        }
+    }
+
+    /// Put each queued part on the link of its first available candidate
+    /// — after the backend it failed on, when `moving`. A part out of
+    /// candidates or out of retries sheds its frame.
+    fn place(&mut self, burst: &mut Burst, queue: &mut VecDeque<(usize, bool)>) {
+        let core = self.core;
+        let n = core.backends.len();
+        while let Some((p, moving)) = queue.pop_front() {
+            let part = &mut burst.parts[p];
+            let routed = &mut burst.routed[part.routed];
+            let from = part.step + usize::from(moving);
+            let next = if moving && part.moves >= core.config.max_retries {
+                None
+            } else {
+                candidates(part.owner, n)
+                    .enumerate()
+                    .skip(from)
+                    .find(|&(_, b)| !self.failed[b] && core.backends[b].available())
+            };
+            let Some((step, b)) = next else {
+                if routed.error.is_none() {
+                    routed.error = Some(OVERLOADED.to_string());
+                    core.shed.fetch_add(1, Ordering::Relaxed);
+                }
+                continue;
+            };
+            part.step = step;
+            if moving {
+                part.moves += 1;
+                core.retries.fetch_add(1, Ordering::Relaxed);
+            }
+            if self.links[b].is_none() {
+                match Link::connect(core, b, &mut self.poller) {
+                    Ok(link) => self.links[b] = Some(link),
+                    Err(_) => {
+                        self.fail(b, queue);
+                        queue.push_back((p, true));
+                        continue;
+                    }
+                }
+            }
+            let link = self.links[b].as_mut().expect("link connected above");
+            link.send(p, part, routed.model.as_deref(), routed.batch);
+        }
+    }
+
+    /// Drop backend `b`'s link (never reuse a stream that failed), count
+    /// the failure, and queue every part it still owed to move on.
+    fn fail(&mut self, b: usize, queue: &mut VecDeque<(usize, bool)>) {
+        if let Some(link) = self.links[b].take() {
+            let _ = self.poller.deregister(link.stream.as_raw_fd());
+            queue.extend(link.owed.into_iter().map(|p| (p, true)));
+        }
+        self.failed[b] = true;
+        self.core.backends[b].record_failure();
+    }
+}
+
+/// Answer one admin-shaped JSON command against the router itself;
+/// commands it does not implement get an error naming the backends.
+fn admin_reply(core: &Core, ctx: ReplyCtx, cmd: &str) -> ReadyReply {
+    let mut json = ok_response();
     match cmd {
         "ping" => {
-            let mut json = ok_response();
             json.set("pong", true);
-            Some(json)
         }
         "stats" => {
-            let mut json = ok_response();
             json.set("stats", core.stats_json());
-            Some(json)
         }
         "reset-stats" => {
+            // Best effort onward: a loadgen phase boundary wants the
+            // whole tier zeroed; a dead backend just misses the reset. A
+            // short-lived client per backend keeps the call out of the
+            // links and out of the `forwarded` counts.
+            let config = ClientConfig::timeouts(WireFormat::Binary, core.config.request_timeout);
+            for b in &core.backends {
+                if let Ok(mut client) = Client::connect_config(b.addr.as_str(), &config) {
+                    let _ = client.reset_stats();
+                }
+            }
             core.requests.store(0, Ordering::Relaxed);
             core.retries.store(0, Ordering::Relaxed);
             core.shed.store(0, Ordering::Relaxed);
@@ -618,219 +871,43 @@ fn admin_response(core: &Core, pool: &mut BackendPool, cmd: &str) -> Option<Json
                 b.forwarded.store(0, Ordering::Relaxed);
                 b.errors.store(0, Ordering::Relaxed);
             }
-            // Best effort onward: a loadgen phase boundary wants the
-            // whole tier zeroed; a dead backend just misses the reset.
-            for idx in 0..core.backends.len() {
-                let _ = attempt(core, &mut pool.clients[idx], idx, |c| c.reset_stats());
-            }
-            Some(ok_response())
         }
         "shutdown" => {
             core.begin_drain();
-            let mut json = ok_response();
             json.set("draining", true);
-            Some(json)
         }
-        _ => None,
+        other => {
+            let message = format!("cmd {other:?} is not routed (ask a backend)");
+            return ready_error(ctx, message);
+        }
     }
-}
-
-/// Classify-and-answer one JSON-semantics request against the router;
-/// the router's analog of the server's `classify_json`.
-fn handle_json(
-    core: &Core,
-    pool: &mut BackendPool,
-    text: &str,
-    ctx_of: impl Fn(Option<Json>) -> ReplyCtx,
-    out: &mut Vec<u8>,
-) {
-    let request = match Json::parse(text) {
-        Ok(json) => json,
-        Err(e) => {
-            encode_ready(ready_error(ctx_of(None), format!("bad json: {e}")), out);
-            return;
-        }
-    };
-    let id = request.get("id").cloned();
-    let ctx = ctx_of(id);
-    let cmd = match request.get("cmd").and_then(Json::as_str) {
-        Some(cmd) => cmd.to_string(),
-        None => {
-            encode_ready(ready_error(ctx, "missing cmd".to_string()), out);
-            return;
-        }
-    };
-    let model = match request.get("model") {
-        None => None,
-        Some(Json::Str(id)) => Some(id.clone()),
-        Some(_) => {
-            encode_ready(ready_error(ctx, "model must be a string".to_string()), out);
-            return;
-        }
-    };
-    core.requests.fetch_add(1, Ordering::Relaxed);
-    match cmd.as_str() {
-        "predict" => match query_from_json(&request) {
-            Ok(query) => match route_single(core, pool, model.as_deref(), &query) {
-                Ok(ranking) => {
-                    encode_predict_reply(&ctx, &[ranking], false, out);
-                }
-                Err(e) => encode_ready(ready_error(ctx, e.message()), out),
-            },
-            Err(e) => encode_ready(ready_error(ctx, e), out),
-        },
-        "batch" => {
-            let items = match request.get("queries").and_then(Json::as_arr) {
-                Some(items) if items.len() <= MAX_BATCH_QUERIES => items,
-                Some(_) => {
-                    encode_ready(ready_error(ctx, "batch too large".to_string()), out);
-                    return;
-                }
-                None => {
-                    encode_ready(ready_error(ctx, "missing queries".to_string()), out);
-                    return;
-                }
-            };
-            let mut queries = Vec::with_capacity(items.len());
-            for item in items {
-                match query_from_json(item) {
-                    Ok(query) => queries.push(query),
-                    Err(e) => {
-                        encode_ready(ready_error(ctx, e), out);
-                        return;
-                    }
-                }
-            }
-            match route_batch(core, pool, model.as_deref(), &queries) {
-                Ok(rankings) => {
-                    encode_predict_reply(&ctx, &rankings, true, out);
-                }
-                Err(e) => encode_ready(ready_error(ctx, e.message()), out),
-            }
-        }
-        other => match admin_response(core, pool, other) {
-            Some(response) => encode_ready(ready_of(ctx, response), out),
-            None => encode_ready(
-                ready_error(ctx, format!("cmd {other:?} is not routed (ask a backend)")),
-                out,
-            ),
-        },
-    }
-}
-
-/// Wrap a finished JSON response in the right envelope for `ctx`.
-fn ready_of(ctx: ReplyCtx, response: Json) -> ReadyReply {
-    match ctx {
-        ReplyCtx::Json { id } => ReadyReply::Json { response, id },
-        ReplyCtx::BinaryAdmin { id } => ReadyReply::BinaryAdmin { response, id },
-        ReplyCtx::Http { id, keep_alive } => ReadyReply::Http {
-            response,
-            id,
-            keep_alive,
-        },
-        // Native binary contexts never reach here (they answer through
-        // `encode_predict_reply` or pong/error frames).
-        ReplyCtx::Binary { id } => ReadyReply::BinaryError {
-            id,
-            message: "internal: JSON reply on a binary context".to_string(),
-        },
-    }
+    ready_json(ctx, json)
 }
 
 /// Serve one accepted front connection until EOF, framing error, or
-/// drain: one blocking thread per front connection, with routing in
-/// place of local predict work.
-fn serve_front_connection(core: &Core, stream: TcpStream) -> io::Result<()> {
-    let mut reader = io::BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+/// drain: each read burst is routed through the hop as a whole and
+/// answered with one write. Frames decoded before a framing error are
+/// still answered; then the connection closes.
+fn serve_front_connection(core: &Core, mut stream: TcpStream) -> io::Result<()> {
+    let mut hop = Hop::new(core)?;
     let mut decoder = FrameDecoder::new(MAX_FRAME_BYTES);
-    let mut pool = BackendPool::new(core.backends.len());
+    let mut chunk = vec![0u8; READ_CHUNK];
+    let mut frames: Vec<Vec<u8>> = Vec::new();
     let mut out: Vec<u8> = Vec::new();
     loop {
-        let payload = match read_frame_payload(&mut reader, &mut decoder) {
-            Ok(Some(payload)) => payload,
-            result => {
-                if !out.is_empty() {
-                    let _ = writer.write_all(&out);
-                }
-                return result.map(|_| ());
-            }
+        let n = match stream.read(&mut chunk) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         };
-        let format = decoder.format().unwrap_or(WireFormat::Json);
-        match format {
-            WireFormat::Json => match std::str::from_utf8(&payload) {
-                Ok(text) => {
-                    handle_json(core, &mut pool, text, |id| ReplyCtx::Json { id }, &mut out)
-                }
-                Err(_) => encode_ready(
-                    ReadyReply::Json {
-                        response: error_response("bad json: frame is not utf-8"),
-                        id: None,
-                    },
-                    &mut out,
-                ),
-            },
-            WireFormat::Binary => match wire::decode_request(&payload) {
-                Err(e) => encode_ready(
-                    ReadyReply::BinaryError {
-                        id: e.id,
-                        message: e.message,
-                    },
-                    &mut out,
-                ),
-                Ok(wire::Request::Ping { id }) => {
-                    core.requests.fetch_add(1, Ordering::Relaxed);
-                    encode_ready(ReadyReply::Pong { id }, &mut out);
-                }
-                Ok(wire::Request::Predict { id, model, query }) => {
-                    core.requests.fetch_add(1, Ordering::Relaxed);
-                    let ctx = ReplyCtx::Binary { id };
-                    match route_single(core, &mut pool, model.as_deref(), &query) {
-                        Ok(ranking) => encode_predict_reply(&ctx, &[ranking], false, &mut out),
-                        Err(e) => encode_ready(
-                            ReadyReply::BinaryError {
-                                id,
-                                message: e.message(),
-                            },
-                            &mut out,
-                        ),
-                    }
-                }
-                Ok(wire::Request::Batch { id, model, queries }) => {
-                    core.requests.fetch_add(1, Ordering::Relaxed);
-                    let ctx = ReplyCtx::Binary { id };
-                    match route_batch(core, &mut pool, model.as_deref(), &queries) {
-                        Ok(rankings) => encode_predict_reply(&ctx, &rankings, true, &mut out),
-                        Err(e) => encode_ready(
-                            ReadyReply::BinaryError {
-                                id,
-                                message: e.message(),
-                            },
-                            &mut out,
-                        ),
-                    }
-                }
-                Ok(wire::Request::Admin { json }) => {
-                    handle_json(
-                        core,
-                        &mut pool,
-                        &json,
-                        |id| ReplyCtx::BinaryAdmin { id },
-                        &mut out,
-                    );
-                }
-            },
-        }
-        // Flush replies as on the server: coalesce only while more
-        // pipelined requests are already buffered.
-        if reader.buffer().is_empty() || out.len() >= 64 * 1024 {
-            writer.write_all(&out)?;
+        let framing = decoder.feed(&chunk[..n], &mut frames);
+        if !frames.is_empty() {
+            let format = decoder.format().unwrap_or(WireFormat::Json);
+            hop.answer(format, &mut frames, &mut out);
+            stream.write_all(&out)?;
             out.clear();
         }
-        if core.is_draining() && reader.buffer().is_empty() {
-            if !out.is_empty() {
-                writer.write_all(&out)?;
-            }
+        if n == 0 || framing.is_err() || core.is_draining() {
             return Ok(());
         }
     }
@@ -998,11 +1075,7 @@ impl Router {
         std::thread::Builder::new()
             .name("gps-route-accept".to_string())
             .spawn(move || {
-                for stream in listener.incoming() {
-                    let stream = match stream {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
+                for stream in listener.incoming().flatten() {
                     if accept_core.is_draining() {
                         accept_core.conns_rejected.fetch_add(1, Ordering::Relaxed);
                         continue; // dropping the stream closes it
@@ -1029,11 +1102,7 @@ impl Router {
                 std::thread::Builder::new()
                     .name("gps-route-http".to_string())
                     .spawn(move || {
-                        for stream in http_listener.incoming() {
-                            let stream = match stream {
-                                Ok(s) => s,
-                                Err(_) => continue,
-                            };
+                        for stream in http_listener.incoming().flatten() {
                             // HTTP stays reachable during drain: health
                             // checkers must see the 503 and operators
                             // the drain finishing in /metrics.
@@ -1229,13 +1298,20 @@ mod tests {
             b.record_failure();
             b.record_failure();
         }
-        let mut pool = BackendPool::new(2);
+        let mut hop = Hop::new(&core).expect("poller");
+        let mut burst = Burst::default();
         let query = Query::new(Ip::from_octets(10, 0, 0, 1));
-        match route_single(&core, &mut pool, None, &query) {
-            Err(RouteError::Overloaded) => {}
-            _ => panic!("expected overloaded"),
-        }
+        burst.predict(
+            &core,
+            ReplyCtx::Binary { id: None },
+            None,
+            vec![query],
+            false,
+        );
+        hop.exchange(&mut burst);
+        assert_eq!(burst.routed[0].error.as_deref(), Some(OVERLOADED));
         assert_eq!(core.shed.load(Ordering::Relaxed), 1);
+        assert_eq!(core.retries.load(Ordering::Relaxed), 0, "nothing was tried");
     }
 
     #[test]

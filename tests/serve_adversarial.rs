@@ -79,6 +79,102 @@ mod gpsq {
         r.read_exact(&mut payload).expect("payload");
         payload
     }
+
+    // The request and reply kinds the router tests pipeline, on the
+    // `gps_types::binary` primitives GPSQ is built from.
+    use gps::serve::{Query, Ranked};
+    use gps::types::binary::{ByteReader, ByteWriter};
+    use gps::types::Port;
+
+    fn header(kind: u8, id: Option<u64>, model: Option<&str>) -> ByteWriter {
+        let mut w = ByteWriter::new();
+        w.put_bytes(b"GPSQ");
+        w.put_u8(1); // version
+        w.put_u8(kind);
+        w.put_u8(u8::from(id.is_some()) | (u8::from(model.is_some()) << 1));
+        if let Some(id) = id {
+            w.put_varint(id);
+        }
+        if let Some(model) = model {
+            w.put_str(model);
+        }
+        w
+    }
+
+    fn put_query(w: &mut ByteWriter, query: &Query) {
+        w.put_u32(query.ip.0);
+        w.put_u8(u8::from(query.asn.is_some()));
+        if let Some(asn) = query.asn {
+            w.put_varint(u64::from(asn));
+        }
+        w.put_varint(query.top as u64);
+        w.put_port_deltas(query.open.iter().map(|p| p.0));
+    }
+
+    pub fn predict_frame(id: u64, model: Option<&str>, query: &Query) -> Vec<u8> {
+        let mut w = header(2, Some(id), model);
+        put_query(&mut w, query);
+        frame(w.into_bytes())
+    }
+
+    pub fn batch_frame(id: u64, queries: &[Query]) -> Vec<u8> {
+        let mut w = header(3, Some(id), None);
+        w.put_varint(queries.len() as u64);
+        for query in queries {
+            put_query(&mut w, query);
+        }
+        frame(w.into_bytes())
+    }
+
+    /// A JSON admin command in the binary envelope.
+    pub fn admin_frame(json: &str) -> Vec<u8> {
+        let mut w = header(4, None, None);
+        w.put_bytes(json.as_bytes());
+        frame(w.into_bytes())
+    }
+
+    /// One decoded reply; ids are the header's (admin replies carry
+    /// theirs inside the JSON).
+    #[derive(Debug)]
+    pub enum Reply {
+        Error(Option<u64>, String),
+        Pong(Option<u64>),
+        Predict(Option<u64>, Ranked),
+        Batch(Option<u64>, Vec<Ranked>),
+        Admin(String),
+    }
+
+    fn ranking(r: &mut ByteReader<'_>) -> Ranked {
+        let ports = r.port_deltas().expect("ports");
+        ports
+            .into_iter()
+            .map(|port| (Port(port), r.f64().expect("probability")))
+            .collect()
+    }
+
+    pub fn decode(payload: &[u8]) -> Reply {
+        let mut r = ByteReader::new(payload);
+        assert_eq!(r.take(4).expect("magic"), b"GPSQ");
+        assert_eq!(r.u8().expect("version"), 1);
+        let kind = r.u8().expect("kind");
+        let flags = r.u8().expect("flags");
+        let id = (flags & 1 != 0).then(|| r.varint().expect("id"));
+        match kind {
+            0 => Reply::Error(id, r.str().expect("message").to_string()),
+            1 => Reply::Pong(id),
+            2 => Reply::Predict(id, ranking(&mut r)),
+            3 => {
+                let count = r.varint().expect("count");
+                Reply::Batch(id, (0..count).map(|_| ranking(&mut r)).collect())
+            }
+            4 => Reply::Admin(
+                std::str::from_utf8(r.take(r.remaining()).expect("rest"))
+                    .expect("utf-8")
+                    .to_string(),
+            ),
+            other => panic!("unknown reply kind {other}"),
+        }
+    }
 }
 
 /// A tiny hand-built model (no training): 80 predicts 443, one prior.
@@ -811,12 +907,12 @@ mod router_adversarial {
     use gps::serve::{Router, RouterConfig, RouterHandle};
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    fn owner_of(ip: Ip, n: usize) -> usize {
+    pub(super) fn owner_of(ip: Ip, n: usize) -> usize {
         (((ip.0 >> 16) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n
     }
 
     /// An IP in `10.x.0.0/16` space owned by backend `want` of `n`.
-    fn ip_owned_by(want: usize, n: usize) -> Ip {
+    pub(super) fn ip_owned_by(want: usize, n: usize) -> Ip {
         (0u32..256)
             .map(|x| Ip::from_octets(10, x as u8, 3, 4))
             .find(|&ip| owner_of(ip, n) == want)
@@ -946,6 +1042,55 @@ mod router_adversarial {
         );
     }
 
+    /// A stalled backend inside one pipelined burst: its 32 queries wait
+    /// out one deadline together — one per burst, not one per query —
+    /// then move to the healthy backend, each exactly once, while the
+    /// healthy backend's 32 are answered meanwhile. Nothing is shed.
+    #[test]
+    fn stalled_backend_inside_a_pipelined_burst_costs_one_deadline() {
+        let (_real_server, real_addr) = spawn("events", TransportConfig::default());
+        let (stall_addr, stall_conns) = spawn_staller();
+        let timeout = Duration::from_millis(300);
+        let handle = Router::start(
+            "127.0.0.1:0",
+            None,
+            RouterConfig {
+                backends: vec![real_addr.to_string(), stall_addr.to_string()],
+                probe_interval: Duration::from_secs(60),
+                request_timeout: timeout,
+                max_retries: 2,
+            },
+        )
+        .expect("router starts");
+        let (healthy, stalled) = (ip_owned_by(0, 2), ip_owned_by(1, 2));
+        let mut client = Client::connect(handle.addr()).expect("connect router");
+        // 64 JSON frames of ~60 bytes stay inside the client's 8 KiB
+        // writer: the first receive flushes them as one write.
+        let ids: Vec<u64> = (0..64u32)
+            .map(|i| {
+                let base = if i % 2 == 0 { stalled } else { healthy };
+                let query = Query::new(Ip(base.0 + i)).with_open([80]);
+                client.predict_send(None, &query).expect("buffered send")
+            })
+            .collect();
+        let t0 = Instant::now();
+        for id in ids {
+            let ranked = client.predict_recv(id).expect("answered despite the stall");
+            assert_eq!(ranked[0], (Port(443), 0.9));
+        }
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < 2 * timeout,
+            "one deadline per burst, got {elapsed:?} against a {timeout:?} deadline"
+        );
+        assert!(
+            stall_conns.load(Ordering::Relaxed) > 0,
+            "the staller was tried"
+        );
+        assert_eq!(handle.shed_total(), 0, "the healthy backend covered");
+        assert_eq!(handle.retries_total(), 32, "each stalled query moved once");
+    }
+
     /// A backend that replies with garbage bytes: the router abandons the
     /// poisoned backend connection, retries on the healthy alternate, and
     /// the *front* connection keeps working — protocol corruption on a
@@ -1036,6 +1181,443 @@ mod router_adversarial {
             .predict_on(None, &Query::new(Ip::from_octets(10, 4, 5, 6)))
             .expect_err("still shedding");
         assert!(err.to_string().contains("overloaded"));
+    }
+}
+
+/// The router hop under pipelined bursts: everything one client write
+/// carries is routed at once — singles and batch parts to both backends,
+/// admin frames after the predicts — and answered in request order, on
+/// both front wires.
+mod router_hop {
+    use super::router_adversarial::{ip_owned_by, owner_of};
+    use super::*;
+    use gps::core::{censys_dataset, run_gps, GpsConfig, ModelSnapshot};
+    use gps::serve::proto::{query_to_json, ranked_from_json, MAX_TOP};
+    use gps::serve::{Router, RouterConfig, RouterHandle};
+    use gps::synthnet::{Internet, UniverseConfig};
+
+    /// A model trained on the quick universe, and that universe's hosts.
+    fn trained() -> (ModelSnapshot, Vec<Ip>) {
+        let net = Internet::generate(&UniverseConfig::tiny(42));
+        let dataset = censys_dataset(&net, 200, 0.05, 0, 1);
+        let config = GpsConfig {
+            seed_fraction: 0.05,
+            step_prefix: 16,
+            ..GpsConfig::default()
+        };
+        let run = run_gps(&net, &dataset, &config);
+        let hosts = net.host_ips().iter().map(|&ip| Ip(ip)).collect();
+        (ModelSnapshot::from_run(&run, &config, 42), hosts)
+    }
+
+    type Backend = (Arc<PredictionServer>, SocketAddr);
+
+    /// Two backends serving `model()`, behind a router with its HTTP
+    /// sideline and the shipping defaults otherwise.
+    fn tier(model: impl Fn() -> ServableModel) -> (Vec<Backend>, RouterHandle) {
+        let backends: Vec<Backend> = (0..2)
+            .map(|_| spawn_model(model(), "events", TransportConfig::default()))
+            .collect();
+        let router = Router::start(
+            "127.0.0.1:0",
+            Some("127.0.0.1:0"),
+            RouterConfig {
+                backends: backends.iter().map(|(_, addr)| addr.to_string()).collect(),
+                ..RouterConfig::default()
+            },
+        )
+        .expect("router starts");
+        (backends, router)
+    }
+
+    /// `count` queries over both owners with varied evidence: an IP owned
+    /// by each backend first, then hosts of the trained universe.
+    fn queries(hosts: &[Ip], count: usize, top: usize) -> Vec<Query> {
+        let evidence: [&[u16]; 4] = [&[], &[80], &[443], &[22, 80]];
+        (0..count)
+            .map(|i| {
+                let ip = if i < 2 {
+                    ip_owned_by(i, 2)
+                } else {
+                    hosts[(i * 7919) % hosts.len()]
+                };
+                let mut query = Query::new(ip).with_open(evidence[i % 4].iter().copied());
+                query.top = top;
+                query
+            })
+            .collect()
+    }
+
+    fn same(got: &Ranked, want: &Ranked) -> bool {
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(g, w)| g.0 == w.0 && g.1.to_bits() == w.1.to_bits())
+    }
+
+    enum Req<'a> {
+        Predict(Option<&'a str>, &'a Query),
+        Batch(&'a [Query]),
+        Ping,
+        Stats,
+    }
+
+    /// One request frame carrying `id`, on `wire`.
+    fn encode(wire: WireFormat, id: u64, req: Req<'_>) -> Vec<u8> {
+        if wire == WireFormat::Binary {
+            return match req {
+                Req::Predict(model, query) => gpsq::predict_frame(id, model, query),
+                Req::Batch(queries) => gpsq::batch_frame(id, queries),
+                Req::Ping => gpsq::ping_frame(id),
+                Req::Stats => gpsq::admin_frame(&format!("{{\"cmd\":\"stats\",\"id\":{id}}}")),
+            };
+        }
+        let mut json = Json::obj();
+        match req {
+            Req::Predict(model, query) => {
+                json = query_to_json(query);
+                json.set("cmd", "predict");
+                if let Some(model) = model {
+                    json.set("model", model);
+                }
+            }
+            Req::Batch(queries) => {
+                let queries = queries.iter().map(query_to_json).collect::<Vec<_>>();
+                json.set("cmd", "batch").set("queries", queries);
+            }
+            Req::Ping => {
+                json.set("cmd", "ping");
+            }
+            Req::Stats => {
+                json.set("cmd", "stats");
+            }
+        }
+        json.set("id", Json::Num(id as f64));
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &json).expect("encode");
+        bytes
+    }
+
+    /// What one front reply said, whichever wire carried it.
+    #[derive(Debug)]
+    enum Said {
+        Rankings(Vec<Ranked>),
+        Error(String),
+        Pong,
+        Stats(Json),
+    }
+
+    /// Read the next reply, which must answer request `id`.
+    fn read_reply(wire: WireFormat, reader: &mut impl Read, id: u64) -> Said {
+        let (got, said) = match wire {
+            WireFormat::Json => {
+                let reply = read_frame(reader).expect("read").expect("a reply");
+                let said = if reply.get("ok").and_then(Json::as_bool) != Some(true) {
+                    Said::Error(
+                        reply
+                            .get("error")
+                            .and_then(Json::as_str)
+                            .expect("error")
+                            .into(),
+                    )
+                } else if let Some(ranking) = reply.get("predictions") {
+                    Said::Rankings(vec![ranked_from_json(ranking).expect("ranking")])
+                } else if let Some(results) = reply.get("results").and_then(Json::as_arr) {
+                    Said::Rankings(
+                        results
+                            .iter()
+                            .map(|r| ranked_from_json(r).expect("ranking"))
+                            .collect(),
+                    )
+                } else if let Some(stats) = reply.get("stats") {
+                    Said::Stats(stats.clone())
+                } else {
+                    assert_eq!(reply.get("pong").and_then(Json::as_bool), Some(true));
+                    Said::Pong
+                };
+                (reply.get("id").and_then(Json::as_u64), said)
+            }
+            WireFormat::Binary => match gpsq::decode(&gpsq::read_payload(reader)) {
+                gpsq::Reply::Predict(got, ranking) => (got, Said::Rankings(vec![ranking])),
+                gpsq::Reply::Batch(got, rankings) => (got, Said::Rankings(rankings)),
+                gpsq::Reply::Error(got, message) => (got, Said::Error(message)),
+                gpsq::Reply::Pong(got) => (got, Said::Pong),
+                gpsq::Reply::Admin(text) => {
+                    let reply = Json::parse(&text).expect("admin json");
+                    let stats = reply.get("stats").expect("a stats reply").clone();
+                    (reply.get("id").and_then(Json::as_u64), Said::Stats(stats))
+                }
+            },
+        };
+        assert_eq!(
+            got,
+            Some(id),
+            "{wire:?}: replies come back in request order"
+        );
+        said
+    }
+
+    fn rankings(said: Said) -> Vec<Ranked> {
+        match said {
+            Said::Rankings(rankings) => rankings,
+            other => panic!("expected rankings, got {other:?}"),
+        }
+    }
+
+    /// `(health, errors)` per backend, from a router `stats` payload.
+    fn health(stats: &Json) -> Vec<(String, u64)> {
+        stats
+            .get("router")
+            .and_then(|r| r.get("backends"))
+            .and_then(Json::as_arr)
+            .expect("backends")
+            .iter()
+            .map(|b| {
+                let health = b.get("health").and_then(Json::as_str).expect("health");
+                (
+                    health.to_string(),
+                    b.get("errors").and_then(Json::as_u64).expect("errors"),
+                )
+            })
+            .collect()
+    }
+
+    /// One client write carrying, in order: a single owned by each
+    /// backend, a batch spanning both owners, `ping`, `stats`, and a
+    /// predict naming an unknown model. Every reply comes back in request
+    /// order and every ranking is bit-identical to the backend model's;
+    /// the unknown model gets the backend's own error verbatim, and that
+    /// error keeps the link: neither backend accepts a connection during
+    /// the burst, and both stay up with no errors.
+    #[test]
+    fn mixed_burst_answers_in_request_order_on_both_wires() {
+        let (snapshot, hosts) = trained();
+        for wire in [WireFormat::Json, WireFormat::Binary] {
+            let (backends, router) = tier(|| ServableModel::from_snapshot(snapshot.clone()));
+            let model = backends[0].0.model();
+            let singles = queries(&hosts, 2, 8);
+            let batch = queries(&hosts, 40, 8);
+            let unknown = Query::new(hosts[0]).with_open([80]);
+            let want_error = Client::connect_with(backends[0].1, wire)
+                .expect("direct connect")
+                .predict_on(Some("no-such-model"), &unknown)
+                .expect_err("unknown model")
+                .to_string();
+
+            let stream = TcpStream::connect(router.addr()).expect("connect router");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut writer = stream;
+            // A first burst opens this connection's link to each backend.
+            let mut warm = encode(wire, 1, Req::Predict(None, &singles[0]));
+            warm.extend(encode(wire, 2, Req::Predict(None, &singles[1])));
+            writer.write_all(&warm).expect("warm-up");
+            for id in 1..=2 {
+                rankings(read_reply(wire, &mut reader, id));
+            }
+            // Direct ask + prober + link on backend 0; prober + link on 1.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let accepted = |b: usize| backends[b].0.stats().conns_accepted;
+            while accepted(0) < 3 || accepted(1) < 2 {
+                assert!(Instant::now() < deadline, "{wire:?}: links never opened");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            let before = [accepted(0), accepted(1)];
+
+            let mut burst = Vec::new();
+            let requests = [
+                Req::Predict(None, &singles[0]),
+                Req::Predict(None, &singles[1]),
+                Req::Batch(&batch),
+                Req::Ping,
+                Req::Stats,
+                Req::Predict(Some("no-such-model"), &unknown),
+            ];
+            for (id, request) in (1u64..).zip(requests) {
+                burst.extend(encode(wire, id, request));
+            }
+            writer.write_all(&burst).expect("one write");
+
+            for (id, query) in (1u64..).zip(&singles) {
+                let got = rankings(read_reply(wire, &mut reader, id));
+                assert!(
+                    same(&got[0], &model.predict(query)),
+                    "{wire:?}: single {id}"
+                );
+            }
+            let got = rankings(read_reply(wire, &mut reader, 3));
+            assert_eq!(got.len(), batch.len(), "{wire:?}");
+            for (i, (got, query)) in got.iter().zip(&batch).enumerate() {
+                assert!(
+                    same(got, &model.predict(query)),
+                    "{wire:?}: batch query {i}"
+                );
+            }
+            assert!(
+                got.iter().any(|r| !r.is_empty()),
+                "{wire:?}: the batch has real answers"
+            );
+            assert!(matches!(read_reply(wire, &mut reader, 4), Said::Pong));
+            match read_reply(wire, &mut reader, 5) {
+                Said::Stats(stats) => assert_eq!(
+                    health(&stats),
+                    [("up".to_string(), 0), ("up".to_string(), 0)],
+                    "{wire:?}"
+                ),
+                other => panic!("{wire:?}: expected stats, got {other:?}"),
+            }
+            match read_reply(wire, &mut reader, 6) {
+                Said::Error(message) => assert_eq!(message, want_error, "{wire:?}: verbatim"),
+                other => panic!("{wire:?}: expected the backend's error, got {other:?}"),
+            }
+            assert_eq!(
+                [accepted(0), accepted(1)],
+                before,
+                "{wire:?}: the error reply kept the link"
+            );
+            assert_eq!(router.retries_total(), 0, "{wire:?}");
+            assert_eq!(
+                health(&router.stats_json()),
+                [("up".to_string(), 0), ("up".to_string(), 0)]
+            );
+        }
+    }
+
+    /// Valid frames and then a garbage length prefix in the same write:
+    /// the valid frames are answered, in order, then the connection
+    /// closes — and a new connection is served.
+    #[test]
+    fn valid_frames_before_a_garbage_prefix_are_answered_then_the_connection_closes() {
+        for wire in [WireFormat::Json, WireFormat::Binary] {
+            let (_backends, router) = tier(model);
+            let singles: Vec<Query> = (0..2)
+                .map(|b| Query::new(ip_owned_by(b, 2)).with_open([80]))
+                .collect();
+            let stream = TcpStream::connect(router.addr()).expect("connect router");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut writer = stream.try_clone().expect("clone");
+            let mut bytes = encode(wire, 1, Req::Predict(None, &singles[0]));
+            bytes.extend(encode(wire, 2, Req::Predict(None, &singles[1])));
+            bytes.extend(encode(wire, 3, Req::Ping));
+            bytes.extend_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF, b'j', b'u', b'n', b'k']);
+            writer.write_all(&bytes).expect("one write");
+            for id in 1..=2 {
+                let got = rankings(read_reply(wire, &mut reader, id));
+                assert_eq!(got[0][0], (Port(443), 0.9), "{wire:?}");
+            }
+            assert!(matches!(read_reply(wire, &mut reader, 3), Said::Pong));
+            assert_closed_within(stream, Duration::from_secs(5), "router after garbage");
+
+            let mut client = Client::connect_with(router.addr(), wire).expect("new connection");
+            let ranked = client.predict(&singles[1]).expect("served");
+            assert_eq!(ranked[0], (Port(443), 0.9), "{wire:?}");
+        }
+    }
+
+    /// Several pipelined batch frames in one write, with a `top` large
+    /// enough that the replies due from each backend run to several MiB —
+    /// past the backend's write high-water mark plus the socket buffers
+    /// between it and the router. A hop that wrote everything before
+    /// reading would stall on a backend that stopped reading; this one
+    /// interleaves, so every ranking arrives bit-identical with no retry
+    /// and no backend error.
+    #[test]
+    fn large_replies_cannot_wedge_a_link() {
+        const FRAMES: usize = 10;
+        const QUERIES: usize = 4096;
+        let (snapshot, hosts) = trained();
+        let (backends, router) = tier(|| ServableModel::from_snapshot(snapshot.clone()));
+        let model = backends[0].0.model();
+        // Cold queries rank their /16's priors: the longest answers this
+        // model gives.
+        let frames: Vec<Vec<Query>> = (0..FRAMES)
+            .map(|f| {
+                (0..QUERIES)
+                    .map(|i| {
+                        let mut query = Query::new(hosts[(f * QUERIES + i) % hosts.len()]);
+                        query.top = MAX_TOP;
+                        query
+                    })
+                    .collect()
+            })
+            .collect();
+        let stream = TcpStream::connect(router.addr()).expect("connect router");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut writer = stream;
+        let mut burst = Vec::new();
+        for (id, queries) in (1u64..).zip(&frames) {
+            burst.extend(encode(WireFormat::Binary, id, Req::Batch(queries)));
+        }
+        writer.write_all(&burst).expect("one write");
+
+        // A GPSQ ranking entry is a port varint (>= 1 byte) and 8
+        // probability bytes: a lower bound on what each backend sent.
+        let mut reply_bytes = [0usize; 2];
+        for (id, queries) in (1u64..).zip(&frames) {
+            let got = rankings(read_reply(WireFormat::Binary, &mut reader, id));
+            assert_eq!(got.len(), queries.len());
+            for (i, (got, query)) in got.iter().zip(queries).enumerate() {
+                assert!(same(got, &model.predict(query)), "frame {id} query {i}");
+                reply_bytes[owner_of(query.ip, 2)] += 9 * got.len();
+            }
+        }
+        assert!(
+            reply_bytes.iter().all(|&bytes| bytes > 4 << 20),
+            "replies per backend must run to several MiB: {reply_bytes:?}"
+        );
+        assert_eq!(router.retries_total(), 0);
+        assert_eq!(
+            health(&router.stats_json()),
+            [("up".to_string(), 0), ("up".to_string(), 0)]
+        );
+    }
+
+    fn http_get(addr: SocketAddr, path: &str) -> String {
+        let mut stream = TcpStream::connect(addr).expect("http connect");
+        write!(stream, "GET {path} HTTP/1.1\r\nhost: router\r\n\r\n").expect("request");
+        let mut text = String::new();
+        stream.read_to_string(&mut text).expect("response");
+        text
+    }
+
+    /// `reset-stats` through the router zeroes the whole tier, its own
+    /// `forwarded` counters included: the onward reset it sends each
+    /// backend is not forwarded predict work.
+    #[test]
+    fn reset_stats_through_the_router_zeroes_forwarded() {
+        let (backends, router) = tier(model);
+        let mut client = Client::connect_with(router.addr(), WireFormat::Binary).expect("connect");
+        for b in 0..2 {
+            let ranked = client
+                .predict(&Query::new(ip_owned_by(b, 2)).with_open([80]))
+                .expect("predict");
+            assert_eq!(ranked[0], (Port(443), 0.9));
+        }
+        let forwarded = |stats: Json| -> Vec<u64> {
+            stats
+                .get("router")
+                .and_then(|r| r.get("backends"))
+                .and_then(Json::as_arr)
+                .expect("backends")
+                .iter()
+                .map(|b| {
+                    b.get("forwarded")
+                        .and_then(Json::as_u64)
+                        .expect("forwarded")
+                })
+                .collect()
+        };
+        assert_eq!(forwarded(client.stats().expect("stats")), [1, 1]);
+        client.reset_stats().expect("reset-stats");
+        assert_eq!(forwarded(client.stats().expect("stats")), [0, 0]);
+        let metrics = http_get(router.http_addr().expect("http sideline"), "/metrics");
+        for (_, addr) in &backends {
+            let series = format!("gps_backend_forwarded_total{{backend=\"{addr}\"}} 0");
+            assert!(
+                metrics.contains(&series),
+                "{series} missing from:\n{metrics}"
+            );
+        }
     }
 }
 
