@@ -13,25 +13,29 @@
 //!   serving thread answering a batch frame, where the ≥2× target is set.
 //!
 //! Both sides answer through their reusable-scratch entry points so the
-//! comparison is kernel vs kernel, not allocator vs allocator. A second
-//! group times GPSB bytes to a query-ready `ServableModel` (the CMPL bulk
-//! load).
+//! comparison is kernel vs kernel, not allocator vs allocator. The
+//! reference reads the run's own `FeatureRules`; the compiled side reads
+//! the snapshot. A second group times GPSB bytes to a query-ready
+//! `ServableModel`: the RULE arena's bulk load plus compiling the priors
+//! index from PRIO.
 
 use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gps_core::{GpsConfig, ModelSnapshot};
+use gps_core::{FeatureRules, GpsConfig, ModelSnapshot};
 use gps_serve::{PredictScratch, Query, ReferenceModel, ServableModel};
 use gps_synthnet::{Internet, UniverseConfig};
 use gps_types::{Ip, Port};
 
-/// Train a real snapshot on the synthetic universe so both models see
-/// production-shaped rule and priors tables.
-fn trained_snapshot(net: &Internet) -> ModelSnapshot {
+/// Train a real model on the synthetic universe so both sides see
+/// production-shaped rule and priors tables: the run's rule map and the
+/// snapshot compiled from it.
+fn trained(net: &Internet) -> (FeatureRules, ModelSnapshot) {
     let dataset = gps_core::censys_dataset(net, 100, 0.05, 0, 1);
     let config = GpsConfig::default();
     let run = gps_core::run_gps(net, &dataset, &config);
-    ModelSnapshot::from_run(&run, &config, 101)
+    let snapshot = ModelSnapshot::from_run(&run, &config, 101);
+    (run.rules, snapshot)
 }
 
 /// Query mix for the batch case: all-warm (the target is batched *warm*
@@ -62,9 +66,9 @@ fn batch_queries(net: &Internet) -> Vec<Query> {
 
 fn bench_predict_kernel(c: &mut Criterion) {
     let net = Internet::generate(&UniverseConfig::tiny(101));
-    let snapshot = trained_snapshot(&net);
+    let (rules, snapshot) = trained(&net);
     let bytes = snapshot.to_binary_bytes();
-    let reference = ReferenceModel::from_snapshot(&snapshot);
+    let reference = ReferenceModel::new(&rules, &snapshot);
     let compiled = ServableModel::from_snapshot(snapshot);
 
     let cold = Query::new(Ip(net.host_ips()[7]));
@@ -115,7 +119,7 @@ fn bench_predict_kernel(c: &mut Criterion) {
 
     let mut build = c.benchmark_group("predict_kernel_build");
     build.sample_size(20);
-    build.bench_function("load_with_cmpl", |b| {
+    build.bench_function("load", |b| {
         b.iter(|| {
             let snapshot = ModelSnapshot::from_binary_bytes(&bytes).unwrap();
             ServableModel::from_snapshot(snapshot)

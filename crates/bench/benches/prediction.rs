@@ -7,7 +7,9 @@
 use std::collections::HashSet;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gps_core::{build_predictions, group_by_host, FeatureRules, Interactions, NetFeature};
+use gps_core::{
+    build_predictions, group_by_host, CompiledRules, FeatureRules, Interactions, NetFeature,
+};
 use gps_engine::{Backend, ExecLedger};
 use gps_scan::{ScanConfig, ScanPhase, Scanner};
 use gps_synthnet::{Internet, UniverseConfig};
@@ -78,9 +80,8 @@ fn bench_prediction(c: &mut Criterion) {
                 num_priors: 0,
                 checksum: 0,
             },
-            rules,
+            rules: CompiledRules::from_rules(&rules),
             priors: Vec::new(),
-            compiled: None,
         })
     };
     let queries: Vec<gps_serve::Query> = net

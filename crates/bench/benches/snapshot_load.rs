@@ -3,7 +3,10 @@
 //! The serving subsystem's restart/reload latency is dominated by parsing
 //! the snapshot. This bench trains once on the quick universe, saves the
 //! model, and measures `ModelSnapshot::load` — what `gps serve` and a hot
-//! reload pay — and `to_binary_bytes`, what `gps export-model` pays.
+//! reload pay before `ServableModel::from_snapshot` — and
+//! `to_binary_bytes`, what `gps export-model` pays after compiling the
+//! rules once. The load decodes the RULE arena in bulk and re-validates
+//! it; it compiles nothing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gps_core::{censys_dataset, run_gps, GpsConfig, ModelSnapshot};

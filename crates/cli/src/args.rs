@@ -404,8 +404,8 @@ mod tests {
             "gps-model.gpsb"
         );
 
-        // A snapshot is one GPSB container with every section: nothing
-        // selects an encoding or strips CMPL any more.
+        // A snapshot is one GPSB container with one copy of each artifact:
+        // nothing selects an encoding or an optional section.
         for gone in [
             &["export-model", "--format", "binary"][..],
             &["export-model", "--no-compiled"],

@@ -690,6 +690,34 @@ mod tests {
         std::fs::remove_file(&args.model).ok();
     }
 
+    /// What a major-2 writer produced, hand-assembled from a current
+    /// export: the manifest says format 2.0 and declares the CMPL section
+    /// that major kept its derived compiled rules in, after RULE and PRIO.
+    fn major_2_container(current: &[u8]) -> Vec<u8> {
+        use gps_types::binary::{read_section, write_section, ByteReader, ByteWriter};
+        let mut reader = ByteReader::new(current);
+        let mut out = ByteWriter::new();
+        out.put_bytes(reader.take(5).unwrap());
+        while let Some(section) = read_section(&mut reader).unwrap() {
+            let mut payload = section.payload.to_vec();
+            if &section.tag == b"MANI" {
+                let major = format!("\"format\":[{},", gps_core::snapshot::FORMAT_MAJOR);
+                let text = String::from_utf8(payload).unwrap();
+                assert!(
+                    text.contains(&major) && text.contains("\"PRIO\"]"),
+                    "{text}"
+                );
+                payload = text
+                    .replace(&major, "\"format\":[2,")
+                    .replace("\"PRIO\"]", "\"PRIO\",\"CMPL\"]")
+                    .into_bytes();
+            }
+            write_section(&mut out, section.tag, &payload).unwrap();
+        }
+        write_section(&mut out, *b"CMPL", &[0]).unwrap();
+        out.into_bytes()
+    }
+
     #[test]
     fn binary_export_then_serve_then_wire_reload() {
         use crate::args::Command;
@@ -747,24 +775,33 @@ mod tests {
         // Reload without --model re-reads the (updated) recorded path.
         assert_eq!(client.reload(None).unwrap().generation, 2);
 
-        // A JSON file (the encoding format 1 also had) is refused at every
-        // door with an error naming GPSB, and the server keeps answering
-        // from model B on its recorded path.
+        // Older formats are refused at every door with an error naming
+        // why, and the server keeps answering from model B on its recorded
+        // path: a JSON file (the encoding format 1 also had), and a
+        // major-2 container (the rules stored twice, RULE + CMPL).
         let json_path = path_str(&dir, "old.json");
         std::fs::write(&json_path, "{\"manifest\":{\"format\":[1,0]},\"body\":{}}").unwrap();
+        let v2_path = path_str(&dir, "v2.gpsb");
+        std::fs::write(
+            &v2_path,
+            major_2_container(&std::fs::read(&path_b).unwrap()),
+        )
+        .unwrap();
         let query = Query::new(Ip(0x0A00_0001));
         let before = client.predict(&query).unwrap();
-        let mut serve_args = quick_args(Command::Serve);
-        serve_args.model = json_path.clone();
-        for err in [
-            client.reload(Some(&json_path)).unwrap_err().to_string(),
-            client
-                .load_model("old", &json_path)
-                .unwrap_err()
-                .to_string(),
-            cmd_serve(&serve_args).unwrap_err(),
+        for (path, why) in [
+            (&json_path, "not a GPSB container"),
+            (&v2_path, "unsupported snapshot format 2.0"),
         ] {
-            assert!(err.contains("not a GPSB container"), "{err}");
+            let mut serve_args = quick_args(Command::Serve);
+            serve_args.model = path.clone();
+            for err in [
+                client.reload(Some(path)).unwrap_err().to_string(),
+                client.load_model("old", path).unwrap_err().to_string(),
+                cmd_serve(&serve_args).unwrap_err(),
+            ] {
+                assert!(err.contains(why), "{err}");
+            }
         }
         assert_eq!(client.predict(&query).unwrap(), before);
         assert_eq!(client.list_models().unwrap().len(), 1);

@@ -20,6 +20,14 @@
 //!   the only granularity cold lookups can reach) over the same arena
 //!   layout, with the global fallback ranking at the tail.
 //!
+//! [`CompiledRules`] is also the on-disk rules format: a snapshot's RULE
+//! section is its key table and arenas ([`CompiledRules::parts`]), and a
+//! load hands them to [`CompiledRules::from_parts`], which re-validates
+//! the layout and rebuilds the lookup tables. [`CompiledPriors`] is not
+//! stored: it is lossy (no scan order, no coverage counts, no non-step
+//! subnets), so a snapshot keeps the ordered priors list and the serving
+//! layer compiles this index from it at load.
+//!
 //! Probabilities are carried as raw `f64` bits end to end, so answers
 //! assembled from the compiled form are **bit-identical** to the HashMap
 //! path — asserted by the parity suite in `tests/property_invariants.rs`.
@@ -107,10 +115,6 @@ fn mix(key: u64) -> u64 {
 
 /// [`CompiledRules::parts`]: `(keys, offsets, lens, ports, prob_bits)`.
 pub type RuleParts<'a> = (&'a [CondKey], &'a [u32], &'a [u32], &'a [u16], &'a [u64]);
-
-/// [`CompiledPriors::parts`]: `(step_prefix, subnet_bases,
-/// subnet_offsets, ports, prob_bits, global_len)`.
-pub type PriorParts<'a> = (u8, &'a [u32], &'a [u32], &'a [u16], &'a [u64], u32);
 
 /// The §5.4 rule list in query-optimized form. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,8 +205,9 @@ impl CompiledRules {
             .expect("freshly compiled rules are structurally valid")
     }
 
-    /// Assemble from decoded parts (the GPSB `CMPL` section), validating
-    /// every structural invariant a query relies on.
+    /// Assemble from decoded parts (the GPSB `RULE` section), validating
+    /// every structural invariant a query relies on, and build the
+    /// in-memory lookup tables for all four key classes.
     pub fn from_parts(
         keys: Vec<CondKey>,
         offsets: Vec<u32>,
@@ -322,7 +327,7 @@ impl CompiledRules {
         self.ports.len()
     }
 
-    /// Codec accessors (GPSB `CMPL` section writer).
+    /// Codec accessors (GPSB `RULE` section writer).
     pub fn parts(&self) -> RuleParts<'_> {
         (
             &self.keys,
@@ -422,61 +427,14 @@ impl CompiledPriors {
             prob_bits.push(prob.to_bits());
         }
 
-        CompiledPriors::from_parts(
+        CompiledPriors {
             step_prefix,
             subnet_bases,
             subnet_offsets,
             ports,
             prob_bits,
             global_len,
-        )
-        .expect("freshly compiled priors are structurally valid")
-    }
-
-    /// Assemble from decoded parts (the GPSB `CMPL` section), validating
-    /// every structural invariant a query relies on.
-    pub fn from_parts(
-        step_prefix: u8,
-        subnet_bases: Vec<u32>,
-        subnet_offsets: Vec<u32>,
-        ports: Vec<u16>,
-        prob_bits: Vec<u64>,
-        global_len: u32,
-    ) -> Result<CompiledPriors, String> {
-        if step_prefix > 32 {
-            return Err("bad priors step prefix".into());
         }
-        if subnet_offsets.len() != subnet_bases.len() + 1 {
-            return Err("priors offset table disagrees with subnet count".into());
-        }
-        if ports.len() != prob_bits.len() {
-            return Err("priors arenas disagree in length".into());
-        }
-        if !subnet_bases.windows(2).all(|w| w[0] < w[1]) {
-            return Err("priors subnet index not sorted/unique".into());
-        }
-        if !subnet_offsets.windows(2).all(|w| w[0] <= w[1]) {
-            return Err("priors offsets not monotonic".into());
-        }
-        if subnet_offsets.first().copied().unwrap_or(0) != 0 {
-            return Err("priors offsets must start at 0".into());
-        }
-        let tail = subnet_offsets.last().copied().unwrap_or(0) as u64;
-        if tail + global_len as u64 != ports.len() as u64 {
-            return Err("priors arena length disagrees with slices".into());
-        }
-        Ok(CompiledPriors {
-            step_prefix,
-            subnet_bases,
-            subnet_offsets,
-            ports,
-            prob_bits,
-            global_len,
-        })
-    }
-
-    pub fn step_prefix(&self) -> u8 {
-        self.step_prefix
     }
 
     /// Cold ranking for an IP: its step subnet's slice, or the global
@@ -506,18 +464,6 @@ impl CompiledPriors {
     pub fn num_subnets(&self) -> usize {
         self.subnet_bases.len()
     }
-
-    /// Codec accessors (GPSB `CMPL` section writer).
-    pub fn parts(&self) -> PriorParts<'_> {
-        (
-            self.step_prefix,
-            &self.subnet_bases,
-            &self.subnet_offsets,
-            &self.ports,
-            &self.prob_bits,
-            self.global_len,
-        )
-    }
 }
 
 /// Coverage → within-group probability weight, then descending sort with
@@ -537,16 +483,6 @@ fn normalize(ranked: &mut [(u16, f64)]) {
 pub struct CompiledModel {
     pub rules: CompiledRules,
     pub priors: CompiledPriors,
-}
-
-impl CompiledModel {
-    /// Compile a snapshot's rule map and priors list.
-    pub fn compile(rules: &FeatureRules, priors: &[PriorsEntry], step_prefix: u8) -> CompiledModel {
-        CompiledModel {
-            rules: CompiledRules::from_rules(rules),
-            priors: CompiledPriors::from_entries(priors, step_prefix),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -700,43 +636,5 @@ mod tests {
         assert!(global_ports.contains(&8443));
         let (miss_ports, _) = priors.cold(Ip::from_octets(10, 3, 0, 1));
         assert_eq!(miss_ports, priors.global().0, "/24 subnet not indexed");
-    }
-
-    #[test]
-    fn priors_from_parts_rejects_structural_corruption() {
-        let priors = CompiledPriors::from_entries(&priors_fixture(), 16);
-        let (step, bases, offsets, ports, bits, global_len) = priors.parts();
-        // Unsorted index.
-        let mut bad = bases.to_vec();
-        bad.reverse();
-        assert!(CompiledPriors::from_parts(
-            step,
-            bad,
-            offsets.to_vec(),
-            ports.to_vec(),
-            bits.to_vec(),
-            global_len
-        )
-        .is_err());
-        // Global slice disagreeing with arena length.
-        assert!(CompiledPriors::from_parts(
-            step,
-            bases.to_vec(),
-            offsets.to_vec(),
-            ports.to_vec(),
-            bits.to_vec(),
-            global_len + 1
-        )
-        .is_err());
-        // Bad prefix.
-        assert!(CompiledPriors::from_parts(
-            40,
-            bases.to_vec(),
-            offsets.to_vec(),
-            ports.to_vec(),
-            bits.to_vec(),
-            global_len
-        )
-        .is_err());
     }
 }

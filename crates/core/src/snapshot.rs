@@ -17,27 +17,34 @@
 //! ```text
 //! "GPSB" | container version (u8)
 //! MANI section: the manifest as JSON text  (forward-compatible header)
-//! RULE section: feature rules              (f64 bit patterns, exact)
+//! RULE section: the compiled rule arena    (see [`crate::compiled`])
 //! PRIO section: priors scan list
-//! CMPL section: RULE + PRIO compiled       (see [`crate::compiled`])
 //! ```
 //!
 //! Each section is `tag | u32 length | payload | u64 FNV-1a of payload`,
-//! so corruption is pinned to a section, and all four are required. The
+//! so corruption is pinned to a section, and all three are required. The
 //! manifest stays JSON inside its section: new manifest fields from newer
 //! minor versions ride through without a binary schema change. It lists
 //! the tags of the sections that follow it, and a reader requires the
-//! container to hold exactly those. Probabilities are stored as IEEE-754
-//! bit patterns, so a round trip is bit-exact by construction.
+//! container to hold exactly those.
+//!
+//! The rules are stored once, in the form a server answers from: RULE is
+//! [`CompiledRules`]' sorted key table (each key with its arena offset and
+//! length) followed by the `u16` port and `u64` probability-bit arenas as
+//! bulk little-endian arrays, re-validated by [`CompiledRules::from_parts`]
+//! on load. Probabilities are IEEE-754 bit patterns, so a round trip is
+//! bit-exact by construction. PRIO is the ordered §5.3 scan list with its
+//! coverage counts; the serving layer compiles its cold-query index from
+//! it at load.
 //!
 //! The manifest's `checksum` field — the identity `/models`, reload
 //! outcomes and `gps models` report — is FNV-1a over the canonical
 //! serialization of the manifest (checksum zeroed) followed by the RULE
-//! and PRIO payloads. Every load recomputes it, so an edit that re-seals
-//! a section's own FNV still fails, and corrupting a manifest field that
-//! drives serving (step_prefix, net_features) fails the same check as
-//! corrupting a rule. CMPL is derived from RULE + PRIO and stays outside
-//! it. Version checks are split by field: a different `format` major is
+//! and PRIO payloads: every byte a server answers from. Every load
+//! recomputes it, so an edit that re-seals a section's own FNV still
+//! fails, and corrupting a manifest field that drives serving
+//! (step_prefix, net_features) fails the same check as corrupting a rule.
+//! Version checks are split by field: a different `format` major is
 //! rejected, a newer minor is accepted (minor bumps may only add manifest
 //! fields and sections, which the reader ignores once they verify).
 //!
@@ -45,7 +52,6 @@
 //! meaningful together with the universe that produced them, which is
 //! itself a pure function of the recorded `universe_seed`.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
@@ -55,16 +61,18 @@ use gps_types::binary::{
 use gps_types::json::{fnv64, u64_from_hex, u64_to_hex, Json};
 use gps_types::{FeatureKind, FeatureValue, GpsError, Port, Subnet, Sym};
 
+use crate::compiled::CompiledRules;
 use crate::config::{GpsConfig, Interactions, NetFeature};
 use crate::model::{CondKey, NetKey};
 use crate::pipeline::GpsRun;
-use crate::predict::FeatureRules;
 use crate::priors::PriorsEntry;
 
 /// Snapshot format version. Major changes break compatibility; minor
 /// changes only add fields. Major 1 also carried the co-occurrence model
-/// (a `MODL` section) and had a JSON encoding; neither is read any more.
-pub const FORMAT_MAJOR: u32 = 2;
+/// (a `MODL` section) and had a JSON encoding; major 2 stored the rules
+/// twice, as a per-key list and as a derived compiled copy outside the
+/// manifest checksum. No reader for either is kept.
+pub const FORMAT_MAJOR: u32 = 3;
 pub const FORMAT_MINOR: u32 = 0;
 
 /// GPSB section tags. MANI must come first (it gates version checks);
@@ -73,10 +81,6 @@ pub const FORMAT_MINOR: u32 = 0;
 const SEC_MANIFEST: [u8; 4] = *b"MANI";
 const SEC_RULES: [u8; 4] = *b"RULE";
 const SEC_PRIORS: [u8; 4] = *b"PRIO";
-/// Compiled struct-of-arrays form of RULE + PRIO (see [`crate::compiled`]):
-/// derived data, loadable with a few validated bulk reads, and excluded
-/// from the manifest checksum.
-const SEC_COMPILED: [u8; 4] = *b"CMPL";
 
 /// Net-key discriminants inside binary conditioning keys.
 const NETKEY_SLASH: u8 = 0;
@@ -113,14 +117,12 @@ pub struct ModelManifest {
 #[derive(Debug, Clone)]
 pub struct ModelSnapshot {
     pub manifest: ModelManifest,
-    pub rules: FeatureRules,
+    /// The §5.4 rules, compiled: exactly what the RULE section holds.
+    pub rules: CompiledRules,
+    /// The ordered §5.3 scan list: exactly what the PRIO section holds.
     pub priors: Vec<PriorsEntry>,
-    /// The compiled struct-of-arrays form of `rules` + `priors`, present
-    /// on every loaded snapshot (from its `CMPL` section). Derived data:
-    /// the writer always recompiles from the authoritative fields, and a
-    /// snapshot built in memory compiles on demand.
-    pub compiled: Option<crate::compiled::CompiledModel>,
 }
+
 /// Errors from snapshot persistence.
 #[derive(Debug)]
 pub enum SnapshotError {
@@ -170,7 +172,8 @@ impl From<GpsError> for SnapshotError {
 }
 
 impl ModelSnapshot {
-    /// Package the artifacts of a finished [`GpsRun`] for persistence.
+    /// Package the artifacts of a finished [`GpsRun`] for persistence,
+    /// compiling its rules once.
     pub fn from_run(run: &GpsRun, config: &GpsConfig, universe_seed: u64) -> ModelSnapshot {
         let mut snapshot = ModelSnapshot {
             manifest: ModelManifest {
@@ -188,22 +191,21 @@ impl ModelSnapshot {
                 num_priors: run.priors_list.len(),
                 checksum: 0,
             },
-            rules: run.rules.clone(),
+            rules: CompiledRules::from_rules(&run.rules),
             priors: run.priors_list.clone(),
-            compiled: None,
         };
         snapshot.manifest.checksum = checksum_of(
             &snapshot.manifest,
-            &rules_to_binary(&snapshot.rules),
-            &priors_to_binary(&snapshot.priors),
+            &encode_rules(&snapshot.rules),
+            &encode_priors(&snapshot.priors),
         );
         snapshot
     }
 
     /// Serialize the snapshot to GPSB bytes.
     pub fn to_binary_bytes(&self) -> Vec<u8> {
-        let rules = rules_to_binary(&self.rules);
-        let priors = priors_to_binary(&self.priors);
+        let rules = encode_rules(&self.rules);
+        let priors = encode_priors(&self.priors);
         // The checksum is always recomputed here: the fields are public,
         // so the snapshot may have been edited since construction and a
         // stored stale checksum would produce a file that can never be
@@ -212,20 +214,7 @@ impl ModelSnapshot {
             checksum: checksum_of(&self.manifest, &rules, &priors),
             ..self.manifest.clone()
         });
-        // CMPL is compiled fresh from the authoritative fields for the
-        // same reason, never copied from `self.compiled`. Compilation is
-        // deterministic, so identical snapshots still produce identical
-        // bytes.
-        let compiled = crate::compiled::CompiledModel::compile(
-            &self.rules,
-            &self.priors,
-            self.manifest.step_prefix,
-        );
-        let body = [
-            (SEC_RULES, rules),
-            (SEC_PRIORS, priors),
-            (SEC_COMPILED, compiled_to_binary(&compiled)),
-        ];
+        let body = [(SEC_RULES, rules), (SEC_PRIORS, priors)];
         // The MANI frame declares the sections that follow it, and readers
         // require the container's tags to match exactly — otherwise
         // corrupting a section tag would demote that section to "unknown,
@@ -273,7 +262,7 @@ impl ModelSnapshot {
             );
         }
 
-        let (mut rules, mut priors, mut compiled) = (None, None, None);
+        let (mut rules, mut priors) = (None, None);
         let mut found: Vec<[u8; 4]> = Vec::new();
         while let Some(section) = read_section(&mut reader)? {
             // Every section is integrity-checked, unknown ones included:
@@ -283,7 +272,6 @@ impl ModelSnapshot {
             let slot = match section.tag {
                 SEC_RULES => &mut rules,
                 SEC_PRIORS => &mut priors,
-                SEC_COMPILED => &mut compiled,
                 SEC_MANIFEST => return Err(malformed("duplicate MANI section").into()),
                 // Unknown tags are future minor-version sections.
                 _ => continue,
@@ -299,7 +287,6 @@ impl ModelSnapshot {
         }
         let rules = rules.ok_or_else(|| malformed("missing RULE section"))?;
         let priors = priors.ok_or_else(|| malformed("missing PRIO section"))?;
-        let compiled = compiled.ok_or_else(|| malformed("missing CMPL section"))?;
         let computed = checksum_of(&manifest, rules, priors);
         if computed != manifest.checksum {
             return Err(SnapshotError::Checksum {
@@ -309,9 +296,8 @@ impl ModelSnapshot {
         }
 
         Ok(ModelSnapshot {
-            rules: FeatureRules::from_parts(rules_from_binary(rules)?),
-            priors: priors_from_binary(priors)?,
-            compiled: Some(compiled_from_binary(compiled, &manifest)?),
+            rules: decode_rules(rules)?,
+            priors: decode_priors(priors)?,
             manifest,
         })
     }
@@ -520,26 +506,31 @@ fn key_from_binary(reader: &mut ByteReader<'_>) -> Result<CondKey, GpsError> {
     }
 }
 
-/// RULE payload. Keys are sorted so identical models produce identical
-/// bytes.
-fn rules_to_binary(rules: &FeatureRules) -> Vec<u8> {
-    let mut rows: Vec<(&CondKey, &Vec<(Port, f64)>)> = rules.iter().collect();
-    rows.sort_by_key(|(k, _)| **k);
-    let mut out = ByteWriter::with_capacity(32 * rows.len());
-    out.put_varint(rows.len() as u64);
-    for (key, targets) in rows {
+/// RULE payload: the compiled key table (keys in `CondKey` order, each
+/// with its arena offset and length), then the port and probability-bit
+/// arenas as contiguous little-endian blocks. [`CompiledRules`] is
+/// deterministic, so identical models produce identical bytes.
+fn encode_rules(rules: &CompiledRules) -> Vec<u8> {
+    let (keys, offsets, lens, ports, prob_bits) = rules.parts();
+    let mut out = ByteWriter::with_capacity(16 + 16 * keys.len() + 10 * ports.len());
+    out.put_varint(keys.len() as u64);
+    for ((key, &offset), &len) in keys.iter().zip(offsets).zip(lens) {
         key_to_binary(key, &mut out);
-        out.put_varint(targets.len() as u64);
-        for &(port, prob) in targets {
-            out.put_u16(port.0);
-            out.put_f64(prob);
-        }
+        out.put_varint(offset as u64);
+        out.put_varint(len as u64);
+    }
+    out.put_varint(ports.len() as u64);
+    for &port in ports {
+        out.put_u16(port);
+    }
+    for &bits in prob_bits {
+        out.put_u64(bits);
     }
     out.into_bytes()
 }
 
 /// PRIO payload, in scan-list order.
-fn priors_to_binary(priors: &[PriorsEntry]) -> Vec<u8> {
+fn encode_priors(priors: &[PriorsEntry]) -> Vec<u8> {
     let mut out = ByteWriter::with_capacity(12 * priors.len());
     out.put_varint(priors.len() as u64);
     for entry in priors {
@@ -551,25 +542,31 @@ fn priors_to_binary(priors: &[PriorsEntry]) -> Vec<u8> {
     out.into_bytes()
 }
 
-fn rules_from_binary(payload: &[u8]) -> Result<HashMap<CondKey, Vec<(Port, f64)>>, GpsError> {
+/// Decode a RULE payload. The section is checksummed, but its slice
+/// tables are still treated as untrusted: `from_parts` re-validates every
+/// invariant a query indexes on. The arenas are read as two bulk blocks,
+/// not entry by entry.
+fn decode_rules(payload: &[u8]) -> Result<CompiledRules, GpsError> {
     let mut reader = ByteReader::new(payload);
-    let count = bounded_count(&mut reader, 4)?;
-    let mut rules = HashMap::with_capacity(count);
-    for _ in 0..count {
-        let key = key_from_binary(&mut reader)?;
-        let num_targets = bounded_count(&mut reader, 10)?;
-        let mut targets = Vec::with_capacity(num_targets);
-        for _ in 0..num_targets {
-            let port = Port(reader.u16()?);
-            targets.push((port, reader.f64()?));
-        }
-        rules.insert(key, targets);
+    // Key table: bare key (3 bytes) + offset + len varints.
+    let num_keys = bounded_count(&mut reader, 5)?;
+    let mut keys = Vec::with_capacity(num_keys);
+    let mut offsets = Vec::with_capacity(num_keys);
+    let mut lens = Vec::with_capacity(num_keys);
+    for _ in 0..num_keys {
+        keys.push(key_from_binary(&mut reader)?);
+        offsets.push(reader.varint_u32()?);
+        lens.push(reader.varint_u32()?);
     }
-    expect_consumed(&reader, "RULE")?;
-    Ok(rules)
+    let arena_len = bounded_count(&mut reader, 10)?;
+    let ports = bulk_u16(&mut reader, arena_len)?;
+    let prob_bits = bulk_u64(&mut reader, arena_len)?;
+    expect_consumed(&reader)?;
+    CompiledRules::from_parts(keys, offsets, lens, ports, prob_bits)
+        .map_err(|_| malformed("invalid RULE layout"))
 }
 
-fn priors_from_binary(payload: &[u8]) -> Result<Vec<PriorsEntry>, GpsError> {
+fn decode_priors(payload: &[u8]) -> Result<Vec<PriorsEntry>, GpsError> {
     let mut reader = ByteReader::new(payload);
     let count = bounded_count(&mut reader, 8)?;
     let mut priors = Vec::with_capacity(count);
@@ -586,106 +583,8 @@ fn priors_from_binary(payload: &[u8]) -> Result<Vec<PriorsEntry>, GpsError> {
             coverage: reader.varint()?,
         });
     }
-    expect_consumed(&reader, "PRIO")?;
+    expect_consumed(&reader)?;
     Ok(priors)
-}
-
-/// Encode a [`CompiledModel`](crate::compiled::CompiledModel) as the CMPL
-/// section payload: the rule key table (keys sorted by `CondKey` order,
-/// each with its arena offset/len), then the rule arenas as raw
-/// little-endian arrays, then the priors index and arenas the same way.
-/// The arenas are written (and read back) as single contiguous blocks, so
-/// loading is a handful of validated bulk reads instead of a per-entry
-/// decode loop.
-fn compiled_to_binary(compiled: &crate::compiled::CompiledModel) -> Vec<u8> {
-    let (keys, offsets, lens, ports, prob_bits) = compiled.rules.parts();
-    let (step_prefix, bases, subnet_offsets, pports, pbits, global_len) = compiled.priors.parts();
-    let mut out = ByteWriter::with_capacity(
-        16 + 16 * keys.len() + 10 * ports.len() + 8 * bases.len() + 10 * pports.len(),
-    );
-    out.put_u8(step_prefix);
-    out.put_varint(keys.len() as u64);
-    for ((key, &offset), &len) in keys.iter().zip(offsets).zip(lens) {
-        key_to_binary(key, &mut out);
-        out.put_varint(offset as u64);
-        out.put_varint(len as u64);
-    }
-    out.put_varint(ports.len() as u64);
-    for &port in ports {
-        out.put_u16(port);
-    }
-    for &bits in prob_bits {
-        out.put_u64(bits);
-    }
-    out.put_varint(bases.len() as u64);
-    for &base in bases {
-        out.put_u32(base);
-    }
-    for &offset in subnet_offsets {
-        out.put_u32(offset);
-    }
-    out.put_varint(global_len as u64);
-    out.put_varint(pports.len() as u64);
-    for &port in pports {
-        out.put_u16(port);
-    }
-    for &bits in pbits {
-        out.put_u64(bits);
-    }
-    out.into_bytes()
-}
-
-/// Decode and structurally validate a CMPL section payload. The payload is
-/// checksummed like every section, but its slice tables are still treated
-/// as untrusted: `from_parts` re-validates every invariant a query indexes
-/// on, and the step prefix must agree with the manifest.
-fn compiled_from_binary(
-    payload: &[u8],
-    manifest: &ModelManifest,
-) -> Result<crate::compiled::CompiledModel, SnapshotError> {
-    let mut reader = ByteReader::new(payload);
-    let step_prefix = reader.u8()?;
-    if step_prefix != manifest.step_prefix {
-        return Err(malformed("CMPL step prefix disagrees with manifest").into());
-    }
-
-    // Rule key table: bare key (3 bytes) + offset + len varints.
-    let num_keys = bounded_count(&mut reader, 5)?;
-    let mut keys = Vec::with_capacity(num_keys);
-    let mut offsets = Vec::with_capacity(num_keys);
-    let mut lens = Vec::with_capacity(num_keys);
-    for _ in 0..num_keys {
-        keys.push(key_from_binary(&mut reader)?);
-        offsets.push(reader.varint_u32()?);
-        lens.push(reader.varint_u32()?);
-    }
-    // Rule arenas: ports then probability bits, contiguous.
-    let arena_len = bounded_count(&mut reader, 10)?;
-    let ports = bulk_u16(&mut reader, arena_len)?;
-    let prob_bits = bulk_u64(&mut reader, arena_len)?;
-    let rules = crate::compiled::CompiledRules::from_parts(keys, offsets, lens, ports, prob_bits)
-        .map_err(|_| malformed("invalid CMPL rule layout"))?;
-
-    // Priors index + arenas.
-    let num_subnets = bounded_count(&mut reader, 8)?;
-    let bases = bulk_u32(&mut reader, num_subnets)?;
-    let subnet_offsets = bulk_u32(&mut reader, num_subnets + 1)?;
-    let global_len = reader.varint_u32()?;
-    let priors_arena_len = bounded_count(&mut reader, 10)?;
-    let pports = bulk_u16(&mut reader, priors_arena_len)?;
-    let pbits = bulk_u64(&mut reader, priors_arena_len)?;
-    let priors = crate::compiled::CompiledPriors::from_parts(
-        step_prefix,
-        bases,
-        subnet_offsets,
-        pports,
-        pbits,
-        global_len,
-    )
-    .map_err(|_| malformed("invalid CMPL priors layout"))?;
-
-    expect_consumed(&reader, "CMPL")?;
-    Ok(crate::compiled::CompiledModel { rules, priors })
 }
 
 fn bulk_u16(reader: &mut ByteReader<'_>, count: usize) -> Result<Vec<u16>, GpsError> {
@@ -693,14 +592,6 @@ fn bulk_u16(reader: &mut ByteReader<'_>, count: usize) -> Result<Vec<u16>, GpsEr
     Ok(bytes
         .chunks_exact(2)
         .map(|c| u16::from_le_bytes([c[0], c[1]]))
-        .collect())
-}
-
-fn bulk_u32(reader: &mut ByteReader<'_>, count: usize) -> Result<Vec<u32>, GpsError> {
-    let bytes = reader.take(count * 4)?;
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
         .collect())
 }
 
@@ -729,7 +620,7 @@ fn bounded_count(
 
 /// Trailing bytes after the declared entries mean the writer and reader
 /// disagree about the schema — reject instead of silently ignoring.
-fn expect_consumed(reader: &ByteReader<'_>, _section: &'static str) -> Result<(), GpsError> {
+fn expect_consumed(reader: &ByteReader<'_>) -> Result<(), GpsError> {
     if !reader.is_empty() {
         return Err(malformed("trailing bytes in section"));
     }
@@ -941,7 +832,7 @@ mod tests {
             Backend::SingleCore,
             &ExecLedger::new(),
         );
-        let rules = FeatureRules::build(&model, &hosts, 1e-5);
+        let rules = crate::predict::FeatureRules::build(&model, &hosts, 1e-5);
         let priors = crate::priors::build_priors_list(&model, &hosts, 16);
         let mut snapshot = ModelSnapshot {
             manifest: ModelManifest {
@@ -959,14 +850,13 @@ mod tests {
                 num_priors: priors.len(),
                 checksum: 0,
             },
-            rules,
+            rules: CompiledRules::from_rules(&rules),
             priors,
-            compiled: None,
         };
         snapshot.manifest.checksum = checksum_of(
             &snapshot.manifest,
-            &rules_to_binary(&snapshot.rules),
-            &priors_to_binary(&snapshot.priors),
+            &encode_rules(&snapshot.rules),
+            &encode_priors(&snapshot.priors),
         );
         snapshot
     }
@@ -1007,10 +897,7 @@ mod tests {
         let loaded = ModelSnapshot::from_binary_bytes(&bytes).unwrap();
         assert_eq!(loaded.manifest, snapshot.manifest);
         assert_eq!(loaded.priors, snapshot.priors);
-        assert_eq!(loaded.rules.len(), snapshot.rules.len());
-        for (key, targets) in snapshot.rules.iter() {
-            assert_eq!(loaded.rules.get(key), Some(targets.as_slice()));
-        }
+        assert_eq!(loaded.rules, snapshot.rules);
     }
 
     #[test]
@@ -1184,11 +1071,47 @@ mod tests {
     }
 
     #[test]
+    fn every_body_section_is_covered_by_the_manifest_checksum() {
+        // No section a server answers from may sit outside the identity
+        // checksum: for every body section the writer emits, a flipped
+        // byte anywhere in it — first, middle, last — with that section's
+        // own FNV re-sealed must still fail as a checksum mismatch.
+        let clean = trained_snapshot().to_binary_bytes();
+        let mut body = Vec::new();
+        rebuilt(&clean, |tag, payload| {
+            if tag != SEC_MANIFEST {
+                body.push((tag, payload.len()));
+            }
+            Some(payload.to_vec())
+        });
+        let tags: Vec<[u8; 4]> = body.iter().map(|&(tag, _)| tag).collect();
+        for (target, len) in body {
+            for at in [0, len / 2, len - 1] {
+                let corrupt = rebuilt(&clean, |tag, payload| {
+                    let mut payload = payload.to_vec();
+                    if tag == target {
+                        payload[at] ^= 0x01;
+                    }
+                    Some(payload)
+                });
+                match ModelSnapshot::from_binary_bytes(&corrupt) {
+                    Err(SnapshotError::Checksum { .. }) => {}
+                    other => panic!(
+                        "flip at {at} in {} should be a checksum failure, got {:?}",
+                        String::from_utf8_lossy(&target),
+                        other.map(|s| s.manifest)
+                    ),
+                }
+            }
+        }
+        assert_eq!(tags, [SEC_RULES, SEC_PRIORS]);
+    }
+
+    #[test]
     fn checksum_covers_manifest_fields() {
         // Corrupting a manifest field that drives serving behavior (the
         // step prefix) must fail verification, not load silently — even
-        // with the MANI section re-sealed, and before CMPL (whose own step
-        // prefix now disagrees) is looked at.
+        // with the MANI section re-sealed.
         let clean = trained_snapshot().to_binary_bytes();
         let corrupt = with_manifest_edit(&clean, "\"step_prefix\":16", "\"step_prefix\":20");
         match ModelSnapshot::from_binary_bytes(&corrupt) {
@@ -1205,8 +1128,8 @@ mod tests {
         // decoder can reject it.
         let snapshot = trained_snapshot();
         let clean = snapshot.to_binary_bytes();
-        let rules = rules_to_binary(&snapshot.rules);
-        let priors = priors_to_binary(&snapshot.priors);
+        let rules = encode_rules(&snapshot.rules);
+        let priors = encode_priors(&snapshot.priors);
         type Tamper = fn(&[u8]) -> Vec<u8>;
         let tamperings: [(&str, Tamper); 3] = [
             ("trailing byte", |p| [p, &[0]].concat()),
@@ -1246,32 +1169,36 @@ mod tests {
     }
 
     #[test]
-    fn sections_must_match_the_manifest_list_and_include_cmpl() {
+    fn sections_must_match_the_manifest_list_and_include_rule_and_prio() {
         let clean = trained_snapshot().to_binary_bytes();
-        let without_cmpl = |bytes: &[u8]| {
-            rebuilt(bytes, |tag, payload| {
-                (tag != SEC_COMPILED).then(|| payload.to_vec())
-            })
-        };
-        // CMPL cut out of the container but still declared.
-        assert!(matches!(
-            ModelSnapshot::from_binary_bytes(&without_cmpl(&clean)),
-            Err(SnapshotError::Malformed(_))
-        ));
-        // A consistent container that never had one: no compile-at-load
-        // fallback, CMPL is required.
-        let undeclared = with_manifest_edit(&clean, ",\"CMPL\"]", "]");
-        match ModelSnapshot::from_binary_bytes(&without_cmpl(&undeclared)) {
-            Err(SnapshotError::Malformed(e)) => {
-                assert!(e.to_string().contains("missing CMPL"), "{e}")
+        for (target, declared) in [(SEC_RULES, "\"RULE\","), (SEC_PRIORS, ",\"PRIO\"")] {
+            let name = String::from_utf8_lossy(&target).into_owned();
+            let without = |bytes: &[u8]| {
+                rebuilt(bytes, |tag, payload| {
+                    (tag != target).then(|| payload.to_vec())
+                })
+            };
+            // Cut out of the container but still declared.
+            assert!(matches!(
+                ModelSnapshot::from_binary_bytes(&without(&clean)),
+                Err(SnapshotError::Malformed(_))
+            ));
+            // A consistent container that never had it: both body
+            // sections are required.
+            let undeclared = with_manifest_edit(&clean, declared, "");
+            match ModelSnapshot::from_binary_bytes(&without(&undeclared)) {
+                Err(SnapshotError::Malformed(e)) => {
+                    assert!(e.to_string().contains(&format!("missing {name}")), "{e}")
+                }
+                other => panic!("{name}-less container should be Malformed, got {other:?}"),
             }
-            other => panic!("CMPL-less container should be Malformed, got {other:?}"),
+            // Present but undeclared.
+            assert!(matches!(
+                ModelSnapshot::from_binary_bytes(&undeclared),
+                Err(SnapshotError::Malformed(_))
+            ));
         }
-        // CMPL present but undeclared, and no list at all.
-        assert!(matches!(
-            ModelSnapshot::from_binary_bytes(&undeclared),
-            Err(SnapshotError::Malformed(_))
-        ));
+        // No list at all.
         let unlisted = with_manifest_edit(&clean, "\"sections\":", "\"parts\":");
         assert!(matches!(
             ModelSnapshot::from_binary_bytes(&unlisted),
@@ -1295,48 +1222,62 @@ mod tests {
 
     #[test]
     fn rejects_a_format_1_container() {
-        // What the previous major wrote: format [1,0], the co-occurrence
-        // model in a MODL section, no CMPL requirement. Hand-assembled,
-        // since no writer for it exists any more. It must be refused by
-        // version, before any section is interpreted.
+        // What the earlier majors wrote, hand-assembled since no writer
+        // for either exists any more: format [1,0] with the co-occurrence
+        // model in a MODL section, and format [2,0] with the rules twice —
+        // RULE plus the derived, unchecksummed CMPL. Both must be refused
+        // by version, before any section is interpreted.
         let snapshot = trained_snapshot();
-        let mut manifest = manifest_to_json(&ModelManifest {
-            format: (1, 0),
-            ..snapshot.manifest.clone()
-        });
-        manifest.set(
-            "sections",
-            ["MODL", "RULE", "PRIO"]
-                .map(|s| Json::Str(s.into()))
-                .to_vec(),
+        let (rules, priors) = (
+            encode_rules(&snapshot.rules),
+            encode_priors(&snapshot.priors),
         );
-        let mut manifest_text = String::new();
-        manifest.write(&mut manifest_text);
-        let mut out = ByteWriter::new();
-        out.put_bytes(&GPSB_MAGIC);
-        out.put_u8(GPSB_CONTAINER_VERSION);
-        for (tag, payload) in [
-            (SEC_MANIFEST, manifest_text.into_bytes()),
-            (*b"MODL", vec![0]),
-            (SEC_RULES, rules_to_binary(&snapshot.rules)),
-            (SEC_PRIORS, priors_to_binary(&snapshot.priors)),
+        let dir = TestDir::new("old-majors");
+        for (found, tags) in [
+            ((1, 0), [*b"MODL", SEC_RULES, SEC_PRIORS]),
+            ((2, 0), [SEC_RULES, SEC_PRIORS, *b"CMPL"]),
         ] {
-            write_section(&mut out, tag, &payload).unwrap();
-        }
-        let bytes = out.into_bytes();
-        match ModelSnapshot::from_binary_bytes(&bytes) {
-            Err(e @ SnapshotError::Version { found: (1, 0), .. }) => {
-                assert!(e.to_string().contains("unsupported snapshot format 1.0"))
+            let mut manifest = manifest_to_json(&ModelManifest {
+                format: found,
+                ..snapshot.manifest.clone()
+            });
+            manifest.set(
+                "sections",
+                tags.map(|t| Json::Str(String::from_utf8_lossy(&t).into_owned()))
+                    .to_vec(),
+            );
+            let mut manifest_text = String::new();
+            manifest.write(&mut manifest_text);
+            let mut out = ByteWriter::new();
+            out.put_bytes(&GPSB_MAGIC);
+            out.put_u8(GPSB_CONTAINER_VERSION);
+            write_section(&mut out, SEC_MANIFEST, manifest_text.as_bytes()).unwrap();
+            for tag in tags {
+                let payload = match tag {
+                    SEC_RULES => &rules[..],
+                    SEC_PRIORS => &priors[..],
+                    _ => &[0][..],
+                };
+                write_section(&mut out, tag, payload).unwrap();
             }
-            other => panic!("expected version failure, got {other:?}"),
+            let bytes = out.into_bytes();
+            let version = format!("unsupported snapshot format {}.{}", found.0, found.1);
+            match ModelSnapshot::from_binary_bytes(&bytes) {
+                Err(e @ SnapshotError::Version { found: f, .. }) if f == found => {
+                    assert!(e.to_string().contains(&version), "{e}")
+                }
+                other => panic!(
+                    "expected version failure, got {:?}",
+                    other.map(|s| s.manifest)
+                ),
+            }
+            let path = dir.path("old.gpsb");
+            std::fs::write(&path, &bytes).unwrap();
+            match ModelSnapshot::load_manifest(&path) {
+                Err(SnapshotError::Version { found: f, .. }) if f == found => {}
+                other => panic!("expected version failure, got {other:?}"),
+            }
         }
-        let dir = TestDir::new("format-1");
-        let path = dir.path("old.gpsb");
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            ModelSnapshot::load_manifest(&path),
-            Err(SnapshotError::Version { found: (1, 0), .. })
-        ));
     }
 
     #[test]
@@ -1379,8 +1320,8 @@ mod tests {
         let extended = {
             let mut out = ByteWriter::from_vec(with_manifest_edit(
                 &bytes,
-                "\"CMPL\"]",
-                "\"CMPL\",\"XTRA\"],\"trained_at\":1790000000",
+                "\"PRIO\"]",
+                "\"PRIO\",\"XTRA\"],\"trained_at\":1790000000",
             ));
             write_section(&mut out, *b"XTRA", b"future").unwrap();
             out.into_bytes()
@@ -1490,39 +1431,51 @@ mod tests {
     }
 
     #[test]
-    fn cmpl_section_round_trips_the_compiled_model() {
-        let snapshot = trained_snapshot();
-        let bytes = snapshot.to_binary_bytes();
-        let loaded = ModelSnapshot::from_binary_bytes(&bytes).unwrap();
-        // The loaded CMPL equals an in-process compile of the same tables
-        // (compilation is deterministic).
-        let expected = crate::compiled::CompiledModel::compile(
-            &snapshot.rules,
-            &snapshot.priors,
-            snapshot.manifest.step_prefix,
-        );
-        assert_eq!(loaded.compiled, Some(expected));
+    fn rule_section_round_trips_the_compiled_rules() {
+        use crate::dataset::censys_dataset;
+        use gps_synthnet::{Internet, UniverseConfig};
+        let net = Internet::generate(&UniverseConfig::tiny(77));
+        let config = GpsConfig::default();
+        let run = crate::pipeline::run_gps(&net, &censys_dataset(&net, 200, 0.05, 0, 1), &config);
+        let feature_rules = &run.rules;
+        let snapshot = ModelSnapshot::from_run(&run, &config, 77);
+        let loaded = ModelSnapshot::from_binary_bytes(&snapshot.to_binary_bytes()).unwrap();
+        // Decoding rebuilds every lookup structure, the Eq. 5/7 index
+        // included: all four key classes answer exactly as the rule map
+        // the snapshot was compiled from.
+        let classes: std::collections::BTreeSet<u8> =
+            feature_rules.iter().map(|(key, _)| key.class()).collect();
+        assert_eq!(classes.into_iter().collect::<Vec<_>>(), [4, 5, 6, 7]);
+        assert_eq!(loaded.rules.len(), feature_rules.len());
+        assert_eq!(loaded.rules.num_keys(), feature_rules.num_keys());
+        for (key, targets) in feature_rules.iter() {
+            let got: Vec<(Port, f64)> = loaded.rules.get(key).expect("key decoded").collect();
+            assert_eq!(&got, targets, "targets for {key:?}");
+        }
+        assert_eq!(loaded.rules, CompiledRules::from_rules(feature_rules));
     }
 
     #[test]
-    fn cmpl_tag_flip_is_rejected_via_section_manifest() {
-        // A flipped section tag turns CMPL into an unknown (but
+    fn rule_tag_flip_is_rejected_via_section_manifest() {
+        // A flipped section tag turns RULE or PRIO into an unknown (but
         // checksum-valid) section; the manifest's declared section list
         // is what catches it.
-        let snapshot = trained_snapshot();
-        let clean = snapshot.to_binary_bytes();
-        // The last occurrence: the first is the name in MANI's section list.
-        let pos = clean
-            .windows(4)
-            .rposition(|w| w == SEC_COMPILED)
-            .expect("CMPL tag present");
-        for i in 0..4 {
-            let mut corrupt = clean.clone();
-            corrupt[pos + i] ^= 0x01;
-            assert!(
-                ModelSnapshot::from_binary_bytes(&corrupt).is_err(),
-                "tag byte {i} flip must not load"
-            );
+        let clean = trained_snapshot().to_binary_bytes();
+        for tag in [SEC_RULES, SEC_PRIORS] {
+            // The last occurrence: the first is the name in MANI's list.
+            let pos = clean
+                .windows(4)
+                .rposition(|w| w == tag)
+                .expect("tag present");
+            for i in 0..4 {
+                let mut corrupt = clean.clone();
+                corrupt[pos + i] ^= 0x01;
+                assert!(
+                    ModelSnapshot::from_binary_bytes(&corrupt).is_err(),
+                    "{} tag byte {i} flip must not load",
+                    String::from_utf8_lossy(&tag)
+                );
+            }
         }
     }
 }

@@ -15,17 +15,19 @@
 //! query cannot carry, so serving matches on the transport and network key
 //! classes (Eq. 4/6); the snapshot still contains the full rule list.
 //!
-//! Since the kernel pass, queries run against the arena-backed
-//! [`CompiledModel`]: warm lookups walk contiguous `(port, prob-bits)`
-//! slices and fold into a port-indexed dense accumulator, cold lookups
-//! binary-search a subnet index and copy a pre-normalized slice out of the
-//! priors arena. Answers are bit-identical to the original HashMap path —
-//! kept here as [`ReferenceModel`] and asserted against it by the parity
-//! property suite.
+//! Queries run against the arena-backed [`CompiledModel`]: warm lookups
+//! walk contiguous `(port, prob-bits)` slices and fold into a port-indexed
+//! dense accumulator, cold lookups binary-search a subnet index and copy a
+//! pre-normalized slice out of the priors arena. The rule arena arrives
+//! ready-made in the snapshot (its RULE section is that arena); the priors
+//! index is compiled here from the snapshot's ordered scan list. Answers
+//! are bit-identical to the original HashMap path — kept here as
+//! [`ReferenceModel`], built from the rule map a snapshot was compiled
+//! from, and asserted against it by the parity property suite.
 
 use std::collections::HashMap;
 
-use gps_core::compiled::CompiledModel;
+use gps_core::compiled::{CompiledModel, CompiledPriors};
 use gps_core::model::NetKey;
 use gps_core::snapshot::{ModelManifest, ModelSnapshot};
 use gps_core::{CondKey, FeatureRules, NetFeature};
@@ -152,15 +154,12 @@ pub struct ServableModel {
 }
 
 impl ServableModel {
-    /// Build from a snapshot. A compiled form loaded from the snapshot's
-    /// `CMPL` section is used as-is (single validated bulk read, no
-    /// intermediate maps); otherwise the rules and priors are compiled
-    /// here in one pass.
+    /// Build from a snapshot: its compiled rules are used as-is, and the
+    /// cold-query priors index is compiled from its scan list in one pass.
     pub fn from_snapshot(snapshot: ModelSnapshot) -> ServableModel {
-        let step_prefix = snapshot.manifest.step_prefix;
-        let compiled = match snapshot.compiled {
-            Some(compiled) if compiled.priors.step_prefix() == step_prefix => compiled,
-            _ => CompiledModel::compile(&snapshot.rules, &snapshot.priors, step_prefix),
+        let compiled = CompiledModel {
+            priors: CompiledPriors::from_entries(&snapshot.priors, snapshot.manifest.step_prefix),
+            rules: snapshot.rules,
         };
         let net_prefixes: Vec<u8> = snapshot
             .manifest
@@ -265,7 +264,9 @@ impl ServableModel {
 /// The original HashMap-backed serving path, retained verbatim as the
 /// differential-testing baseline: the parity property suite (and the
 /// kernel bench) assert [`ServableModel`] answers are bit-identical to
-/// this implementation on the same snapshot.
+/// this implementation on the same model. It reads the `FeatureRules` map
+/// the snapshot was compiled from, never the compiled rules, so the
+/// oracle shares no lookup code with what it checks.
 pub struct ReferenceModel {
     rules: FeatureRules,
     priors_by_subnet: HashMap<Subnet, Ranked>,
@@ -276,7 +277,9 @@ pub struct ReferenceModel {
 }
 
 impl ReferenceModel {
-    pub fn from_snapshot(snapshot: &ModelSnapshot) -> ReferenceModel {
+    /// `rules` is the map `snapshot.rules` was compiled from; the
+    /// snapshot supplies the priors list and the manifest.
+    pub fn new(rules: &FeatureRules, snapshot: &ModelSnapshot) -> ReferenceModel {
         let mut priors_by_subnet: HashMap<Subnet, Ranked> = HashMap::new();
         let mut global: HashMap<Port, f64> = HashMap::new();
         for entry in &snapshot.priors {
@@ -302,7 +305,7 @@ impl ReferenceModel {
             })
             .collect();
         ReferenceModel {
-            rules: snapshot.rules.clone(),
+            rules: rules.clone(),
             priors_by_subnet,
             global_priors,
             net_prefixes,
@@ -383,13 +386,16 @@ fn normalize(ranked: &mut Ranked) {
 mod tests {
     use super::*;
     use gps_core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
-    use gps_core::{Interactions, PriorsEntry};
+    use gps_core::{CompiledRules, Interactions, PriorsEntry};
     use std::collections::HashMap as Map;
 
     fn snapshot() -> ModelSnapshot {
-        // Hand-built artifact: rules say 80 predicts 443 (p=.8) generally
-        // and 8080 (p=.9) within 10.1.0.0/16; priors say subnet 10.1/16
-        // leads with port 80.
+        snapshot_of(&fixture_rules())
+    }
+
+    /// Hand-built rules: 80 predicts 443 (p=.8) generally, 8080 (p=.9)
+    /// within 10.1.0.0/16, and 9000 (p=.95) in AS 7.
+    fn fixture_rules() -> FeatureRules {
         let mut rules: Map<CondKey, Vec<(Port, f64)>> = Map::new();
         rules.insert(
             CondKey::Port(Port(80)),
@@ -403,6 +409,12 @@ mod tests {
             CondKey::PortNet(Port(80), NetKey::Asn(7)),
             vec![(Port(9000), 0.95)],
         );
+        FeatureRules::from_parts(rules)
+    }
+
+    /// A snapshot compiled from `rules`, whose priors say subnet 10.1/16
+    /// leads with port 80.
+    fn snapshot_of(rules: &FeatureRules) -> ModelSnapshot {
         let priors = vec![
             PriorsEntry {
                 port: Port(80),
@@ -432,13 +444,12 @@ mod tests {
                 hosts_in: 0,
                 distinct_keys: 0,
                 cooccur_entries: 0,
-                num_rules: 3,
+                num_rules: rules.len(),
                 num_priors: 3,
                 checksum: 0,
             },
-            rules: FeatureRules::from_parts(rules),
+            rules: CompiledRules::from_rules(rules),
             priors,
-            compiled: None,
         }
     }
 
@@ -502,8 +513,9 @@ mod tests {
 
     #[test]
     fn compiled_answers_match_reference_bit_for_bit() {
-        let snapshot = snapshot();
-        let reference = ReferenceModel::from_snapshot(&snapshot);
+        let rules = fixture_rules();
+        let snapshot = snapshot_of(&rules);
+        let reference = ReferenceModel::new(&rules, &snapshot);
         let model = ServableModel::from_snapshot(snapshot);
         let mut scratch = PredictScratch::default();
         let mut best = HashMap::new();
@@ -548,9 +560,7 @@ mod tests {
     #[test]
     fn nan_probability_rule_does_not_panic_the_server() {
         // Regression: `sort_ranked` used `partial_cmp(..).unwrap()`.
-        let mut snapshot = snapshot();
-        let mut rules: Map<CondKey, Vec<(Port, f64)>> = snapshot
-            .rules
+        let mut rules: Map<CondKey, Vec<(Port, f64)>> = fixture_rules()
             .iter()
             .map(|(k, v)| (*k, v.clone()))
             .collect();
@@ -558,8 +568,7 @@ mod tests {
             CondKey::Port(Port(22)),
             vec![(Port(4444), f64::NAN), (Port(5555), 0.4)],
         );
-        snapshot.rules = FeatureRules::from_parts(rules);
-        let model = ServableModel::from_snapshot(snapshot);
+        let model = ServableModel::from_snapshot(snapshot_of(&FeatureRules::from_parts(rules)));
         let ranked = model.predict(&Query::new(Ip::from_octets(10, 1, 2, 3)).with_open([22]));
         // The NaN entry surfaces at its or_insert default of 0.0 and never
         // outranks the real rule.

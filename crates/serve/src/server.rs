@@ -1110,7 +1110,7 @@ pub fn watch_snapshot_file(server: Arc<PredictionServer>, interval: Duration) ->
 mod tests {
     use super::*;
     use gps_core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
-    use gps_core::{FeatureRules, Interactions, NetFeature, PriorsEntry};
+    use gps_core::{CompiledRules, FeatureRules, Interactions, NetFeature, PriorsEntry};
     use gps_types::{Ip, Port, Subnet};
     use std::collections::HashMap;
 
@@ -1133,13 +1133,12 @@ mod tests {
                 num_priors: 1,
                 checksum: 0,
             },
-            rules: FeatureRules::from_parts(rules),
+            rules: CompiledRules::from_rules(&FeatureRules::from_parts(rules)),
             priors: vec![PriorsEntry {
                 port: Port(22),
                 subnet: Subnet::of_ip(Ip::from_octets(10, 0, 0, 0), 16),
                 coverage: 4,
             }],
-            compiled: None,
         };
         ServableModel::from_snapshot(snapshot)
     }
@@ -1222,13 +1221,12 @@ mod tests {
                 num_priors: 1,
                 checksum: 0,
             },
-            rules: FeatureRules::from_parts(rules),
+            rules: CompiledRules::from_rules(&FeatureRules::from_parts(rules)),
             priors: vec![PriorsEntry {
                 port: Port(2222),
                 subnet: Subnet::of_ip(Ip::from_octets(10, 0, 0, 0), 16),
                 coverage: 4,
             }],
-            compiled: None,
         };
         ServableModel::from_snapshot(snapshot)
     }
@@ -1344,13 +1342,12 @@ mod tests {
                     num_priors: 1,
                     checksum: 0,
                 },
-                rules: FeatureRules::from_parts(rules),
+                rules: CompiledRules::from_rules(&FeatureRules::from_parts(rules)),
                 priors: vec![PriorsEntry {
                     port: Port(22),
                     subnet: Subnet::of_ip(Ip::from_octets(10, 0, 0, 0), 16),
                     coverage: 4,
                 }],
-                compiled: None,
             }
         };
         make(443).save_binary(&path).unwrap();
@@ -1543,13 +1540,12 @@ mod tests {
                     num_priors: 1,
                     checksum: 0,
                 },
-                rules: FeatureRules::from_parts(rules),
+                rules: CompiledRules::from_rules(&FeatureRules::from_parts(rules)),
                 priors: vec![PriorsEntry {
                     port: Port(22),
                     subnet: Subnet::of_ip(Ip::from_octets(10, 0, 0, 0), 16),
                     coverage: 4,
                 }],
-                compiled: None,
             }
         };
         let path_a = dir.path("a.gpsb");

@@ -132,7 +132,7 @@ mod router_resilience {
     use std::time::{Duration, Instant};
 
     use gps::core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
-    use gps::core::{FeatureRules, Interactions, NetFeature, PriorsEntry};
+    use gps::core::{CompiledRules, FeatureRules, Interactions, NetFeature, PriorsEntry};
     use gps::serve::{
         Client, PredictionServer, Query, Router, RouterConfig, RouterHandle, ServableModel,
         ServeConfig, TransportConfig,
@@ -159,13 +159,12 @@ mod router_resilience {
                 num_priors: 1,
                 checksum: 0,
             },
-            rules: FeatureRules::from_parts(rules),
+            rules: CompiledRules::from_rules(&FeatureRules::from_parts(rules)),
             priors: vec![PriorsEntry {
                 port: Port(22),
                 subnet: Subnet::of_ip(Ip::from_octets(10, 0, 0, 0), 16),
                 coverage: 4,
             }],
-            compiled: None,
         };
         ServableModel::from_snapshot(snapshot)
     }
@@ -468,7 +467,7 @@ mod serve_churn {
     use std::time::{Duration, Instant};
 
     use gps::core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
-    use gps::core::{FeatureRules, Interactions, NetFeature, PriorsEntry};
+    use gps::core::{CompiledRules, FeatureRules, Interactions, NetFeature, PriorsEntry};
     use gps::serve::{
         Client, PredictionServer, Query, ServableModel, ServeConfig, StatsSnapshot, TransportConfig,
     };
@@ -495,13 +494,12 @@ mod serve_churn {
                 num_priors: 1,
                 checksum: 0,
             },
-            rules: FeatureRules::from_parts(rules),
+            rules: CompiledRules::from_rules(&FeatureRules::from_parts(rules)),
             priors: vec![PriorsEntry {
                 port: Port(22),
                 subnet: Subnet::of_ip(Ip::from_octets(10, 0, 0, 0), 16),
                 coverage: 4,
             }],
-            compiled: None,
         };
         ServableModel::from_snapshot(snapshot)
     }

@@ -158,10 +158,12 @@ proptest! {
 /// The GPSB bytes ride along for the decoder-rejection properties.
 struct ServedArtifacts {
     original: ServableModel,
-    /// Served straight from the GPSB bytes — `compiled` arrives through
-    /// the CMPL section's bulk load rather than being compiled in-process.
+    /// Served straight from the GPSB bytes — the rule arena arrives
+    /// through the RULE section's bulk load rather than being compiled
+    /// in-process.
     via_gpsb: ServableModel,
-    /// The pre-kernel HashMap implementation, the parity baseline.
+    /// The pre-kernel HashMap implementation over the run's own rule
+    /// map, the parity baseline.
     reference: ReferenceModel,
     gpsb_bytes: Vec<u8>,
 }
@@ -185,12 +187,8 @@ fn served_artifacts() -> &'static ServedArtifacts {
             gpsb_bytes,
             "save -> load -> save must be byte-identical"
         );
-        assert!(
-            from_binary.compiled.is_some(),
-            "GPSB bytes carry the CMPL section"
-        );
         ServedArtifacts {
-            reference: ReferenceModel::from_snapshot(&snapshot),
+            reference: ReferenceModel::new(&run.rules, &snapshot),
             original: ServableModel::from_snapshot(snapshot),
             via_gpsb: ServableModel::from_snapshot(from_binary),
             gpsb_bytes,
@@ -224,7 +222,7 @@ proptest! {
     /// The compiled kernel is **bit-identical** to the HashMap reference
     /// path on random warm/cold query mixes: same ports in the same
     /// order, same f64 bit patterns — whether the compiled form was
-    /// built in-process or bulk-loaded from the CMPL section.
+    /// built in-process or bulk-loaded from the RULE section.
     #[test]
     fn compiled_kernel_matches_reference_bit_identical(
         ips in proptest::collection::vec(any::<u32>(), 200..201),
@@ -535,13 +533,12 @@ fn tiny_model(target: u16) -> ServableModel {
             num_priors: 1,
             checksum: 0,
         },
-        rules: gps::core::FeatureRules::from_parts(rules),
+        rules: gps::core::CompiledRules::from_rules(&gps::core::FeatureRules::from_parts(rules)),
         priors: vec![gps::core::PriorsEntry {
             port: Port(22),
             subnet: Subnet::of_ip(Ip(0x0A00_0000), 16),
             coverage: 4,
         }],
-        compiled: None,
     })
 }
 
@@ -560,7 +557,7 @@ fn interner_round_trips_arbitrary_strings() {
 /// universes, not just the shared fixture: each seed grows a distinct
 /// rule/priors shape (different subnets, ASNs, port mixes), and the
 /// kernel must stay bit-identical on all of them — including after a
-/// GPSB round trip through the CMPL section.
+/// GPSB round trip through the RULE section.
 #[test]
 fn compiled_kernel_parity_across_universes() {
     for seed in [3u64, 99, 2024] {
@@ -571,7 +568,7 @@ fn compiled_kernel_parity_across_universes() {
         let snapshot = ModelSnapshot::from_run(&run, &config, seed);
         let bytes = snapshot.to_binary_bytes();
         let from_gpsb = ModelSnapshot::from_binary_bytes(&bytes).expect("gpsb parses");
-        let reference = ReferenceModel::from_snapshot(&snapshot);
+        let reference = ReferenceModel::new(&run.rules, &snapshot);
         let compiled = ServableModel::from_snapshot(snapshot);
         let via_gpsb = ServableModel::from_snapshot(from_gpsb);
 

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gps::core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
-use gps::core::{FeatureRules, Interactions, NetFeature, PriorsEntry};
+use gps::core::{CompiledRules, FeatureRules, Interactions, NetFeature, PriorsEntry};
 use gps::serve::proto::{read_frame, write_frame};
 use gps::serve::{
     Client, PredictionServer, Query, Ranked, ServableModel, ServeConfig, TransportConfig,
@@ -197,13 +197,12 @@ fn model() -> ServableModel {
             num_priors: 1,
             checksum: 0,
         },
-        rules: FeatureRules::from_parts(rules),
+        rules: CompiledRules::from_rules(&FeatureRules::from_parts(rules)),
         priors: vec![PriorsEntry {
             port: Port(22),
             subnet: Subnet::of_ip(Ip::from_octets(10, 0, 0, 0), 16),
             coverage: 4,
         }],
-        compiled: None,
     };
     ServableModel::from_snapshot(snapshot)
 }
@@ -619,7 +618,7 @@ fn wide_priors_model(ports: u16) -> ServableModel {
             num_priors: ports as usize,
             checksum: 0,
         },
-        rules: FeatureRules::from_parts(HashMap::new()),
+        rules: CompiledRules::from_rules(&FeatureRules::from_parts(HashMap::new())),
         priors: (0..ports)
             .map(|i| PriorsEntry {
                 port: Port(1000 + i),
@@ -628,7 +627,6 @@ fn wide_priors_model(ports: u16) -> ServableModel {
                 coverage: 1 + (u64::from(i) * 7919) % 1000,
             })
             .collect(),
-        compiled: None,
     };
     ServableModel::from_snapshot(snapshot)
 }

@@ -2,7 +2,7 @@
 //! serving transport **and both wire formats**: train on the quick
 //! universe, export a snapshot, reload it, serve it over TCP on an
 //! ephemeral port, and hammer it from concurrent protocol clients —
-//! asserting every answer equals the direct `FeatureRules`/priors lookup
+//! asserting every answer equals the direct rules/priors lookup
 //! on the loaded artifact.
 //!
 //! Each case trains its models **once** and then replays the identical
@@ -87,7 +87,7 @@ fn direct_rules_lookup(snapshot: &ModelSnapshot, query: &Query) -> Vec<(Port, f6
             }
         }
         for key in keys {
-            for &(port, prob) in snapshot.rules.get(&key).unwrap_or_default() {
+            for (port, prob) in snapshot.rules.get(&key).into_iter().flatten() {
                 if open.contains(&port) {
                     continue;
                 }

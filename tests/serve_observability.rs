@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gps::core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
-use gps::core::{FeatureRules, Interactions, NetFeature, PriorsEntry};
+use gps::core::{CompiledRules, FeatureRules, Interactions, NetFeature, PriorsEntry};
 use gps::serve::{
     Client, PredictionServer, Query, QueryLog, ServableModel, ServeConfig, TransportConfig,
     WireFormat,
@@ -43,13 +43,12 @@ fn snapshot() -> gps::core::ModelSnapshot {
             num_priors: 1,
             checksum: 0,
         },
-        rules: FeatureRules::from_parts(rules),
+        rules: CompiledRules::from_rules(&FeatureRules::from_parts(rules)),
         priors: vec![PriorsEntry {
             port: Port(22),
             subnet: Subnet::of_ip(Ip::from_octets(10, 0, 0, 0), 16),
             coverage: 4,
         }],
-        compiled: None,
     }
 }
 
