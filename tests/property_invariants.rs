@@ -607,3 +607,92 @@ fn compiled_kernel_parity_across_universes() {
         }
     }
 }
+
+/// The offline expansion is pinned, element for element and bit for bit,
+/// to the rule-map algorithm it replaced: on the same tiny universes,
+/// `build_predictions` over the run's seed hosts equals a fold of
+/// `FeatureRules::get` over every `service_keys` key into a
+/// `(ip, port) -> prob` map, with open ports and a `known` set (every
+/// third service) excluded, sorted by `(prob desc, ip, port)` and capped.
+#[test]
+fn build_predictions_matches_rule_map_fold_across_universes() {
+    use gps::core::{FeatureRules, HostRecord, Prediction};
+    use std::collections::HashMap;
+
+    fn oracle(
+        rules: &FeatureRules,
+        hosts: &[HostRecord],
+        known: &HashSet<(u32, u16)>,
+        max_predictions: usize,
+    ) -> Vec<Prediction> {
+        let mut best: HashMap<(u32, u16), f64> = HashMap::new();
+        for host in hosts {
+            let open: HashSet<u16> = host.services.iter().map(|s| s.port.0).collect();
+            for service in &host.services {
+                gps::core::host::service_keys(service, &host.nets, Interactions::ALL, &mut |key| {
+                    for &(port, prob) in rules.get(&key).unwrap_or_default() {
+                        if open.contains(&port.0) || known.contains(&(host.ip.0, port.0)) {
+                            continue;
+                        }
+                        let slot = best.entry((host.ip.0, port.0)).or_insert(0.0);
+                        if prob > *slot {
+                            *slot = prob;
+                        }
+                    }
+                });
+            }
+        }
+        let mut predictions: Vec<Prediction> = best
+            .into_iter()
+            .map(|((ip, port), prob)| Prediction {
+                ip: Ip(ip),
+                port: Port(port),
+                prob,
+            })
+            .collect();
+        predictions.sort_by(|a, b| {
+            b.prob
+                .total_cmp(&a.prob)
+                .then(a.ip.cmp(&b.ip))
+                .then(a.port.cmp(&b.port))
+        });
+        predictions.truncate(max_predictions);
+        predictions
+    }
+
+    fn bits(predictions: &[Prediction]) -> Vec<(u32, u16, u64)> {
+        predictions
+            .iter()
+            .map(|p| (p.ip.0, p.port.0, p.prob.to_bits()))
+            .collect()
+    }
+
+    for seed in [3u64, 99, 2024] {
+        let net = gps::synthnet::Internet::generate(&gps::synthnet::UniverseConfig::tiny(seed));
+        let dataset = gps::core::censys_dataset(&net, 100, 0.05, 0, 1);
+        let run = gps::core::run_gps(&net, &dataset, &GpsConfig::default());
+        let classes: std::collections::BTreeSet<u8> =
+            run.rules.iter().map(|(key, _)| key.class()).collect();
+        assert_eq!(
+            classes.into_iter().collect::<Vec<_>>(),
+            [4, 5, 6, 7],
+            "seed {seed}: every key class must be exercised"
+        );
+        let hosts = &run.seed_host_records;
+        let known: HashSet<(u32, u16)> = hosts
+            .iter()
+            .flat_map(|h| h.services.iter().map(move |s| (h.ip.0, s.port.0)))
+            .step_by(3)
+            .collect();
+        for max_predictions in [usize::MAX, 100] {
+            let got = gps::core::build_predictions(&run.rules, hosts, &known, max_predictions);
+            let want = oracle(&run.rules, hosts, &known, max_predictions);
+            assert!(!want.is_empty(), "seed {seed}: the oracle predicts nothing");
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "seed {seed}, max {max_predictions}"
+            );
+        }
+    }
+}
