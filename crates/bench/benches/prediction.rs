@@ -50,9 +50,10 @@ fn bench_prediction(c: &mut Criterion) {
         b.iter(|| FeatureRules::build(&model, &hosts, 1e-5))
     });
     let rules = FeatureRules::build(&model, &hosts, 1e-5);
+    let compiled = CompiledRules::from_rules(&rules);
     group.throughput(criterion::Throughput::Elements(prior_hosts.len() as u64));
     group.bench_function("match_priors_hosts", |b| {
-        b.iter(|| build_predictions(&rules, &prior_hosts, &known, usize::MAX))
+        b.iter(|| build_predictions(&compiled, &prior_hosts, &known, usize::MAX))
     });
     group.finish();
 
@@ -80,7 +81,7 @@ fn bench_prediction(c: &mut Criterion) {
                 num_priors: 0,
                 checksum: 0,
             },
-            rules: CompiledRules::from_rules(&rules),
+            rules: compiled,
             priors: Vec::new(),
         })
     };

@@ -14,7 +14,15 @@
 //!   identical target lists share storage, and a list that is a prefix of
 //!   another points into the longer list's slice. Bare Eq. 4 keys resolve
 //!   through a direct-indexed 65536-entry table — no hashing at all on
-//!   the hottest lookup of the warm path.
+//!   the hottest lookup of the warm path. Every other key class (Eq.
+//!   5/6/7) resolves through one open-addressed table of row ids, probed
+//!   with a multiply-mix of the key's fields and confirmed against the
+//!   key table, so no lookup hashes the `CondKey` enum.
+//! - [`CompiledRules::expand`] — the one §5.4 expansion kernel: a host's
+//!   open services (port + application features) and net keys in, every
+//!   matching Eq. 4–7 rule max-folded per port into a [`PredictScratch`].
+//!   The pipeline's `build_predictions` runs it once per priors-scan
+//!   host; a warm server query runs it once with feature-less evidence.
 //! - [`CompiledPriors`] — §5.3 rankings as sorted dense arrays: one
 //!   subnet-base index (binary-searchable, `step_prefix` subnets only —
 //!   the only granularity cold lookups can reach) over the same arena
@@ -34,83 +42,41 @@
 
 use std::collections::HashMap;
 
-use gps_types::{DenseInterner, Ip, Port, Subnet};
+use gps_types::{DenseInterner, FeatureValue, Ip, Port, Subnet};
 
 use crate::model::{CondKey, NetKey};
 use crate::predict::FeatureRules;
 use crate::priors::PriorsEntry;
 
-/// Sentinel row id: "no rule for this key".
+/// Sentinel row id: "no rule for this key", and an empty probe slot.
 const ROW_NONE: u32 = u32::MAX;
 
-/// Pack an Eq. 6 key into one integer: tag in bits 62–63 (1 = slash,
-/// 2 = ASN — never 0, so 0 doubles as the probe table's empty slot),
-/// prefix length in 48–53, anchor port in 32–47, base/ASN in 0–31.
-#[inline]
-fn pack_net(port: u16, net: &NetKey) -> u64 {
-    match *net {
-        NetKey::Slash(len, base) => {
-            (1 << 62) | ((len as u64) << 48) | ((port as u64) << 32) | base as u64
-        }
-        NetKey::Asn(asn) => (2 << 62) | ((port as u64) << 32) | asn as u64,
-    }
-}
-
-/// Open-addressed, linear-probed map from packed Eq. 6 keys to row ids.
-///
-/// The warm path resolves two `PortNet` keys for every bare-port key, and
-/// `HashMap<CondKey, _>`'s SipHash over the enum dominated that lookup.
-/// Packing the key into a `u64` and mixing it with one multiply keeps the
-/// whole probe to a handful of cycles; at ≤50% load the expected probe
-/// chain is ~1 slot.
-#[derive(Debug, Clone, PartialEq)]
-struct NetIndex {
-    /// Power-of-two slot count minus one.
-    mask: u64,
-    /// `(packed key, row id)`; packed key 0 marks an empty slot.
-    slots: Vec<(u64, u32)>,
-}
-
-impl NetIndex {
-    fn build(entries: impl ExactSizeIterator<Item = (u64, u32)>) -> NetIndex {
-        let capacity = (entries.len().max(4) * 2).next_power_of_two() as u64;
-        let mut index = NetIndex {
-            mask: capacity - 1,
-            slots: vec![(0, ROW_NONE); capacity as usize],
-        };
-        for (key, row) in entries {
-            debug_assert_ne!(key, 0);
-            let mut i = (mix(key) & index.mask) as usize;
-            while index.slots[i].0 != 0 {
-                i = (i + 1) & index.mask as usize;
-            }
-            index.slots[i] = (key, row);
-        }
-        index
-    }
-
-    #[inline]
-    fn get(&self, key: u64) -> Option<u32> {
-        let mut i = (mix(key) & self.mask) as usize;
-        loop {
-            let (slot_key, row) = self.slots[i];
-            if slot_key == key {
-                return Some(row);
-            }
-            if slot_key == 0 {
-                return None;
-            }
-            i = (i + 1) & self.mask as usize;
-        }
-    }
-}
-
 /// Fibonacci-multiply mix: one multiply and a fold of the high bits,
-/// enough to spread packed keys whose entropy sits in distinct bit ranges.
+/// enough to spread words whose entropy sits in distinct bit ranges.
 #[inline]
 fn mix(key: u64) -> u64 {
     let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     h ^ (h >> 32)
+}
+
+/// Probe-table hash of a key: the anchor port and application feature
+/// in one word, the net key in another, each through [`mix`]. Distinct
+/// keys may collide — a probe confirms its row against the key table —
+/// so the words need no tag per class.
+#[inline]
+fn key_hash(key: &CondKey) -> u64 {
+    let app = |f: &FeatureValue| ((f.kind as u64 + 1) << 48) | ((f.value.0 as u64) << 16);
+    let net = |n: &NetKey| match *n {
+        NetKey::Slash(len, base) => ((len as u64 + 1) << 32) | base as u64,
+        NetKey::Asn(asn) => asn as u64,
+    };
+    let (word, net) = match key {
+        CondKey::Port(p) => (p.0 as u64, 0),
+        CondKey::PortApp(p, f) => (p.0 as u64 | app(f), 0),
+        CondKey::PortNet(p, n) => (p.0 as u64, net(n)),
+        CondKey::PortAppNet(p, f, n) => (p.0 as u64 | app(f), net(n)),
+    };
+    mix(mix(word) ^ net)
 }
 
 /// [`CompiledRules::parts`]: `(keys, offsets, lens, ports, prob_bits)`.
@@ -131,11 +97,10 @@ pub struct CompiledRules {
     prob_bits: Vec<u64>,
     /// Direct index for bare Eq. 4 keys: port → row id (`ROW_NONE` = none).
     eq4: Box<[u32]>,
-    /// Packed-key probe table for Eq. 6 keys — the warm path's other
-    /// lookup class, served without hashing a `CondKey`.
-    net_index: NetIndex,
-    /// Row ids for the application key classes (Eq. 5/7, pipeline-only).
-    index: HashMap<CondKey, u32>,
+    /// Row ids of every Eq. 5/6/7 key, open-addressed and linear-probed
+    /// from [`key_hash`]; `ROW_NONE` marks an empty slot. Power-of-two
+    /// length, at most half full, so a probe chain is about one slot.
+    probe: Box<[u32]>,
     /// Total (tuple → port) rule count, mirroring `FeatureRules::len`.
     num_rules: usize,
 }
@@ -236,16 +201,24 @@ impl CompiledRules {
             num_rules += len as usize;
         }
         let mut eq4 = vec![ROW_NONE; 1 << 16].into_boxed_slice();
-        let mut net_entries: Vec<(u64, u32)> = Vec::new();
-        let mut index = HashMap::new();
+        let hashed = keys
+            .iter()
+            .filter(|key| !matches!(key, CondKey::Port(_)))
+            .count();
+        let mut probe = vec![ROW_NONE; (hashed.max(4) * 2).next_power_of_two()].into_boxed_slice();
+        let mask = probe.len() - 1;
         for (row, key) in keys.iter().enumerate() {
-            match key {
-                CondKey::Port(p) => eq4[p.0 as usize] = row as u32,
-                CondKey::PortNet(p, net) => net_entries.push((pack_net(p.0, net), row as u32)),
-                _ => {
-                    index.insert(*key, row as u32);
-                }
+            if let CondKey::Port(p) = key {
+                eq4[p.0 as usize] = row as u32;
+                continue;
             }
+            // Keys are unique (checked above), so every insert finds a
+            // free slot without meeting its own key.
+            let mut slot = key_hash(key) as usize & mask;
+            while probe[slot] != ROW_NONE {
+                slot = (slot + 1) & mask;
+            }
+            probe[slot] = row as u32;
         }
         Ok(CompiledRules {
             keys,
@@ -254,41 +227,80 @@ impl CompiledRules {
             ports,
             prob_bits,
             eq4,
-            net_index: NetIndex::build(net_entries.into_iter()),
-            index,
+            probe,
             num_rules,
         })
     }
 
-    /// Row id for a bare Eq. 4 key — one array load, no hashing.
+    /// Row id for any key class: Eq. 4 through the direct index, the
+    /// others through the probe table.
+    ///
+    /// `always`, here and on [`fold`](Self::fold): the serving layer
+    /// instantiates [`expand`](Self::expand) in another crate, and with
+    /// plain `#[inline]` the release build (no LTO) left both out of line
+    /// there, about 10 % of a wide warm query.
+    #[inline(always)]
+    fn row(&self, key: &CondKey) -> Option<u32> {
+        let row = if let CondKey::Port(p) = key {
+            self.eq4[p.0 as usize]
+        } else {
+            let mask = self.probe.len() - 1;
+            let mut slot = key_hash(key) as usize & mask;
+            loop {
+                match self.probe[slot] {
+                    ROW_NONE => break ROW_NONE,
+                    row if self.keys[row as usize] == *key => break row,
+                    _ => slot = (slot + 1) & mask,
+                }
+            }
+        };
+        (row != ROW_NONE).then_some(row)
+    }
+
+    /// The §5.4 expansion of one host — the kernel both the pipeline's
+    /// [`build_predictions`](crate::build_predictions) and a warm server
+    /// query run. `services` are the host's open services, each its port
+    /// and application features; `nets` are the host's net keys. Every
+    /// Eq. 4–7 key they form is looked up, and the targets of each
+    /// matching rule are folded into `scratch` (max per port, open ports
+    /// excluded). Read the result with [`PredictScratch::harvest`].
     #[inline]
-    pub fn port_row(&self, port: u16) -> Option<u32> {
-        match self.eq4[port as usize] {
-            ROW_NONE => None,
-            row => Some(row),
+    pub fn expand<'f>(
+        &self,
+        scratch: &mut PredictScratch,
+        services: impl Iterator<Item = (Port, &'f [FeatureValue])> + Clone,
+        nets: impl Iterator<Item = NetKey> + Clone,
+    ) {
+        scratch.begin();
+        for (port, _) in services.clone() {
+            scratch.mark_open(port.0);
+        }
+        for (port, features) in services {
+            self.fold(scratch, &CondKey::Port(port));
+            for &f in features {
+                self.fold(scratch, &CondKey::PortApp(port, f));
+            }
+            for net in nets.clone() {
+                self.fold(scratch, &CondKey::PortNet(port, net));
+                for &f in features {
+                    self.fold(scratch, &CondKey::PortAppNet(port, f, net));
+                }
+            }
         }
     }
 
-    /// Row id for an Eq. 6 key — a packed-integer probe, no hashing of
-    /// the `CondKey` enum.
-    #[inline]
-    pub fn net_row(&self, port: u16, net: &NetKey) -> Option<u32> {
-        self.net_index.get(pack_net(port, net))
-    }
-
-    /// Row id for any key class.
-    #[inline]
-    pub fn row(&self, key: &CondKey) -> Option<u32> {
-        match key {
-            CondKey::Port(p) => self.port_row(p.0),
-            CondKey::PortNet(p, net) => self.net_row(p.0, net),
-            _ => self.index.get(key).copied(),
+    /// Fold the targets of `key`'s rule, if it has one.
+    #[inline(always)]
+    fn fold(&self, scratch: &mut PredictScratch, key: &CondKey) {
+        if let Some(row) = self.row(key) {
+            let (ports, prob_bits) = self.row_slices(row);
+            scratch.fold(ports, prob_bits);
         }
     }
 
     /// A row's target slice: `(ports, probability bits)`, parallel arrays.
     #[inline]
-    pub fn row_slices(&self, row: u32) -> (&[u16], &[u64]) {
+    fn row_slices(&self, row: u32) -> (&[u16], &[u64]) {
         let offset = self.offsets[row as usize] as usize;
         let len = self.lens[row as usize] as usize;
         (
@@ -336,6 +348,85 @@ impl CompiledRules {
             &self.ports,
             &self.prob_bits,
         )
+    }
+}
+
+/// Reusable working memory for [`CompiledRules::expand`].
+///
+/// The fold is a port-indexed dense accumulator: one `f64` slot per
+/// possible port, epoch-stamped so "reset" is a counter bump instead of a
+/// clear, plus a touched-port list to harvest results without scanning all
+/// 65536 slots. A long-lived caller (each serving thread, one pipeline
+/// expansion) pays the ~1 MiB allocation once; the per-host cost is a few
+/// array stores.
+#[derive(Default)]
+pub struct PredictScratch {
+    /// Best probability seen for each port this epoch (valid iff stamped).
+    probs: Vec<f64>,
+    /// Epoch stamp per port slot.
+    stamp: Vec<u32>,
+    /// Epoch stamp marking the host's own open ports (excluded from
+    /// results).
+    open_stamp: Vec<u32>,
+    /// Current epoch; 0 means "never used".
+    epoch: u32,
+    /// Ports touched this epoch, in first-touch order.
+    touched: Vec<u16>,
+}
+
+impl PredictScratch {
+    /// Start a new epoch, lazily sizing the tables on first use.
+    fn begin(&mut self) {
+        if self.probs.is_empty() {
+            self.probs = vec![0.0; 1 << 16];
+            self.stamp = vec![0; 1 << 16];
+            self.open_stamp = vec![0; 1 << 16];
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // u32 wrap: old stamps would alias the new epoch; clear once
+            // every 2^32 expansions.
+            self.stamp.fill(0);
+            self.open_stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.touched.clear();
+    }
+
+    #[inline]
+    fn mark_open(&mut self, port: u16) {
+        self.open_stamp[port as usize] = self.epoch;
+    }
+
+    /// Fold one rule slice, keeping the max probability per port. This
+    /// replicates the HashMap path's `or_insert(0.0)` + `prob > slot`
+    /// exactly: a first touch installs 0.0 before comparing, so a
+    /// zero-or-NaN probability still surfaces the port (at weight 0.0)
+    /// without ever outranking a real rule.
+    #[inline]
+    fn fold(&mut self, ports: &[u16], prob_bits: &[u64]) {
+        for (&port, &bits) in ports.iter().zip(prob_bits) {
+            let slot = port as usize;
+            if self.open_stamp[slot] == self.epoch {
+                continue;
+            }
+            let prob = f64::from_bits(bits);
+            if self.stamp[slot] != self.epoch {
+                self.stamp[slot] = self.epoch;
+                self.touched.push(port);
+                self.probs[slot] = if prob > 0.0 { prob } else { 0.0 };
+            } else if prob > self.probs[slot] {
+                self.probs[slot] = prob;
+            }
+        }
+    }
+
+    /// The last expansion's result, unsorted: every port a matched rule
+    /// named, in first-touch order, with its best probability.
+    pub fn harvest(&self) -> impl Iterator<Item = (Port, f64)> + '_ {
+        self.touched
+            .iter()
+            .map(|&port| (Port(port), self.probs[port as usize]))
     }
 }
 
@@ -507,7 +598,25 @@ mod tests {
             vec![(Port(443), 0.8), (Port(22), 0.3)],
         );
         rules.insert(CondKey::Port(Port(22)), vec![(Port(2222), 0.5)]);
+        // The application classes: a prefix of the Eq. 7 /16 list, and an
+        // Eq. 7 ASN list identical to `Port(22)`'s.
+        rules.insert(
+            CondKey::PortApp(Port(80), server(5)),
+            vec![(Port(8443), 0.7)],
+        );
+        rules.insert(
+            CondKey::PortAppNet(Port(80), server(5), NetKey::Slash(16, 0x0A01_0000)),
+            vec![(Port(8443), 0.7), (Port(9000), 0.2)],
+        );
+        rules.insert(
+            CondKey::PortAppNet(Port(80), server(5), NetKey::Asn(7)),
+            vec![(Port(2222), 0.5)],
+        );
         FeatureRules::from_parts(rules)
+    }
+
+    fn server(sym: u32) -> FeatureValue {
+        FeatureValue::new(gps_types::FeatureKind::HttpServer, gps_types::Sym(sym))
     }
 
     #[test]
@@ -520,20 +629,26 @@ mod tests {
             let got: Vec<(Port, f64)> = compiled.get(key).expect("key compiled").collect();
             assert_eq!(&got, targets, "targets for {key:?}");
         }
-        assert!(compiled.get(&CondKey::Port(Port(9))).is_none());
-        assert!(compiled
-            .row(&CondKey::PortNet(Port(80), NetKey::Asn(8)))
-            .is_none());
+        // One miss per key class.
+        for miss in [
+            CondKey::Port(Port(9)),
+            CondKey::PortApp(Port(80), server(6)),
+            CondKey::PortNet(Port(80), NetKey::Asn(8)),
+            CondKey::PortAppNet(Port(80), server(5), NetKey::Asn(8)),
+        ] {
+            assert!(compiled.get(&miss).is_none(), "{miss:?}");
+        }
     }
 
     #[test]
     fn identical_and_prefix_lists_share_arena_storage() {
         let compiled = CompiledRules::from_rules(&rules_fixture());
-        // 4 rows, 7 rule entries total — but only one 3-entry list plus
-        // the 1-entry list are stored (the duplicate and the prefix both
-        // alias the 3-entry slice).
-        assert_eq!(compiled.len(), 9);
-        assert_eq!(compiled.arena_len(), 4);
+        // 7 rows, 13 rule entries total — but only the 3-entry list, the
+        // 1-entry list and the 2-entry Eq. 7 list are stored: the
+        // duplicate and the prefix alias the 3-entry slice, the Eq. 7 ASN
+        // list the 1-entry slice, the Eq. 5 list the Eq. 7 one.
+        assert_eq!(compiled.len(), 13);
+        assert_eq!(compiled.arena_len(), 6);
         let dup_a = compiled.row(&CondKey::Port(Port(80))).unwrap();
         let dup_b = compiled.row(&CondKey::Port(Port(8080))).unwrap();
         assert_eq!(compiled.row_slices(dup_a), compiled.row_slices(dup_b));

@@ -31,21 +31,19 @@ impl HostRecord {
 }
 
 /// Derive the [`NetKey`]s of an address. ASN resolution is supplied by the
-/// caller (the scanner/topology layer owns that mapping).
-pub fn net_keys_for(
+/// caller (the scanner/topology layer owns that mapping). Lazy, so a
+/// served query derives its keys without allocating.
+pub fn net_keys_for<'a>(
     ip: Ip,
-    net_features: &[NetFeature],
-    asn_of: &dyn Fn(Ip) -> Option<u32>,
-) -> Vec<NetKey> {
-    net_features
-        .iter()
-        .filter_map(|nf| match nf {
-            NetFeature::Slash(prefix) => {
-                Some(NetKey::Slash(*prefix, Subnet::of_ip(ip, *prefix).base().0))
-            }
-            NetFeature::Asn => asn_of(ip).map(NetKey::Asn),
-        })
-        .collect()
+    net_features: &'a [NetFeature],
+    asn_of: &'a dyn Fn(Ip) -> Option<u32>,
+) -> impl Iterator<Item = NetKey> + Clone + 'a {
+    net_features.iter().filter_map(move |nf| match nf {
+        NetFeature::Slash(prefix) => {
+            Some(NetKey::Slash(*prefix, Subnet::of_ip(ip, *prefix).base().0))
+        }
+        NetFeature::Asn => asn_of(ip).map(NetKey::Asn),
+    })
 }
 
 /// Group observations by host, deduplicating (ip, port) pairs and sorting
@@ -69,7 +67,7 @@ pub fn group_by_host(
             let ip = Ip(ip);
             HostRecord {
                 ip,
-                nets: net_keys_for(ip, net_features, asn_of),
+                nets: net_keys_for(ip, net_features, asn_of).collect(),
                 services,
             }
         })
@@ -147,15 +145,15 @@ mod tests {
     #[test]
     fn net_keys_cover_features() {
         let ip = Ip::from_octets(10, 20, 30, 40);
-        let keys = net_keys_for(ip, &[NetFeature::Slash(16), NetFeature::Asn], &|_| Some(7));
+        let keys: Vec<NetKey> =
+            net_keys_for(ip, &[NetFeature::Slash(16), NetFeature::Asn], &|_| Some(7)).collect();
         assert_eq!(keys.len(), 2);
         assert!(
             matches!(keys[0], NetKey::Slash(16, base) if base == Ip::from_octets(10, 20, 0, 0).0)
         );
         assert!(matches!(keys[1], NetKey::Asn(7)));
         // Unknown ASN yields no ASN key.
-        let keys = net_keys_for(ip, &[NetFeature::Asn], &|_| None);
-        assert!(keys.is_empty());
+        assert_eq!(net_keys_for(ip, &[NetFeature::Asn], &|_| None).count(), 0);
     }
 
     #[test]

@@ -19,10 +19,10 @@ use gps_scan::ServiceObservation;
 use gps_types::Ip;
 
 use crate::compiled::CompiledRules;
-use crate::config::{GpsConfig, Interactions};
+use crate::config::GpsConfig;
 use crate::host::{group_by_host, HostRecord};
 use crate::model::CondModel;
-use crate::predict::{build_predictions_compiled, FeatureRules, Prediction};
+use crate::predict::{build_predictions, FeatureRules, Prediction};
 
 /// A trained expander: rules distilled from a labelled corpus, applicable to
 /// any future hitlist.
@@ -33,7 +33,6 @@ use crate::predict::{build_predictions_compiled, FeatureRules, Prediction};
 pub struct KnownHostExpander {
     rules: CompiledRules,
     net_features: Vec<crate::config::NetFeature>,
-    interactions: Interactions,
 }
 
 impl KnownHostExpander {
@@ -56,7 +55,6 @@ impl KnownHostExpander {
             KnownHostExpander {
                 rules: CompiledRules::from_rules(&rules),
                 net_features: config.net_features.clone(),
-                interactions: config.interactions,
             },
             stats,
         )
@@ -78,8 +76,7 @@ impl KnownHostExpander {
     ) -> Vec<Prediction> {
         let hosts: Vec<HostRecord> = group_by_host(hitlist, &self.net_features, asn_of);
         let known: HashSet<(u32, u16)> = hitlist.iter().map(|o| (o.ip.0, o.port.0)).collect();
-        let _ = self.interactions; // rule keys already encode the classes
-        build_predictions_compiled(&self.rules, &hosts, &known, max_predictions)
+        build_predictions(&self.rules, &hosts, &known, max_predictions)
     }
 }
 

@@ -64,6 +64,6 @@ pub use known_hosts::KnownHostExpander;
 pub use metrics::{CoverageTracker, CurvePoint, DiscoveryCurve, GroundTruth};
 pub use model::{BuildStats, CondKey, CondModel, KeyStats, NetKey};
 pub use pipeline::{run_gps, GpsRun, PhaseTimings};
-pub use predict::{build_predictions, build_predictions_compiled, FeatureRules, Prediction};
+pub use predict::{build_predictions, FeatureRules, Prediction};
 pub use priors::{build_priors_list, PriorsEntry};
 pub use snapshot::{ModelManifest, ModelSnapshot, SnapshotError};

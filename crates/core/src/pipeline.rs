@@ -21,7 +21,7 @@ use crate::filter::{filter_pseudo_services, FilterStats};
 use crate::host::{group_by_host, HostRecord};
 use crate::metrics::{CoverageTracker, DiscoveryCurve};
 use crate::model::{BuildStats, CondModel};
-use crate::predict::{build_predictions_compiled, FeatureRules, Prediction};
+use crate::predict::{build_predictions, FeatureRules, Prediction};
 use crate::priors::{build_priors_list, PriorsEntry};
 
 /// Wall-clock components of a run. Scan times are simulated via the
@@ -209,13 +209,12 @@ pub fn run_gps(net: &Internet, dataset: &Dataset, config: &GpsConfig) -> GpsRun 
     // -------------------------------------------- phase 4: prediction scan
     let t0 = Instant::now();
     let rules = FeatureRules::build(&model, &seed_hosts, min_prob_used);
-    // Matching runs over the compiled arena form — the same kernel the
-    // serving layer queries, so offline and online answers share one code
-    // path (and its bit-identical parity guarantees).
+    // Each host expands through `CompiledRules::expand`, the kernel a warm
+    // server query runs, so offline and online answers share one fold.
     let compiled_rules = crate::compiled::CompiledRules::from_rules(&rules);
     let prior_hosts: Vec<HostRecord> =
         group_by_host(&prior_observations, &config.net_features, &asn_of);
-    let predictions: Vec<Prediction> = build_predictions_compiled(
+    let predictions: Vec<Prediction> = build_predictions(
         &compiled_rules,
         &prior_hosts,
         &known,

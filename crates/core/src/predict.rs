@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 
 use gps_types::{Ip, Port, ServiceKey};
 
-use crate::compiled::CompiledRules;
+use crate::compiled::{CompiledRules, PredictScratch};
 use crate::host::HostRecord;
 use crate::model::{CondKey, CondModel};
 
@@ -116,66 +116,38 @@ impl Prediction {
 /// * `known` — (ip, port) pairs already observed (seed + priors); never
 ///   re-predicted;
 /// * `max_predictions` — hard cap (keeps the highest-probability entries).
+///
+/// Each host is one [`CompiledRules::expand`] — the kernel a warm server
+/// query runs — over its services' ports and features and its net keys,
+/// matching the full Eq. 4–7 key family (rules built from a reduced
+/// interaction set simply contain fewer keys).
 pub fn build_predictions(
-    rules: &FeatureRules,
-    prior_hosts: &[HostRecord],
-    known: &HashSet<(u32, u16)>,
-    max_predictions: usize,
-) -> Vec<Prediction> {
-    build_predictions_compiled(
-        &CompiledRules::from_rules(rules),
-        prior_hosts,
-        known,
-        max_predictions,
-    )
-}
-
-/// [`build_predictions`] against an already-compiled rule arena — the form
-/// the pipeline and [`KnownHostExpander`](crate::KnownHostExpander) use, so
-/// repeated expansion passes skip recompilation.
-pub fn build_predictions_compiled(
     rules: &CompiledRules,
     prior_hosts: &[HostRecord],
     known: &HashSet<(u32, u16)>,
     max_predictions: usize,
 ) -> Vec<Prediction> {
-    let mut best: HashMap<(u32, u16), f64> = HashMap::new();
+    let mut scratch = PredictScratch::default();
+    let mut predictions: Vec<Prediction> = Vec::new();
     for host in prior_hosts {
-        let open: HashSet<u16> = host.services.iter().map(|s| s.port.0).collect();
-        for service in &host.services {
-            crate::host::service_keys(
-                service,
-                &host.nets,
-                // Match with the full key family; rules built from a reduced
-                // interaction set simply contain fewer keys.
-                crate::config::Interactions::ALL,
-                &mut |key| {
-                    if let Some(row) = rules.row(&key) {
-                        let (ports, prob_bits) = rules.row_slices(row);
-                        for (&port, &bits) in ports.iter().zip(prob_bits) {
-                            if open.contains(&port) || known.contains(&(host.ip.0, port)) {
-                                continue;
-                            }
-                            let prob = f64::from_bits(bits);
-                            let slot = best.entry((host.ip.0, port)).or_insert(0.0);
-                            if prob > *slot {
-                                *slot = prob;
-                            }
-                        }
-                    }
-                },
-            );
-        }
+        rules.expand(
+            &mut scratch,
+            host.services
+                .iter()
+                .map(|s| (s.port, s.features.as_slice())),
+            host.nets.iter().copied(),
+        );
+        predictions.extend(
+            scratch
+                .harvest()
+                .filter(|&(port, _)| !known.contains(&(host.ip.0, port.0)))
+                .map(|(port, prob)| Prediction {
+                    ip: host.ip,
+                    port,
+                    prob,
+                }),
+        );
     }
-
-    let mut predictions: Vec<Prediction> = best
-        .into_iter()
-        .map(|((ip, port), prob)| Prediction {
-            ip: Ip(ip),
-            port: Port(port),
-            prob,
-        })
-        .collect();
     // Descending predictability; deterministic tiebreak. `total_cmp` keeps
     // a NaN probability from panicking the sort (see `FeatureRules::build`).
     predictions.sort_by(|a, b| {
@@ -261,7 +233,7 @@ mod tests {
     #[test]
     fn predictions_follow_matched_rules() {
         let (hosts, model) = trained();
-        let rules = FeatureRules::build(&model, &hosts, 1e-5);
+        let rules = CompiledRules::from_rules(&FeatureRules::build(&model, &hosts, 1e-5));
         // A new host seen in the priors scan with the same banner on 80.
         let prior = group_by_host(&[obs(100, 80, Some(7))], &[NetFeature::Slash(16)], &|_| {
             None
@@ -281,7 +253,7 @@ mod tests {
     #[test]
     fn known_and_open_ports_are_not_repredicted() {
         let (hosts, model) = trained();
-        let rules = FeatureRules::build(&model, &hosts, 1e-5);
+        let rules = CompiledRules::from_rules(&FeatureRules::build(&model, &hosts, 1e-5));
         // Prior host already observed on both ports.
         let prior = group_by_host(
             &[obs(100, 80, Some(7)), obs(100, 8082, None)],
@@ -309,7 +281,7 @@ mod tests {
     #[test]
     fn unmatched_hosts_produce_nothing() {
         let (hosts, model) = trained();
-        let rules = FeatureRules::build(&model, &hosts, 1e-5);
+        let rules = CompiledRules::from_rules(&FeatureRules::build(&model, &hosts, 1e-5));
         // Different banner (Sym 9) and different /16 ⇒ only the bare Port
         // key might match.
         let prior = group_by_host(
@@ -332,7 +304,7 @@ mod tests {
             CondKey::Port(Port(80)),
             vec![(Port(9999), f64::NAN), (Port(8082), 0.9)],
         );
-        let rules = FeatureRules::from_parts(raw);
+        let rules = CompiledRules::from_rules(&FeatureRules::from_parts(raw));
         let prior = group_by_host(&[obs(100, 80, Some(7))], &[NetFeature::Slash(16)], &|_| {
             None
         });
@@ -349,7 +321,7 @@ mod tests {
     #[test]
     fn max_predictions_keeps_best() {
         let (hosts, model) = trained();
-        let rules = FeatureRules::build(&model, &hosts, 0.0);
+        let rules = CompiledRules::from_rules(&FeatureRules::build(&model, &hosts, 0.0));
         let mut prior_observations = Vec::new();
         for ip in 200..260u32 {
             prior_observations.push(obs(ip, 80, Some(7)));

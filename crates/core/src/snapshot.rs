@@ -1440,9 +1440,9 @@ mod tests {
         let feature_rules = &run.rules;
         let snapshot = ModelSnapshot::from_run(&run, &config, 77);
         let loaded = ModelSnapshot::from_binary_bytes(&snapshot.to_binary_bytes()).unwrap();
-        // Decoding rebuilds every lookup structure, the Eq. 5/7 index
-        // included: all four key classes answer exactly as the rule map
-        // the snapshot was compiled from.
+        // Decoding rebuilds both lookup tables, the Eq. 4 direct index and
+        // the probe table that answers Eq. 5/6/7: all four key classes
+        // answer exactly as the rule map the snapshot was compiled from.
         let classes: std::collections::BTreeSet<u8> =
             feature_rules.iter().map(|(key, _)| key.class()).collect();
         assert_eq!(classes.into_iter().collect::<Vec<_>>(), [4, 5, 6, 7]);

@@ -11,27 +11,32 @@
 //!   "most predictive feature values" rules, exactly as the prediction
 //!   phase does for priors-scan responses.
 //!
-//! Application-layer keys (Eq. 5/7) require banner features that a remote
-//! query cannot carry, so serving matches on the transport and network key
-//! classes (Eq. 4/6); the snapshot still contains the full rule list.
+//! A warm query is one call of
+//! [`CompiledRules::expand`](gps_core::CompiledRules::expand), the kernel the
+//! pipeline's prediction phase runs per priors-scan host. The kernel walks
+//! all four key classes, but the wire does not carry application features
+//! yet: a query's evidence is feature-less, so it matches the transport
+//! and network key classes (Eq. 4/6) while the snapshot holds all of them.
 //!
 //! Queries run against the arena-backed [`CompiledModel`]: warm lookups
 //! walk contiguous `(port, prob-bits)` slices and fold into a port-indexed
-//! dense accumulator, cold lookups binary-search a subnet index and copy a
-//! pre-normalized slice out of the priors arena. The rule arena arrives
-//! ready-made in the snapshot (its RULE section is that arena); the priors
-//! index is compiled here from the snapshot's ordered scan list. Answers
+//! dense accumulator ([`PredictScratch`]), cold lookups binary-search a
+//! subnet index and copy a pre-normalized slice out of the priors arena.
+//! The rule arena arrives ready-made in the snapshot (its RULE section is
+//! that arena); the priors index is compiled here from the snapshot's
+//! ordered scan list. Answers
 //! are bit-identical to the original HashMap path — kept here as
 //! [`ReferenceModel`], built from the rule map a snapshot was compiled
 //! from, and asserted against it by the parity property suite.
 
 use std::collections::HashMap;
 
-use gps_core::compiled::{CompiledModel, CompiledPriors};
+use gps_core::compiled::{CompiledModel, CompiledPriors, PredictScratch};
+use gps_core::host::net_keys_for;
 use gps_core::model::NetKey;
 use gps_core::snapshot::{ModelManifest, ModelSnapshot};
 use gps_core::{CondKey, FeatureRules, NetFeature};
-use gps_types::{Ip, Port, Subnet};
+use gps_types::{FeatureValue, Ip, Port, Subnet};
 
 /// A ranked prediction list: `(port, probability)`, descending.
 pub type Ranked = Vec<(Port, f64)>;
@@ -64,93 +69,11 @@ impl Query {
     }
 }
 
-/// Reusable per-caller working memory for [`ServableModel::predict_with`].
-///
-/// The warm fold is a port-indexed dense accumulator: one `f64` slot per
-/// possible port, epoch-stamped so "reset" is a counter bump instead of a
-/// clear, plus a touched-port list to harvest results without scanning all
-/// 65536 slots. A long-lived caller (each serving thread owns one) pays
-/// the ~1 MiB allocation once; the per-query cost is a few array stores.
-#[derive(Default)]
-pub struct PredictScratch {
-    /// Best probability seen for each port this epoch (valid iff stamped).
-    probs: Vec<f64>,
-    /// Epoch stamp per port slot.
-    stamp: Vec<u32>,
-    /// Epoch stamp marking the query's own open ports (excluded from
-    /// answers).
-    open_stamp: Vec<u32>,
-    /// Current epoch; 0 means "never used".
-    epoch: u32,
-    /// Ports touched this epoch, in first-touch order.
-    touched: Vec<u16>,
-}
-
-impl PredictScratch {
-    /// Start a new query epoch, lazily sizing the tables on first use.
-    fn begin(&mut self) {
-        if self.probs.is_empty() {
-            self.probs = vec![0.0; 1 << 16];
-            self.stamp = vec![0; 1 << 16];
-            self.open_stamp = vec![0; 1 << 16];
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // u32 wrap: old stamps would alias the new epoch; clear once
-            // every 2^32 queries.
-            self.stamp.fill(0);
-            self.open_stamp.fill(0);
-            self.epoch = 1;
-        }
-        self.touched.clear();
-    }
-
-    #[inline]
-    fn mark_open(&mut self, port: u16) {
-        self.open_stamp[port as usize] = self.epoch;
-    }
-
-    /// Fold one rule slice, keeping the max probability per port. This
-    /// replicates the HashMap path's `or_insert(0.0)` + `prob > slot`
-    /// exactly: a first touch installs 0.0 before comparing, so a
-    /// zero-or-NaN probability still surfaces the port (at weight 0.0)
-    /// without ever outranking a real rule.
-    #[inline]
-    fn fold(&mut self, ports: &[u16], prob_bits: &[u64]) {
-        for (&port, &bits) in ports.iter().zip(prob_bits) {
-            let slot = port as usize;
-            if self.open_stamp[slot] == self.epoch {
-                continue;
-            }
-            let prob = f64::from_bits(bits);
-            if self.stamp[slot] != self.epoch {
-                self.stamp[slot] = self.epoch;
-                self.touched.push(port);
-                self.probs[slot] = if prob > 0.0 { prob } else { 0.0 };
-            } else if prob > self.probs[slot] {
-                self.probs[slot] = prob;
-            }
-        }
-    }
-
-    /// Harvest the epoch's accumulator into a fresh ranked Vec (unsorted).
-    fn take_ranked(&mut self) -> Ranked {
-        self.touched
-            .iter()
-            .map(|&port| (Port(port), self.probs[port as usize]))
-            .collect()
-    }
-}
-
 /// The query-ready artifact: a compiled rule arena for warm queries, a
 /// subnet-indexed priors arena for cold queries.
 pub struct ServableModel {
     manifest: ModelManifest,
     compiled: CompiledModel,
-    /// Prefix lengths of the trained Slash net features (Eq. 6 keys).
-    net_prefixes: Vec<u8>,
-    /// Whether the model was trained with ASN keys.
-    uses_asn: bool,
 }
 
 impl ServableModel {
@@ -161,22 +84,9 @@ impl ServableModel {
             priors: CompiledPriors::from_entries(&snapshot.priors, snapshot.manifest.step_prefix),
             rules: snapshot.rules,
         };
-        let net_prefixes: Vec<u8> = snapshot
-            .manifest
-            .net_features
-            .iter()
-            .filter_map(|nf| match nf {
-                NetFeature::Slash(p) => Some(*p),
-                NetFeature::Asn => None,
-            })
-            .collect();
-        let uses_asn = snapshot.manifest.net_features.contains(&NetFeature::Asn);
-
         ServableModel {
             manifest: snapshot.manifest,
             compiled,
-            net_prefixes,
-            uses_asn,
         }
     }
 
@@ -225,37 +135,18 @@ impl ServableModel {
             .collect()
     }
 
-    /// Warm path: max rule probability over every Eq. 4/6 key derivable
-    /// from the supplied evidence, folded in the dense accumulator.
+    /// Warm path: the expansion kernel over the open ports, without
+    /// application features, and the net keys the manifest's features
+    /// derive from the query (the ASN key only when the query names one).
     fn warm_ranking(&self, scratch: &mut PredictScratch, query: &Query) -> Ranked {
-        scratch.begin();
-        for &port in &query.open {
-            scratch.mark_open(port.0);
-        }
-        let rules = &self.compiled.rules;
-        for &b in &query.open {
-            // Bare Eq. 4 key: direct-indexed, no hashing.
-            if let Some(row) = rules.port_row(b.0) {
-                let (ports, bits) = rules.row_slices(row);
-                scratch.fold(ports, bits);
-            }
-            for &prefix in &self.net_prefixes {
-                let net = NetKey::Slash(prefix, Subnet::of_ip(query.ip, prefix).base().0);
-                if let Some(row) = rules.net_row(b.0, &net) {
-                    let (ports, bits) = rules.row_slices(row);
-                    scratch.fold(ports, bits);
-                }
-            }
-            if self.uses_asn {
-                if let Some(asn) = query.asn {
-                    if let Some(row) = rules.net_row(b.0, &NetKey::Asn(asn)) {
-                        let (ports, bits) = rules.row_slices(row);
-                        scratch.fold(ports, bits);
-                    }
-                }
-            }
-        }
-        let mut ranked = scratch.take_ranked();
+        let asn_of = |_: Ip| query.asn;
+        let no_features: &[FeatureValue] = &[];
+        self.compiled.rules.expand(
+            scratch,
+            query.open.iter().map(|&port| (port, no_features)),
+            net_keys_for(query.ip, &self.manifest.net_features, &asn_of),
+        );
+        let mut ranked: Ranked = scratch.harvest().collect();
         sort_ranked(&mut ranked);
         ranked
     }

@@ -68,7 +68,8 @@ pub mod server;
 pub mod transport;
 mod wire;
 
-pub use artifact::{PredictScratch, Query, Ranked, ReferenceModel, ServableModel};
+pub use artifact::{Query, Ranked, ReferenceModel, ServableModel};
+pub use gps_core::compiled::PredictScratch;
 pub use hist::{EndpointLabel, HistogramSet, LatencyHistogram, WireLabel};
 pub use net::{DecodeError, FrameDecoder, WireFormat};
 pub use proto::{Client, ClientConfig, ClientError, ReloadOutcome};

@@ -52,9 +52,10 @@ use std::sync::{Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
-use crate::artifact::{PredictScratch, Query, Ranked, ServableModel};
+use crate::artifact::{Query, Ranked, ServableModel};
 use crate::hist::HistogramSet;
 use crate::query_log::QueryLog;
+use crate::PredictScratch;
 use gps_core::snapshot::header_fingerprint;
 use gps_core::ModelSnapshot;
 use gps_types::json::Json;

@@ -80,15 +80,6 @@ impl UniverseConfig {
         }
     }
 
-    /// A larger universe for headline experiments (≈8.4M addresses).
-    pub fn large(seed: u64) -> Self {
-        UniverseConfig {
-            seed,
-            num_slash16: 128,
-            ..Default::default()
-        }
-    }
-
     /// Total number of addresses in the simulated "IPv4 space".
     pub fn universe_size(&self) -> u64 {
         self.num_slash16 as u64 * 65536
@@ -130,7 +121,6 @@ mod tests {
         UniverseConfig::default().validate().unwrap();
         UniverseConfig::tiny(1).validate().unwrap();
         UniverseConfig::standard(1).validate().unwrap();
-        UniverseConfig::large(1).validate().unwrap();
     }
 
     #[test]

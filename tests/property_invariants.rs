@@ -678,6 +678,7 @@ fn build_predictions_matches_rule_map_fold_across_universes() {
             [4, 5, 6, 7],
             "seed {seed}: every key class must be exercised"
         );
+        let compiled = gps::core::CompiledRules::from_rules(&run.rules);
         let hosts = &run.seed_host_records;
         let known: HashSet<(u32, u16)> = hosts
             .iter()
@@ -685,7 +686,7 @@ fn build_predictions_matches_rule_map_fold_across_universes() {
             .step_by(3)
             .collect();
         for max_predictions in [usize::MAX, 100] {
-            let got = gps::core::build_predictions(&run.rules, hosts, &known, max_predictions);
+            let got = gps::core::build_predictions(&compiled, hosts, &known, max_predictions);
             let want = oracle(&run.rules, hosts, &known, max_predictions);
             assert!(!want.is_empty(), "seed {seed}: the oracle predicts nothing");
             assert_eq!(
