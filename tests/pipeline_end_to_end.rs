@@ -150,6 +150,111 @@ fn discovery_curve_is_monotone() {
     }
 }
 
+/// FNV-1a over each prediction's `(ip u32, port u16, prob bits u64)`,
+/// little-endian.
+fn predictions_digest(predictions: &[gps::core::Prediction]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for p in predictions {
+        let bytes =
+            p.ip.0
+                .to_le_bytes()
+                .into_iter()
+                .chain(p.port.0.to_le_bytes())
+                .chain(p.prob.to_bits().to_le_bytes());
+        for byte in bytes {
+            hash = (hash ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// The predictions list `run_gps` scanned, rebuilt from the run's public
+/// parts: `known` is every seed service plus every priors-scan response,
+/// the priors scan is replayed over the entries the run scanned, and the
+/// run's own rules expand the responsive hosts.
+fn replayed_predictions(
+    net: &Internet,
+    dataset: &Dataset,
+    config: &GpsConfig,
+    run: &GpsRun,
+) -> Vec<gps::core::Prediction> {
+    let mut scanner = Scanner::new(
+        net,
+        ScanConfig {
+            day: dataset.day,
+            ip_filter: dataset.visible_ips.clone(),
+            port_filter: dataset.ports.clone(),
+            ..ScanConfig::default()
+        },
+    );
+    let mut seen: std::collections::HashSet<(u32, u16)> = run
+        .seed_host_records
+        .iter()
+        .flat_map(|h| h.services.iter().map(move |s| (h.ip.0, s.port.0)))
+        .collect();
+    let mut prior_observations = Vec::new();
+    for entry in &run.priors_list[..run.priors_scanned] {
+        for obs in scanner.scan_subnet_port(ScanPhase::Priors, entry.subnet, entry.port) {
+            if seen.insert((obs.ip.0, obs.port.0)) {
+                prior_observations.push(obs);
+            }
+        }
+    }
+    let asn_of = |ip: Ip| net.asn_of(ip).map(|a| a.0);
+    let prior_hosts = gps::core::group_by_host(&prior_observations, &config.net_features, &asn_of);
+    let known = seen.into_iter().collect();
+    gps::core::build_predictions(
+        &gps::core::CompiledRules::from_rules(&run.rules),
+        &prior_hosts,
+        &known,
+        config.max_predictions,
+    )
+}
+
+/// Bit-identity pin of the whole pipeline on one Censys-style and one
+/// LZR-style tiny run: the digest and length of the predictions list,
+/// the found set's size, and the probes charged per phase. A change to the
+/// scan chain, grouping, hashing or expansion that is meant to be
+/// behaviour-preserving must leave every number here unchanged.
+#[test]
+fn run_gps_outputs_are_pinned() {
+    let net = universe();
+    let config = quick_config();
+    // (name, dataset, digest, predictions, found, probes per ScanPhase::ALL)
+    let cases = [
+        (
+            "censys",
+            censys_dataset(&net, 200, 0.05, 0, 1),
+            0xdbb6_8fa0_dd8e_2afau64,
+            51_210usize,
+            39_831usize,
+            [2_630_954u64, 14_333_758, 51_428, 0, 0],
+        ),
+        (
+            "lzr",
+            lzr_dataset(&net, 0.4, 0.25, 2, 0, 3),
+            0xdcef_768d_ea1a_c3bc,
+            17_354,
+            12_480,
+            [322_192_829, 13_899_099, 17_373, 0, 0],
+        ),
+    ];
+    for (name, dataset, digest, predictions, found, probes) in cases {
+        let run = run_gps(&net, &dataset, &config);
+        let replayed = replayed_predictions(&net, &dataset, &config, &run);
+        assert_eq!(
+            replayed.len(),
+            run.predictions_total,
+            "{name}: replay length"
+        );
+        assert_eq!(predictions_digest(&replayed), digest, "{name}: digest");
+        assert_eq!(replayed.len(), predictions, "{name}: predictions");
+        assert_eq!(run.found.len(), found, "{name}: found");
+        let got_probes = ScanPhase::ALL.map(|phase| run.ledger.probes(phase));
+        assert_eq!(got_probes, probes, "{name}: probes per phase");
+    }
+}
+
 #[test]
 fn predictions_never_reprobe_known_services() {
     let net = universe();
