@@ -4,8 +4,6 @@
 //! most-predictive-features list from the seed, then match priors-scan
 //! hosts against it to emit the predictions list.
 
-use std::collections::HashSet;
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use gps_core::{
     build_predictions, group_by_host, CompiledRules, FeatureRules, Interactions, NetFeature,
@@ -13,7 +11,7 @@ use gps_core::{
 use gps_engine::{Backend, ExecLedger};
 use gps_scan::{ScanConfig, ScanPhase, Scanner};
 use gps_synthnet::{Internet, UniverseConfig};
-use gps_types::Ip;
+use gps_types::{IntSet, Ip};
 
 fn bench_prediction(c: &mut Criterion) {
     let net = Internet::generate(&UniverseConfig::tiny(101));
@@ -42,7 +40,7 @@ fn bench_prediction(c: &mut Criterion) {
         .collect();
     let prior_observations = scanner.scan_ip_set(ScanPhase::Priors, prior_ips, &net.all_ports());
     let prior_hosts = group_by_host(&prior_observations, &net_features, &asn_of);
-    let known: HashSet<(u32, u16)> = observations.iter().map(|o| (o.ip.0, o.port.0)).collect();
+    let known: IntSet<(u32, u16)> = observations.iter().map(|o| (o.ip.0, o.port.0)).collect();
 
     let mut group = c.benchmark_group("prediction");
     group.sample_size(10);

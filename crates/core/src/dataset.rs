@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use gps_scan::CyclicPermutation;
 use gps_synthnet::Internet;
-use gps_types::{PortSet, Rng, ServiceKey};
+use gps_types::{IntSet, PortSet, Rng, ServiceKey};
 
 use crate::metrics::GroundTruth;
 
@@ -32,9 +32,9 @@ pub struct Dataset {
     /// Visible ports (None = all 65K).
     pub ports: Option<Arc<PortSet>>,
     /// Visible addresses (None = whole universe) — the LZR 1% sample.
-    pub visible_ips: Option<Arc<HashSet<u32>>>,
+    pub visible_ips: Option<Arc<IntSet<u32>>>,
     /// Seed-side addresses (responsive or not); the seed scan probes these.
-    pub seed_ips: Arc<HashSet<u32>>,
+    pub seed_ips: Arc<IntSet<u32>>,
     /// Test-side ground truth (real services only, filters applied).
     pub test: GroundTruth,
     /// Ports-with-more-than-N-IPs filter applied to both sides (LZR: 2).
@@ -55,7 +55,7 @@ impl Dataset {
 
 /// Sample `count` distinct addresses from the allocated universe, in ZMap
 /// permutation order (uniform without replacement).
-fn sample_universe_ips(net: &Internet, count: u64, seed: u64) -> HashSet<u32> {
+fn sample_universe_ips(net: &Internet, count: u64, seed: u64) -> IntSet<u32> {
     let mut rng = Rng::new(seed);
     let blocks = net.topology().blocks();
     CyclicPermutation::new(net.universe_size(), &mut rng)
@@ -152,8 +152,8 @@ pub fn lzr_dataset(
     let mut indices: Vec<usize> = (0..sample.len()).collect();
     rng.shuffle(&mut indices);
     let seed_count = (sample.len() as f64 * seed_share).round() as usize;
-    let seed_ips: HashSet<u32> = indices[..seed_count].iter().map(|&i| sample[i]).collect();
-    let visible: HashSet<u32> = sample.iter().copied().collect();
+    let seed_ips: IntSet<u32> = indices[..seed_count].iter().map(|&i| sample[i]).collect();
+    let visible: IntSet<u32> = sample.iter().copied().collect();
 
     let services = gps_synthnet::stats::services_where(
         net,

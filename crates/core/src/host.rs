@@ -6,8 +6,6 @@
 //! observations per IP; [`service_keys`] enumerates the model keys a single
 //! service gives rise to.
 
-use std::collections::HashMap;
-
 use gps_scan::ServiceObservation;
 use gps_types::{Ip, Port, Subnet};
 
@@ -48,31 +46,37 @@ pub fn net_keys_for<'a>(
 
 /// Group observations by host, deduplicating (ip, port) pairs and sorting
 /// services by port. Output is sorted by IP (deterministic model input).
+///
+/// One sort does all three: each observation becomes an
+/// `(ip << 16 | port, index)` key, so after sorting the keys of one host
+/// are adjacent and in port order, and the first of a run of equal pairs
+/// carries the lowest index — the first observation of that (ip, port),
+/// which is the one kept.
 pub fn group_by_host(
     observations: &[ServiceObservation],
     net_features: &[NetFeature],
     asn_of: &dyn Fn(Ip) -> Option<u32>,
 ) -> Vec<HostRecord> {
-    let mut by_ip: HashMap<u32, Vec<ServiceObservation>> = HashMap::new();
-    let mut seen = std::collections::HashSet::new();
-    for obs in observations {
-        if seen.insert((obs.ip.0, obs.port.0)) {
-            by_ip.entry(obs.ip.0).or_default().push(obs.clone());
-        }
-    }
-    let mut hosts: Vec<HostRecord> = by_ip
-        .into_iter()
-        .map(|(ip, mut services)| {
-            services.sort_by_key(|s| s.port);
-            let ip = Ip(ip);
-            HostRecord {
+    let mut order: Vec<(u64, usize)> = observations
+        .iter()
+        .enumerate()
+        .map(|(index, obs)| ((u64::from(obs.ip.0) << 16) | u64::from(obs.port.0), index))
+        .collect();
+    order.sort_unstable();
+    order.dedup_by_key(|&mut (pair, _)| pair);
+    let mut hosts: Vec<HostRecord> = Vec::new();
+    for (pair, index) in order {
+        let ip = Ip((pair >> 16) as u32);
+        if hosts.last().is_none_or(|host| host.ip != ip) {
+            hosts.push(HostRecord {
                 ip,
                 nets: net_keys_for(ip, net_features, asn_of).collect(),
-                services,
-            }
-        })
-        .collect();
-    hosts.sort_by_key(|h| h.ip);
+                services: Vec::new(),
+            });
+        }
+        let host = hosts.last_mut().expect("pushed above");
+        host.services.push(observations[index].clone());
+    }
     hosts
 }
 
@@ -140,6 +144,29 @@ mod tests {
         assert_eq!(hosts[1].services.len(), 2);
         assert_eq!(hosts[1].services[0].port, Port(80));
         assert_eq!(hosts[1].services[1].port, Port(443));
+
+        // Duplicates of one (ip, port) that differ in ttl and features: the
+        // first observation of the pair is kept, whatever follows it.
+        let with_ttl = |mut o: ServiceObservation, ttl: u8| {
+            o.ttl = ttl;
+            o
+        };
+        let first_80 = with_ttl(obs(2, 80, 2), 51);
+        let first_443 = with_ttl(obs(2, 443, 0), 52);
+        let observations = vec![
+            with_ttl(obs(3, 22, 1), 40),
+            first_443.clone(),
+            first_80.clone(),
+            with_ttl(obs(2, 80, 0), 60),
+            with_ttl(obs(2, 443, 3), 61),
+            with_ttl(obs(2, 80, 1), 62),
+            obs(1, 80, 0),
+        ];
+        let hosts = group_by_host(&observations, &[NetFeature::Slash(16)], &|_| None);
+        let ips: Vec<Ip> = hosts.iter().map(|h| h.ip).collect();
+        assert_eq!(ips, [Ip(1), Ip(2), Ip(3)]);
+        assert_eq!(hosts[1].services, [first_80, first_443]);
+        assert_eq!(hosts[2].services[0].ttl, 40);
     }
 
     #[test]

@@ -13,10 +13,8 @@
 //! corpus exists, then expand a hitlist of observations into an ordered
 //! predictions list.
 
-use std::collections::HashSet;
-
 use gps_scan::ServiceObservation;
-use gps_types::Ip;
+use gps_types::{IntSet, Ip};
 
 use crate::compiled::CompiledRules;
 use crate::config::GpsConfig;
@@ -75,7 +73,7 @@ impl KnownHostExpander {
         asn_of: &dyn Fn(Ip) -> Option<u32>,
     ) -> Vec<Prediction> {
         let hosts: Vec<HostRecord> = group_by_host(hitlist, &self.net_features, asn_of);
-        let known: HashSet<(u32, u16)> = hitlist.iter().map(|o| (o.ip.0, o.port.0)).collect();
+        let known: IntSet<(u32, u16)> = hitlist.iter().map(|o| (o.ip.0, o.port.0)).collect();
         build_predictions(&self.rules, &hosts, &known, max_predictions)
     }
 }
@@ -86,6 +84,7 @@ mod tests {
     use crate::config::GpsConfig;
     use gps_scan::{ScanConfig, ScanPhase, Scanner};
     use gps_synthnet::{Internet, UniverseConfig};
+    use std::collections::HashSet;
 
     fn corpus_and_hitlist(net: &Internet) -> (Vec<ServiceObservation>, Vec<ServiceObservation>) {
         let mut scanner = Scanner::new(net, ScanConfig::default());

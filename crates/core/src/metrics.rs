@@ -11,22 +11,20 @@
 //! [`CoverageTracker`] maintains all of these incrementally so the pipeline
 //! can checkpoint a [`DiscoveryCurve`] for every figure without rescanning.
 
-use std::collections::{HashMap, HashSet};
-
-use gps_types::{Port, ServiceKey};
+use gps_types::{IntMap, IntSet, Port, ServiceKey};
 
 /// An immutable set of ground-truth services with per-port counts.
 #[derive(Debug, Clone)]
 pub struct GroundTruth {
-    services: HashSet<ServiceKey>,
-    per_port: HashMap<u16, u64>,
+    services: IntSet<ServiceKey>,
+    per_port: IntMap<u16, u64>,
     total: u64,
 }
 
 impl GroundTruth {
     pub fn from_services(services: Vec<ServiceKey>) -> Self {
-        let mut per_port: HashMap<u16, u64> = HashMap::new();
-        let set: HashSet<ServiceKey> = services.into_iter().collect();
+        let mut per_port: IntMap<u16, u64> = IntMap::default();
+        let set: IntSet<ServiceKey> = services.into_iter().collect();
         for key in &set {
             *per_port.entry(key.port.0).or_default() += 1;
         }
@@ -50,7 +48,7 @@ impl GroundTruth {
         self.per_port.len()
     }
 
-    pub fn per_port(&self) -> &HashMap<u16, u64> {
+    pub fn per_port(&self) -> &IntMap<u16, u64> {
         &self.per_port
     }
 
@@ -58,7 +56,7 @@ impl GroundTruth {
         self.per_port.get(&port.0).copied().unwrap_or(0)
     }
 
-    pub fn services(&self) -> &HashSet<ServiceKey> {
+    pub fn services(&self) -> &IntSet<ServiceKey> {
         &self.services
     }
 }
@@ -67,8 +65,8 @@ impl GroundTruth {
 #[derive(Debug)]
 pub struct CoverageTracker<'a> {
     ground: &'a GroundTruth,
-    found: HashSet<ServiceKey>,
-    found_per_port: HashMap<u16, u64>,
+    found: IntSet<ServiceKey>,
+    found_per_port: IntMap<u16, u64>,
     /// Running Σ_p found_p / truth_p (numerator of Eq. 2).
     normalized_sum: f64,
     /// Probes spent in discovery phases (excludes the sunk seed scan).
@@ -79,8 +77,8 @@ impl<'a> CoverageTracker<'a> {
     pub fn new(ground: &'a GroundTruth) -> Self {
         CoverageTracker {
             ground,
-            found: HashSet::new(),
-            found_per_port: HashMap::new(),
+            found: IntSet::default(),
+            found_per_port: IntMap::default(),
             normalized_sum: 0.0,
             discovery_probes: 0,
         }
@@ -135,7 +133,7 @@ impl<'a> CoverageTracker<'a> {
         self.discovery_probes
     }
 
-    pub fn found(&self) -> &HashSet<ServiceKey> {
+    pub fn found(&self) -> &IntSet<ServiceKey> {
         &self.found
     }
 

@@ -7,13 +7,13 @@
 //! timings — everything the experiment harness needs to regenerate the
 //! paper's figures.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use gps_engine::ExecLedger;
 use gps_scan::{BandwidthLedger, RateModel, ScanConfig, ScanPhase, Scanner, ServiceObservation};
 use gps_synthnet::Internet;
-use gps_types::{Ip, PortSet, ServiceKey};
+use gps_types::{IntSet, Ip, PortSet, ServiceKey};
 
 use crate::config::{GpsConfig, MinProb};
 use crate::dataset::Dataset;
@@ -56,7 +56,7 @@ pub struct GpsRun {
     /// Coverage/bandwidth/precision curve (checkpointed during discovery).
     pub curve: DiscoveryCurve,
     /// Test-set services discovered.
-    pub found: HashSet<ServiceKey>,
+    pub found: IntSet<ServiceKey>,
     pub ledger: BandwidthLedger,
     pub universe_size: u64,
     /// Raw/filtered seed observation counts.
@@ -173,7 +173,7 @@ pub fn run_gps(net: &Internet, dataset: &Dataset, config: &GpsConfig) -> GpsRun 
     let mut curve = DiscoveryCurve::default();
     curve.push(tracker.snapshot(scanner.ledger().full_scans(universe)));
 
-    let mut known: HashSet<(u32, u16)> = filtered.iter().map(|o| (o.ip.0, o.port.0)).collect();
+    let mut known: IntSet<(u32, u16)> = filtered.iter().map(|o| (o.ip.0, o.port.0)).collect();
     let mut prior_observations: Vec<ServiceObservation> = Vec::new();
     let mut truncated = false;
     let mut priors_scanned = 0usize;

@@ -12,9 +12,9 @@
 //!    (IP, Portₐ) to the predictions list, ordered by descending
 //!    predictability.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use gps_types::{Ip, Port, ServiceKey};
+use gps_types::{IntSet, Ip, Port, ServiceKey};
 
 use crate::compiled::{CompiledRules, PredictScratch};
 use crate::host::HostRecord;
@@ -124,7 +124,7 @@ impl Prediction {
 pub fn build_predictions(
     rules: &CompiledRules,
     prior_hosts: &[HostRecord],
-    known: &HashSet<(u32, u16)>,
+    known: &IntSet<(u32, u16)>,
     max_predictions: usize,
 ) -> Vec<Prediction> {
     let mut scratch = PredictScratch::default();
@@ -150,7 +150,9 @@ pub fn build_predictions(
     }
     // Descending predictability; deterministic tiebreak. `total_cmp` keeps
     // a NaN probability from panicking the sort (see `FeatureRules::build`).
-    predictions.sort_by(|a, b| {
+    // Each (ip, port) appears once, so no two entries compare equal and the
+    // unstable sort's order is the stable one.
+    predictions.sort_unstable_by(|a, b| {
         b.prob
             .total_cmp(&a.prob)
             .then(a.ip.cmp(&b.ip))
@@ -238,7 +240,7 @@ mod tests {
         let prior = group_by_host(&[obs(100, 80, Some(7))], &[NetFeature::Slash(16)], &|_| {
             None
         });
-        let known = HashSet::new();
+        let known = IntSet::default();
         let preds = build_predictions(&rules, &prior, &known, 1000);
         assert!(
             preds
@@ -260,7 +262,7 @@ mod tests {
             &[NetFeature::Slash(16)],
             &|_| None,
         );
-        let preds = build_predictions(&rules, &prior, &HashSet::new(), 1000);
+        let preds = build_predictions(&rules, &prior, &IntSet::default(), 1000);
         assert!(
             !preds
                 .iter()
@@ -271,7 +273,7 @@ mod tests {
         let prior = group_by_host(&[obs(100, 80, Some(7))], &[NetFeature::Slash(16)], &|_| {
             None
         });
-        let known: HashSet<(u32, u16)> = [(100u32, 8082u16)].into_iter().collect();
+        let known: IntSet<(u32, u16)> = [(100u32, 8082u16)].into_iter().collect();
         let preds = build_predictions(&rules, &prior, &known, 1000);
         assert!(!preds
             .iter()
@@ -289,7 +291,7 @@ mod tests {
             &[NetFeature::Slash(16)],
             &|_| None,
         );
-        let preds = build_predictions(&rules, &prior, &HashSet::new(), 1000);
+        let preds = build_predictions(&rules, &prior, &IntSet::default(), 1000);
         assert!(preds.is_empty(), "{preds:?}");
     }
 
@@ -308,7 +310,7 @@ mod tests {
         let prior = group_by_host(&[obs(100, 80, Some(7))], &[NetFeature::Slash(16)], &|_| {
             None
         });
-        let preds = build_predictions(&rules, &prior, &HashSet::new(), 1000);
+        let preds = build_predictions(&rules, &prior, &IntSet::default(), 1000);
         // The NaN never beats the 0.0 slot: port 9999 surfaces with the
         // or_insert default, ranked below the real prediction.
         assert_eq!(preds.len(), 2);
@@ -327,9 +329,9 @@ mod tests {
             prior_observations.push(obs(ip, 80, Some(7)));
         }
         let prior = group_by_host(&prior_observations, &[NetFeature::Slash(16)], &|_| None);
-        let capped = build_predictions(&rules, &prior, &HashSet::new(), 10);
+        let capped = build_predictions(&rules, &prior, &IntSet::default(), 10);
         assert_eq!(capped.len(), 10);
-        let full = build_predictions(&rules, &prior, &HashSet::new(), usize::MAX);
+        let full = build_predictions(&rules, &prior, &IntSet::default(), usize::MAX);
         let min_kept = capped.iter().map(|p| p.prob).fold(f64::INFINITY, f64::min);
         let max_dropped = full[10..].iter().map(|p| p.prob).fold(0.0, f64::max);
         assert!(min_kept >= max_dropped);

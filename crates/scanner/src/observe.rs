@@ -6,8 +6,11 @@
 //! the connection information to ZGrab, which can then complete the full
 //! Layer 7 handshake to collect additional application layer features."*
 //!
-//! Each stage has its own record type; the chain refines `SynAck` →
-//! `LzrFingerprint` → `ServiceObservation`.
+//! The simulated chain resolves a responsive target once and charges each
+//! stage's probes from that one view, so it has two records: the ZMap
+//! stage's [`SynAck`] (what [`crate::Scanner::syn_probe`] alone returns) and the
+//! [`ServiceObservation`] that LZR's fingerprint and ZGrab's handshake
+//! complete together.
 
 use gps_types::{FeatureValue, Ip, Port, Protocol, ServiceKey, Sym};
 
@@ -19,29 +22,18 @@ pub struct SynAck {
     pub ttl: u8,
 }
 
-/// The LZR stage's fingerprint of a responsive (ip, port).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LzrFingerprint {
-    pub ip: Ip,
-    pub port: Port,
-    pub ttl: u8,
-    /// Fingerprinted protocol ([`Protocol::Unknown`] for real listeners that
-    /// speak none of the 15 bannered protocols).
-    pub protocol: Protocol,
-    /// Response payload identity after stripping expected dynamic fields
-    /// (Appendix B): middlebox pseudo-services share one value across all
-    /// their ports.
-    pub content: Sym,
-}
-
 /// A fully-grabbed service: the unit of data GPS's model trains on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceObservation {
     pub ip: Ip,
     pub port: Port,
     pub ttl: u8,
+    /// Protocol LZR fingerprinted ([`Protocol::Unknown`] for real listeners
+    /// that speak none of the 15 bannered protocols).
     pub protocol: Protocol,
-    /// Filtered payload identity (see [`LzrFingerprint::content`]).
+    /// Response payload identity after stripping expected dynamic fields
+    /// (Appendix B): middlebox pseudo-services share one value across all
+    /// their ports.
     pub content: Sym,
     /// Application-layer feature values collected by the ZGrab stage
     /// (empty for `Unknown`-protocol services and un-grabbed responses).

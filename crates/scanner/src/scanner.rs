@@ -15,14 +15,19 @@
 //!   deterministic), modelling loss at high scan rates;
 //! - exhaustive subnet scans are answered from the ground-truth indexes, so
 //!   simulation cost is proportional to *responses*, while *charged* cost is
-//!   proportional to probes.
+//!   proportional to probes;
+//! - each responsive target is resolved against the ground truth once, as
+//!   LZR fingerprints on the connection ZMap opened: that one view yields
+//!   the SYN-ACK, the LZR waterfall's charge and ZGrab's features. Every
+//!   stage is still charged as its own probes (SYN, `lzr::fingerprint_probes`
+//!   data probes, one L7 handshake).
 
 use gps_synthnet::{Internet, ProbeView};
 use gps_types::rng::mix64;
-use gps_types::{Ip, Port, PortSet, Subnet, Sym};
+use gps_types::{IntSet, Ip, Port, PortSet, Subnet, Sym};
 
 use crate::ledger::{BandwidthLedger, ProbeCosts, ScanPhase};
-use crate::observe::{LzrFingerprint, ServiceObservation, SynAck};
+use crate::observe::{ServiceObservation, SynAck};
 use crate::permutation::CyclicPermutation;
 
 /// Scanner behaviour knobs.
@@ -40,7 +45,7 @@ pub struct ScanConfig {
     /// Dataset view: if set, only these addresses ever answer (evaluating
     /// against the LZR-style 1% sample means the rest of the space is
     /// invisible). Probes outside are still charged.
-    pub ip_filter: Option<std::sync::Arc<std::collections::HashSet<u32>>>,
+    pub ip_filter: Option<std::sync::Arc<IntSet<u32>>>,
     /// Dataset view: if set, only these ports ever answer (the Censys-style
     /// top-2K-port dataset). Probes outside are still charged.
     pub port_filter: Option<std::sync::Arc<PortSet>>,
@@ -141,39 +146,41 @@ impl<'a> Scanner<'a> {
 
     // ----------------------------------------------------------- the chain
 
-    /// ZMap stage: one SYN probe.
-    pub fn syn_probe(&mut self, phase: ScanPhase, ip: Ip, port: Port) -> Option<SynAck> {
+    /// ZMap stage: charge one SYN probe and resolve what answers it, if
+    /// anything can.
+    fn syn(&mut self, phase: ScanPhase, ip: Ip, port: Port) -> Option<ProbeView<'a>> {
         self.ledger.charge(phase, 1, self.config.costs.syn_bytes);
         if self.hidden(ip, port) || self.dropped(ip, port) {
             return None;
         }
-        self.net
-            .probe(ip, port, self.config.day)
-            .map(|view| SynAck {
-                ip,
-                port,
-                ttl: view.ttl(),
-            })
+        self.net.probe(ip, port, self.config.day)
     }
 
-    /// LZR stage: complete the connection and fingerprint the service.
-    /// Charges the waterfall cost: one data probe for server-first
-    /// protocols, one per trial handshake for client-first ones
-    /// ([`crate::lzr`]).
-    pub fn lzr_handshake(&mut self, phase: ScanPhase, syn: SynAck) -> Option<LzrFingerprint> {
-        let view = self.net.probe(syn.ip, syn.port, self.config.day);
-        let probes = match &view {
-            Some(ProbeView::Real(s)) => crate::lzr::fingerprint_probes(s.protocol),
-            // Middleboxes answer the first trial (they ACK anything).
-            Some(ProbeView::Pseudo { .. }) => 1,
-            None => 1,
+    /// LZR + ZGrab on a responsive target, from the one view its SYN
+    /// resolved. Charges LZR's waterfall ([`crate::lzr`]: one data probe
+    /// for server-first protocols, one per trial handshake for client-first
+    /// ones; a middlebox ACKs the first trial) plus one ZGrab L7 handshake.
+    fn grab(
+        &mut self,
+        phase: ScanPhase,
+        ip: Ip,
+        port: Port,
+        view: ProbeView<'a>,
+    ) -> ServiceObservation {
+        let costs = self.config.costs;
+        let trials = match view {
+            ProbeView::Real(s) => crate::lzr::fingerprint_probes(s.protocol),
+            ProbeView::Pseudo { .. } => 1,
         };
-        self.ledger
-            .charge(phase, probes, probes * self.config.costs.lzr_bytes);
-        match view? {
-            ProbeView::Real(s) => Some(LzrFingerprint {
-                ip: syn.ip,
-                port: syn.port,
+        self.ledger.charge(
+            phase,
+            trials + 1,
+            trials * costs.lzr_bytes + costs.zgrab_bytes,
+        );
+        match view {
+            ProbeView::Real(s) => ServiceObservation {
+                ip,
+                port,
                 ttl: s.ttl,
                 protocol: s.protocol,
                 // Payload identity = the first *content* feature (body hash,
@@ -185,32 +192,26 @@ impl<'a> Scanner<'a> {
                     .find(|f| f.kind != gps_types::FeatureKind::Protocol)
                     .map(|f| f.value)
                     .unwrap_or(self.sentinel_content),
-            }),
-            ProbeView::Pseudo { content, ttl } => Some(LzrFingerprint {
-                ip: syn.ip,
-                port: syn.port,
+                features: s.features.clone(),
+            },
+            ProbeView::Pseudo { content, ttl } => ServiceObservation {
+                ip,
+                port,
                 ttl,
                 protocol: gps_types::Protocol::Http,
                 content,
-            }),
+                features: Vec::new(),
+            },
         }
     }
 
-    /// ZGrab stage: full L7 handshake collecting application features.
-    pub fn zgrab(&mut self, phase: ScanPhase, fp: LzrFingerprint) -> ServiceObservation {
-        self.ledger.charge(phase, 1, self.config.costs.zgrab_bytes);
-        let features = match self.net.probe(fp.ip, fp.port, self.config.day) {
-            Some(ProbeView::Real(s)) => s.features.clone(),
-            _ => Vec::new(),
-        };
-        ServiceObservation {
-            ip: fp.ip,
-            port: fp.port,
-            ttl: fp.ttl,
-            protocol: fp.protocol,
-            content: fp.content,
-            features,
-        }
+    /// ZMap stage alone: one SYN probe.
+    pub fn syn_probe(&mut self, phase: ScanPhase, ip: Ip, port: Port) -> Option<SynAck> {
+        self.syn(phase, ip, port).map(|view| SynAck {
+            ip,
+            port,
+            ttl: view.ttl(),
+        })
     }
 
     /// Full chain on one (ip, port).
@@ -220,24 +221,47 @@ impl<'a> Scanner<'a> {
         ip: Ip,
         port: Port,
     ) -> Option<ServiceObservation> {
-        let syn = self.syn_probe(phase, ip, port)?;
-        let fp = self.lzr_handshake(phase, syn)?;
-        Some(self.zgrab(phase, fp))
+        let view = self.syn(phase, ip, port)?;
+        Some(self.grab(phase, ip, port, view))
+    }
+
+    /// Every responsive port of `ports` on one address, each through
+    /// [`Self::grab`]: the address's live real services, then a middlebox's
+    /// range. The SYN sweep itself is charged by the caller.
+    fn grab_address(
+        &mut self,
+        phase: ScanPhase,
+        ip: Ip,
+        ports: &PortSet,
+        out: &mut Vec<ServiceObservation>,
+    ) {
+        if self.blocked(ip) {
+            return;
+        }
+        let net = self.net;
+        let day = self.config.day;
+        if let Some(host) = net.host(ip) {
+            for s in &host.services {
+                if s.alive(day)
+                    && ports.contains(s.port)
+                    && !self.hidden(ip, s.port)
+                    && !self.dropped(ip, s.port)
+                {
+                    out.push(self.grab(phase, ip, s.port, ProbeView::Real(s)));
+                }
+            }
+        }
+        if let Ok(i) = net.pseudo_hosts().binary_search_by_key(&ip, |p| p.ip) {
+            let pseudo = &net.pseudo_hosts()[i];
+            for port in (pseudo.first_port..=pseudo.last_port).map(Port) {
+                if ports.contains(port) && !self.hidden(ip, port) && !self.dropped(ip, port) {
+                    out.push(self.grab(phase, ip, port, pseudo.view()));
+                }
+            }
+        }
     }
 
     // ----------------------------------------------------- bulk operations
-
-    /// SYN-only scan of a list of (ip, port) targets (no L7).
-    pub fn syn_scan_targets(
-        &mut self,
-        phase: ScanPhase,
-        targets: impl IntoIterator<Item = (Ip, Port)>,
-    ) -> Vec<SynAck> {
-        targets
-            .into_iter()
-            .filter_map(|(ip, port)| self.syn_probe(phase, ip, port))
-            .collect()
-    }
 
     /// Full-chain scan of explicit targets (the predictions scan of §5.4).
     pub fn scan_targets(
@@ -265,29 +289,16 @@ impl<'a> Scanner<'a> {
         self.ledger
             .charge(phase, probes, probes * self.config.costs.syn_bytes);
 
-        let day = self.config.day;
+        let net = self.net;
         let mut out = Vec::new();
-        for ip in self.net.ips_on_port_in(port, subnet, day) {
-            if self.hidden(ip, port) || self.dropped(ip, port) {
-                continue;
-            }
-            // Responsive: LZR + ZGrab complete the observation.
-            let ttl = self.net.probe(ip, port, day).map(|v| v.ttl()).unwrap_or(64);
-            if let Some(fp) = self.lzr_handshake(phase, SynAck { ip, port, ttl }) {
-                out.push(self.zgrab(phase, fp));
+        for (ip, service) in net.ips_on_port_in(port, subnet, self.config.day) {
+            if !self.hidden(ip, port) && !self.dropped(ip, port) {
+                out.push(self.grab(phase, ip, port, ProbeView::Real(service)));
             }
         }
-        for pseudo in self.net.pseudo_in(port, subnet) {
-            if self.hidden(pseudo.ip, port) || self.dropped(pseudo.ip, port) {
-                continue;
-            }
-            let syn = SynAck {
-                ip: pseudo.ip,
-                port,
-                ttl: pseudo.ttl,
-            };
-            if let Some(fp) = self.lzr_handshake(phase, syn) {
-                out.push(self.zgrab(phase, fp));
+        for pseudo in net.pseudo_in(port, subnet) {
+            if !self.hidden(pseudo.ip, port) && !self.dropped(pseudo.ip, port) {
+                out.push(self.grab(phase, pseudo.ip, port, pseudo.view()));
             }
         }
         out.sort_by_key(|o| (o.ip, o.port));
@@ -313,49 +324,10 @@ impl<'a> Scanner<'a> {
         self.ledger
             .charge(phase, probes, probes * self.config.costs.syn_bytes);
 
-        let day = self.config.day;
         let mut out = Vec::new();
         for idx in perm.take(sample_size as usize) {
             let ip = self.index_to_ip(idx);
-            if self.blocked(ip) {
-                continue;
-            }
-            // Real services on this host.
-            if let Some(host) = self.net.host(ip) {
-                for s in &host.services {
-                    if s.alive(day)
-                        && ports.contains(s.port)
-                        && !self.hidden(ip, s.port)
-                        && !self.dropped(ip, s.port)
-                    {
-                        let syn = SynAck {
-                            ip,
-                            port: s.port,
-                            ttl: s.ttl,
-                        };
-                        if let Some(fp) = self.lzr_handshake(phase, syn) {
-                            out.push(self.zgrab(phase, fp));
-                        }
-                    }
-                }
-            }
-            // Middlebox pseudo-services answer on their whole range.
-            if let Ok(i) = self.net.pseudo_hosts().binary_search_by_key(&ip, |p| p.ip) {
-                let pseudo = &self.net.pseudo_hosts()[i];
-                for port_num in pseudo.first_port..=pseudo.last_port {
-                    let port = Port(port_num);
-                    if ports.contains(port) && !self.hidden(ip, port) && !self.dropped(ip, port) {
-                        let syn = SynAck {
-                            ip,
-                            port,
-                            ttl: pseudo.ttl,
-                        };
-                        if let Some(fp) = self.lzr_handshake(phase, syn) {
-                            out.push(self.zgrab(phase, fp));
-                        }
-                    }
-                }
-            }
+            self.grab_address(phase, ip, ports, &mut out);
         }
         out.sort_by_key(|o| (o.ip, o.port));
         out
@@ -376,45 +348,11 @@ impl<'a> Scanner<'a> {
         ips: impl IntoIterator<Item = Ip>,
         ports: &PortSet,
     ) -> Vec<ServiceObservation> {
-        let day = self.config.day;
         let mut out = Vec::new();
         let mut num_ips = 0u64;
         for ip in ips {
             num_ips += 1;
-            if let Some(host) = self.net.host(ip) {
-                for s in &host.services {
-                    if s.alive(day)
-                        && ports.contains(s.port)
-                        && !self.hidden(ip, s.port)
-                        && !self.dropped(ip, s.port)
-                    {
-                        let syn = SynAck {
-                            ip,
-                            port: s.port,
-                            ttl: s.ttl,
-                        };
-                        if let Some(fp) = self.lzr_handshake(phase, syn) {
-                            out.push(self.zgrab(phase, fp));
-                        }
-                    }
-                }
-            }
-            if let Ok(i) = self.net.pseudo_hosts().binary_search_by_key(&ip, |p| p.ip) {
-                let pseudo = &self.net.pseudo_hosts()[i];
-                for port_num in pseudo.first_port..=pseudo.last_port {
-                    let port = Port(port_num);
-                    if ports.contains(port) && !self.hidden(ip, port) && !self.dropped(ip, port) {
-                        let syn = SynAck {
-                            ip,
-                            port,
-                            ttl: pseudo.ttl,
-                        };
-                        if let Some(fp) = self.lzr_handshake(phase, syn) {
-                            out.push(self.zgrab(phase, fp));
-                        }
-                    }
-                }
-            }
+            self.grab_address(phase, ip, ports, &mut out);
         }
         let probes = num_ips * ports.len() as u64;
         self.ledger
@@ -506,9 +444,73 @@ mod tests {
         let mut sc = Scanner::with_defaults(&net);
         let block = net.topology().blocks()[0].subnet();
         let obs = sc.scan_subnet_port(ScanPhase::Priors, block, Port(80));
-        let truth = net.ips_on_port_in(Port(80), block, 0);
+        let truth = net.ips_on_port_in(Port(80), block, 0).count();
         let pseudo = net.pseudo_in(Port(80), block);
-        assert_eq!(obs.len(), truth.len() + pseudo.len());
+        assert_eq!(obs.len(), truth + pseudo.len());
+    }
+
+    #[test]
+    fn subnet_sweep_and_single_probes_observe_alike() {
+        // One block holding a middlebox, swept on common ports and on ports
+        // inside the middlebox's range: every swept response must equal,
+        // field for field, what a single full-chain probe of it observes,
+        // and each single probe must charge SYN + LZR waterfall + ZGrab.
+        let net = net();
+        let pseudo = &net.pseudo_hosts()[0];
+        let block = pseudo.ip.slash16();
+        let ports = [
+            Port(80),
+            Port(443),
+            Port(22),
+            Port(pseudo.first_port),
+            Port(pseudo.first_port + 7),
+            Port(pseudo.last_port),
+        ];
+        let mut sweeper = Scanner::with_defaults(&net);
+        let mut single = Scanner::with_defaults(&net);
+        let (mut real, mut middlebox) = (0, 0);
+        for port in ports {
+            let before = sweeper.ledger().probes(ScanPhase::Priors);
+            let swept = sweeper.scan_subnet_port(ScanPhase::Priors, block, port);
+            let mut chain_probes = 0;
+            for obs in &swept {
+                let before = single.ledger().probes(ScanPhase::Seed);
+                let one = single
+                    .scan_service(ScanPhase::Seed, obs.ip, port)
+                    .expect("a swept response answers a single probe");
+                assert_eq!(&one, obs, "{}:{}", obs.ip, port);
+                let charged = single.ledger().probes(ScanPhase::Seed) - before;
+                let fingerprint = crate::lzr::fingerprint_probes(one.protocol);
+                assert_eq!(charged, 1 + fingerprint + 1, "{}:{}", obs.ip, port);
+                if net.service(obs.ip, port, 0).is_some() {
+                    real += 1;
+                } else {
+                    assert_eq!(charged, 3, "a pseudo-service costs SYN + 1 trial + ZGrab");
+                    middlebox += 1;
+                }
+                chain_probes += fingerprint + 1;
+            }
+            // The sweep charges its SYNs plus the same chain per response.
+            assert_eq!(
+                sweeper.ledger().probes(ScanPhase::Priors) - before,
+                65536 + chain_probes
+            );
+        }
+        assert!(
+            real > 0 && middlebox >= 3,
+            "{real} real, {middlebox} pseudo"
+        );
+
+        // A miss inside the block costs its SYN alone.
+        let miss = block
+            .iter()
+            .find(|&ip| net.probe(ip, Port(80), 0).is_none())
+            .expect("an address without port 80");
+        let before = single.ledger().probes(ScanPhase::Seed);
+        assert!(single
+            .scan_service(ScanPhase::Seed, miss, Port(80))
+            .is_none());
+        assert_eq!(single.ledger().probes(ScanPhase::Seed) - before, 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use gps_types::rng::mix64;
-use gps_types::{Asn, FeatureValue, Interner, Ip, Port, Protocol, Rng, Subnet};
+use gps_types::{Asn, FeatureValue, IntMap, Interner, Ip, Port, Protocol, Rng, Subnet};
 
 use crate::banner::features_for_service;
 use crate::config::UniverseConfig;
@@ -119,6 +119,14 @@ impl PseudoHost {
     pub fn num_ports(&self) -> u32 {
         (self.last_port - self.first_port) as u32 + 1
     }
+
+    /// What a probe of any port in the range observes.
+    pub fn view(&self) -> ProbeView<'static> {
+        ProbeView::Pseudo {
+            content: self.content,
+            ttl: self.ttl,
+        }
+    }
 }
 
 /// What a single SYN+data probe of (ip, port) observes.
@@ -147,11 +155,11 @@ impl ProbeView<'_> {
 pub struct Internet {
     config: UniverseConfig,
     topology: Topology,
-    hosts: HashMap<u32, Host>,
+    hosts: IntMap<u32, Host>,
     /// Sorted list of real host addresses.
     host_ips: Vec<u32>,
     /// Per-port sorted address lists (real services, any lifetime).
-    port_index: HashMap<u16, Vec<u32>>,
+    port_index: IntMap<u16, Vec<u32>>,
     /// Middleboxes, sorted by address.
     pseudo: Vec<PseudoHost>,
     interner: Arc<Interner>,
@@ -168,7 +176,7 @@ impl Internet {
         let mut rng = Rng::new(config.seed).fork(0x7090);
         let topology = Topology::generate(config, &mut rng);
 
-        let mut hosts = HashMap::new();
+        let mut hosts = IntMap::default();
         let mut pseudo = Vec::new();
 
         for block in topology.blocks() {
@@ -179,7 +187,7 @@ impl Internet {
         host_ips.sort_unstable();
         pseudo.sort_by_key(|p| p.ip);
 
-        let mut port_index: HashMap<u16, Vec<u32>> = HashMap::new();
+        let mut port_index: IntMap<u16, Vec<u32>> = IntMap::default();
         let mut total = 0u64;
         for (&ip, host) in &hosts {
             for s in &host.services {
@@ -220,10 +228,7 @@ impl Internet {
         if let Ok(i) = self.pseudo.binary_search_by_key(&ip, |p| p.ip) {
             let p = &self.pseudo[i];
             if p.responds_on(port) {
-                return Some(ProbeView::Pseudo {
-                    content: p.content,
-                    ttl: p.ttl,
-                });
+                return Some(p.view());
             }
         }
         None
@@ -254,18 +259,21 @@ impl Internet {
             .unwrap_or(&[])
     }
 
-    /// Addresses inside `subnet` with a real service alive on `port`.
-    pub fn ips_on_port_in(&self, port: Port, subnet: Subnet, day: u16) -> Vec<Ip> {
+    /// The real services alive on `port` inside `subnet`, ascending by
+    /// address: a lazy walk of the sorted port index.
+    pub fn ips_on_port_in(
+        &self,
+        port: Port,
+        subnet: Subnet,
+        day: u16,
+    ) -> impl Iterator<Item = (Ip, &GroundService)> + '_ {
         let ips = self.ips_on_port(port);
-        let lo = subnet.first().0;
         let hi = subnet.last().0;
-        let start = ips.partition_point(|&x| x < lo);
+        let start = ips.partition_point(|&x| x < subnet.first().0);
         ips[start..]
             .iter()
-            .take_while(|&&x| x <= hi)
-            .filter(|&&x| self.service(Ip(x), port, day).is_some())
-            .map(|&x| Ip(x))
-            .collect()
+            .take_while(move |&&x| x <= hi)
+            .filter_map(move |&x| self.service(Ip(x), port, day).map(|s| (Ip(x), s)))
     }
 
     /// Middlebox hosts (sorted by address).
@@ -369,7 +377,7 @@ fn generate_block(
     config: &UniverseConfig,
     block: &BlockInfo,
     interner: &Interner,
-    hosts: &mut HashMap<u32, Host>,
+    hosts: &mut IntMap<u32, Host>,
     pseudo: &mut Vec<PseudoHost>,
 ) {
     let mut block_rng = Rng::new(mix64(config.seed, block.base as u64));
@@ -646,14 +654,17 @@ mod tests {
         let block = net.topology().blocks()[0].subnet();
         let (lo, hi) = block.split().unwrap();
         let _ = hi;
-        let found = net.ips_on_port_in(Port(80), lo, 0);
-        for ip in &found {
-            assert!(lo.contains(*ip));
-            assert!(net.service(*ip, Port(80), 0).is_some());
+        for (ip, service) in net.ips_on_port_in(Port(80), lo, 0) {
+            assert!(lo.contains(ip));
+            assert_eq!(service.port, Port(80));
+            assert!(net.service(ip, Port(80), 0).is_some());
         }
         // Exhaustive check against the per-host view on a /24 for speed.
         let small = Subnet::of_ip(block.base(), 24);
-        let via_index: Vec<Ip> = net.ips_on_port_in(Port(80), small, 0);
+        let via_index: Vec<Ip> = net
+            .ips_on_port_in(Port(80), small, 0)
+            .map(|(ip, _)| ip)
+            .collect();
         let via_probe: Vec<Ip> = small
             .iter()
             .filter(|&ip| net.service(ip, Port(80), 0).is_some())

@@ -202,7 +202,7 @@ pub fn services_where(
 
 /// Convenience: count services inside one subnet on one port.
 pub fn count_in_subnet(net: &Internet, port: Port, subnet: Subnet, day: u16) -> usize {
-    net.ips_on_port_in(port, subnet, day).len()
+    net.ips_on_port_in(port, subnet, day).count()
 }
 
 #[cfg(test)]

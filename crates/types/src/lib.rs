@@ -14,6 +14,8 @@
 //! - [`rng`] — a vendored, fully deterministic xoshiro256++ generator. Every
 //!   synthetic universe and every experiment in this repository is a pure
 //!   function of a `u64` seed.
+//! - [`hash`] — [`IntMap`] / [`IntSet`], hash tables under a deterministic
+//!   integer hasher for the simulation's address- and port-keyed tables.
 //!
 //! Nothing in this crate allocates per-probe state: all types are `Copy`
 //! except the interner, mirroring the paper's requirement that per-probe cost
@@ -22,6 +24,7 @@
 pub mod binary;
 pub mod error;
 pub mod feature;
+pub mod hash;
 pub mod intern;
 pub mod ip;
 pub mod json;
@@ -35,6 +38,7 @@ pub mod testutil;
 pub use binary::{ByteReader, ByteWriter};
 pub use error::GpsError;
 pub use feature::{FeatureKind, FeatureValue, APP_FEATURE_KINDS, NET_FEATURE_KINDS};
+pub use hash::{IntHasher, IntMap, IntSet};
 pub use intern::{DenseInterner, Interner, Sym};
 pub use ip::{Asn, Ip};
 pub use json::{Json, JsonCodec};

@@ -622,7 +622,7 @@ fn build_predictions_matches_rule_map_fold_across_universes() {
     fn oracle(
         rules: &FeatureRules,
         hosts: &[HostRecord],
-        known: &HashSet<(u32, u16)>,
+        known: &gps::types::IntSet<(u32, u16)>,
         max_predictions: usize,
     ) -> Vec<Prediction> {
         let mut best: HashMap<(u32, u16), f64> = HashMap::new();
@@ -680,7 +680,7 @@ fn build_predictions_matches_rule_map_fold_across_universes() {
         );
         let compiled = gps::core::CompiledRules::from_rules(&run.rules);
         let hosts = &run.seed_host_records;
-        let known: HashSet<(u32, u16)> = hosts
+        let known: gps::types::IntSet<(u32, u16)> = hosts
             .iter()
             .flat_map(|h| h.services.iter().map(move |s| (h.ip.0, s.port.0)))
             .step_by(3)
