@@ -255,6 +255,102 @@ fn run_gps_outputs_are_pinned() {
     }
 }
 
+/// FNV-1a over a whole universe, little-endian: each host in address order
+/// (ip, template, `ttl_base`, then per service its port, protocol,
+/// placement, forwarded flag, ttl, `dies_day` and every feature's
+/// `(kind, Sym)`), each middlebox, the resolved string of every `Sym`
+/// seen, and the interner's size. Lengths precede each list.
+fn universe_digest(net: &Internet) -> u64 {
+    struct Fnv(u64);
+    impl Fnv {
+        fn bytes(&mut self, bytes: &[u8]) {
+            for &byte in bytes {
+                self.0 = (self.0 ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut syms = std::collections::BTreeSet::new();
+    h.bytes(&(net.host_ips().len() as u64).to_le_bytes());
+    for &ip in net.host_ips() {
+        let host = net.host(Ip(ip)).expect("listed host exists");
+        h.bytes(&ip.to_le_bytes());
+        h.bytes(&host.template.to_le_bytes());
+        h.bytes(&[host.ttl_base]);
+        h.bytes(&(host.services.len() as u64).to_le_bytes());
+        for s in &host.services {
+            h.bytes(&s.port.0.to_le_bytes());
+            h.bytes(&[
+                s.protocol.index() as u8,
+                s.placement as u8,
+                s.forwarded as u8,
+                s.ttl,
+            ]);
+            h.bytes(&s.dies_day.to_le_bytes());
+            h.bytes(&(s.features.len() as u64).to_le_bytes());
+            for f in &s.features {
+                h.bytes(&[f.kind.index() as u8]);
+                h.bytes(&f.value.0.to_le_bytes());
+                syms.insert(f.value);
+            }
+        }
+    }
+    h.bytes(&(net.pseudo_hosts().len() as u64).to_le_bytes());
+    for p in net.pseudo_hosts() {
+        h.bytes(&p.ip.0.to_le_bytes());
+        h.bytes(&p.first_port.to_le_bytes());
+        h.bytes(&p.last_port.to_le_bytes());
+        h.bytes(&p.content.0.to_le_bytes());
+        h.bytes(&[p.ttl]);
+        syms.insert(p.content);
+    }
+    for sym in syms {
+        let s = net.interner().resolve(sym);
+        h.bytes(&sym.0.to_le_bytes());
+        h.bytes(&(s.len() as u64).to_le_bytes());
+        h.bytes(s.as_bytes());
+    }
+    h.bytes(&(net.interner().len() as u64).to_le_bytes());
+    h.0
+}
+
+/// Bit-identity pin of universe generation on two tiny seeds: every host,
+/// service, feature `Sym`, middlebox and interned string. A change to
+/// generation that is meant to be behaviour-preserving must leave these
+/// digests unchanged.
+#[test]
+fn universe_is_pinned() {
+    for (seed, digest) in [
+        (1234u64, 0xd606_7d59_c1c5_416fu64),
+        (5, 0xf7c2_76a6_8060_43ab),
+    ] {
+        let net = Internet::generate(&UniverseConfig::tiny(seed));
+        assert_eq!(universe_digest(&net), digest, "tiny({seed})");
+    }
+}
+
+/// The benchmark's world (seed `0x6B5`, 32 /16s). Release-only: run with
+/// `cargo test --release --test pipeline_end_to_end -- --ignored universe`.
+#[test]
+#[ignore]
+fn gated_universe_is_pinned() {
+    let net = Internet::generate(&UniverseConfig {
+        seed: 0x6B5,
+        num_slash16: 32,
+        ..UniverseConfig::default()
+    });
+    assert_eq!(universe_digest(&net), 0x75a4_2aaf_c5cf_4d75);
+}
+
+/// The experiments' default universe (128 /16s). Release-only, like
+/// [`gated_universe_is_pinned`].
+#[test]
+#[ignore]
+fn standard_universe_is_pinned() {
+    let net = Internet::generate(&UniverseConfig::standard(0xC0FFEE));
+    assert_eq!(universe_digest(&net), 0xead3_0576_e76b_b704);
+}
+
 #[test]
 fn predictions_never_reprobe_known_services() {
     let net = universe();
