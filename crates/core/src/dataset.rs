@@ -14,12 +14,11 @@
 //! visible at all) so the pipeline literally cannot observe anything outside
 //! the dataset — the same constraint the paper's evaluation has.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use gps_scan::CyclicPermutation;
 use gps_synthnet::Internet;
-use gps_types::{IntSet, PortSet, Rng, ServiceKey};
+use gps_types::{IntMap, IntSet, PortSet, Rng, ServiceKey};
 
 use crate::metrics::GroundTruth;
 
@@ -64,36 +63,25 @@ fn sample_universe_ips(net: &Internet, count: u64, seed: u64) -> IntSet<u32> {
         .collect()
 }
 
-/// Collect the per-port responsive-IP counts of a candidate service set and
-/// drop services on ports at or below the threshold.
-fn apply_port_threshold(
-    services: Vec<ServiceKey>,
-    min_ips_per_port: u64,
-) -> (Vec<ServiceKey>, usize) {
+/// Drop the services on ports with at most `min_ips_per_port` responsive
+/// IPs in the candidate set, keeping the rest in order.
+fn apply_port_threshold(services: Vec<ServiceKey>, min_ips_per_port: u64) -> Vec<ServiceKey> {
     if min_ips_per_port == 0 {
-        let n = count_ports(&services);
-        return (services, n);
+        return services;
     }
-    let mut per_port: HashMap<u16, u64> = HashMap::new();
+    let mut per_port: IntMap<u16, u64> = IntMap::default();
     for s in &services {
         *per_port.entry(s.port.0).or_default() += 1;
     }
-    let keep: HashSet<u16> = per_port
+    let keep: IntSet<u16> = per_port
         .iter()
         .filter(|&(_, &c)| c > min_ips_per_port)
         .map(|(&p, _)| p)
         .collect();
-    let filtered: Vec<ServiceKey> = services
+    services
         .into_iter()
         .filter(|s| keep.contains(&s.port.0))
-        .collect();
-    let n = keep.len();
-    (filtered, n)
-}
-
-fn count_ports(services: &[ServiceKey]) -> usize {
-    let ports: HashSet<u16> = services.iter().map(|s| s.port.0).collect();
-    ports.len()
+        .collect()
 }
 
 /// Build the Censys-style dataset: full visibility of the `top_k_ports` most
@@ -116,7 +104,6 @@ pub fn censys_dataset(
         |p| ports.contains(p),
         |ip| !seed_ips.contains(&ip.0),
     );
-    let (services, _) = apply_port_threshold(services, 0);
     Dataset {
         name: format!("censys-top{top_k_ports}-seed{:.2}%", seed_fraction * 100.0),
         day,
@@ -161,7 +148,7 @@ pub fn lzr_dataset(
         |_| true,
         |ip| visible.contains(&ip.0) && !seed_ips.contains(&ip.0),
     );
-    let (services, _) = apply_port_threshold(services, min_ips_per_port);
+    let services = apply_port_threshold(services, min_ips_per_port);
     Dataset {
         name: format!(
             "lzr-sample{:.2}%-seed{:.2}%",
@@ -251,8 +238,7 @@ mod tests {
         let mk = |ip: u32, port: u16| ServiceKey::new(Ip(ip), Port(port));
         // Port 10: 3 IPs; port 20: 2 IPs.
         let services = vec![mk(1, 10), mk(2, 10), mk(3, 10), mk(1, 20), mk(2, 20)];
-        let (kept, ports) = apply_port_threshold(services, 2);
-        assert_eq!(ports, 1);
+        let kept = apply_port_threshold(services, 2);
         assert!(kept.iter().all(|k| k.port == Port(10)));
         assert_eq!(kept.len(), 3);
     }

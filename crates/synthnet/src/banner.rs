@@ -18,11 +18,15 @@
 //! - `PerAs` — the value varies by autonomous system (ISP-customized
 //!   firmware), giving the model's Eq. 7 (app ∧ net) tuples real signal.
 //!
-//! Values are deterministic functions of (universe seed, host, kind), never
-//! of generation order.
+//! A value's string is a pure function of (universe seed, host, kind), never
+//! of generation order. Its `Sym` id is the order in which the universe's
+//! strings were first interned: generation is single-threaded, so that order
+//! is fixed too. [`BannerCache`] interns each shared value once and keeps
+//! that order exactly; `universe_is_pinned` in the integration tests guards
+//! both the strings and the ids.
 
 use gps_types::rng::mix64;
-use gps_types::{Asn, FeatureKind, FeatureValue, Interner, Protocol};
+use gps_types::{Asn, FeatureKind, FeatureValue, IntMap, Interner, Protocol, Sym};
 
 use crate::template::{DeviceTemplate, TemplateClass};
 
@@ -176,45 +180,105 @@ fn base_string(t: &DeviceTemplate, kind: FeatureKind) -> String {
     }
 }
 
-/// Generate the interned feature values for one service.
+/// Scope tags of a [`BannerCache`] key.
+const TAG_GROUPED: u64 = 0;
+const TAG_PER_AS: u64 = 1;
+const TAG_PROTOCOL: u64 = 2;
+const TAG_MIDDLEBOX: u64 = 3;
+
+/// Pack a [`BannerCache`] key: the scope tag in bits 62–63, the template id
+/// in bits 40–55, the feature kind in bits 32–39 and the discriminator
+/// (group, ASN, protocol or vendor) in the low 32 bits. Distinct inputs give
+/// distinct keys.
+fn cache_key(tag: u64, template_id: u16, kind: FeatureKind, low: u32) -> u64 {
+    tag << 62 | (template_id as u64) << 40 | (kind.index() as u64) << 32 | low as u64
+}
+
+/// The banner values of one universe, each shared value interned once.
 ///
-/// `host_key` is the host's stable 64-bit identity (`mix64(seed, ip)`), so
-/// regenerating the same universe yields identical banners regardless of
-/// iteration order.
-pub fn features_for_service(
-    interner: &Interner,
-    t: &DeviceTemplate,
-    template_id: u16,
-    proto: Protocol,
-    host_key: u64,
-    asn: Asn,
-) -> Vec<FeatureValue> {
-    let kinds = kinds_for_protocol(proto);
-    let mut out = Vec::with_capacity(kinds.len() + 1);
-    // The protocol fingerprint itself is a feature (Table 1 row 1; Table 3's
-    // top tuple is (Port, Port_Protocol)).
-    if proto.has_banner() {
-        out.push(FeatureValue::new(
-            FeatureKind::Protocol,
-            interner.intern(proto.name()),
-        ));
+/// A shared value — `Grouped` and `PerAs` scopes, the protocol fingerprint,
+/// a middlebox's page — is a pure function of a small key, so only the first
+/// request for a key formats the string and interns it; later requests read
+/// the `Sym` back. `PerHost` values are unique per host and are interned
+/// directly. Either way each new string reaches the interner exactly when it
+/// would without the cache, so every `Sym` id is unchanged.
+pub struct BannerCache<'a> {
+    interner: &'a Interner,
+    shared: IntMap<u64, Sym>,
+}
+
+impl<'a> BannerCache<'a> {
+    pub fn new(interner: &'a Interner) -> Self {
+        BannerCache {
+            interner,
+            shared: IntMap::default(),
+        }
     }
-    for &kind in kinds {
-        let base = base_string(t, kind);
-        let scope = scope_for(t.class, kind);
-        let value = match scope {
-            Scope::Grouped(1) => base,
-            Scope::Grouped(n) => {
-                let group =
-                    mix64(host_key, kind.index() as u64 ^ (template_id as u64) << 8) % n as u64;
-                format!("{base} [v{group}]")
-            }
-            Scope::PerHost => format!("{base} #{:016x}", mix64(host_key, kind.index() as u64)),
-            Scope::PerAs => format!("{base} @as{}", asn.0),
-        };
-        out.push(FeatureValue::new(kind, interner.intern(&value)));
+
+    /// The interned feature values for one service.
+    ///
+    /// `host_key` is the host's stable 64-bit identity (`mix64(seed, ip)`),
+    /// so regenerating the same universe yields identical banners regardless
+    /// of iteration order.
+    pub fn features_for_service(
+        &mut self,
+        t: &DeviceTemplate,
+        template_id: u16,
+        proto: Protocol,
+        host_key: u64,
+        asn: Asn,
+    ) -> Vec<FeatureValue> {
+        let kinds = kinds_for_protocol(proto);
+        let mut out = Vec::with_capacity(kinds.len() + 1);
+        // The protocol fingerprint itself is a feature (Table 1 row 1; Table
+        // 3's top tuple is (Port, Port_Protocol)).
+        if proto.has_banner() {
+            let key = cache_key(TAG_PROTOCOL, 0, FeatureKind::Protocol, proto.index() as u32);
+            let value = self.shared(key, || proto.name().to_string());
+            out.push(FeatureValue::new(FeatureKind::Protocol, value));
+        }
+        for &kind in kinds {
+            let value = match scope_for(t.class, kind) {
+                Scope::Grouped(1) => {
+                    let key = cache_key(TAG_GROUPED, template_id, kind, 0);
+                    self.shared(key, || base_string(t, kind))
+                }
+                Scope::Grouped(n) => {
+                    let group =
+                        mix64(host_key, kind.index() as u64 ^ (template_id as u64) << 8) % n as u64;
+                    let key = cache_key(TAG_GROUPED, template_id, kind, group as u32);
+                    self.shared(key, || format!("{} [v{group}]", base_string(t, kind)))
+                }
+                Scope::PerAs => {
+                    let key = cache_key(TAG_PER_AS, template_id, kind, asn.0);
+                    self.shared(key, || format!("{} @as{}", base_string(t, kind), asn.0))
+                }
+                Scope::PerHost => self.interner.intern(&format!(
+                    "{} #{:016x}",
+                    base_string(t, kind),
+                    mix64(host_key, kind.index() as u64)
+                )),
+            };
+            out.push(FeatureValue::new(kind, value));
+        }
+        out
     }
-    out
+
+    /// The filtered content a middlebox of `vendor` serves on every port.
+    pub fn middlebox_content(&mut self, vendor: u32) -> Sym {
+        let key = cache_key(TAG_MIDDLEBOX, 0, FeatureKind::Protocol, vendor);
+        self.shared(key, || format!("middlebox-block-page v{vendor}"))
+    }
+
+    /// The `Sym` of the shared value under `key`, formatting and interning
+    /// `value()` only on the key's first request.
+    fn shared(&mut self, key: u64, value: impl FnOnce() -> String) -> Sym {
+        let interner = self.interner;
+        *self
+            .shared
+            .entry(key)
+            .or_insert_with(|| interner.intern(&value()))
+    }
 }
 
 #[cfg(test)]
@@ -251,18 +315,20 @@ mod tests {
     #[test]
     fn features_are_deterministic() {
         let interner = Interner::new();
+        let mut cache = BannerCache::new(&interner);
         let (t, id) = template("home-router-alpha");
-        let a = features_for_service(&interner, t, id, Protocol::Http, 42, Asn(7));
-        let b = features_for_service(&interner, t, id, Protocol::Http, 42, Asn(7));
+        let a = cache.features_for_service(t, id, Protocol::Http, 42, Asn(7));
+        let b = cache.features_for_service(t, id, Protocol::Http, 42, Asn(7));
         assert_eq!(a, b);
     }
 
     #[test]
     fn per_host_values_differ_between_hosts() {
         let interner = Interner::new();
+        let mut cache = BannerCache::new(&interner);
         let (t, id) = template("web-nginx");
-        let a = features_for_service(&interner, t, id, Protocol::Tls, 1, Asn(7));
-        let b = features_for_service(&interner, t, id, Protocol::Tls, 2, Asn(7));
+        let a = cache.features_for_service(t, id, Protocol::Tls, 1, Asn(7));
+        let b = cache.features_for_service(t, id, Protocol::Tls, 2, Asn(7));
         let hash_a = a
             .iter()
             .find(|f| f.kind == FeatureKind::TlsCertHash)
@@ -280,9 +346,10 @@ mod tests {
     #[test]
     fn manufactured_values_are_shared() {
         let interner = Interner::new();
+        let mut cache = BannerCache::new(&interner);
         let (t, id) = template("home-router-alpha");
-        let a = features_for_service(&interner, t, id, Protocol::Cwmp, 1, Asn(7));
-        let b = features_for_service(&interner, t, id, Protocol::Cwmp, 999, Asn(9));
+        let a = cache.features_for_service(t, id, Protocol::Cwmp, 1, Asn(7));
+        let b = cache.features_for_service(t, id, Protocol::Cwmp, 999, Asn(9));
         let h_a = a
             .iter()
             .find(|f| f.kind == FeatureKind::CwmpHeader)
@@ -297,21 +364,18 @@ mod tests {
     #[test]
     fn per_as_values_vary_by_as_only() {
         let interner = Interner::new();
+        let mut cache = BannerCache::new(&interner);
         let (t, id) = template("home-router-alpha");
-        // Telnet banner for devices is Grouped, use SMTP via mail template
-        // on a Device-class? mail banners are PerAs for non-Server classes.
-        let (cam, cam_id) = template("iot-cam");
-        let _ = (cam, cam_id);
-        // Use POP3 on a device-class template via direct call:
+        // Mail banners are PerAs on every non-Server class.
         let banner = |fs: &[FeatureValue]| {
             fs.iter()
                 .find(|f| f.kind == FeatureKind::Pop3Banner)
                 .unwrap()
                 .value
         };
-        let a = features_for_service(&interner, t, id, Protocol::Pop3, 1, Asn(7));
-        let b = features_for_service(&interner, t, id, Protocol::Pop3, 2, Asn(7));
-        let c = features_for_service(&interner, t, id, Protocol::Pop3, 1, Asn(8));
+        let a = cache.features_for_service(t, id, Protocol::Pop3, 1, Asn(7));
+        let b = cache.features_for_service(t, id, Protocol::Pop3, 2, Asn(7));
+        let c = cache.features_for_service(t, id, Protocol::Pop3, 1, Asn(8));
         assert_eq!(banner(&a), banner(&b), "same AS → same banner");
         assert_ne!(banner(&a), banner(&c), "different AS → different banner");
     }
@@ -319,8 +383,9 @@ mod tests {
     #[test]
     fn anecdote_banners_present() {
         let interner = Interner::new();
+        let mut cache = BannerCache::new(&interner);
         let (t, id) = template("distributel-modem");
-        let f = features_for_service(&interner, t, id, Protocol::Telnet, 5, Asn(1181));
+        let f = cache.features_for_service(t, id, Protocol::Telnet, 5, Asn(1181));
         let telnet = f
             .iter()
             .find(|f| f.kind == FeatureKind::TelnetBanner)
@@ -334,10 +399,11 @@ mod tests {
     #[test]
     fn grouped_scope_bounds_dimensionality() {
         let interner = Interner::new();
+        let mut cache = BannerCache::new(&interner);
         let (t, id) = template("home-router-alpha");
         let mut distinct = std::collections::HashSet::new();
         for host in 0..500u64 {
-            let f = features_for_service(&interner, t, id, Protocol::Http, host, Asn(7));
+            let f = cache.features_for_service(t, id, Protocol::Http, host, Asn(7));
             let server = f
                 .iter()
                 .find(|f| f.kind == FeatureKind::HttpServer)
@@ -350,5 +416,40 @@ mod tests {
             distinct.len()
         );
         assert!(distinct.len() >= 2, "groups should actually split");
+    }
+
+    /// One long-lived cache must hand out exactly the `Sym`s a fresh cache
+    /// per call would: a key-packing collision (the protocol fingerprint
+    /// against a template's values, a group number against an ASN, a
+    /// middlebox vendor against either) shows up as a mismatch.
+    #[test]
+    fn warm_cache_matches_a_cold_one() {
+        let interner = Interner::new();
+        let mut warm = BannerCache::new(&interner);
+        for (id, t) in CATALOG.iter().enumerate() {
+            for spec in t.services {
+                for host in 0..50u64 {
+                    let host_key = mix64(host, 0xBA22);
+                    for asn in [Asn(1), Asn(7), Asn(1181)] {
+                        let features = |cache: &mut BannerCache| {
+                            cache.features_for_service(t, id as u16, spec.protocol, host_key, asn)
+                        };
+                        assert_eq!(
+                            features(&mut warm),
+                            features(&mut BannerCache::new(&interner)),
+                            "{} {} host {host} {asn:?}",
+                            t.name,
+                            spec.protocol
+                        );
+                    }
+                }
+            }
+        }
+        for vendor in 0..5 {
+            assert_eq!(
+                warm.middlebox_content(vendor),
+                BannerCache::new(&interner).middlebox_content(vendor)
+            );
+        }
     }
 }

@@ -11,13 +11,12 @@
 //! the universe is a pure function of its config, independent of generation
 //! order (asserted by tests).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use gps_types::rng::mix64;
 use gps_types::{Asn, FeatureValue, IntMap, Interner, Ip, Port, Protocol, Rng, Subnet};
 
-use crate::banner::features_for_service;
+use crate::banner::BannerCache;
 use crate::config::UniverseConfig;
 use crate::template::{Placement, TemplateId, CATALOG};
 use crate::topology::{BlockInfo, Topology};
@@ -168,8 +167,11 @@ pub struct Internet {
 }
 
 impl Internet {
-    /// Generate the universe. Cost is linear in host count (~10⁵ for the
-    /// standard config) and entirely deterministic.
+    /// Generate the universe. Cost is linear in host count (≈3×10⁵ for the
+    /// standard config) and entirely deterministic. A [`BannerCache`]
+    /// formats and interns each shared banner value once per universe, so
+    /// the per-host unique values are most of the interning left: ≈0.3 s
+    /// for 32 /16s and ≈0.75 s for 128 on a 2-vCPU Xeon (release build).
     pub fn generate(config: &UniverseConfig) -> Internet {
         config.validate().expect("invalid universe config");
         let interner = Arc::new(Interner::new());
@@ -178,9 +180,10 @@ impl Internet {
 
         let mut hosts = IntMap::default();
         let mut pseudo = Vec::new();
+        let mut banners = BannerCache::new(&interner);
 
         for block in topology.blocks() {
-            generate_block(config, block, &interner, &mut hosts, &mut pseudo);
+            generate_block(config, block, &mut banners, &mut hosts, &mut pseudo);
         }
 
         let mut host_ips: Vec<u32> = hosts.keys().copied().collect();
@@ -345,7 +348,7 @@ impl Internet {
 
     /// Count of real services alive on `day`, per port, descending by count.
     pub fn port_census(&self, day: u16) -> Vec<(Port, u64)> {
-        let mut counts: HashMap<u16, u64> = HashMap::new();
+        let mut counts: IntMap<u16, u64> = IntMap::default();
         for host in self.hosts.values() {
             for s in &host.services {
                 if s.alive(day) {
@@ -376,7 +379,7 @@ impl std::fmt::Debug for Internet {
 fn generate_block(
     config: &UniverseConfig,
     block: &BlockInfo,
-    interner: &Interner,
+    banners: &mut BannerCache,
     hosts: &mut IntMap<u32, Host>,
     pseudo: &mut Vec<PseudoHost>,
 ) {
@@ -426,14 +429,14 @@ fn generate_block(
                 ip,
                 first_port: first,
                 last_port: first + span,
-                content: interner.intern(&format!("middlebox-block-page v{vendor}")),
+                content: banners.middlebox_content(vendor as u32),
                 ttl: sample_ttl(&mut rng, 0),
             });
             continue;
         }
 
         let template_id = rng.choose_weighted(&weights) as TemplateId;
-        let host = instantiate_host(config, block, interner, template_id, host_key, &mut rng);
+        let host = instantiate_host(config, block, banners, template_id, host_key, &mut rng);
         if !host.services.is_empty() {
             hosts.insert(ip.0, host);
         }
@@ -449,7 +452,7 @@ fn sample_ttl(rng: &mut Rng, extra_hops: u8) -> u8 {
 fn instantiate_host(
     config: &UniverseConfig,
     block: &BlockInfo,
-    interner: &Interner,
+    banners: &mut BannerCache,
     template_id: TemplateId,
     host_key: u64,
     rng: &mut Rng,
@@ -457,7 +460,6 @@ fn instantiate_host(
     let template = &CATALOG[template_id as usize];
     let ttl_base = sample_ttl(rng, 0);
     let mut services: Vec<GroundService> = Vec::new();
-    let mut used_ports = std::collections::HashSet::new();
 
     for (spec_idx, spec) in template.services.iter().enumerate() {
         if !rng.chance(spec.prob) {
@@ -519,7 +521,7 @@ fn instantiate_host(
             (placed, false, ttl)
         };
 
-        if port == 0 || !used_ports.insert(port) {
+        if port == 0 || services.iter().any(|s| s.port.0 == port) {
             continue; // intra-host port collision: first placement wins
         }
 
@@ -549,8 +551,7 @@ fn instantiate_host(
             forwarded,
             ttl,
             dies_day,
-            features: features_for_service(
-                interner,
+            features: banners.features_for_service(
                 template,
                 template_id,
                 spec.protocol,

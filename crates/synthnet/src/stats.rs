@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use gps_types::{Ip, Port, ServiceKey, Subnet};
+use gps_types::{IntMap, Ip, Port, ServiceKey, Subnet};
 
 use crate::internet::Internet;
 
@@ -17,7 +17,7 @@ use crate::internet::Internet;
 pub struct PortCensus {
     /// (port, live service count), descending by count.
     pub by_count: Vec<(Port, u64)>,
-    counts: HashMap<u16, u64>,
+    counts: IntMap<u16, u64>,
     pub total_services: u64,
     pub day: u16,
 }

@@ -7,8 +7,11 @@
 //! string data.
 //!
 //! The interner is sharded and internally synchronized ([`parking_lot`]
-//! `RwLock` per shard) so the parallel engine backend can intern from worker
-//! threads without a global bottleneck.
+//! `RwLock` per shard), so `intern` takes `&self` and works through an
+//! `Arc` shared across threads. Two callers intern: universe generation,
+//! single-threaded and once per distinct value (so symbol ids follow
+//! first-intern order and are reproducible), and `Scanner::new`, which adds
+//! one sentinel string. Everything downstream only resolves symbols.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -125,7 +128,7 @@ impl Default for Interner {
 /// A single-threaded interner mapping arbitrary hashable values to dense
 /// sequential `u32` ids, in first-insertion order.
 ///
-/// Where [`Interner`] serves the parallel banner pipeline, this one serves
+/// Where [`Interner`] serves banner strings, this one serves
 /// *compilation*: turning a set of keys or payload lists into indices of a
 /// struct-of-arrays layout. Ids are contiguous from 0, so `items` doubles
 /// as the id → value table.

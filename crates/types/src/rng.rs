@@ -11,6 +11,8 @@
 //! sampler (service counts across ports follow a heavy-tailed distribution;
 //! the paper notes 5% of all services live on the top 10 ports).
 
+use crate::IntSet;
+
 /// SplitMix64 step — used for seeding and as a cheap stateless hash.
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
@@ -141,8 +143,7 @@ impl Rng {
     /// in unspecified order. Panics if `k > n`.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         assert!(k <= n, "sample larger than population");
-        use std::collections::HashSet;
-        let mut chosen: HashSet<usize> = HashSet::with_capacity(k);
+        let mut chosen: IntSet<usize> = IntSet::with_capacity_and_hasher(k, Default::default());
         let mut out = Vec::with_capacity(k);
         for j in (n - k)..n {
             let t = self.range_usize(0, j + 1);
