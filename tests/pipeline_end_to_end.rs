@@ -255,6 +255,95 @@ fn run_gps_outputs_are_pinned() {
     }
 }
 
+/// FNV-1a over every model key in sorted `CondKey` order, little-endian:
+/// the key's class, anchor port, feature `(kind, Sym)` and network key
+/// when it has them, then `hosts` and each `(target port, count)`. Lengths
+/// precede each list.
+fn model_digest(model: &gps::core::CondModel) -> u64 {
+    use gps::core::{CondKey, NetKey};
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut bytes = |bytes: &[u8]| {
+        for &byte in bytes {
+            hash = (hash ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut keys: Vec<(&CondKey, &gps::core::KeyStats)> = model.iter().collect();
+    keys.sort_unstable_by_key(|&(key, _)| *key);
+    bytes(&(keys.len() as u64).to_le_bytes());
+    for (key, stats) in keys {
+        bytes(&[key.class()]);
+        bytes(&key.port().0.to_le_bytes());
+        if let Some(f) = key.app() {
+            bytes(&[f.kind.index() as u8]);
+            bytes(&f.value.0.to_le_bytes());
+        }
+        match key.net() {
+            Some(NetKey::Slash(len, base)) => {
+                bytes(&[0, len]);
+                bytes(&base.to_le_bytes());
+            }
+            Some(NetKey::Asn(asn)) => {
+                bytes(&[1]);
+                bytes(&asn.to_le_bytes());
+            }
+            None => {}
+        }
+        bytes(&stats.hosts.to_le_bytes());
+        bytes(&(stats.targets.len() as u64).to_le_bytes());
+        for &(port, count) in &stats.targets {
+            bytes(&port.0.to_le_bytes());
+            bytes(&count.to_le_bytes());
+        }
+    }
+    hash
+}
+
+/// Bit-identity pin of the co-occurrence model on the same two tiny runs
+/// as [`run_gps_outputs_are_pinned`]: every key, including those below
+/// the §5.4 cut that no rule keeps, plus the build's key and entry counts
+/// and the engine ledger it charges.
+#[test]
+fn model_is_pinned() {
+    let net = universe();
+    let config = quick_config();
+    // (name, dataset, digest, distinct_keys, cooccur_entries,
+    //  ledger rows, bytes, queries)
+    let cases = [
+        (
+            "censys",
+            censys_dataset(&net, 200, 0.05, 0, 1),
+            0x018d_7645_b9ae_3bcbu64,
+            3_282usize,
+            10_797u64,
+            [3_406u64, 81_744, 1],
+        ),
+        (
+            "lzr",
+            lzr_dataset(&net, 0.4, 0.25, 2, 0, 3),
+            0xf39f_9732_fe2b_d8bf,
+            3_635,
+            13_533,
+            [6_458, 154_992, 1],
+        ),
+    ];
+    for (name, dataset, digest, keys, entries, ledger) in cases {
+        let run = run_gps(&net, &dataset, &config);
+        assert_eq!(model_digest(&run.model), digest, "{name}: digest");
+        assert_eq!(run.model.len(), keys, "{name}: model keys");
+        assert_eq!(run.model_stats.distinct_keys, keys, "{name}: distinct_keys");
+        assert_eq!(
+            run.model_stats.cooccur_entries, entries,
+            "{name}: cooccur_entries"
+        );
+        let got_ledger = [
+            run.engine_ledger.rows_processed(),
+            run.engine_ledger.bytes_processed(),
+            run.engine_ledger.queries(),
+        ];
+        assert_eq!(got_ledger, ledger, "{name}: engine ledger");
+    }
+}
+
 /// FNV-1a over a whole universe, little-endian: each host in address order
 /// (ip, template, `ttl_base`, then per service its port, protocol,
 /// placement, forwarded flag, ttl, `dies_day` and every feature's
