@@ -9,7 +9,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gps_core::{group_by_host, FeatureRules, Interactions, NetFeature};
-use gps_engine::{Backend, ExecLedger};
 use gps_scan::{ScanConfig, ScanPhase, Scanner};
 use gps_synthnet::{Internet, UniverseConfig};
 use gps_types::Ip;
@@ -60,12 +59,7 @@ fn bench_ablation(c: &mut Criterion) {
 
     // One-time report: what each configuration yields.
     for (name, interactions) in CONFIGS {
-        let (model, stats) = gps_core::CondModel::build(
-            &hosts,
-            interactions,
-            Backend::parallel(),
-            &ExecLedger::new(),
-        );
+        let (model, stats) = gps_core::CondModel::build(&hosts, interactions);
         let rules = FeatureRules::build(&model, &hosts, 1e-5);
         eprintln!(
             "[ablation] {name}: {} keys, {} co-occurrence entries, {} rules",
@@ -79,9 +73,7 @@ fn bench_ablation(c: &mut Criterion) {
     group.sample_size(10);
     for (name, interactions) in CONFIGS {
         group.bench_with_input(BenchmarkId::new("build", name), &interactions, |b, &ix| {
-            b.iter(|| {
-                gps_core::CondModel::build(&hosts, ix, Backend::parallel(), &ExecLedger::new())
-            })
+            b.iter(|| gps_core::CondModel::build(&hosts, ix))
         });
     }
     group.finish();

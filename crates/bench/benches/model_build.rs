@@ -2,12 +2,11 @@
 //!
 //! This is the computation the paper runs on BigQuery in 13 minutes and on
 //! one core in ~9 days: the pairwise co-occurrence matrix over the seed
-//! set. We measure it single-core vs parallel at growing seed sizes — the
+//! set. We measure the one sequential fold at growing seed sizes — the
 //! scaling behaviour behind Table 2's compute rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gps_core::{group_by_host, Interactions, NetFeature};
-use gps_engine::{Backend, ExecLedger};
 use gps_scan::{ScanConfig, ScanPhase, Scanner};
 use gps_synthnet::{Internet, UniverseConfig};
 use gps_types::Ip;
@@ -34,32 +33,9 @@ fn bench_model_build(c: &mut Criterion) {
         let hosts = seed_hosts(&net, fraction);
         group.throughput(criterion::Throughput::Elements(hosts.len() as u64));
         group.bench_with_input(
-            BenchmarkId::new("single_core", hosts.len()),
+            BenchmarkId::new("build", hosts.len()),
             &hosts,
-            |b, hosts| {
-                b.iter(|| {
-                    gps_core::CondModel::build(
-                        hosts,
-                        Interactions::ALL,
-                        Backend::SingleCore,
-                        &ExecLedger::new(),
-                    )
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("parallel", hosts.len()),
-            &hosts,
-            |b, hosts| {
-                b.iter(|| {
-                    gps_core::CondModel::build(
-                        hosts,
-                        Interactions::ALL,
-                        Backend::parallel(),
-                        &ExecLedger::new(),
-                    )
-                })
-            },
+            |b, hosts| b.iter(|| gps_core::CondModel::build(hosts, Interactions::ALL)),
         );
     }
     group.finish();

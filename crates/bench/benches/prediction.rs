@@ -8,7 +8,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gps_core::{
     build_predictions, group_by_host, CompiledRules, FeatureRules, Interactions, NetFeature,
 };
-use gps_engine::{Backend, ExecLedger};
 use gps_scan::{ScanConfig, ScanPhase, Scanner};
 use gps_synthnet::{Internet, UniverseConfig};
 use gps_types::{IntSet, Ip};
@@ -23,12 +22,7 @@ fn bench_prediction(c: &mut Criterion) {
     let net_features = [NetFeature::Slash(16), NetFeature::Asn];
     let asn_of = |ip: Ip| net.asn_of(ip).map(|a| a.0);
     let hosts = group_by_host(&observations, &net_features, &asn_of);
-    let (model, _) = gps_core::CondModel::build(
-        &hosts,
-        Interactions::ALL,
-        Backend::parallel(),
-        &ExecLedger::new(),
-    );
+    let (model, _) = gps_core::CondModel::build(&hosts, Interactions::ALL);
 
     // Priors-scan stand-in: the *next* 20% of hosts.
     let prior_ips: Vec<Ip> = net

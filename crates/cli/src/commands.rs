@@ -94,11 +94,8 @@ pub fn cmd_run(args: &Args) -> Result<(), String> {
         run.seed_observations_raw, run.seed_observations, run.seed_hosts
     );
     println!(
-        "  model:       {} keys / {} co-occurrence entries ({} workers, {:?})",
-        run.model_stats.distinct_keys,
-        run.model_stats.cooccur_entries,
-        run.model_stats.backend_workers,
-        run.timings.model_build,
+        "  model:       {} keys / {} co-occurrence entries ({:?})",
+        run.model_stats.distinct_keys, run.model_stats.cooccur_entries, run.timings.model_build,
     );
     println!(
         "  priors:      {} tuples, {} scanned, {} services found",

@@ -6,7 +6,6 @@
 //! (which of the four interaction classes to model, which network features
 //! to use per Appendix C) and the prediction threshold of §5.4.
 
-use gps_engine::Backend;
 use gps_types::GpsError;
 
 /// Which network-layer features the model conditions on (Appendix C sweeps
@@ -91,9 +90,6 @@ pub struct GpsConfig {
     pub interactions: Interactions,
     /// Network-layer features (Appendix C).
     pub net_features: Vec<NetFeature>,
-    /// Compute backend for the model build (single core vs parallel — the
-    /// §6.5 comparison).
-    pub backend: Backend,
     /// Bandwidth constraint `c1` (Equation 3) in units of 100% scans;
     /// `None` = unconstrained.
     pub budget_scans: Option<f64>,
@@ -114,7 +110,6 @@ impl Default for GpsConfig {
             min_prob: MinProb::Auto,
             interactions: Interactions::ALL,
             net_features: vec![NetFeature::Slash(16), NetFeature::Asn],
-            backend: Backend::parallel(),
             budget_scans: None,
             max_predictions: 20_000_000,
             curve_points: 256,

@@ -46,8 +46,7 @@ impl KnownHostExpander {
         asn_of: &dyn Fn(Ip) -> Option<u32>,
     ) -> (KnownHostExpander, crate::model::BuildStats) {
         let hosts = group_by_host(corpus, &config.net_features, asn_of);
-        let ledger = gps_engine::ExecLedger::new();
-        let (model, stats) = CondModel::build(&hosts, config.interactions, config.backend, &ledger);
+        let (model, stats) = CondModel::build(&hosts, config.interactions);
         let rules = FeatureRules::build(&model, &hosts, min_prob);
         (
             KnownHostExpander {

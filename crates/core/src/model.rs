@@ -8,14 +8,13 @@
 //! so that `P(Portₐ | K) = cooccur(K, Portₐ) / hosts(K)`. This *is* the
 //! paper's "pairwise co-occurrence matrix for every feature and port"
 //! (§5.5): enumerating ordered service pairs within each host is the
-//! self-join, and the two grouped counts are the aggregation. The build is
-//! embarrassingly parallel across hosts, which is GPS's key systems claim —
-//! both backends (single-core and parallel) produce identical models.
+//! self-join, and the two grouped counts are the aggregation. The paper
+//! runs this on BigQuery (§5.5); here it is one sequential fold over the
+//! hosts, which at this repo's scale takes milliseconds.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
-use gps_engine::{par_fold_reduce, Backend, ExecLedger};
 use gps_types::{FeatureValue, Port};
 
 use crate::config::Interactions;
@@ -123,8 +122,10 @@ pub struct BuildStats {
     pub multi_service_hosts: usize,
     pub distinct_keys: usize,
     pub cooccur_entries: u64,
+    /// Self-join volume: Σₕ k·(k−1) ordered service pairs over hosts with
+    /// k services (Table 2's data-processed column).
+    pub join_pairs: u64,
     pub elapsed: Duration,
-    pub backend_workers: usize,
 }
 
 /// The trained model.
@@ -136,62 +137,30 @@ pub struct CondModel {
 
 impl CondModel {
     /// Compute the co-occurrence model over host-grouped seed records.
-    pub fn build(
-        hosts: &[HostRecord],
-        interactions: Interactions,
-        backend: Backend,
-        ledger: &ExecLedger,
-    ) -> (CondModel, BuildStats) {
+    pub fn build(hosts: &[HostRecord], interactions: Interactions) -> (CondModel, BuildStats) {
         let start = std::time::Instant::now();
 
-        #[derive(Default)]
-        struct Acc {
-            // key → (host count, target port → co-occurrence count)
-            map: HashMap<CondKey, (u32, HashMap<Port, u32>)>,
+        // key → (host count, target port → co-occurrence count)
+        let mut counts: HashMap<CondKey, (u32, HashMap<Port, u32>)> = HashMap::new();
+        let mut join_pairs = 0u64;
+        for host in hosts {
+            let k = host.services.len() as u64;
+            join_pairs += k * k.saturating_sub(1);
+            for b in &host.services {
+                service_keys(b, &host.nets, interactions, &mut |key| {
+                    let entry = counts.entry(key).or_default();
+                    entry.0 += 1;
+                    for a in &host.services {
+                        if a.port != b.port {
+                            *entry.1.entry(a.port).or_default() += 1;
+                        }
+                    }
+                });
+            }
         }
 
-        // Charge the ledger with the self-join volume: Σ_h k·(k−1) pairs.
-        let pair_volume: u64 = hosts
-            .iter()
-            .map(|h| {
-                let k = h.services.len() as u64;
-                k * k.saturating_sub(1)
-            })
-            .sum();
-        ledger.record_rows(pair_volume, 24);
-
-        let acc = par_fold_reduce(
-            hosts,
-            backend.workers(),
-            Acc::default,
-            |acc, host| {
-                for b in &host.services {
-                    service_keys(b, &host.nets, interactions, &mut |key| {
-                        let entry = acc.map.entry(key).or_default();
-                        entry.0 += 1;
-                        for a in &host.services {
-                            if a.port != b.port {
-                                *entry.1.entry(a.port).or_default() += 1;
-                            }
-                        }
-                    });
-                }
-            },
-            |mut a, b| {
-                for (key, (hosts_b, targets_b)) in b.map {
-                    let entry = a.map.entry(key).or_default();
-                    entry.0 += hosts_b;
-                    for (port, c) in targets_b {
-                        *entry.1.entry(port).or_default() += c;
-                    }
-                }
-                a
-            },
-        );
-
         let mut cooccur_entries = 0u64;
-        let keys: HashMap<CondKey, KeyStats> = acc
-            .map
+        let keys: HashMap<CondKey, KeyStats> = counts
             .into_iter()
             .map(|(key, (host_count, targets))| {
                 cooccur_entries += targets.len() as u64;
@@ -212,8 +181,8 @@ impl CondModel {
             multi_service_hosts: hosts.iter().filter(|h| h.services.len() > 1).count(),
             distinct_keys: keys.len(),
             cooccur_entries,
+            join_pairs,
             elapsed: start.elapsed(),
-            backend_workers: backend.workers(),
         };
         (CondModel { keys, interactions }, stats)
     }
@@ -322,13 +291,7 @@ mod tests {
     }
 
     fn build(hosts: &[HostRecord]) -> CondModel {
-        CondModel::build(
-            hosts,
-            Interactions::ALL,
-            Backend::SingleCore,
-            &ExecLedger::new(),
-        )
-        .0
+        CondModel::build(hosts, Interactions::ALL).0
     }
 
     #[test]
@@ -370,25 +333,6 @@ mod tests {
         let stats = model.stats(&key).expect("net key present");
         assert_eq!(stats.hosts, 3);
         assert!((stats.probability(Port(443)) - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn backends_agree() {
-        let hosts = simple_hosts();
-        let ledger = ExecLedger::new();
-        let (single, _) = CondModel::build(&hosts, Interactions::ALL, Backend::SingleCore, &ledger);
-        let (par, _) = CondModel::build(
-            &hosts,
-            Interactions::ALL,
-            Backend::Parallel { workers: 4 },
-            &ledger,
-        );
-        assert_eq!(single.len(), par.len());
-        for (key, stats) in single.iter() {
-            let other = par.stats(key).expect("key in both");
-            assert_eq!(stats.hosts, other.hosts);
-            assert_eq!(stats.targets, other.targets);
-        }
     }
 
     #[test]
@@ -436,14 +380,12 @@ mod tests {
 
     #[test]
     fn build_stats_are_plausible() {
-        let hosts = simple_hosts();
-        let ledger = ExecLedger::new();
-        let (_, stats) = CondModel::build(&hosts, Interactions::ALL, Backend::SingleCore, &ledger);
+        let (_, stats) = CondModel::build(&simple_hosts(), Interactions::ALL);
         assert_eq!(stats.hosts_in, 3);
         assert_eq!(stats.multi_service_hosts, 2);
         assert!(stats.distinct_keys > 0);
         assert!(stats.cooccur_entries > 0);
         // Join volume: hosts 1,2 have k=2 → 2 pairs each; host 3 none.
-        assert_eq!(ledger.rows_processed(), 4);
+        assert_eq!(stats.join_pairs, 4);
     }
 }

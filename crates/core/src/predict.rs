@@ -168,7 +168,6 @@ mod tests {
     use crate::config::{Interactions, NetFeature};
     use crate::host::group_by_host;
     use crate::model::CondModel;
-    use gps_engine::{Backend, ExecLedger};
     use gps_scan::ServiceObservation;
     use gps_types::{FeatureKind, FeatureValue, Protocol, Sym};
 
@@ -193,12 +192,7 @@ mod tests {
             observations.push(obs(ip, 8082, None));
         }
         let hosts = group_by_host(&observations, &[NetFeature::Slash(16)], &|_| None);
-        let (model, _) = CondModel::build(
-            &hosts,
-            Interactions::ALL,
-            Backend::SingleCore,
-            &ExecLedger::new(),
-        );
+        let (model, _) = CondModel::build(&hosts, Interactions::ALL);
         (hosts, model)
     }
 

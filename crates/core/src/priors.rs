@@ -90,7 +90,6 @@ mod tests {
     use crate::config::{Interactions, NetFeature};
     use crate::host::group_by_host;
     use crate::model::CondModel;
-    use gps_engine::{Backend, ExecLedger};
     use gps_scan::ServiceObservation;
     use gps_types::{Ip, Protocol, Sym};
 
@@ -107,12 +106,7 @@ mod tests {
 
     fn hosts_and_model(observations: Vec<ServiceObservation>) -> (Vec<HostRecord>, CondModel) {
         let hosts = group_by_host(&observations, &[NetFeature::Slash(16)], &|_| None);
-        let (model, _) = CondModel::build(
-            &hosts,
-            Interactions::ALL,
-            Backend::SingleCore,
-            &ExecLedger::new(),
-        );
+        let (model, _) = CondModel::build(&hosts, Interactions::ALL);
         (hosts, model)
     }
 

@@ -795,7 +795,6 @@ mod tests {
     use crate::config::NetFeature;
     use crate::host::group_by_host;
     use crate::model::CondModel;
-    use gps_engine::{Backend, ExecLedger};
     use gps_scan::ServiceObservation;
     use gps_types::testutil::TestDir;
     use gps_types::{Ip, Protocol};
@@ -826,12 +825,7 @@ mod tests {
             &[NetFeature::Slash(16), NetFeature::Asn],
             &|_| Some(9),
         );
-        let (model, stats) = CondModel::build(
-            &hosts,
-            Interactions::ALL,
-            Backend::SingleCore,
-            &ExecLedger::new(),
-        );
+        let (model, stats) = CondModel::build(&hosts, Interactions::ALL);
         let rules = crate::predict::FeatureRules::build(&model, &hosts, 1e-5);
         let priors = crate::priors::build_priors_list(&model, &hosts, 16);
         let mut snapshot = ModelSnapshot {

@@ -7,16 +7,12 @@
 //! quantities for our simulated runs so the `tab2` experiment can print the
 //! same columns.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-
-/// Thread-safe accumulator of engine work. Shared by reference into the
-/// parallel kernels (all counters are relaxed atomics — totals only).
+/// Accumulator of engine work: totals only.
 #[derive(Debug, Default)]
 pub struct ExecLedger {
-    rows: AtomicU64,
-    bytes: AtomicU64,
-    queries: AtomicU64,
+    rows: u64,
+    bytes: u64,
+    queries: u64,
 }
 
 impl ExecLedger {
@@ -25,40 +21,23 @@ impl ExecLedger {
     }
 
     /// Record a kernel pass over `rows` rows of `row_bytes` bytes each.
-    pub fn record_rows(&self, rows: u64, row_bytes: u64) {
-        self.rows.fetch_add(rows, Ordering::Relaxed);
-        self.bytes
-            .fetch_add(rows.saturating_mul(row_bytes), Ordering::Relaxed);
-        self.queries.fetch_add(1, Ordering::Relaxed);
+    pub fn record_rows(&mut self, rows: u64, row_bytes: u64) {
+        self.rows += rows;
+        self.bytes += rows.saturating_mul(row_bytes);
+        self.queries += 1;
     }
 
     pub fn rows_processed(&self) -> u64 {
-        self.rows.load(Ordering::Relaxed)
+        self.rows
     }
 
     pub fn bytes_processed(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.bytes
     }
 
     /// Number of kernel invocations ("queries").
     pub fn queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
-    }
-
-    /// Fold another ledger's totals into this one.
-    pub fn absorb(&self, other: &ExecLedger) {
-        self.rows
-            .fetch_add(other.rows_processed(), Ordering::Relaxed);
-        self.bytes
-            .fetch_add(other.bytes_processed(), Ordering::Relaxed);
-        self.queries.fetch_add(other.queries(), Ordering::Relaxed);
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.rows.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
-        self.queries.store(0, Ordering::Relaxed);
+        self.queries
     }
 }
 
@@ -90,58 +69,18 @@ impl CostModel {
     }
 }
 
-/// Simple wall-clock stopwatch for stage timing (Table 2's wall-clock
-/// column for the computational stages).
-#[derive(Debug)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    pub fn start() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-        }
-    }
-
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn ledger_accumulates() {
-        let l = ExecLedger::new();
+        let mut l = ExecLedger::new();
         l.record_rows(10, 8);
         l.record_rows(5, 4);
         assert_eq!(l.rows_processed(), 15);
         assert_eq!(l.bytes_processed(), 100);
         assert_eq!(l.queries(), 2);
-    }
-
-    #[test]
-    fn absorb_merges() {
-        let a = ExecLedger::new();
-        let b = ExecLedger::new();
-        a.record_rows(1, 1);
-        b.record_rows(2, 2);
-        a.absorb(&b);
-        assert_eq!(a.rows_processed(), 3);
-        assert_eq!(a.bytes_processed(), 5);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let l = ExecLedger::new();
-        l.record_rows(7, 7);
-        l.reset();
-        assert_eq!(l.rows_processed(), 0);
-        assert_eq!(l.bytes_processed(), 0);
-        assert_eq!(l.queries(), 0);
     }
 
     #[test]
@@ -152,11 +91,5 @@ mod tests {
         let bytes = 4_000_000_000_000u64; // 4 TB (PFS stage in Table 2)
         assert!((m.cost_dollars(bytes) - 20.0).abs() < 1e-9);
         assert!((m.cost_cents(1_000_000_000_000) - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ledger_is_send_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<ExecLedger>();
     }
 }

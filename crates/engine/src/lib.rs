@@ -1,81 +1,20 @@
 //! # gps-engine
 //!
-//! A small columnar dataflow engine that plays the role Google BigQuery plays
-//! in the paper's implementation (§5.5): GPS's conditional-probability model
-//! is "reading data, aggregating, and joining among shared data fields", and
-//! the paper's headline systems result (§6.5, Table 2) is that the *same*
-//! computation runs in 9 days on one core but 13 minutes on a massively
-//! parallel engine.
+//! Table 2's compute accounting, plus the one parallel map the XGBoost
+//! baseline uses.
 //!
-//! This crate provides both execution backends behind one API:
+//! The paper builds GPS's co-occurrence model on Google BigQuery (§5.5)
+//! and reports, per stage, the data it processed and what that cost
+//! (§6.5, Table 2). `gps-core` builds the same model with one sequential
+//! fold; this crate keeps the books on it:
 //!
-//! - [`Backend::SingleCore`] — straight-line fold, no threads;
-//! - [`Backend::Parallel`] — crossbeam scoped worker threads with
-//!   shard-merged hash aggregation.
-//!
-//! plus the primitives GPS's queries decompose into:
-//!
-//! - [`par`] — chunked fold/reduce over slices;
-//! - [`groupby`] — grouped counting and folding;
-//! - [`join`] — within-group pair enumeration (the "JOIN the dataset on
-//!   itself" step that computes the pairwise co-occurrence matrix);
 //! - [`ledger`] — rows/bytes-processed accounting and the $/TB cost model
-//!   used to reproduce Table 2's cost column.
+//!   used to reproduce Table 2's data and cost columns;
+//! - [`par`] — an order-preserving parallel map over a slice, which the
+//!   XGBoost scanner uses to score candidate addresses.
 
-pub mod groupby;
-pub mod join;
 pub mod ledger;
 pub mod par;
 
-pub use groupby::{group_count, group_fold};
-pub use join::ordered_pairs_within_groups;
 pub use ledger::{CostModel, ExecLedger};
-pub use par::{available_workers, par_fold_reduce};
-
-/// Execution backend selector.
-///
-/// Everything in this crate (and the model builder in `gps-core`) produces
-/// identical results under either backend; only wall-clock and the ledger's
-/// worker count differ. This is asserted by tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Sequential execution on the calling thread.
-    SingleCore,
-    /// Parallel execution over `workers` threads (0 = auto-detect).
-    Parallel { workers: usize },
-}
-
-impl Backend {
-    /// Resolve the actual worker count (1 for single-core, detected for
-    /// `Parallel { workers: 0 }`).
-    pub fn workers(self) -> usize {
-        match self {
-            Backend::SingleCore => 1,
-            Backend::Parallel { workers: 0 } => available_workers(),
-            Backend::Parallel { workers } => workers,
-        }
-    }
-
-    /// Convenience: auto-sized parallel backend.
-    pub fn parallel() -> Backend {
-        Backend::Parallel { workers: 0 }
-    }
-}
-
-impl Default for Backend {
-    fn default() -> Self {
-        Self::parallel()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn workers_resolution() {
-        assert_eq!(Backend::SingleCore.workers(), 1);
-        assert!(Backend::parallel().workers() >= 1);
-        assert_eq!(Backend::Parallel { workers: 3 }.workers(), 3);
-    }
-}
+pub use par::{available_workers, par_map};

@@ -1,12 +1,8 @@
-//! Chunked parallel fold/reduce over slices.
+//! Chunked parallel map over a slice.
 //!
-//! The engine's unit of parallelism is the *chunk*: the input slice is split
-//! into roughly equal contiguous chunks, each worker folds its chunks into a
-//! thread-local accumulator, and accumulators are reduced on the calling
-//! thread. This is exactly the shape of GPS's model computation (per-host
-//! pair counting is embarrassingly parallel, merging counters is cheap
-//! relative to generating them) and mirrors how BigQuery shards the self-join
-//! in §5.5.
+//! The input slice is split into roughly equal contiguous chunks, one per
+//! worker, and the mapped chunks are concatenated in input order. The
+//! XGBoost scanner baseline scores its candidate addresses this way.
 //!
 //! CPU-bound work belongs on plain threads, not an async runtime, so workers
 //! are crossbeam *scoped* threads: they may borrow the input slice and no
@@ -17,68 +13,6 @@ pub fn available_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
-}
-
-/// Fold `items` in parallel and reduce the per-worker accumulators.
-///
-/// * `workers` — thread count; `<= 1` runs inline on the calling thread (the
-///   `SingleCore` backend path), guaranteeing identical results because fold
-///   then reduce is associative by contract.
-/// * `fold` — called per item with the worker-local accumulator.
-/// * `reduce` — merges two accumulators; must be associative and agree with
-///   `fold` about ordering-insensitivity (all engine uses are counter merges,
-///   which commute).
-pub fn par_fold_reduce<T, Acc, F, R>(
-    items: &[T],
-    workers: usize,
-    make_acc: impl Fn() -> Acc + Sync,
-    fold: F,
-    reduce: R,
-) -> Acc
-where
-    T: Sync,
-    Acc: Send,
-    F: Fn(&mut Acc, &T) + Sync,
-    R: Fn(Acc, Acc) -> Acc,
-{
-    if workers <= 1 || items.len() < 2 {
-        let mut acc = make_acc();
-        for item in items {
-            fold(&mut acc, item);
-        }
-        return acc;
-    }
-
-    let workers = workers.min(items.len());
-    let chunk_size = items.len().div_ceil(workers);
-
-    // Capture the closures by shared reference (they are `Sync`): a plain
-    // `move` closure would try to move them into the first worker.
-    let make_acc = &make_acc;
-    let fold = &fold;
-    let accs: Vec<Acc> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move |_| {
-                    let mut acc = make_acc();
-                    for item in chunk {
-                        fold(&mut acc, item);
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("engine worker panicked"))
-            .collect()
-    })
-    .expect("engine scope panicked");
-
-    let mut iter = accs.into_iter();
-    let first = iter.next().expect("at least one worker");
-    iter.fold(first, reduce)
 }
 
 /// Parallel map over a slice, preserving order.
@@ -114,34 +48,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fold_reduce_matches_sequential_sum() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let seq: u64 = items.iter().sum();
-        for workers in [1, 2, 3, 8, 64] {
-            let got = par_fold_reduce(&items, workers, || 0u64, |acc, x| *acc += *x, |a, b| a + b);
-            assert_eq!(got, seq, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn empty_input() {
+    fn par_map_of_nothing_is_empty() {
         let items: Vec<u64> = vec![];
-        let got = par_fold_reduce(&items, 8, || 7u64, |_, _| (), |a, _| a);
-        assert_eq!(got, 7);
         assert!(par_map(&items, 8, |x: &u64| *x).is_empty());
-    }
-
-    #[test]
-    fn single_item_runs_inline() {
-        let got = par_fold_reduce(&[5u64], 8, || 0, |acc, x| *acc += x, |a, b| a + b);
-        assert_eq!(got, 5);
-    }
-
-    #[test]
-    fn more_workers_than_items() {
-        let items = [1u64, 2, 3];
-        let got = par_fold_reduce(&items, 100, || 0, |acc, x| *acc += x, |a, b| a + b);
-        assert_eq!(got, 6);
     }
 
     #[test]
@@ -152,29 +61,5 @@ mod tests {
             let want: Vec<u32> = items.iter().map(|x| x * 2).collect();
             assert_eq!(got, want, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn hashmap_merge_is_backend_invariant() {
-        use std::collections::HashMap;
-        let items: Vec<u32> = (0..5000).map(|i| i % 37).collect();
-        let count = |workers| {
-            par_fold_reduce(
-                &items,
-                workers,
-                HashMap::<u32, u64>::new,
-                |acc, x| *acc.entry(*x).or_default() += 1,
-                |mut a, b| {
-                    for (k, v) in b {
-                        *a.entry(k).or_default() += v;
-                    }
-                    a
-                },
-            )
-        };
-        let single = count(1);
-        let parallel = count(8);
-        assert_eq!(single, parallel);
-        assert_eq!(single.values().sum::<u64>(), 5000);
     }
 }

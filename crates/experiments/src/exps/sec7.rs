@@ -12,7 +12,6 @@ use std::collections::{HashMap, HashSet};
 use gps_core::host::group_by_host;
 use gps_core::priors::build_priors_list;
 use gps_core::{lzr_dataset, CondModel, Interactions};
-use gps_engine::{Backend, ExecLedger};
 use gps_scan::{ScanConfig, ScanPhase, Scanner};
 use gps_synthnet::Internet;
 
@@ -52,12 +51,7 @@ pub fn run(scenario: &Scenario, net: &Internet) -> Report {
         &[gps_core::NetFeature::Slash(16), gps_core::NetFeature::Asn],
         &asn_of,
     );
-    let (model, _) = CondModel::build(
-        &hosts,
-        Interactions::ALL,
-        Backend::parallel(),
-        &ExecLedger::new(),
-    );
+    let (model, _) = CondModel::build(&hosts, Interactions::ALL);
 
     // /0 step: the priors list collapses to ports, scanned exhaustively in
     // coverage order. Count-at-first-discovery: a hit on any service of a

@@ -10,7 +10,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`types`] | `gps-types` | IPs, subnets, ports, protocols, the 25 features of Table 1, deterministic RNG |
-//! | [`engine`] | `gps-engine` | parallel group-by/self-join dataflow engine (the BigQuery stand-in) |
+//! | [`engine`] | `gps-engine` | Table 2's compute ledger and $/TB cost model, plus the parallel map the XGBoost baseline uses |
 //! | [`synthnet`] | `gps-synthnet` | deterministic synthetic IPv4 Internet (the datasets stand-in) |
 //! | [`scan`] | `gps-scan` | simulated ZMap + LZR + ZGrab chain with exact bandwidth accounting |
 //! | [`core`] | `gps-core` | the paper's contribution: Eq. 4–7 model, priors scan, prediction scan |
@@ -58,7 +58,6 @@ pub mod prelude {
         censys_dataset, lzr_dataset, run_gps, Dataset, DiscoveryCurve, GpsConfig, GpsRun,
         Interactions, MinProb, NetFeature,
     };
-    pub use gps_engine::Backend;
     pub use gps_scan::{ScanConfig, ScanPhase, Scanner};
     pub use gps_serve::{PredictionServer, Query, ServableModel, ServeConfig};
     pub use gps_synthnet::{Internet, UniverseConfig};

@@ -113,22 +113,14 @@ fn budget_constrains_total_probes() {
 }
 
 #[test]
-fn runs_are_deterministic_across_backends_and_repeats() {
+fn runs_are_deterministic_across_repeats() {
     let net = universe();
     let dataset = censys_dataset(&net, 150, 0.05, 0, 2);
     let a = run_gps(&net, &dataset, &quick_config());
     let b = run_gps(&net, &dataset, &quick_config());
-    let single = run_gps(
-        &net,
-        &dataset,
-        &GpsConfig {
-            backend: Backend::SingleCore,
-            ..quick_config()
-        },
-    );
     assert_eq!(a.found, b.found);
+    assert_eq!(a.predictions_total, b.predictions_total);
     assert_eq!(a.ledger.total_probes(), b.ledger.total_probes());
-    assert_eq!(a.found, single.found, "parallel and single-core must agree");
 }
 
 #[test]

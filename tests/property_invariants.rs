@@ -5,7 +5,6 @@ use std::sync::{Arc, OnceLock};
 
 use gps::core::metrics::{CoverageTracker, GroundTruth};
 use gps::core::{CondKey, CondModel, GpsConfig, Interactions, ModelSnapshot, NetFeature};
-use gps::engine::{Backend, ExecLedger};
 use gps::scan::{CyclicPermutation, ServiceObservation};
 use gps::serve::{
     Client, PredictScratch, PredictionServer, Query, ReferenceModel, ServableModel, ServeConfig,
@@ -103,12 +102,7 @@ proptest! {
             &[NetFeature::Slash(16), NetFeature::Asn],
             &|_| Some(7),
         );
-        let (model, stats) = CondModel::build(
-            &hosts,
-            Interactions::ALL,
-            Backend::SingleCore,
-            &ExecLedger::new(),
-        );
+        let (model, stats) = CondModel::build(&hosts, Interactions::ALL);
         prop_assert_eq!(stats.hosts_in, hosts.len());
         for (key, key_stats) in model.iter() {
             prop_assert!(key_stats.hosts > 0);
