@@ -26,13 +26,16 @@
 //!   received it — no worker pool, no answer cache;
 //! - [`proto`] — a length-prefixed JSON frame protocol over TCP plus the
 //!   blocking [`Client`] used by `gps query` and the loadgen bench;
-//! - [`transport`] / [`net`] — how connections are driven: event loops
-//!   (epoll/poll readiness, incremental frame decoding, one write per
-//!   read burst) that serve two pipelined connections and C10K-scale
-//!   fan-in alike, honoring `--max-conns` and `--idle-timeout`. A request
-//!   is answered, in order, on the loop that read it — a 65,536-query
-//!   batch occupies its event loop for the length of the batch, as an
-//!   admin reload already does.
+//! - [`transport`] / [`net`] — how connections are driven, for `gps
+//!   serve` and the [`router`] alike: event loops (epoll/poll readiness,
+//!   incremental frame decoding, one write per read burst) that serve
+//!   two pipelined connections and C10K-scale fan-in alike, honoring
+//!   `--max-conns` and `--idle-timeout`, with one bounded HTTP parser for
+//!   both processes' HTTP sidelines. A request is answered, in order, on
+//!   the loop that read it — a 65,536-query batch occupies its event loop
+//!   for the length of the batch, as an admin reload already does, and a
+//!   router loop waits out a stalled backend for at most one request
+//!   timeout per burst.
 //!
 //! ## Quick start
 //!

@@ -1,5 +1,7 @@
 //! Minimal hand-rolled HTTP/1.1 support for the observability gateway
-//! (`gps serve --http-addr`).
+//! (`gps serve --http-addr`) and the router's HTTP sideline (`gps route
+//! --http-addr`, which parses with this module and keeps its own four
+//! routes).
 //!
 //! This is deliberately not a web framework: it parses exactly enough of
 //! HTTP/1.1 to serve a metrics scraper and a JSON client — request line,

@@ -1,5 +1,5 @@
-//! The connection engine: every socket `gps serve` holds is driven by
-//! these event loops.
+//! The connection engine: every socket `gps serve` and `gps route` hold
+//! is driven by these event loops.
 //!
 //! Layout, bottom up:
 //!
@@ -7,40 +7,50 @@
 //!   `epoll_ctl` / `epoll_wait`, plus `poll(2)` as the portable
 //!   fallback);
 //! - `poller` — both backends behind one level-triggered interface,
-//!   and the loopback-UDP `Waker` (the router's backend links wait on
-//!   it too);
+//!   and the loopback-UDP `Waker` (the router's backend links wait on a
+//!   `Poller` of their own);
 //! - `decoder` — incremental length-prefixed frame decoding (shared
-//!   with the router and the blocking `Client`'s `read_frame_payload`);
+//!   with the router's backend links and the blocking `Client`'s
+//!   `read_frame_payload`);
 //! - `conn` — the per-connection state machine: decoder, bounded write
 //!   buffer, idle clock;
-//! - this module — the accept/dispatch loop and N event-loop threads.
+//! - `http` — the bounded HTTP/1.1 parser and response writer both
+//!   processes' HTTP sidelines share;
+//! - this module — the accept threads, N event-loop threads, the
+//!   connection accounting (`Connections`) and the `Service` seam:
+//!   the server answers frame by frame, the router a burst at a time.
 //!
 //! ## Flow
 //!
-//! The accept thread hands each connection to an event loop round-robin
-//! (after the `max_conns` gate). A loop owns its connections outright:
-//! readable sockets are drained through the decoder; each complete frame
-//! runs the shared request core (`proto::classify`) and is answered
-//! right there, on the loop's thread — predicts included
-//! (`proto::PredictWork::answer` runs the kernel in place) — straight
-//! into the connection's write buffer. One thread answers a connection's
-//! frames one at a time, so responses leave in request order (the
-//! protocol is pipelined but ordered) by construction, and the replies
-//! to one read burst leave in one `write(2)`. Writes are
-//! buffered with backpressure (a slow reader pauses its own requests,
-//! never the loop), and connections idle past `idle_timeout` are swept —
-//! one slowloris cannot hold a thread, and ten thousand idle scanners
-//! cost only their sockets and a few hundred bytes each.
+//! The accept threads hand each connection to an event loop round-robin
+//! (after the `max_conns` and drain gate). A loop owns its connections
+//! outright: readable sockets are drained through the decoder and each
+//! complete request parks on its connection; the loop's `Service`
+//! answers the parked requests right there, on the loop's thread —
+//! `gps serve` runs each frame through the shared request core
+//! (`proto::classify`, with `proto::PredictWork::answer` running the
+//! kernel in place), `gps route` forwards the whole burst through the
+//! loop's backend `Hop` — straight into the connection's write buffer.
+//! One thread answers a connection's requests in order, so responses
+//! leave in request order (the protocol is pipelined but ordered) by
+//! construction, and the replies to one read burst leave in one
+//! `write(2)`. Writes are buffered with backpressure (a slow reader
+//! pauses its own requests, never the loop), and connections idle past
+//! `idle_timeout` are swept — one slowloris cannot hold a thread, and ten
+//! thousand idle scanners cost only their sockets and a few hundred bytes
+//! each.
 //!
 //! Deliberate tradeoff: everything runs inline on the event-loop thread,
 //! briefly delaying that loop's other connections. A single predict is
 //! a few hundred nanoseconds; the long requests are a 65,536-query
 //! `batch` frame, which occupies its loop for the length of the batch
-//! (tens of milliseconds), and the admin commands (`reload`/`load` do
+//! (tens of milliseconds), the admin commands (`reload`/`load` do
 //! snapshot disk I/O; the GPSB serving load they trigger is
-//! sub-millisecond to low-millisecond, see the snapshot_load bench).
-//! The first is bounded by `MAX_BATCH_QUERIES`, the second is a rare,
-//! trusted-operator action.
+//! sub-millisecond to low-millisecond, see the snapshot_load bench), and
+//! on the router a burst waiting on a stalled backend (at most one
+//! `request_timeout`). The first is bounded by `MAX_BATCH_QUERIES`, the
+//! second is a rare, trusted-operator action, the third ends once the
+//! backend is marked down.
 
 mod conn;
 mod decoder;
@@ -48,36 +58,220 @@ pub(crate) mod http;
 pub(crate) mod poller;
 mod sys;
 
+pub(crate) use conn::{Conn, Payload};
 pub use decoder::{DecodeError, FrameDecoder, WireFormat};
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::hist::WireLabel;
-use crate::proto;
+use crate::proto::{self, FrameAction, ReadyReply, ReplyCtx};
 use crate::server::PredictionServer;
 use crate::transport::{event_loops, TransportConfig};
-use conn::{Conn, Payload, ReadOutcome};
+use conn::ReadOutcome;
 use poller::{wake_pair, Event, Interest, Poller, WakeReceiver, Waker};
 
 /// Poller token of the wakeup socket (connection tokens count up from 0,
 /// so they never collide).
 const WAKE_TOKEN: u64 = u64::MAX;
 
+/// Connection accounting and the drain flag of one process, shared by
+/// its accept threads and event loops. `gps serve`'s `ServerStats` and
+/// `gps route`'s `Core` each embed one.
+#[derive(Debug, Default)]
+pub(crate) struct Connections {
+    /// Connections the accept threads admitted.
+    pub accepted: AtomicU64,
+    /// Connections fully closed (clean EOF, error, or timeout alike).
+    pub closed: AtomicU64,
+    /// Connections closed *because* they idled past the transport's idle
+    /// timeout (also counted in `closed`).
+    pub timed_out: AtomicU64,
+    /// Connections dropped at accept: over `max_conns`, or a frame
+    /// connection while draining (never counted in `accepted`).
+    pub rejected: AtomicU64,
+    /// Set by the `shutdown` admin command: the process stops admitting
+    /// frame connections, finishes in-flight replies, and closes.
+    draining: AtomicBool,
+}
+
+impl Connections {
+    /// The accept-loop gate: under `max_conns` the connection is counted
+    /// accepted and admitted; at or over it, the rejection is counted and
+    /// the caller drops the socket.
+    ///
+    /// Several accept threads share the gate (the frame and the HTTP
+    /// listener), so check and count are one compare-and-swap on
+    /// `accepted`: of two threads that both see `max_conns - 1` active,
+    /// one wins and the other re-checks against the winner's count.
+    /// `closed` only grows, so a stale read of it can only reject a
+    /// connection that would just have fit, never over-admit.
+    ///
+    /// While draining, frame connections are rejected but HTTP
+    /// (`is_http`) connections still get in — a health checker must be
+    /// able to read the 503 `"draining"` answer, and curling `/metrics`
+    /// mid-drain is how an operator watches the drain finish.
+    pub fn try_admit(&self, max_conns: u64, is_http: bool) -> bool {
+        let admitted = (is_http || !self.is_draining())
+            && self
+                .accepted
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |accepted| {
+                    let active = accepted.saturating_sub(self.closed.load(Ordering::Relaxed));
+                    (active < max_conns).then_some(accepted + 1)
+                })
+                .is_ok();
+        if !admitted {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+        }
+        admitted
+    }
+
+    /// Connections held right now: `accepted - closed`.
+    pub fn active(&self) -> u64 {
+        self.accepted
+            .load(Ordering::Relaxed)
+            .saturating_sub(self.closed.load(Ordering::Relaxed))
+    }
+
+    pub fn begin_drain(&self) {
+        self.draining.store(true, Ordering::Release);
+    }
+
+    pub fn is_draining(&self) -> bool {
+        self.draining.load(Ordering::Acquire)
+    }
+}
+
+/// What the event loops serve: `gps serve`'s [`PredictionServer`] or
+/// `gps route`'s `router::Core`. Calls are static — each process runs
+/// its own monomorphized loop.
+pub(crate) trait Service: Send + Sync + 'static {
+    /// What one loop keeps between requests: nothing for the server, the
+    /// loop's backend `Hop` for the router.
+    type Loop: Send + 'static;
+
+    fn conns(&self) -> &Connections;
+
+    /// A new loop's state.
+    fn open_loop(service: &Arc<Self>) -> io::Result<Self::Loop>;
+
+    /// Answer `conn`'s parked requests into its outbound buffer, in
+    /// order, while it has write room; the loop flushes.
+    fn answer(&self, state: &mut Self::Loop, conn: &mut Conn);
+}
+
+/// `gps serve`: each parked request runs the shared request core on its
+/// own, the replies queued one by one.
+impl Service for PredictionServer {
+    type Loop = ();
+
+    fn conns(&self) -> &Connections {
+        &self.server_stats().conns
+    }
+
+    fn open_loop(_: &Arc<Self>) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn answer(&self, _: &mut (), conn: &mut Conn) {
+        while conn.writable_room() {
+            let Some(payload) = conn.parked.pop_front() else {
+                return;
+            };
+            answer_request(self, conn, payload);
+        }
+    }
+}
+
+/// One complete payload — a length-prefixed frame (either wire format)
+/// or a parsed HTTP request — answered into `conn`'s outbound buffer.
+/// HTTP replies to a `Connection: close` request stop the read side
+/// before the reply is queued, so the loop closes the connection once
+/// the response flushes.
+fn answer_request(server: &PredictionServer, conn: &mut Conn, payload: Payload) {
+    let started = Instant::now();
+    let (wire, action) = match payload {
+        Payload::Frame(bytes) => {
+            let format = conn.wire_format();
+            let wire = match format {
+                WireFormat::Json => WireLabel::Json,
+                WireFormat::Binary => WireLabel::Gpsq,
+            };
+            (wire, proto::classify_payload(server, format, &bytes))
+        }
+        Payload::Http(request) => {
+            let keep_alive = request.keep_alive;
+            match http::route(server, &request) {
+                http::Routed::Raw {
+                    status,
+                    content_type,
+                    body,
+                } => {
+                    conn.read_closed |= !keep_alive;
+                    conn.enqueue_with(|out| {
+                        http::append_response(
+                            out,
+                            status,
+                            content_type,
+                            body.as_bytes(),
+                            keep_alive,
+                        )
+                    });
+                    proto::record_admin(server, WireLabel::Http, started);
+                    return;
+                }
+                http::Routed::Command { text } => (
+                    WireLabel::Http,
+                    proto::classify_json(server, &text, |id| ReplyCtx::Http { id, keep_alive }),
+                ),
+            }
+        }
+        Payload::BadHttp(error) => {
+            // The parser already broke the read side; answer with the
+            // error page and close once it flushes.
+            conn.read_closed = true;
+            conn.enqueue_with(|out| http::append_error(out, &error));
+            return;
+        }
+    };
+    match action {
+        FrameAction::Ready(reply) => {
+            if let ReadyReply::Http {
+                keep_alive: false, ..
+            } = &reply
+            {
+                conn.read_closed = true;
+            }
+            conn.enqueue_with(|out| proto::encode_ready(reply, out));
+            proto::record_admin(server, wire, started);
+        }
+        FrameAction::Predict(work) => {
+            if let ReplyCtx::Http {
+                keep_alive: false, ..
+            } = &work.ctx
+            {
+                conn.read_closed = true;
+            }
+            conn.enqueue_with(|out| work.answer(server, wire, started, out));
+        }
+    }
+}
+
 /// The accept thread's handle to one event loop. Streams are tagged with
-/// whether they came from the HTTP gateway listener.
+/// whether they came from the HTTP listener.
 struct LoopHandle {
     incoming: Arc<Mutex<Vec<(TcpStream, bool)>>>,
     waker: Waker,
 }
 
-struct EventLoop {
-    server: Arc<PredictionServer>,
+struct EventLoop<S: Service> {
+    service: Arc<S>,
+    state: S::Loop,
     poller: Poller,
     wake_rx: WakeReceiver,
     incoming: Arc<Mutex<Vec<(TcpStream, bool)>>>,
@@ -88,11 +282,12 @@ struct EventLoop {
     frames: Vec<Payload>,
 }
 
-/// Accept loop(s) + N event-loop threads. Blocks forever. `listener`
-/// serves the frame protocol, `http` the HTTP gateway (`--http-addr`);
-/// connections from both multiplex onto the same loops.
-pub(crate) fn serve_events(
-    server: Arc<PredictionServer>,
+/// Start N event-loop threads and one accept thread per listener, then
+/// return; they run until the process exits. `listener` serves the frame
+/// protocol, `http` the HTTP sideline (`--http-addr`); connections from
+/// both multiplex onto the same loops.
+pub(crate) fn serve_events<S: Service>(
+    service: Arc<S>,
     listener: TcpListener,
     http: Option<TcpListener>,
     config: &TransportConfig,
@@ -108,7 +303,8 @@ pub(crate) fn serve_events(
         poller.register(wake_rx.fd(), WAKE_TOKEN, Interest::READ)?;
         let incoming = Arc::new(Mutex::new(Vec::new()));
         let event_loop = EventLoop {
-            server: server.clone(),
+            state: S::open_loop(&service)?,
+            service: service.clone(),
             poller,
             wake_rx,
             incoming: incoming.clone(),
@@ -126,22 +322,25 @@ pub(crate) fn serve_events(
     }
     let handles = Arc::new(handles);
     let max_conns = config.max_conns_or_unlimited();
-    if let Some(http) = http {
-        let server = server.clone();
-        let handles = handles.clone();
+    let accept = |listener: TcpListener, is_http: bool, name: &str| {
+        let (service, handles) = (service.clone(), handles.clone());
         std::thread::Builder::new()
-            .name("gps-accept-http".to_string())
-            .spawn(move || accept_into(server, http, handles, max_conns, true))
-            .expect("spawn http accept thread");
+            .name(name.to_string())
+            .spawn(move || accept_into(service, listener, handles, max_conns, is_http))
+            .map(drop)
+    };
+    accept(listener, false, "gps-accept")?;
+    if let Some(http) = http {
+        accept(http, true, "gps-accept-http")?;
     }
-    accept_into(server, listener, handles, max_conns, false)
+    Ok(())
 }
 
 /// One listener's accept loop, handing connections to the event loops
 /// round-robin. The `max_conns` gate is shared across listeners (both
 /// count into the same connection gauges).
 fn accept_into(
-    server: Arc<PredictionServer>,
+    service: Arc<impl Service>,
     listener: TcpListener,
     handles: Arc<Vec<LoopHandle>>,
     max_conns: u64,
@@ -153,7 +352,7 @@ fn accept_into(
             Ok(s) => s,
             Err(_) => continue,
         };
-        if !server.server_stats().try_admit(max_conns, is_http) {
+        if !service.conns().try_admit(max_conns, is_http) {
             continue; // dropping the stream closes it
         }
         let handle = &handles[next % handles.len()];
@@ -168,7 +367,7 @@ fn accept_into(
     Ok(())
 }
 
-impl EventLoop {
+impl<S: Service> EventLoop<S> {
     fn run(mut self) {
         // Sweep cadence: a fraction of the idle timeout, floored so a
         // tight timeout doesn't busy-poll and capped so expiry is prompt.
@@ -201,13 +400,13 @@ impl EventLoop {
                     self.sweep_idle();
                 }
             }
-            if self.server.is_draining() {
+            if self.service.conns().is_draining() {
                 self.sweep_draining();
             }
         }
     }
 
-    /// While the server drains, close every connection whose replies
+    /// While the process drains, close every connection whose replies
     /// have fully flushed — queued replies still finish first,
     /// and a connection that has not yet been answered at all (e.g. a
     /// health check racing the drain) gets to ask its question.
@@ -284,148 +483,21 @@ impl EventLoop {
         self.after_progress(event.token);
     }
 
-    /// One complete payload — a length-prefixed frame (either wire
-    /// format) or a parsed HTTP request — from `token`.
-    fn handle_request(&mut self, token: u64, payload: Payload) {
+    /// Answer the connection's parked requests and send the replies with
+    /// one write when the burst is answered — a pipelined peer costs one
+    /// `write(2)` per read burst, not one per reply. A burst can decode
+    /// more frames than the write buffer has room to answer (bytes
+    /// already read can't be pushed back to the kernel): over the
+    /// high-water mark the socket first gets the chance to take what is
+    /// queued, and if it cannot the rest stay parked until it drains.
+    /// Then re-derive poller interest, and finish off connections that
+    /// are fully drained after a half-close.
+    fn after_progress(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let format = conn.wire_format();
-        let started = Instant::now();
-        let (wire, action) = match payload {
-            Payload::Frame(bytes) => {
-                let wire = match format {
-                    WireFormat::Json => WireLabel::Json,
-                    WireFormat::Binary => WireLabel::Gpsq,
-                };
-                (wire, proto::classify_payload(&self.server, format, &bytes))
-            }
-            Payload::Http(request) => {
-                let keep_alive = request.keep_alive;
-                match http::route(&self.server, &request) {
-                    http::Routed::Raw {
-                        status,
-                        content_type,
-                        body,
-                    } => {
-                        // `Connection: close` stops reads *before* the
-                        // reply is queued, so `after_progress` closes the
-                        // moment the response flushes.
-                        if !keep_alive {
-                            if let Some(conn) = self.conns.get_mut(&token) {
-                                conn.read_closed = true;
-                            }
-                        }
-                        self.complete_with(token, |_, out| {
-                            http::append_response(
-                                out,
-                                status,
-                                content_type,
-                                body.as_bytes(),
-                                keep_alive,
-                            )
-                        });
-                        proto::record_admin(&self.server, WireLabel::Http, started);
-                        return;
-                    }
-                    http::Routed::Command { text } => (
-                        WireLabel::Http,
-                        proto::classify_json(
-                            &self.server,
-                            &text,
-                            proto::ReplyShape::Http { keep_alive },
-                        ),
-                    ),
-                }
-            }
-            Payload::BadHttp(error) => {
-                // The parser already broke the read side; answer with
-                // the error page and close once it flushes.
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.read_closed = true;
-                }
-                self.complete_with(token, |_, out| http::append_error(out, &error));
-                return;
-            }
-        };
-        self.dispatch(token, wire, started, action);
-    }
-
-    /// Run one classified action and serialize its reply. `wire` and
-    /// `started` feed the latency histograms and the query log.
-    fn dispatch(
-        &mut self,
-        token: u64,
-        wire: WireLabel,
-        started: Instant,
-        action: proto::FrameAction,
-    ) {
-        match action {
-            proto::FrameAction::Ready(reply) => {
-                if let proto::ReadyReply::Http {
-                    keep_alive: false, ..
-                } = &reply
-                {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.read_closed = true;
-                    }
-                }
-                self.complete_with(token, |_, out| proto::encode_ready(reply, out));
-                proto::record_admin(&self.server, wire, started);
-            }
-            proto::FrameAction::Predict(work) => {
-                self.mark_http_close(token, &work.ctx);
-                self.complete_with(token, |server, out| work.answer(server, wire, started, out));
-            }
-        }
-    }
-
-    /// HTTP responses answering a `Connection: close` request stop the
-    /// read side before the reply is queued, so `after_progress` closes
-    /// the connection once the response flushes.
-    fn mark_http_close(&mut self, token: u64, ctx: &proto::ReplyCtx) {
-        if let proto::ReplyCtx::Http {
-            keep_alive: false, ..
-        } = ctx
-        {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.read_closed = true;
-            }
-        }
-    }
-
-    /// Serialize a response into its connection's outbound buffer; the
-    /// burst's single flush in `after_progress` sends it. The encoder
-    /// runs against the buffer itself (`Conn::enqueue_with`) — the
-    /// zero-intermediate-copy path the binary wire format is built around.
-    fn complete_with(&mut self, token: u64, encode: impl FnOnce(&PredictionServer, &mut Vec<u8>)) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return; // closed answering an earlier frame of this burst
-        };
-        let server = &self.server;
-        conn.enqueue_with(|out| encode(server, out));
-    }
-
-    /// Answer the connection's decoded frames in order and send the
-    /// replies with one write when the burst is answered — a pipelined
-    /// peer costs one `write(2)` per read burst, not one per reply. A
-    /// burst can decode more frames than the write buffer has room to
-    /// answer (bytes already read can't be pushed back to the kernel):
-    /// over the high-water mark the socket first gets the chance to take
-    /// what is queued, and if it cannot the rest stay parked until it
-    /// drains. Then re-derive poller interest, and finish off
-    /// connections that are fully drained after a half-close.
-    fn after_progress(&mut self, token: u64) {
         loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.writable_room() {
-                if let Some(payload) = conn.parked.pop_front() {
-                    self.handle_request(token, payload);
-                    continue;
-                }
-            }
+            self.service.answer(&mut self.state, conn);
             if conn.flush().is_err() {
                 self.close(token, false);
                 return;
@@ -436,25 +508,22 @@ impl EventLoop {
                 break;
             }
         }
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if (conn.read_closed || (self.server.is_draining() && conn.answered_any()))
-            && conn.drained()
-        {
+        let draining = self.service.conns().is_draining();
+        if (conn.read_closed || (draining && conn.answered_any())) && conn.drained() {
             self.close(token, false);
             return;
         }
         let wants = conn.wants();
         if wants != conn.registered {
-            let fd = conn.stream.as_raw_fd();
-            if self.poller.modify(fd, token, wants).is_err() {
+            if self
+                .poller
+                .modify(conn.stream.as_raw_fd(), token, wants)
+                .is_err()
+            {
                 self.close(token, false);
                 return;
             }
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.registered = wants;
-            }
+            conn.registered = wants;
         }
     }
 
@@ -484,11 +553,11 @@ impl EventLoop {
         // Count before dropping: the drop sends the FIN, and a peer that
         // observes it may read the stats immediately — the counters must
         // already agree with what it just saw.
-        let stats = self.server.server_stats();
+        let conns = self.service.conns();
         if timed_out {
-            stats.conns_timed_out.fetch_add(1, Ordering::Relaxed);
+            conns.timed_out.fetch_add(1, Ordering::Relaxed);
         }
-        stats.conns_closed.fetch_add(1, Ordering::Relaxed);
+        conns.closed.fetch_add(1, Ordering::Relaxed);
         drop(conn); // closes the socket
     }
 
@@ -496,9 +565,57 @@ impl EventLoop {
     /// still accounted: accepted was already counted by the accept
     /// thread.
     fn count_closed(&self) {
-        self.server
-            .server_stats()
-            .conns_closed
-            .fetch_add(1, Ordering::Relaxed);
+        self.service.conns().closed.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn racing_accept_threads_never_exceed_max_conns() {
+        use std::sync::Barrier;
+        const THREADS: u64 = 8;
+        const ATTEMPTS: u64 = 150_000;
+        const CAP: u64 = 3;
+        // Every thread hammers the gate from the same starting line,
+        // holding each slot it wins just long enough to look at the
+        // gauge. `accepted` is read before `closed`, which
+        // can only under-read what was active, so a reading over the cap
+        // is a real over-admission.
+        let stats = Connections::default();
+        let barrier = Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    barrier.wait();
+                    for _ in 0..ATTEMPTS {
+                        if stats.try_admit(CAP, false) {
+                            // Hold the slot a moment, so the gate spends
+                            // the run one short of the cap — where a
+                            // check-then-count gate lets two racers in.
+                            for _ in 0..64 {
+                                std::hint::spin_loop();
+                            }
+                            let accepted = stats.accepted.load(Ordering::SeqCst);
+                            let closed = stats.closed.load(Ordering::SeqCst);
+                            assert!(
+                                accepted.saturating_sub(closed) <= CAP,
+                                "conns_active over the cap"
+                            );
+                            stats.closed.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                });
+            }
+        });
+        let accepted = stats.accepted.load(Ordering::Relaxed);
+        assert_eq!(accepted, stats.closed.load(Ordering::Relaxed));
+        assert_eq!(
+            accepted + stats.rejected.load(Ordering::Relaxed),
+            THREADS * ATTEMPTS,
+            "every attempt is counted exactly once"
+        );
     }
 }

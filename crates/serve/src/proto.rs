@@ -824,7 +824,7 @@ pub(crate) fn classify_payload(
                 response: error_response("bad json: frame is not utf-8"),
                 id: None,
             }),
-            Ok(text) => classify_json(server, text, ReplyShape::Json),
+            Ok(text) => classify_json(server, text, |id| ReplyCtx::Json { id }),
         },
         WireFormat::Binary => match wire::decode_request(payload) {
             Err(e) => FrameAction::Ready(ReadyReply::BinaryError {
@@ -849,29 +849,20 @@ pub(crate) fn classify_payload(
             // Admin passthrough: JSON semantics, binary envelope. The
             // embedded text runs through the very same JSON core.
             Ok(wire::Request::Admin { json }) => {
-                classify_json(server, &json, ReplyShape::BinaryAdmin)
+                classify_json(server, &json, |id| ReplyCtx::BinaryAdmin { id })
             }
         },
     }
 }
 
-/// Which envelope a JSON-semantics reply must ride: a bare JSON frame, a
-/// GPSQ admin envelope, or an HTTP/1.1 response.
-#[derive(Clone, Copy)]
-pub(crate) enum ReplyShape {
-    Json,
-    BinaryAdmin,
-    Http { keep_alive: bool },
-}
-
 /// The JSON half of [`classify_payload`]: parse, pull the echoed id, run
-/// the shared [`classify`] core. `shape` says which envelope the JSON
-/// arrived in — GPSQ admin frame, HTTP body — so the reply rides the
-/// same one.
+/// the shared [`classify`] core. `ctx_of` builds the reply context from
+/// the echoed id — JSON frame, GPSQ admin envelope, HTTP body — so the
+/// reply rides the envelope the request arrived in.
 pub(crate) fn classify_json(
     server: &PredictionServer,
     text: &str,
-    shape: ReplyShape,
+    ctx_of: impl Fn(Option<Json>) -> ReplyCtx,
 ) -> FrameAction {
     // The request id (if any) is echoed on every reply, error replies
     // included — a pipelining client must be able to tell *which* request
@@ -888,30 +879,17 @@ pub(crate) fn classify_json(
                     queries,
                     batch,
                 } => {
-                    let ctx = match shape {
-                        ReplyShape::Json => ReplyCtx::Json { id },
-                        ReplyShape::BinaryAdmin => ReplyCtx::BinaryAdmin { id },
-                        ReplyShape::Http { keep_alive } => ReplyCtx::Http { id, keep_alive },
-                    };
                     return FrameAction::Predict(PredictWork {
                         entry,
                         queries,
                         batch,
-                        ctx,
+                        ctx: ctx_of(id),
                     });
                 }
             }
         }
     };
-    FrameAction::Ready(match shape {
-        ReplyShape::Json => ReadyReply::Json { response, id },
-        ReplyShape::BinaryAdmin => ReadyReply::BinaryAdmin { response, id },
-        ReplyShape::Http { keep_alive } => ReadyReply::Http {
-            response,
-            id,
-            keep_alive,
-        },
-    })
+    FrameAction::Ready(ready_json(ctx_of(id), response))
 }
 
 /// Resolve the model entry for native-binary predict work; an unknown id

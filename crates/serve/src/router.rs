@@ -26,19 +26,28 @@
 //!   with an explicit `overloaded` error instead of queueing or hanging;
 //!   a batch is never answered partially.
 //! - **Drain.** The `shutdown` admin command (wire or HTTP) flips
-//!   `/healthz` to 503 `draining`, stops accepting connections,
+//!   `/healthz` to 503 `draining`, stops accepting frame connections,
 //!   finishes in-flight replies, then closes.
 //!
-//! **The hop.** Each front connection has one blocking thread that
-//! forwards a read burst, not a frame: every complete frame the socket
-//! delivered gets a reply slot, in request order; each single query and
-//! each owner's part of a batch becomes one GPSQ request on that
-//! backend's link (a nonblocking stream the connection owns); and one
-//! poller wait loop writes and reads every link until nothing is owed.
-//! The backends compute in parallel with no router thread per backend,
-//! and since reads interleave with writes a large reply cannot wedge a
-//! link. Admin frames run after the burst's predicts; all replies leave
-//! in one write.
+//! **Connections.** Front and HTTP sockets live on the event loops of
+//! `crate::net`, the engine `gps serve` runs on: no thread per
+//! connection, the same bounded write buffers, the same accept gate and
+//! drain rule, the same HTTP parser and caps. The HTTP sideline answers
+//! `GET /healthz`, `/metrics`, `/stats` and `POST /shutdown`, every reply
+//! `connection: close`.
+//!
+//! **The hop.** There is one `Hop` per event loop. It forwards a read
+//! burst, not a frame: every complete frame a front socket delivered
+//! gets a reply slot, in request order; each single query and each
+//! owner's part of a batch becomes one GPSQ request on that backend's
+//! link (a nonblocking stream the loop owns); and one poller wait loop
+//! writes and reads every link until nothing is owed. The backends
+//! compute in parallel with no router thread per backend, and since
+//! reads interleave with writes a large reply cannot wedge a link. Admin
+//! frames run after the burst's predicts; all replies leave in one
+//! write. The trade-off: a stalled backend holds that loop's other
+//! connections for at most one `request_timeout` per burst until it is
+//! marked `Down`, just as a 65,536-query batch holds a server loop.
 //!
 //! The router holds no model: every reply a client sees was computed by
 //! a backend, re-framed through the same `proto` encoders the server
@@ -55,13 +64,15 @@ use std::time::{Duration, Instant};
 use gps_types::Json;
 
 use crate::artifact::{Query, Ranked};
+use crate::net::http::{self, HttpRequest};
 use crate::net::poller::{Event, Interest, Poller};
-use crate::net::{FrameDecoder, WireFormat};
+use crate::net::{Conn, Connections, FrameDecoder, Payload, Service, WireFormat};
 use crate::proto::{
     append_binary_frame, connect_timeout, encode_predict_reply, encode_ready, ok_response,
     query_from_json, ready_error, ready_json, Client, ClientConfig, ReadyReply, ReplyCtx,
     MAX_BATCH_QUERIES, MAX_FRAME_BYTES,
 };
+use crate::transport::TransportConfig;
 use crate::wire;
 
 /// Knobs for [`Router::start`].
@@ -198,20 +209,18 @@ impl BackendState {
         seed ^= seed << 13;
         seed ^= seed >> 7;
         seed ^= seed << 17;
-        let jitter_ns = (backoff.as_nanos() as u64 / 4)
-            .checked_rem(u64::MAX)
-            .unwrap_or(0);
+        let jitter_ns = backoff.as_nanos() as u64 / 4;
         let jitter = Duration::from_nanos(if jitter_ns == 0 { 0 } else { seed % jitter_ns });
         meta.down_until = Some(Instant::now() + backoff + jitter);
     }
 }
 
-/// Everything shared between connection threads, the prober, and the
+/// Everything shared between the event loops, the prober, and the
 /// handle.
-struct Core {
+pub(crate) struct Core {
     backends: Vec<BackendState>,
     config: RouterConfig,
-    draining: AtomicBool,
+    conns: Connections,
     stop: AtomicBool,
     started: Instant,
     requests: AtomicU64,
@@ -219,12 +228,26 @@ struct Core {
     retries: AtomicU64,
     /// Frames answered `overloaded` because a part had no backend left.
     shed: AtomicU64,
-    conns_accepted: AtomicU64,
-    conns_closed: AtomicU64,
-    conns_rejected: AtomicU64,
 }
 
 impl Core {
+    fn new(config: RouterConfig) -> Core {
+        Core {
+            backends: config
+                .backends
+                .iter()
+                .map(|addr| BackendState::new(addr.clone()))
+                .collect(),
+            config,
+            conns: Connections::default(),
+            stop: AtomicBool::new(false),
+            started: Instant::now(),
+            requests: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+        }
+    }
+
     /// Which backend owns an IP: a Fibonacci hash of its /16, so
     /// sequential /16s spread across backends and the owner depends on
     /// nothing but the query.
@@ -232,14 +255,6 @@ impl Core {
         let slash16 = ip.0 >> 16;
         let h = (slash16 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         (h >> 32) as usize % self.backends.len()
-    }
-
-    fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
-    }
-
-    fn begin_drain(&self) {
-        self.draining.store(true, Ordering::Release);
     }
 
     /// The `stats` reply. Carries the top-level connection/request keys
@@ -263,21 +278,16 @@ impl Core {
             .set("backends", backends)
             .set("retries_total", count(&self.retries))
             .set("shed_total", count(&self.shed))
-            .set("draining", self.is_draining());
-        let accepted = self.conns_accepted.load(Ordering::Relaxed);
-        let closed = self.conns_closed.load(Ordering::Relaxed);
+            .set("draining", self.conns.is_draining());
         let mut json = Json::obj();
         json.set("version", env!("CARGO_PKG_VERSION"))
             .set("requests", count(&self.requests))
             .set("uptime_secs", self.started.elapsed().as_secs_f64())
-            .set("conns_accepted", Json::Num(accepted as f64))
-            .set("conns_closed", Json::Num(closed as f64))
-            .set(
-                "conns_active",
-                Json::Num(accepted.saturating_sub(closed) as f64),
-            )
-            .set("conns_rejected", count(&self.conns_rejected))
-            .set("draining", self.is_draining())
+            .set("conns_accepted", count(&self.conns.accepted))
+            .set("conns_closed", count(&self.conns.closed))
+            .set("conns_active", Json::Num(self.conns.active() as f64))
+            .set("conns_rejected", count(&self.conns.rejected))
+            .set("draining", self.conns.is_draining())
             .set("router", router);
         json
     }
@@ -352,7 +362,11 @@ impl Core {
             "# HELP gps_router_draining Whether the router is draining."
         );
         let _ = writeln!(w, "# TYPE gps_router_draining gauge");
-        let _ = writeln!(w, "gps_router_draining {}", u8::from(self.is_draining()));
+        let _ = writeln!(
+            w,
+            "gps_router_draining {}",
+            u8::from(self.conns.is_draining())
+        );
         w
     }
 }
@@ -363,7 +377,7 @@ fn candidates(owner: usize, n: usize) -> impl Iterator<Item = usize> {
     (0..n).map(move |i| (owner + i) % n)
 }
 
-/// Bytes one `read(2)` takes from a front socket or a backend link.
+/// Bytes one `read(2)` takes from a backend link.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// One front read burst on its way through the hop: a reply slot per
@@ -681,10 +695,10 @@ impl Link {
     }
 }
 
-/// One front connection's side of the hop: a link per backend (connected
-/// on first use, dropped on failure) and the poller that drives them.
-struct Hop<'a> {
-    core: &'a Core,
+/// One event loop's side of the hop: a link per backend (connected on
+/// first use, dropped on failure) and the poller that drives them.
+pub(crate) struct Hop {
+    core: Arc<Core>,
     links: Vec<Option<Link>>,
     /// Backends whose link failed during the current burst: not tried
     /// again before the next one, so a dead or black-holed backend costs
@@ -696,10 +710,10 @@ struct Hop<'a> {
     replies: Vec<Vec<u8>>,
 }
 
-impl<'a> Hop<'a> {
-    fn new(core: &'a Core) -> io::Result<Hop<'a>> {
+impl Hop {
+    fn new(core: &Arc<Core>) -> io::Result<Hop> {
         Ok(Hop {
-            core,
+            core: core.clone(),
             links: core.backends.iter().map(|_| None).collect(),
             failed: vec![false; core.backends.len()],
             poller: Poller::new(false)?,
@@ -714,7 +728,7 @@ impl<'a> Hop<'a> {
     fn answer(&mut self, format: WireFormat, frames: &mut Vec<Vec<u8>>, out: &mut Vec<u8>) {
         let mut burst = Burst::default();
         for payload in frames.drain(..) {
-            burst.push_frame(self.core, format, &payload);
+            burst.push_frame(&self.core, format, &payload);
         }
         self.exchange(&mut burst);
         let mut routed = burst.routed.into_iter();
@@ -728,7 +742,7 @@ impl<'a> Hop<'a> {
                         None => encode_predict_reply(&frame.ctx, &frame.answers, frame.batch, out),
                     }
                 }
-                Slot::Admin { ctx, cmd } => encode_ready(admin_reply(self.core, ctx, &cmd), out),
+                Slot::Admin { ctx, cmd } => encode_ready(admin_reply(&self.core, ctx, &cmd), out),
             }
         }
     }
@@ -789,7 +803,7 @@ impl<'a> Hop<'a> {
     /// — after the backend it failed on, when `moving`. A part out of
     /// candidates or out of retries sheds its frame.
     fn place(&mut self, burst: &mut Burst, queue: &mut VecDeque<(usize, bool)>) {
-        let core = self.core;
+        let core = Arc::clone(&self.core);
         let n = core.backends.len();
         while let Some((p, moving)) = queue.pop_front() {
             let part = &mut burst.parts[p];
@@ -816,7 +830,7 @@ impl<'a> Hop<'a> {
                 core.retries.fetch_add(1, Ordering::Relaxed);
             }
             if self.links[b].is_none() {
-                match Link::connect(core, b, &mut self.poller) {
+                match Link::connect(&core, b, &mut self.poller) {
                     Ok(link) => self.links[b] = Some(link),
                     Err(_) => {
                         self.fail(b, queue);
@@ -873,7 +887,7 @@ fn admin_reply(core: &Core, ctx: ReplyCtx, cmd: &str) -> ReadyReply {
             }
         }
         "shutdown" => {
-            core.begin_drain();
+            core.conns.begin_drain();
             json.set("draining", true);
         }
         other => {
@@ -884,114 +898,75 @@ fn admin_reply(core: &Core, ctx: ReplyCtx, cmd: &str) -> ReadyReply {
     ready_json(ctx, json)
 }
 
-/// Serve one accepted front connection until EOF, framing error, or
-/// drain: each read burst is routed through the hop as a whole and
-/// answered with one write. Frames decoded before a framing error are
-/// still answered; then the connection closes.
-fn serve_front_connection(core: &Core, mut stream: TcpStream) -> io::Result<()> {
-    let mut hop = Hop::new(core)?;
-    let mut decoder = FrameDecoder::new(MAX_FRAME_BYTES);
-    let mut chunk = vec![0u8; READ_CHUNK];
-    let mut frames: Vec<Vec<u8>> = Vec::new();
-    let mut out: Vec<u8> = Vec::new();
-    loop {
-        let n = match stream.read(&mut chunk) {
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        let framing = decoder.feed(&chunk[..n], &mut frames);
-        if !frames.is_empty() {
-            let format = decoder.format().unwrap_or(WireFormat::Json);
-            hop.answer(format, &mut frames, &mut out);
-            stream.write_all(&out)?;
-            out.clear();
+/// `gps route` on the event loops: a frame connection's parked frames go
+/// through the loop's `Hop` as one burst; an HTTP request gets its reply
+/// and the connection closes.
+impl Service for Core {
+    type Loop = Hop;
+
+    fn conns(&self) -> &Connections {
+        &self.conns
+    }
+
+    fn open_loop(core: &Arc<Core>) -> io::Result<Hop> {
+        Hop::new(core)
+    }
+
+    fn answer(&self, hop: &mut Hop, conn: &mut Conn) {
+        if !conn.writable_room() {
+            return;
         }
-        if n == 0 || framing.is_err() || core.is_draining() {
-            return Ok(());
+        let mut frames = Vec::with_capacity(conn.parked.len());
+        while let Some(payload) = conn.parked.pop_front() {
+            match payload {
+                Payload::Frame(bytes) => frames.push(bytes),
+                Payload::Http(request) => {
+                    return close_with(conn, |out| http_reply(self, &request, out))
+                }
+                Payload::BadHttp(error) => {
+                    return close_with(conn, |out| http::append_error(out, &error))
+                }
+            }
+        }
+        if !frames.is_empty() {
+            let format = conn.wire_format();
+            conn.enqueue_with(|out| hop.answer(format, &mut frames, out));
         }
     }
 }
 
-/// Minimal blocking HTTP/1.1 sideline for health checks and metrics —
-/// deliberately tiny (request line + headers, no keep-alive): its only
-/// clients are probes and `curl`.
-fn serve_http_connection(core: &Core, mut stream: TcpStream) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut buf = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    let head_end = loop {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Ok(());
-        }
-        buf.extend_from_slice(&chunk[..n]);
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        if buf.len() > 16 * 1024 {
-            return write_http(&mut stream, 431, "text/plain", "headers too large\n");
-        }
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]);
-    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    match (method, path) {
-        ("GET", "/healthz") => {
-            if core.is_draining() {
-                write_http(&mut stream, 503, "text/plain", "draining\n")
-            } else {
-                write_http(&mut stream, 200, "text/plain", "ok\n")
-            }
-        }
-        ("GET", "/metrics") => write_http(
-            &mut stream,
-            200,
-            "text/plain; version=0.0.4",
-            &core.render_metrics(),
-        ),
+/// Queue an HTTP connection's last reply: every router reply is
+/// `connection: close`, so nothing after the first request is read or
+/// answered.
+fn close_with(conn: &mut Conn, encode: impl FnOnce(&mut Vec<u8>)) {
+    conn.parked.clear();
+    conn.read_closed = true;
+    conn.enqueue_with(encode);
+}
+
+/// The HTTP sideline's route table, for health checks and metrics.
+fn http_reply(core: &Core, request: &HttpRequest, out: &mut Vec<u8>) {
+    let (status, content_type, body) = match (request.method.as_str(), request.path.as_str()) {
+        ("GET", "/healthz") if core.conns.is_draining() => (503, "text/plain", "draining\n".into()),
+        ("GET", "/healthz") => (200, "text/plain", "ok\n".into()),
+        ("GET", "/metrics") => (200, "text/plain; version=0.0.4", core.render_metrics()),
         ("GET", "/stats") => {
             let mut text = String::new();
             core.stats_json().write(&mut text);
             text.push('\n');
-            write_http(&mut stream, 200, "application/json", &text)
+            (200, "application/json", text)
         }
         ("POST", "/shutdown") => {
-            core.begin_drain();
-            write_http(
-                &mut stream,
-                200,
-                "application/json",
-                "{\"ok\":true,\"draining\":true}\n",
-            )
+            core.conns.begin_drain();
+            let body = "{\"ok\":true,\"draining\":true}\n";
+            (200, "application/json", body.into())
         }
         (_, "/healthz" | "/metrics" | "/stats" | "/shutdown") => {
-            write_http(&mut stream, 405, "text/plain", "method not allowed\n")
+            (405, "text/plain", "method not allowed\n".into())
         }
-        _ => write_http(&mut stream, 404, "text/plain", "not found\n"),
-    }
-}
-
-fn write_http(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-) -> io::Result<()> {
-    let reason = match status {
-        200 => "OK",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        431 => "Request Header Fields Too Large",
-        503 => "Service Unavailable",
-        _ => "Error",
+        _ => (404, "text/plain", "not found\n".into()),
     };
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())
+    http::append_response(out, status, content_type, body.as_bytes(), false);
 }
 
 /// The active health prober: pings every backend each interval over
@@ -1029,8 +1004,8 @@ fn probe_loop(core: &Core) {
 pub struct Router;
 
 /// A started router: its bound addresses plus drain control. Dropping
-/// the handle stops the prober; listener threads run until the process
-/// exits (like the server's accept loops).
+/// the handle stops the prober; the event loops and accept threads run
+/// until the process exits (like the server's).
 pub struct RouterHandle {
     core: Arc<Core>,
     addr: SocketAddr,
@@ -1039,7 +1014,8 @@ pub struct RouterHandle {
 
 impl Router {
     /// Bind `addr` (and optionally `http_addr`) and serve the routing
-    /// tier over `config.backends`. Returns once the listeners are
+    /// tier over `config.backends` on the `net` event loops, with
+    /// [`TransportConfig::default`]. Returns once the listeners are
     /// bound; serving happens on background threads.
     pub fn start(
         addr: &str,
@@ -1052,73 +1028,12 @@ impl Router {
                 "router needs at least one --backend",
             ));
         }
-        let core = Arc::new(Core {
-            backends: config
-                .backends
-                .iter()
-                .map(|addr| BackendState::new(addr.clone()))
-                .collect(),
-            config,
-            draining: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
-            started: Instant::now(),
-            requests: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            conns_accepted: AtomicU64::new(0),
-            conns_closed: AtomicU64::new(0),
-            conns_rejected: AtomicU64::new(0),
-        });
+        let core = Arc::new(Core::new(config));
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
-        let accept_core = core.clone();
-        std::thread::Builder::new()
-            .name("gps-route-accept".to_string())
-            .spawn(move || {
-                for stream in listener.incoming().flatten() {
-                    if accept_core.is_draining() {
-                        accept_core.conns_rejected.fetch_add(1, Ordering::Relaxed);
-                        continue; // dropping the stream closes it
-                    }
-                    accept_core.conns_accepted.fetch_add(1, Ordering::Relaxed);
-                    let conn_core = accept_core.clone();
-                    std::thread::Builder::new()
-                        .name("gps-route-conn".to_string())
-                        .spawn(move || {
-                            let _ = stream.set_nodelay(true);
-                            let _ = serve_front_connection(&conn_core, stream);
-                            conn_core.conns_closed.fetch_add(1, Ordering::Relaxed);
-                        })
-                        .expect("spawn router connection thread");
-                }
-            })
-            .expect("spawn router accept thread");
-        let http_bound = match http_addr {
-            None => None,
-            Some(http_addr) => {
-                let http_listener = TcpListener::bind(http_addr)?;
-                let bound = http_listener.local_addr()?;
-                let http_core = core.clone();
-                std::thread::Builder::new()
-                    .name("gps-route-http".to_string())
-                    .spawn(move || {
-                        for stream in http_listener.incoming().flatten() {
-                            // HTTP stays reachable during drain: health
-                            // checkers must see the 503 and operators
-                            // the drain finishing in /metrics.
-                            let conn_core = http_core.clone();
-                            std::thread::Builder::new()
-                                .name("gps-route-http-conn".to_string())
-                                .spawn(move || {
-                                    let _ = serve_http_connection(&conn_core, stream);
-                                })
-                                .expect("spawn router http thread");
-                        }
-                    })
-                    .expect("spawn router http accept thread");
-                Some(bound)
-            }
-        };
+        let http = http_addr.map(TcpListener::bind).transpose()?;
+        let http_bound = http.as_ref().map(TcpListener::local_addr).transpose()?;
+        crate::net::serve_events(core.clone(), listener, http, &TransportConfig::default())?;
         let probe_core = core.clone();
         std::thread::Builder::new()
             .name("gps-route-probe".to_string())
@@ -1145,22 +1060,19 @@ impl RouterHandle {
 
     /// Flip the router into drain (same as the `shutdown` command).
     pub fn begin_drain(&self) {
-        self.core.begin_drain();
+        self.core.conns.begin_drain();
     }
 
     pub fn is_draining(&self) -> bool {
-        self.core.is_draining()
+        self.core.conns.is_draining()
     }
 
-    /// Front connections currently open.
+    /// Connections currently open, front and HTTP.
     pub fn active_conns(&self) -> u64 {
-        self.core
-            .conns_accepted
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.core.conns_closed.load(Ordering::Relaxed))
+        self.core.conns.active()
     }
 
-    /// Block until every front connection has closed (drain complete) or
+    /// Block until every connection has closed (drain complete) or
     /// `timeout` passes; `true` when fully drained.
     pub fn wait_drained(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
@@ -1200,26 +1112,11 @@ mod tests {
     use super::*;
     use gps_types::Ip;
 
-    fn test_core(addrs: &[&str]) -> Core {
-        Core {
-            backends: addrs
-                .iter()
-                .map(|a| BackendState::new(a.to_string()))
-                .collect(),
-            config: RouterConfig {
-                backends: addrs.iter().map(|a| a.to_string()).collect(),
-                ..RouterConfig::default()
-            },
-            draining: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
-            started: Instant::now(),
-            requests: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            conns_accepted: AtomicU64::new(0),
-            conns_closed: AtomicU64::new(0),
-            conns_rejected: AtomicU64::new(0),
-        }
+    fn test_core(addrs: &[&str]) -> Arc<Core> {
+        Arc::new(Core::new(RouterConfig {
+            backends: addrs.iter().map(|a| a.to_string()).collect(),
+            ..RouterConfig::default()
+        }))
     }
 
     #[test]
@@ -1318,8 +1215,8 @@ mod tests {
     fn stats_json_carries_loadgen_keys_and_router_section() {
         let core = test_core(&["x:1"]);
         core.requests.store(5, Ordering::Relaxed);
-        core.conns_accepted.store(3, Ordering::Relaxed);
-        core.conns_closed.store(1, Ordering::Relaxed);
+        core.conns.accepted.store(3, Ordering::Relaxed);
+        core.conns.closed.store(1, Ordering::Relaxed);
         let json = core.stats_json();
         assert_eq!(json.get("requests").and_then(Json::as_u64), Some(5));
         assert_eq!(json.get("conns_active").and_then(Json::as_u64), Some(2));

@@ -54,6 +54,7 @@ use std::time::{Duration, Instant, SystemTime};
 
 use crate::artifact::{Query, Ranked, ServableModel};
 use crate::hist::HistogramSet;
+use crate::net::Connections;
 use crate::query_log::QueryLog;
 use crate::PredictScratch;
 use gps_core::snapshot::header_fingerprint;
@@ -232,59 +233,17 @@ pub struct ServerStats {
     pub hists: HistogramSet,
     /// Completed hot reloads since start, across every model.
     pub reloads: AtomicU64,
-    /// Connections the accept threads admitted.
-    pub conns_accepted: AtomicU64,
-    /// Connections fully closed (clean EOF, error, or timeout alike).
-    pub conns_closed: AtomicU64,
-    /// Connections closed *because* they idled past the transport's idle
-    /// timeout (also counted in `conns_closed`).
-    pub conns_timed_out: AtomicU64,
-    /// Connections dropped at accept because `max_conns` was reached
-    /// (never counted in `conns_accepted`).
-    pub conns_rejected: AtomicU64,
-    /// Set by the `shutdown` admin command: the server stops admitting
-    /// new connections, finishes in-flight replies, and closes. The
-    /// accept threads consult it through [`try_admit`](Self::try_admit).
-    pub(crate) draining: AtomicBool,
+    /// Connection accounting and the drain flag: the accept gate, the
+    /// event loops and the `shutdown` command share it.
+    pub(crate) conns: Connections,
 }
 
 impl ServerStats {
-    /// The accept-loop gate: under `max_conns` the connection is counted
-    /// accepted and admitted; at or over it, the rejection is counted and
-    /// the caller drops the socket.
-    ///
-    /// Several accept threads share the gate (the frame and the HTTP
-    /// listener), so check and count are one compare-and-swap on
-    /// `conns_accepted`: of two threads that both see `max_conns - 1`
-    /// active, one wins and the other re-checks against the winner's
-    /// count. `conns_closed` only grows, so a stale read of it can only
-    /// reject a connection that would just have fit, never over-admit.
-    ///
-    /// While the server drains, frame connections are rejected but HTTP
-    /// (`is_http`) connections still get in — a health checker must be
-    /// able to read the 503 `"draining"` answer, and curling `/metrics`
-    /// mid-drain is how an operator watches the drain finish.
-    pub(crate) fn try_admit(&self, max_conns: u64, is_http: bool) -> bool {
-        let draining = self.draining.load(Ordering::Acquire) && !is_http;
-        let admitted = !draining
-            && self
-                .conns_accepted
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |accepted| {
-                    let active = accepted.saturating_sub(self.conns_closed.load(Ordering::Relaxed));
-                    (active < max_conns).then_some(accepted + 1)
-                })
-                .is_ok();
-        if !admitted {
-            self.conns_rejected.fetch_add(1, Ordering::Relaxed);
-        }
-        admitted
-    }
-
     /// Zero the traffic counters and histograms. Connection counters are
-    /// deliberately spared: [`try_admit`](Self::try_admit) derives the
-    /// active-connection count from `conns_accepted - conns_closed`, so
-    /// zeroing those mid-serve would break `--max-conns`. `reloads`
-    /// survives too — it describes configuration history, not traffic.
+    /// deliberately spared: the accept gate derives the active-connection
+    /// count from `accepted - closed`, so zeroing those mid-serve would
+    /// break `--max-conns`. `reloads` survives too — it describes
+    /// configuration history, not traffic.
     fn reset_traffic(&self) {
         self.requests.store(0, Ordering::Relaxed);
         self.latency_ns_total.store(0, Ordering::Relaxed);
@@ -869,15 +828,11 @@ impl PredictionServer {
             max_latency_us: self.stats.latency_ns_max.load(Ordering::Relaxed) as f64 / 1000.0,
             uptime_secs: self.started.elapsed().as_secs_f64(),
             reloads: self.stats.reloads.load(Ordering::Relaxed),
-            conns_accepted: self.stats.conns_accepted.load(Ordering::Relaxed),
-            conns_closed: self.stats.conns_closed.load(Ordering::Relaxed),
-            conns_active: self
-                .stats
-                .conns_accepted
-                .load(Ordering::Relaxed)
-                .saturating_sub(self.stats.conns_closed.load(Ordering::Relaxed)),
-            conns_timed_out: self.stats.conns_timed_out.load(Ordering::Relaxed),
-            conns_rejected: self.stats.conns_rejected.load(Ordering::Relaxed),
+            conns_accepted: self.stats.conns.accepted.load(Ordering::Relaxed),
+            conns_closed: self.stats.conns.closed.load(Ordering::Relaxed),
+            conns_active: self.stats.conns.active(),
+            conns_timed_out: self.stats.conns.timed_out.load(Ordering::Relaxed),
+            conns_rejected: self.stats.conns.rejected.load(Ordering::Relaxed),
             draining: self.is_draining(),
             generation: self.default_entry.generation(),
             hists,
@@ -905,7 +860,7 @@ impl PredictionServer {
     /// finish. Idempotent. The event loops and the CLI watch
     /// [`is_draining`](Self::is_draining) to close connections and exit.
     pub fn begin_drain(&self) {
-        self.stats.draining.store(true, Ordering::Release);
+        self.stats.conns.begin_drain();
         if let Some(log) = self.query_log.get() {
             log.flush();
         }
@@ -913,7 +868,7 @@ impl PredictionServer {
 
     /// Whether [`begin_drain`](Self::begin_drain) has been called.
     pub fn is_draining(&self) -> bool {
-        self.stats.draining.load(Ordering::Acquire)
+        self.stats.conns.is_draining()
     }
 
     /// The configured query log, if any.
@@ -1586,51 +1541,5 @@ mod tests {
         );
         assert_eq!(server.predict_for("a", warm).unwrap()[0].0, Port(443));
         drop(watcher);
-    }
-
-    #[test]
-    fn racing_accept_threads_never_exceed_max_conns() {
-        use std::sync::Barrier;
-        const THREADS: u64 = 8;
-        const ATTEMPTS: u64 = 150_000;
-        const CAP: u64 = 3;
-        // Every thread hammers the gate from the same starting line,
-        // holding each slot it wins just long enough to look at the
-        // gauge. `conns_accepted` is read before `conns_closed`, which
-        // can only under-read what was active, so a reading over the cap
-        // is a real over-admission.
-        let stats = ServerStats::default();
-        let barrier = Barrier::new(THREADS as usize);
-        std::thread::scope(|scope| {
-            for _ in 0..THREADS {
-                scope.spawn(|| {
-                    barrier.wait();
-                    for _ in 0..ATTEMPTS {
-                        if stats.try_admit(CAP, false) {
-                            // Hold the slot a moment, so the gate spends
-                            // the run one short of the cap — where a
-                            // check-then-count gate lets two racers in.
-                            for _ in 0..64 {
-                                std::hint::spin_loop();
-                            }
-                            let accepted = stats.conns_accepted.load(Ordering::SeqCst);
-                            let closed = stats.conns_closed.load(Ordering::SeqCst);
-                            assert!(
-                                accepted.saturating_sub(closed) <= CAP,
-                                "conns_active over the cap"
-                            );
-                            stats.conns_closed.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                });
-            }
-        });
-        let accepted = stats.conns_accepted.load(Ordering::Relaxed);
-        assert_eq!(accepted, stats.conns_closed.load(Ordering::Relaxed));
-        assert_eq!(
-            accepted + stats.conns_rejected.load(Ordering::Relaxed),
-            THREADS * ATTEMPTS,
-            "every attempt is counted exactly once"
-        );
     }
 }

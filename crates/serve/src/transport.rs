@@ -6,7 +6,8 @@
 //! fallback), with incremental frame decoding. One engine holds two
 //! pipelined connections and tens of thousands of mostly-idle ones — the
 //! LZR-style scanning fan-in the serving layer exists for — and hosts the
-//! HTTP gateway on the same loops.
+//! HTTP gateway on the same loops. The router (`gps route`) runs on the
+//! same engine with [`TransportConfig::default`].
 
 use std::io;
 use std::net::TcpListener;
@@ -81,7 +82,10 @@ pub fn serve_with_http(
     http: Option<TcpListener>,
     config: TransportConfig,
 ) -> io::Result<()> {
-    crate::net::serve_events(server, listener, http, &config)
+    crate::net::serve_events(server, listener, http, &config)?;
+    loop {
+        std::thread::park();
+    }
 }
 
 #[cfg(test)]

@@ -1617,6 +1617,100 @@ mod router_hop {
             );
         }
     }
+
+    /// One raw request to the router's HTTP sideline, `dribble`d a byte
+    /// at a time or written at once, read until the router closes the
+    /// connection. Returns the reply and whether it did close (EOF or
+    /// reset) rather than leave the read to time out.
+    fn http_raw(addr: SocketAddr, request: &[u8], dribble: bool) -> (String, bool) {
+        let mut stream = TcpStream::connect(addr).expect("http connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        if dribble {
+            for byte in request {
+                stream
+                    .write_all(std::slice::from_ref(byte))
+                    .expect("dribble");
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        } else {
+            // A refused head may be answered and closed before it is
+            // all written.
+            let _ = stream.write_all(request);
+        }
+        let mut reply = Vec::new();
+        let closed = match stream.read_to_end(&mut reply) {
+            Ok(_) => true,
+            Err(e) => !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+        };
+        (String::from_utf8_lossy(&reply).into_owned(), closed)
+    }
+
+    /// The sideline parses HTTP like the server's gateway: a dribbled
+    /// request still parses; an oversized head, a chunked body and a
+    /// garbage request line get their own status; a wrong method or path
+    /// gets 405 or 404. Every reply says `connection: close` and the
+    /// connection then closes, and `/healthz` turns 503 once the router
+    /// drains.
+    #[test]
+    fn http_sideline_parses_refuses_and_drains_like_the_gateway() {
+        let (_backends, router) = tier(model);
+        let addr = router.http_addr().expect("http sideline");
+        let healthz: &[u8] = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+        let padded = format!(
+            "GET /healthz HTTP/1.1\r\nHost: t\r\nX-Padding: {}\r\n\r\n",
+            "a".repeat(16 * 1024)
+        );
+        let cases: [(&str, &[u8], bool, u16); 6] = [
+            ("dribbled healthz", healthz, true, 200),
+            ("oversized head", padded.as_bytes(), false, 431),
+            (
+                "chunked",
+                b"POST /predict HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n",
+                false,
+                501,
+            ),
+            ("garbage line", b"EHLO observability\r\n\r\n", false, 400),
+            (
+                "wrong method",
+                b"POST /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+                false,
+                405,
+            ),
+            (
+                "unknown path",
+                b"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n",
+                false,
+                404,
+            ),
+        ];
+        for (what, request, dribble, want) in cases {
+            let (reply, closed) = http_raw(addr, request, dribble);
+            let head = reply.split("\r\n\r\n").next().unwrap_or_default();
+            let head = head.to_ascii_lowercase();
+            assert!(
+                head.starts_with(&format!("http/1.1 {want} ")),
+                "{what}: want {want}, got {reply:?}"
+            );
+            assert!(
+                head.contains("connection: close"),
+                "{what}: every reply closes, got {head:?}"
+            );
+            assert!(closed, "{what}: the connection closes after the reply");
+        }
+        let (reply, _) = http_raw(addr, healthz, false);
+        assert!(reply.ends_with("\r\n\r\nok\n"), "{reply:?}");
+        router.begin_drain();
+        let (reply, _) = http_raw(addr, healthz, false);
+        assert!(
+            reply.starts_with("HTTP/1.1 503 ") && reply.ends_with("\r\n\r\ndraining\n"),
+            "healthz while draining: {reply:?}"
+        );
+    }
 }
 
 /// Graceful drain on `gps serve` itself: the wire `shutdown` command
