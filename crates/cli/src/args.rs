@@ -43,8 +43,6 @@ pub struct Args {
     pub request_timeout: f64,
     /// route: alternate backends tried after the owner fails.
     pub max_retries: usize,
-    /// serve: structured query-log path (one JSON line per request).
-    pub query_log: Option<String>,
     /// reload: snapshot path to switch the server to (None = re-read).
     pub reload_model: Option<String>,
     /// reload: which model id to reload (positional; None = the default).
@@ -121,7 +119,6 @@ impl Default for Args {
             probe_interval: 0.5,
             request_timeout: 2.0,
             max_retries: 1,
-            query_log: None,
             reload_model: None,
             reload_name: None,
             query_model: None,
@@ -245,7 +242,6 @@ impl Args {
                 "--max-retries" => {
                     args.max_retries = parse_num(&value("--max-retries")?, "--max-retries")?;
                 }
-                "--query-log" => args.query_log = Some(value("--query-log")?),
                 "--max-conns" => {
                     args.max_conns = parse_num(&value("--max-conns")?, "--max-conns")?;
                 }
@@ -366,12 +362,14 @@ mod tests {
         let args = Args::parse(["serve", "--model", "m.gpsb", "--addr", "127.0.0.1:9999"]).unwrap();
         assert_eq!(args.command, Command::Serve);
         assert_eq!(args.addr, "127.0.0.1:9999");
-        // The flags of the deleted worker pool, warm-up replay and
-        // thread-per-connection transport are unknown flags now, not
-        // silently accepted.
+        // The flags of the deleted worker pool, warm-up replay,
+        // thread-per-connection transport and query log are unknown flags
+        // now, not silently accepted.
         assert!(Args::parse(["serve", "--shards", "8"]).is_err());
         assert!(Args::parse(["serve", "--warm-from", "/tmp/q.log"]).is_err());
         let err = Args::parse(["serve", "--transport", "events"]).unwrap_err();
+        assert!(err.0.contains("unknown flag"), "{}", err.0);
+        let err = Args::parse(["serve", "--query-log", "/tmp/q.log"]).unwrap_err();
         assert!(err.0.contains("unknown flag"), "{}", err.0);
 
         let args = Args::parse([
@@ -497,23 +495,13 @@ mod tests {
 
     #[test]
     fn parses_observability_flags() {
-        let args = Args::parse([
-            "serve",
-            "--http-addr",
-            "127.0.0.1:8080",
-            "--query-log",
-            "/tmp/queries.log",
-        ])
-        .unwrap();
+        let args = Args::parse(["serve", "--http-addr", "127.0.0.1:8080"]).unwrap();
         assert_eq!(args.http_addr.as_deref(), Some("127.0.0.1:8080"));
-        assert_eq!(args.query_log.as_deref(), Some("/tmp/queries.log"));
 
         let args = Args::parse(["serve"]).unwrap();
         assert!(args.http_addr.is_none(), "no gateway by default");
-        assert!(args.query_log.is_none());
 
         assert!(Args::parse(["serve", "--http-addr"]).is_err());
-        assert!(Args::parse(["serve", "--query-log"]).is_err());
     }
 
     #[test]

@@ -298,7 +298,6 @@ fn resolve_transport(args: &Args) -> gps_serve::TransportConfig {
         max_conns: args.max_conns,
         idle_timeout: (args.idle_timeout > 0.0)
             .then(|| std::time::Duration::from_secs_f64(args.idle_timeout)),
-        ..gps_serve::TransportConfig::default()
     }
 }
 
@@ -336,12 +335,6 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
             .expect("just-registered model");
     }
     let server = Arc::new(server);
-    if let Some(path) = &args.query_log {
-        let log = gps_serve::QueryLog::open(std::path::Path::new(path))
-            .map_err(|e| format!("--query-log {path}: {e}"))?;
-        server.set_query_log(Arc::new(log));
-        println!("query log: {path}");
-    }
     let _watcher = if args.watch {
         println!(
             "watching {} snapshot file(s) for changes (hot reload)",
@@ -464,8 +457,8 @@ pub fn cmd_route(args: &Args) -> Result<(), String> {
 }
 
 /// `gps shutdown` — ask a running `gps serve` or `gps route` at `--addr`
-/// to drain: stop taking new connections, finish in-flight replies,
-/// flush the query log, and exit.
+/// to drain: stop taking new connections, finish in-flight replies, and
+/// exit.
 pub fn cmd_shutdown(args: &Args) -> Result<(), String> {
     let mut client =
         gps_serve::Client::connect(&args.addr).map_err(|e| format!("--addr {}: {e}", args.addr))?;
@@ -913,7 +906,6 @@ mod tests {
         let config = resolve_transport(&args);
         assert_eq!(config.max_conns, 9);
         assert!(config.idle_timeout.is_none());
-        assert!(!config.poll_fallback);
         let args = Args::parse(["serve", "--idle-timeout", "2.5"]).unwrap();
         let config = resolve_transport(&args);
         assert_eq!(

@@ -57,7 +57,6 @@ SERVING OPTIONS:
     --watch             serve: hot-reload when a snapshot file changes
     --http-addr A       serve: HTTP/1.1 gateway (GET /metrics /stats
                         /models /healthz, POST /predict /batch /reset-stats)
-    --query-log PATH    serve: structured query log, one JSON line/request
     --ip A.B.C.D        query target
 
 ROUTING OPTIONS (gps route):
@@ -82,7 +81,7 @@ EXAMPLES:
     gps serve --model /tmp/gps-model.gpsb --addr 127.0.0.1:4615 --watch
     gps serve --model quick=/tmp/a.gpsb --model lzr=/tmp/b.gpsb
     gps serve --model /tmp/a.gpsb --max-conns 20000 --idle-timeout 60
-    gps serve --model /tmp/a.gpsb --http-addr 127.0.0.1:8080 --query-log /tmp/q.log
+    gps serve --model /tmp/a.gpsb --http-addr 127.0.0.1:8080
     gps query --addr 127.0.0.1:4615 --ip 10.1.2.3 --open 80
     gps query --addr 127.0.0.1:4615 --ip 10.1.2.3 --model lzr
     gps query --addr 127.0.0.1:4615 --ip 10.1.2.3 --wire binary

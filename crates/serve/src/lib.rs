@@ -27,7 +27,7 @@
 //! - [`proto`] — a length-prefixed JSON frame protocol over TCP plus the
 //!   blocking [`Client`] used by `gps query` and the loadgen bench;
 //! - [`transport`] / [`net`] — how connections are driven, for `gps
-//!   serve` and the [`router`] alike: event loops (epoll/poll readiness,
+//!   serve` and the [`router`] alike: event loops (epoll readiness,
 //!   incremental frame decoding, one write per read burst) that serve
 //!   two pipelined connections and C10K-scale fan-in alike, honoring
 //!   `--max-conns` and `--idle-timeout`, with one bounded HTTP parser for
@@ -65,7 +65,6 @@ pub mod artifact;
 pub mod hist;
 pub mod net;
 pub mod proto;
-pub mod query_log;
 pub mod router;
 pub mod server;
 pub mod transport;
@@ -76,7 +75,6 @@ pub use gps_core::compiled::PredictScratch;
 pub use hist::{EndpointLabel, HistogramSet, LatencyHistogram, WireLabel};
 pub use net::{DecodeError, FrameDecoder, WireFormat};
 pub use proto::{Client, ClientConfig, ClientError, ReloadOutcome};
-pub use query_log::QueryLog;
 pub use router::{Router, RouterConfig, RouterHandle};
 pub use server::{
     validate_model_id, watch_snapshot_file, ModelStatsSnapshot, PredictionServer, ReloadWatcher,

@@ -29,7 +29,7 @@
 
 use gps_types::HistogramSnapshot;
 
-use crate::server::{PredictionServer, StatsSnapshot};
+use crate::server::PredictionServer;
 
 /// Largest accepted request head (request line + headers).
 pub(crate) const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -364,15 +364,10 @@ fn render_histogram(out: &mut String, name: &str, labels: &str, snap: &Histogram
 
 /// The Prometheus text exposition of everything the server counts.
 pub(crate) fn render_metrics(server: &PredictionServer) -> String {
+    use std::fmt::Write as _;
     let stats = server.stats();
     let mut out = String::with_capacity(4096);
-    render_server_metrics(&mut out, &stats, server.query_log_dropped());
-    out
-}
-
-fn render_server_metrics(out: &mut String, stats: &StatsSnapshot, query_log_dropped: u64) {
-    use std::fmt::Write as _;
-    let w = out;
+    let w = &mut out;
 
     let _ = writeln!(w, "# HELP gps_build_info Build metadata (constant 1).");
     let _ = writeln!(w, "# TYPE gps_build_info gauge");
@@ -442,13 +437,6 @@ fn render_server_metrics(out: &mut String, stats: &StatsSnapshot, query_log_drop
     let _ = writeln!(w, "# HELP gps_conns_active Connections currently held.");
     let _ = writeln!(w, "# TYPE gps_conns_active gauge");
     let _ = writeln!(w, "gps_conns_active {}", stats.conns_active);
-
-    let _ = writeln!(
-        w,
-        "# HELP gps_query_log_dropped_total Query-log records dropped (ring full)."
-    );
-    let _ = writeln!(w, "# TYPE gps_query_log_dropped_total counter");
-    let _ = writeln!(w, "gps_query_log_dropped_total {query_log_dropped}");
 
     let _ = writeln!(
         w,
@@ -522,6 +510,7 @@ fn render_server_metrics(out: &mut String, stats: &StatsSnapshot, query_log_drop
             );
         }
     }
+    out
 }
 
 #[cfg(test)]

@@ -4,10 +4,9 @@
 //! Layout, bottom up:
 //!
 //! - `sys` — the raw readiness syscalls (`epoll_create1` /
-//!   `epoll_ctl` / `epoll_wait`, plus `poll(2)` as the portable
-//!   fallback);
-//! - `poller` — both backends behind one level-triggered interface,
-//!   and the loopback-UDP `Waker` (the router's backend links wait on a
+//!   `epoll_ctl` / `epoll_wait`);
+//! - `poller` — level-triggered epoll behind a token interface, and
+//!   the loopback-UDP `Waker` (the router's backend links wait on a
 //!   `Poller` of their own);
 //! - `decoder` — incremental length-prefixed frame decoding (shared
 //!   with the router's backend links and the blocking `Client`'s
@@ -51,6 +50,12 @@
 //! `request_timeout`). The first is bounded by `MAX_BATCH_QUERIES`, the
 //! second is a rare, trusted-operator action, the third ends once the
 //! backend is marked down.
+//!
+//! The loops sit on Linux `epoll`; there is no other backend, so any
+//! other target fails to build here.
+
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+compile_error!("gps-serve's event loops need epoll: build on Linux");
 
 mod conn;
 mod decoder;
@@ -295,9 +300,9 @@ pub(crate) fn serve_events<S: Service>(
     let loops = event_loops(std::thread::available_parallelism());
     let mut handles = Vec::with_capacity(loops);
     for index in 0..loops {
-        let mut poller = Poller::new(config.poll_fallback)?;
+        let mut poller = Poller::new()?;
         if index == 0 {
-            eprintln!("event loops: {} backend, {loops} loop(s)", poller.backend());
+            eprintln!("event loops: epoll backend, {loops} loop(s)");
         }
         let (waker, wake_rx) = wake_pair()?;
         poller.register(wake_rx.fd(), WAKE_TOKEN, Interest::READ)?;

@@ -1,18 +1,17 @@
-//! Readiness polling behind one interface, plus the cross-thread waker.
+//! Readiness polling, plus the cross-thread waker.
 //!
-//! [`Poller`] is level-triggered on both backends (epoll's default, and
-//! the only semantics `poll(2)` has), which keeps the connection state
-//! machine simple: interest is re-derived from buffer state after every
-//! step, and a socket that still has unread bytes simply reports readable
-//! again on the next wait.
+//! [`Poller`] is epoll, level-triggered (epoll's default), which keeps
+//! the connection state machine simple: interest is re-derived from
+//! buffer state after every step, and a socket that still has unread
+//! bytes simply reports readable again on the next wait.
 //!
 //! The [`Waker`] is a connected loopback UDP socket pair — pure `std`, no
-//! extra syscall surface, works identically under both backends. Sends
+//! extra syscall surface: its receive half is one more descriptor in the
+//! poller. Sends
 //! coalesce (the receive side drains everything per wakeup) and a full
 //! socket buffer just means a wakeup is already pending, so `wake` never
 //! blocks and never needs to succeed more than once.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::UdpSocket;
 use std::os::fd::{AsRawFd, RawFd};
@@ -46,101 +45,31 @@ impl Interest {
     };
 }
 
-pub(crate) enum Poller {
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    Epoll(EpollPoller),
-    Portable(PortablePoller),
-}
-
-impl Poller {
-    /// The platform's best backend, or the portable `poll(2)` one when
-    /// `force_portable` is set (tests exercise it everywhere) or the
-    /// platform has nothing better.
-    pub fn new(force_portable: bool) -> io::Result<Poller> {
-        #[cfg(any(target_os = "linux", target_os = "android"))]
-        if !force_portable {
-            return Ok(Poller::Epoll(EpollPoller::new()?));
-        }
-        let _ = force_portable;
-        Ok(Poller::Portable(PortablePoller::new()))
-    }
-
-    /// Which syscall family this poller drives (surfaced in logs).
-    pub fn backend(&self) -> &'static str {
-        match self {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            Poller::Epoll(_) => "epoll",
-            Poller::Portable(_) => "poll",
-        }
-    }
-
-    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            Poller::Epoll(p) => p.ctl(sys::epoll::EPOLL_CTL_ADD, fd, token, interest),
-            Poller::Portable(p) => {
-                p.entries.insert(fd, (token, interest));
-                Ok(())
-            }
-        }
-    }
-
-    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            Poller::Epoll(p) => p.ctl(sys::epoll::EPOLL_CTL_MOD, fd, token, interest),
-            Poller::Portable(p) => {
-                p.entries.insert(fd, (token, interest));
-                Ok(())
-            }
-        }
-    }
-
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            Poller::Epoll(p) => p.ctl(sys::epoll::EPOLL_CTL_DEL, fd, 0, Interest::READ),
-            Poller::Portable(p) => {
-                p.entries.remove(&fd);
-                Ok(())
-            }
-        }
-    }
-
-    /// Block until readiness or `timeout` (None = forever); ready
-    /// descriptors are appended to `out` (cleared first). Spurious empty
-    /// returns are allowed (EINTR, timeout).
-    pub fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<Event>) -> io::Result<()> {
-        out.clear();
-        let timeout_ms: i32 = match timeout {
-            // Round up so a 0.3ms deadline doesn't busy-spin as 0ms.
-            Some(t) => t
-                .as_millis()
-                .saturating_add(u128::from(t.subsec_nanos() % 1_000_000 != 0))
-                .min(i32::MAX as u128) as i32,
-            None => -1,
-        };
-        match self {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            Poller::Epoll(p) => p.wait(timeout_ms, out),
-            Poller::Portable(p) => p.wait(timeout_ms, out),
-        }
-    }
-}
-
-#[cfg(any(target_os = "linux", target_os = "android"))]
-pub(crate) struct EpollPoller {
+/// Level-triggered epoll: each registered descriptor carries a `u64`
+/// token that comes back in its [`Event`]s.
+pub(crate) struct Poller {
     epfd: std::os::fd::OwnedFd,
     scratch: Vec<sys::epoll::EpollEvent>,
 }
 
-#[cfg(any(target_os = "linux", target_os = "android"))]
-impl EpollPoller {
-    fn new() -> io::Result<EpollPoller> {
-        Ok(EpollPoller {
+impl Poller {
+    pub fn new() -> io::Result<Poller> {
+        Ok(Poller {
             epfd: sys::epoll::create()?,
             scratch: vec![sys::epoll::EpollEvent { events: 0, data: 0 }; 1024],
         })
+    }
+
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(sys::epoll::EPOLL_CTL_ADD, fd, token, interest)
+    }
+
+    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(sys::epoll::EPOLL_CTL_MOD, fd, token, interest)
+    }
+
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        self.ctl(sys::epoll::EPOLL_CTL_DEL, fd, 0, Interest::READ)
     }
 
     fn ctl(&mut self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
@@ -159,8 +88,20 @@ impl EpollPoller {
         sys::epoll::ctl(&self.epfd, op, fd, event)
     }
 
-    fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) -> io::Result<()> {
+    /// Block until readiness or `timeout` (None = forever); ready
+    /// descriptors are appended to `out` (cleared first). Spurious empty
+    /// returns are allowed (EINTR, timeout).
+    pub fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<Event>) -> io::Result<()> {
         use sys::epoll::*;
+        out.clear();
+        let timeout_ms: i32 = match timeout {
+            // Round up so a 0.3ms deadline doesn't busy-spin as 0ms.
+            Some(t) => t
+                .as_millis()
+                .saturating_add(u128::from(t.subsec_nanos() % 1_000_000 != 0))
+                .min(i32::MAX as u128) as i32,
+            None => -1,
+        };
         let n = sys::epoll::wait(&self.epfd, &mut self.scratch, timeout_ms)?;
         for event in &self.scratch[..n] {
             // `events`/`data` may be unaligned on x86-64 (packed struct):
@@ -172,67 +113,6 @@ impl EpollPoller {
                 readable: bits & (EPOLLIN | EPOLLRDHUP) != 0,
                 writable: bits & EPOLLOUT != 0,
                 failed: bits & (EPOLLERR | EPOLLHUP) != 0,
-            });
-        }
-        Ok(())
-    }
-}
-
-pub(crate) struct PortablePoller {
-    /// fd -> (token, interest). Rebuilt into a `pollfd` array per wait —
-    /// O(registered), which is exactly the scaling limitation that makes
-    /// this the *fallback*.
-    entries: HashMap<RawFd, (u64, Interest)>,
-    scratch: Vec<sys::portable::PollFd>,
-    tokens: Vec<u64>,
-}
-
-impl PortablePoller {
-    fn new() -> PortablePoller {
-        PortablePoller {
-            entries: HashMap::new(),
-            scratch: Vec::new(),
-            tokens: Vec::new(),
-        }
-    }
-
-    fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) -> io::Result<()> {
-        use sys::portable::*;
-        self.scratch.clear();
-        self.tokens.clear();
-        for (&fd, &(token, interest)) in &self.entries {
-            let mut events = 0i16;
-            if interest.readable {
-                events |= POLLIN;
-            }
-            if interest.writable {
-                events |= POLLOUT;
-            }
-            self.scratch.push(PollFd {
-                fd,
-                events,
-                revents: 0,
-            });
-            self.tokens.push(token);
-        }
-        if self.scratch.is_empty() {
-            // Nothing registered: just honor the timeout (a bare poll(2)
-            // with zero fds would return immediately with timeout 0).
-            if timeout_ms != 0 {
-                std::thread::sleep(Duration::from_millis(timeout_ms.max(0) as u64));
-            }
-            return Ok(());
-        }
-        let _ = sys::portable::wait(&mut self.scratch, timeout_ms)?;
-        for (entry, &token) in self.scratch.iter().zip(&self.tokens) {
-            if entry.revents == 0 {
-                continue;
-            }
-            out.push(Event {
-                token,
-                readable: entry.revents & (POLLIN | POLLHUP) != 0,
-                writable: entry.revents & POLLOUT != 0,
-                failed: entry.revents & (POLLERR | POLLHUP | POLLNVAL) != 0,
             });
         }
         Ok(())
@@ -292,97 +172,86 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
 
-    /// Both backends see the same readable/writable transitions on a
-    /// loopback TCP pair.
+    /// Register, modify and deregister move a loopback TCP socket through
+    /// the readable/writable transitions.
     #[test]
-    fn backends_agree_on_tcp_readiness() {
-        for force_portable in [false, true] {
-            let mut poller = Poller::new(force_portable).expect("poller");
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            let mut client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (server, _) = listener.accept().unwrap();
-            server.set_nonblocking(true).unwrap();
-            poller
-                .register(server.as_raw_fd(), 7, Interest::READ)
-                .unwrap();
+    fn epoll_reports_tcp_readiness() {
+        let mut poller = Poller::new().expect("poller");
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        poller
+            .register(server.as_raw_fd(), 7, Interest::READ)
+            .unwrap();
 
-            let mut events = Vec::new();
-            // Nothing to read yet.
-            poller
-                .wait(Some(Duration::from_millis(10)), &mut events)
-                .unwrap();
-            assert!(events.is_empty(), "{}: no data yet", poller.backend());
+        let mut events = Vec::new();
+        // Nothing to read yet.
+        poller
+            .wait(Some(Duration::from_millis(10)), &mut events)
+            .unwrap();
+        assert!(events.is_empty(), "no data yet");
 
-            client.write_all(b"hi").unwrap();
-            poller
-                .wait(Some(Duration::from_secs(5)), &mut events)
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 7 && e.readable),
-                "{}: readable after peer write",
-                poller.backend()
-            );
-            let mut buf = [0u8; 8];
-            let mut server = server;
-            assert_eq!(server.read(&mut buf).unwrap(), 2);
+        client.write_all(b"hi").unwrap();
+        poller
+            .wait(Some(Duration::from_secs(5)), &mut events)
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 7 && e.readable),
+            "readable after peer write"
+        );
+        let mut buf = [0u8; 8];
+        let mut server = server;
+        assert_eq!(server.read(&mut buf).unwrap(), 2);
 
-            // Ask for writability: an idle socket is immediately writable.
-            poller
-                .modify(
-                    server.as_raw_fd(),
-                    7,
-                    Interest {
-                        readable: true,
-                        writable: true,
-                    },
-                )
-                .unwrap();
-            poller
-                .wait(Some(Duration::from_secs(5)), &mut events)
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 7 && e.writable),
-                "{}: writable when buffers are empty",
-                poller.backend()
-            );
-            poller.deregister(server.as_raw_fd()).unwrap();
-            poller
-                .wait(Some(Duration::from_millis(10)), &mut events)
-                .unwrap();
-            assert!(events.is_empty(), "{}: deregistered", poller.backend());
-        }
+        // Ask for writability: an idle socket is immediately writable.
+        poller
+            .modify(
+                server.as_raw_fd(),
+                7,
+                Interest {
+                    readable: true,
+                    writable: true,
+                },
+            )
+            .unwrap();
+        poller
+            .wait(Some(Duration::from_secs(5)), &mut events)
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 7 && e.writable),
+            "writable when buffers are empty"
+        );
+        poller.deregister(server.as_raw_fd()).unwrap();
+        poller
+            .wait(Some(Duration::from_millis(10)), &mut events)
+            .unwrap();
+        assert!(events.is_empty(), "deregistered");
     }
 
     #[test]
-    fn waker_wakes_both_backends() {
-        for force_portable in [false, true] {
-            let mut poller = Poller::new(force_portable).expect("poller");
-            let (waker, wake_rx) = wake_pair().expect("wake pair");
-            poller.register(wake_rx.fd(), 0, Interest::READ).unwrap();
-            let handle = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                waker.wake();
-                waker.wake(); // coalesces
-            });
-            let mut events = Vec::new();
-            poller
-                .wait(Some(Duration::from_secs(5)), &mut events)
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 0 && e.readable),
-                "{}: wakeup delivered",
-                poller.backend()
-            );
-            wake_rx.drain();
-            poller
-                .wait(Some(Duration::from_millis(10)), &mut events)
-                .unwrap();
-            assert!(
-                events.is_empty(),
-                "{}: drained wakeups don't re-fire",
-                poller.backend()
-            );
-            handle.join().unwrap();
-        }
+    fn waker_wakes_the_poller() {
+        let mut poller = Poller::new().expect("poller");
+        let (waker, wake_rx) = wake_pair().expect("wake pair");
+        poller.register(wake_rx.fd(), 0, Interest::READ).unwrap();
+        let handle = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            waker.wake();
+            waker.wake(); // coalesces
+        });
+        let mut events = Vec::new();
+        poller
+            .wait(Some(Duration::from_secs(5)), &mut events)
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 0 && e.readable),
+            "wakeup delivered"
+        );
+        wake_rx.drain();
+        poller
+            .wait(Some(Duration::from_millis(10)), &mut events)
+            .unwrap();
+        assert!(events.is_empty(), "drained wakeups don't re-fire");
+        handle.join().unwrap();
     }
 }

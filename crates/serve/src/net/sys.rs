@@ -1,23 +1,13 @@
-//! The raw readiness syscalls the event loops sit on.
-//!
-//! Two backends, both declared directly against the C library the binary
-//! already links (the offline crate budget buys no `libc`):
-//!
-//! - [`epoll`] — `epoll_create1` / `epoll_ctl` / `epoll_wait`, the Linux
-//!   readiness API that stays O(ready) as registered-descriptor counts
-//!   grow to C10K and beyond;
-//! - [`portable`] — `poll(2)`, POSIX-portable and O(registered) per
-//!   wait, kept as the fallback so the event loops (and their tests) run on
-//!   any Unix and so the Linux build can still exercise the
-//!   backend-agnostic paths.
+//! The raw readiness syscalls the event loops sit on: [`epoll`]'s
+//! `epoll_create1` / `epoll_ctl` / `epoll_wait`, the Linux readiness API
+//! that stays O(ready) as registered-descriptor counts grow to C10K and
+//! beyond. They are declared directly against the C library the binary
+//! already links (the offline crate budget buys no `libc`).
 //!
 //! Everything above this module speaks [`super::poller::Poller`]; nothing
 //! else in the crate touches a raw descriptor.
 
-#![allow(dead_code)]
-
 /// Linux `epoll`.
-#[cfg(any(target_os = "linux", target_os = "android"))]
 pub mod epoll {
     use std::io;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -106,51 +96,6 @@ pub mod epoll {
                 timeout_ms,
             )
         };
-        if n < 0 {
-            let err = io::Error::last_os_error();
-            if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(0);
-            }
-            return Err(err);
-        }
-        Ok(n as usize)
-    }
-}
-
-/// POSIX `poll(2)`, the run-anywhere fallback.
-pub mod portable {
-    use std::io;
-    use std::os::fd::RawFd;
-
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: RawFd,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    #[cfg(target_os = "linux")]
-    type NFds = std::os::raw::c_ulong;
-    #[cfg(not(target_os = "linux"))]
-    type NFds = std::os::raw::c_uint;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
-    }
-
-    /// Blocking wait over the whole set; returns how many entries have
-    /// nonzero `revents`. `timeout_ms < 0` blocks indefinitely; `EINTR`
-    /// surfaces as `Ok(0)`.
-    pub fn wait(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-        // SAFETY: `fds` is a live, writable slice for the call's duration.
-        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, timeout_ms) };
         if n < 0 {
             let err = io::Error::last_os_error();
             if err.kind() == io::ErrorKind::Interrupted {

@@ -60,11 +60,11 @@ use crate::artifact::{Query, Ranked};
 use crate::hist::{EndpointLabel, WireLabel};
 use crate::net::http;
 use crate::net::{FrameDecoder, WireFormat};
-use crate::server::{unix_now_millis, ModelEntry, PredictionServer};
+use crate::server::{ModelEntry, PredictionServer};
 use crate::wire;
 use gps_types::binary::ByteWriter;
 use gps_types::json::Json;
-use gps_types::{Ip, JsonCodec, Port, QueryLogRecord};
+use gps_types::{Ip, JsonCodec, Port};
 
 /// Frames above this many bytes are rejected (a length prefix is attacker
 /// input; without a cap a single frame could balloon memory).
@@ -365,13 +365,12 @@ pub(crate) struct PredictWork {
 
 impl PredictWork {
     /// Answer every query on the calling thread and append the reply
-    /// frame to `out` — the one way predict work executes. Then the per-request observability: the request latency goes
-    /// into the model's histogram cell (a batch frame of `n` queries
-    /// counts `n` samples, keeping histogram counts summable against
-    /// `requests`; the server-level predict cells are derived at snapshot
-    /// time by summing the models, so the hot path pays for one histogram
-    /// update, not two) and, when a query log is configured, one
-    /// structured record carrying the first query's key fields.
+    /// frame to `out` — the one way predict work executes. Then the
+    /// request latency goes into the model's histogram cell (a batch
+    /// frame of `n` queries counts `n` samples, keeping histogram counts
+    /// summable against `requests`; the server-level predict cells are
+    /// derived at snapshot time by summing the models, so the hot path
+    /// pays for one histogram update, not two).
     pub(crate) fn answer(
         mut self,
         server: &PredictionServer,
@@ -388,26 +387,11 @@ impl PredictWork {
         } else {
             EndpointLabel::Single
         };
-        let entry = self.entry;
-        entry
+        self.entry
             .counters
             .hists
             .cell(wire, endpoint)
             .record_n(latency_ns, n);
-        if let (Some(log), Some(first)) = (server.query_log(), self.queries.first()) {
-            log.push(QueryLogRecord {
-                ts_ms: unix_now_millis(),
-                model: entry.id.clone(),
-                wire: wire.as_str().to_string(),
-                endpoint: endpoint.as_str().to_string(),
-                ip: first.ip,
-                open: first.open.iter().map(|p| p.0).collect(),
-                asn: first.asn,
-                top: first.top,
-                latency_ns,
-                generation: entry.generation(),
-            });
-        }
     }
 }
 
@@ -1431,8 +1415,8 @@ impl Client {
     }
 
     /// Ask the server to drain and shut down (`shutdown`): it stops
-    /// admitting connections, flushes its query log, answers everything
-    /// in flight — this ack included — then closes.
+    /// admitting connections, answers everything in flight — this ack
+    /// included — then closes.
     pub fn shutdown(&mut self) -> io::Result<()> {
         let mut request = Json::obj();
         request.set("cmd", "shutdown");

@@ -716,7 +716,7 @@ impl Hop {
             core: core.clone(),
             links: core.backends.iter().map(|_| None).collect(),
             failed: vec![false; core.backends.len()],
-            poller: Poller::new(false)?,
+            poller: Poller::new()?,
             events: Vec::new(),
             chunk: vec![0u8; READ_CHUNK],
             replies: Vec::new(),

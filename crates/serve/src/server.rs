@@ -48,14 +48,13 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 use crate::artifact::{Query, Ranked, ServableModel};
 use crate::hist::HistogramSet;
 use crate::net::Connections;
-use crate::query_log::QueryLog;
 use crate::PredictScratch;
 use gps_core::snapshot::header_fingerprint;
 use gps_core::ModelSnapshot;
@@ -101,14 +100,6 @@ pub(crate) fn unix_now_secs() -> u64 {
     SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
-/// Milliseconds since the Unix epoch (0 if the clock is before it).
-pub(crate) fn unix_now_millis() -> u64 {
-    SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
         .unwrap_or(0)
 }
 
@@ -439,10 +430,6 @@ pub struct PredictionServer {
     stats: ServerStats,
     started: Instant,
     config: ServeConfig,
-    /// The structured query log, when `--query-log` enabled it. Set once
-    /// before serving starts; the hot path pays one pointer load when
-    /// disabled.
-    query_log: OnceLock<Arc<QueryLog>>,
 }
 
 impl PredictionServer {
@@ -480,7 +467,6 @@ impl PredictionServer {
             stats: ServerStats::default(),
             started: Instant::now(),
             config,
-            query_log: OnceLock::new(),
         })
     }
 
@@ -855,37 +841,16 @@ impl PredictionServer {
     }
 
     /// Enter drain: stop admitting new connections (the accept gate
-    /// rejects while draining), flush the query log so every
-    /// already-served request is on disk, and let in-flight replies
-    /// finish. Idempotent. The event loops and the CLI watch
+    /// rejects while draining) and let in-flight replies finish.
+    /// Idempotent. The event loops and the CLI watch
     /// [`is_draining`](Self::is_draining) to close connections and exit.
     pub fn begin_drain(&self) {
         self.stats.conns.begin_drain();
-        if let Some(log) = self.query_log.get() {
-            log.flush();
-        }
     }
 
     /// Whether [`begin_drain`](Self::begin_drain) has been called.
     pub fn is_draining(&self) -> bool {
         self.stats.conns.is_draining()
-    }
-
-    /// The configured query log, if any.
-    pub(crate) fn query_log(&self) -> Option<&Arc<QueryLog>> {
-        self.query_log.get()
-    }
-
-    /// Install the structured query log. May be called once; later calls
-    /// return `false` and leave the original log in place.
-    pub fn set_query_log(&self, log: Arc<QueryLog>) -> bool {
-        self.query_log.set(log).is_ok()
-    }
-
-    /// Records dropped by the query log because its ring was full (0
-    /// when no log is configured).
-    pub fn query_log_dropped(&self) -> u64 {
-        self.query_log.get().map_or(0, |log| log.dropped())
     }
 
     /// Consume the server. Nothing runs behind it — predictions execute

@@ -2,12 +2,12 @@
 //!
 //! The wire protocol (`proto`) says what the bytes mean; `crate::net`
 //! drives every accepted socket: N event-loop threads multiplexing
-//! nonblocking sockets over `epoll` (or the portable `poll(2)`
-//! fallback), with incremental frame decoding. One engine holds two
-//! pipelined connections and tens of thousands of mostly-idle ones — the
-//! LZR-style scanning fan-in the serving layer exists for — and hosts the
-//! HTTP gateway on the same loops. The router (`gps route`) runs on the
-//! same engine with [`TransportConfig::default`].
+//! nonblocking sockets over Linux `epoll`, with incremental frame
+//! decoding. One engine holds two pipelined connections and tens of
+//! thousands of mostly-idle ones — the LZR-style scanning fan-in the
+//! serving layer exists for — and hosts the HTTP gateway on the same
+//! loops. The router (`gps route`) runs on the same engine with
+//! [`TransportConfig::default`].
 
 use std::io;
 use std::net::TcpListener;
@@ -26,23 +26,17 @@ pub struct TransportConfig {
     /// Close a connection that goes this long without sending a byte
     /// (half-sent frames included). `None` = never.
     pub idle_timeout: Option<Duration>,
-    /// Force the portable `poll(2)` backend even where `epoll` is
-    /// available (tests exercise it everywhere).
-    pub poll_fallback: bool,
 }
 
 impl TransportConfig {
-    /// Resolve a poller *name* into a config: `"events"` (the platform's
-    /// best backend) or `"events-poll"` (pinned to the portable `poll(2)`
-    /// backend — what the test matrix uses to cover both pollers on every
-    /// platform).
+    /// Resolve a transport *name* into a config. `"events"` — the epoll
+    /// event loops — is the only one, and resolves to the default.
     pub fn named(name: &str) -> Result<TransportConfig, String> {
         match name {
-            "events" | "events-poll" => Ok(TransportConfig {
-                poll_fallback: name == "events-poll",
-                ..TransportConfig::default()
-            }),
-            other => Err(format!("unknown transport {other:?} (events|events-poll)")),
+            "events" => Ok(TransportConfig::default()),
+            other => Err(format!(
+                "unknown transport {other:?} (events is the only transport)"
+            )),
         }
     }
 
@@ -94,8 +88,8 @@ mod tests {
 
     #[test]
     fn names_resolve_to_pollers() {
-        assert!(TransportConfig::named("events-poll").unwrap().poll_fallback);
-        assert!(!TransportConfig::named("events").unwrap().poll_fallback);
+        assert!(TransportConfig::named("events").is_ok());
+        assert!(TransportConfig::named("events-poll").is_err());
         assert!(TransportConfig::named("threads").is_err());
         assert!(TransportConfig::named("nope").is_err());
     }

@@ -6,7 +6,7 @@
 //! re-tokenized. GPSB is the container `gps-core::snapshot` writes
 //! instead. This module is only the byte-level layer — what a `varint`
 //! is, how a section is framed — so the snapshot layer and any future
-//! artifact (query logs) share one set of primitives.
+//! artifact share one set of primitives.
 //!
 //! ## Conventions
 //!

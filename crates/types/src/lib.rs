@@ -42,7 +42,7 @@ pub use hash::{IntHasher, IntMap, IntSet};
 pub use intern::{DenseInterner, Interner, Sym};
 pub use ip::{Asn, Ip};
 pub use json::{Json, JsonCodec};
-pub use obs::{HistogramSnapshot, QueryLogRecord};
+pub use obs::HistogramSnapshot;
 pub use port::{Port, PortSet, NUM_PORTS};
 pub use protocol::Protocol;
 pub use rng::Rng;

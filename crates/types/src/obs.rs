@@ -1,16 +1,13 @@
-//! Observability data types shared between the serving stack and its
-//! clients: the plain-data snapshot of a latency histogram (the atomic
-//! recording half lives in `gps-serve`, which snapshots into this type
-//! for `stats` replies and the Prometheus `/metrics` endpoint) and the
-//! structured query-log record (one JSON line per served request,
-//! written by `--query-log`).
+//! Observability data shared between the serving stack and its clients:
+//! the plain-data snapshot of a latency histogram. The atomic recording
+//! half lives in `gps-serve`, which snapshots into this type for `stats`
+//! replies and the Prometheus `/metrics` endpoint.
 //!
-//! Both types have a canonical JSON encoding so the wire `stats` command,
-//! the HTTP gateway, loadgen's bench reports, and query-log readers all
-//! agree on one schema.
+//! The snapshot has a canonical JSON encoding so the wire `stats`
+//! command, the HTTP gateway and loadgen's bench reports all agree on one
+//! schema.
 
 use crate::error::GpsError;
-use crate::ip::Ip;
 use crate::json::Json;
 use crate::JsonCodec;
 
@@ -163,104 +160,6 @@ impl JsonCodec for HistogramSnapshot {
     }
 }
 
-/// One served request, as a line in the structured query log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryLogRecord {
-    /// Unix timestamp, milliseconds.
-    pub ts_ms: u64,
-    /// Registry id of the model that answered.
-    pub model: String,
-    /// `json` | `gpsq` | `http`.
-    pub wire: String,
-    /// `single` | `batch`.
-    pub endpoint: String,
-    /// The queried IPv4 address (first query of a batch).
-    pub ip: Ip,
-    /// Open-port evidence, in the order sent.
-    pub open: Vec<u16>,
-    pub asn: Option<u32>,
-    /// Requested ranking depth after defaulting.
-    pub top: usize,
-    pub latency_ns: u64,
-    /// Model generation at answer time.
-    pub generation: u64,
-}
-
-impl JsonCodec for QueryLogRecord {
-    fn to_json(&self) -> Json {
-        let mut json = Json::obj();
-        json.set("ts_ms", Json::Num(self.ts_ms as f64))
-            .set("model", self.model.as_str())
-            .set("wire", self.wire.as_str())
-            .set("endpoint", self.endpoint.as_str())
-            .set("ip", self.ip.to_json());
-        if !self.open.is_empty() {
-            json.set(
-                "open",
-                self.open
-                    .iter()
-                    .map(|&p| Json::Num(p as f64))
-                    .collect::<Vec<_>>(),
-            );
-        }
-        if let Some(asn) = self.asn {
-            json.set("asn", asn);
-        }
-        json.set("top", self.top)
-            .set("latency_ns", Json::Num(self.latency_ns as f64))
-            .set("generation", Json::Num(self.generation as f64));
-        json
-    }
-
-    fn from_json(json: &Json) -> Result<QueryLogRecord, GpsError> {
-        let text = |field: &str| -> Result<String, GpsError> {
-            Ok(json
-                .req(field)?
-                .as_str()
-                .ok_or_else(|| GpsError::parse("query-log", field, "expected string"))?
-                .to_string())
-        };
-        let num = |field: &str| -> Result<u64, GpsError> {
-            json.req(field)?
-                .as_u64()
-                .ok_or_else(|| GpsError::parse("query-log", field, "expected integer"))
-        };
-        let mut open = Vec::new();
-        if let Some(ports) = json.get("open") {
-            for port in ports
-                .as_arr()
-                .ok_or_else(|| GpsError::parse("query-log", "open", "expected array"))?
-            {
-                let port = port
-                    .as_u64()
-                    .and_then(|p| u16::try_from(p).ok())
-                    .ok_or_else(|| GpsError::parse("query-log", "open", "expected port"))?;
-                open.push(port);
-            }
-        }
-        let asn = match json.get("asn") {
-            None => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .and_then(|a| u32::try_from(a).ok())
-                    .ok_or_else(|| GpsError::parse("query-log", "asn", "expected integer"))?,
-            ),
-        };
-        Ok(QueryLogRecord {
-            ts_ms: num("ts_ms")?,
-            model: text("model")?,
-            wire: text("wire")?,
-            endpoint: text("endpoint")?,
-            ip: Ip::from_json(json.req("ip")?)?,
-            open,
-            asn,
-            top: num("top")? as usize,
-            latency_ns: num("latency_ns")?,
-            generation: num("generation")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,34 +224,5 @@ mod tests {
         let mut s = snap(vec![5, 10, 0, 2]);
         s.bounds_ns.pop();
         assert!(HistogramSnapshot::from_json(&s.to_json()).is_err());
-    }
-
-    #[test]
-    fn query_log_record_round_trip() {
-        let record = QueryLogRecord {
-            ts_ms: 1_700_000_000_123,
-            model: "default".into(),
-            wire: "gpsq".into(),
-            endpoint: "single".into(),
-            ip: Ip::from_octets(10, 1, 2, 3),
-            open: vec![80, 443],
-            asn: Some(64500),
-            top: 16,
-            latency_ns: 48_000,
-            generation: 3,
-        };
-        assert_eq!(
-            QueryLogRecord::from_json(&record.to_json()).unwrap(),
-            record
-        );
-        // Optional fields absent.
-        let minimal = QueryLogRecord {
-            open: vec![],
-            asn: None,
-            ..record
-        };
-        let json = minimal.to_json();
-        assert!(json.get("open").is_none() && json.get("asn").is_none());
-        assert_eq!(QueryLogRecord::from_json(&json).unwrap(), minimal);
     }
 }

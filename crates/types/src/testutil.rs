@@ -47,45 +47,25 @@ impl Drop for TestDir {
     }
 }
 
-/// The poller matrix the e2e / adversarial / failure-injection suites
-/// parameterize over. Names are resolved by
-/// `gps_serve::TransportConfig::named`:
-///
-/// - `events` — the event loops on the platform's best readiness
-///   backend (epoll on Linux);
-/// - `events-poll` — the event loops pinned to the portable `poll(2)`
-///   backend, so both pollers are covered on every platform.
-///
-/// Setting `GPS_TEST_TRANSPORT` (a comma-separated subset of the names)
-/// restricts the matrix — CI uses it to run the whole e2e suite once per
-/// poller explicitly.
-pub fn serve_transports() -> Vec<&'static str> {
-    env_matrix("GPS_TEST_TRANSPORT", &["events", "events-poll"])
-}
-
-/// The wire-format matrix the serving suites cross with
-/// [`serve_transports`]: `json` (the original text protocol) and
-/// `binary` (GPSQ). Setting `GPS_TEST_WIRE` (comma-separated subset)
-/// restricts it — CI pins one binary-wire run per poller this way.
+/// The wire-format matrix the serving suites parameterize over: `json`
+/// (the original text protocol) and `binary` (GPSQ). Setting
+/// `GPS_TEST_WIRE` (a comma-separated subset) restricts it — CI runs the
+/// whole e2e suite once per wire format this way.
 pub fn serve_wires() -> Vec<&'static str> {
-    env_matrix("GPS_TEST_WIRE", &["json", "binary"])
-}
-
-fn env_matrix(var: &str, all: &[&'static str]) -> Vec<&'static str> {
-    match std::env::var(var) {
+    const ALL: [&str; 2] = ["json", "binary"];
+    match std::env::var("GPS_TEST_WIRE") {
         Ok(forced) if !forced.trim().is_empty() => {
-            let picked: Vec<&'static str> = all
-                .iter()
-                .copied()
+            let picked: Vec<&'static str> = ALL
+                .into_iter()
                 .filter(|name| forced.split(',').any(|f| f.trim() == *name))
                 .collect();
             assert!(
                 !picked.is_empty(),
-                "{var}={forced:?} names no known value (try {all:?})"
+                "GPS_TEST_WIRE={forced:?} names no known value (try {ALL:?})"
             );
             picked
         }
-        _ => all.to_vec(),
+        _ => ALL.to_vec(),
     }
 }
 
@@ -202,13 +182,8 @@ mod tests {
     }
 
     #[test]
-    fn transport_matrix_is_nonempty_and_known() {
+    fn wire_matrix_is_nonempty_and_known() {
         // Robust whether or not CI restricted the matrix via env.
-        let transports = serve_transports();
-        assert!(!transports.is_empty());
-        for t in transports {
-            assert!(["events", "events-poll"].contains(&t), "{t}");
-        }
         let wires = serve_wires();
         assert!(!wires.is_empty());
         for w in wires {

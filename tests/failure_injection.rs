@@ -1,6 +1,6 @@
 //! Failure injection: GPS and the scan chain under packet loss and
 //! operator blocklists (smoltcp-style fault-injection discipline), and
-//! the serving transports under connection churn, mid-frame disconnects,
+//! the serving event loops under connection churn, mid-frame disconnects,
 //! and abandoned requests.
 
 use gps::prelude::*;
@@ -471,7 +471,6 @@ mod serve_churn {
     use gps::serve::{
         Client, PredictionServer, Query, ServableModel, ServeConfig, StatsSnapshot, TransportConfig,
     };
-    use gps::types::testutil::serve_transports;
     use gps::types::{Ip, Port, Subnet};
 
     /// A tiny hand-built model (no training): 80 predicts 443, one prior.
@@ -504,20 +503,21 @@ mod serve_churn {
         ServableModel::from_snapshot(snapshot)
     }
 
-    fn spawn(transport: &str) -> (Arc<PredictionServer>, SocketAddr) {
+    fn spawn() -> (Arc<PredictionServer>, SocketAddr) {
         let server = Arc::new(PredictionServer::start(model(), ServeConfig::default()));
         let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
         let addr = listener.local_addr().expect("local addr");
-        let config = TransportConfig::named(transport).expect("known transport");
         {
             let server = server.clone();
-            std::thread::spawn(move || gps::serve::serve(server, listener, config));
+            std::thread::spawn(move || {
+                gps::serve::serve(server, listener, TransportConfig::default())
+            });
         }
         (server, addr)
     }
 
     /// Poll `stats()` until `accept` is satisfied or a generous deadline
-    /// passes (connection teardown is asynchronous on both transports).
+    /// passes (connection teardown is asynchronous).
     fn await_stats(
         server: &PredictionServer,
         what: &str,
@@ -541,96 +541,94 @@ mod serve_churn {
     /// mid-frame disconnects (a length prefix promising bytes that never
     /// come, a torn prefix, a request whose answer nobody reads): nothing
     /// may wedge, and the connection counters must balance to zero live
-    /// connections afterward, on every transport.
+    /// connections afterward.
     #[test]
     fn connection_churn_and_midframe_disconnects_leave_server_healthy() {
-        for transport in serve_transports() {
-            let (server, addr) = spawn(transport);
-            let query = || Query::new(Ip::from_octets(10, 0, 3, 4)).with_open([80]);
+        let (server, addr) = spawn();
+        let query = || Query::new(Ip::from_octets(10, 0, 3, 4)).with_open([80]);
 
-            let mut expected_conns = 0u64;
-            for cycle in 0..40u32 {
-                match cycle % 4 {
-                    // Clean cycle: connect, query, disconnect.
-                    0 | 1 => {
-                        let mut client = Client::connect(addr).expect("connect");
-                        let ranked = client.predict(&query()).expect("predict");
-                        assert_eq!(ranked[0], (Port(443), 0.9));
-                        expected_conns += 1;
-                    }
-                    // Mid-frame disconnect: promise 64 bytes, send 5, go.
-                    2 => {
-                        let mut stream = TcpStream::connect(addr).expect("connect");
-                        stream.write_all(&64u32.to_be_bytes()).expect("prefix");
-                        stream.write_all(b"{\"cmd").expect("torn body");
-                        drop(stream);
-                        expected_conns += 1;
-                    }
-                    // Disconnect inside the 4-byte length prefix itself.
-                    _ => {
-                        let mut stream = TcpStream::connect(addr).expect("connect");
-                        stream.write_all(&[0, 0]).expect("half a prefix");
-                        drop(stream);
-                        expected_conns += 1;
-                    }
+        let mut expected_conns = 0u64;
+        for cycle in 0..40u32 {
+            match cycle % 4 {
+                // Clean cycle: connect, query, disconnect.
+                0 | 1 => {
+                    let mut client = Client::connect(addr).expect("connect");
+                    let ranked = client.predict(&query()).expect("predict");
+                    assert_eq!(ranked[0], (Port(443), 0.9));
+                    expected_conns += 1;
+                }
+                // Mid-frame disconnect: promise 64 bytes, send 5, go.
+                2 => {
+                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    stream.write_all(&64u32.to_be_bytes()).expect("prefix");
+                    stream.write_all(b"{\"cmd").expect("torn body");
+                    drop(stream);
+                    expected_conns += 1;
+                }
+                // Disconnect inside the 4-byte length prefix itself.
+                _ => {
+                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    stream.write_all(&[0, 0]).expect("half a prefix");
+                    drop(stream);
+                    expected_conns += 1;
                 }
             }
-            // A request whose answer nobody reads: send a full predict
-            // frame and immediately disconnect — the reply lands on a dead
-            // connection, nothing wedges.
-            for _ in 0..5 {
-                let mut stream = TcpStream::connect(addr).expect("connect");
-                let mut frame = gps::types::Json::obj();
-                frame.set("cmd", "predict").set("ip", "10.0.3.4");
-                let mut bytes = Vec::new();
-                gps::serve::proto::write_frame(&mut bytes, &frame).expect("encode");
-                stream.write_all(&bytes).expect("frame");
-                drop(stream);
-                expected_conns += 1;
-            }
-
-            // Every churned connection is eventually accounted closed...
-            let stats = await_stats(server.as_ref(), transport, |s| {
-                s.conns_accepted == expected_conns && s.conns_closed == expected_conns
-            });
-            assert_eq!(stats.conns_active, 0, "{transport}: no zombie connections");
-            assert_eq!(stats.conns_rejected, 0, "{transport}: nothing was rejected");
-            assert_eq!(
-                stats.conns_timed_out, 0,
-                "{transport}: no idle timeout configured, none may fire"
-            );
-
-            // ...and the server is not wedged: a fresh client still gets
-            // every answer, promptly.
-            let mut client = Client::connect(addr).expect("fresh connect");
-            for i in 0..50u32 {
-                let ip = Ip::from_octets(10, (i % 3) as u8, 1, 1);
-                let ranked = client
-                    .predict(&Query::new(ip).with_open([80]))
-                    .expect("post-churn predict");
-                assert_eq!(ranked[0], (Port(443), 0.9), "{transport}");
-            }
-            let batch: Vec<Query> = (0..64u32).map(|i| Query::new(Ip(i << 16 | 9))).collect();
-            assert_eq!(
-                client
-                    .predict_batch(&batch)
-                    .expect("post-churn batch")
-                    .len(),
-                64,
-                "{transport}: batches across many /16s still answer in full"
-            );
-            let stats = await_stats(server.as_ref(), transport, |s| {
-                s.conns_accepted == expected_conns + 1
-            });
-            // The request counters moved for the post-churn traffic.
-            assert!(
-                stats.requests >= expected_conns / 2 + 50 + 64,
-                "{transport}: served throughout: {stats:?}"
-            );
-            drop(client);
-            await_stats(server.as_ref(), transport, |s| {
-                s.conns_closed == expected_conns + 1 && s.conns_active == 0
-            });
         }
+        // A request whose answer nobody reads: send a full predict
+        // frame and immediately disconnect — the reply lands on a dead
+        // connection, nothing wedges.
+        for _ in 0..5 {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let mut frame = gps::types::Json::obj();
+            frame.set("cmd", "predict").set("ip", "10.0.3.4");
+            let mut bytes = Vec::new();
+            gps::serve::proto::write_frame(&mut bytes, &frame).expect("encode");
+            stream.write_all(&bytes).expect("frame");
+            drop(stream);
+            expected_conns += 1;
+        }
+
+        // Every churned connection is eventually accounted closed...
+        let stats = await_stats(server.as_ref(), "churned connections", |s| {
+            s.conns_accepted == expected_conns && s.conns_closed == expected_conns
+        });
+        assert_eq!(stats.conns_active, 0, "no zombie connections");
+        assert_eq!(stats.conns_rejected, 0, "nothing was rejected");
+        assert_eq!(
+            stats.conns_timed_out, 0,
+            "no idle timeout configured, none may fire"
+        );
+
+        // ...and the server is not wedged: a fresh client still gets
+        // every answer, promptly.
+        let mut client = Client::connect(addr).expect("fresh connect");
+        for i in 0..50u32 {
+            let ip = Ip::from_octets(10, (i % 3) as u8, 1, 1);
+            let ranked = client
+                .predict(&Query::new(ip).with_open([80]))
+                .expect("post-churn predict");
+            assert_eq!(ranked[0], (Port(443), 0.9));
+        }
+        let batch: Vec<Query> = (0..64u32).map(|i| Query::new(Ip(i << 16 | 9))).collect();
+        assert_eq!(
+            client
+                .predict_batch(&batch)
+                .expect("post-churn batch")
+                .len(),
+            64,
+            "batches across many /16s still answer in full"
+        );
+        let stats = await_stats(server.as_ref(), "fresh client accepted", |s| {
+            s.conns_accepted == expected_conns + 1
+        });
+        // The request counters moved for the post-churn traffic.
+        assert!(
+            stats.requests >= expected_conns / 2 + 50 + 64,
+            "served throughout: {stats:?}"
+        );
+        drop(client);
+        await_stats(server.as_ref(), "fresh client closed", |s| {
+            s.conns_closed == expected_conns + 1 && s.conns_active == 0
+        });
     }
 }

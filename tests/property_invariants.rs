@@ -11,7 +11,7 @@ use gps::serve::{
     TransportConfig, WireFormat,
 };
 use gps::types::rng::Rng;
-use gps::types::testutil::{serve_transports, serve_wires};
+use gps::types::testutil::serve_wires;
 use gps::types::{Ip, Port, ServiceKey, Subnet, Sym};
 use proptest::prelude::*;
 
@@ -292,7 +292,7 @@ proptest! {
     }
 
     /// Every front door answers with the model's own bits: the same
-    /// random request served through every transport × wire format
+    /// random request served over every wire format
     /// yields a **bit-identical** `Ranked` — same ports in the same
     /// order, same probability bit patterns — to the trained artifact's
     /// direct `ServableModel::predict`, for cold and warm queries, single
@@ -327,17 +327,17 @@ proptest! {
             let mut client = door.client.lock().expect("client lock");
             for (query, expected) in queries.iter().zip(&expected) {
                 let served = client.predict(query).expect("predict");
-                prop_assert_eq!(&ranked_bits(&served), expected, "{}: {:?}", door.label, query);
+                prop_assert_eq!(&ranked_bits(&served), expected, "{}: {:?}", door.wire, query);
             }
             // One batch frame carries the same queries.
             let batch = client.predict_batch(&queries).expect("batch");
-            prop_assert_eq!(batch.len(), queries.len(), "{}: batch size", door.label);
+            prop_assert_eq!(batch.len(), queries.len(), "{}: batch size", door.wire);
             for ((served, expected), query) in batch.iter().zip(&expected).zip(&queries) {
                 prop_assert_eq!(
                     &ranked_bits(served),
                     expected,
                     "{}: batch {:?}",
-                    door.label,
+                    door.wire,
                     query
                 );
             }
@@ -462,43 +462,38 @@ fn ranked_bits(ranked: &[(Port, f64)]) -> Vec<(u16, u64)> {
     ranked.iter().map(|&(p, v)| (p.0, v.to_bits())).collect()
 }
 
-/// One client on one transport × wire format of the parity matrix.
+/// One client on one wire format of the parity matrix.
 struct ParityDoor {
-    label: String,
+    wire: &'static str,
     client: std::sync::Mutex<Client>,
 }
 
-/// One TCP server over the trained artifact per transport, and one
-/// long-lived client per wire format on each, shared across property
-/// cases (server + connect setup would otherwise dominate the suite).
-/// Mutexed because proptest runs cases sequentially but the statics
-/// outlive each case.
+/// One TCP server over the trained artifact, and one long-lived client
+/// per wire format on it, shared across property cases (server +
+/// connect setup would otherwise dominate the suite). Mutexed because
+/// proptest runs cases sequentially but the statics outlive each case.
 fn parity_doors() -> &'static [ParityDoor] {
     static DOORS: OnceLock<Vec<ParityDoor>> = OnceLock::new();
     DOORS.get_or_init(|| {
         let mut doors = Vec::new();
-        for transport in serve_transports() {
-            let model = ServableModel::from_snapshot(
-                ModelSnapshot::from_binary_bytes(&served_artifacts().gpsb_bytes)
-                    .expect("gpsb parses"),
-            );
-            let server = Arc::new(PredictionServer::start(model, ServeConfig::default()));
-            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
-            let addr = listener.local_addr().expect("local addr");
-            let config = TransportConfig::named(transport).expect("known transport");
-            std::thread::spawn(move || gps::serve::serve(server, listener, config));
-            for wire in serve_wires() {
-                let format = match wire {
-                    "binary" => WireFormat::Binary,
-                    _ => WireFormat::Json,
-                };
-                doors.push(ParityDoor {
-                    label: format!("{transport}/{wire}"),
-                    client: std::sync::Mutex::new(
-                        Client::connect_with(addr, format).expect("parity client"),
-                    ),
-                });
-            }
+        let model = ServableModel::from_snapshot(
+            ModelSnapshot::from_binary_bytes(&served_artifacts().gpsb_bytes).expect("gpsb parses"),
+        );
+        let server = Arc::new(PredictionServer::start(model, ServeConfig::default()));
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+        let addr = listener.local_addr().expect("local addr");
+        std::thread::spawn(move || gps::serve::serve(server, listener, TransportConfig::default()));
+        for wire in serve_wires() {
+            let format = match wire {
+                "binary" => WireFormat::Binary,
+                _ => WireFormat::Json,
+            };
+            doors.push(ParityDoor {
+                wire,
+                client: std::sync::Mutex::new(
+                    Client::connect_with(addr, format).expect("parity client"),
+                ),
+            });
         }
         doors
     })

@@ -1,7 +1,6 @@
 //! Adversarial-client tests for the serving event loops: slowloris
 //! half-frames, byte-dribbled requests, pipelined bursts, oversized
-//! length prefixes, trailing garbage, and connection caps. Each case
-//! runs on both pollers (`gps_types::testutil::serve_transports`).
+//! length prefixes, trailing garbage, and connection caps.
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -16,7 +15,7 @@ use gps::serve::{
     Client, PredictionServer, Query, Ranked, ServableModel, ServeConfig, TransportConfig,
     WireFormat,
 };
-use gps::types::testutil::{serve_transports, DribbleProxy};
+use gps::types::testutil::DribbleProxy;
 use gps::types::{Ip, Json, Port, Subnet};
 
 /// Hand-rolled GPSQ frames for the raw-socket adversarial cases (the
@@ -207,24 +206,17 @@ fn model() -> ServableModel {
     ServableModel::from_snapshot(snapshot)
 }
 
-fn spawn(transport: &str, config: TransportConfig) -> (Arc<PredictionServer>, SocketAddr) {
-    spawn_model(model(), transport, config)
+fn spawn(config: TransportConfig) -> (Arc<PredictionServer>, SocketAddr) {
+    spawn_model(model(), config)
 }
 
 fn spawn_model(
     model: ServableModel,
-    transport: &str,
     config: TransportConfig,
 ) -> (Arc<PredictionServer>, SocketAddr) {
     let server = Arc::new(PredictionServer::start(model, ServeConfig::default()));
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
     let addr = listener.local_addr().expect("local addr");
-    let config = TransportConfig {
-        poll_fallback: TransportConfig::named(transport)
-            .expect("known transport")
-            .poll_fallback,
-        ..config
-    };
     {
         let server = server.clone();
         std::thread::spawn(move || gps::serve::serve(server, listener, config));
@@ -270,57 +262,45 @@ fn assert_closed_within(mut stream: TcpStream, deadline: Duration, what: &str) {
 /// same server must never notice.
 #[test]
 fn slowloris_half_frame_is_dropped_without_stalling_neighbors() {
-    for transport in serve_transports() {
-        let (server, addr) = spawn(
-            transport,
-            TransportConfig {
-                idle_timeout: Some(Duration::from_millis(300)),
-                ..TransportConfig::default()
-            },
-        );
+    let (server, addr) = spawn(TransportConfig {
+        idle_timeout: Some(Duration::from_millis(300)),
+        ..TransportConfig::default()
+    });
 
-        // The slowloris: a 4-byte prefix claiming 100 bytes, then 3 bytes
-        // of body, then silence.
-        let mut loris = TcpStream::connect(addr).expect("loris connect");
-        loris.write_all(&100u32.to_be_bytes()).expect("prefix");
-        loris.write_all(b"{\"c").expect("partial body");
+    // The slowloris: a 4-byte prefix claiming 100 bytes, then 3 bytes
+    // of body, then silence.
+    let mut loris = TcpStream::connect(addr).expect("loris connect");
+    loris.write_all(&100u32.to_be_bytes()).expect("prefix");
+    loris.write_all(b"{\"c").expect("partial body");
 
-        // The healthy neighbor keeps querying the whole time.
-        let healthy = std::thread::spawn(move || {
-            let mut client = Client::connect(addr).expect("healthy connect");
-            let deadline = Instant::now() + Duration::from_millis(900);
-            let mut served = 0u32;
-            while Instant::now() < deadline {
-                let ranked = client
-                    .predict(&Query::new(Ip::from_octets(10, 0, 0, 1)).with_open([80]))
-                    .expect("healthy queries must not stall");
-                assert_eq!(ranked[0], (Port(443), 0.9));
-                served += 1;
-            }
-            served
-        });
-
-        assert_closed_within(
-            loris,
-            Duration::from_secs(5),
-            &format!("{transport}: slowloris"),
-        );
-        let served = healthy.join().expect("healthy client");
-        assert!(
-            served > 50,
-            "{transport}: neighbor should stream answers freely, served {served}"
-        );
-        // Poll the counters: the timed-out close is visible in stats.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.stats().conns_timed_out == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(20));
+    // The healthy neighbor keeps querying the whole time.
+    let healthy = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("healthy connect");
+        let deadline = Instant::now() + Duration::from_millis(900);
+        let mut served = 0u32;
+        while Instant::now() < deadline {
+            let ranked = client
+                .predict(&Query::new(Ip::from_octets(10, 0, 0, 1)).with_open([80]))
+                .expect("healthy queries must not stall");
+            assert_eq!(ranked[0], (Port(443), 0.9));
+            served += 1;
         }
-        let stats = server.stats();
-        assert!(
-            stats.conns_timed_out >= 1,
-            "{transport}: timeout counted, {stats:?}"
-        );
+        served
+    });
+
+    assert_closed_within(loris, Duration::from_secs(5), "slowloris");
+    let served = healthy.join().expect("healthy client");
+    assert!(
+        served > 50,
+        "neighbor should stream answers freely, served {served}"
+    );
+    // Poll the counters: the timed-out close is visible in stats.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().conns_timed_out == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
     }
+    let stats = server.stats();
+    assert!(stats.conns_timed_out >= 1, "timeout counted, {stats:?}");
 }
 
 /// A burst of pipelined frames delivered in ONE write is answered
@@ -332,29 +312,27 @@ fn slowloris_half_frame_is_dropped_without_stalling_neighbors() {
 #[test]
 fn pipelined_burst_in_one_segment_answers_in_order() {
     const BURST: u64 = 400;
-    for transport in serve_transports() {
-        let (_server, addr) = spawn(transport, TransportConfig::default());
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (_server, addr) = spawn(TransportConfig::default());
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
 
-        let mut burst = Vec::new();
-        for id in 0..BURST {
-            write_frame(&mut burst, &predict_frame(id)).expect("encode");
-        }
-        let mut writer = stream;
-        writer.write_all(&burst).expect("one segment");
-        writer.flush().expect("flush");
+    let mut burst = Vec::new();
+    for id in 0..BURST {
+        write_frame(&mut burst, &predict_frame(id)).expect("encode");
+    }
+    let mut writer = stream;
+    writer.write_all(&burst).expect("one segment");
+    writer.flush().expect("flush");
 
-        for id in 0..BURST {
-            let response = read_frame(&mut reader).expect("read").expect("frame");
-            assert_eq!(
-                response.get("id").and_then(Json::as_u64),
-                Some(id),
-                "{transport}: responses come back in request order"
-            );
-            assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
-        }
+    for id in 0..BURST {
+        let response = read_frame(&mut reader).expect("read").expect("frame");
+        assert_eq!(
+            response.get("id").and_then(Json::as_u64),
+            Some(id),
+            "responses come back in request order"
+        );
+        assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
     }
 }
 
@@ -362,27 +340,21 @@ fn pipelined_burst_in_one_segment_answers_in_order() {
 /// incremental decode) still answers correctly.
 #[test]
 fn single_bytes_per_segment_decode_into_one_request() {
-    for transport in serve_transports() {
-        let (_server, addr) = spawn(transport, TransportConfig::default());
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = stream;
+    let (_server, addr) = spawn(TransportConfig::default());
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
 
-        let mut bytes = Vec::new();
-        write_frame(&mut bytes, &predict_frame(9)).expect("encode");
-        for &b in &bytes {
-            writer.write_all(&[b]).expect("dribble");
-            writer.flush().expect("flush");
-        }
-        let response = read_frame(&mut reader).expect("read").expect("frame");
-        assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(
-            response.get("id").and_then(Json::as_u64),
-            Some(9),
-            "{transport}"
-        );
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &predict_frame(9)).expect("encode");
+    for &b in &bytes {
+        writer.write_all(&[b]).expect("dribble");
+        writer.flush().expect("flush");
     }
+    let response = read_frame(&mut reader).expect("read").expect("frame");
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(response.get("id").and_then(Json::as_u64), Some(9));
 }
 
 /// An oversized length prefix is a framing error: the connection closes
@@ -390,21 +362,15 @@ fn single_bytes_per_segment_decode_into_one_request() {
 /// connections are unaffected.
 #[test]
 fn oversized_prefix_closes_only_the_offender() {
-    for transport in serve_transports() {
-        let (_server, addr) = spawn(transport, TransportConfig::default());
-        let mut offender = TcpStream::connect(addr).expect("connect");
-        offender
-            .write_all(&u32::MAX.to_be_bytes())
-            .expect("bogus prefix");
-        assert_closed_within(
-            offender,
-            Duration::from_secs(5),
-            &format!("{transport}: oversized prefix"),
-        );
-        // The server still serves fresh connections.
-        let mut client = Client::connect(addr).expect("fresh connect");
-        client.ping().expect("server alive after framing abuse");
-    }
+    let (_server, addr) = spawn(TransportConfig::default());
+    let mut offender = TcpStream::connect(addr).expect("connect");
+    offender
+        .write_all(&u32::MAX.to_be_bytes())
+        .expect("bogus prefix");
+    assert_closed_within(offender, Duration::from_secs(5), "oversized prefix");
+    // The server still serves fresh connections.
+    let mut client = Client::connect(addr).expect("fresh connect");
+    client.ping().expect("server alive after framing abuse");
 }
 
 /// A valid frame followed by garbage bytes: the valid request is
@@ -412,87 +378,69 @@ fn oversized_prefix_closes_only_the_offender() {
 /// closes, without collateral damage.
 #[test]
 fn trailing_garbage_after_valid_frame() {
-    for transport in serve_transports() {
-        let (_server, addr) = spawn(transport, TransportConfig::default());
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = stream.try_clone().expect("clone");
+    let (_server, addr) = spawn(TransportConfig::default());
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream.try_clone().expect("clone");
 
-        let mut bytes = Vec::new();
-        write_frame(&mut bytes, &predict_frame(1)).expect("encode");
-        // 0xFF... reads as a ~4GB length prefix — framing death.
-        bytes.extend_from_slice(&[0xFF; 8]);
-        writer.write_all(&bytes).expect("frame + garbage");
-        writer.flush().expect("flush");
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &predict_frame(1)).expect("encode");
+    // 0xFF... reads as a ~4GB length prefix — framing death.
+    bytes.extend_from_slice(&[0xFF; 8]);
+    writer.write_all(&bytes).expect("frame + garbage");
+    writer.flush().expect("flush");
 
-        let response = read_frame(&mut reader).expect("read").expect("frame");
-        assert_eq!(
-            response.get("id").and_then(Json::as_u64),
-            Some(1),
-            "{transport}: the valid frame is answered before the garbage kills framing"
-        );
-        assert_closed_within(
-            stream,
-            Duration::from_secs(5),
-            &format!("{transport}: trailing garbage"),
-        );
-        let mut client = Client::connect(addr).expect("fresh connect");
-        client.ping().expect("server alive");
-    }
+    let response = read_frame(&mut reader).expect("read").expect("frame");
+    assert_eq!(
+        response.get("id").and_then(Json::as_u64),
+        Some(1),
+        "the valid frame is answered before the garbage kills framing"
+    );
+    assert_closed_within(stream, Duration::from_secs(5), "trailing garbage");
+    let mut client = Client::connect(addr).expect("fresh connect");
+    client.ping().expect("server alive");
 }
 
 /// `--max-conns`: connections beyond the cap are dropped at accept and
 /// counted; closing one admits the next.
 #[test]
 fn max_conns_rejects_and_recovers() {
-    for transport in serve_transports() {
-        let (server, addr) = spawn(
-            transport,
-            TransportConfig {
-                max_conns: 2,
-                ..TransportConfig::default()
-            },
-        );
-        let mut a = Client::connect(addr).expect("conn a");
-        a.ping().expect("a serves");
-        let mut b = Client::connect(addr).expect("conn b");
-        b.ping().expect("b serves");
+    let (server, addr) = spawn(TransportConfig {
+        max_conns: 2,
+        ..TransportConfig::default()
+    });
+    let mut a = Client::connect(addr).expect("conn a");
+    a.ping().expect("a serves");
+    let mut b = Client::connect(addr).expect("conn b");
+    b.ping().expect("b serves");
 
-        // Third connection: TCP connect succeeds (the kernel accepts),
-        // but the server drops it before serving — the first read sees
-        // EOF.
-        let c = TcpStream::connect(addr).expect("tcp connect");
-        assert_closed_within(
-            c,
-            Duration::from_secs(5),
-            &format!("{transport}: over-cap connection"),
-        );
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.stats().conns_rejected == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(
-            server.stats().conns_rejected >= 1,
-            "{transport}: rejection counted"
-        );
-
-        // Freeing a slot admits new connections again.
-        drop(a);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut admitted = false;
-        while !admitted && Instant::now() < deadline {
-            if let Ok(mut d) = Client::connect(addr) {
-                if d.ping().is_ok() {
-                    admitted = true;
-                }
-            }
-            if !admitted {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-        assert!(admitted, "{transport}: slot freed after close");
-        b.ping().expect("b unaffected throughout");
+    // Third connection: TCP connect succeeds (the kernel accepts),
+    // but the server drops it before serving — the first read sees
+    // EOF.
+    let c = TcpStream::connect(addr).expect("tcp connect");
+    assert_closed_within(c, Duration::from_secs(5), "over-cap connection");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().conns_rejected == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
     }
+    assert!(server.stats().conns_rejected >= 1, "rejection counted");
+
+    // Freeing a slot admits new connections again.
+    drop(a);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut admitted = false;
+    while !admitted && Instant::now() < deadline {
+        if let Ok(mut d) = Client::connect(addr) {
+            if d.ping().is_ok() {
+                admitted = true;
+            }
+        }
+        if !admitted {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+    assert!(admitted, "slot freed after close");
+    b.ping().expect("b unaffected throughout");
 }
 
 /// A JSON frame arriving mid-binary-session is a framing error: the
@@ -501,42 +449,36 @@ fn max_conns_rejects_and_recovers() {
 /// frames before it were answered, and without touching any neighbor.
 #[test]
 fn json_frame_mid_binary_session_closes_only_the_offender() {
-    for transport in serve_transports() {
-        let (_server, addr) = spawn(transport, TransportConfig::default());
+    let (_server, addr) = spawn(TransportConfig::default());
 
-        // A healthy JSON neighbor sharing the server the whole time.
-        let mut neighbor = Client::connect(addr).expect("neighbor connect");
-        neighbor.ping().expect("neighbor serves");
+    // A healthy JSON neighbor sharing the server the whole time.
+    let mut neighbor = Client::connect(addr).expect("neighbor connect");
+    neighbor.ping().expect("neighbor serves");
 
-        let stream = TcpStream::connect(addr).expect("offender connect");
-        stream.set_nodelay(true).expect("nodelay");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = stream.try_clone().expect("clone");
+    let stream = TcpStream::connect(addr).expect("offender connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream.try_clone().expect("clone");
 
-        // Two valid binary pings negotiate the session and are answered.
-        writer.write_all(&gpsq::ping_frame(1)).expect("ping 1");
-        writer.write_all(&gpsq::ping_frame(2)).expect("ping 2");
-        writer.flush().expect("flush");
-        assert_eq!(gpsq::pong_id(&gpsq::read_payload(&mut reader)), 1);
-        assert_eq!(gpsq::pong_id(&gpsq::read_payload(&mut reader)), 2);
+    // Two valid binary pings negotiate the session and are answered.
+    writer.write_all(&gpsq::ping_frame(1)).expect("ping 1");
+    writer.write_all(&gpsq::ping_frame(2)).expect("ping 2");
+    writer.flush().expect("flush");
+    assert_eq!(gpsq::pong_id(&gpsq::read_payload(&mut reader)), 1);
+    assert_eq!(gpsq::pong_id(&gpsq::read_payload(&mut reader)), 2);
 
-        // Now a well-formed *JSON* frame on the binary session.
-        let mut intruder = Vec::new();
-        write_frame(&mut intruder, &predict_frame(3)).expect("encode");
-        writer.write_all(&intruder).expect("intruder");
-        writer.flush().expect("flush");
-        assert_closed_within(
-            stream,
-            Duration::from_secs(5),
-            &format!("{transport}: JSON mid-binary-session"),
-        );
+    // Now a well-formed *JSON* frame on the binary session.
+    let mut intruder = Vec::new();
+    write_frame(&mut intruder, &predict_frame(3)).expect("encode");
+    writer.write_all(&intruder).expect("intruder");
+    writer.flush().expect("flush");
+    assert_closed_within(stream, Duration::from_secs(5), "JSON mid-binary-session");
 
-        // No collateral damage: the neighbor and fresh binary sessions
-        // keep working.
-        neighbor.ping().expect("neighbor unaffected");
-        let mut fresh = Client::connect_with(addr, WireFormat::Binary).expect("fresh binary");
-        fresh.ping().expect("server alive after format abuse");
-    }
+    // No collateral damage: the neighbor and fresh binary sessions
+    // keep working.
+    neighbor.ping().expect("neighbor unaffected");
+    let mut fresh = Client::connect_with(addr, WireFormat::Binary).expect("fresh binary");
+    fresh.ping().expect("server alive after format abuse");
 }
 
 /// The mirror case: a GPSQ frame arriving mid-JSON-session also closes
@@ -544,29 +486,23 @@ fn json_frame_mid_binary_session_closes_only_the_offender() {
 /// direction).
 #[test]
 fn binary_frame_mid_json_session_closes_only_the_offender() {
-    for transport in serve_transports() {
-        let (_server, addr) = spawn(transport, TransportConfig::default());
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = stream.try_clone().expect("clone");
+    let (_server, addr) = spawn(TransportConfig::default());
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream.try_clone().expect("clone");
 
-        let mut bytes = Vec::new();
-        write_frame(&mut bytes, &predict_frame(1)).expect("encode");
-        writer.write_all(&bytes).expect("json frame");
-        writer.flush().expect("flush");
-        let response = read_frame(&mut reader).expect("read").expect("frame");
-        assert_eq!(response.get("id").and_then(Json::as_u64), Some(1));
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &predict_frame(1)).expect("encode");
+    writer.write_all(&bytes).expect("json frame");
+    writer.flush().expect("flush");
+    let response = read_frame(&mut reader).expect("read").expect("frame");
+    assert_eq!(response.get("id").and_then(Json::as_u64), Some(1));
 
-        writer.write_all(&gpsq::ping_frame(2)).expect("gpsq frame");
-        writer.flush().expect("flush");
-        assert_closed_within(
-            stream,
-            Duration::from_secs(5),
-            &format!("{transport}: GPSQ mid-JSON-session"),
-        );
-        let mut client = Client::connect(addr).expect("fresh connect");
-        client.ping().expect("server alive");
-    }
+    writer.write_all(&gpsq::ping_frame(2)).expect("gpsq frame");
+    writer.flush().expect("flush");
+    assert_closed_within(stream, Duration::from_secs(5), "GPSQ mid-JSON-session");
+    let mut client = Client::connect(addr).expect("fresh connect");
+    client.ping().expect("server alive");
 }
 
 /// A burst of pipelined *binary* frames delivered in one write is
@@ -576,26 +512,24 @@ fn binary_frame_mid_json_session_closes_only_the_offender() {
 #[test]
 fn pipelined_binary_burst_answers_in_order() {
     const BURST: u64 = 300;
-    for transport in serve_transports() {
-        let (_server, addr) = spawn(transport, TransportConfig::default());
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = stream;
+    let (_server, addr) = spawn(TransportConfig::default());
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
 
-        let mut burst = Vec::new();
-        for id in 0..BURST {
-            burst.extend_from_slice(&gpsq::ping_frame(id));
-        }
-        writer.write_all(&burst).expect("one segment");
-        writer.flush().expect("flush");
-        for id in 0..BURST {
-            assert_eq!(
-                gpsq::pong_id(&gpsq::read_payload(&mut reader)),
-                id,
-                "{transport}: binary responses come back in request order"
-            );
-        }
+    let mut burst = Vec::new();
+    for id in 0..BURST {
+        burst.extend_from_slice(&gpsq::ping_frame(id));
+    }
+    writer.write_all(&burst).expect("one segment");
+    writer.flush().expect("flush");
+    for id in 0..BURST {
+        assert_eq!(
+            gpsq::pong_id(&gpsq::read_payload(&mut reader)),
+            id,
+            "binary responses come back in request order"
+        );
     }
 }
 
@@ -665,55 +599,49 @@ fn non_reading_pipelined_client_cannot_grow_the_write_buffer() {
     // from below.
     let most_answerable = (kernel_socket_slack() + HIGH_WATER) / MIN_REPLY_BYTES + 1;
 
-    for transport in ["events", "events-poll"] {
-        let (server, addr) = spawn_model(
-            wide_priors_model(PORTS),
-            transport,
-            TransportConfig::default(),
-        );
-        let mut query = Query::new(Ip::from_octets(10, 0, 0, 1));
-        query.top = PORTS as usize;
-        let expected = server.model().predict(&query);
-        assert_eq!(expected.len(), PORTS as usize, "one reply ranks every port");
+    let (server, addr) = spawn_model(wide_priors_model(PORTS), TransportConfig::default());
+    let mut query = Query::new(Ip::from_octets(10, 0, 0, 1));
+    query.top = PORTS as usize;
+    let expected = server.model().predict(&query);
+    assert_eq!(expected.len(), PORTS as usize, "one reply ranks every port");
 
-        let mut client = Client::connect_with(addr, WireFormat::Binary).expect("connect");
-        let ids: Vec<u64> = (0..REQUESTS)
-            .map(|_| client.predict_send(None, &query).expect("pipelined send"))
-            .collect();
+    let mut client = Client::connect_with(addr, WireFormat::Binary).expect("connect");
+    let ids: Vec<u64> = (0..REQUESTS)
+        .map(|_| client.predict_send(None, &query).expect("pipelined send"))
+        .collect();
 
-        // Not reading. Wait for the server to go quiet.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let mut answered = 0;
-        let mut quiet_since = Instant::now();
-        while answered == 0 || quiet_since.elapsed() < Duration::from_millis(300) {
-            assert!(Instant::now() < deadline, "{transport}: never went quiet");
-            std::thread::sleep(Duration::from_millis(20));
-            let now = server.stats().requests;
-            if now != answered {
-                answered = now;
-                quiet_since = Instant::now();
-            }
+    // Not reading. Wait for the server to go quiet.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut answered = 0;
+    let mut quiet_since = Instant::now();
+    while answered == 0 || quiet_since.elapsed() < Duration::from_millis(300) {
+        assert!(Instant::now() < deadline, "never went quiet");
+        std::thread::sleep(Duration::from_millis(20));
+        let now = server.stats().requests;
+        if now != answered {
+            answered = now;
+            quiet_since = Instant::now();
         }
-        assert!(
-            answered <= most_answerable,
-            "{transport}: {answered} replies queued for a peer that reads nothing \
-             (kernel buffers + high-water + one reply hold at most {most_answerable})"
-        );
-
-        // Now read: every reply arrives, in request order, bit for bit.
-        for id in ids {
-            let ranked = client.predict_recv(id).expect("reply in order");
-            assert!(
-                ranked.len() == expected.len()
-                    && ranked
-                        .iter()
-                        .zip(&expected)
-                        .all(|(got, want)| got.0 == want.0 && got.1.to_bits() == want.1.to_bits()),
-                "{transport}: reply {id} differs from the model's answer"
-            );
-        }
-        assert_eq!(server.stats().requests, REQUESTS, "{transport}");
     }
+    assert!(
+        answered <= most_answerable,
+        "{answered} replies queued for a peer that reads nothing \
+         (kernel buffers + high-water + one reply hold at most {most_answerable})"
+    );
+
+    // Now read: every reply arrives, in request order, bit for bit.
+    for id in ids {
+        let ranked = client.predict_recv(id).expect("reply in order");
+        assert!(
+            ranked.len() == expected.len()
+                && ranked
+                    .iter()
+                    .zip(&expected)
+                    .all(|(got, want)| got.0 == want.0 && got.1.to_bits() == want.1.to_bits()),
+            "reply {id} differs from the model's answer"
+        );
+    }
+    assert_eq!(server.stats().requests, REQUESTS);
 }
 
 /// One client write carrying a whole pipelined burst whose replies cross
@@ -726,67 +654,61 @@ fn non_reading_pipelined_client_cannot_grow_the_write_buffer() {
 fn one_write_burst_crossing_high_water_answers_in_order() {
     const BURST: usize = 48;
     const PORTS: u16 = 4000;
-    for transport in serve_transports() {
-        let (server, addr) = spawn_model(
-            wide_priors_model(PORTS),
-            transport,
-            TransportConfig::default(),
+    let (server, addr) = spawn_model(wide_priors_model(PORTS), TransportConfig::default());
+    // Distinct `top` per request: replies differ in length and
+    // content (>= 9 bytes per ranked port, ~36 KiB each against a
+    // 256 KiB mark), so a swapped pair cannot pass.
+    let queries: Vec<Query> = (0..BURST)
+        .map(|i| {
+            let mut query = Query::new(Ip::from_octets(10, 0, 0, 1));
+            query.top = PORTS as usize - i;
+            query
+        })
+        .collect();
+    let mut client = Client::connect_with(addr, WireFormat::Binary).expect("connect");
+    // Sends only buffer (about 1 KiB in all, under the client's
+    // 8 KiB writer): the first recv flushes the burst as one write.
+    let ids: Vec<u64> = queries
+        .iter()
+        .map(|query| client.predict_send(None, query).expect("buffered send"))
+        .collect();
+    let check = |i: usize, ranked: Ranked| {
+        let expected = server.model().predict(&queries[i]);
+        assert!(
+            ranked.len() == expected.len()
+                && ranked
+                    .iter()
+                    .zip(&expected)
+                    .all(|(got, want)| got.0 == want.0 && got.1.to_bits() == want.1.to_bits()),
+            "reply {i} differs from the model's answer"
         );
-        // Distinct `top` per request: replies differ in length and
-        // content (>= 9 bytes per ranked port, ~36 KiB each against a
-        // 256 KiB mark), so a swapped pair cannot pass.
-        let queries: Vec<Query> = (0..BURST)
-            .map(|i| {
-                let mut query = Query::new(Ip::from_octets(10, 0, 0, 1));
-                query.top = PORTS as usize - i;
-                query
-            })
-            .collect();
-        let mut client = Client::connect_with(addr, WireFormat::Binary).expect("connect");
-        // Sends only buffer (about 1 KiB in all, under the client's
-        // 8 KiB writer): the first recv flushes the burst as one write.
-        let ids: Vec<u64> = queries
-            .iter()
-            .map(|query| client.predict_send(None, query).expect("buffered send"))
-            .collect();
-        let check = |i: usize, ranked: Ranked| {
-            let expected = server.model().predict(&queries[i]);
-            assert!(
-                ranked.len() == expected.len()
-                    && ranked
-                        .iter()
-                        .zip(&expected)
-                        .all(|(got, want)| got.0 == want.0 && got.1.to_bits() == want.1.to_bits()),
-                "{transport}: reply {i} differs from the model's answer"
-            );
-        };
-        check(0, client.predict_recv(ids[0]).expect("first reply"));
+    };
+    check(0, client.predict_recv(ids[0]).expect("first reply"));
 
-        // Read the rest only after the server has answered all it can
-        // with nobody reading.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let mut answered = 0;
-        let mut quiet_since = Instant::now();
-        while answered < BURST as u64 && quiet_since.elapsed() < Duration::from_millis(300) {
-            assert!(Instant::now() < deadline, "{transport}: never went quiet");
-            std::thread::sleep(Duration::from_millis(10));
-            let now = server.stats().requests;
-            if now != answered {
-                answered = now;
-                quiet_since = Instant::now();
-            }
+    // Read the rest only after the server has answered all it can
+    // with nobody reading.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut answered = 0;
+    let mut quiet_since = Instant::now();
+    while answered < BURST as u64 && quiet_since.elapsed() < Duration::from_millis(300) {
+        assert!(Instant::now() < deadline, "never went quiet");
+        std::thread::sleep(Duration::from_millis(10));
+        let now = server.stats().requests;
+        if now != answered {
+            answered = now;
+            quiet_since = Instant::now();
         }
-        for (i, &id) in ids.iter().enumerate().skip(1) {
-            check(i, client.predict_recv(id).expect("reply in order"));
-        }
-        check(
-            0,
-            client
-                .predict(&queries[0])
-                .expect("connection still usable"),
-        );
-        assert_eq!(server.stats().requests, BURST as u64 + 1, "{transport}");
     }
+    for (i, &id) in ids.iter().enumerate().skip(1) {
+        check(i, client.predict_recv(id).expect("reply in order"));
+    }
+    check(
+        0,
+        client
+            .predict(&queries[0])
+            .expect("connection still usable"),
+    );
+    assert_eq!(server.stats().requests, BURST as u64 + 1);
 }
 
 /// Valid binary frame, then garbage whose first bytes read as a ~4GB
@@ -794,29 +716,23 @@ fn one_write_burst_crossing_high_water_answers_in_order() {
 /// closes (framing death), like the JSON trailing-garbage case.
 #[test]
 fn trailing_garbage_after_valid_binary_frame() {
-    for transport in serve_transports() {
-        let (_server, addr) = spawn(transport, TransportConfig::default());
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = stream.try_clone().expect("clone");
+    let (_server, addr) = spawn(TransportConfig::default());
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream.try_clone().expect("clone");
 
-        let mut bytes = gpsq::ping_frame(7);
-        bytes.extend_from_slice(&[0xFF; 8]);
-        writer.write_all(&bytes).expect("frame + garbage");
-        writer.flush().expect("flush");
-        assert_eq!(
-            gpsq::pong_id(&gpsq::read_payload(&mut reader)),
-            7,
-            "{transport}: the valid binary frame is answered first"
-        );
-        assert_closed_within(
-            stream,
-            Duration::from_secs(5),
-            &format!("{transport}: binary trailing garbage"),
-        );
-        let mut client = Client::connect_with(addr, WireFormat::Binary).expect("fresh connect");
-        client.ping().expect("server alive");
-    }
+    let mut bytes = gpsq::ping_frame(7);
+    bytes.extend_from_slice(&[0xFF; 8]);
+    writer.write_all(&bytes).expect("frame + garbage");
+    writer.flush().expect("flush");
+    assert_eq!(
+        gpsq::pong_id(&gpsq::read_payload(&mut reader)),
+        7,
+        "the valid binary frame is answered first"
+    );
+    assert_closed_within(stream, Duration::from_secs(5), "binary trailing garbage");
+    let mut client = Client::connect_with(addr, WireFormat::Binary).expect("fresh connect");
+    client.ping().expect("server alive");
 }
 
 /// The binary client through the byte-dribbling proxy: GPSQ requests and
@@ -824,26 +740,24 @@ fn trailing_garbage_after_valid_binary_frame() {
 /// directions of the incremental decoder, binary session).
 #[test]
 fn binary_client_survives_dribbled_bytes() {
-    for transport in serve_transports() {
-        let (_server, addr) = spawn(transport, TransportConfig::default());
-        let proxy = DribbleProxy::start(addr).expect("proxy");
-        let mut client =
-            Client::connect_with(proxy.addr(), WireFormat::Binary).expect("connect via proxy");
-        client.ping().expect("ping through dribble");
-        let ranked = client
-            .predict(&Query::new(Ip::from_octets(10, 0, 0, 9)).with_open([80]))
-            .expect("predict through dribble");
-        assert_eq!(ranked[0], (Port(443), 0.9));
-        let batch = vec![
-            Query::new(Ip::from_octets(10, 0, 1, 1)),
-            Query::new(Ip::from_octets(10, 0, 2, 2)).with_open([80]),
-        ];
-        let answers = client.predict_batch(&batch).expect("batch through dribble");
-        assert_eq!(answers.len(), 2);
-        assert_eq!(answers[1][0], (Port(443), 0.9), "{transport}");
-        // Admin envelope through the dribble too.
-        client.stats().expect("stats through dribble");
-    }
+    let (_server, addr) = spawn(TransportConfig::default());
+    let proxy = DribbleProxy::start(addr).expect("proxy");
+    let mut client =
+        Client::connect_with(proxy.addr(), WireFormat::Binary).expect("connect via proxy");
+    client.ping().expect("ping through dribble");
+    let ranked = client
+        .predict(&Query::new(Ip::from_octets(10, 0, 0, 9)).with_open([80]))
+        .expect("predict through dribble");
+    assert_eq!(ranked[0], (Port(443), 0.9));
+    let batch = vec![
+        Query::new(Ip::from_octets(10, 0, 1, 1)),
+        Query::new(Ip::from_octets(10, 0, 2, 2)).with_open([80]),
+    ];
+    let answers = client.predict_batch(&batch).expect("batch through dribble");
+    assert_eq!(answers.len(), 2);
+    assert_eq!(answers[1][0], (Port(443), 0.9));
+    // Admin envelope through the dribble too.
+    client.stats().expect("stats through dribble");
 }
 
 /// Regression for the `Client` read path: every response byte arriving
@@ -852,23 +766,21 @@ fn binary_client_survives_dribbled_bytes() {
 /// byte-dribbling proxy.
 #[test]
 fn client_reassembles_dribbled_responses() {
-    for transport in serve_transports() {
-        let (_server, addr) = spawn(transport, TransportConfig::default());
-        let proxy = DribbleProxy::start(addr).expect("proxy");
-        let mut client = Client::connect(proxy.addr()).expect("connect via proxy");
-        client.ping().expect("ping through dribble");
-        let ranked = client
-            .predict(&Query::new(Ip::from_octets(10, 0, 0, 9)).with_open([80]))
-            .expect("predict through dribble");
-        assert_eq!(ranked[0], (Port(443), 0.9));
-        let batch = vec![
-            Query::new(Ip::from_octets(10, 0, 1, 1)),
-            Query::new(Ip::from_octets(10, 0, 2, 2)).with_open([80]),
-        ];
-        let answers = client.predict_batch(&batch).expect("batch through dribble");
-        assert_eq!(answers.len(), 2);
-        assert_eq!(answers[1][0], (Port(443), 0.9), "{transport}");
-    }
+    let (_server, addr) = spawn(TransportConfig::default());
+    let proxy = DribbleProxy::start(addr).expect("proxy");
+    let mut client = Client::connect(proxy.addr()).expect("connect via proxy");
+    client.ping().expect("ping through dribble");
+    let ranked = client
+        .predict(&Query::new(Ip::from_octets(10, 0, 0, 9)).with_open([80]))
+        .expect("predict through dribble");
+    assert_eq!(ranked[0], (Port(443), 0.9));
+    let batch = vec![
+        Query::new(Ip::from_octets(10, 0, 1, 1)),
+        Query::new(Ip::from_octets(10, 0, 2, 2)).with_open([80]),
+    ];
+    let answers = client.predict_batch(&batch).expect("batch through dribble");
+    assert_eq!(answers.len(), 2);
+    assert_eq!(answers[1][0], (Port(443), 0.9));
 }
 
 /// Raw protocol sanity under the dribble proxy from the server's
@@ -877,21 +789,15 @@ fn client_reassembles_dribbled_responses() {
 /// the incremental server-side decoder).
 #[test]
 fn server_reassembles_dribbled_requests() {
-    for transport in serve_transports() {
-        let (_server, addr) = spawn(transport, TransportConfig::default());
-        let proxy = DribbleProxy::start(addr).expect("proxy");
-        let stream = TcpStream::connect(proxy.addr()).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = BufWriter::new(stream);
-        write_frame(&mut writer, &predict_frame(4)).expect("write");
-        let response = read_frame(&mut reader).expect("read").expect("frame");
-        assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(
-            response.get("id").and_then(Json::as_u64),
-            Some(4),
-            "{transport}"
-        );
-    }
+    let (_server, addr) = spawn(TransportConfig::default());
+    let proxy = DribbleProxy::start(addr).expect("proxy");
+    let stream = TcpStream::connect(proxy.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = BufWriter::new(stream);
+    write_frame(&mut writer, &predict_frame(4)).expect("write");
+    let response = read_frame(&mut reader).expect("read").expect("frame");
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(response.get("id").and_then(Json::as_u64), Some(4));
 }
 
 /// Adversarial *backends* behind the routing tier: a backend that stalls
@@ -989,7 +895,7 @@ mod router_adversarial {
     /// (fast again).
     #[test]
     fn stalling_backend_hits_deadline_and_alternate_answers() {
-        let (_real_server, real_addr) = spawn("events", TransportConfig::default());
+        let (_real_server, real_addr) = spawn(TransportConfig::default());
         let (stall_addr, stall_conns) = spawn_staller();
         let handle = Router::start(
             "127.0.0.1:0",
@@ -1046,7 +952,7 @@ mod router_adversarial {
     /// healthy backend's 32 are answered meanwhile. Nothing is shed.
     #[test]
     fn stalled_backend_inside_a_pipelined_burst_costs_one_deadline() {
-        let (_real_server, real_addr) = spawn("events", TransportConfig::default());
+        let (_real_server, real_addr) = spawn(TransportConfig::default());
         let (stall_addr, stall_conns) = spawn_staller();
         let timeout = Duration::from_millis(300);
         let handle = Router::start(
@@ -1095,7 +1001,7 @@ mod router_adversarial {
     /// backend link never propagates to clients.
     #[test]
     fn garbage_frame_backend_is_marked_down_without_poisoning_the_front() {
-        let (_real_server, real_addr) = spawn("events", TransportConfig::default());
+        let (_real_server, real_addr) = spawn(TransportConfig::default());
         let garbage_addr = spawn_garbage();
         let handle = Router::start(
             "127.0.0.1:0",
@@ -1214,7 +1120,7 @@ mod router_hop {
     /// sideline and the shipping defaults otherwise.
     fn tier(model: impl Fn() -> ServableModel) -> (Vec<Backend>, RouterHandle) {
         let backends: Vec<Backend> = (0..2)
-            .map(|_| spawn_model(model(), "events", TransportConfig::default()))
+            .map(|_| spawn_model(model(), TransportConfig::default()))
             .collect();
         let router = Router::start(
             "127.0.0.1:0",
@@ -1714,7 +1620,7 @@ mod router_hop {
 }
 
 /// Graceful drain on `gps serve` itself: the wire `shutdown` command
-/// flips the server into drain on every transport — the ack goes out,
+/// flips the server into drain — the ack goes out,
 /// in-flight work finishes, connections close once they owe nothing, and
 /// new connections are refused.
 mod serve_drain {
@@ -1722,47 +1628,45 @@ mod serve_drain {
 
     #[test]
     fn shutdown_command_drains_every_transport() {
-        for transport in serve_transports() {
-            let (server, addr) = spawn(transport, TransportConfig::default());
+        let (server, addr) = spawn(TransportConfig::default());
 
-            // A working connection that has answered traffic already.
-            let mut busy = Client::connect(addr).expect("busy client");
-            let ranked = busy
-                .predict(&Query::new(Ip::from_octets(10, 0, 1, 1)).with_open([80]))
-                .expect("pre-drain predict");
-            assert_eq!(ranked[0], (Port(443), 0.9), "{transport}");
+        // A working connection that has answered traffic already.
+        let mut busy = Client::connect(addr).expect("busy client");
+        let ranked = busy
+            .predict(&Query::new(Ip::from_octets(10, 0, 1, 1)).with_open([80]))
+            .expect("pre-drain predict");
+        assert_eq!(ranked[0], (Port(443), 0.9));
 
-            // Another client sends the shutdown; the ack must come back
-            // before anything closes.
-            let mut admin = Client::connect(addr).expect("admin client");
-            admin.shutdown().expect("shutdown acked");
-            assert!(server.is_draining(), "{transport}: draining flag set");
-            assert!(server.stats().draining, "{transport}: stats report it");
+        // Another client sends the shutdown; the ack must come back
+        // before anything closes.
+        let mut admin = Client::connect(addr).expect("admin client");
+        admin.shutdown().expect("shutdown acked");
+        assert!(server.is_draining(), "draining flag set");
+        assert!(server.stats().draining, "stats report it");
 
-            // The answered-and-idle connection closes: its event loop
-            // sweeps it shut on its next wake, so at most one request
-            // that raced the sweep is still served. Any reply that does
-            // arrive must still be correct, and within two attempts the
-            // close must have landed.
-            let mut closed = false;
-            for i in 0..2u8 {
-                match busy.predict(&Query::new(Ip::from_octets(10, 0, 2 + i, 2)).with_open([80])) {
-                    Ok(ranked) => assert_eq!(ranked[0], (Port(443), 0.9), "{transport}"),
-                    Err(_) => {
-                        closed = true;
-                        break;
-                    }
+        // The answered-and-idle connection closes: its event loop
+        // sweeps it shut on its next wake, so at most one request
+        // that raced the sweep is still served. Any reply that does
+        // arrive must still be correct, and within two attempts the
+        // close must have landed.
+        let mut closed = false;
+        for i in 0..2u8 {
+            match busy.predict(&Query::new(Ip::from_octets(10, 0, 2 + i, 2)).with_open([80])) {
+                Ok(ranked) => assert_eq!(ranked[0], (Port(443), 0.9)),
+                Err(_) => {
+                    closed = true;
+                    break;
                 }
             }
-            assert!(closed, "{transport}: drained connection must close");
-
-            // New connections are refused while draining: the TCP accept
-            // may succeed but the server hangs up without answering.
-            let mut late = Client::connect(addr).expect("TCP-level connect");
-            assert!(
-                late.ping().is_err(),
-                "{transport}: draining server must not take new work"
-            );
         }
+        assert!(closed, "drained connection must close");
+
+        // New connections are refused while draining: the TCP accept
+        // may succeed but the server hangs up without answering.
+        let mut late = Client::connect(addr).expect("TCP-level connect");
+        assert!(
+            late.ping().is_err(),
+            "draining server must not take new work"
+        );
     }
 }

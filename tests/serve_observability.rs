@@ -1,7 +1,7 @@
 //! End-to-end tests for the observability plane: the HTTP/1.1 gateway
 //! (admin endpoints, Prometheus exposition, predict parity with the
-//! JSON wire), counter invariants across the transport x wire matrix,
-//! `reset-stats` semantics, and the structured query log.
+//! JSON wire), counter invariants across the wire matrix, and
+//! `reset-stats` semantics.
 //!
 //! The HTTP side is driven with raw `TcpStream`s on purpose — the
 //! server's parser must face real sockets, torn writes, and pipelined
@@ -16,12 +16,10 @@ use std::time::{Duration, Instant};
 use gps::core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
 use gps::core::{CompiledRules, FeatureRules, Interactions, NetFeature, PriorsEntry};
 use gps::serve::{
-    Client, PredictionServer, Query, QueryLog, ServableModel, ServeConfig, TransportConfig,
-    WireFormat,
+    Client, PredictionServer, Query, ServableModel, ServeConfig, TransportConfig, WireFormat,
 };
-use gps::types::obs::QueryLogRecord;
-use gps::types::testutil::{serve_transports, serve_wires, TestDir};
-use gps::types::{Ip, Json, JsonCodec, Port, Subnet};
+use gps::types::testutil::serve_wires;
+use gps::types::{Ip, Json, Port, Subnet};
 
 /// A tiny hand-built model (no training): 80 predicts 443, one prior.
 fn snapshot() -> gps::core::ModelSnapshot {
@@ -57,22 +55,13 @@ fn model() -> ServableModel {
 }
 
 /// Spawn a server with both a frame listener and an HTTP gateway
-/// listener, on the given transport.
-fn spawn_http(
-    transport: &str,
-    config: TransportConfig,
-) -> (Arc<PredictionServer>, SocketAddr, SocketAddr) {
+/// listener.
+fn spawn_http(config: TransportConfig) -> (Arc<PredictionServer>, SocketAddr, SocketAddr) {
     let server = Arc::new(PredictionServer::start(model(), ServeConfig::default()));
     let listener = TcpListener::bind("127.0.0.1:0").expect("frame port");
     let http = TcpListener::bind("127.0.0.1:0").expect("http port");
     let addr = listener.local_addr().expect("frame addr");
     let http_addr = http.local_addr().expect("http addr");
-    let config = TransportConfig {
-        poll_fallback: TransportConfig::named(transport)
-            .expect("known transport")
-            .poll_fallback,
-        ..config
-    };
     {
         let server = server.clone();
         std::thread::spawn(move || {
@@ -176,244 +165,244 @@ fn assert_closed_within(mut stream: TcpStream, deadline: Duration, what: &str) {
 }
 
 /// The admin surface: /healthz, /stats, /models, /metrics, plus 404 and
-/// 405 mapping — on both pollers.
+/// 405 mapping.
 #[test]
 fn http_gateway_serves_admin_endpoints_on_every_transport() {
-    for transport in serve_transports() {
-        let (server, addr, http_addr) = spawn_http(transport, TransportConfig::default());
+    let (server, addr, http_addr) = spawn_http(TransportConfig::default());
 
-        // Some wire traffic so /metrics has request counters to export.
-        let mut client = Client::connect(addr).expect("wire connect");
-        for i in 0..4 {
-            client
-                .predict(&Query::new(Ip::from_octets(10, 1, 2, i)).with_open([80]))
-                .expect("wire predict");
-        }
-
-        let mut http = TcpStream::connect(http_addr).expect("http connect");
-
-        let (status, _, body) = get(&mut http, "/healthz");
-        assert_eq!(
-            (status, body.as_str()),
-            (200, "ok\n"),
-            "{transport}: healthz"
-        );
-
-        let (status, _, body) = get(&mut http, "/stats");
-        assert_eq!(status, 200, "{transport}: /stats status");
-        let reply = Json::parse(&body).expect("stats json");
-        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-        let stats = reply.get("stats").expect("stats payload");
-        assert_eq!(
-            stats.get("requests").and_then(Json::as_u64),
-            Some(4),
-            "{transport}: /stats sees the wire traffic"
-        );
-        assert!(stats.get("uptime_secs").is_some(), "{transport}: uptime");
-        assert!(stats.get("version").is_some(), "{transport}: version");
-
-        let (status, _, body) = get(&mut http, "/models");
-        assert_eq!(status, 200, "{transport}: /models status");
-        let models = Json::parse(&body).expect("models json");
-        let list = models.get("models").and_then(Json::as_arr).expect("list");
-        assert_eq!(list.len(), 1, "{transport}: one model");
-        assert_eq!(
-            list[0].get("name").and_then(Json::as_str),
-            Some("default"),
-            "{transport}: model id"
-        );
-
-        let (status, head, body) = get(&mut http, "/metrics");
-        assert_eq!(status, 200, "{transport}: /metrics status");
-        assert!(
-            head.contains("text/plain; version=0.0.4"),
-            "{transport}: exposition content type, got head {head:?}"
-        );
-        for needle in [
-            "# TYPE gps_requests_total counter",
-            "gps_requests_total{wire=\"json\",endpoint=\"single\"} 4",
-            "# TYPE gps_request_latency_seconds histogram",
-            "le=\"+Inf\"",
-            "gps_request_latency_seconds_count{",
-            "gps_uptime_seconds ",
-            "gps_build_info{version=",
-            "gps_conns_active ",
-        ] {
-            assert!(
-                body.contains(needle),
-                "{transport}: /metrics missing {needle:?}\n{body}"
-            );
-        }
-        // Exposition format sanity: every non-comment line is `name[{labels}] value`.
-        for line in body
-            .lines()
-            .filter(|l| !l.starts_with('#') && !l.is_empty())
-        {
-            let value = line.rsplit(' ').next().expect("metric value");
-            assert!(
-                value.parse::<f64>().is_ok(),
-                "{transport}: unparseable metric line {line:?}"
-            );
-            assert!(
-                !value.contains('e') || value.parse::<f64>().is_ok(),
-                "{transport}: scientific notation sneaks past Prometheus le matching: {line:?}"
-            );
-        }
-        assert!(
-            body.ends_with('\n'),
-            "{transport}: exposition ends in newline"
-        );
-
-        let (status, _, _) = get(&mut http, "/no-such-endpoint");
-        assert_eq!(status, 404, "{transport}: unknown path");
-        let (status, _, _) = get(&mut http, "/predict");
-        assert_eq!(status, 405, "{transport}: GET on a POST endpoint");
-
-        // The whole conversation above ran on ONE keep-alive connection.
-        assert!(server.stats().requests >= 4);
-        drop(client);
+    // Some wire traffic so /metrics has request counters to export.
+    let mut client = Client::connect(addr).expect("wire connect");
+    for i in 0..4 {
+        client
+            .predict(&Query::new(Ip::from_octets(10, 1, 2, i)).with_open([80]))
+            .expect("wire predict");
     }
+
+    let mut http = TcpStream::connect(http_addr).expect("http connect");
+
+    let (status, _, body) = get(&mut http, "/healthz");
+    assert_eq!((status, body.as_str()), (200, "ok\n"), "healthz");
+
+    let (status, _, body) = get(&mut http, "/stats");
+    assert_eq!(status, 200, "/stats status");
+    let reply = Json::parse(&body).expect("stats json");
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    let stats = reply.get("stats").expect("stats payload");
+    assert_eq!(
+        stats.get("requests").and_then(Json::as_u64),
+        Some(4),
+        "/stats sees the wire traffic"
+    );
+    assert!(stats.get("uptime_secs").is_some(), "uptime");
+    assert!(stats.get("version").is_some(), "version");
+
+    let (status, _, body) = get(&mut http, "/models");
+    assert_eq!(status, 200, "/models status");
+    let models = Json::parse(&body).expect("models json");
+    let list = models.get("models").and_then(Json::as_arr).expect("list");
+    assert_eq!(list.len(), 1, "one model");
+    assert_eq!(
+        list[0].get("name").and_then(Json::as_str),
+        Some("default"),
+        "model id"
+    );
+
+    let (status, head, body) = get(&mut http, "/metrics");
+    assert_eq!(status, 200, "/metrics status");
+    assert!(
+        head.contains("text/plain; version=0.0.4"),
+        "exposition content type, got head {head:?}"
+    );
+    for needle in [
+        "# TYPE gps_requests_total counter",
+        "gps_requests_total{wire=\"json\",endpoint=\"single\"} 4",
+        "# TYPE gps_request_latency_seconds histogram",
+        "le=\"+Inf\"",
+        "gps_request_latency_seconds_count{",
+        "gps_uptime_seconds ",
+        "gps_build_info{version=",
+        "gps_conns_active ",
+    ] {
+        assert!(body.contains(needle), "/metrics missing {needle:?}\n{body}");
+    }
+    // Exposition format sanity: every non-comment line is `name[{labels}] value`.
+    for line in body
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+    {
+        let value = line.rsplit(' ').next().expect("metric value");
+        assert!(
+            value.parse::<f64>().is_ok(),
+            "unparseable metric line {line:?}"
+        );
+        assert!(
+            !value.contains('e') || value.parse::<f64>().is_ok(),
+            "scientific notation sneaks past Prometheus le matching: {line:?}"
+        );
+    }
+    assert!(body.ends_with('\n'), "exposition ends in newline");
+
+    let (status, _, _) = get(&mut http, "/no-such-endpoint");
+    assert_eq!(status, 404, "unknown path");
+    let (status, _, _) = get(&mut http, "/predict");
+    assert_eq!(status, 405, "GET on a POST endpoint");
+
+    // The whole conversation above ran on ONE keep-alive connection.
+    assert!(server.stats().requests >= 4);
+    drop(client);
 }
 
 /// POST /predict and /batch return byte-identical JSON to the framed
 /// JSON wire for the same request — the gateway is a different door
-/// into the same classify core, not a reimplementation.
+/// into the same classify core, not a reimplementation. Each door counts
+/// its queries in its own histogram cell.
 #[test]
 fn http_predict_is_byte_identical_to_json_wire() {
-    for transport in serve_transports() {
-        let (_server, addr, http_addr) = spawn_http(transport, TransportConfig::default());
-        let mut http = TcpStream::connect(http_addr).expect("http connect");
+    let (server, addr, http_addr) = spawn_http(TransportConfig::default());
+    let mut http = TcpStream::connect(http_addr).expect("http connect");
 
-        // Single predict. The gateway injects `"cmd":"predict"` into the
-        // posted body; the framed request carries the full command.
-        let body = r#"{"ip":"10.1.2.3","open":[80],"id":7}"#;
-        let wire_text = r#"{"ip":"10.1.2.3","open":[80],"id":7,"cmd":"predict"}"#;
-        let (status, _, http_body) = post(&mut http, "/predict", body);
-        assert_eq!(status, 200, "{transport}: predict status");
-        let wire_reply = raw_json_roundtrip(addr, wire_text);
-        assert_eq!(
-            http_body.trim_end_matches('\n').as_bytes(),
-            String::from_utf8(wire_reply)
-                .expect("utf8 wire reply")
-                .trim_end_matches('\n')
-                .as_bytes(),
-            "{transport}: HTTP predict body != JSON wire reply"
-        );
-        let parsed = Json::parse(&http_body).expect("predict json");
-        assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(true));
-        assert_eq!(parsed.get("id").and_then(Json::as_u64), Some(7));
+    // Single predict. The gateway injects `"cmd":"predict"` into the
+    // posted body; the framed request carries the full command.
+    let body = r#"{"ip":"10.1.2.3","open":[80],"id":7}"#;
+    let wire_text = r#"{"ip":"10.1.2.3","open":[80],"id":7,"cmd":"predict"}"#;
+    let (status, _, http_body) = post(&mut http, "/predict", body);
+    assert_eq!(status, 200, "predict status");
+    let wire_reply = raw_json_roundtrip(addr, wire_text);
+    assert_eq!(
+        http_body.trim_end_matches('\n').as_bytes(),
+        String::from_utf8(wire_reply)
+            .expect("utf8 wire reply")
+            .trim_end_matches('\n')
+            .as_bytes(),
+        "HTTP predict body != JSON wire reply"
+    );
+    let parsed = Json::parse(&http_body).expect("predict json");
+    assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(parsed.get("id").and_then(Json::as_u64), Some(7));
 
-        // Batch.
-        let body = r#"{"queries":[{"ip":"10.1.2.3","open":[80]},{"ip":"10.0.9.9"}],"id":8}"#;
-        let wire_text =
-            r#"{"queries":[{"ip":"10.1.2.3","open":[80]},{"ip":"10.0.9.9"}],"id":8,"cmd":"batch"}"#;
-        let (status, _, http_body) = post(&mut http, "/batch", body);
-        assert_eq!(status, 200, "{transport}: batch status");
-        let wire_reply = raw_json_roundtrip(addr, wire_text);
-        assert_eq!(
-            http_body.trim_end_matches('\n'),
-            String::from_utf8(wire_reply)
-                .expect("utf8 wire reply")
-                .trim_end_matches('\n'),
-            "{transport}: HTTP batch body != JSON wire reply"
-        );
-        let parsed = Json::parse(&http_body).expect("batch json");
-        assert_eq!(
-            parsed
-                .get("results")
-                .and_then(Json::as_arr)
-                .map(|results| results.len()),
-            Some(2),
-            "{transport}: two batch results"
-        );
+    // Batch.
+    let body = r#"{"queries":[{"ip":"10.1.2.3","open":[80]},{"ip":"10.0.9.9"}],"id":8}"#;
+    let wire_text =
+        r#"{"queries":[{"ip":"10.1.2.3","open":[80]},{"ip":"10.0.9.9"}],"id":8,"cmd":"batch"}"#;
+    let (status, _, http_body) = post(&mut http, "/batch", body);
+    assert_eq!(status, 200, "batch status");
+    let wire_reply = raw_json_roundtrip(addr, wire_text);
+    assert_eq!(
+        http_body.trim_end_matches('\n'),
+        String::from_utf8(wire_reply)
+            .expect("utf8 wire reply")
+            .trim_end_matches('\n'),
+        "HTTP batch body != JSON wire reply"
+    );
+    let parsed = Json::parse(&http_body).expect("batch json");
+    assert_eq!(
+        parsed
+            .get("results")
+            .and_then(Json::as_arr)
+            .map(|results| results.len()),
+        Some(2),
+        "two batch results"
+    );
 
-        // A bad request maps the shared classify error to a 400, body
-        // still the wire-shaped `ok:false` JSON.
-        let (status, _, http_body) = post(&mut http, "/predict", "{\"ip\":\"not-an-ip\"}");
-        assert_eq!(status, 400, "{transport}: bad predict -> 400");
-        let parsed = Json::parse(&http_body).expect("error json");
-        assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(false));
+    // A bad request maps the shared classify error to a 400, body
+    // still the wire-shaped `ok:false` JSON.
+    let (status, _, http_body) = post(&mut http, "/predict", "{\"ip\":\"not-an-ip\"}");
+    assert_eq!(status, 400, "bad predict -> 400");
+    let parsed = Json::parse(&http_body).expect("error json");
+    assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(false));
+
+    // Cells count queries: one single and a batch of two per door, and
+    // the 400 lands in no predict cell.
+    let stats = server.stats();
+    for (wire, endpoint, queries) in [
+        ("http", "single", 1),
+        ("http", "batch", 2),
+        ("json", "single", 1),
+        ("json", "batch", 2),
+    ] {
+        assert_eq!(
+            stats.merged_hist(Some(wire), Some(endpoint)).count,
+            queries,
+            "({wire}, {endpoint}) cell"
+        );
     }
 }
 
-/// The counter invariants the stats plane promises, on every transport
-/// and wire: the per-model request counts sum to the global one, and the
-/// (wire, endpoint) histograms account for every wire-served query
-/// exactly once.
+/// The counter invariants the stats plane promises, on every wire: the
+/// per-model request counts sum to the global one, and the (wire,
+/// endpoint) histograms account for every wire-served query exactly
+/// once.
 #[test]
 fn counter_invariants_hold_across_transport_and_wire_matrix() {
-    for transport in serve_transports() {
-        for wire in serve_wires() {
-            let (server, addr, _http_addr) = spawn_http(transport, TransportConfig::default());
-            let format = match wire {
-                "binary" => WireFormat::Binary,
-                _ => WireFormat::Json,
-            };
-            let mut client = Client::connect_with(addr, format).expect("connect");
+    for wire in serve_wires() {
+        let (server, addr, _http_addr) = spawn_http(TransportConfig::default());
+        let format = match wire {
+            "binary" => WireFormat::Binary,
+            _ => WireFormat::Json,
+        };
+        let mut client = Client::connect_with(addr, format).expect("connect");
 
-            // 12 singles over 3 distinct keys + 2 batches of 5.
-            for i in 0..12u8 {
-                client
-                    .predict(&Query::new(Ip::from_octets(10, 1, i % 3, 1)).with_open([80]))
-                    .expect("single predict");
-            }
-            for _ in 0..2 {
-                let queries: Vec<Query> = (0..5u8)
-                    .map(|i| Query::new(Ip::from_octets(10, 2, i, 1)).with_open([80]))
-                    .collect();
-                let ranked = client.predict_batch(&queries).expect("batch predict");
-                assert_eq!(ranked.len(), 5);
-            }
-
-            let stats = server.stats();
-            let label = format!("{transport}/{wire}");
-            assert_eq!(stats.requests, 12 + 10, "{label}: request count");
-            assert_eq!(
-                stats.models.iter().map(|m| m.requests).sum::<u64>(),
-                stats.requests,
-                "{label}: per-model requests sum to requests"
-            );
-            assert_eq!(
-                stats.merged_hist(None, None).count,
-                stats.requests,
-                "{label}: histogram count == requests"
-            );
-
-            // Histograms: every wire-served query lands in exactly one
-            // (wire, endpoint) predict cell; admin traffic lands in the
-            // admin cells and never pollutes the predict counts.
-            let wire_label = match format {
-                WireFormat::Json => "json",
-                WireFormat::Binary => "gpsq",
-            };
-            let singles = stats.merged_hist(Some(wire_label), Some("single"));
-            let batches = stats.merged_hist(Some(wire_label), Some("batch"));
-            assert_eq!(singles.count, 12, "{label}: single-endpoint samples");
-            assert_eq!(batches.count, 10, "{label}: batch-endpoint samples");
-            assert_eq!(
-                singles.buckets.iter().sum::<u64>(),
-                singles.count,
-                "{label}: bucket sum == count"
-            );
-            assert!(
-                singles.sum_ns > 0 && singles.max_ns > 0,
-                "{label}: latency sums populated"
-            );
-            let other = match wire_label {
-                "json" => "gpsq",
-                _ => "json",
-            };
-            assert_eq!(
-                stats.merged_hist(Some(other), None).count,
-                0,
-                "{label}: the unused wire's cells stay empty"
-            );
-            assert_eq!(
-                stats.merged_hist(Some("http"), None).count,
-                0,
-                "{label}: no http traffic, no http samples"
-            );
+        // 12 singles over 3 distinct keys + 2 batches of 5.
+        for i in 0..12u8 {
+            client
+                .predict(&Query::new(Ip::from_octets(10, 1, i % 3, 1)).with_open([80]))
+                .expect("single predict");
         }
+        for _ in 0..2 {
+            let queries: Vec<Query> = (0..5u8)
+                .map(|i| Query::new(Ip::from_octets(10, 2, i, 1)).with_open([80]))
+                .collect();
+            let ranked = client.predict_batch(&queries).expect("batch predict");
+            assert_eq!(ranked.len(), 5);
+        }
+
+        let stats = server.stats();
+        assert_eq!(stats.requests, 12 + 10, "{wire}: request count");
+        assert_eq!(
+            stats.models.iter().map(|m| m.requests).sum::<u64>(),
+            stats.requests,
+            "{wire}: per-model requests sum to requests"
+        );
+        assert_eq!(
+            stats.merged_hist(None, None).count,
+            stats.requests,
+            "{wire}: histogram count == requests"
+        );
+
+        // Histograms: every wire-served query lands in exactly one
+        // (wire, endpoint) predict cell; admin traffic lands in the
+        // admin cells and never pollutes the predict counts.
+        let wire_label = match format {
+            WireFormat::Json => "json",
+            WireFormat::Binary => "gpsq",
+        };
+        let singles = stats.merged_hist(Some(wire_label), Some("single"));
+        let batches = stats.merged_hist(Some(wire_label), Some("batch"));
+        assert_eq!(singles.count, 12, "{wire}: single-endpoint samples");
+        assert_eq!(batches.count, 10, "{wire}: batch-endpoint samples");
+        assert_eq!(
+            singles.buckets.iter().sum::<u64>(),
+            singles.count,
+            "{wire}: bucket sum == count"
+        );
+        assert!(
+            singles.sum_ns > 0 && singles.max_ns > 0,
+            "{wire}: latency sums populated"
+        );
+        let other = match wire_label {
+            "json" => "gpsq",
+            _ => "json",
+        };
+        assert_eq!(
+            stats.merged_hist(Some(other), None).count,
+            0,
+            "{wire}: the unused wire's cells stay empty"
+        );
+        assert_eq!(
+            stats.merged_hist(Some("http"), None).count,
+            0,
+            "{wire}: no http traffic, no http samples"
+        );
     }
 }
 
@@ -422,7 +411,7 @@ fn counter_invariants_hold_across_transport_and_wire_matrix() {
 /// generation, model membership, and connection accounting untouched.
 #[test]
 fn reset_stats_zeroes_traffic_but_preserves_generation_and_membership() {
-    let (server, addr, http_addr) = spawn_http("events", TransportConfig::default());
+    let (server, addr, http_addr) = spawn_http(TransportConfig::default());
 
     // Bump the default model to generation 1 so we can tell a reset
     // from a restart.
@@ -492,211 +481,127 @@ fn reset_stats_zeroes_traffic_but_preserves_generation_and_membership() {
 /// `Connection: close`, and slowloris idling.
 #[test]
 fn http_gateway_survives_adversarial_clients() {
-    for transport in serve_transports() {
-        let (server, _addr, http_addr) = spawn_http(
-            transport,
-            TransportConfig {
-                // Short enough that the slowloris sweep below is quick,
-                // long enough that a scheduler stall between dribbled
-                // bytes (full-suite parallelism on a small box) cannot
-                // sweep a live connection.
-                idle_timeout: Some(Duration::from_millis(700)),
-                ..TransportConfig::default()
-            },
-        );
+    let (server, _addr, http_addr) = spawn_http(TransportConfig {
+        // Short enough that the slowloris sweep below is quick,
+        // long enough that a scheduler stall between dribbled
+        // bytes (full-suite parallelism on a small box) cannot
+        // sweep a live connection.
+        idle_timeout: Some(Duration::from_millis(700)),
+        ..TransportConfig::default()
+    });
 
-        // Torn request: dribble a predict POST one byte at a time.
-        {
-            let request = format!(
-                "POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: 29\r\n\r\n{}",
-                r#"{"ip":"10.1.2.3","open":[80]}"#
-            );
-            let mut stream = TcpStream::connect(http_addr).expect("torn connect");
-            for byte in request.as_bytes() {
-                stream
-                    .write_all(std::slice::from_ref(byte))
-                    .expect("dribble");
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            let (status, _, body) = read_response(&mut stream);
-            assert_eq!(status, 200, "{transport}: torn request still parses");
-            assert_eq!(
-                Json::parse(&body)
-                    .expect("torn json")
-                    .get("ok")
-                    .and_then(Json::as_bool),
-                Some(true)
-            );
-        }
-
-        // Pipelined requests in one write: answered completely, in order.
-        {
-            let mut stream = TcpStream::connect(http_addr).expect("pipeline connect");
-            let burst = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".repeat(3)
-                + "GET /stats HTTP/1.1\r\nHost: t\r\n\r\n";
-            stream.write_all(burst.as_bytes()).expect("burst write");
-            for i in 0..3 {
-                let (status, _, body) = read_response(&mut stream);
-                assert_eq!(
-                    (status, body.as_str()),
-                    (200, "ok\n"),
-                    "{transport}: pipelined healthz {i}"
-                );
-            }
-            let (status, _, body) = read_response(&mut stream);
-            assert_eq!(status, 200, "{transport}: pipelined stats");
-            assert!(Json::parse(&body).is_ok(), "{transport}: stats after burst");
-        }
-
-        // Oversized head: blows the 8 KiB cap -> 431, connection closed.
-        {
-            let mut stream = TcpStream::connect(http_addr).expect("bighead connect");
-            let request = format!(
-                "GET /healthz HTTP/1.1\r\nHost: t\r\nX-Padding: {}\r\n\r\n",
-                "a".repeat(16 * 1024)
-            );
-            stream.write_all(request.as_bytes()).ok(); // server may RST mid-write
-            let mut reply = Vec::new();
-            stream
-                .set_read_timeout(Some(Duration::from_secs(2)))
-                .expect("timeout");
-            let _ = stream.read_to_end(&mut reply);
-            let text = String::from_utf8_lossy(&reply);
-            assert!(
-                text.starts_with("HTTP/1.1 431"),
-                "{transport}: oversized head -> 431, got {text:?}"
-            );
-            assert_closed_within(stream, Duration::from_secs(2), "oversized head");
-        }
-
-        // Chunked bodies are not implemented: refused loudly, not
-        // misparsed quietly.
-        {
-            let mut stream = TcpStream::connect(http_addr).expect("chunked connect");
-            stream
-                .write_all(
-                    b"POST /predict HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n",
-                )
-                .expect("chunked write");
-            let (status, head, _) = read_response(&mut stream);
-            assert_eq!(status, 501, "{transport}: chunked -> 501");
-            assert!(
-                head.to_ascii_lowercase().contains("connection: close"),
-                "{transport}: errors close the connection"
-            );
-            assert_closed_within(stream, Duration::from_secs(2), "chunked");
-        }
-
-        // Garbage request line -> 400 and close.
-        {
-            let mut stream = TcpStream::connect(http_addr).expect("garbage connect");
-            stream
-                .write_all(b"EHLO observability\r\n\r\n")
-                .expect("garbage write");
-            let (status, _, _) = read_response(&mut stream);
-            assert_eq!(status, 400, "{transport}: garbage request line");
-            assert_closed_within(stream, Duration::from_secs(2), "garbage line");
-        }
-
-        // Connection: close honored — reply carries it, then FIN.
-        {
-            let mut stream = TcpStream::connect(http_addr).expect("close connect");
-            let (status, head, body) = exchange(
-                &mut stream,
-                "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
-            );
-            assert_eq!((status, body.as_str()), (200, "ok\n"));
-            assert!(
-                head.to_ascii_lowercase().contains("connection: close"),
-                "{transport}: close echoed, got {head:?}"
-            );
-            assert_closed_within(stream, Duration::from_secs(2), "connection close");
-        }
-
-        // Slowloris: half a request line, then silence past the idle
-        // timeout -> swept.
-        {
-            let mut stream = TcpStream::connect(http_addr).expect("loris connect");
-            stream.write_all(b"GET /heal").expect("half request");
-            assert_closed_within(stream, Duration::from_secs(5), "http slowloris");
-            assert!(
-                server.stats().conns_timed_out >= 1,
-                "{transport}: timeout counted"
-            );
-        }
-    }
-}
-
-/// The structured query log records one parseable line per wire-served
-/// request with honest wire/endpoint labels, over all three doors.
-#[test]
-fn query_log_records_every_served_request() {
-    let dir = TestDir::new("serve-observability-log");
-    let log_path = dir.path("queries.log");
+    // Torn request: dribble a predict POST one byte at a time.
     {
-        let (server, addr, http_addr) = spawn_http("events", TransportConfig::default());
-        assert!(server.set_query_log(Arc::new(QueryLog::open(&log_path).expect("open query log"))));
-
-        let query = Query::new(Ip::from_octets(10, 1, 2, 3)).with_open([80]);
-        let mut json = Client::connect_with(addr, WireFormat::Json).expect("json connect");
-        json.predict(&query).expect("json predict");
-        json.predict(&query).expect("json predict");
-        let mut binary = Client::connect_with(addr, WireFormat::Binary).expect("gpsq connect");
-        binary
-            .predict(&Query::new(Ip::from_octets(10, 7, 7, 7)).with_open([80]))
-            .expect("gpsq predict");
-        json.predict_batch(&[
-            Query::new(Ip::from_octets(10, 5, 5, 5)).with_open([80]),
-            Query::new(Ip::from_octets(10, 6, 6, 6)),
-        ])
-        .expect("batch predict");
-        let mut http = TcpStream::connect(http_addr).expect("http connect");
-        let (status, _, _) = post(&mut http, "/predict", r#"{"ip":"10.8.8.8","open":[80]}"#);
-        assert_eq!(status, 200);
-
-        // The writer thread flushes on a short interval; poll the file.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let records = loop {
-            let text = std::fs::read_to_string(&log_path).unwrap_or_default();
-            let lines: Vec<String> = text.lines().map(str::to_string).collect();
-            if lines.len() >= 5 {
-                break lines;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "query log never reached 5 records: {text:?}"
-            );
-            std::thread::sleep(Duration::from_millis(25));
-        };
-
-        let parsed: Vec<QueryLogRecord> = records
-            .iter()
-            .map(|line| {
-                let json = Json::parse(line).expect("log line json");
-                QueryLogRecord::from_json(&json).expect("log line schema")
-            })
-            .collect();
-        assert_eq!(parsed.len(), 5, "one record per request");
-        for record in &parsed {
-            assert_eq!(record.model, "default");
-            assert_eq!(record.generation, 0);
-            assert!(record.ts_ms > 0, "wall-clock timestamp");
+        let request = format!(
+            "POST /predict HTTP/1.1\r\nHost: t\r\nContent-Length: 29\r\n\r\n{}",
+            r#"{"ip":"10.1.2.3","open":[80]}"#
+        );
+        let mut stream = TcpStream::connect(http_addr).expect("torn connect");
+        for byte in request.as_bytes() {
+            stream
+                .write_all(std::slice::from_ref(byte))
+                .expect("dribble");
+            std::thread::sleep(Duration::from_micros(200));
         }
-        let label_of = |wire: &str, endpoint: &str| {
-            parsed
-                .iter()
-                .filter(|r| r.wire == wire && r.endpoint == endpoint)
-                .count()
-        };
-        assert_eq!(label_of("json", "single"), 2, "json singles logged");
-        assert_eq!(label_of("gpsq", "single"), 1, "gpsq single logged");
-        assert_eq!(label_of("json", "batch"), 1, "batch logged once");
-        assert_eq!(label_of("http", "single"), 1, "http single logged");
-        let repeat: Vec<&QueryLogRecord> = parsed
-            .iter()
-            .filter(|r| r.wire == "json" && r.endpoint == "single")
-            .collect();
-        assert_eq!(repeat[0].open, vec![80u16], "evidence recorded");
-        assert_eq!(repeat[0].ip, query.ip, "queried address recorded");
+        let (status, _, body) = read_response(&mut stream);
+        assert_eq!(status, 200, "torn request still parses");
+        assert_eq!(
+            Json::parse(&body)
+                .expect("torn json")
+                .get("ok")
+                .and_then(Json::as_bool),
+            Some(true)
+        );
+    }
+
+    // Pipelined requests in one write: answered completely, in order.
+    {
+        let mut stream = TcpStream::connect(http_addr).expect("pipeline connect");
+        let burst = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".repeat(3)
+            + "GET /stats HTTP/1.1\r\nHost: t\r\n\r\n";
+        stream.write_all(burst.as_bytes()).expect("burst write");
+        for i in 0..3 {
+            let (status, _, body) = read_response(&mut stream);
+            assert_eq!(
+                (status, body.as_str()),
+                (200, "ok\n"),
+                "pipelined healthz {i}"
+            );
+        }
+        let (status, _, body) = read_response(&mut stream);
+        assert_eq!(status, 200, "pipelined stats");
+        assert!(Json::parse(&body).is_ok(), "stats after burst");
+    }
+
+    // Oversized head: blows the 8 KiB cap -> 431, connection closed.
+    {
+        let mut stream = TcpStream::connect(http_addr).expect("bighead connect");
+        let request = format!(
+            "GET /healthz HTTP/1.1\r\nHost: t\r\nX-Padding: {}\r\n\r\n",
+            "a".repeat(16 * 1024)
+        );
+        stream.write_all(request.as_bytes()).ok(); // server may RST mid-write
+        let mut reply = Vec::new();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("timeout");
+        let _ = stream.read_to_end(&mut reply);
+        let text = String::from_utf8_lossy(&reply);
+        assert!(
+            text.starts_with("HTTP/1.1 431"),
+            "oversized head -> 431, got {text:?}"
+        );
+        assert_closed_within(stream, Duration::from_secs(2), "oversized head");
+    }
+
+    // Chunked bodies are not implemented: refused loudly, not
+    // misparsed quietly.
+    {
+        let mut stream = TcpStream::connect(http_addr).expect("chunked connect");
+        stream
+            .write_all(b"POST /predict HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n")
+            .expect("chunked write");
+        let (status, head, _) = read_response(&mut stream);
+        assert_eq!(status, 501, "chunked -> 501");
+        assert!(
+            head.to_ascii_lowercase().contains("connection: close"),
+            "errors close the connection"
+        );
+        assert_closed_within(stream, Duration::from_secs(2), "chunked");
+    }
+
+    // Garbage request line -> 400 and close.
+    {
+        let mut stream = TcpStream::connect(http_addr).expect("garbage connect");
+        stream
+            .write_all(b"EHLO observability\r\n\r\n")
+            .expect("garbage write");
+        let (status, _, _) = read_response(&mut stream);
+        assert_eq!(status, 400, "garbage request line");
+        assert_closed_within(stream, Duration::from_secs(2), "garbage line");
+    }
+
+    // Connection: close honored — reply carries it, then FIN.
+    {
+        let mut stream = TcpStream::connect(http_addr).expect("close connect");
+        let (status, head, body) = exchange(
+            &mut stream,
+            "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        );
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+        assert!(
+            head.to_ascii_lowercase().contains("connection: close"),
+            "close echoed, got {head:?}"
+        );
+        assert_closed_within(stream, Duration::from_secs(2), "connection close");
+    }
+
+    // Slowloris: half a request line, then silence past the idle
+    // timeout -> swept.
+    {
+        let mut stream = TcpStream::connect(http_addr).expect("loris connect");
+        stream.write_all(b"GET /heal").expect("half request");
+        assert_closed_within(stream, Duration::from_secs(5), "http slowloris");
+        assert!(server.stats().conns_timed_out >= 1, "timeout counted");
     }
 }
