@@ -132,6 +132,25 @@ mod gpsq {
         frame(w.into_bytes())
     }
 
+    /// A request frame laid out field by field — any version, any kind,
+    /// any body — for the malformed cases the real encoder cannot make.
+    pub fn raw_frame(version: u8, kind: u8, id: Option<u64>, body: &[u8]) -> Vec<u8> {
+        let mut payload = b"GPSQ".to_vec();
+        payload.push(version);
+        payload.push(kind);
+        payload.push(u8::from(id.is_some()));
+        if let Some(id) = id {
+            varint(id, &mut payload);
+        }
+        payload.extend_from_slice(body);
+        frame(payload)
+    }
+
+    /// A length-prefixed frame around arbitrary text.
+    pub fn text_frame(text: &str) -> Vec<u8> {
+        frame(text.as_bytes().to_vec())
+    }
+
     /// One decoded reply; ids are the header's (admin replies carry
     /// theirs inside the JSON).
     #[derive(Debug)]
@@ -1474,6 +1493,65 @@ mod router_hop {
             health(&router.stats_json()),
             [("up".to_string(), 0), ("up".to_string(), 0)]
         );
+    }
+
+    /// Every malformed or edge-case frame a front door can refuse, sent
+    /// one per fresh connection to a backend and to the router over it:
+    /// the reply bytes are equal, so the router refuses (and answers the
+    /// edge cases) exactly as `gps serve` does.
+    #[test]
+    fn router_refuses_malformed_frames_like_the_server() {
+        let (backends, router) = tier(model);
+        let over_cap = vec!["{\"ip\":\"10.0.0.1\"}"; 65_537].join(",");
+        let json = [
+            "not json".to_string(),
+            r#"{"id":1}"#.to_string(),
+            r#"{"cmd":7,"id":2}"#.to_string(),
+            r#"{"cmd":"stats","model":7,"id":3}"#.to_string(),
+            r#"{"cmd":"predict","ip":"999.1.2.3","id":4}"#.to_string(),
+            r#"{"cmd":"predict","open":[80],"id":5}"#.to_string(),
+            r#"{"cmd":"batch","id":6}"#.to_string(),
+            r#"{"cmd":"batch","queries":[{"ip":"10.0.0.1"},{"ip":"nope"}],"id":7}"#.to_string(),
+            format!(
+                r#"{{"cmd":"predict","ip":"10.0.0.1","top":{},"id":8}}"#,
+                MAX_TOP + 1
+            ),
+            format!(r#"{{"cmd":"batch","queries":[{over_cap}],"id":9}}"#),
+            r#"{"cmd":"predict","ip":"10.0.0.1","model":"no-such-model","id":10}"#.to_string(),
+            r#"{"cmd":"batch","queries":[],"id":11}"#.to_string(),
+            r#"{"cmd":"ping","id":12}"#.to_string(),
+        ];
+        let mut frames: Vec<Vec<u8>> = json.iter().map(|text| gpsq::text_frame(text)).collect();
+        frames.extend([
+            gpsq::raw_frame(1, 9, Some(13), &[]),
+            gpsq::raw_frame(1, 2, Some(14), &[10, 0]),
+            gpsq::raw_frame(2, 1, Some(15), &[]),
+            gpsq::raw_frame(1, 4, None, b"{not json"),
+            gpsq::raw_frame(1, 4, None, br#"{"id":17}"#),
+            gpsq::raw_frame(1, 4, None, br#"{"cmd":"predict","ip":"bad","id":18}"#),
+            gpsq::raw_frame(1, 4, None, &[0xFF, 0xFE, b'{']),
+            // A batch declaring 65,537 queries (LEB128).
+            gpsq::raw_frame(1, 3, Some(20), &[0x81, 0x80, 0x04]),
+        ]);
+        assert_eq!(frames.len(), 21);
+        let reply = |addr: SocketAddr, frame: &[u8]| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            stream.write_all(frame).expect("frame");
+            gpsq::read_payload(&mut stream)
+        };
+        for (i, frame) in frames.iter().enumerate() {
+            let direct = reply(backends[0].1, frame);
+            let routed = reply(router.addr(), frame);
+            assert_eq!(
+                String::from_utf8_lossy(&routed),
+                String::from_utf8_lossy(&direct),
+                "frame {i}"
+            );
+            assert_eq!(routed, direct, "frame {i}");
+        }
     }
 
     fn http_get(addr: SocketAddr, path: &str) -> String {
