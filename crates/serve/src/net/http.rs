@@ -23,9 +23,10 @@
 //! | POST   | `/batch`       | body = batch request JSON (sans `cmd`)    |
 //! | POST   | `/reset-stats` | the `reset-stats` command's JSON          |
 //!
-//! The JSON endpoints run the exact `proto::classify` core the wire
-//! protocol runs, so an HTTP predict answer is byte-identical to the
-//! JSON-wire answer for the same query (the HTTP-parity e2e asserts it).
+//! The JSON endpoints run the exact `proto::decode_json` and
+//! `proto::classify` the wire protocol runs, so an HTTP predict answer
+//! is byte-identical to the JSON-wire answer for the same query (the
+//! HTTP-parity e2e asserts it).
 
 use gps_types::HistogramSnapshot;
 
@@ -260,7 +261,7 @@ pub(crate) enum Routed {
         body: String,
     },
     /// JSON-command semantics: run `text` through the shared
-    /// `proto::classify` core (the parity guarantee).
+    /// `proto::decode_json` and `proto::classify` (the parity guarantee).
     Command { text: String },
 }
 
@@ -310,7 +311,7 @@ pub(crate) fn route(server: &PredictionServer, request: &HttpRequest) -> Routed 
 }
 
 /// Inject `"cmd"` into a JSON request body. Unparseable or non-object
-/// bodies pass through untouched: the shared classify core produces the
+/// bodies pass through untouched: the shared decoder produces the
 /// same `bad json` / `missing cmd` error a wire client would get (as a
 /// 400, via the `ok:false` mapping).
 fn command_from_body(request: &HttpRequest, cmd: &str) -> Routed {
@@ -328,7 +329,7 @@ fn command_from_body(request: &HttpRequest, cmd: &str) -> Routed {
     }
 }
 
-fn label_escape(value: &str) -> String {
+pub(crate) fn label_escape(value: &str) -> String {
     value
         .replace('\\', "\\\\")
         .replace('"', "\\\"")

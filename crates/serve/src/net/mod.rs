@@ -25,9 +25,9 @@
 //! (after the `max_conns` and drain gate). A loop owns its connections
 //! outright: readable sockets are drained through the decoder and each
 //! complete request parks on its connection; the loop's `Service`
-//! answers the parked requests right there, on the loop's thread —
-//! `gps serve` runs each frame through the shared request core
-//! (`proto::classify`, with `proto::PredictWork::answer` running the
+//! answers the parked requests right there, on the loop's thread — both
+//! decode each frame with `proto::decode_request`; `gps serve` answers it
+//! through `proto::classify` (`proto::PredictWork::answer` runs the
 //! kernel in place), `gps route` forwards the whole burst through the
 //! loop's backend `Hop` — straight into the connection's write buffer.
 //! One thread answers a connection's requests in order, so responses
@@ -200,14 +200,14 @@ impl Service for PredictionServer {
 /// the response flushes.
 fn answer_request(server: &PredictionServer, conn: &mut Conn, payload: Payload) {
     let started = Instant::now();
-    let (wire, action) = match payload {
+    let (wire, request) = match payload {
         Payload::Frame(bytes) => {
             let format = conn.wire_format();
             let wire = match format {
                 WireFormat::Json => WireLabel::Json,
                 WireFormat::Binary => WireLabel::Gpsq,
             };
-            (wire, proto::classify_payload(server, format, &bytes))
+            (wire, proto::decode_request(format, &bytes))
         }
         Payload::Http(request) => {
             let keep_alive = request.keep_alive;
@@ -232,7 +232,7 @@ fn answer_request(server: &PredictionServer, conn: &mut Conn, payload: Payload) 
                 }
                 http::Routed::Command { text } => (
                     WireLabel::Http,
-                    proto::classify_json(server, &text, |id| ReplyCtx::Http { id, keep_alive }),
+                    proto::decode_json(&text, |id| ReplyCtx::Http { id, keep_alive }),
                 ),
             }
         }
@@ -244,7 +244,7 @@ fn answer_request(server: &PredictionServer, conn: &mut Conn, payload: Payload) 
             return;
         }
     };
-    match action {
+    match proto::classify(server, request) {
         FrameAction::Ready(reply) => {
             if let ReadyReply::Http {
                 keep_alive: false, ..

@@ -8,8 +8,8 @@
 //! text encode/decode, rankings as varint-delta ports + raw f64 bits);
 //! anything else is a JSON session, the original protocol described
 //! here. The choice is sticky per connection; both formats answer every
-//! command identically (asserted by the wire-format × poller parity
-//! e2e matrix). JSON requests are objects with a `cmd` field:
+//! command identically (asserted by the wire-format parity e2e suite).
+//! JSON requests are objects with a `cmd` field:
 //!
 //! ```text
 //! {"cmd":"ping"}
@@ -25,8 +25,8 @@
 //! {"cmd":"unload","name":"b"}            — drop a model (not the default)
 //! {"cmd":"list-models"}                  — every model id + its counters
 //! {"cmd":"shutdown"}                     — drain: stop accepting, finish
-//!                                          in-flight work, flush the query
-//!                                          log, close connections
+//!                                          in-flight work, close
+//!                                          connections
 //! ```
 //!
 //! The server holds a *registry* of models keyed by id (`server.rs`); a
@@ -48,8 +48,9 @@
 //! different snapshot *file path*, so bind to loopback or put an
 //! authenticating proxy in front. The server is std-only; the event
 //! loops in `crate::net` drive its sockets, and every inbound frame —
-//! either wire format, and the HTTP gateway's commands — goes through
-//! the request core here (`classify` + the response builders).
+//! either wire format, the HTTP gateway's commands, and the router's
+//! front — is decoded here (`decode_request` / `decode_json`); the
+//! server answers it through `classify` and the response builders.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -88,7 +89,7 @@ pub fn write_frame(w: &mut impl Write, json: &Json) -> io::Result<()> {
     let len = u32::try_from(text.len())
         .ok()
         .filter(|&n| n <= MAX_FRAME_BYTES)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+        .ok_or_else(frame_too_large)?;
     w.write_all(&len.to_be_bytes())?;
     w.write_all(text.as_bytes())?;
     w.flush()
@@ -310,9 +311,8 @@ pub(crate) fn append_binary_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut By
 /// the frame cap (a huge batch against a rule-rich model can):
 pub(crate) const OVERSIZE_REPLY: &str = "response exceeds frame size cap";
 
-/// How the reply to one classified request frame must be encoded — the
-/// per-request state carried from classification to reply
-/// serialization.
+/// How the reply to one decoded request frame must be encoded — the
+/// per-request state carried from decoding to reply serialization.
 pub(crate) enum ReplyCtx {
     /// A JSON-session frame: set the echoed id, serialize as JSON text.
     Json { id: Option<Json> },
@@ -553,27 +553,6 @@ fn optional_str<'a>(request: &'a Json, field: &str) -> Result<Option<&'a str>, S
     }
 }
 
-/// How one request frame is to be answered. `classify` is the request
-/// core every front door shares: every command except the predicts is
-/// fully computed here; the predicts come back as *work* (the resolved
-/// model entry plus parsed queries), which the event loop runs on its own
-/// thread through [`PredictWork::answer`]. Running the same
-/// classification and the same response builders is what makes the
-/// wires answer identically — asserted by the parity e2e suite.
-pub(crate) enum Action {
-    /// The response, finished.
-    Ready(Json),
-    /// Predict work: answer with [`predict_response`] over the answers to
-    /// `queries`.
-    Predict {
-        entry: Arc<ModelEntry>,
-        queries: Vec<Query>,
-        /// `batch` frames answer with `"results"`, singles with
-        /// `"predictions"`.
-        batch: bool,
-    },
-}
-
 /// Build the success reply for completed predict work (both shapes).
 pub(crate) fn predict_response(answers: &[Ranked], batch: bool) -> Json {
     let mut json = ok_response();
@@ -588,70 +567,161 @@ pub(crate) fn predict_response(answers: &[Ranked], batch: bool) -> Json {
     json
 }
 
-/// Classify one request frame into a finished response or predict work.
-pub(crate) fn classify(server: &PredictionServer, request: &Json) -> Action {
-    let ready = Action::Ready;
-    let cmd = match request.get("cmd").and_then(Json::as_str) {
-        Some(cmd) => cmd,
-        None => return ready(error_response("missing cmd")),
+/// One request frame, decoded: the request grammar every front door
+/// shares. `gps serve` answers it through [`classify`]; the router routes
+/// its predicts to backends and answers its commands itself. Both refuse
+/// a malformed frame from the same `Ready` reply, so their refusals are
+/// byte-identical.
+pub(crate) enum Request {
+    /// Answered as decoded: a malformed frame's refusal, or a GPSQ pong.
+    Ready(ReadyReply),
+    /// A single query, or a `batch` frame's queries, for `model` (`None`
+    /// = the default model). `batch` frames answer with the batch shape,
+    /// singles with the single shape — in either format.
+    Predict {
+        ctx: ReplyCtx,
+        model: Option<String>,
+        queries: Vec<Query>,
+        batch: bool,
+    },
+    /// Any other command, its `"cmd"` and `"model"` fields checked.
+    Command {
+        ctx: ReplyCtx,
+        cmd: String,
+        request: Json,
+    },
+}
+
+/// Decode one raw frame payload of either wire format.
+pub(crate) fn decode_request(format: WireFormat, payload: &[u8]) -> Request {
+    match format {
+        WireFormat::Json => match std::str::from_utf8(payload) {
+            // The frame decoder already refuses non-UTF-8 JSON frames;
+            // this arm only guards direct callers.
+            Err(_) => Request::Ready(ready_error(
+                ReplyCtx::Json { id: None },
+                "bad json: frame is not utf-8".to_string(),
+            )),
+            Ok(text) => decode_json(text, |id| ReplyCtx::Json { id }),
+        },
+        WireFormat::Binary => match wire::decode_request(payload) {
+            Err(e) => Request::Ready(ReadyReply::BinaryError {
+                id: e.id,
+                message: e.message,
+            }),
+            Ok(wire::Request::Ping { id }) => Request::Ready(ReadyReply::Pong { id }),
+            Ok(wire::Request::Predict { id, model, query }) => Request::Predict {
+                ctx: ReplyCtx::Binary { id },
+                model,
+                queries: vec![query],
+                batch: false,
+            },
+            Ok(wire::Request::Batch { id, model, queries }) => Request::Predict {
+                ctx: ReplyCtx::Binary { id },
+                model,
+                queries,
+                batch: true,
+            },
+            // Admin passthrough: JSON semantics, binary envelope.
+            Ok(wire::Request::Admin { json }) => {
+                decode_json(&json, |id| ReplyCtx::BinaryAdmin { id })
+            }
+        },
+    }
+}
+
+/// Decode one JSON request text. `ctx_of` builds the reply context from
+/// the echoed id — JSON frame, GPSQ admin envelope, HTTP body — so the
+/// reply rides the envelope the request arrived in.
+pub(crate) fn decode_json(text: &str, ctx_of: impl FnOnce(Option<Json>) -> ReplyCtx) -> Request {
+    // The request id (if any) is echoed on every reply, error replies
+    // included — a pipelining client must be able to tell *which* request
+    // of a burst failed. Unparseable JSON has no extractable id, so only
+    // framing-level garbage goes un-correlated.
+    let request = match Json::parse(text) {
+        Ok(request) => request,
+        Err(e) => return Request::Ready(ready_error(ctx_of(None), format!("bad json: {e}"))),
     };
-    // On query-shaped frames `"model"` is a registry id; absence means
-    // the default model (the pre-registry wire behavior, unchanged).
-    let model_id = match optional_str(request, "model") {
-        Ok(id) => id,
-        Err(e) => return ready(error_response(e)),
+    let ctx = ctx_of(request.get("id").cloned());
+    let Some(cmd) = request.get("cmd").and_then(Json::as_str) else {
+        return Request::Ready(ready_error(ctx, "missing cmd".to_string()));
     };
-    // Resolve the serving entry for the predict commands up front so the
-    // unknown-model error is identical on both shapes.
-    let resolve = |id: Option<&str>| -> Result<Arc<ModelEntry>, String> {
-        match id {
-            None => Ok(server.default_entry().clone()),
-            Some(id) => server.entry(id),
+    // On query-shaped frames `"model"` is a registry id (absent = the
+    // default model); on `reload`/`load` it is a snapshot path.
+    let model = match optional_str(&request, "model") {
+        Ok(model) => model.map(str::to_string),
+        Err(e) => return Request::Ready(ready_error(ctx, e)),
+    };
+    let queries = match cmd {
+        "predict" => query_from_json(&request).map(|query| vec![query]),
+        "batch" => match request.get("queries").and_then(Json::as_arr) {
+            Some(items) if items.len() <= MAX_BATCH_QUERIES => {
+                items.iter().map(query_from_json).collect()
+            }
+            Some(_) => Err("batch too large".to_string()),
+            None => Err("missing queries".to_string()),
+        },
+        _ => {
+            let cmd = cmd.to_string();
+            return Request::Command { ctx, cmd, request };
         }
     };
+    match queries {
+        Ok(queries) => Request::Predict {
+            batch: cmd == "batch",
+            ctx,
+            model,
+            queries,
+        },
+        Err(e) => Request::Ready(ready_error(ctx, e)),
+    }
+}
+
+/// Answer one decoded request on `gps serve`: a predict's model resolves
+/// into work the event loop runs through [`PredictWork::answer`] (or into
+/// the unknown-model error), and a command is answered by [`command`].
+pub(crate) fn classify(server: &PredictionServer, request: Request) -> FrameAction {
+    match request {
+        Request::Ready(reply) => FrameAction::Ready(reply),
+        Request::Predict {
+            ctx,
+            model,
+            queries,
+            batch,
+        } => {
+            let entry = match model {
+                None => Ok(server.default_entry().clone()),
+                Some(id) => server.entry(&id),
+            };
+            match entry {
+                Ok(entry) => FrameAction::Predict(PredictWork {
+                    entry,
+                    queries,
+                    batch,
+                    ctx,
+                }),
+                Err(e) => FrameAction::Ready(ready_error(ctx, e)),
+            }
+        }
+        Request::Command { ctx, cmd, request } => {
+            FrameAction::Ready(ready_json(ctx, command(server, &cmd, &request)))
+        }
+    }
+}
+
+/// Answer one command other than the predicts, computed in full.
+fn command(server: &PredictionServer, cmd: &str, request: &Json) -> Json {
+    let model_id = request.get("model").and_then(Json::as_str);
     match cmd {
         "ping" => {
             let mut json = ok_response();
             json.set("pong", true);
-            ready(json)
-        }
-        "predict" => match query_from_json(request) {
-            Ok(query) => match resolve(model_id) {
-                Ok(entry) => Action::Predict {
-                    entry,
-                    queries: vec![query],
-                    batch: false,
-                },
-                Err(e) => ready(error_response(e)),
-            },
-            Err(e) => ready(error_response(e)),
-        },
-        "batch" => {
-            let queries = match request.get("queries").and_then(Json::as_arr) {
-                Some(items) if items.len() <= MAX_BATCH_QUERIES => items,
-                Some(_) => return ready(error_response("batch too large")),
-                None => return ready(error_response("missing queries")),
-            };
-            let mut parsed = Vec::with_capacity(queries.len());
-            for q in queries {
-                match query_from_json(q) {
-                    Ok(query) => parsed.push(query),
-                    Err(e) => return ready(error_response(e)),
-                }
-            }
-            match resolve(model_id) {
-                Ok(entry) => Action::Predict {
-                    entry,
-                    queries: parsed,
-                    batch: true,
-                },
-                Err(e) => ready(error_response(e)),
-            }
+            json
         }
         "stats" => {
             let mut json = ok_response();
             json.set("stats", server.stats().to_json());
-            ready(json)
+            json
         }
         "reset-stats" => {
             // Zero traffic counters and histograms (global and per model);
@@ -660,14 +730,14 @@ pub(crate) fn classify(server: &PredictionServer, request: &Json) -> Action {
             // phases without the first phase polluting the second's
             // numbers.
             server.reset_stats();
-            ready(ok_response())
+            ok_response()
         }
         "manifest" => {
             let (model, generation) = match model_id {
                 None => (server.model(), server.generation()),
                 Some(id) => match (server.model_of(id), server.generation_of(id)) {
                     (Ok(model), Ok(generation)) => (model, generation),
-                    (Err(e), _) | (_, Err(e)) => return ready(error_response(e)),
+                    (Err(e), _) | (_, Err(e)) => return error_response(e),
                 },
             };
             let m = model.manifest();
@@ -686,7 +756,7 @@ pub(crate) fn classify(server: &PredictionServer, request: &Json) -> Action {
             let mut json = ok_response();
             json.set("manifest", inner)
                 .set("generation", Json::Num(generation as f64));
-            ready(json)
+            json
         }
         "reload" => {
             // Here `"model"` keeps its pre-registry meaning — a snapshot
@@ -694,7 +764,7 @@ pub(crate) fn classify(server: &PredictionServer, request: &Json) -> Action {
             let path = model_id.map(std::path::PathBuf::from);
             let name = match optional_str(request, "name") {
                 Ok(name) => name,
-                Err(e) => return ready(error_response(e)),
+                Err(e) => return error_response(e),
             };
             let result = match name {
                 None => server.reload_from_disk(path.as_deref()),
@@ -714,22 +784,22 @@ pub(crate) fn classify(server: &PredictionServer, request: &Json) -> Action {
                     if let Some(name) = name {
                         json.set("name", name);
                     }
-                    ready(json)
+                    json
                 }
                 // The old model is still serving; the error only reports
                 // why the swap did not happen.
-                Err(e) => ready(error_response(format!("reload failed: {e}"))),
+                Err(e) => error_response(format!("reload failed: {e}")),
             }
         }
         "load" => {
             let name = match optional_str(request, "name") {
                 Ok(Some(name)) => name,
-                Ok(None) => return ready(error_response("load requires a name")),
-                Err(e) => return ready(error_response(e)),
+                Ok(None) => return error_response("load requires a name"),
+                Err(e) => return error_response(e),
             };
             let path = match model_id {
                 Some(path) => std::path::PathBuf::from(path),
-                None => return ready(error_response("load requires a model snapshot path")),
+                None => return error_response("load requires a model snapshot path"),
             };
             match server.load_model_from_disk(name, &path) {
                 Ok(model) => {
@@ -739,36 +809,35 @@ pub(crate) fn classify(server: &PredictionServer, request: &Json) -> Action {
                         .set("num_rules", m.num_rules)
                         .set("num_priors", m.num_priors)
                         .set("checksum", gps_types::json::u64_to_hex(m.checksum));
-                    ready(json)
+                    json
                 }
-                Err(e) => ready(error_response(format!("load failed: {e}"))),
+                Err(e) => error_response(format!("load failed: {e}")),
             }
         }
         "unload" => {
             let name = match optional_str(request, "name") {
                 Ok(Some(name)) => name,
-                Ok(None) => return ready(error_response("unload requires a name")),
-                Err(e) => return ready(error_response(e)),
+                Ok(None) => return error_response("unload requires a name"),
+                Err(e) => return error_response(e),
             };
             match server.unload_model(name) {
                 Ok(()) => {
                     let mut json = ok_response();
                     json.set("name", name);
-                    ready(json)
+                    json
                 }
-                Err(e) => ready(error_response(format!("unload failed: {e}"))),
+                Err(e) => error_response(format!("unload failed: {e}")),
             }
         }
         "shutdown" => {
-            // Enter drain: the accept gates stop admitting, the query
-            // log is flushed, and the event loops close connections once
-            // their in-flight replies finish. The reply itself still
-            // goes out on this connection — drain never cuts off an
-            // answer already owed.
+            // Enter drain: the accept gates stop admitting, and the
+            // event loops close connections once their in-flight replies
+            // finish. The reply itself still goes out on this connection
+            // — drain never cuts off an answer already owed.
             server.begin_drain();
             let mut json = ok_response();
             json.set("draining", true);
-            ready(json)
+            json
         }
         "list-models" => {
             let stats = server.stats();
@@ -785,118 +854,9 @@ pub(crate) fn classify(server: &PredictionServer, request: &Json) -> Action {
                     })
                     .collect::<Vec<_>>(),
             );
-            ready(json)
+            json
         }
-        other => ready(error_response(format!("unknown cmd {other:?}"))),
-    }
-}
-
-/// Classify one raw frame payload — either wire format — into a finished
-/// reply or predict work plus its reply context. This is the one entry
-/// point every inbound frame goes through, which is what makes json and
-/// binary answer identically.
-pub(crate) fn classify_payload(
-    server: &PredictionServer,
-    format: WireFormat,
-    payload: &[u8],
-) -> FrameAction {
-    match format {
-        WireFormat::Json => match std::str::from_utf8(payload) {
-            // The decoder already enforced UTF-8 for JSON sessions; this
-            // arm only guards direct callers.
-            Err(_) => FrameAction::Ready(ReadyReply::Json {
-                response: error_response("bad json: frame is not utf-8"),
-                id: None,
-            }),
-            Ok(text) => classify_json(server, text, |id| ReplyCtx::Json { id }),
-        },
-        WireFormat::Binary => match wire::decode_request(payload) {
-            Err(e) => FrameAction::Ready(ReadyReply::BinaryError {
-                id: e.id,
-                message: e.message,
-            }),
-            Ok(wire::Request::Ping { id }) => FrameAction::Ready(ReadyReply::Pong { id }),
-            Ok(wire::Request::Predict { id, model, query }) => predict_action(
-                server,
-                model.as_deref(),
-                vec![query],
-                false,
-                ReplyCtx::Binary { id },
-            ),
-            Ok(wire::Request::Batch { id, model, queries }) => predict_action(
-                server,
-                model.as_deref(),
-                queries,
-                true,
-                ReplyCtx::Binary { id },
-            ),
-            // Admin passthrough: JSON semantics, binary envelope. The
-            // embedded text runs through the very same JSON core.
-            Ok(wire::Request::Admin { json }) => {
-                classify_json(server, &json, |id| ReplyCtx::BinaryAdmin { id })
-            }
-        },
-    }
-}
-
-/// The JSON half of [`classify_payload`]: parse, pull the echoed id, run
-/// the shared [`classify`] core. `ctx_of` builds the reply context from
-/// the echoed id — JSON frame, GPSQ admin envelope, HTTP body — so the
-/// reply rides the envelope the request arrived in.
-pub(crate) fn classify_json(
-    server: &PredictionServer,
-    text: &str,
-    ctx_of: impl Fn(Option<Json>) -> ReplyCtx,
-) -> FrameAction {
-    // The request id (if any) is echoed on every reply, error replies
-    // included — a pipelining client must be able to tell *which* request
-    // of a burst failed. Unparseable JSON has no extractable id, so only
-    // framing-level garbage goes un-correlated.
-    let (response, id) = match Json::parse(text) {
-        Err(e) => (error_response(format!("bad json: {e}")), None),
-        Ok(request) => {
-            let id = request.get("id").cloned();
-            match classify(server, &request) {
-                Action::Ready(json) => (json, id),
-                Action::Predict {
-                    entry,
-                    queries,
-                    batch,
-                } => {
-                    return FrameAction::Predict(PredictWork {
-                        entry,
-                        queries,
-                        batch,
-                        ctx: ctx_of(id),
-                    });
-                }
-            }
-        }
-    };
-    FrameAction::Ready(ready_json(ctx_of(id), response))
-}
-
-/// Resolve the model entry for native-binary predict work; an unknown id
-/// is an error reply like any other (same message as the JSON path).
-fn predict_action(
-    server: &PredictionServer,
-    model: Option<&str>,
-    queries: Vec<Query>,
-    batch: bool,
-    ctx: ReplyCtx,
-) -> FrameAction {
-    let entry = match model {
-        None => Ok(server.default_entry().clone()),
-        Some(id) => server.entry(id),
-    };
-    match entry {
-        Ok(entry) => FrameAction::Predict(PredictWork {
-            entry,
-            queries,
-            batch,
-            ctx,
-        }),
-        Err(e) => FrameAction::Ready(ready_error(ctx, e)),
+        other => error_response(format!("unknown cmd {other:?}")),
     }
 }
 
@@ -927,6 +887,41 @@ pub(crate) fn connect_timeout(
         .unwrap_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no addresses to connect")))
 }
 
+fn frame_too_large() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, "frame too large")
+}
+
+fn server_closed() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "server closed")
+}
+
+fn bad_data(message: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message.into())
+}
+
+fn verify_id(got: Option<u64>, want: u64) -> io::Result<()> {
+    if got != Some(want) {
+        return Err(bad_data(format!(
+            "response does not echo request id {want}"
+        )));
+    }
+    Ok(())
+}
+
+/// Check a JSON reply against the request it must answer: the id echo
+/// first (a desynchronized stream is a hard error), then `ok`, with an
+/// `ok:false` reply's message as an `ErrorKind::Other` error.
+fn json_reply(response: Json, id: u64) -> io::Result<Json> {
+    verify_id(response.get("id").and_then(Json::as_u64), id)?;
+    match response.get("ok").and_then(Json::as_bool) {
+        Some(true) => Ok(response),
+        _ => {
+            let message = response.get("error").and_then(Json::as_str);
+            Err(io::Error::other(message.unwrap_or("unknown server error")))
+        }
+    }
+}
+
 /// A blocking protocol client (used by `gps query`, `gps reload`,
 /// loadgen, and tests), speaking either wire format — pick with
 /// [`connect_with`](Client::connect_with); [`connect`](Client::connect)
@@ -947,7 +942,8 @@ pub struct Client {
     /// Persistent response decoder (binary sessions): carries framing
     /// state and catches a server that flips format mid-stream.
     decoder: FrameDecoder,
-    /// Reused request/response scratch (binary sessions).
+    /// Reused request scratch: one frame is encoded here, checked
+    /// against the cap, then buffered.
     buf: Vec<u8>,
 }
 
@@ -1098,20 +1094,14 @@ impl Client {
 
     /// Read one GPSQ response payload into a decoded [`wire::Response`].
     fn read_binary_response(&mut self) -> io::Result<wire::Response> {
-        let payload = read_frame_payload(&mut self.reader, &mut self.decoder)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
-        wire::decode_response(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        let payload =
+            read_frame_payload(&mut self.reader, &mut self.decoder)?.ok_or_else(server_closed)?;
+        wire::decode_response(&payload).map_err(bad_data)
     }
 
-    fn verify_id(&self, got: Option<u64>, want: u64) -> io::Result<()> {
-        if got == Some(want) {
-            Ok(())
-        } else {
-            Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("response does not echo request id {want}"),
-            ))
-        }
+    /// Read one JSON response frame.
+    fn read_json_response(&mut self) -> io::Result<Json> {
+        read_frame(&mut self.reader)?.ok_or_else(server_closed)
     }
 
     /// Takes the request by value: every caller builds it fresh, and a
@@ -1125,54 +1115,30 @@ impl Client {
         let response = match self.wire {
             WireFormat::Json => {
                 write_frame(&mut self.writer, &request)?;
-                read_frame(&mut self.reader)?
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?
+                self.read_json_response()?
             }
             WireFormat::Binary => {
                 let mut text = String::new();
                 request.write(&mut text);
                 self.buf.clear();
                 if !append_binary_frame(&mut self.buf, |w| wire::encode_admin_request(&text, w)) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "frame too large",
-                    ));
+                    return Err(frame_too_large());
                 }
                 self.writer.write_all(&self.buf)?;
                 self.writer.flush()?;
                 match self.read_binary_response()? {
-                    wire::Response::Admin { json } => Json::parse(&json)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
+                    wire::Response::Admin { json } => {
+                        Json::parse(&json).map_err(|e| bad_data(e.to_string()))?
+                    }
                     // The server answers a broken admin *envelope* with a
                     // native error frame (the embedded JSON never parsed,
                     // so there is no JSON reply to wrap).
                     wire::Response::Error { message, .. } => return Err(io::Error::other(message)),
-                    _ => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "expected an admin envelope reply",
-                        ))
-                    }
+                    _ => return Err(bad_data("expected an admin envelope reply")),
                 }
             }
         };
-        if response.get("id").and_then(Json::as_u64) != Some(id) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("response does not echo request id {id}"),
-            ));
-        }
-        match response.get("ok").and_then(Json::as_bool) {
-            Some(true) => Ok(response),
-            _ => {
-                let message = response
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown server error")
-                    .to_string();
-                Err(io::Error::other(message))
-            }
-        }
+        json_reply(response, id)
     }
 
     pub fn ping(&mut self) -> io::Result<()> {
@@ -1186,12 +1152,12 @@ impl Client {
             self.writer.write_all(&self.buf)?;
             self.writer.flush()?;
             return match self.read_binary_response()? {
-                wire::Response::Pong { id: got } => self.verify_id(got, id),
+                wire::Response::Pong { id: got } => verify_id(got, id),
                 wire::Response::Error { id: got, message } => {
-                    self.verify_id(got, id)?;
+                    verify_id(got, id)?;
                     Err(io::Error::other(message))
                 }
-                _ => Err(io::Error::new(io::ErrorKind::InvalidData, "expected pong")),
+                _ => Err(bad_data("expected pong")),
             };
         }
         let mut request = Json::obj();
@@ -1206,26 +1172,8 @@ impl Client {
 
     /// Predict against a specific model id (`None` = the default model).
     pub fn predict_on(&mut self, model: Option<&str>, query: &Query) -> io::Result<Ranked> {
-        if self.wire == WireFormat::Binary {
-            let mut rankings =
-                self.call_binary_predict(model, std::slice::from_ref(query), false)?;
-            return rankings
-                .pop()
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no predictions"));
-        }
-        let mut request = query_to_json(query);
-        request.set("cmd", "predict");
-        // `cmd` is appended after the query fields; field order is free.
-        if let Some(id) = model {
-            request.set("model", id);
-        }
-        let response = self.call(request)?;
-        ranked_from_json(
-            response
-                .get("predictions")
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no predictions"))?,
-        )
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        let id = self.predict_send(model, query)?;
+        self.predict_recv(id)
     }
 
     pub fn predict_batch(&mut self, queries: &[Query]) -> io::Result<Vec<Ranked>> {
@@ -1238,25 +1186,8 @@ impl Client {
         model: Option<&str>,
         queries: &[Query],
     ) -> io::Result<Vec<Ranked>> {
-        if self.wire == WireFormat::Binary {
-            return self.call_binary_predict(model, queries, true);
-        }
-        let mut request = Json::obj();
-        request.set("cmd", "batch").set(
-            "queries",
-            queries.iter().map(query_to_json).collect::<Vec<_>>(),
-        );
-        if let Some(id) = model {
-            request.set("model", id);
-        }
-        let response = self.call(request)?;
-        response
-            .get("results")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no results"))?
-            .iter()
-            .map(|r| ranked_from_json(r).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)))
-            .collect()
+        let id = self.send_predict(model, queries, true)?;
+        self.recv_predict(id, true)
     }
 
     /// Send one single-query predict without waiting for the reply
@@ -1267,134 +1198,99 @@ impl Client {
     /// in request order (the server guarantees it), so receive in send
     /// order, per connection.
     pub fn predict_send(&mut self, model: Option<&str>, query: &Query) -> io::Result<u64> {
-        let id = self.next_id;
-        self.next_id += 1;
-        match self.wire {
-            WireFormat::Json => {
-                let mut request = query_to_json(query);
-                request.set("cmd", "predict");
-                if let Some(model) = model {
-                    request.set("model", model);
-                }
-                request.set("id", Json::Num(id as f64));
-                let mut text = String::new();
-                request.write(&mut text);
-                let len = u32::try_from(text.len())
-                    .ok()
-                    .filter(|&n| n <= MAX_FRAME_BYTES)
-                    .ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidInput, "frame too large")
-                    })?;
-                self.writer.write_all(&len.to_be_bytes())?;
-                self.writer.write_all(text.as_bytes())?;
-            }
-            WireFormat::Binary => {
-                self.buf.clear();
-                if !append_binary_frame(&mut self.buf, |w| {
-                    wire::encode_predict(Some(id), model, query, w)
-                }) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "frame too large",
-                    ));
-                }
-                self.writer.write_all(&self.buf)?;
-            }
-        }
-        Ok(id)
+        self.send_predict(model, std::slice::from_ref(query), false)
     }
 
     /// Receive the next pipelined predict response, which must answer
     /// the request whose [`predict_send`](Self::predict_send) returned
     /// `id`. Flushes any buffered sends first.
     pub fn predict_recv(&mut self, id: u64) -> io::Result<Ranked> {
-        self.writer.flush()?;
-        match self.wire {
-            WireFormat::Json => {
-                let response = read_frame(&mut self.reader)?
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
-                if response.get("id").and_then(Json::as_u64) != Some(id) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("response does not echo request id {id}"),
-                    ));
-                }
-                match response.get("ok").and_then(Json::as_bool) {
-                    Some(true) => {
-                        ranked_from_json(response.get("predictions").ok_or_else(|| {
-                            io::Error::new(io::ErrorKind::InvalidData, "no predictions")
-                        })?)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-                    }
-                    _ => Err(io::Error::other(
-                        response
-                            .get("error")
-                            .and_then(Json::as_str)
-                            .unwrap_or("unknown server error")
-                            .to_string(),
-                    )),
-                }
-            }
-            WireFormat::Binary => match self.read_binary_response()? {
-                wire::Response::Predict { id: got, ranking } => {
-                    self.verify_id(got, id)?;
-                    Ok(ranking)
-                }
-                wire::Response::Error { id: got, message } => {
-                    self.verify_id(got, id)?;
-                    Err(io::Error::other(message))
-                }
-                _ => Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "unexpected GPSQ response kind",
-                )),
-            },
-        }
+        let mut rankings = self.recv_predict(id, false)?;
+        Ok(rankings
+            .pop()
+            .expect("a single predict answers one ranking"))
     }
 
-    /// The native GPSQ predict path (single and batch shapes).
-    fn call_binary_predict(
+    /// Buffer one predict request — a single query, or a `batch` frame —
+    /// in either format, and return its id. A frame over the cap is
+    /// refused before a byte is buffered, so the stream stays in step.
+    fn send_predict(
         &mut self,
         model: Option<&str>,
         queries: &[Query],
         batch: bool,
-    ) -> io::Result<Vec<Ranked>> {
+    ) -> io::Result<u64> {
         let id = self.next_id;
         self.next_id += 1;
         self.buf.clear();
-        let encoded = append_binary_frame(&mut self.buf, |w| {
-            if batch {
-                wire::encode_batch(Some(id), model, queries, w);
-            } else {
-                wire::encode_predict(Some(id), model, &queries[0], w);
+        let encoded = match self.wire {
+            WireFormat::Json => {
+                let mut request = if batch {
+                    let mut request = Json::obj();
+                    let queries = queries.iter().map(query_to_json).collect::<Vec<_>>();
+                    request.set("cmd", "batch").set("queries", queries);
+                    request
+                } else {
+                    let mut request = query_to_json(&queries[0]);
+                    request.set("cmd", "predict");
+                    request
+                };
+                if let Some(model) = model {
+                    request.set("model", model);
+                }
+                request.set("id", Json::Num(id as f64));
+                append_json_frame(&mut self.buf, &request)
             }
-        });
+            WireFormat::Binary => append_binary_frame(&mut self.buf, |w| {
+                if batch {
+                    wire::encode_batch(Some(id), model, queries, w);
+                } else {
+                    wire::encode_predict(Some(id), model, &queries[0], w);
+                }
+            }),
+        };
         if !encoded {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "frame too large",
-            ));
+            return Err(frame_too_large());
         }
         self.writer.write_all(&self.buf)?;
+        Ok(id)
+    }
+
+    /// Flush buffered sends, then receive the predict reply to request
+    /// `id`: one ranking for a single, one per query for a batch.
+    fn recv_predict(&mut self, id: u64, batch: bool) -> io::Result<Vec<Ranked>> {
         self.writer.flush()?;
-        match self.read_binary_response()? {
-            wire::Response::Predict { id: got, ranking } if !batch => {
-                self.verify_id(got, id)?;
-                Ok(vec![ranking])
-            }
-            wire::Response::Batch { id: got, rankings } if batch => {
-                self.verify_id(got, id)?;
-                Ok(rankings)
-            }
-            wire::Response::Error { id: got, message } => {
-                self.verify_id(got, id)?;
-                Err(io::Error::other(message))
-            }
-            _ => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "unexpected GPSQ response kind",
-            )),
+        if self.wire == WireFormat::Binary {
+            return match self.read_binary_response()? {
+                wire::Response::Predict { id: got, ranking } if !batch => {
+                    verify_id(got, id).map(|()| vec![ranking])
+                }
+                wire::Response::Batch { id: got, rankings } if batch => {
+                    verify_id(got, id).map(|()| rankings)
+                }
+                wire::Response::Error { id: got, message } => {
+                    verify_id(got, id)?;
+                    Err(io::Error::other(message))
+                }
+                _ => Err(bad_data("unexpected GPSQ response kind")),
+            };
         }
+        let response = self.read_json_response()?;
+        let response = json_reply(response, id)?;
+        let ranked = |json: &Json| ranked_from_json(json).map_err(bad_data);
+        if !batch {
+            let ranking = response
+                .get("predictions")
+                .ok_or_else(|| bad_data("no predictions"))?;
+            return Ok(vec![ranked(ranking)?]);
+        }
+        response
+            .get("results")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| bad_data("no results"))?
+            .iter()
+            .map(ranked)
+            .collect()
     }
 
     pub fn stats(&mut self) -> io::Result<Json> {

@@ -49,9 +49,11 @@
 //! connections for at most one `request_timeout` per burst until it is
 //! marked `Down`, just as a 65,536-query batch holds a server loop.
 //!
-//! The router holds no model: every reply a client sees was computed by
-//! a backend, re-framed through the same `proto` encoders the server
-//! uses, so a client cannot tell the router from a plain `gps serve`.
+//! The router holds no model: it decodes every front frame with the
+//! server's own `proto` decoder, so it refuses a malformed frame with the
+//! same bytes, and every answer was computed by a backend and re-framed
+//! through the server's encoders. A client cannot tell the router from a
+//! plain `gps serve`.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -64,13 +66,13 @@ use std::time::{Duration, Instant};
 use gps_types::Json;
 
 use crate::artifact::{Query, Ranked};
-use crate::net::http::{self, HttpRequest};
+use crate::net::http::{self, label_escape, HttpRequest};
 use crate::net::poller::{Event, Interest, Poller};
 use crate::net::{Conn, Connections, FrameDecoder, Payload, Service, WireFormat};
 use crate::proto::{
-    append_binary_frame, connect_timeout, encode_predict_reply, encode_ready, ok_response,
-    query_from_json, ready_error, ready_json, Client, ClientConfig, ReadyReply, ReplyCtx,
-    MAX_BATCH_QUERIES, MAX_FRAME_BYTES,
+    append_binary_frame, connect_timeout, decode_request, encode_predict_reply, encode_ready,
+    ok_response, ready_error, ready_json, Client, ClientConfig, ReadyReply, ReplyCtx, Request,
+    MAX_FRAME_BYTES,
 };
 use crate::transport::TransportConfig;
 use crate::wire;
@@ -329,7 +331,8 @@ impl Core {
         let _ = writeln!(w, "# TYPE gps_backend_up gauge");
         for b in &self.backends {
             let up = u8::from(b.health() != Health::Down);
-            let _ = writeln!(w, "gps_backend_up{{backend=\"{}\"}} {up}", b.addr);
+            let backend = label_escape(&b.addr);
+            let _ = writeln!(w, "gps_backend_up{{backend=\"{backend}\"}} {up}");
         }
         let _ = writeln!(
             w,
@@ -340,7 +343,7 @@ impl Core {
             let _ = writeln!(
                 w,
                 "gps_backend_forwarded_total{{backend=\"{}\"}} {}",
-                b.addr,
+                label_escape(&b.addr),
                 b.forwarded.load(Ordering::Relaxed)
             );
         }
@@ -353,7 +356,7 @@ impl Core {
             let _ = writeln!(
                 w,
                 "gps_backend_errors_total{{backend=\"{}\"}} {}",
-                b.addr,
+                label_escape(&b.addr),
                 b.errors.load(Ordering::Relaxed)
             );
         }
@@ -428,74 +431,19 @@ struct Part {
 }
 
 impl Burst {
-    /// Decode one front frame into its reply slot (and, for a predict,
-    /// its parts) — the router's analog of the server's
-    /// `classify_payload`.
+    /// Decode one front frame through the server's decoder into its
+    /// reply slot (and, for a predict, its parts).
     fn push_frame(&mut self, core: &Core, format: WireFormat, payload: &[u8]) {
-        match format {
-            // The decoder already refused non-UTF-8 JSON frames.
-            WireFormat::Json => {
-                let text = std::str::from_utf8(payload).unwrap_or_default();
-                self.push_json(core, text, |id| ReplyCtx::Json { id })
-            }
-            WireFormat::Binary => match wire::decode_request(payload) {
-                Err(e) => self.refuse(ReplyCtx::Binary { id: e.id }, e.message),
-                Ok(wire::Request::Ping { id }) => {
-                    core.requests.fetch_add(1, Ordering::Relaxed);
-                    self.slots.push(Slot::Ready(ReadyReply::Pong { id }));
-                }
-                Ok(wire::Request::Predict { id, model, query }) => {
-                    core.requests.fetch_add(1, Ordering::Relaxed);
-                    self.predict(core, ReplyCtx::Binary { id }, model, vec![query], false);
-                }
-                Ok(wire::Request::Batch { id, model, queries }) => {
-                    core.requests.fetch_add(1, Ordering::Relaxed);
-                    self.predict(core, ReplyCtx::Binary { id }, model, queries, true);
-                }
-                Ok(wire::Request::Admin { json }) => {
-                    self.push_json(core, &json, |id| ReplyCtx::BinaryAdmin { id })
-                }
-            },
+        match decode_request(format, payload) {
+            Request::Ready(reply) => self.slots.push(Slot::Ready(reply)),
+            Request::Predict {
+                ctx,
+                model,
+                queries,
+                batch,
+            } => self.predict(core, ctx, model, queries, batch),
+            Request::Command { ctx, cmd, .. } => self.slots.push(Slot::Admin { ctx, cmd }),
         }
-    }
-
-    /// One JSON-semantics request: a predict to route, a command for the
-    /// router itself, or an error reply.
-    fn push_json(&mut self, core: &Core, text: &str, ctx_of: impl Fn(Option<Json>) -> ReplyCtx) {
-        let request = match Json::parse(text) {
-            Ok(json) => json,
-            Err(e) => return self.refuse(ctx_of(None), format!("bad json: {e}")),
-        };
-        let ctx = ctx_of(request.get("id").cloned());
-        let cmd = match request.get("cmd").and_then(Json::as_str) {
-            Some(cmd) => cmd.to_string(),
-            None => return self.refuse(ctx, "missing cmd".to_string()),
-        };
-        let model = match request.get("model") {
-            None => None,
-            Some(Json::Str(id)) => Some(id.clone()),
-            Some(_) => return self.refuse(ctx, "model must be a string".to_string()),
-        };
-        core.requests.fetch_add(1, Ordering::Relaxed);
-        let queries = match cmd.as_str() {
-            "predict" => query_from_json(&request).map(|query| vec![query]),
-            "batch" => match request.get("queries").and_then(Json::as_arr) {
-                Some(items) if items.len() <= MAX_BATCH_QUERIES => {
-                    items.iter().map(query_from_json).collect()
-                }
-                Some(_) => Err("batch too large".to_string()),
-                None => Err("missing queries".to_string()),
-            },
-            _ => return self.slots.push(Slot::Admin { ctx, cmd }),
-        };
-        match queries {
-            Ok(queries) => self.predict(core, ctx, model, queries, cmd == "batch"),
-            Err(e) => self.refuse(ctx, e),
-        }
-    }
-
-    fn refuse(&mut self, ctx: ReplyCtx, message: String) {
-        self.slots.push(Slot::Ready(ready_error(ctx, message)));
     }
 
     /// Queue one predict frame: a single query is one part, a batch one
@@ -724,8 +672,12 @@ impl Hop {
     }
 
     /// Answer one read burst's frames into `out`, in request order:
-    /// route every predict, then run the admin commands, then encode.
+    /// count them, route every predict, then run the admin commands, then
+    /// encode.
     fn answer(&mut self, format: WireFormat, frames: &mut Vec<Vec<u8>>, out: &mut Vec<u8>) {
+        self.core
+            .requests
+            .fetch_add(frames.len() as u64, Ordering::Relaxed);
         let mut burst = Burst::default();
         for payload in frames.drain(..) {
             burst.push_frame(&self.core, format, &payload);
@@ -1239,5 +1191,14 @@ mod tests {
         assert!(text.contains("gps_backend_up{backend=\"b0:1\"} 1"));
         assert!(text.contains("gps_backend_up{backend=\"b1:2\"} 0"));
         assert!(text.contains("gps_router_draining 0"));
+    }
+
+    #[test]
+    fn metrics_escape_backend_labels() {
+        let text = test_core(&["a\"b\\c:1"]).render_metrics();
+        for family in ["up", "forwarded_total", "errors_total"] {
+            let series = format!("gps_backend_{family}{{backend=\"a\\\"b\\\\c:1\"}} ");
+            assert!(text.contains(&series), "{series} missing from:\n{text}");
+        }
     }
 }

@@ -802,6 +802,34 @@ fn client_reassembles_dribbled_responses() {
     assert_eq!(answers[1][0], (Port(443), 0.9));
 }
 
+/// A batch whose frame would pass the 16 MiB cap is refused by the
+/// client before a byte is sent — `InvalidInput`, "frame too large" — on
+/// both wires, and the same client stays in step: its next predict is
+/// answered. Each query carries 64 five-digit ports; GPSQ packs a query
+/// into ~136 bytes and JSON into ~410, so each wire gets the count that
+/// passes the cap.
+#[test]
+fn client_refuses_an_oversized_frame_and_stays_in_step() {
+    let (_server, addr) = spawn(TransportConfig::default());
+    for (wire, count) in [(WireFormat::Json, 45_000u32), (WireFormat::Binary, 130_000)] {
+        let mut client = Client::connect_with(addr, wire).expect("connect");
+        let open: Vec<u16> = (0..64).map(|i| 10_000 + 800 * i).collect();
+        let batch: Vec<Query> = (0..count)
+            .map(|i| Query::new(Ip(0x0A00_0000 + i)).with_open(open.iter().copied()))
+            .collect();
+        let err = client
+            .predict_batch_on(None, &batch)
+            .expect_err("over the frame cap");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{wire:?}");
+        assert_eq!(err.to_string(), "frame too large", "{wire:?}");
+        drop(batch);
+        let ranked = client
+            .predict(&Query::new(Ip::from_octets(10, 0, 0, 9)).with_open([80]))
+            .expect("still in step");
+        assert_eq!(ranked[0], (Port(443), 0.9), "{wire:?}");
+    }
+}
+
 /// Raw protocol sanity under the dribble proxy from the server's
 /// perspective too: a request written through the proxy arrives a byte
 /// at a time and is still answered (this is the regression pairing for
@@ -1552,6 +1580,10 @@ mod router_hop {
             );
             assert_eq!(routed, direct, "frame {i}");
         }
+        // Every frame counts as a request the router answered, refusals
+        // included.
+        let requests = router.stats_json().get("requests").and_then(Json::as_u64);
+        assert_eq!(requests, Some(frames.len() as u64));
     }
 
     fn http_get(addr: SocketAddr, path: &str) -> String {
