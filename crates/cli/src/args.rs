@@ -31,8 +31,6 @@ pub struct Args {
     /// serve: close connections idle this many seconds (0 = never;
     /// fractional values accepted).
     pub idle_timeout: f64,
-    /// serve: hot-reload when a registered snapshot file changes on disk.
-    pub watch: bool,
     /// serve: TCP address for the HTTP/1.1 gateway (None = no gateway).
     pub http_addr: Option<String>,
     /// route: backend `gps serve` addresses (repeatable, at least one).
@@ -113,7 +111,6 @@ impl Default for Args {
             addr: "127.0.0.1:4615".to_string(),
             max_conns: 0,
             idle_timeout: 0.0,
-            watch: false,
             http_addr: None,
             backends: Vec::new(),
             probe_interval: 0.5,
@@ -221,7 +218,6 @@ impl Args {
                         _ => args.model = v,
                     }
                 }
-                "--watch" => args.watch = true,
                 "--addr" => args.addr = value("--addr")?,
                 "--http-addr" => args.http_addr = Some(value("--http-addr")?),
                 "--backend" => args.backends.push(value("--backend")?),
@@ -394,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_export_watch_and_reload() {
+    fn parses_export_and_reload() {
         let args = Args::parse(["export-model", "--model", "/tmp/m.gpsb"]).unwrap();
         assert_eq!(args.model, "/tmp/m.gpsb");
         assert_eq!(
@@ -403,19 +399,19 @@ mod tests {
         );
 
         // A snapshot is one GPSB container with one copy of each artifact:
-        // nothing selects an encoding or an optional section.
+        // nothing selects an encoding or an optional section. A served
+        // file is swapped by `gps reload`, never by polling it.
         for gone in [
             &["export-model", "--format", "binary"][..],
             &["export-model", "--no-compiled"],
+            &["serve", "--watch"],
         ] {
             let err = Args::parse(gone.iter().copied()).unwrap_err();
             assert!(err.0.contains("unknown flag"), "{}", err.0);
         }
 
-        let args = Args::parse(["serve", "--model", "m.gpsb", "--watch"]).unwrap();
-        assert!(args.watch);
+        let args = Args::parse(["serve", "--model", "m.gpsb"]).unwrap();
         assert_eq!(args.model, "m.gpsb");
-        assert!(!Args::parse(["serve"]).unwrap().watch);
 
         // `reload --model` targets reload_model, leaving the serve/export
         // default untouched; without it the server re-reads its own file.

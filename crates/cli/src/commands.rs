@@ -327,26 +327,14 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     let server = PredictionServer::start_named(models, ServeConfig::default())
         .map_err(|e| format!("--model: {e}"))?;
-    // Record each source so `gps reload` (without --model) and --watch can
-    // re-read them.
+    // Record each source so `gps reload [id]` without --model re-reads
+    // it: replacing a served file is export, rename into place, reload.
     for (name, path) in &entries {
         server
-            .set_model_path_of(name, path)
+            .set_model_path(Some(name), path)
             .expect("just-registered model");
     }
     let server = Arc::new(server);
-    let _watcher = if args.watch {
-        println!(
-            "watching {} snapshot file(s) for changes (hot reload)",
-            entries.len()
-        );
-        Some(gps_serve::watch_snapshot_file(
-            server.clone(),
-            std::time::Duration::from_millis(500),
-        ))
-    } else {
-        None
-    };
     let listener = std::net::TcpListener::bind(&args.addr)
         .map_err(|e| format!("--addr {}: {e}", args.addr))?;
     let http = match &args.http_addr {
@@ -475,7 +463,7 @@ pub fn cmd_reload(args: &Args) -> Result<(), String> {
     let mut client =
         gps_serve::Client::connect(&args.addr).map_err(|e| format!("--addr {}: {e}", args.addr))?;
     let outcome = client
-        .reload_named(args.reload_name.as_deref(), args.reload_model.as_deref())
+        .reload(args.reload_name.as_deref(), args.reload_model.as_deref())
         .map_err(|e| format!("reload: {e}"))?;
     match &args.reload_name {
         Some(name) => println!("reloaded {name}: generation {}", outcome.generation),
@@ -736,7 +724,7 @@ mod tests {
             ServableModel::from_snapshot(snapshot_a),
             ServeConfig::default(),
         );
-        server.set_model_path(&path_a);
+        server.set_model_path(None, &path_a).unwrap();
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = Arc::new(server);
@@ -748,7 +736,7 @@ mod tests {
         }
         let mut client = gps_serve::Client::connect(addr).unwrap();
         let outcome = client
-            .reload(Some(path_b.to_string_lossy().as_ref()))
+            .reload(None, Some(path_b.to_string_lossy().as_ref()))
             .unwrap();
         assert_eq!(outcome.generation, 1);
         assert_eq!(
@@ -763,7 +751,7 @@ mod tests {
             "served manifest now reports model B"
         );
         // Reload without --model re-reads the (updated) recorded path.
-        assert_eq!(client.reload(None).unwrap().generation, 2);
+        assert_eq!(client.reload(None, None).unwrap().generation, 2);
 
         // Older formats are refused at every door with an error naming
         // why, and the server keeps answering from model B on its recorded
@@ -786,7 +774,7 @@ mod tests {
             let mut serve_args = quick_args(Command::Serve);
             serve_args.model = path.clone();
             for err in [
-                client.reload(Some(path)).unwrap_err().to_string(),
+                client.reload(None, Some(path)).unwrap_err().to_string(),
                 client.load_model("old", path).unwrap_err().to_string(),
                 cmd_serve(&serve_args).unwrap_err(),
             ] {
@@ -795,7 +783,7 @@ mod tests {
         }
         assert_eq!(client.predict(&query).unwrap(), before);
         assert_eq!(client.list_models().unwrap().len(), 1);
-        let outcome = client.reload(None).unwrap();
+        let outcome = client.reload(None, None).unwrap();
         assert_eq!(outcome.generation, 3);
         assert_eq!(
             outcome.checksum,

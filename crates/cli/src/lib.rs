@@ -54,7 +54,6 @@ SERVING OPTIONS:
     --addr A            TCP address (default 127.0.0.1:4615)
     --max-conns N       serve: live-connection cap (default unlimited)
     --idle-timeout S    serve: drop conns silent for S seconds (default never)
-    --watch             serve: hot-reload when a snapshot file changes
     --http-addr A       serve: HTTP/1.1 gateway (GET /metrics /stats
                         /models /healthz, POST /predict /batch /reset-stats)
     --ip A.B.C.D        query target
@@ -78,7 +77,7 @@ EXAMPLES:
     gps run --workload censys --seed-fraction 0.02 --step 16 --csv curve.csv
     gps compare --workload lzr
     gps export-model --quick --model /tmp/gps-model.gpsb
-    gps serve --model /tmp/gps-model.gpsb --addr 127.0.0.1:4615 --watch
+    gps serve --model /tmp/gps-model.gpsb --addr 127.0.0.1:4615
     gps serve --model quick=/tmp/a.gpsb --model lzr=/tmp/b.gpsb
     gps serve --model /tmp/a.gpsb --max-conns 20000 --idle-timeout 60
     gps serve --model /tmp/a.gpsb --http-addr 127.0.0.1:8080

@@ -408,34 +408,6 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     result.map_err(SnapshotError::Io)
 }
 
-/// How many leading bytes [`header_fingerprint`] hashes. Covers the whole
-/// manifest (a GPSB container opens with the MANI section), and the
-/// manifest embeds the checksum over RULE + PRIO — so any content change
-/// moves the fingerprint.
-pub const HEADER_FINGERPRINT_BYTES: usize = 4096;
-
-/// Cheap content fingerprint of a snapshot file: FNV-1a over its first
-/// [`HEADER_FINGERPRINT_BYTES`] bytes. Used by the serving file watcher
-/// alongside `(mtime, size)` — a same-size overwrite inside the
-/// filesystem's mtime granularity still changes the manifest header bytes
-/// (the embedded checksum covers the rules and priors), so the poll
-/// cannot miss it.
-pub fn header_fingerprint(path: impl AsRef<Path>) -> std::io::Result<u64> {
-    use std::io::Read;
-    let mut head = vec![0u8; HEADER_FINGERPRINT_BYTES];
-    let mut file = std::fs::File::open(path.as_ref())?;
-    let mut filled = 0;
-    while filled < head.len() {
-        match file.read(&mut head[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(fnv64(&head[..filled]))
-}
-
 /// Map a GPSB section checksum mismatch onto [`SnapshotError::Checksum`]
 /// so corruption reports the same way at the section and manifest layers.
 fn verify_section(section: &gps_types::binary::Section<'_>) -> Result<(), SnapshotError> {
@@ -948,41 +920,6 @@ mod tests {
             .filter(|name| name.ends_with(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "temp litter: {leftovers:?}");
-    }
-
-    #[test]
-    fn header_fingerprint_tracks_content_not_just_size() {
-        let dir = TestDir::new("fingerprint");
-        let snapshot = trained_snapshot();
-        let path = dir.path("model.gpsb");
-        snapshot.save_binary(&path).unwrap();
-        let original = header_fingerprint(&path).unwrap();
-        assert_eq!(
-            header_fingerprint(&path).unwrap(),
-            original,
-            "fingerprint is deterministic"
-        );
-        // Same-size overwrite with different content: the trained model is
-        // unchanged except one priors coverage count, so file size stays
-        // identical while the body (and the manifest's embedded checksum)
-        // moves.
-        let mut tweaked = snapshot.clone();
-        tweaked.priors[0].coverage += 1;
-        tweaked.save_binary(&path).unwrap();
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().len(),
-            {
-                let size_probe = dir.path("probe.gpsb");
-                snapshot.save_binary(&size_probe).unwrap();
-                std::fs::metadata(&size_probe).unwrap().len()
-            },
-            "test premise: the overwrite is size-preserving"
-        );
-        assert_ne!(
-            header_fingerprint(&path).unwrap(),
-            original,
-            "content change must move the fingerprint"
-        );
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   (one per scan universe/day — compare quick vs full or LZR-filtered
 //!   vs raw from one process), [`ServerStats`] counters with a per-model
 //!   breakdown, and zero-downtime snapshot hot-reload (epoch-published
-//!   models + the [`watch_snapshot_file`] control path covering every
-//!   registered snapshot file). A prediction is a table lookup (§5.4,
+//!   models, swapped by the `reload` command, which re-reads a model's
+//!   recorded snapshot file). A prediction is a table lookup (§5.4,
 //!   Eq. 4–7) of a few hundred nanoseconds, and an LZR-style scanner
 //!   asks per host with that host's own evidence, so answers rarely
 //!   repeat: every query runs the compiled kernel on the thread that
@@ -74,10 +74,10 @@ pub use artifact::{Query, Ranked, ReferenceModel, ServableModel};
 pub use gps_core::compiled::PredictScratch;
 pub use hist::{EndpointLabel, HistogramSet, LatencyHistogram, WireLabel};
 pub use net::{DecodeError, FrameDecoder, WireFormat};
-pub use proto::{Client, ClientConfig, ClientError, ReloadOutcome};
+pub use proto::{Client, ClientConfig, ReloadOutcome};
 pub use router::{Router, RouterConfig, RouterHandle};
 pub use server::{
-    validate_model_id, watch_snapshot_file, ModelStatsSnapshot, PredictionServer, ReloadWatcher,
-    ServeConfig, ServerStats, StatsSnapshot, DEFAULT_MODEL_ID, MAX_MODEL_ID_LEN,
+    validate_model_id, ModelStatsSnapshot, PredictionServer, ServeConfig, ServerStats,
+    StatsSnapshot, DEFAULT_MODEL_ID, MAX_MODEL_ID_LEN,
 };
 pub use transport::{serve, serve_with_http, TransportConfig};

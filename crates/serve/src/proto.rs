@@ -733,12 +733,9 @@ fn command(server: &PredictionServer, cmd: &str, request: &Json) -> Json {
             ok_response()
         }
         "manifest" => {
-            let (model, generation) = match model_id {
-                None => (server.model(), server.generation()),
-                Some(id) => match (server.model_of(id), server.generation_of(id)) {
-                    (Ok(model), Ok(generation)) => (model, generation),
-                    (Err(e), _) | (_, Err(e)) => return error_response(e),
-                },
+            let (generation, model) = match server.entry_or_default(model_id) {
+                Ok(entry) => entry.published(),
+                Err(e) => return error_response(e),
             };
             let m = model.manifest();
             let mut inner = Json::obj();
@@ -766,11 +763,7 @@ fn command(server: &PredictionServer, cmd: &str, request: &Json) -> Json {
                 Ok(name) => name,
                 Err(e) => return error_response(e),
             };
-            let result = match name {
-                None => server.reload_from_disk(path.as_deref()),
-                Some(id) => server.reload_model_from_disk(id, path.as_deref()),
-            };
-            match result {
+            match server.reload_from_disk(name, path.as_deref()) {
                 // Describe the model *this* reload published — reading
                 // the slot again here could race with a concurrent
                 // reload and misattribute the manifest.
@@ -957,8 +950,8 @@ pub struct ClientConfig {
     pub wire: WireFormat,
     /// Bound on TCP connect (`None` = the OS default, typically minutes).
     pub connect_timeout: Option<Duration>,
-    /// Per-read socket deadline; an expiry surfaces as a
-    /// [`ClientError::Retryable`] timeout.
+    /// Per-read socket deadline; an expiry surfaces as an `io::Error` of
+    /// kind `WouldBlock` or `TimedOut`.
     pub read_timeout: Option<Duration>,
     /// Per-write socket deadline.
     pub write_timeout: Option<Duration>,
@@ -986,70 +979,6 @@ impl ClientConfig {
         }
     }
 }
-
-/// [`Client`] failures sorted by what the caller should do about them.
-/// Built from the `io::Result` the client methods return (the methods
-/// keep their `io::Result` signatures — every existing call site works
-/// unchanged; classify with [`ClientError::from_io`]).
-#[derive(Debug)]
-pub enum ClientError {
-    /// Transport-level failure — timeout, refused/reset connection,
-    /// server closed mid-call. The request may be retried, on this
-    /// backend after a backoff or immediately on another one; predict
-    /// queries are idempotent so a retry can never double-apply.
-    Retryable(io::Error),
-    /// Protocol breakage (desynchronized ids, malformed frames) or
-    /// local misuse (oversized frame). Retrying sends the same doomed
-    /// bytes; the connection is not trustworthy.
-    Fatal(io::Error),
-    /// The server understood the request and answered `ok:false` — an
-    /// application error ("unknown cmd", "batch too large", "unknown
-    /// model ..."). Deterministic: a retry elsewhere gets the same
-    /// answer, so forward it to whoever asked.
-    Server(String),
-}
-
-impl ClientError {
-    /// Classify an error returned by any [`Client`] method.
-    pub fn from_io(e: io::Error) -> ClientError {
-        match e.kind() {
-            // `WouldBlock` is how Unix reports an expired SO_RCVTIMEO /
-            // SO_SNDTIMEO on a blocking socket.
-            io::ErrorKind::TimedOut
-            | io::ErrorKind::WouldBlock
-            | io::ErrorKind::ConnectionRefused
-            | io::ErrorKind::ConnectionReset
-            | io::ErrorKind::ConnectionAborted
-            | io::ErrorKind::BrokenPipe
-            | io::ErrorKind::NotConnected
-            | io::ErrorKind::WriteZero
-            | io::ErrorKind::AddrNotAvailable
-            | io::ErrorKind::UnexpectedEof => ClientError::Retryable(e),
-            // The client maps `ok:false` replies to `ErrorKind::Other`
-            // with the server's message as the error text.
-            io::ErrorKind::Other => ClientError::Server(e.to_string()),
-            _ => ClientError::Fatal(e),
-        }
-    }
-
-    /// Whether retrying the request (here after a backoff, or on another
-    /// backend) can plausibly succeed.
-    pub fn retryable(&self) -> bool {
-        matches!(self, ClientError::Retryable(_))
-    }
-}
-
-impl std::fmt::Display for ClientError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClientError::Retryable(e) => write!(f, "retryable: {e}"),
-            ClientError::Fatal(e) => write!(f, "fatal: {e}"),
-            ClientError::Server(message) => write!(f, "server error: {message}"),
-        }
-    }
-}
-
-impl std::error::Error for ClientError {}
 
 impl Client {
     /// Connect speaking JSON (the historical default).
@@ -1337,23 +1266,13 @@ impl Client {
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no manifest"))
     }
 
-    /// Ask the server to hot-reload its default model's snapshot — from
-    /// `model` (a path) if given, else from the file it is already
-    /// serving. The returned outcome is taken from the reload reply
-    /// itself, so it describes exactly the model this reload published (a
-    /// follow-up `manifest` call could race with another reload).
-    pub fn reload(&mut self, model: Option<&str>) -> io::Result<ReloadOutcome> {
-        self.reload_named(None, model)
-    }
-
-    /// [`reload`](Self::reload) for a specific model id (`None` = the
-    /// default model); `path` optionally switches that model to a
-    /// different snapshot file.
-    pub fn reload_named(
-        &mut self,
-        name: Option<&str>,
-        path: Option<&str>,
-    ) -> io::Result<ReloadOutcome> {
+    /// Ask the server to hot-reload model `name` (`None` = the default
+    /// model) — from `path` if given, else from the snapshot file it is
+    /// already serving. The returned outcome is taken from the reload
+    /// reply itself, so it describes exactly the model this reload
+    /// published (a follow-up `manifest` call could race with another
+    /// reload).
+    pub fn reload(&mut self, name: Option<&str>, path: Option<&str>) -> io::Result<ReloadOutcome> {
         let mut request = Json::obj();
         request.set("cmd", "reload");
         if let Some(name) = name {

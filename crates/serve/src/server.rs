@@ -22,19 +22,17 @@
 //!
 //! Each registry entry publishes its model through an epoch slot
 //! (`ModelSlot`): an `Arc<ServableModel>` plus a generation counter.
-//! [`PredictionServer::reload_model`] publishes a new model under an
-//! existing id and bumps that id's generation. Every request clones the
-//! slot's `Arc` once, so the request after a reload answers from the new
-//! model, requests already running finish on the epoch they grabbed —
-//! nothing is dropped, nothing blocks — and an old epoch is freed when
-//! its last in-flight `Arc` clone goes away. Two control paths trigger
-//! reloads in a deployment: the `reload` wire command (`proto.rs`) and
-//! [`watch_snapshot_file`] — a SIGHUP-style thread that polls every
-//! registered snapshot path and reloads the one that changed (snapshot
-//! saves are write-then-rename, so the watcher never reads a
-//! half-written file; the poll fingerprint includes a content hash of the
-//! manifest header, so a same-size overwrite inside the filesystem's
-//! mtime granularity is still seen).
+//! [`PredictionServer::reload`] publishes a new model under an existing
+//! id and bumps that id's generation. Every request clones the slot's
+//! `Arc` once, so the request after a reload answers from the new model,
+//! requests already running finish on the epoch they grabbed — nothing is
+//! dropped, nothing blocks — and an old epoch is freed when its last
+//! in-flight `Arc` clone goes away. In a deployment the one trigger is
+//! the `reload` wire command (`proto.rs`, `gps reload [id]`), which calls
+//! [`PredictionServer::reload_from_disk`]: without a path it re-reads the
+//! model's recorded snapshot file, so replacing a served model is export,
+//! rename into place (snapshot saves are write-then-rename, so a reader
+//! never sees a half-written file), reload.
 //!
 //! ## Registry membership
 //!
@@ -46,17 +44,15 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, RwLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Instant, SystemTime};
 
 use crate::artifact::{Query, Ranked, ServableModel};
 use crate::hist::HistogramSet;
 use crate::net::Connections;
 use crate::PredictScratch;
-use gps_core::snapshot::header_fingerprint;
 use gps_core::ModelSnapshot;
 use gps_types::json::Json;
 use gps_types::{HistogramSnapshot, JsonCodec};
@@ -126,6 +122,15 @@ impl ModelSlot {
         self.generation.load(Ordering::Acquire)
     }
 
+    /// The published `(generation, model)` pair, read under one lock:
+    /// [`publish`](Self::publish) stores and bumps under the write lock,
+    /// so a concurrent reload cannot pair one model with another's
+    /// generation.
+    fn published(&self) -> (u64, Arc<ServableModel>) {
+        let current = self.current.read().expect("model slot lock");
+        (self.generation(), current.clone())
+    }
+
     /// Publish a new model and return the new generation. The generation
     /// bump happens while the write lock is still held, so concurrent
     /// publishers cannot interleave store and bump — the Nth store is
@@ -181,6 +186,12 @@ impl ModelEntry {
 
     pub(crate) fn current(&self) -> Arc<ServableModel> {
         self.slot.current()
+    }
+
+    /// The serving model with its own generation, for replies that report
+    /// both (`manifest`, per-model stats).
+    pub(crate) fn published(&self) -> (u64, Arc<ServableModel>) {
+        self.slot.published()
     }
 
     fn path(&self) -> Option<PathBuf> {
@@ -269,13 +280,13 @@ pub struct ModelStatsSnapshot {
 
 impl ModelStatsSnapshot {
     fn of(entry: &ModelEntry, is_default: bool) -> ModelStatsSnapshot {
-        let model = entry.current();
+        let (generation, model) = entry.published();
         let manifest = model.manifest();
         let last_reload = entry.counters.last_reload_unix.load(Ordering::Relaxed);
         ModelStatsSnapshot {
             id: entry.id.clone(),
             is_default,
-            generation: entry.generation(),
+            generation,
             requests: entry.counters.requests.load(Ordering::Relaxed),
             reloads: entry.counters.reloads.load(Ordering::Relaxed),
             last_reload_unix: (last_reload != 0).then_some(last_reload),
@@ -515,6 +526,14 @@ impl PredictionServer {
             .ok_or_else(|| format!("unknown model {id:?}"))
     }
 
+    /// The entry `id` names, or the default entry for `None`.
+    pub(crate) fn entry_or_default(&self, id: Option<&str>) -> Result<Arc<ModelEntry>, String> {
+        match id {
+            None => Ok(self.default_entry.clone()),
+            Some(id) => self.entry(id),
+        }
+    }
+
     /// The entry the id-less API routes to (for the shared request
     /// core).
     pub(crate) fn default_entry(&self) -> &Arc<ModelEntry> {
@@ -548,30 +567,19 @@ impl PredictionServer {
         Ok(self.entry(id)?.generation())
     }
 
-    /// Record where the default model's snapshot lives on disk (the
-    /// default source for [`reload_from_disk`](Self::reload_from_disk)
-    /// and the file watcher).
-    pub fn set_model_path(&self, path: impl Into<PathBuf>) {
-        self.default_entry.set_path(path);
-    }
-
-    pub fn model_path(&self) -> Option<PathBuf> {
-        self.default_entry.path()
-    }
-
-    pub fn set_model_path_of(&self, id: &str, path: impl Into<PathBuf>) -> Result<(), String> {
-        self.entry(id)?.set_path(path);
+    /// Record where model `id`'s snapshot lives on disk (`None` = the
+    /// default model): the source
+    /// [`reload_from_disk`](Self::reload_from_disk) re-reads when given no
+    /// path.
+    pub fn set_model_path(&self, id: Option<&str>, path: impl Into<PathBuf>) -> Result<(), String> {
+        self.entry_or_default(id)?.set_path(path);
         Ok(())
-    }
-
-    pub fn model_path_of(&self, id: &str) -> Result<Option<PathBuf>, String> {
-        Ok(self.entry(id)?.path())
     }
 
     /// Register a new model under `id`, optionally recording the snapshot
     /// path it came from. Fails on an invalid or already-registered id —
-    /// replacing an existing model is what
-    /// [`reload_model`](Self::reload_model) is for.
+    /// replacing an existing model is what [`reload`](Self::reload) is
+    /// for.
     pub fn load_model(
         &self,
         id: &str,
@@ -617,27 +625,56 @@ impl PredictionServer {
         }
     }
 
-    /// Publish a new model under the default id with zero downtime and
-    /// return the new generation. Requests already running finish on the
-    /// epoch they grabbed; the next request answers from the new model.
-    pub fn reload(&self, model: ServableModel) -> u64 {
-        self.reload_entry(&self.default_entry, model)
+    /// Publish a new model under `id` (`None` = the default model) with
+    /// zero downtime and return the new generation. Requests already
+    /// running finish on the epoch they grabbed; the next request answers
+    /// from the new model.
+    pub fn reload(&self, id: Option<&str>, model: ServableModel) -> Result<u64, String> {
+        let entry = self.entry_or_default(id)?;
+        Ok(self.publish(&entry, Arc::new(model), None))
     }
 
-    /// [`reload`](Self::reload) for an arbitrary registered id.
-    pub fn reload_model(&self, id: &str, model: ServableModel) -> Result<u64, String> {
-        let entry = self.entry(id)?;
-        Ok(self.reload_entry(&entry, model))
+    /// Reload model `id` (`None` = the default model) from a snapshot
+    /// file: `path` if given, else its recorded path. The snapshot is
+    /// fully loaded and verified *before* anything is published — a bad
+    /// file leaves the old model serving. On success the recorded path is
+    /// updated to the source used, and the returned model is exactly the
+    /// one this call published under the returned generation.
+    pub fn reload_from_disk(
+        &self,
+        id: Option<&str>,
+        path: Option<&Path>,
+    ) -> Result<(u64, Arc<ServableModel>), String> {
+        let entry = self.entry_or_default(id)?;
+        let source = match path {
+            Some(p) => p.to_path_buf(),
+            None => entry
+                .path()
+                .ok_or_else(|| format!("no snapshot path recorded for model {:?}", entry.id))?,
+        };
+        // Load outside the reload lock: it is the expensive part.
+        let snapshot =
+            ModelSnapshot::load(&source).map_err(|e| format!("{}: {e}", source.display()))?;
+        let model = Arc::new(ServableModel::from_snapshot(snapshot));
+        Ok((self.publish(&entry, model.clone(), Some(source)), model))
     }
 
-    fn reload_entry(&self, entry: &ModelEntry, model: ServableModel) -> u64 {
+    /// Publish `model` (and record `source` as its snapshot path, when
+    /// given) under the entry's reload lock. Reloads of one model
+    /// serialize here, so each caller's (generation, model) pair is the
+    /// pair it published and the recorded path names the serving
+    /// snapshot.
+    fn publish(
+        &self,
+        entry: &ModelEntry,
+        model: Arc<ServableModel>,
+        source: Option<PathBuf>,
+    ) -> u64 {
         let _guard = entry.reload_lock.lock().expect("reload lock");
-        self.publish(entry, Arc::new(model))
-    }
-
-    /// The unlocked publish core; callers hold the entry's `reload_lock`.
-    fn publish(&self, entry: &ModelEntry, model: Arc<ServableModel>) -> u64 {
         let generation = entry.slot.publish(model);
+        if let Some(source) = source {
+            entry.set_path(source);
+        }
         self.stats.reloads.fetch_add(1, Ordering::Relaxed);
         entry.counters.reloads.fetch_add(1, Ordering::Relaxed);
         entry
@@ -645,54 +682,6 @@ impl PredictionServer {
             .last_reload_unix
             .store(unix_now_secs(), Ordering::Relaxed);
         generation
-    }
-
-    /// Reload the default model from a snapshot file: `path` if given,
-    /// else its recorded path. The snapshot is fully loaded and verified
-    /// *before* anything is published — a bad file leaves the old model
-    /// serving. On success the recorded path is updated to the source
-    /// used, and the returned model is exactly the one this call
-    /// published under the returned generation (concurrent reloads
-    /// serialize per model).
-    pub fn reload_from_disk(
-        &self,
-        path: Option<&Path>,
-    ) -> Result<(u64, Arc<ServableModel>), String> {
-        self.reload_entry_from_disk(&self.default_entry, path)
-    }
-
-    /// [`reload_from_disk`](Self::reload_from_disk) for an arbitrary
-    /// registered id.
-    pub fn reload_model_from_disk(
-        &self,
-        id: &str,
-        path: Option<&Path>,
-    ) -> Result<(u64, Arc<ServableModel>), String> {
-        let entry = self.entry(id)?;
-        self.reload_entry_from_disk(&entry, path)
-    }
-
-    fn reload_entry_from_disk(
-        &self,
-        entry: &ModelEntry,
-        path: Option<&Path>,
-    ) -> Result<(u64, Arc<ServableModel>), String> {
-        let source = match path {
-            Some(p) => p.to_path_buf(),
-            None => entry
-                .path()
-                .ok_or_else(|| format!("no snapshot path recorded for model {:?}", entry.id))?,
-        };
-        // Load outside the lock (it is the expensive part); publish and
-        // the path update inside it, so generation, served model, and
-        // recorded path always agree.
-        let snapshot =
-            ModelSnapshot::load(&source).map_err(|e| format!("{}: {e}", source.display()))?;
-        let model = Arc::new(ServableModel::from_snapshot(snapshot));
-        let _guard = entry.reload_lock.lock().expect("reload lock");
-        let generation = self.publish(entry, model.clone());
-        entry.set_path(source);
-        Ok((generation, model))
     }
 
     /// Answer one query on the default model.
@@ -858,175 +847,6 @@ impl PredictionServer {
     pub fn shutdown(self) {}
 }
 
-/// Handle to a running [`watch_snapshot_file`] thread; dropping it stops
-/// the watcher (joining the thread).
-pub struct ReloadWatcher {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl Drop for ReloadWatcher {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-/// What the watcher remembers about one snapshot file between polls.
-#[derive(Clone, Copy, PartialEq)]
-struct FileFingerprint {
-    mtime: SystemTime,
-    size: u64,
-    /// FNV-1a over the manifest header bytes
-    /// ([`gps_core::snapshot::header_fingerprint`]): a same-size overwrite
-    /// landing inside the filesystem's mtime granularity still changes the
-    /// manifest (its checksum field covers the body), so content changes
-    /// are never silently missed.
-    header: u64,
-}
-
-fn fingerprint_of(path: &Path) -> Option<FileFingerprint> {
-    let meta = std::fs::metadata(path).ok()?;
-    Some(FileFingerprint {
-        mtime: meta.modified().ok()?,
-        size: meta.len(),
-        header: header_fingerprint(path).ok()?,
-    })
-}
-
-/// Per-model poll state.
-struct WatchState {
-    path: PathBuf,
-    fingerprint: Option<FileFingerprint>,
-    generation: u64,
-}
-
-/// The SIGHUP-style control path: poll every registered model's recorded
-/// snapshot file every `interval` and hot-reload the one that changes on
-/// disk. Models loaded or unloaded while the watcher runs are picked up
-/// at the next poll; a model first seen is baselined against its current
-/// file state (the served model just came from it), not reloaded.
-///
-/// Snapshot saves are write-then-rename, so a change is observed as a new
-/// (mtime, size, header hash) triple on a complete file — the watcher
-/// never reads a half-written artifact. A file that fails to load
-/// (checksum, version, io) is reported to stderr and *skipped*: the old
-/// model keeps serving, and the bad state is remembered so the error is
-/// not re-logged every poll until the file changes again.
-///
-/// Reloads through *other* control paths (the `reload` wire command) are
-/// detected via each model's generation: when it moves, the watcher
-/// re-baselines that model's fingerprint instead of re-loading a snapshot
-/// the server already picked up — a wire reload followed by a poll must
-/// not double-bump the generation.
-pub fn watch_snapshot_file(server: Arc<PredictionServer>, interval: Duration) -> ReloadWatcher {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = stop.clone();
-    let thread = std::thread::Builder::new()
-        .name("gps-serve-reload-watch".to_string())
-        .spawn(move || {
-            let mut states: HashMap<String, WatchState> = HashMap::new();
-            // Baseline every model registered at start.
-            for id in server.model_ids() {
-                if let (Ok(Some(path)), Ok(generation)) =
-                    (server.model_path_of(&id), server.generation_of(&id))
-                {
-                    let fingerprint = fingerprint_of(&path);
-                    states.insert(
-                        id,
-                        WatchState {
-                            path,
-                            fingerprint,
-                            generation,
-                        },
-                    );
-                }
-            }
-            while !stop_flag.load(Ordering::Acquire) {
-                // Sleep in short slices so drop/stop is prompt even with a
-                // long poll interval.
-                let mut slept = Duration::ZERO;
-                while slept < interval && !stop_flag.load(Ordering::Acquire) {
-                    let slice = (interval - slept).min(Duration::from_millis(50));
-                    std::thread::sleep(slice);
-                    slept += slice;
-                }
-                if stop_flag.load(Ordering::Acquire) {
-                    return;
-                }
-                let ids = server.model_ids();
-                states.retain(|id, _| ids.contains(id));
-                for id in ids {
-                    let Ok(Some(path)) = server.model_path_of(&id) else {
-                        continue;
-                    };
-                    let Ok(generation) = server.generation_of(&id) else {
-                        continue; // unloaded between the listing and here
-                    };
-                    let Some(state) = states.get_mut(&id) else {
-                        // Newly registered model: its served epoch came
-                        // from the file as it is now — baseline it.
-                        states.insert(
-                            id,
-                            WatchState {
-                                fingerprint: fingerprint_of(&path),
-                                path,
-                                generation,
-                            },
-                        );
-                        continue;
-                    };
-                    if generation != state.generation || path != state.path {
-                        // Someone else reloaded this model (wire command,
-                        // possibly onto a new path). The on-disk state is
-                        // what the server now serves: re-baseline, don't
-                        // reload it again.
-                        state.fingerprint = fingerprint_of(&path);
-                        state.path = path;
-                        state.generation = generation;
-                        continue;
-                    }
-                    let seen = fingerprint_of(&path);
-                    if seen.is_none() || seen == state.fingerprint {
-                        continue;
-                    }
-                    match server.generation_of(&id) {
-                        Ok(g) if g == state.generation => {}
-                        // A reload raced in after the check above (or the
-                        // model was unloaded); treat the observed file
-                        // state as already handled.
-                        Ok(g) => {
-                            state.fingerprint = seen;
-                            state.generation = g;
-                            continue;
-                        }
-                        Err(_) => continue,
-                    }
-                    match server.reload_model_from_disk(&id, Some(&path)) {
-                        Ok((generation, _)) => {
-                            eprintln!(
-                                "reloaded model {id:?} from {} -> generation {generation}",
-                                path.display()
-                            );
-                            state.generation = generation;
-                        }
-                        Err(e) => eprintln!(
-                            "reload of model {id:?} from {} failed (still serving old model): {e}",
-                            path.display()
-                        ),
-                    }
-                    state.fingerprint = seen;
-                }
-            }
-        })
-        .expect("spawn reload watcher");
-    ReloadWatcher {
-        stop,
-        thread: Some(thread),
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1160,7 +980,7 @@ mod tests {
         assert_eq!(server.predict(query())[0], (Port(443), 0.9));
         assert_eq!(server.generation(), 0);
 
-        let generation = server.reload(model_v2());
+        let generation = server.reload(None, model_v2()).unwrap();
         assert_eq!(generation, 1);
         assert_eq!(server.generation(), 1);
         // The very next answer comes from the new model.
@@ -1177,9 +997,56 @@ mod tests {
         server.shutdown();
     }
 
+    /// The `manifest` command's reply, as a JSON session receives it.
+    fn manifest_reply(server: &PredictionServer) -> Json {
+        use crate::proto::{classify, decode_json, FrameAction, ReadyReply, ReplyCtx};
+        let request = decode_json(r#"{"cmd":"manifest"}"#, |id| ReplyCtx::Json { id });
+        match classify(server, request) {
+            FrameAction::Ready(ReadyReply::Json { response, .. }) => response,
+            _ => panic!("manifest answers with a ready JSON reply"),
+        }
+    }
+
     #[test]
     fn reload_under_concurrent_traffic_never_fails_a_query() {
+        // Reloads alternate `model_v2()` and `model()`, so every odd
+        // generation is "unit-v2" and every even one "unit".
+        const RELOADS: u64 = 2000;
         let server = Arc::new(PredictionServer::start(model(), ServeConfig::default()));
+        let reloading = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        // Identity readers never pair one generation with another
+        // generation's model.
+        let reader = {
+            let server = server.clone();
+            let reloading = reloading.clone();
+            std::thread::spawn(move || {
+                let mut checked = 0u64;
+                while reloading.load(Ordering::Acquire) {
+                    let stats = server.model_stats(DEFAULT_MODEL_ID).unwrap();
+                    assert_eq!(
+                        stats.generation % 2 == 1,
+                        stats.dataset == "unit-v2",
+                        "model_stats paired generation {} with {}",
+                        stats.generation,
+                        stats.dataset
+                    );
+                    let reply = manifest_reply(&server);
+                    let generation = reply.get("generation").and_then(Json::as_u64).unwrap();
+                    let dataset = reply
+                        .get("manifest")
+                        .and_then(|m| m.get("dataset"))
+                        .and_then(Json::as_str)
+                        .unwrap();
+                    assert_eq!(
+                        generation % 2 == 1,
+                        dataset == "unit-v2",
+                        "manifest paired generation {generation} with {dataset}"
+                    );
+                    checked += 1;
+                }
+                checked
+            })
+        };
         let mut clients = Vec::new();
         for t in 0..4u32 {
             let server = server.clone();
@@ -1196,22 +1063,21 @@ mod tests {
                 }
             }));
         }
-        // Interleave several reloads with the traffic.
-        for flip in 0..6 {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            if flip % 2 == 0 {
-                server.reload(model_v2());
-            } else {
-                server.reload(model());
-            }
+        // Interleave the reloads with the traffic and the readers.
+        for flip in 0..RELOADS {
+            let next = if flip % 2 == 0 { model_v2() } else { model() };
+            server.reload(None, next).unwrap();
         }
+        reloading.store(false, Ordering::Release);
         for c in clients {
             c.join().expect("no query may fail across reloads");
         }
+        let checked = reader.join().expect("no torn identity read");
+        assert!(checked > 0, "the reader ran alongside the reloads");
         let stats = server.stats();
         assert_eq!(stats.requests, 4 * 500);
-        assert_eq!(stats.reloads, 6);
-        assert_eq!(stats.generation, 6);
+        assert_eq!(stats.reloads, RELOADS);
+        assert_eq!(stats.generation, RELOADS);
     }
 
     #[test]
@@ -1223,7 +1089,9 @@ mod tests {
         let mut handles = Vec::new();
         for _ in 0..8 {
             let server = server.clone();
-            handles.push(std::thread::spawn(move || server.reload(model_v2())));
+            handles.push(std::thread::spawn(move || {
+                server.reload(None, model_v2()).unwrap()
+            }));
         }
         let mut generations: Vec<u64> = handles
             .into_iter()
@@ -1233,80 +1101,6 @@ mod tests {
         assert_eq!(generations, (1..=8).collect::<Vec<u64>>());
         assert_eq!(server.generation(), 8);
         assert_eq!(server.stats().reloads, 8);
-    }
-
-    #[test]
-    fn watcher_reloads_when_file_changes() {
-        use gps_core::snapshot::ModelSnapshot;
-        // Build two tiny snapshots that differ in their rules.
-        let dir = gps_types::testutil::TestDir::new("watch-unit");
-        let path = dir.path("model.gpsb");
-        let make = |target: u16| {
-            let mut rules: HashMap<gps_core::CondKey, Vec<(Port, f64)>> = HashMap::new();
-            rules.insert(gps_core::CondKey::Port(Port(80)), vec![(Port(target), 0.9)]);
-            gps_core::ModelSnapshot {
-                manifest: ModelManifest {
-                    format: (FORMAT_MAJOR, FORMAT_MINOR),
-                    universe_seed: 0,
-                    // The name feeds the file size: on filesystems with
-                    // coarse mtime granularity the watcher still sees the
-                    // (mtime, size) fingerprint change.
-                    dataset_name: format!("watch-{target}"),
-                    step_prefix: 16,
-                    min_prob: 1e-5,
-                    interactions: Interactions::ALL,
-                    net_features: vec![NetFeature::Slash(16)],
-                    hosts_in: 0,
-                    distinct_keys: 0,
-                    cooccur_entries: 0,
-                    num_rules: 1,
-                    num_priors: 1,
-                    checksum: 0,
-                },
-                rules: CompiledRules::from_rules(&FeatureRules::from_parts(rules)),
-                priors: vec![PriorsEntry {
-                    port: Port(22),
-                    subnet: Subnet::of_ip(Ip::from_octets(10, 0, 0, 0), 16),
-                    coverage: 4,
-                }],
-            }
-        };
-        make(443).save_binary(&path).unwrap();
-        let server = Arc::new(PredictionServer::start(
-            ServableModel::from_snapshot(ModelSnapshot::load(&path).unwrap()),
-            ServeConfig::default(),
-        ));
-        server.set_model_path(&path);
-        let watcher = watch_snapshot_file(server.clone(), Duration::from_millis(10));
-
-        // Replace the file (atomically, as save_binary does) and wait for
-        // the watcher to notice. Write a different mtime/size fingerprint.
-        std::thread::sleep(Duration::from_millis(30));
-        make(9999).save_binary(&path).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while server.generation() == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(server.generation(), 1, "watcher picked up the new file");
-        assert_eq!(
-            server.predict(Query::new(Ip::from_octets(10, 0, 0, 1)).with_open([80]))[0].0,
-            Port(9999)
-        );
-
-        // A reload through another control path (the wire command,
-        // switching to a different snapshot file) must NOT be repeated by
-        // the watcher: it re-baselines on the generation/path move
-        // instead of re-loading what the server already serves.
-        let path2 = dir.path("model-v2.gpsb");
-        make(1234).save_binary(&path2).unwrap();
-        assert_eq!(server.reload_from_disk(Some(&path2)).unwrap().0, 2);
-        std::thread::sleep(Duration::from_millis(150));
-        assert_eq!(
-            server.generation(),
-            2,
-            "watcher must not double-reload a snapshot another path already served"
-        );
-        drop(watcher);
     }
 
     #[test]
@@ -1387,7 +1181,7 @@ mod tests {
 
         // Reload A: B's generation and B's answer stay exactly what they
         // were.
-        server.reload_model("a", model_v2()).unwrap();
+        server.reload(Some("a"), model_v2()).unwrap();
         assert_eq!(server.generation_of("a").unwrap(), 1);
         assert_eq!(server.generation_of("b").unwrap(), 0);
         assert_eq!(server.predict_for("b", query()).unwrap(), before_b);
@@ -1439,9 +1233,8 @@ mod tests {
     }
 
     #[test]
-    fn watcher_tracks_every_registered_model() {
-        use gps_core::snapshot::ModelSnapshot;
-        let dir = gps_types::testutil::TestDir::new("watch-multi");
+    fn reload_from_disk_rereads_a_replaced_file_for_one_model() {
+        let dir = gps_types::testutil::TestDir::new("reload-replaced");
         let make = |target: u16| {
             let mut rules: HashMap<gps_core::CondKey, Vec<(Port, f64)>> = HashMap::new();
             rules.insert(gps_core::CondKey::Port(Port(80)), vec![(Port(target), 0.9)]);
@@ -1449,7 +1242,7 @@ mod tests {
                 manifest: ModelManifest {
                     format: (FORMAT_MAJOR, FORMAT_MINOR),
                     universe_seed: 0,
-                    dataset_name: format!("watch-{target}"),
+                    dataset_name: format!("replaced-{target}"),
                     step_prefix: 16,
                     min_prob: 1e-5,
                     interactions: Interactions::ALL,
@@ -1473,38 +1266,33 @@ mod tests {
         let path_b = dir.path("b.gpsb");
         make(443).save_binary(&path_a).unwrap();
         make(9000).save_binary(&path_b).unwrap();
-        let load =
-            |p: &std::path::Path| ServableModel::from_snapshot(ModelSnapshot::load(p).unwrap());
-        let server = Arc::new(
-            PredictionServer::start_named(
-                vec![
-                    ("a".to_string(), load(&path_a)),
-                    ("b".to_string(), load(&path_b)),
-                ],
-                ServeConfig::default(),
-            )
-            .unwrap(),
-        );
-        server.set_model_path_of("a", &path_a).unwrap();
-        server.set_model_path_of("b", &path_b).unwrap();
-        let watcher = watch_snapshot_file(server.clone(), Duration::from_millis(10));
+        let load = |p: &Path| ServableModel::from_snapshot(ModelSnapshot::load(p).unwrap());
+        let server = PredictionServer::start_named(
+            vec![
+                ("a".to_string(), load(&path_a)),
+                ("b".to_string(), load(&path_b)),
+            ],
+            ServeConfig::default(),
+        )
+        .unwrap();
+        server.set_model_path(Some("a"), &path_a).unwrap();
+        server.set_model_path(Some("b"), &path_b).unwrap();
+        let warm = || Query::new(Ip::from_octets(10, 0, 0, 1)).with_open([80]);
+        let before_a = server.predict_for("a", warm()).unwrap();
 
-        // Replace only B's file; the watcher must reload B and leave A
-        // alone.
-        std::thread::sleep(Duration::from_millis(30));
+        // Replace B's file in place (save_binary writes, then renames)
+        // and reload B from its recorded path.
         make(9999).save_binary(&path_b).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while server.generation_of("b").unwrap() == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(server.generation_of("b").unwrap(), 1, "B reloaded");
-        assert_eq!(server.generation_of("a").unwrap(), 0, "A untouched");
-        let warm = Query::new(Ip::from_octets(10, 0, 0, 1)).with_open([80]);
+        let (generation, model) = server.reload_from_disk(Some("b"), None).unwrap();
+        assert_eq!(generation, 1);
+        assert_eq!(model.manifest().dataset_name, "replaced-9999");
+        assert_eq!(server.predict_for("b", warm()).unwrap()[0].0, Port(9999));
         assert_eq!(
-            server.predict_for("b", warm.clone()).unwrap()[0].0,
-            Port(9999)
+            server.model_stats("b").unwrap().path,
+            Some(path_b.display().to_string()),
+            "the recorded path is unchanged"
         );
-        assert_eq!(server.predict_for("a", warm).unwrap()[0].0, Port(443));
-        drop(watcher);
+        assert_eq!(server.generation_of("a").unwrap(), 0, "A untouched");
+        assert_eq!(server.predict_for("a", warm()).unwrap(), before_a);
     }
 }

@@ -441,7 +441,9 @@ proptest! {
         }
         prop_assert_eq!(probe_a(), Port(443));
 
-        server.reload_model("a", tiny_model(8443)).expect("reload a");
+        server
+            .reload(Some("a"), tiny_model(8443))
+            .expect("reload a");
         prop_assert_eq!(server.generation_of("a").unwrap(), 1);
         prop_assert_eq!(server.generation_of("b").unwrap(), 0);
         prop_assert_eq!(probe_a(), Port(8443), "A's next answer is its new model's");

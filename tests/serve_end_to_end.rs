@@ -215,7 +215,7 @@ fn hot_reload_serves_new_model_with_zero_failed_queries() {
         ServableModel::from_snapshot(ModelSnapshot::load(&path_a).expect("load a")),
         ServeConfig::default(),
     );
-    server.set_model_path(&path_a);
+    server.set_model_path(None, &path_a).unwrap();
     let addr = spawn(Arc::new(server));
 
     let reloaded = Arc::new(AtomicBool::new(false));
@@ -271,7 +271,7 @@ fn hot_reload_serves_new_model_with_zero_failed_queries() {
         Some(gps::types::json::u64_to_hex(snapshot_a.manifest.checksum).as_str())
     );
     let outcome = control
-        .reload(Some(path_b.to_string_lossy().as_ref()))
+        .reload(None, Some(path_b.to_string_lossy().as_ref()))
         .expect("wire reload");
     assert_eq!(outcome.generation, 1);
     assert_eq!(

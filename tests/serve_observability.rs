@@ -415,7 +415,7 @@ fn reset_stats_zeroes_traffic_but_preserves_generation_and_membership() {
 
     // Bump the default model to generation 1 so we can tell a reset
     // from a restart.
-    assert_eq!(server.reload(model()), 1);
+    assert_eq!(server.reload(None, model()).unwrap(), 1);
 
     let resets: [&str; 3] = ["json", "binary", "http"];
     for (round, door) in resets.iter().enumerate() {
