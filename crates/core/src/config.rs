@@ -28,8 +28,8 @@ impl NetFeature {
 }
 
 /// Which of the four conditional-probability classes (Eq. 4–7) to model.
-/// All four are on in the paper's configuration; ablation benches switch
-/// them individually.
+/// All four are on in the paper's configuration; the `ablation`
+/// experiment switches them individually.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interactions {
     /// Eq. 4: P(Portₐ | Port_b)

@@ -4,7 +4,8 @@
 //! classes and §6.6 shows every class contributes selected rules. This
 //! experiment quantifies the design choice end to end: run the full
 //! pipeline with each class configuration and compare coverage, bandwidth
-//! and model cost.
+//! and model cost (keys, and the wall time of `CondModel::build` that
+//! the run measures).
 //!
 //! Not a paper figure — the ablation the paper's design discussion implies
 //! (DESIGN.md §8).
@@ -61,6 +62,7 @@ fn main() {
     let mut table = Table::new([
         "interactions",
         "model keys",
+        "model build",
         "rules",
         "all found",
         "normalized",
@@ -80,6 +82,7 @@ fn main() {
         table.row([
             name.to_string(),
             run.model_stats.distinct_keys.to_string(),
+            format!("{:.1} ms", 1e3 * run.timings.model_build.as_secs_f64()),
             run.rules.len().to_string(),
             format!("{:.1}%", 100.0 * run.fraction_of_services()),
             format!("{:.1}%", 100.0 * run.fraction_normalized()),

@@ -19,6 +19,6 @@ pub mod permutation;
 pub mod scanner;
 
 pub use ledger::{BandwidthLedger, LedgerCheckpoint, ProbeCosts, RateModel, ScanPhase};
-pub use observe::{ServiceObservation, SynAck};
+pub use observe::ServiceObservation;
 pub use permutation::CyclicPermutation;
 pub use scanner::{ScanConfig, Scanner};

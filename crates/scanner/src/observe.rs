@@ -7,20 +7,11 @@
 //! Layer 7 handshake to collect additional application layer features."*
 //!
 //! The simulated chain resolves a responsive target once and charges each
-//! stage's probes from that one view, so it has two records: the ZMap
-//! stage's [`SynAck`] (what [`crate::Scanner::syn_probe`] alone returns) and the
+//! stage's probes from that one view, so it has one record: the
 //! [`ServiceObservation`] that LZR's fingerprint and ZGrab's handshake
 //! complete together.
 
 use gps_types::{FeatureValue, Ip, Port, Protocol, ServiceKey, Sym};
-
-/// A SYN-ACK observed by the ZMap stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SynAck {
-    pub ip: Ip,
-    pub port: Port,
-    pub ttl: u8,
-}
 
 /// A fully-grabbed service: the unit of data GPS's model trains on.
 #[derive(Debug, Clone, PartialEq, Eq)]

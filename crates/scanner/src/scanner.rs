@@ -27,7 +27,7 @@ use gps_types::rng::mix64;
 use gps_types::{IntSet, Ip, Port, PortSet, Subnet, Sym};
 
 use crate::ledger::{BandwidthLedger, ProbeCosts, ScanPhase};
-use crate::observe::{ServiceObservation, SynAck};
+use crate::observe::ServiceObservation;
 use crate::permutation::CyclicPermutation;
 
 /// Scanner behaviour knobs.
@@ -203,15 +203,6 @@ impl<'a> Scanner<'a> {
                 features: Vec::new(),
             },
         }
-    }
-
-    /// ZMap stage alone: one SYN probe.
-    pub fn syn_probe(&mut self, phase: ScanPhase, ip: Ip, port: Port) -> Option<SynAck> {
-        self.syn(phase, ip, port).map(|view| SynAck {
-            ip,
-            port,
-            ttl: view.ttl(),
-        })
     }
 
     /// Full chain on one (ip, port).

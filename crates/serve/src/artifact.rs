@@ -153,9 +153,9 @@ impl ServableModel {
 }
 
 /// The original HashMap-backed serving path, retained verbatim as the
-/// differential-testing baseline: the parity property suite (and the
-/// kernel bench) assert [`ServableModel`] answers are bit-identical to
-/// this implementation on the same model. It reads the `FeatureRules` map
+/// differential-testing baseline: the parity property suite asserts
+/// [`ServableModel`] answers are bit-identical to this implementation on
+/// the same model. It reads the `FeatureRules` map
 /// the snapshot was compiled from, never the compiled rules, so the
 /// oracle shares no lookup code with what it checks.
 pub struct ReferenceModel {

@@ -25,7 +25,7 @@
 //!   repeat: every query runs the compiled kernel on the thread that
 //!   received it — no worker pool, no answer cache;
 //! - [`proto`] — a length-prefixed JSON frame protocol over TCP plus the
-//!   blocking [`Client`] used by `gps query` and the loadgen bench;
+//!   blocking [`Client`] used by `gps query` and the `loadgen` driver;
 //! - [`transport`] / [`net`] — how connections are driven, for `gps
 //!   serve` and the [`router`] alike: event loops (epoll readiness,
 //!   incremental frame decoding, one write per read burst) that serve

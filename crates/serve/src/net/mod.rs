@@ -45,7 +45,8 @@
 //! `batch` frame, which occupies its loop for the length of the batch
 //! (tens of milliseconds), the admin commands (`reload`/`load` do
 //! snapshot disk I/O; the GPSB serving load they trigger is
-//! sub-millisecond to low-millisecond, see the snapshot_load bench), and
+//! sub-millisecond to low-millisecond, see `gpsbench`'s
+//! `snapshot_load_ms`), and
 //! on the router a burst waiting on a stalled backend (at most one
 //! `request_timeout`). The first is bounded by `MAX_BATCH_QUERIES`, the
 //! second is a rare, trusted-operator action, the third ends once the

@@ -915,13 +915,13 @@ fn json_reply(response: Json, id: u64) -> io::Result<Json> {
     }
 }
 
-/// A blocking protocol client (used by `gps query`, `gps reload`,
-/// loadgen, and tests), speaking either wire format — pick with
-/// [`connect_with`](Client::connect_with); [`connect`](Client::connect)
-/// stays JSON. Every request carries a monotonically increasing `id`,
-/// and the echoed id on the reply — error replies included — is
-/// verified, so a desynchronized stream surfaces as a hard error instead
-/// of silently mis-attributed answers.
+/// A blocking protocol client (used by `gps query`, `gps reload`, the
+/// router's prober, the `loadgen` driver and tests), speaking either
+/// wire format — pick with [`connect_with`](Client::connect_with);
+/// [`connect`](Client::connect) stays JSON. Every request carries a
+/// monotonically increasing `id`, and the echoed id on the reply — error
+/// replies included — is verified, so a desynchronized stream surfaces
+/// as a hard error instead of silently mis-attributed answers.
 ///
 /// On a binary client the hot calls (`ping`, `predict`, `predict_batch`)
 /// use native GPSQ messages; the admin calls (`stats`, `manifest`,
@@ -1122,10 +1122,12 @@ impl Client {
     /// Send one single-query predict without waiting for the reply
     /// (pipelined mode); returns the request id to pass to
     /// [`predict_recv`](Self::predict_recv). The frame is buffered, not
-    /// flushed — consecutive sends coalesce into one syscall, which is
-    /// where pipelining's amortization comes from. Responses come back
-    /// in request order (the server guarantees it), so receive in send
-    /// order, per connection.
+    /// flushed: it waits in the client's buffer until the next receive
+    /// flushes before reading (or the buffer fills), so only sends made
+    /// back to back share a `write(2)`. A sliding window that receives
+    /// one reply per send pays one `write(2)` per query. Responses come
+    /// back in request order (the server guarantees it), so receive in
+    /// send order, per connection.
     pub fn predict_send(&mut self, model: Option<&str>, query: &Query) -> io::Result<u64> {
         self.send_predict(model, std::slice::from_ref(query), false)
     }

@@ -259,9 +259,9 @@ impl Core {
         (h >> 32) as usize % self.backends.len()
     }
 
-    /// The `stats` reply. Carries the top-level connection/request keys
-    /// loadgen's external mode reads (so `--addr <router>` runs work
-    /// unchanged) plus a `"router"` section with the health picture.
+    /// The `stats` reply. Carries a backend's top-level connection and
+    /// request keys (`loadgen`'s connection monitor reads `conns_active`
+    /// from either) plus a `"router"` section with the health picture.
     fn stats_json(&self) -> Json {
         let count = |counter: &AtomicU64| Json::Num(counter.load(Ordering::Relaxed) as f64);
         let mut backends = Vec::with_capacity(self.backends.len());
@@ -820,7 +820,7 @@ fn admin_reply(core: &Core, ctx: ReplyCtx, cmd: &str) -> ReadyReply {
             json.set("stats", core.stats_json());
         }
         "reset-stats" => {
-            // Best effort onward: a loadgen phase boundary wants the
+            // Best effort onward: a measurement phase boundary wants the
             // whole tier zeroed; a dead backend just misses the reset. A
             // short-lived client per backend keeps the call out of the
             // links and out of the `forwarded` counts.

@@ -138,13 +138,6 @@ pub enum ProbeView<'a> {
 }
 
 impl ProbeView<'_> {
-    pub fn ttl(&self) -> u8 {
-        match self {
-            ProbeView::Real(s) => s.ttl,
-            ProbeView::Pseudo { ttl, .. } => *ttl,
-        }
-    }
-
     pub fn is_pseudo(&self) -> bool {
         matches!(self, ProbeView::Pseudo { .. })
     }

@@ -4,7 +4,7 @@
 //! replies and the Prometheus `/metrics` endpoint.
 //!
 //! The snapshot has a canonical JSON encoding so the wire `stats`
-//! command, the HTTP gateway and loadgen's bench reports all agree on one
+//! command, the HTTP gateway and the benchmark's readers all agree on one
 //! schema.
 
 use crate::error::GpsError;
