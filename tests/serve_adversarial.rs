@@ -730,6 +730,69 @@ fn one_write_burst_crossing_high_water_answers_in_order() {
     assert_eq!(server.stats().requests, BURST as u64 + 1);
 }
 
+/// A legal batch whose reply passes the frame cap: 256 cold queries, each
+/// ranking 8,000 ports (about 20 MB of GPSQ, more as JSON). On GPSQ, on
+/// framed JSON and through the GPSQ admin envelope the batch is answered
+/// with the standard over-cap error carrying its request id, and the next
+/// request on the same connection is answered.
+#[test]
+fn a_reply_over_the_frame_cap_is_the_standard_error_and_the_connection_serves_on() {
+    const PORTS: u16 = 8000;
+    const OVERSIZE: &str = "response exceeds frame size cap";
+    let (_server, addr) = spawn_model(wide_priors_model(PORTS), TransportConfig::default());
+    let queries: Vec<Query> = (0..256u32)
+        .map(|i| {
+            let mut query = Query::new(Ip(Ip::from_octets(10, 0, 0, 0).0 + i));
+            query.top = PORTS as usize;
+            query
+        })
+        .collect();
+    let small = Query::new(Ip::from_octets(10, 0, 0, 1));
+    for wire in [WireFormat::Binary, WireFormat::Json] {
+        let mut client = Client::connect_with(addr, wire).expect("connect");
+        let err = client
+            .predict_batch(&queries)
+            .expect_err("the reply passes the cap");
+        assert_eq!(err.to_string(), OVERSIZE, "{wire:?}");
+        let ranked = client.predict(&small).expect("the connection serves on");
+        assert_eq!(ranked.len(), 16, "{wire:?}: the server's default top");
+    }
+
+    // The admin envelope: a JSON batch command inside a GPSQ frame.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let batch: Vec<Json> = queries
+        .iter()
+        .map(gps::serve::proto::query_to_json)
+        .collect();
+    let mut request = Json::obj();
+    request
+        .set("cmd", "batch")
+        .set("queries", batch)
+        .set("id", Json::Num(41.0));
+    let mut text = String::new();
+    request.write(&mut text);
+    let mut frames = gpsq::admin_frame(&text);
+    frames.extend(gpsq::admin_frame(r#"{"cmd":"ping","id":42}"#));
+    stream.write_all(&frames).expect("batch, then ping");
+    for (id, want) in [(41, Some(OVERSIZE)), (42, None)] {
+        let gpsq::Reply::Admin(text) = gpsq::decode(&gpsq::read_payload(&mut stream)) else {
+            panic!("admin envelope reply expected for id {id}");
+        };
+        let reply = Json::parse(&text).expect("admin json");
+        assert_eq!(reply.get("id").and_then(Json::as_u64), Some(id), "{text}");
+        assert_eq!(
+            reply.get("error").and_then(Json::as_str),
+            want,
+            "id {id}: {text}"
+        );
+        let ok = reply.get("ok").and_then(Json::as_bool);
+        assert_eq!(ok, Some(want.is_none()), "id {id}: {text}");
+    }
+}
+
 /// Valid binary frame, then garbage whose first bytes read as a ~4GB
 /// length prefix: the valid frame is answered, then the connection
 /// closes (framing death), like the JSON trailing-garbage case.
@@ -1523,10 +1586,24 @@ mod router_hop {
         );
     }
 
-    /// Every malformed or edge-case frame a front door can refuse, sent
-    /// one per fresh connection to a backend and to the router over it:
-    /// the reply bytes are equal, so the router refuses (and answers the
-    /// edge cases) exactly as `gps serve` does.
+    /// FNV-1a over each reply's length (u64, little-endian) and bytes.
+    fn replies_digest(replies: &[Vec<u8>]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for reply in replies {
+            for &byte in (reply.len() as u64).to_le_bytes().iter().chain(reply) {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Every malformed or edge-case frame a front door can refuse, plus a
+    /// success reply of each kind, sent one per fresh connection to a
+    /// backend and to the router over it: the reply bytes are equal, so
+    /// the router refuses (and answers) exactly as `gps serve` does. The
+    /// backend's replies, and two HTTP `/predict` replies from a gateway,
+    /// are pinned by digest: a byte change made to both sides at once
+    /// fails here too.
     #[test]
     fn router_refuses_malformed_frames_like_the_server() {
         let (backends, router) = tier(model);
@@ -1562,6 +1639,20 @@ mod router_hop {
             gpsq::raw_frame(1, 3, Some(20), &[0x81, 0x80, 0x04]),
         ]);
         assert_eq!(frames.len(), 21);
+        // The success replies: a predict and a batch on each wire (the
+        // batch spans both owners and a cold /16 with priors), and one
+        // command in the GPSQ admin envelope.
+        let warm = Query::new(ip_owned_by(0, 2)).with_open([80]);
+        let batch = [
+            warm.clone(),
+            Query::new(ip_owned_by(1, 2)).with_open([80]),
+            Query::new(Ip::from_octets(10, 0, 9, 9)),
+        ];
+        for (wire, id) in [(WireFormat::Binary, 21), (WireFormat::Json, 23)] {
+            frames.push(encode(wire, id, Req::Predict(None, &warm)));
+            frames.push(encode(wire, id + 1, Req::Batch(&batch)));
+        }
+        frames.push(gpsq::admin_frame(r#"{"cmd":"ping","id":25}"#));
         let reply = |addr: SocketAddr, frame: &[u8]| {
             let mut stream = TcpStream::connect(addr).expect("connect");
             stream
@@ -1570,6 +1661,7 @@ mod router_hop {
             stream.write_all(frame).expect("frame");
             gpsq::read_payload(&mut stream)
         };
+        let mut pinned = Vec::new();
         for (i, frame) in frames.iter().enumerate() {
             let direct = reply(backends[0].1, frame);
             let routed = reply(router.addr(), frame);
@@ -1579,11 +1671,56 @@ mod router_hop {
                 "frame {i}"
             );
             assert_eq!(routed, direct, "frame {i}");
+            pinned.push(direct);
         }
         // Every frame counts as a request the router answered, refusals
         // included.
         let requests = router.stats_json().get("requests").and_then(Json::as_u64);
         assert_eq!(requests, Some(frames.len() as u64));
+
+        // HTTP `/predict` on a gateway: a 200 on a kept-alive connection,
+        // then a 400 that closes it.
+        let server = Arc::new(PredictionServer::start(model(), ServeConfig::default()));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("frame port");
+        let http = TcpListener::bind("127.0.0.1:0").expect("http port");
+        let http_addr = http.local_addr().expect("http addr");
+        std::thread::spawn(move || {
+            gps::serve::serve_with_http(server, listener, Some(http), TransportConfig::default())
+        });
+        let mut stream = TcpStream::connect(http_addr).expect("http connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let ok = r#"{"ip":"10.0.3.4","open":[80],"id":26}"#;
+        let bad = r#"{"ip":"nope","id":27}"#;
+        write!(
+            stream,
+            "POST /predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n{ok}\
+             POST /predict HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{bad}",
+            ok.len(),
+            bad.len()
+        )
+        .expect("requests");
+        let mut both = Vec::new();
+        stream.read_to_end(&mut both).expect("both replies");
+        let text = String::from_utf8_lossy(&both).into_owned();
+        let second = text.find("HTTP/1.1 400 ").expect("a 400 after the 200");
+        assert!(text.starts_with("HTTP/1.1 200 "), "{text}");
+        pinned.push(both[..second].to_vec());
+        pinned.push(both[second..].to_vec());
+
+        let bytes: usize = pinned.iter().map(Vec::len).sum();
+        let digest = replies_digest(&pinned);
+        assert_eq!(
+            (digest, bytes),
+            (0x5bc0_540d_b24b_92e5, 1662),
+            "reply bytes moved:\n{}",
+            pinned
+                .iter()
+                .map(|r| format!("{:?}", String::from_utf8_lossy(r)))
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
     }
 
     fn http_get(addr: SocketAddr, path: &str) -> String {
