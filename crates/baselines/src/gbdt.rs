@@ -214,10 +214,6 @@ impl Gbdt {
     pub fn predict_proba(&self, features: &[u32]) -> f64 {
         sigmoid(self.predict_logit(features))
     }
-
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 fn grow_tree(

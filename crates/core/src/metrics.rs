@@ -204,11 +204,6 @@ impl DiscoveryCurve {
         interpolate(&self.points, scans, |p| p.fraction_all)
     }
 
-    /// Linear interpolation of fraction_normalized at a bandwidth.
-    pub fn normalized_at_scans(&self, scans: f64) -> f64 {
-        interpolate(&self.points, scans, |p| p.fraction_normalized)
-    }
-
     /// Write the curve as CSV (header + one row per point) for external
     /// plotting of the reproduced figures.
     pub fn write_csv<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {

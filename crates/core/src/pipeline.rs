@@ -42,11 +42,6 @@ impl PhaseTimings {
     pub fn compute_total(&self) -> Duration {
         self.model_build + self.priors_build + self.rules_build
     }
-
-    /// Total simulated scanning wall-clock.
-    pub fn scan_total(&self) -> Duration {
-        self.seed_scan + self.priors_scan + self.predict_scan
-    }
 }
 
 /// Everything produced by one GPS run.

@@ -101,11 +101,6 @@ impl<'a> Scanner<'a> {
         self.config.day
     }
 
-    /// Observe a different day with the same ledger (the §3 churn scan pair).
-    pub fn set_day(&mut self, day: u16) {
-        self.config.day = day;
-    }
-
     /// Operators blocking the ZMap fingerprint: probes into these subnets
     /// are charged but never answered.
     pub fn add_blocklist(&mut self, subnet: Subnet) {

@@ -23,12 +23,12 @@
 //! | POST   | `/batch`       | body = batch request JSON (sans `cmd`)    |
 //! | POST   | `/reset-stats` | the `reset-stats` command's JSON          |
 //!
-//! The JSON endpoints run the exact `proto::decode_json` and
-//! `proto::classify` the wire protocol runs, so an HTTP predict answer
-//! is byte-identical to the JSON-wire answer for the same query (the
-//! HTTP-parity e2e asserts it).
+//! The JSON endpoints hand the parsed body to the exact
+//! `proto::decode_json` and `proto::answer` the wire protocol runs, so an
+//! HTTP predict answer is byte-identical to the JSON-wire answer for the
+//! same query (the HTTP-parity e2e asserts it).
 
-use gps_types::HistogramSnapshot;
+use gps_types::{GpsError, HistogramSnapshot, Json};
 
 use crate::server::PredictionServer;
 
@@ -260,9 +260,9 @@ pub(crate) enum Routed {
         content_type: &'static str,
         body: String,
     },
-    /// JSON-command semantics: run `text` through the shared
-    /// `proto::decode_json` and `proto::classify` (the parity guarantee).
-    Command { text: String },
+    /// A JSON command, parsed (or its parse failure), for the shared
+    /// `proto::decode_json` and `proto::answer` (the parity guarantee).
+    Command(Result<Json, GpsError>),
 }
 
 impl Routed {
@@ -272,6 +272,13 @@ impl Routed {
             content_type,
             body: body.into(),
         }
+    }
+
+    /// A body-less command: `{"cmd": cmd}`.
+    fn command(cmd: &str) -> Routed {
+        let mut json = Json::obj();
+        json.set("cmd", cmd);
+        Routed::Command(Ok(json))
     }
 }
 
@@ -288,18 +295,10 @@ pub(crate) fn route(server: &PredictionServer, request: &HttpRequest) -> Routed 
         ("GET", "/metrics") => {
             Routed::raw(200, "text/plain; version=0.0.4", render_metrics(server))
         }
-        ("GET", "/stats") => Routed::Command {
-            text: "{\"cmd\":\"stats\"}".to_string(),
-        },
-        ("GET", "/models") => Routed::Command {
-            text: "{\"cmd\":\"list-models\"}".to_string(),
-        },
-        ("POST", "/reset-stats") => Routed::Command {
-            text: "{\"cmd\":\"reset-stats\"}".to_string(),
-        },
-        ("POST", "/shutdown") => Routed::Command {
-            text: "{\"cmd\":\"shutdown\"}".to_string(),
-        },
+        ("GET", "/stats") => Routed::command("stats"),
+        ("GET", "/models") => Routed::command("list-models"),
+        ("POST", "/reset-stats") => Routed::command("reset-stats"),
+        ("POST", "/shutdown") => Routed::command("shutdown"),
         ("POST", "/predict") => command_from_body(request, "predict"),
         ("POST", "/batch") => command_from_body(request, "batch"),
         (_, "/healthz" | "/metrics" | "/stats" | "/models")
@@ -310,23 +309,18 @@ pub(crate) fn route(server: &PredictionServer, request: &HttpRequest) -> Routed 
     }
 }
 
-/// Inject `"cmd"` into a JSON request body. Unparseable or non-object
-/// bodies pass through untouched: the shared decoder produces the
-/// same `bad json` / `missing cmd` error a wire client would get (as a
-/// 400, via the `ok:false` mapping).
+/// Parse a JSON request body and append `"cmd"` to it (a `"cmd"` the body
+/// already carries comes first, so it wins). Unparseable or non-object
+/// bodies pass through untouched: the shared decoder produces the same
+/// `bad json` / `missing cmd` error a wire client would get (as a 400).
 fn command_from_body(request: &HttpRequest, cmd: &str) -> Routed {
-    let text = String::from_utf8_lossy(&request.body);
-    match gps_types::Json::parse(&text) {
-        Ok(mut json) if matches!(json, gps_types::Json::Obj(_)) => {
+    let parsed = Json::parse(&String::from_utf8_lossy(&request.body));
+    Routed::Command(parsed.map(|mut json| {
+        if matches!(json, Json::Obj(_)) {
             json.set("cmd", cmd);
-            let mut out = String::new();
-            json.write(&mut out);
-            Routed::Command { text: out }
         }
-        _ => Routed::Command {
-            text: text.into_owned(),
-        },
-    }
+        json
+    }))
 }
 
 pub(crate) fn label_escape(value: &str) -> String {
@@ -334,6 +328,44 @@ pub(crate) fn label_escape(value: &str) -> String {
         .replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
+}
+
+/// The `# HELP` and `# TYPE` lines that open a metric family.
+fn family_head(out: &mut String, name: &str, kind: &str, help: &str) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+}
+
+/// One metric family in Prometheus text exposition: its `# HELP` and
+/// `# TYPE` lines, then one sample line per `(labels, value)`. `labels`
+/// is the text between the braces; an empty one drops the braces.
+pub(crate) fn write_family<L: AsRef<str>, V: std::fmt::Display>(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = (L, V)>,
+) {
+    family_head(out, name, kind, help);
+    for (labels, value) in samples {
+        match labels.as_ref() {
+            "" => out.push_str(&format!("{name} {value}\n")),
+            labels => out.push_str(&format!("{name}{{{labels}}} {value}\n")),
+        }
+    }
+}
+
+/// A histogram family: its `# HELP` and `# TYPE` lines, then each
+/// labelled cell's buckets, `_sum` and `_count`.
+fn write_histograms<'a>(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    cells: impl IntoIterator<Item = (String, &'a HistogramSnapshot)>,
+) {
+    family_head(out, name, "histogram", help);
+    for (labels, snap) in cells {
+        render_histogram(out, name, &labels, snap);
+    }
 }
 
 /// One histogram in Prometheus exposition format: cumulative buckets
@@ -365,152 +397,92 @@ fn render_histogram(out: &mut String, name: &str, labels: &str, snap: &Histogram
 
 /// The Prometheus text exposition of everything the server counts.
 pub(crate) fn render_metrics(server: &PredictionServer) -> String {
-    use std::fmt::Write as _;
     let stats = server.stats();
     let mut out = String::with_capacity(4096);
     let w = &mut out;
-
-    let _ = writeln!(w, "# HELP gps_build_info Build metadata (constant 1).");
-    let _ = writeln!(w, "# TYPE gps_build_info gauge");
-    let _ = writeln!(
-        w,
-        "gps_build_info{{version=\"{}\"}} 1",
-        label_escape(&stats.version)
-    );
-
-    let _ = writeln!(
-        w,
-        "# HELP gps_uptime_seconds Seconds since the server started."
-    );
-    let _ = writeln!(w, "# TYPE gps_uptime_seconds gauge");
-    let _ = writeln!(w, "gps_uptime_seconds {}", stats.uptime_secs);
-
-    let _ = writeln!(
-        w,
-        "# HELP gps_draining Whether the server is draining (1 = shutdown in progress)."
-    );
-    let _ = writeln!(w, "# TYPE gps_draining gauge");
-    let _ = writeln!(w, "gps_draining {}", u8::from(stats.draining));
-
-    let _ = writeln!(
-        w,
-        "# HELP gps_requests_total Requests served, by wire and endpoint."
-    );
-    let _ = writeln!(w, "# TYPE gps_requests_total counter");
-    for (wire, endpoint, snap) in &stats.hists {
-        let _ = writeln!(
-            w,
-            "gps_requests_total{{wire=\"{wire}\",endpoint=\"{endpoint}\"}} {}",
-            snap.count
-        );
-    }
-
-    let _ = writeln!(w, "# HELP gps_reloads_total Completed model reloads.");
-    let _ = writeln!(w, "# TYPE gps_reloads_total counter");
-    let _ = writeln!(w, "gps_reloads_total {}", stats.reloads);
-
-    for (name, help, value) in [
+    let version = format!("version=\"{}\"", label_escape(&stats.version));
+    let help = "Build metadata (constant 1).";
+    write_family(w, "gps_build_info", "gauge", help, [(version, 1)]);
+    let help = "Seconds since the server started.";
+    let uptime = [("", stats.uptime_secs)];
+    write_family(w, "gps_uptime_seconds", "gauge", help, uptime);
+    let help = "Whether the server is draining (1 = shutdown in progress).";
+    let draining = [("", u8::from(stats.draining))];
+    write_family(w, "gps_draining", "gauge", help, draining);
+    let cell = |wire: &str, endpoint: &str| format!("wire=\"{wire}\",endpoint=\"{endpoint}\"");
+    let help = "Requests served, by wire and endpoint.";
+    let counts = stats
+        .hists
+        .iter()
+        .map(|(wire, endpoint, snap)| (cell(wire, endpoint), snap.count));
+    write_family(w, "gps_requests_total", "counter", help, counts);
+    for (name, kind, help, value) in [
+        (
+            "gps_reloads_total",
+            "counter",
+            "Completed model reloads.",
+            stats.reloads,
+        ),
         (
             "gps_conns_accepted_total",
+            "counter",
             "Connections accepted.",
             stats.conns_accepted,
         ),
         (
             "gps_conns_closed_total",
+            "counter",
             "Connections closed.",
             stats.conns_closed,
         ),
         (
             "gps_conns_timed_out_total",
+            "counter",
             "Connections closed by idle timeout.",
             stats.conns_timed_out,
         ),
         (
             "gps_conns_rejected_total",
+            "counter",
             "Connections dropped at the max-conns gate.",
             stats.conns_rejected,
         ),
+        (
+            "gps_conns_active",
+            "gauge",
+            "Connections currently held.",
+            stats.conns_active,
+        ),
     ] {
-        let _ = writeln!(w, "# HELP {name} {help}");
-        let _ = writeln!(w, "# TYPE {name} counter");
-        let _ = writeln!(w, "{name} {value}");
+        write_family(w, name, kind, help, [("", value)]);
     }
-    let _ = writeln!(w, "# HELP gps_conns_active Connections currently held.");
-    let _ = writeln!(w, "# TYPE gps_conns_active gauge");
-    let _ = writeln!(w, "gps_conns_active {}", stats.conns_active);
+    let help = "Request latency, by wire and endpoint.";
+    let cells = stats
+        .hists
+        .iter()
+        .map(|(wire, endpoint, snap)| (cell(wire, endpoint), snap));
+    write_histograms(w, "gps_request_latency_seconds", help, cells);
 
-    let _ = writeln!(
-        w,
-        "# HELP gps_request_latency_seconds Request latency, by wire and endpoint."
-    );
-    let _ = writeln!(w, "# TYPE gps_request_latency_seconds histogram");
-    for (wire, endpoint, snap) in &stats.hists {
-        render_histogram(
-            w,
-            "gps_request_latency_seconds",
-            &format!("wire=\"{wire}\",endpoint=\"{endpoint}\""),
-            snap,
-        );
-    }
-
-    let _ = writeln!(
-        w,
-        "# HELP gps_model_requests_total Requests answered per model."
-    );
-    let _ = writeln!(w, "# TYPE gps_model_requests_total counter");
-    for model in &stats.models {
-        let _ = writeln!(
-            w,
-            "gps_model_requests_total{{model=\"{}\"}} {}",
-            label_escape(&model.id),
-            model.requests
-        );
-    }
-    let _ = writeln!(
-        w,
-        "# HELP gps_model_generation Model generation (0 = as registered, +1 per reload)."
-    );
-    let _ = writeln!(w, "# TYPE gps_model_generation gauge");
-    for model in &stats.models {
-        let _ = writeln!(
-            w,
-            "gps_model_generation{{model=\"{}\"}} {}",
-            label_escape(&model.id),
-            model.generation
-        );
-    }
-    let _ = writeln!(
-        w,
-        "# HELP gps_model_last_reload_timestamp_seconds Unix time of the model's last reload."
-    );
-    let _ = writeln!(w, "# TYPE gps_model_last_reload_timestamp_seconds gauge");
-    for model in &stats.models {
-        if let Some(ts) = model.last_reload_unix {
-            let _ = writeln!(
-                w,
-                "gps_model_last_reload_timestamp_seconds{{model=\"{}\"}} {ts}",
-                label_escape(&model.id)
-            );
-        }
-    }
-    let _ = writeln!(
-        w,
-        "# HELP gps_model_request_latency_seconds Request latency per model, wire, endpoint."
-    );
-    let _ = writeln!(w, "# TYPE gps_model_request_latency_seconds histogram");
-    for model in &stats.models {
-        for (wire, endpoint, snap) in &model.hists {
-            render_histogram(
-                w,
-                "gps_model_request_latency_seconds",
-                &format!(
-                    "model=\"{}\",wire=\"{wire}\",endpoint=\"{endpoint}\"",
-                    label_escape(&model.id)
-                ),
-                snap,
-            );
-        }
-    }
+    let model = |id: &str| format!("model=\"{}\"", label_escape(id));
+    let help = "Requests answered per model.";
+    let requests = stats.models.iter().map(|m| (model(&m.id), m.requests));
+    write_family(w, "gps_model_requests_total", "counter", help, requests);
+    let help = "Model generation (0 = as registered, +1 per reload).";
+    let generations = stats.models.iter().map(|m| (model(&m.id), m.generation));
+    write_family(w, "gps_model_generation", "gauge", help, generations);
+    let name = "gps_model_last_reload_timestamp_seconds";
+    let help = "Unix time of the model's last reload.";
+    let reloads = stats.models.iter();
+    let reloads = reloads.filter_map(|m| Some((model(&m.id), m.last_reload_unix?)));
+    write_family(w, name, "gauge", help, reloads);
+    let help = "Request latency per model, wire, endpoint.";
+    let cells = stats.models.iter().flat_map(|m| {
+        let model = model(&m.id);
+        m.hists
+            .iter()
+            .map(move |(wire, endpoint, snap)| (format!("{model},{}", cell(wire, endpoint)), snap))
+    });
+    write_histograms(w, "gps_model_request_latency_seconds", help, cells);
     out
 }
 

@@ -27,9 +27,10 @@
 //! complete request parks on its connection; the loop's `Service`
 //! answers the parked requests right there, on the loop's thread — both
 //! decode each frame with `proto::decode_request`; `gps serve` answers it
-//! through `proto::classify` (`proto::PredictWork::answer` runs the
-//! kernel in place), `gps route` forwards the whole burst through the
-//! loop's backend `Hop` — straight into the connection's write buffer.
+//! through `proto::answer` (which runs the kernel in place), `gps route`
+//! forwards the whole burst through the loop's backend `Hop`, and both
+//! frame every reply with `proto::encode_reply` — straight into the
+//! connection's write buffer.
 //! One thread answers a connection's requests in order, so responses
 //! leave in request order (the protocol is pipelined but ordered) by
 //! construction, and the replies to one read burst leave in one
@@ -75,8 +76,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::hist::WireLabel;
-use crate::proto::{self, FrameAction, ReadyReply, ReplyCtx};
+use crate::hist::{EndpointLabel, WireLabel};
+use crate::proto::{self, ReplyCtx};
 use crate::server::PredictionServer;
 use crate::transport::{event_loops, TransportConfig};
 use conn::ReadOutcome;
@@ -196,9 +197,9 @@ impl Service for PredictionServer {
 
 /// One complete payload — a length-prefixed frame (either wire format)
 /// or a parsed HTTP request — answered into `conn`'s outbound buffer.
-/// HTTP replies to a `Connection: close` request stop the read side
-/// before the reply is queued, so the loop closes the connection once
-/// the response flushes.
+/// An HTTP request without keep-alive stops the read side before the
+/// reply is queued, so the loop closes the connection once the response
+/// flushes.
 fn answer_request(server: &PredictionServer, conn: &mut Conn, payload: Payload) {
     let started = Instant::now();
     let (wire, request) = match payload {
@@ -212,13 +213,13 @@ fn answer_request(server: &PredictionServer, conn: &mut Conn, payload: Payload) 
         }
         Payload::Http(request) => {
             let keep_alive = request.keep_alive;
+            conn.read_closed |= !keep_alive;
             match http::route(server, &request) {
                 http::Routed::Raw {
                     status,
                     content_type,
                     body,
                 } => {
-                    conn.read_closed |= !keep_alive;
                     conn.enqueue_with(|out| {
                         http::append_response(
                             out,
@@ -228,12 +229,16 @@ fn answer_request(server: &PredictionServer, conn: &mut Conn, payload: Payload) 
                             keep_alive,
                         )
                     });
-                    proto::record_admin(server, WireLabel::Http, started);
+                    let admin = server
+                        .server_stats()
+                        .hists
+                        .cell(WireLabel::Http, EndpointLabel::Admin);
+                    admin.record(started.elapsed().as_nanos() as u64);
                     return;
                 }
-                http::Routed::Command { text } => (
+                http::Routed::Command(parsed) => (
                     WireLabel::Http,
-                    proto::decode_json(&text, |id| ReplyCtx::Http { id, keep_alive }),
+                    proto::decode_json(parsed, |id| ReplyCtx::Http { id, keep_alive }),
                 ),
             }
         }
@@ -245,27 +250,7 @@ fn answer_request(server: &PredictionServer, conn: &mut Conn, payload: Payload) 
             return;
         }
     };
-    match proto::classify(server, request) {
-        FrameAction::Ready(reply) => {
-            if let ReadyReply::Http {
-                keep_alive: false, ..
-            } = &reply
-            {
-                conn.read_closed = true;
-            }
-            conn.enqueue_with(|out| proto::encode_ready(reply, out));
-            proto::record_admin(server, wire, started);
-        }
-        FrameAction::Predict(work) => {
-            if let ReplyCtx::Http {
-                keep_alive: false, ..
-            } = &work.ctx
-            {
-                conn.read_closed = true;
-            }
-            conn.enqueue_with(|out| work.answer(server, wire, started, out));
-        }
-    }
+    conn.enqueue_with(|out| proto::answer(server, wire, started, request, out));
 }
 
 /// The accept thread's handle to one event loop. Streams are tagged with

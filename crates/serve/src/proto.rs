@@ -49,23 +49,24 @@
 //! authenticating proxy in front. The server is std-only; the event
 //! loops in `crate::net` drive its sockets, and every inbound frame —
 //! either wire format, the HTTP gateway's commands, and the router's
-//! front — is decoded here (`decode_request` / `decode_json`); the
-//! server answers it through `classify` and the response builders.
+//! front — is decoded here (`decode_request` / `decode_json`). `gps
+//! serve` answers it through `answer`, the router through its backends;
+//! both produce one `Reply`, and `encode_reply` frames every reply for
+//! its envelope.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::artifact::{Query, Ranked};
 use crate::hist::{EndpointLabel, WireLabel};
 use crate::net::http;
 use crate::net::{FrameDecoder, WireFormat};
-use crate::server::{ModelEntry, PredictionServer};
+use crate::server::PredictionServer;
 use crate::wire;
 use gps_types::binary::ByteWriter;
 use gps_types::json::Json;
-use gps_types::{Ip, JsonCodec, Port};
+use gps_types::{GpsError, Ip, JsonCodec, Port};
 
 /// Frames above this many bytes are rejected (a length prefix is attacker
 /// input; without a cap a single frame could balloon memory).
@@ -260,12 +261,6 @@ pub(crate) fn ok_response() -> Json {
     json
 }
 
-pub(crate) fn error_response(message: impl Into<String>) -> Json {
-    let mut json = Json::obj();
-    json.set("ok", false).set("error", message.into());
-    json
-}
-
 /// Patch the length prefix reserved at `start` once the payload is in
 /// place; `false` (with the frame rolled back) if the payload outgrew the
 /// cap.
@@ -283,13 +278,11 @@ fn finish_frame(out: &mut Vec<u8>, start: usize) -> bool {
     }
 }
 
-/// Append one length-prefixed JSON frame to `out`; `false` if it
-/// exceeded the cap (the buffer is rolled back).
-fn append_json_frame(out: &mut Vec<u8>, json: &Json) -> bool {
+/// Append one length-prefixed JSON frame carrying `text` to `out`;
+/// `false` if it exceeded the cap (the buffer is rolled back).
+fn append_json_frame(out: &mut Vec<u8>, text: &str) -> bool {
     let start = out.len();
     out.extend_from_slice(&[0u8; 4]);
-    let mut text = String::new();
-    json.write(&mut text);
     out.extend_from_slice(text.as_bytes());
     finish_frame(out, start)
 }
@@ -323,223 +316,117 @@ pub(crate) enum ReplyCtx {
     BinaryAdmin { id: Option<Json> },
     /// An HTTP request: the body is the *same* JSON text a JSON-wire
     /// reply carries (parity by construction), wrapped in an HTTP/1.1
-    /// response head — 200 on `"ok":true`, 400 otherwise.
+    /// response head — 400 for an error, 200 otherwise.
     Http { id: Option<Json>, keep_alive: bool },
 }
 
-/// A finished (no predict work) reply, ready to serialize.
-pub(crate) enum ReadyReply {
-    /// JSON response on a JSON session.
-    Json { response: Json, id: Option<Json> },
-    /// GPSQ pong.
-    Pong { id: Option<u64> },
-    /// GPSQ native error.
-    BinaryError { id: Option<u64>, message: String },
-    /// JSON response riding in a GPSQ admin envelope.
-    BinaryAdmin { response: Json, id: Option<Json> },
-    /// JSON response riding in an HTTP/1.1 response.
-    Http {
-        response: Json,
-        id: Option<Json>,
-        keep_alive: bool,
-    },
+/// One reply, before [`encode_reply`] frames it for its envelope. The
+/// server, the router and the HTTP gateway all answer with one.
+pub(crate) enum Reply {
+    /// A success response (`"ok":true` plus its payload).
+    Json(Json),
+    /// A refusal or failure: `{"ok":false,"error":...}`, or a GPSQ error
+    /// frame.
+    Error(String),
+    /// The answer to `ping`: `{"ok":true,"pong":true}`, or a GPSQ pong.
+    Pong,
+    /// One ranking per query: `"predictions"` for a single, `"results"`
+    /// for a `batch` frame — in either format.
+    Rankings { answers: Vec<Ranked>, batch: bool },
 }
 
-/// What one request frame classified into: a finished reply, or predict
-/// work plus the context to encode its eventual answer.
-pub(crate) enum FrameAction {
-    Ready(ReadyReply),
-    Predict(PredictWork),
-}
-
-/// Classified predict work: the resolved model, the parsed queries, and
-/// how to encode the answer.
-pub(crate) struct PredictWork {
-    entry: Arc<ModelEntry>,
-    queries: Vec<Query>,
-    /// `batch` frames answer with the batch shape, singles with the
-    /// single shape — in either format.
-    batch: bool,
-    pub(crate) ctx: ReplyCtx,
-}
-
-impl PredictWork {
-    /// Answer every query on the calling thread and append the reply
-    /// frame to `out` — the one way predict work executes. Then the
-    /// request latency goes into the model's histogram cell (a batch
-    /// frame of `n` queries counts `n` samples, keeping histogram counts
-    /// summable against `requests`; the server-level predict cells are
-    /// derived at snapshot time by summing the models, so the hot path
-    /// pays for one histogram update, not two).
-    pub(crate) fn answer(
-        mut self,
-        server: &PredictionServer,
-        wire: WireLabel,
-        started: Instant,
-        out: &mut Vec<u8>,
-    ) {
-        let n = self.queries.len() as u64;
-        let answers = server.predict_batch_entry(&self.entry, &mut self.queries);
-        encode_predict_reply(&self.ctx, &answers, self.batch, out);
-        let latency_ns = started.elapsed().as_nanos() as u64;
-        let endpoint = if self.batch {
-            EndpointLabel::Batch
-        } else {
-            EndpointLabel::Single
+impl Reply {
+    /// The JSON text of the reply, with the request's id echoed last.
+    fn text(self, id: &Option<Json>) -> String {
+        let mut json = match self {
+            Reply::Json(json) => json,
+            Reply::Error(message) => {
+                let mut json = Json::obj();
+                json.set("ok", false).set("error", message);
+                json
+            }
+            Reply::Pong => {
+                let mut json = ok_response();
+                json.set("pong", true);
+                json
+            }
+            Reply::Rankings { answers, batch } => {
+                let mut json = ok_response();
+                if batch {
+                    let results = answers.iter().map(ranked_to_json).collect::<Vec<_>>();
+                    json.set("results", results);
+                } else {
+                    json.set("predictions", ranked_to_json(&answers[0]));
+                }
+                json
+            }
         };
-        self.entry
-            .counters
-            .hists
-            .cell(wire, endpoint)
-            .record_n(latency_ns, n);
+        if let Some(id) = id {
+            json.set("id", id.clone());
+        }
+        let mut text = String::new();
+        json.write(&mut text);
+        text
     }
 }
 
-/// An error reply shaped for the reply context.
-pub(crate) fn ready_error(ctx: ReplyCtx, message: String) -> ReadyReply {
-    match ctx {
-        ReplyCtx::Binary { id } => ReadyReply::BinaryError { id, message },
-        ctx => ready_json(ctx, error_response(message)),
-    }
-}
-
-/// A finished JSON response in the envelope the reply context calls for.
-pub(crate) fn ready_json(ctx: ReplyCtx, response: Json) -> ReadyReply {
-    match ctx {
-        ReplyCtx::Json { id } => ReadyReply::Json { response, id },
-        ReplyCtx::BinaryAdmin { id } => ReadyReply::BinaryAdmin { response, id },
-        ReplyCtx::Http { id, keep_alive } => ReadyReply::Http {
-            response,
-            id,
-            keep_alive,
-        },
-        // A native GPSQ context has no JSON envelope: it answers through
-        // `encode_predict_reply` or pong/error frames.
-        ReplyCtx::Binary { id } => ReadyReply::BinaryError {
-            id,
-            message: "internal: JSON reply on a binary context".to_string(),
-        },
-    }
-}
-
-/// Serialize a finished reply as one frame appended to `out`, falling
-/// back to the standard over-cap error reply (id included, same format)
-/// if it outgrew the frame cap.
-pub(crate) fn encode_ready(reply: ReadyReply, out: &mut Vec<u8>) {
-    match reply {
-        ReadyReply::Json { mut response, id } => {
-            if let Some(id) = &id {
-                response.set("id", id.clone());
-            }
-            if !append_json_frame(out, &response) {
-                let mut oversized = error_response(OVERSIZE_REPLY);
-                if let Some(id) = &id {
-                    oversized.set("id", id.clone());
-                }
-                assert!(
-                    append_json_frame(out, &oversized),
-                    "error frame fits the cap"
-                );
-            }
-        }
-        ReadyReply::Pong { id } => {
-            assert!(
-                append_binary_frame(out, |w| wire::encode_pong(id, w)),
-                "pong fits the cap"
-            );
-        }
-        ReadyReply::BinaryError { id, message } => {
-            if !append_binary_frame(out, |w| wire::encode_error(id, &message, w)) {
-                assert!(
-                    append_binary_frame(out, |w| wire::encode_error(id, OVERSIZE_REPLY, w)),
-                    "error frame fits the cap"
-                );
-            }
-        }
-        ReadyReply::BinaryAdmin { mut response, id } => {
-            if let Some(id) = &id {
-                response.set("id", id.clone());
-            }
-            let mut text = String::new();
-            response.write(&mut text);
-            if !append_binary_frame(out, |w| wire::encode_admin_response(&text, w)) {
-                let mut oversized = error_response(OVERSIZE_REPLY);
-                if let Some(id) = &id {
-                    oversized.set("id", id.clone());
-                }
-                let mut text = String::new();
-                oversized.write(&mut text);
-                assert!(
-                    append_binary_frame(out, |w| wire::encode_admin_response(&text, w)),
-                    "error frame fits the cap"
-                );
-            }
-        }
-        ReadyReply::Http {
-            mut response,
-            id,
-            keep_alive,
-        } => {
-            if let Some(id) = &id {
-                response.set("id", id.clone());
-            }
-            // The body is exactly the JSON-wire reply text; the only
-            // HTTP-ism is the status code mirroring the `ok` flag.
-            let status = match response.get("ok").and_then(Json::as_bool) {
-                Some(true) => 200,
-                _ => 400,
-            };
-            let mut text = String::new();
-            response.write(&mut text);
-            text.push('\n');
-            http::append_response(out, status, "application/json", text.as_bytes(), keep_alive);
-        }
-    }
-}
-
-/// Serialize the success reply for completed predict work as one frame
-/// appended to `out` (both shapes, both formats), with the over-cap
-/// fallback. On a binary session the ranking bytes are encoded straight
-/// into `out` — no intermediate `String` or `Vec` per frame.
-pub(crate) fn encode_predict_reply(
-    ctx: &ReplyCtx,
-    answers: &[Ranked],
-    batch: bool,
-    out: &mut Vec<u8>,
-) {
-    match ctx {
-        ReplyCtx::Json { id } => encode_ready(
-            ReadyReply::Json {
-                response: predict_response(answers, batch),
-                id: id.clone(),
-            },
-            out,
-        ),
+/// Frame `reply` for the envelope its request arrived in and append it
+/// to `out`. On a native GPSQ context a pong, an error or rankings is a
+/// binary frame encoded straight into `out` (no intermediate buffer); a
+/// JSON response there rides the admin envelope with its id as a JSON
+/// number. Every other context carries the reply's JSON text: in a JSON
+/// frame, a GPSQ admin envelope, or an HTTP/1.1 response (400 for an
+/// error, else 200). A frame past the cap is rolled back and replaced by
+/// the [`OVERSIZE_REPLY`] error, id included, in the same kind of frame;
+/// an HTTP body has no cap.
+pub(crate) fn encode_reply(ctx: &ReplyCtx, reply: Reply, out: &mut Vec<u8>) {
+    let (id, append): (_, fn(&mut Vec<u8>, &str) -> bool) = match ctx {
         ReplyCtx::Binary { id } => {
-            if !append_binary_frame(out, |w| {
-                wire::encode_predict_response(*id, answers, batch, w)
-            }) {
-                assert!(
-                    append_binary_frame(out, |w| wire::encode_error(*id, OVERSIZE_REPLY, w)),
-                    "error frame fits the cap"
-                );
+            let id = *id;
+            let fits = match &reply {
+                Reply::Json(_) => {
+                    let id = id.map(|id| Json::Num(id as f64));
+                    return encode_reply(&ReplyCtx::BinaryAdmin { id }, reply, out);
+                }
+                Reply::Error(message) => {
+                    append_binary_frame(out, |w| wire::encode_error(id, message, w))
+                }
+                Reply::Pong => append_binary_frame(out, |w| wire::encode_pong(id, w)),
+                Reply::Rankings { answers, batch } => append_binary_frame(out, |w| {
+                    wire::encode_predict_response(id, answers, *batch, w)
+                }),
+            };
+            if !fits {
+                let oversized = |w: &mut ByteWriter| wire::encode_error(id, OVERSIZE_REPLY, w);
+                assert!(append_binary_frame(out, oversized), "error fits the cap");
             }
+            return;
         }
-        ReplyCtx::BinaryAdmin { id } => encode_ready(
-            ReadyReply::BinaryAdmin {
-                response: predict_response(answers, batch),
-                id: id.clone(),
-            },
-            out,
-        ),
-        ReplyCtx::Http { id, keep_alive } => encode_ready(
-            ReadyReply::Http {
-                response: predict_response(answers, batch),
-                id: id.clone(),
-                keep_alive: *keep_alive,
-            },
-            out,
-        ),
+        ReplyCtx::Http { id, keep_alive } => {
+            let status = if matches!(reply, Reply::Error(_)) {
+                400
+            } else {
+                200
+            };
+            let mut text = reply.text(id);
+            text.push('\n');
+            http::append_response(
+                out,
+                status,
+                "application/json",
+                text.as_bytes(),
+                *keep_alive,
+            );
+            return;
+        }
+        ReplyCtx::Json { id } => (id, append_json_frame),
+        ReplyCtx::BinaryAdmin { id } => (id, |out, text| {
+            append_binary_frame(out, |w| wire::encode_admin_response(text, w))
+        }),
+    };
+    if !append(out, &reply.text(id)) {
+        let oversized = Reply::Error(OVERSIZE_REPLY.to_string()).text(id);
+        assert!(append(out, &oversized), "error fits the cap");
     }
 }
 
@@ -553,28 +440,14 @@ fn optional_str<'a>(request: &'a Json, field: &str) -> Result<Option<&'a str>, S
     }
 }
 
-/// Build the success reply for completed predict work (both shapes).
-pub(crate) fn predict_response(answers: &[Ranked], batch: bool) -> Json {
-    let mut json = ok_response();
-    if batch {
-        json.set(
-            "results",
-            answers.iter().map(ranked_to_json).collect::<Vec<_>>(),
-        );
-    } else {
-        json.set("predictions", ranked_to_json(&answers[0]));
-    }
-    json
-}
-
 /// One request frame, decoded: the request grammar every front door
-/// shares. `gps serve` answers it through [`classify`]; the router routes
+/// shares. `gps serve` answers it through [`answer`]; the router routes
 /// its predicts to backends and answers its commands itself. Both refuse
 /// a malformed frame from the same `Ready` reply, so their refusals are
 /// byte-identical.
 pub(crate) enum Request {
-    /// Answered as decoded: a malformed frame's refusal, or a GPSQ pong.
-    Ready(ReadyReply),
+    /// Answered as decoded: a malformed frame's refusal, or a pong.
+    Ready(ReplyCtx, Reply),
     /// A single query, or a `batch` frame's queries, for `model` (`None`
     /// = the default model). `batch` frames answer with the batch shape,
     /// singles with the single shape — in either format.
@@ -598,18 +471,15 @@ pub(crate) fn decode_request(format: WireFormat, payload: &[u8]) -> Request {
         WireFormat::Json => match std::str::from_utf8(payload) {
             // The frame decoder already refuses non-UTF-8 JSON frames;
             // this arm only guards direct callers.
-            Err(_) => Request::Ready(ready_error(
+            Err(_) => Request::Ready(
                 ReplyCtx::Json { id: None },
-                "bad json: frame is not utf-8".to_string(),
-            )),
-            Ok(text) => decode_json(text, |id| ReplyCtx::Json { id }),
+                Reply::Error("bad json: frame is not utf-8".to_string()),
+            ),
+            Ok(text) => decode_json(Json::parse(text), |id| ReplyCtx::Json { id }),
         },
         WireFormat::Binary => match wire::decode_request(payload) {
-            Err(e) => Request::Ready(ReadyReply::BinaryError {
-                id: e.id,
-                message: e.message,
-            }),
-            Ok(wire::Request::Ping { id }) => Request::Ready(ReadyReply::Pong { id }),
+            Err(e) => Request::Ready(ReplyCtx::Binary { id: e.id }, Reply::Error(e.message)),
+            Ok(wire::Request::Ping { id }) => Request::Ready(ReplyCtx::Binary { id }, Reply::Pong),
             Ok(wire::Request::Predict { id, model, query }) => Request::Predict {
                 ctx: ReplyCtx::Binary { id },
                 model,
@@ -624,33 +494,37 @@ pub(crate) fn decode_request(format: WireFormat, payload: &[u8]) -> Request {
             },
             // Admin passthrough: JSON semantics, binary envelope.
             Ok(wire::Request::Admin { json }) => {
-                decode_json(&json, |id| ReplyCtx::BinaryAdmin { id })
+                decode_json(Json::parse(&json), |id| ReplyCtx::BinaryAdmin { id })
             }
         },
     }
 }
 
-/// Decode one JSON request text. `ctx_of` builds the reply context from
-/// the echoed id — JSON frame, GPSQ admin envelope, HTTP body — so the
-/// reply rides the envelope the request arrived in.
-pub(crate) fn decode_json(text: &str, ctx_of: impl FnOnce(Option<Json>) -> ReplyCtx) -> Request {
+/// Decode one parsed JSON request (or its parse failure). `ctx_of` builds
+/// the reply context from the echoed id — JSON frame, GPSQ admin
+/// envelope, HTTP body — so the reply rides the envelope the request
+/// arrived in.
+pub(crate) fn decode_json(
+    parsed: Result<Json, GpsError>,
+    ctx_of: impl FnOnce(Option<Json>) -> ReplyCtx,
+) -> Request {
     // The request id (if any) is echoed on every reply, error replies
     // included — a pipelining client must be able to tell *which* request
     // of a burst failed. Unparseable JSON has no extractable id, so only
     // framing-level garbage goes un-correlated.
-    let request = match Json::parse(text) {
+    let request = match parsed {
         Ok(request) => request,
-        Err(e) => return Request::Ready(ready_error(ctx_of(None), format!("bad json: {e}"))),
+        Err(e) => return Request::Ready(ctx_of(None), Reply::Error(format!("bad json: {e}"))),
     };
     let ctx = ctx_of(request.get("id").cloned());
     let Some(cmd) = request.get("cmd").and_then(Json::as_str) else {
-        return Request::Ready(ready_error(ctx, "missing cmd".to_string()));
+        return Request::Ready(ctx, Reply::Error("missing cmd".to_string()));
     };
     // On query-shaped frames `"model"` is a registry id (absent = the
     // default model); on `reload`/`load` it is a snapshot path.
     let model = match optional_str(&request, "model") {
         Ok(model) => model.map(str::to_string),
-        Err(e) => return Request::Ready(ready_error(ctx, e)),
+        Err(e) => return Request::Ready(ctx, Reply::Error(e)),
     };
     let queries = match cmd {
         "predict" => query_from_json(&request).map(|query| vec![query]),
@@ -661,6 +535,7 @@ pub(crate) fn decode_json(text: &str, ctx_of: impl FnOnce(Option<Json>) -> Reply
             Some(_) => Err("batch too large".to_string()),
             None => Err("missing queries".to_string()),
         },
+        "ping" => return Request::Ready(ctx, Reply::Pong),
         _ => {
             let cmd = cmd.to_string();
             return Request::Command { ctx, cmd, request };
@@ -673,55 +548,68 @@ pub(crate) fn decode_json(text: &str, ctx_of: impl FnOnce(Option<Json>) -> Reply
             model,
             queries,
         },
-        Err(e) => Request::Ready(ready_error(ctx, e)),
+        Err(e) => Request::Ready(ctx, Reply::Error(e)),
     }
 }
 
-/// Answer one decoded request on `gps serve`: a predict's model resolves
-/// into work the event loop runs through [`PredictWork::answer`] (or into
-/// the unknown-model error), and a command is answered by [`command`].
-pub(crate) fn classify(server: &PredictionServer, request: Request) -> FrameAction {
-    match request {
-        Request::Ready(reply) => FrameAction::Ready(reply),
+/// Answer one decoded request on `gps serve` into `out`: resolve a
+/// predict's model and run every query on the calling thread, or run the
+/// command; encode the reply; then record the request's one latency
+/// sample. A predict lands in its model's (wire, endpoint) cell — a
+/// batch frame of `n` queries counts `n` samples, keeping histogram
+/// counts summable against `requests`, and the server-level predict cells
+/// are the models summed at snapshot time. Everything else, an
+/// unknown-model refusal included, lands in the server's admin cell.
+pub(crate) fn answer(
+    server: &PredictionServer,
+    wire: WireLabel,
+    started: Instant,
+    request: Request,
+    out: &mut Vec<u8>,
+) {
+    let (ctx, reply, predicted) = match request {
+        Request::Ready(ctx, reply) => (ctx, reply, None),
+        Request::Command { ctx, cmd, request } => (ctx, command(server, &cmd, &request), None),
         Request::Predict {
             ctx,
             model,
-            queries,
+            mut queries,
             batch,
-        } => {
-            let entry = match model {
-                None => Ok(server.default_entry().clone()),
-                Some(id) => server.entry(&id),
-            };
-            match entry {
-                Ok(entry) => FrameAction::Predict(PredictWork {
-                    entry,
-                    queries,
-                    batch,
-                    ctx,
-                }),
-                Err(e) => FrameAction::Ready(ready_error(ctx, e)),
+        } => match server.entry_or_default(model.as_deref()) {
+            Ok(entry) => {
+                let answers = server.predict_batch_entry(&entry, &mut queries);
+                let (n, endpoint) = match batch {
+                    true => (answers.len() as u64, EndpointLabel::Batch),
+                    false => (1, EndpointLabel::Single),
+                };
+                let reply = Reply::Rankings { answers, batch };
+                (ctx, reply, Some((entry, endpoint, n)))
             }
+            Err(e) => (ctx, Reply::Error(e), None),
+        },
+    };
+    encode_reply(&ctx, reply, out);
+    let latency_ns = started.elapsed().as_nanos() as u64;
+    match predicted {
+        Some((entry, endpoint, n)) => {
+            let cell = entry.counters.hists.cell(wire, endpoint);
+            cell.record_n(latency_ns, n);
         }
-        Request::Command { ctx, cmd, request } => {
-            FrameAction::Ready(ready_json(ctx, command(server, &cmd, &request)))
+        None => {
+            let cell = server.server_stats().hists.cell(wire, EndpointLabel::Admin);
+            cell.record(latency_ns);
         }
     }
 }
 
-/// Answer one command other than the predicts, computed in full.
-fn command(server: &PredictionServer, cmd: &str, request: &Json) -> Json {
+/// Answer one command other than the predicts and `ping`, computed in
+/// full.
+fn command(server: &PredictionServer, cmd: &str, request: &Json) -> Reply {
     let model_id = request.get("model").and_then(Json::as_str);
+    let mut json = ok_response();
     match cmd {
-        "ping" => {
-            let mut json = ok_response();
-            json.set("pong", true);
-            json
-        }
         "stats" => {
-            let mut json = ok_response();
             json.set("stats", server.stats().to_json());
-            json
         }
         "reset-stats" => {
             // Zero traffic counters and histograms (global and per model);
@@ -730,12 +618,11 @@ fn command(server: &PredictionServer, cmd: &str, request: &Json) -> Json {
             // phases without the first phase polluting the second's
             // numbers.
             server.reset_stats();
-            ok_response()
         }
         "manifest" => {
             let (generation, model) = match server.entry_or_default(model_id) {
                 Ok(entry) => entry.published(),
-                Err(e) => return error_response(e),
+                Err(e) => return Reply::Error(e),
             };
             let m = model.manifest();
             let mut inner = Json::obj();
@@ -750,10 +637,8 @@ fn command(server: &PredictionServer, cmd: &str, request: &Json) -> Json {
                 .set("num_rules", m.num_rules)
                 .set("num_priors", m.num_priors)
                 .set("checksum", gps_types::json::u64_to_hex(m.checksum));
-            let mut json = ok_response();
             json.set("manifest", inner)
                 .set("generation", Json::Num(generation as f64));
-            json
         }
         "reload" => {
             // Here `"model"` keeps its pre-registry meaning — a snapshot
@@ -761,66 +646,55 @@ fn command(server: &PredictionServer, cmd: &str, request: &Json) -> Json {
             let path = model_id.map(std::path::PathBuf::from);
             let name = match optional_str(request, "name") {
                 Ok(name) => name,
-                Err(e) => return error_response(e),
+                Err(e) => return Reply::Error(e),
             };
-            match server.reload_from_disk(name, path.as_deref()) {
-                // Describe the model *this* reload published — reading
-                // the slot again here could race with a concurrent
-                // reload and misattribute the manifest.
-                Ok((generation, model)) => {
-                    let m = model.manifest();
-                    let mut json = ok_response();
-                    json.set("generation", Json::Num(generation as f64))
-                        .set("num_rules", m.num_rules)
-                        .set("num_priors", m.num_priors)
-                        .set("checksum", gps_types::json::u64_to_hex(m.checksum));
-                    if let Some(name) = name {
-                        json.set("name", name);
-                    }
-                    json
-                }
-                // The old model is still serving; the error only reports
-                // why the swap did not happen.
-                Err(e) => error_response(format!("reload failed: {e}")),
+            // Describe the model *this* reload published — reading the
+            // slot again here could race with a concurrent reload and
+            // misattribute the manifest. On failure the old model is
+            // still serving; the error only reports why the swap did not
+            // happen.
+            let (generation, model) = match server.reload_from_disk(name, path.as_deref()) {
+                Ok(published) => published,
+                Err(e) => return Reply::Error(format!("reload failed: {e}")),
+            };
+            let m = model.manifest();
+            json.set("generation", Json::Num(generation as f64))
+                .set("num_rules", m.num_rules)
+                .set("num_priors", m.num_priors)
+                .set("checksum", gps_types::json::u64_to_hex(m.checksum));
+            if let Some(name) = name {
+                json.set("name", name);
             }
         }
         "load" => {
             let name = match optional_str(request, "name") {
                 Ok(Some(name)) => name,
-                Ok(None) => return error_response("load requires a name"),
-                Err(e) => return error_response(e),
+                Ok(None) => return Reply::Error("load requires a name".to_string()),
+                Err(e) => return Reply::Error(e),
             };
-            let path = match model_id {
-                Some(path) => std::path::PathBuf::from(path),
-                None => return error_response("load requires a model snapshot path"),
+            let Some(path) = model_id else {
+                return Reply::Error("load requires a model snapshot path".to_string());
             };
-            match server.load_model_from_disk(name, &path) {
-                Ok(model) => {
-                    let m = model.manifest();
-                    let mut json = ok_response();
-                    json.set("name", name)
-                        .set("num_rules", m.num_rules)
-                        .set("num_priors", m.num_priors)
-                        .set("checksum", gps_types::json::u64_to_hex(m.checksum));
-                    json
-                }
-                Err(e) => error_response(format!("load failed: {e}")),
-            }
+            let model = match server.load_model_from_disk(name, std::path::Path::new(path)) {
+                Ok(model) => model,
+                Err(e) => return Reply::Error(format!("load failed: {e}")),
+            };
+            let m = model.manifest();
+            json.set("name", name)
+                .set("num_rules", m.num_rules)
+                .set("num_priors", m.num_priors)
+                .set("checksum", gps_types::json::u64_to_hex(m.checksum));
         }
         "unload" => {
             let name = match optional_str(request, "name") {
                 Ok(Some(name)) => name,
-                Ok(None) => return error_response("unload requires a name"),
-                Err(e) => return error_response(e),
+                Ok(None) => return Reply::Error("unload requires a name".to_string()),
+                Err(e) => return Reply::Error(e),
             };
-            match server.unload_model(name) {
-                Ok(()) => {
-                    let mut json = ok_response();
-                    json.set("name", name);
-                    json
-                }
-                Err(e) => error_response(format!("unload failed: {e}")),
+            if let Err(e) = server.unload_model(name) {
+                return Reply::Error(format!("unload failed: {e}"));
             }
+            json.set("name", name);
         }
         "shutdown" => {
             // Enter drain: the accept gates stop admitting, and the
@@ -828,39 +702,20 @@ fn command(server: &PredictionServer, cmd: &str, request: &Json) -> Json {
             // finish. The reply itself still goes out on this connection
             // — drain never cuts off an answer already owed.
             server.begin_drain();
-            let mut json = ok_response();
             json.set("draining", true);
-            json
         }
         "list-models" => {
             let stats = server.stats();
-            let mut json = ok_response();
-            json.set(
-                "models",
-                stats
-                    .models
-                    .iter()
-                    .map(|m| {
-                        let mut entry = m.to_json();
-                        entry.set("name", m.id.as_str());
-                        entry
-                    })
-                    .collect::<Vec<_>>(),
-            );
-            json
+            let models = stats.models.iter().map(|m| {
+                let mut entry = m.to_json();
+                entry.set("name", m.id.as_str());
+                entry
+            });
+            json.set("models", models.collect::<Vec<_>>());
         }
-        other => error_response(format!("unknown cmd {other:?}")),
+        other => return Reply::Error(format!("unknown cmd {other:?}")),
     }
-}
-
-/// Record one admin-shaped request (anything that is not a predict)
-/// into the server-level histogram matrix.
-pub(crate) fn record_admin(server: &PredictionServer, wire: WireLabel, started: Instant) {
-    server
-        .server_stats()
-        .hists
-        .cell(wire, EndpointLabel::Admin)
-        .record(started.elapsed().as_nanos() as u64);
+    Reply::Json(json)
 }
 
 /// Connect within `timeout`. `TcpStream::connect_timeout` wants one
@@ -1170,7 +1025,7 @@ impl Client {
                     request.set("model", model);
                 }
                 request.set("id", Json::Num(id as f64));
-                append_json_frame(&mut self.buf, &request)
+                append_json_frame(&mut self.buf, &request.to_string())
             }
             WireFormat::Binary => append_binary_frame(&mut self.buf, |w| {
                 if batch {

@@ -51,9 +51,10 @@
 //!
 //! The router holds no model: it decodes every front frame with the
 //! server's own `proto` decoder, so it refuses a malformed frame with the
-//! same bytes, and every answer was computed by a backend and re-framed
-//! through the server's encoders. A client cannot tell the router from a
-//! plain `gps serve`.
+//! same bytes, and every answer — computed by a backend, or by the router
+//! for its own commands — becomes the same `proto::Reply` and is framed by
+//! the server's one encoder, `proto::encode_reply`. A client cannot tell
+//! the router from a plain `gps serve`.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -66,13 +67,12 @@ use std::time::{Duration, Instant};
 use gps_types::Json;
 
 use crate::artifact::{Query, Ranked};
-use crate::net::http::{self, label_escape, HttpRequest};
+use crate::net::http::{self, label_escape, write_family, HttpRequest};
 use crate::net::poller::{Event, Interest, Poller};
 use crate::net::{Conn, Connections, FrameDecoder, Payload, Service, WireFormat};
 use crate::proto::{
-    append_binary_frame, connect_timeout, decode_request, encode_predict_reply, encode_ready,
-    ok_response, ready_error, ready_json, Client, ClientConfig, ReadyReply, ReplyCtx, Request,
-    MAX_FRAME_BYTES,
+    append_binary_frame, connect_timeout, decode_request, encode_reply, ok_response, Client,
+    ClientConfig, Reply, ReplyCtx, Request, MAX_FRAME_BYTES,
 };
 use crate::transport::TransportConfig;
 use crate::wire;
@@ -296,81 +296,34 @@ impl Core {
 
     /// The Prometheus exposition of the router's counters and gauges.
     fn render_metrics(&self) -> String {
-        use std::fmt::Write as _;
-        let mut w = String::with_capacity(1024);
-        let _ = writeln!(
-            w,
-            "# HELP gps_router_requests_total Requests the router answered."
-        );
-        let _ = writeln!(w, "# TYPE gps_router_requests_total counter");
-        let _ = writeln!(
-            w,
-            "gps_router_requests_total {}",
-            self.requests.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            w,
-            "# HELP gps_retries_total Failed backend attempts retried elsewhere."
-        );
-        let _ = writeln!(w, "# TYPE gps_retries_total counter");
-        let _ = writeln!(
-            w,
-            "gps_retries_total {}",
-            self.retries.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            w,
-            "# HELP gps_shed_total Queries answered `overloaded` (no healthy backend)."
-        );
-        let _ = writeln!(w, "# TYPE gps_shed_total counter");
-        let _ = writeln!(w, "gps_shed_total {}", self.shed.load(Ordering::Relaxed));
-        let _ = writeln!(
-            w,
-            "# HELP gps_backend_up Whether the router considers a backend healthy."
-        );
-        let _ = writeln!(w, "# TYPE gps_backend_up gauge");
-        for b in &self.backends {
-            let up = u8::from(b.health() != Health::Down);
-            let backend = label_escape(&b.addr);
-            let _ = writeln!(w, "gps_backend_up{{backend=\"{backend}\"}} {up}");
-        }
-        let _ = writeln!(
-            w,
-            "# HELP gps_backend_forwarded_total Requests each backend answered."
-        );
-        let _ = writeln!(w, "# TYPE gps_backend_forwarded_total counter");
-        for b in &self.backends {
-            let _ = writeln!(
-                w,
-                "gps_backend_forwarded_total{{backend=\"{}\"}} {}",
-                label_escape(&b.addr),
-                b.forwarded.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            w,
-            "# HELP gps_backend_errors_total Failed attempts against each backend."
-        );
-        let _ = writeln!(w, "# TYPE gps_backend_errors_total counter");
-        for b in &self.backends {
-            let _ = writeln!(
-                w,
-                "gps_backend_errors_total{{backend=\"{}\"}} {}",
-                label_escape(&b.addr),
-                b.errors.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            w,
-            "# HELP gps_router_draining Whether the router is draining."
-        );
-        let _ = writeln!(w, "# TYPE gps_router_draining gauge");
-        let _ = writeln!(
-            w,
-            "gps_router_draining {}",
-            u8::from(self.conns.is_draining())
-        );
-        w
+        let mut out = String::with_capacity(1024);
+        let w = &mut out;
+        let count = |counter: &AtomicU64| [("", counter.load(Ordering::Relaxed))];
+        let help = "Requests the router answered.";
+        let requests = count(&self.requests);
+        write_family(w, "gps_router_requests_total", "counter", help, requests);
+        let help = "Failed backend attempts retried elsewhere.";
+        let retries = count(&self.retries);
+        write_family(w, "gps_retries_total", "counter", help, retries);
+        let help = "Queries answered `overloaded` (no healthy backend).";
+        write_family(w, "gps_shed_total", "counter", help, count(&self.shed));
+        let each = |value: fn(&BackendState) -> u64| {
+            let label = |b: &BackendState| format!("backend=\"{}\"", label_escape(&b.addr));
+            self.backends.iter().map(move |b| (label(b), value(b)))
+        };
+        let help = "Whether the router considers a backend healthy.";
+        let up = each(|b| u64::from(b.health() != Health::Down));
+        write_family(w, "gps_backend_up", "gauge", help, up);
+        let help = "Requests each backend answered.";
+        let forwarded = each(|b| b.forwarded.load(Ordering::Relaxed));
+        write_family(w, "gps_backend_forwarded_total", "counter", help, forwarded);
+        let help = "Failed attempts against each backend.";
+        let errors = each(|b| b.errors.load(Ordering::Relaxed));
+        write_family(w, "gps_backend_errors_total", "counter", help, errors);
+        let help = "Whether the router is draining.";
+        let draining = [("", u8::from(self.conns.is_draining()))];
+        write_family(w, "gps_router_draining", "gauge", help, draining);
+        out
     }
 }
 
@@ -397,7 +350,7 @@ struct Burst {
 /// How one front frame of a burst is answered.
 enum Slot {
     /// Answered when decoded: malformed frames and pongs.
-    Ready(ReadyReply),
+    Ready(ReplyCtx, Reply),
     /// Predict work, answered from the next entry of `Burst::routed`.
     Routed,
     /// A command the router answers itself, after the burst's predicts.
@@ -435,7 +388,7 @@ impl Burst {
     /// reply slot (and, for a predict, its parts).
     fn push_frame(&mut self, core: &Core, format: WireFormat, payload: &[u8]) {
         match decode_request(format, payload) {
-            Request::Ready(reply) => self.slots.push(Slot::Ready(reply)),
+            Request::Ready(ctx, reply) => self.slots.push(Slot::Ready(ctx, reply)),
             Request::Predict {
                 ctx,
                 model,
@@ -685,17 +638,22 @@ impl Hop {
         self.exchange(&mut burst);
         let mut routed = burst.routed.into_iter();
         for slot in burst.slots {
-            match slot {
-                Slot::Ready(reply) => encode_ready(reply, out),
+            let (ctx, reply) = match slot {
+                Slot::Ready(ctx, reply) => (ctx, reply),
                 Slot::Routed => {
                     let frame = routed.next().expect("one routed entry per routed slot");
-                    match frame.error {
-                        Some(message) => encode_ready(ready_error(frame.ctx, message), out),
-                        None => encode_predict_reply(&frame.ctx, &frame.answers, frame.batch, out),
-                    }
+                    let reply = match frame.error {
+                        Some(message) => Reply::Error(message),
+                        None => Reply::Rankings {
+                            answers: frame.answers,
+                            batch: frame.batch,
+                        },
+                    };
+                    (frame.ctx, reply)
                 }
-                Slot::Admin { ctx, cmd } => encode_ready(admin_reply(&self.core, ctx, &cmd), out),
-            }
+                Slot::Admin { ctx, cmd } => (ctx, admin_reply(&self.core, &cmd)),
+            };
+            encode_reply(&ctx, reply, out);
         }
     }
 
@@ -810,12 +768,9 @@ impl Hop {
 
 /// Answer one admin-shaped JSON command against the router itself;
 /// commands it does not implement get an error naming the backends.
-fn admin_reply(core: &Core, ctx: ReplyCtx, cmd: &str) -> ReadyReply {
+fn admin_reply(core: &Core, cmd: &str) -> Reply {
     let mut json = ok_response();
     match cmd {
-        "ping" => {
-            json.set("pong", true);
-        }
         "stats" => {
             json.set("stats", core.stats_json());
         }
@@ -842,12 +797,9 @@ fn admin_reply(core: &Core, ctx: ReplyCtx, cmd: &str) -> ReadyReply {
             core.conns.begin_drain();
             json.set("draining", true);
         }
-        other => {
-            let message = format!("cmd {other:?} is not routed (ask a backend)");
-            return ready_error(ctx, message);
-        }
+        other => return Reply::Error(format!("cmd {other:?} is not routed (ask a backend)")),
     }
-    ready_json(ctx, json)
+    Reply::Json(json)
 }
 
 /// `gps route` on the event loops: a frame connection's parked frames go

@@ -228,8 +228,6 @@ impl Default for ServeConfig {
 #[derive(Debug, Default)]
 pub struct ServerStats {
     pub requests: AtomicU64,
-    pub latency_ns_total: AtomicU64,
-    pub latency_ns_max: AtomicU64,
     /// Server-level per-(wire, endpoint) latency histograms, recorded by
     /// the event loops at reply time.
     pub hists: HistogramSet,
@@ -248,8 +246,6 @@ impl ServerStats {
     /// configuration history, not traffic.
     fn reset_traffic(&self) {
         self.requests.store(0, Ordering::Relaxed);
-        self.latency_ns_total.store(0, Ordering::Relaxed);
-        self.latency_ns_max.store(0, Ordering::Relaxed);
         self.hists.reset();
     }
 }
@@ -364,8 +360,6 @@ pub struct StatsSnapshot {
     /// `benchmark/src/ladder.rs`.
     #[doc(hidden)]
     pub batches: u64,
-    pub mean_latency_us: f64,
-    pub max_latency_us: f64,
     pub uptime_secs: f64,
     /// Completed reloads across every model.
     pub reloads: u64,
@@ -398,8 +392,6 @@ impl StatsSnapshot {
         let mut json = Json::obj();
         json.set("version", self.version.as_str())
             .set("requests", Json::Num(self.requests as f64))
-            .set("mean_latency_us", self.mean_latency_us)
-            .set("max_latency_us", self.max_latency_us)
             .set("uptime_secs", self.uptime_secs)
             .set("reloads", Json::Num(self.reloads as f64))
             .set("conns_accepted", Json::Num(self.conns_accepted as f64))
@@ -513,10 +505,6 @@ impl PredictionServer {
         self.entries().iter().map(|e| e.id.clone()).collect()
     }
 
-    pub fn has_model(&self, id: &str) -> bool {
-        self.models.read().expect("registry lock").contains_key(id)
-    }
-
     pub(crate) fn entry(&self, id: &str) -> Result<Arc<ModelEntry>, String> {
         self.models
             .read()
@@ -532,12 +520,6 @@ impl PredictionServer {
             None => Ok(self.default_entry.clone()),
             Some(id) => self.entry(id),
         }
-    }
-
-    /// The entry the id-less API routes to (for the shared request
-    /// core).
-    pub(crate) fn default_entry(&self) -> &Arc<ModelEntry> {
-        &self.default_entry
     }
 
     /// The shared counters, for the event loops (which account
@@ -725,7 +707,6 @@ impl PredictionServer {
         entry: &ModelEntry,
         queries: &mut [Query],
     ) -> Vec<Ranked> {
-        let started = Instant::now();
         let model = entry.current();
         let answers: Vec<Ranked> = SCRATCH.with_borrow_mut(|scratch| {
             queries
@@ -740,14 +721,7 @@ impl PredictionServer {
         });
         let n = answers.len() as u64;
         if n > 0 {
-            let latency_ns = started.elapsed().as_nanos() as u64;
             self.stats.requests.fetch_add(n, Ordering::Relaxed);
-            self.stats
-                .latency_ns_total
-                .fetch_add(latency_ns.saturating_mul(n), Ordering::Relaxed);
-            self.stats
-                .latency_ns_max
-                .fetch_max(latency_ns, Ordering::Relaxed);
             entry.counters.requests.fetch_add(n, Ordering::Relaxed);
         }
         answers
@@ -765,8 +739,6 @@ impl PredictionServer {
     /// Consistent snapshot of the counters, including the per-model
     /// breakdown (sorted by id).
     pub fn stats(&self) -> StatsSnapshot {
-        let requests = self.stats.requests.load(Ordering::Relaxed);
-        let total_ns = self.stats.latency_ns_total.load(Ordering::Relaxed);
         let models: Vec<ModelStatsSnapshot> = self
             .entries()
             .iter()
@@ -790,17 +762,11 @@ impl PredictionServer {
         let hists = cells.into_iter().filter(|(_, _, s)| s.count > 0).collect();
         StatsSnapshot {
             version: env!("CARGO_PKG_VERSION").to_string(),
-            requests,
+            requests: self.stats.requests.load(Ordering::Relaxed),
             cache_hits: 0,
             l1_hits: 0,
             cache_misses: 0,
             batches: 0,
-            mean_latency_us: if requests == 0 {
-                0.0
-            } else {
-                total_ns as f64 / requests as f64 / 1000.0
-            },
-            max_latency_us: self.stats.latency_ns_max.load(Ordering::Relaxed) as f64 / 1000.0,
             uptime_secs: self.started.elapsed().as_secs_f64(),
             reloads: self.stats.reloads.load(Ordering::Relaxed),
             conns_accepted: self.stats.conns.accepted.load(Ordering::Relaxed),
@@ -999,12 +965,12 @@ mod tests {
 
     /// The `manifest` command's reply, as a JSON session receives it.
     fn manifest_reply(server: &PredictionServer) -> Json {
-        use crate::proto::{classify, decode_json, FrameAction, ReadyReply, ReplyCtx};
-        let request = decode_json(r#"{"cmd":"manifest"}"#, |id| ReplyCtx::Json { id });
-        match classify(server, request) {
-            FrameAction::Ready(ReadyReply::Json { response, .. }) => response,
-            _ => panic!("manifest answers with a ready JSON reply"),
-        }
+        use crate::proto::{answer, decode_request, read_frame};
+        use crate::{WireFormat, WireLabel};
+        let request = decode_request(WireFormat::Json, br#"{"cmd":"manifest"}"#);
+        let mut out = Vec::new();
+        answer(server, WireLabel::Json, Instant::now(), request, &mut out);
+        read_frame(&mut out.as_slice()).unwrap().unwrap()
     }
 
     #[test]

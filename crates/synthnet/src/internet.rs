@@ -137,12 +137,6 @@ pub enum ProbeView<'a> {
     Pseudo { content: gps_types::Sym, ttl: u8 },
 }
 
-impl ProbeView<'_> {
-    pub fn is_pseudo(&self) -> bool {
-        matches!(self, ProbeView::Pseudo { .. })
-    }
-}
-
 /// The generated ground truth.
 pub struct Internet {
     config: UniverseConfig,

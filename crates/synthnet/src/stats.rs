@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use gps_types::{IntMap, Ip, Port, ServiceKey, Subnet};
+use gps_types::{IntMap, Ip, Port, ServiceKey};
 
 use crate::internet::Internet;
 
@@ -198,11 +198,6 @@ pub fn services_where(
         .collect();
     v.sort_unstable();
     v
-}
-
-/// Convenience: count services inside one subnet on one port.
-pub fn count_in_subnet(net: &Internet, port: Port, subnet: Subnet, day: u16) -> usize {
-    net.ips_on_port_in(port, subnet, day).count()
 }
 
 #[cfg(test)]

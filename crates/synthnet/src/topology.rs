@@ -42,7 +42,6 @@ impl BlockInfo {
 pub struct Topology {
     blocks: Vec<BlockInfo>,
     by_prefix: HashMap<u16, usize>,
-    num_ases: u32,
 }
 
 impl Topology {
@@ -119,11 +118,7 @@ impl Topology {
             .map(|(idx, b)| ((b.base >> 16) as u16, idx))
             .collect();
 
-        Topology {
-            blocks,
-            by_prefix,
-            num_ases: asn_counter,
-        }
+        Topology { blocks, by_prefix }
     }
 
     pub fn blocks(&self) -> &[BlockInfo] {
@@ -164,11 +159,6 @@ impl Topology {
     /// Iterate over allocated /16 subnets.
     pub fn subnets(&self) -> impl Iterator<Item = Subnet> + '_ {
         self.blocks.iter().map(|b| b.subnet())
-    }
-
-    /// Internal: upper bound on ASN values (for sizing arrays).
-    pub fn max_asn(&self) -> u32 {
-        self.num_ases
     }
 }
 

@@ -254,7 +254,7 @@ fn http_gateway_serves_admin_endpoints_on_every_transport() {
 
 /// POST /predict and /batch return byte-identical JSON to the framed
 /// JSON wire for the same request — the gateway is a different door
-/// into the same classify core, not a reimplementation. Each door counts
+/// into the same `proto::answer`, not a reimplementation. Each door counts
 /// its queries in its own histogram cell.
 #[test]
 fn http_predict_is_byte_identical_to_json_wire() {
@@ -304,7 +304,7 @@ fn http_predict_is_byte_identical_to_json_wire() {
         "two batch results"
     );
 
-    // A bad request maps the shared classify error to a 400, body
+    // A bad request maps the shared decoder's error to a 400, body
     // still the wire-shaped `ok:false` JSON.
     let (status, _, http_body) = post(&mut http, "/predict", "{\"ip\":\"not-an-ip\"}");
     assert_eq!(status, 400, "bad predict -> 400");
