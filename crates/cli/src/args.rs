@@ -47,8 +47,6 @@ pub struct Args {
     pub reload_name: Option<String>,
     /// query: which model id to ask (None = the server's default).
     pub query_model: Option<String>,
-    /// query: wire format to speak (json | binary).
-    pub wire: gps_serve::WireFormat,
     /// Target IP for query.
     pub ip: Option<String>,
     /// Known-open ports for query (comma separated on the wire).
@@ -119,7 +117,6 @@ impl Default for Args {
             reload_model: None,
             reload_name: None,
             query_model: None,
-            wire: gps_serve::WireFormat::Json,
             ip: None,
             open: Vec::new(),
             asn: None,
@@ -247,13 +244,6 @@ impl Args {
                         return Err(ParseError("--idle-timeout must be >= 0 seconds".into()));
                     }
                     args.idle_timeout = secs;
-                }
-                "--wire" => {
-                    // One source of truth for the accepted set: the
-                    // protocol's own `WireFormat` parser.
-                    args.wire = value("--wire")?
-                        .parse::<gps_serve::WireFormat>()
-                        .map_err(|e| ParseError(format!("--wire: {e}")))?;
                 }
                 "--ip" => args.ip = Some(value("--ip")?),
                 "--open" => {
@@ -400,11 +390,13 @@ mod tests {
 
         // A snapshot is one GPSB container with one copy of each artifact:
         // nothing selects an encoding or an optional section. A served
-        // file is swapped by `gps reload`, never by polling it.
+        // file is swapped by `gps reload`, never by polling it. Every
+        // client command speaks GPSQ: no flag picks a wire.
         for gone in [
             &["export-model", "--format", "binary"][..],
             &["export-model", "--no-compiled"],
             &["serve", "--watch"],
+            &["query", "--ip", "10.0.0.1", "--wire", "binary"],
         ] {
             let err = Args::parse(gone.iter().copied()).unwrap_err();
             assert!(err.0.contains("unknown flag"), "{}", err.0);
@@ -477,16 +469,6 @@ mod tests {
         assert_eq!(args.max_conns, 0, "0 = unlimited");
         assert_eq!(args.idle_timeout, 0.0, "0 = never");
         assert!(Args::parse(["query", "--open", "80,abc"]).is_err());
-    }
-
-    #[test]
-    fn parses_wire_format() {
-        use gps_serve::WireFormat;
-        let args = Args::parse(["query", "--ip", "10.0.0.1"]).unwrap();
-        assert_eq!(args.wire, WireFormat::Json, "json stays the default");
-        let args = Args::parse(["query", "--ip", "10.0.0.1", "--wire", "binary"]).unwrap();
-        assert_eq!(args.wire, WireFormat::Binary);
-        assert!(Args::parse(["query", "--wire", "xml"]).is_err());
     }
 
     #[test]

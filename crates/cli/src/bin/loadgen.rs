@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use gps_serve::{Client, Query, WireFormat};
+use gps_serve::{Client, Query};
 use gps_types::rng::Rng;
 use gps_types::Ip;
 
@@ -145,7 +145,7 @@ fn make_queries(anchors: &[u32], count: u64, rng: &mut Rng) -> Vec<Query> {
 fn connect_patiently(addr: SocketAddr) -> Client {
     let mut delay = Duration::from_millis(5);
     for _ in 0..39 {
-        match Client::connect_with(addr, WireFormat::Binary) {
+        match Client::connect(addr) {
             Ok(client) => return client,
             Err(_) => {
                 std::thread::sleep(delay);
@@ -153,7 +153,7 @@ fn connect_patiently(addr: SocketAddr) -> Client {
             }
         }
     }
-    Client::connect_with(addr, WireFormat::Binary).unwrap_or_else(|e| {
+    Client::connect(addr).unwrap_or_else(|e| {
         eprintln!("error: connect to {addr}: {e}");
         std::process::exit(2);
     })

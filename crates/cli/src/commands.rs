@@ -385,11 +385,7 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
     loop {
         if server.is_draining() {
             println!("drain requested; finishing in-flight connections");
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while std::time::Instant::now() < deadline && server.stats().conns_active > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            let leftover = server.stats().conns_active;
+            let leftover = server.wait_drained(std::time::Duration::from_secs(10));
             if leftover > 0 {
                 println!("drained (closed {leftover} idle connection(s) forcibly)");
             } else {
@@ -430,13 +426,11 @@ pub fn cmd_route(args: &Args) -> Result<(), String> {
     loop {
         if handle.is_draining() {
             println!("drain requested; finishing in-flight connections");
-            if handle.wait_drained(std::time::Duration::from_secs(10)) {
-                println!("drained; exiting");
+            let leftover = handle.wait_drained(std::time::Duration::from_secs(10));
+            if leftover > 0 {
+                println!("drained (abandoned {leftover} stuck connection(s))");
             } else {
-                println!(
-                    "drained (abandoned {} stuck connection(s))",
-                    handle.active_conns()
-                );
+                println!("drained; exiting");
             }
             return Ok(());
         }
@@ -444,12 +438,16 @@ pub fn cmd_route(args: &Args) -> Result<(), String> {
     }
 }
 
+/// A GPSQ client for `--addr`: the connection every client command uses.
+fn connect(args: &Args) -> Result<gps_serve::Client, String> {
+    gps_serve::Client::connect(&args.addr).map_err(|e| format!("--addr {}: {e}", args.addr))
+}
+
 /// `gps shutdown` — ask a running `gps serve` or `gps route` at `--addr`
 /// to drain: stop taking new connections, finish in-flight replies, and
 /// exit.
 pub fn cmd_shutdown(args: &Args) -> Result<(), String> {
-    let mut client =
-        gps_serve::Client::connect(&args.addr).map_err(|e| format!("--addr {}: {e}", args.addr))?;
+    let mut client = connect(args)?;
     client.shutdown().map_err(|e| format!("shutdown: {e}"))?;
     println!("{} is draining", args.addr);
     Ok(())
@@ -460,8 +458,7 @@ pub fn cmd_shutdown(args: &Args) -> Result<(), String> {
 /// the file it is already serving (picking up an atomic replace) or a
 /// different one via `--model`.
 pub fn cmd_reload(args: &Args) -> Result<(), String> {
-    let mut client =
-        gps_serve::Client::connect(&args.addr).map_err(|e| format!("--addr {}: {e}", args.addr))?;
+    let mut client = connect(args)?;
     let outcome = client
         .reload(args.reload_name.as_deref(), args.reload_model.as_deref())
         .map_err(|e| format!("reload: {e}"))?;
@@ -479,8 +476,7 @@ pub fn cmd_reload(args: &Args) -> Result<(), String> {
 /// `gps models` — list every model a running server holds, with its
 /// generation and per-model counters.
 pub fn cmd_models(args: &Args) -> Result<(), String> {
-    let mut client =
-        gps_serve::Client::connect(&args.addr).map_err(|e| format!("--addr {}: {e}", args.addr))?;
+    let mut client = connect(args)?;
     let models = client.list_models().map_err(|e| format!("models: {e}"))?;
     println!("{} model(s) on {}:", models.len(), args.addr);
     for model in &models {
@@ -525,9 +521,8 @@ pub fn cmd_models(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `gps query` — one prediction request against a running `gps serve`,
-/// over the JSON wire (default) or the GPSQ binary wire (`--wire
-/// binary`); both speak to any server, the format is per connection.
+/// `gps query` — one prediction request over GPSQ against a running
+/// `gps serve` or `gps route`.
 pub fn cmd_query(args: &Args) -> Result<(), String> {
     let ip: Ip = args
         .ip
@@ -538,8 +533,7 @@ pub fn cmd_query(args: &Args) -> Result<(), String> {
     let mut query = Query::new(ip).with_open(args.open.iter().copied());
     query.asn = args.asn;
     query.top = args.top;
-    let mut client = gps_serve::Client::connect_with(&args.addr, args.wire)
-        .map_err(|e| format!("--addr {}: {e}", args.addr))?;
+    let mut client = connect(args)?;
     let ranked = client
         .predict_on(args.query_model.as_deref(), &query)
         .map_err(|e| format!("query: {e}"))?;

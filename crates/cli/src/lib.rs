@@ -70,7 +70,6 @@ ROUTING OPTIONS (gps route):
     --open P1,P2        query evidence: ports known open on the target
     --asn N             query evidence: the target's ASN
     --top N             max predictions returned
-    --wire F            query: wire format, json (default) | binary (GPSQ)
 
 EXAMPLES:
     gps universe --blocks 16
@@ -83,7 +82,6 @@ EXAMPLES:
     gps serve --model /tmp/a.gpsb --http-addr 127.0.0.1:8080
     gps query --addr 127.0.0.1:4615 --ip 10.1.2.3 --open 80
     gps query --addr 127.0.0.1:4615 --ip 10.1.2.3 --model lzr
-    gps query --addr 127.0.0.1:4615 --ip 10.1.2.3 --wire binary
     gps reload --addr 127.0.0.1:4615 --model /tmp/gps-model-v2.gpsb
     gps reload lzr --addr 127.0.0.1:4615
     gps models --addr 127.0.0.1:4615

@@ -4,7 +4,8 @@
 //! the **scanning step size** (§5.3) — plus the bandwidth constraint `c1`
 //! of Equation 3. The remaining knobs here expose design-ablation switches
 //! (which of the four interaction classes to model, which network features
-//! to use per Appendix C) and the prediction threshold of §5.4.
+//! to use per Appendix C). The §5.4 prediction threshold is not a knob: the
+//! pipeline derives it from the seed scan (`GpsRun::min_prob_used`).
 
 use gps_types::GpsError;
 
@@ -63,18 +64,6 @@ impl Interactions {
     }
 }
 
-/// The §5.4 discard threshold for "most predictive feature" probabilities.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MinProb {
-    /// A fixed threshold (the paper uses 1e-5 ≈ the random-probe hit rate of
-    /// most ports on the real Internet).
-    Fixed(f64),
-    /// Derive the threshold from the seed scan: the median per-port hit rate
-    /// of random probing in the observed universe. Scale-free, so it works
-    /// for simulated universes much smaller than 3.7B addresses.
-    Auto,
-}
-
 /// Full GPS configuration.
 #[derive(Debug, Clone)]
 pub struct GpsConfig {
@@ -84,8 +73,6 @@ pub struct GpsConfig {
     /// Scanning step size: prefix length of the subnet exhaustively scanned
     /// around each prior (§5.3; Figure 5 sweeps /0../20).
     pub step_prefix: u8,
-    /// Threshold below which feature→port rules are discarded (§5.4).
-    pub min_prob: MinProb,
     /// Which conditional-probability classes to model.
     pub interactions: Interactions,
     /// Network-layer features (Appendix C).
@@ -97,9 +84,6 @@ pub struct GpsConfig {
     pub max_predictions: usize,
     /// Approximate number of checkpoints recorded on discovery curves.
     pub curve_points: usize,
-    /// After predictions are exhausted, keep randomly probing un-probed
-    /// space (§6.3's optional tail). Modeled analytically; off by default.
-    pub residual_random: bool,
 }
 
 impl Default for GpsConfig {
@@ -107,13 +91,11 @@ impl Default for GpsConfig {
         GpsConfig {
             seed_fraction: 0.01,
             step_prefix: 16,
-            min_prob: MinProb::Auto,
             interactions: Interactions::ALL,
             net_features: vec![NetFeature::Slash(16), NetFeature::Asn],
             budget_scans: None,
             max_predictions: 20_000_000,
             curve_points: 256,
-            residual_random: false,
         }
     }
 }
@@ -125,11 +107,6 @@ impl GpsConfig {
         }
         if self.step_prefix > 32 {
             return Err(GpsError::config("step_prefix", "must be 0..=32"));
-        }
-        if let MinProb::Fixed(p) = self.min_prob {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(GpsError::config("min_prob", "must be in [0, 1]"));
-            }
         }
         if !self.interactions.any() {
             return Err(GpsError::config(
@@ -162,11 +139,6 @@ mod tests {
         assert!(c.validate().is_err());
         c = GpsConfig {
             step_prefix: 33,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        c = GpsConfig {
-            min_prob: MinProb::Fixed(1.5),
             ..Default::default()
         };
         assert!(c.validate().is_err());

@@ -56,7 +56,7 @@ pub mod priors;
 pub mod snapshot;
 
 pub use compiled::{CompiledModel, CompiledPriors, CompiledRules};
-pub use config::{GpsConfig, Interactions, MinProb, NetFeature};
+pub use config::{GpsConfig, Interactions, NetFeature};
 pub use dataset::{censys_dataset, lzr_dataset, Dataset};
 pub use filter::{filter_pseudo_services, FilterStats, MAX_REAL_SERVICES_PER_HOST};
 pub use host::{group_by_host, HostRecord};

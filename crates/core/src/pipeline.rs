@@ -15,7 +15,7 @@ use gps_scan::{BandwidthLedger, RateModel, ScanConfig, ScanPhase, Scanner, Servi
 use gps_synthnet::Internet;
 use gps_types::{IntSet, Ip, PortSet, ServiceKey};
 
-use crate::config::{GpsConfig, MinProb};
+use crate::config::GpsConfig;
 use crate::dataset::Dataset;
 use crate::filter::{filter_pseudo_services, FilterStats};
 use crate::host::{group_by_host, HostRecord};
@@ -146,7 +146,7 @@ pub fn run_gps(net: &Internet, dataset: &Dataset, config: &GpsConfig) -> GpsRun 
     let seed_observations = filtered.len();
 
     let seed_hosts = group_by_host(&filtered, &config.net_features, &asn_of);
-    let min_prob_used = resolve_min_prob(config.min_prob, &filtered, dataset.seed_size());
+    let min_prob_used = resolve_min_prob(&filtered, dataset.seed_size());
 
     // ----------------------------------------------------- phase 2: model
     let t0 = Instant::now();
@@ -242,19 +242,6 @@ pub fn run_gps(net: &Internet, dataset: &Dataset, config: &GpsConfig) -> GpsRun 
         scanner.ledger().bytes(ScanPhase::Predict),
     );
 
-    // ------------------------------------- optional §6.3 residual probing
-    if config.residual_random && !truncated {
-        residual_random_phase(
-            &mut tracker,
-            &mut curve,
-            dataset,
-            universe,
-            net.port_space() as u64,
-            scanner.ledger(),
-            budget_probes,
-        );
-    }
-
     GpsRun {
         dataset_name: dataset.name.clone(),
         curve,
@@ -308,78 +295,22 @@ fn apply_seed_port_threshold(
         .collect()
 }
 
-/// §5.4: the discard threshold should sit at the hit rate of random probing.
-/// `Auto` estimates it as (median per-port responsive IPs in the seed) ÷
-/// (seed addresses).
-fn resolve_min_prob(
-    min_prob: MinProb,
-    seed_observations: &[ServiceObservation],
-    seed_size: u64,
-) -> f64 {
-    match min_prob {
-        MinProb::Fixed(p) => p,
-        MinProb::Auto => {
-            let mut per_port: HashMap<u16, u64> = HashMap::new();
-            for o in seed_observations {
-                *per_port.entry(o.port.0).or_default() += 1;
-            }
-            if per_port.is_empty() || seed_size == 0 {
-                return 1e-5;
-            }
-            let mut counts: Vec<u64> = per_port.values().copied().collect();
-            counts.sort_unstable();
-            let median = counts[counts.len() / 2];
-            (median as f64 / seed_size as f64).max(1e-9)
-        }
+/// §5.4: the discard threshold should sit at the hit rate of random
+/// probing, estimated from the seed scan as (median per-port responsive
+/// IPs in the seed) ÷ (seed addresses). Scale-free, so it works for
+/// simulated universes much smaller than 3.7B addresses.
+fn resolve_min_prob(seed_observations: &[ServiceObservation], seed_size: u64) -> f64 {
+    let mut per_port: HashMap<u16, u64> = HashMap::new();
+    for o in seed_observations {
+        *per_port.entry(o.port.0).or_default() += 1;
     }
-}
-
-/// Analytic §6.3 tail: after predictions are exhausted, GPS can randomly
-/// probe the remaining space; expected discovery is uniform over un-probed
-/// (ip, port) pairs. We synthesize checkpoints instead of enumerating
-/// billions of residual probes.
-fn residual_random_phase(
-    tracker: &mut CoverageTracker<'_>,
-    curve: &mut DiscoveryCurve,
-    dataset: &Dataset,
-    universe: u64,
-    port_space: u64,
-    ledger: &BandwidthLedger,
-    budget_probes: u64,
-) {
-    let visible_ips = dataset
-        .visible_ips
-        .as_ref()
-        .map(|v| v.len() as u64)
-        .unwrap_or(universe);
-    let num_ports = dataset
-        .ports
-        .as_ref()
-        .map(|p| p.len() as u64)
-        .unwrap_or(port_space);
-    let total_pairs = visible_ips.saturating_mul(num_ports);
-    let remaining = dataset.test.total().saturating_sub(tracker.found_count()) as f64;
-    if remaining <= 0.0 || total_pairs == 0 {
-        return;
+    if per_port.is_empty() || seed_size == 0 {
+        return 1e-5;
     }
-    let base_probes = ledger.total_probes();
-    let available = budget_probes
-        .saturating_sub(base_probes)
-        .min(total_pairs * 4);
-    let steps = 24u64;
-    for i in 1..=steps {
-        let extra = available / steps * i;
-        let frac_probed = (extra as f64 / total_pairs as f64).min(1.0);
-        let expect_found = remaining * frac_probed;
-        // Synthetic point: bump the snapshot without touching found-set
-        // bookkeeping (these services are *expected*, not identified).
-        let mut point = tracker.snapshot((base_probes + extra) as f64 / universe as f64);
-        point.fraction_all += expect_found / dataset.test.total().max(1) as f64;
-        point.fraction_normalized += expect_found / dataset.test.total().max(1) as f64;
-        point.discovery_probes += extra;
-        point.precision = (point.found as f64 + expect_found) / point.discovery_probes as f64;
-        curve.push(point);
-    }
+    let mut counts: Vec<u64> = per_port.values().copied().collect();
+    counts.sort_unstable();
+    let median = counts[counts.len() / 2];
+    (median as f64 / seed_size as f64).max(1e-9)
 }
 
 #[cfg(test)]
@@ -539,12 +470,8 @@ mod tests {
         for ip in 1..=5 {
             observations.push(mk(ip, 30));
         }
-        let p = resolve_min_prob(MinProb::Auto, &observations, 1000);
+        let p = resolve_min_prob(&observations, 1000);
         assert!((p - 3.0 / 1000.0).abs() < 1e-12);
-        assert_eq!(
-            resolve_min_prob(MinProb::Fixed(0.5), &observations, 1000),
-            0.5
-        );
-        assert_eq!(resolve_min_prob(MinProb::Auto, &[], 1000), 1e-5);
+        assert_eq!(resolve_min_prob(&[], 1000), 1e-5);
     }
 }

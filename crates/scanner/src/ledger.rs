@@ -18,18 +18,15 @@ pub enum ScanPhase {
     Priors,
     /// Targeted prediction scan (§5.4).
     Predict,
-    /// Optional residual random probing (§6.3).
-    Residual,
     /// Baseline scans (exhaustive probing, XGBoost scanner, TGAs, ...).
     Baseline,
 }
 
 impl ScanPhase {
-    pub const ALL: [ScanPhase; 5] = [
+    pub const ALL: [ScanPhase; 4] = [
         ScanPhase::Seed,
         ScanPhase::Priors,
         ScanPhase::Predict,
-        ScanPhase::Residual,
         ScanPhase::Baseline,
     ];
 
@@ -42,7 +39,6 @@ impl ScanPhase {
             ScanPhase::Seed => "seed",
             ScanPhase::Priors => "priors",
             ScanPhase::Predict => "predict",
-            ScanPhase::Residual => "residual",
             ScanPhase::Baseline => "baseline",
         }
     }
@@ -70,8 +66,8 @@ impl Default for ProbeCosts {
 /// Per-phase probe/byte totals.
 #[derive(Debug, Clone, Default)]
 pub struct BandwidthLedger {
-    probes: [u64; 5],
-    bytes: [u64; 5],
+    probes: [u64; ScanPhase::ALL.len()],
+    bytes: [u64; ScanPhase::ALL.len()],
 }
 
 impl BandwidthLedger {

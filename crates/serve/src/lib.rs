@@ -74,7 +74,7 @@ pub use artifact::{Query, Ranked, ReferenceModel, ServableModel};
 pub use gps_core::compiled::PredictScratch;
 pub use hist::{EndpointLabel, HistogramSet, LatencyHistogram, WireLabel};
 pub use net::{DecodeError, FrameDecoder, WireFormat};
-pub use proto::{Client, ClientConfig, ReloadOutcome};
+pub use proto::{Client, ReloadOutcome};
 pub use router::{Router, RouterConfig, RouterHandle};
 pub use server::{
     validate_model_id, ModelStatsSnapshot, PredictionServer, ServeConfig, ServerStats,

@@ -310,11 +310,17 @@ pub(crate) fn route(server: &PredictionServer, request: &HttpRequest) -> Routed 
 }
 
 /// Parse a JSON request body and append `"cmd"` to it (a `"cmd"` the body
-/// already carries comes first, so it wins). Unparseable or non-object
-/// bodies pass through untouched: the shared decoder produces the same
-/// `bad json` / `missing cmd` error a wire client would get (as a 400).
+/// already carries comes first, so it wins). Non-UTF-8, unparseable or
+/// non-object bodies pass through untouched: the shared decoder produces
+/// the same `bad json` / `missing cmd` error a wire client would get (as
+/// a 400).
 fn command_from_body(request: &HttpRequest, cmd: &str) -> Routed {
-    let parsed = Json::parse(&String::from_utf8_lossy(&request.body));
+    let parsed = std::str::from_utf8(&request.body)
+        .map_err(|e| {
+            let at = format!("byte {}", e.valid_up_to());
+            GpsError::parse("json", &at, "body is not utf-8")
+        })
+        .and_then(Json::parse);
     Routed::Command(parsed.map(|mut json| {
         if matches!(json, Json::Obj(_)) {
             json.set("cmd", cmd);

@@ -152,6 +152,17 @@ impl Connections {
     pub fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
     }
+
+    /// Block until every connection has closed or `timeout` passes,
+    /// checking every 20 ms; returns the connections still open (0 =
+    /// drained).
+    pub fn wait_drained(&self, timeout: Duration) -> u64 {
+        let deadline = Instant::now() + timeout;
+        while self.active() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        self.active()
+    }
 }
 
 /// What the event loops serve: `gps serve`'s [`PredictionServer`] or

@@ -771,12 +771,13 @@ fn json_reply(response: Json, id: u64) -> io::Result<Json> {
 }
 
 /// A blocking protocol client (used by `gps query`, `gps reload`, the
-/// router's prober, the `loadgen` driver and tests), speaking either
-/// wire format — pick with [`connect_with`](Client::connect_with);
-/// [`connect`](Client::connect) stays JSON. Every request carries a
-/// monotonically increasing `id`, and the echoed id on the reply — error
-/// replies included — is verified, so a desynchronized stream surfaces
-/// as a hard error instead of silently mis-attributed answers.
+/// router's prober, the `loadgen` driver and tests).
+/// [`connect`](Client::connect) speaks GPSQ;
+/// [`connect_with`](Client::connect_with) picks the wire format. Every
+/// request carries a monotonically increasing `id`, and the echoed id on
+/// the reply — error replies included — is verified, so a desynchronized
+/// stream surfaces as a hard error instead of silently mis-attributed
+/// answers.
 ///
 /// On a binary client the hot calls (`ping`, `predict`, `predict_batch`)
 /// use native GPSQ messages; the admin calls (`stats`, `manifest`,
@@ -795,85 +796,45 @@ pub struct Client {
     buf: Vec<u8>,
 }
 
-/// Connection settings for [`Client::connect_config`]. The plain
-/// constructors ([`Client::connect`], [`Client::connect_with`]) keep
-/// their historical no-timeout behavior; anything that must survive a
-/// hung or dead server — the router's prober, `gps query` against a
-/// remote box — sets deadlines here.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    pub wire: WireFormat,
-    /// Bound on TCP connect (`None` = the OS default, typically minutes).
-    pub connect_timeout: Option<Duration>,
-    /// Per-read socket deadline; an expiry surfaces as an `io::Error` of
-    /// kind `WouldBlock` or `TimedOut`.
-    pub read_timeout: Option<Duration>,
-    /// Per-write socket deadline.
-    pub write_timeout: Option<Duration>,
-}
-
-impl Default for ClientConfig {
-    fn default() -> ClientConfig {
-        ClientConfig {
-            wire: WireFormat::Json,
-            connect_timeout: None,
-            read_timeout: None,
-            write_timeout: None,
-        }
-    }
-}
-
-impl ClientConfig {
-    /// All three deadlines set to `timeout` on the given wire.
-    pub fn timeouts(wire: WireFormat, timeout: Duration) -> ClientConfig {
-        ClientConfig {
-            wire,
-            connect_timeout: Some(timeout),
-            read_timeout: Some(timeout),
-            write_timeout: Some(timeout),
-        }
-    }
-}
-
 impl Client {
-    /// Connect speaking JSON (the historical default).
+    /// Connect speaking GPSQ, with no deadlines.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        Self::connect_with(addr, WireFormat::Json)
+        Self::connect_with(addr, WireFormat::Binary)
     }
 
-    /// Connect speaking the given wire format.
+    /// Connect speaking the given wire format, with no deadlines.
     pub fn connect_with(addr: impl ToSocketAddrs, wire: WireFormat) -> io::Result<Client> {
-        Self::connect_config(
-            addr,
-            &ClientConfig {
-                wire,
-                ..ClientConfig::default()
-            },
+        Self::open(TcpStream::connect(addr)?, wire, None)
+    }
+
+    /// Connect speaking GPSQ with `timeout` as the connect, read and
+    /// write deadline, for callers that must survive a hung or dead
+    /// server (the router's prober and its `reset-stats` fan-out). An
+    /// expired read surfaces as an `io::Error` of kind `WouldBlock` or
+    /// `TimedOut`.
+    pub(crate) fn connect_timeout(
+        addr: impl ToSocketAddrs,
+        timeout: Duration,
+    ) -> io::Result<Client> {
+        Self::open(
+            connect_timeout(addr, timeout)?,
+            WireFormat::Binary,
+            Some(timeout),
         )
     }
 
-    /// Connect with explicit timeouts (and wire format).
-    pub fn connect_config(addr: impl ToSocketAddrs, config: &ClientConfig) -> io::Result<Client> {
-        let stream = match config.connect_timeout {
-            None => TcpStream::connect(addr)?,
-            Some(timeout) => connect_timeout(addr, timeout)?,
-        };
+    fn open(stream: TcpStream, wire: WireFormat, timeout: Option<Duration>) -> io::Result<Client> {
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(config.read_timeout)?;
-        stream.set_write_timeout(config.write_timeout)?;
+        stream.set_read_timeout(timeout)?;
+        stream.set_write_timeout(timeout)?;
         Ok(Client {
             reader: io::BufReader::new(stream.try_clone()?),
             writer: io::BufWriter::new(stream),
             next_id: 1,
-            wire: config.wire,
+            wire,
             decoder: FrameDecoder::new(MAX_FRAME_BYTES),
             buf: Vec::new(),
         })
-    }
-
-    /// The wire format this client negotiated.
-    pub fn wire(&self) -> WireFormat {
-        self.wire
     }
 
     /// Read one GPSQ response payload into a decoded [`wire::Response`].

@@ -71,8 +71,8 @@ use crate::net::http::{self, label_escape, write_family, HttpRequest};
 use crate::net::poller::{Event, Interest, Poller};
 use crate::net::{Conn, Connections, FrameDecoder, Payload, Service, WireFormat};
 use crate::proto::{
-    append_binary_frame, connect_timeout, decode_request, encode_reply, ok_response, Client,
-    ClientConfig, Reply, ReplyCtx, Request, MAX_FRAME_BYTES,
+    append_binary_frame, connect_timeout, decode_request, encode_reply, ok_response, Client, Reply,
+    ReplyCtx, Request, MAX_FRAME_BYTES,
 };
 use crate::transport::TransportConfig;
 use crate::wire;
@@ -779,9 +779,9 @@ fn admin_reply(core: &Core, cmd: &str) -> Reply {
             // whole tier zeroed; a dead backend just misses the reset. A
             // short-lived client per backend keeps the call out of the
             // links and out of the `forwarded` counts.
-            let config = ClientConfig::timeouts(WireFormat::Binary, core.config.request_timeout);
             for b in &core.backends {
-                if let Ok(mut client) = Client::connect_config(b.addr.as_str(), &config) {
+                let timeout = core.config.request_timeout;
+                if let Ok(mut client) = Client::connect_timeout(b.addr.as_str(), timeout) {
                     let _ = client.reset_stats();
                 }
             }
@@ -879,14 +879,11 @@ fn http_reply(core: &Core, request: &HttpRequest, out: &mut Vec<u8>) {
 /// interval of it coming back.
 fn probe_loop(core: &Core) {
     let mut clients: Vec<Option<Client>> = (0..core.backends.len()).map(|_| None).collect();
-    let config = ClientConfig::timeouts(
-        WireFormat::Binary,
-        core.config.request_timeout.min(Duration::from_millis(500)),
-    );
+    let timeout = core.config.request_timeout.min(Duration::from_millis(500));
     while !core.stop.load(Ordering::Acquire) {
         for (idx, backend) in core.backends.iter().enumerate() {
             if clients[idx].is_none() {
-                clients[idx] = Client::connect_config(backend.addr.as_str(), &config).ok();
+                clients[idx] = Client::connect_timeout(backend.addr.as_str(), timeout).ok();
             }
             let ok = match clients[idx].as_mut() {
                 None => false,
@@ -971,22 +968,11 @@ impl RouterHandle {
         self.core.conns.is_draining()
     }
 
-    /// Connections currently open, front and HTTP.
-    pub fn active_conns(&self) -> u64 {
-        self.core.conns.active()
-    }
-
-    /// Block until every connection has closed (drain complete) or
-    /// `timeout` passes; `true` when fully drained.
-    pub fn wait_drained(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if self.active_conns() == 0 {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        self.active_conns() == 0
+    /// Block until every connection, front and HTTP, has closed or
+    /// `timeout` passes; returns the connections still open (0 =
+    /// drained).
+    pub fn wait_drained(&self, timeout: Duration) -> u64 {
+        self.core.conns.wait_drained(timeout)
     }
 
     /// The router's `stats` payload (what the wire `stats` cmd returns).

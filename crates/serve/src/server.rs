@@ -47,7 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, RwLock};
-use std::time::{Instant, SystemTime};
+use std::time::{Duration, Instant, SystemTime};
 
 use crate::artifact::{Query, Ranked, ServableModel};
 use crate::hist::HistogramSet;
@@ -806,6 +806,12 @@ impl PredictionServer {
     /// Whether [`begin_drain`](Self::begin_drain) has been called.
     pub fn is_draining(&self) -> bool {
         self.stats.conns.is_draining()
+    }
+
+    /// Block until every connection has closed or `timeout` passes;
+    /// returns the connections still open (0 = drained).
+    pub fn wait_drained(&self, timeout: Duration) -> u64 {
+        self.stats.conns.wait_drained(timeout)
     }
 
     /// Consume the server. Nothing runs behind it — predictions execute

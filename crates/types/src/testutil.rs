@@ -48,25 +48,10 @@ impl Drop for TestDir {
 }
 
 /// The wire-format matrix the serving suites parameterize over: `json`
-/// (the original text protocol) and `binary` (GPSQ). Setting
-/// `GPS_TEST_WIRE` (a comma-separated subset) restricts it — CI runs the
-/// whole e2e suite once per wire format this way.
+/// (the original text protocol) and `binary` (GPSQ). Every run covers
+/// both.
 pub fn serve_wires() -> Vec<&'static str> {
-    const ALL: [&str; 2] = ["json", "binary"];
-    match std::env::var("GPS_TEST_WIRE") {
-        Ok(forced) if !forced.trim().is_empty() => {
-            let picked: Vec<&'static str> = ALL
-                .into_iter()
-                .filter(|name| forced.split(',').any(|f| f.trim() == *name))
-                .collect();
-            assert!(
-                !picked.is_empty(),
-                "GPS_TEST_WIRE={forced:?} names no known value (try {ALL:?})"
-            );
-            picked
-        }
-        _ => ALL.to_vec(),
-    }
+    vec!["json", "binary"]
 }
 
 /// A byte-dribbling TCP proxy: forwards every accepted connection to
@@ -182,13 +167,8 @@ mod tests {
     }
 
     #[test]
-    fn wire_matrix_is_nonempty_and_known() {
-        // Robust whether or not CI restricted the matrix via env.
-        let wires = serve_wires();
-        assert!(!wires.is_empty());
-        for w in wires {
-            assert!(["json", "binary"].contains(&w), "{w}");
-        }
+    fn wire_matrix_covers_both_wires() {
+        assert_eq!(serve_wires(), ["json", "binary"]);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use gps_core::ModelSnapshot;
     pub use gps_core::{
         censys_dataset, lzr_dataset, run_gps, Dataset, DiscoveryCurve, GpsConfig, GpsRun,
-        Interactions, MinProb, NetFeature,
+        Interactions, NetFeature,
     };
     pub use gps_scan::{ScanConfig, ScanPhase, Scanner};
     pub use gps_serve::{PredictionServer, Query, ServableModel, ServeConfig};

@@ -135,7 +135,7 @@ mod router_resilience {
     use gps::core::{CompiledRules, FeatureRules, Interactions, NetFeature, PriorsEntry};
     use gps::serve::{
         Client, PredictionServer, Query, Router, RouterConfig, RouterHandle, ServableModel,
-        ServeConfig, TransportConfig,
+        ServeConfig, TransportConfig, WireFormat,
     };
     use gps::types::{Ip, Port, Subnet};
 
@@ -318,7 +318,8 @@ mod router_resilience {
             let progress = progress.clone();
             let done = done.clone();
             std::thread::spawn(move || {
-                let mut client = Client::connect(router_addr).expect("connect router");
+                let mut client =
+                    Client::connect_with(router_addr, WireFormat::Json).expect("connect router");
                 let mut inflight = std::collections::VecDeque::new();
                 let mut i = 0u32;
                 while !done.load(Ordering::Acquire) || !inflight.is_empty() {
@@ -372,7 +373,7 @@ mod router_resilience {
         // again once the prober notices it is back.
         let owned = ip_owned_by(1, 2);
         let before = b1.server.stats().requests;
-        let mut client = Client::connect(handle.addr()).expect("reconnect");
+        let mut client = Client::connect_with(handle.addr(), WireFormat::Json).expect("reconnect");
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let ranked = client
@@ -435,7 +436,8 @@ mod router_resilience {
             "127.0.0.1:0",
         );
         let handle = start_router(&[b0.addr, b1.addr]);
-        let mut client = Client::connect(handle.addr()).expect("connect router");
+        let mut client =
+            Client::connect_with(handle.addr(), WireFormat::Json).expect("connect router");
 
         // A batch spanning /16s owned by both backends.
         let queries: Vec<Query> = (0..32u32)
@@ -469,7 +471,8 @@ mod serve_churn {
     use gps::core::snapshot::{ModelManifest, FORMAT_MAJOR, FORMAT_MINOR};
     use gps::core::{CompiledRules, FeatureRules, Interactions, NetFeature, PriorsEntry};
     use gps::serve::{
-        Client, PredictionServer, Query, ServableModel, ServeConfig, StatsSnapshot, TransportConfig,
+        Client, PredictionServer, Query, ServableModel, ServeConfig, StatsSnapshot,
+        TransportConfig, WireFormat,
     };
     use gps::types::{Ip, Port, Subnet};
 
@@ -552,7 +555,7 @@ mod serve_churn {
             match cycle % 4 {
                 // Clean cycle: connect, query, disconnect.
                 0 | 1 => {
-                    let mut client = Client::connect(addr).expect("connect");
+                    let mut client = Client::connect_with(addr, WireFormat::Json).expect("connect");
                     let ranked = client.predict(&query()).expect("predict");
                     assert_eq!(ranked[0], (Port(443), 0.9));
                     expected_conns += 1;
@@ -601,7 +604,7 @@ mod serve_churn {
 
         // ...and the server is not wedged: a fresh client still gets
         // every answer, promptly.
-        let mut client = Client::connect(addr).expect("fresh connect");
+        let mut client = Client::connect_with(addr, WireFormat::Json).expect("fresh connect");
         for i in 0..50u32 {
             let ip = Ip::from_octets(10, (i % 3) as u8, 1, 1);
             let ranked = client

@@ -220,7 +220,7 @@ fn run_gps_outputs_are_pinned() {
             0xdbb6_8fa0_dd8e_2afau64,
             51_210usize,
             39_831usize,
-            [2_630_954u64, 14_333_758, 51_428, 0, 0],
+            [2_630_954u64, 14_333_758, 51_428, 0],
         ),
         (
             "lzr",
@@ -228,7 +228,7 @@ fn run_gps_outputs_are_pinned() {
             0xdcef_768d_ea1a_c3bc,
             17_354,
             12_480,
-            [322_192_829, 13_899_099, 17_373, 0, 0],
+            [322_192_829, 13_899_099, 17_373, 0],
         ),
     ];
     for (name, dataset, digest, predictions, found, probes) in cases {

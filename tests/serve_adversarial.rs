@@ -294,7 +294,7 @@ fn slowloris_half_frame_is_dropped_without_stalling_neighbors() {
 
     // The healthy neighbor keeps querying the whole time.
     let healthy = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).expect("healthy connect");
+        let mut client = Client::connect_with(addr, WireFormat::Json).expect("healthy connect");
         let deadline = Instant::now() + Duration::from_millis(900);
         let mut served = 0u32;
         while Instant::now() < deadline {
@@ -388,7 +388,7 @@ fn oversized_prefix_closes_only_the_offender() {
         .expect("bogus prefix");
     assert_closed_within(offender, Duration::from_secs(5), "oversized prefix");
     // The server still serves fresh connections.
-    let mut client = Client::connect(addr).expect("fresh connect");
+    let mut client = Client::connect_with(addr, WireFormat::Json).expect("fresh connect");
     client.ping().expect("server alive after framing abuse");
 }
 
@@ -416,7 +416,7 @@ fn trailing_garbage_after_valid_frame() {
         "the valid frame is answered before the garbage kills framing"
     );
     assert_closed_within(stream, Duration::from_secs(5), "trailing garbage");
-    let mut client = Client::connect(addr).expect("fresh connect");
+    let mut client = Client::connect_with(addr, WireFormat::Json).expect("fresh connect");
     client.ping().expect("server alive");
 }
 
@@ -428,9 +428,9 @@ fn max_conns_rejects_and_recovers() {
         max_conns: 2,
         ..TransportConfig::default()
     });
-    let mut a = Client::connect(addr).expect("conn a");
+    let mut a = Client::connect_with(addr, WireFormat::Json).expect("conn a");
     a.ping().expect("a serves");
-    let mut b = Client::connect(addr).expect("conn b");
+    let mut b = Client::connect_with(addr, WireFormat::Json).expect("conn b");
     b.ping().expect("b serves");
 
     // Third connection: TCP connect succeeds (the kernel accepts),
@@ -449,7 +449,7 @@ fn max_conns_rejects_and_recovers() {
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut admitted = false;
     while !admitted && Instant::now() < deadline {
-        if let Ok(mut d) = Client::connect(addr) {
+        if let Ok(mut d) = Client::connect_with(addr, WireFormat::Json) {
             if d.ping().is_ok() {
                 admitted = true;
             }
@@ -471,7 +471,7 @@ fn json_frame_mid_binary_session_closes_only_the_offender() {
     let (_server, addr) = spawn(TransportConfig::default());
 
     // A healthy JSON neighbor sharing the server the whole time.
-    let mut neighbor = Client::connect(addr).expect("neighbor connect");
+    let mut neighbor = Client::connect_with(addr, WireFormat::Json).expect("neighbor connect");
     neighbor.ping().expect("neighbor serves");
 
     let stream = TcpStream::connect(addr).expect("offender connect");
@@ -520,7 +520,7 @@ fn binary_frame_mid_json_session_closes_only_the_offender() {
     writer.write_all(&gpsq::ping_frame(2)).expect("gpsq frame");
     writer.flush().expect("flush");
     assert_closed_within(stream, Duration::from_secs(5), "GPSQ mid-JSON-session");
-    let mut client = Client::connect(addr).expect("fresh connect");
+    let mut client = Client::connect_with(addr, WireFormat::Json).expect("fresh connect");
     client.ping().expect("server alive");
 }
 
@@ -850,7 +850,8 @@ fn binary_client_survives_dribbled_bytes() {
 fn client_reassembles_dribbled_responses() {
     let (_server, addr) = spawn(TransportConfig::default());
     let proxy = DribbleProxy::start(addr).expect("proxy");
-    let mut client = Client::connect(proxy.addr()).expect("connect via proxy");
+    let mut client =
+        Client::connect_with(proxy.addr(), WireFormat::Json).expect("connect via proxy");
     client.ping().expect("ping through dribble");
     let ranked = client
         .predict(&Query::new(Ip::from_octets(10, 0, 0, 9)).with_open([80]))
@@ -908,6 +909,51 @@ fn server_reassembles_dribbled_requests() {
     let response = read_frame(&mut reader).expect("read").expect("frame");
     assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(response.get("id").and_then(Json::as_u64), Some(4));
+}
+
+/// A `POST /predict` body that is not UTF-8 is refused as bad JSON with
+/// a 400 naming the UTF-8 failure, not decoded with replacement
+/// characters, and the kept-alive connection answers the next request.
+#[test]
+fn http_body_that_is_not_utf8_is_a_400_and_the_connection_serves_on() {
+    let server = Arc::new(PredictionServer::start(model(), ServeConfig::default()));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("frame port");
+    let http = TcpListener::bind("127.0.0.1:0").expect("http port");
+    let http_addr = http.local_addr().expect("http addr");
+    std::thread::spawn(move || {
+        gps::serve::serve_with_http(server, listener, Some(http), TransportConfig::default())
+    });
+    let mut stream = TcpStream::connect(http_addr).expect("http connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let bad = b"{\"ip\":\"10.0.0.1\",\"top\":2,\"model\":\"\xff\"}";
+    let ok = r#"{"ip":"10.0.3.4","open":[80]}"#;
+    let mut requests = format!(
+        "POST /predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        bad.len()
+    )
+    .into_bytes();
+    requests.extend_from_slice(bad);
+    write!(
+        requests,
+        "POST /predict HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{ok}",
+        ok.len()
+    )
+    .expect("second request");
+    stream.write_all(&requests).expect("requests");
+    let mut both = Vec::new();
+    stream.read_to_end(&mut both).expect("both replies");
+    let text = String::from_utf8(both).expect("replies are utf-8");
+    assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
+    let second = text.find("HTTP/1.1 200 ").expect("a 200 after the 400");
+    let refusal = &text[..second];
+    assert!(
+        refusal.contains(r#"{"ok":false,"error":"bad json: "#) && refusal.contains("not utf-8"),
+        "{refusal}"
+    );
+    assert!(!refusal.contains('\u{fffd}'), "{refusal}");
+    assert!(text[second..].contains(r#""ok":true"#), "{text}");
 }
 
 /// Adversarial *backends* behind the routing tier: a backend that stalls
@@ -1021,7 +1067,8 @@ mod router_adversarial {
             },
         )
         .expect("router starts");
-        let mut client = Client::connect(handle.addr()).expect("connect router");
+        let mut client =
+            Client::connect_with(handle.addr(), WireFormat::Json).expect("connect router");
         let owned = ip_owned_by(1, 2); // owned by the staller
 
         let t0 = Instant::now();
@@ -1077,7 +1124,8 @@ mod router_adversarial {
         )
         .expect("router starts");
         let (healthy, stalled) = (ip_owned_by(0, 2), ip_owned_by(1, 2));
-        let mut client = Client::connect(handle.addr()).expect("connect router");
+        let mut client =
+            Client::connect_with(handle.addr(), WireFormat::Json).expect("connect router");
         // 64 JSON frames of ~60 bytes stay inside the client's 8 KiB
         // writer: the first receive flushes them as one write.
         let ids: Vec<u64> = (0..64u32)
@@ -1125,7 +1173,8 @@ mod router_adversarial {
             },
         )
         .expect("router starts");
-        let mut client = Client::connect(handle.addr()).expect("connect router");
+        let mut client =
+            Client::connect_with(handle.addr(), WireFormat::Json).expect("connect router");
         let owned = ip_owned_by(0, 2); // owned by the garbage backend
 
         let ranked = client
@@ -1181,7 +1230,8 @@ mod router_adversarial {
             },
         )
         .expect("router starts");
-        let mut client = Client::connect(handle.addr()).expect("connect router");
+        let mut client =
+            Client::connect_with(handle.addr(), WireFormat::Json).expect("connect router");
         let err = client
             .predict_on(None, &Query::new(Ip::from_octets(10, 1, 2, 3)))
             .expect_err("no backend can answer");
@@ -1878,7 +1928,7 @@ mod serve_drain {
         let (server, addr) = spawn(TransportConfig::default());
 
         // A working connection that has answered traffic already.
-        let mut busy = Client::connect(addr).expect("busy client");
+        let mut busy = Client::connect_with(addr, WireFormat::Json).expect("busy client");
         let ranked = busy
             .predict(&Query::new(Ip::from_octets(10, 0, 1, 1)).with_open([80]))
             .expect("pre-drain predict");
@@ -1886,7 +1936,7 @@ mod serve_drain {
 
         // Another client sends the shutdown; the ack must come back
         // before anything closes.
-        let mut admin = Client::connect(addr).expect("admin client");
+        let mut admin = Client::connect_with(addr, WireFormat::Json).expect("admin client");
         admin.shutdown().expect("shutdown acked");
         assert!(server.is_draining(), "draining flag set");
         assert!(server.stats().draining, "stats report it");
@@ -1910,7 +1960,7 @@ mod serve_drain {
 
         // New connections are refused while draining: the TCP accept
         // may succeed but the server hangs up without answering.
-        let mut late = Client::connect(addr).expect("TCP-level connect");
+        let mut late = Client::connect_with(addr, WireFormat::Json).expect("TCP-level connect");
         assert!(
             late.ping().is_err(),
             "draining server must not take new work"

@@ -8,8 +8,7 @@
 //! event loops, with clients speaking each wire format of
 //! `gps_types::testutil::serve_wires` (length-prefixed JSON and GPSQ
 //! binary), so "the formats answer identically" is the asserted
-//! contract, not an assumption. `GPS_TEST_WIRE` restricts the matrix
-//! (CI runs the suite pinned to each wire format that way).
+//! contract, not an assumption. Every run covers both formats.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};

@@ -171,7 +171,7 @@ fn http_gateway_serves_admin_endpoints_on_every_transport() {
     let (server, addr, http_addr) = spawn_http(TransportConfig::default());
 
     // Some wire traffic so /metrics has request counters to export.
-    let mut client = Client::connect(addr).expect("wire connect");
+    let mut client = Client::connect_with(addr, WireFormat::Json).expect("wire connect");
     for i in 0..4 {
         client
             .predict(&Query::new(Ip::from_octets(10, 1, 2, i)).with_open([80]))
@@ -420,7 +420,7 @@ fn reset_stats_zeroes_traffic_but_preserves_generation_and_membership() {
     let resets: [&str; 3] = ["json", "binary", "http"];
     for (round, door) in resets.iter().enumerate() {
         // Fresh traffic each round: it must vanish on reset.
-        let mut client = Client::connect(addr).expect("connect");
+        let mut client = Client::connect_with(addr, WireFormat::Json).expect("connect");
         for i in 0..5u8 {
             client
                 .predict(&Query::new(Ip::from_octets(10, 9, i, 1)).with_open([80]))
@@ -468,7 +468,7 @@ fn reset_stats_zeroes_traffic_but_preserves_generation_and_membership() {
     }
 
     // The server still answers correctly after the last reset.
-    let mut client = Client::connect(addr).expect("connect");
+    let mut client = Client::connect_with(addr, WireFormat::Json).expect("connect");
     let ranked = client
         .predict(&Query::new(Ip::from_octets(10, 1, 2, 3)).with_open([80]))
         .expect("post-reset predict");
