@@ -14,7 +14,7 @@
 //! predictions list.
 
 use gps_scan::ServiceObservation;
-use gps_types::{IntSet, Ip};
+use gps_types::Ip;
 
 use crate::compiled::CompiledRules;
 use crate::config::GpsConfig;
@@ -64,7 +64,8 @@ impl KnownHostExpander {
 
     /// Expand a hitlist: for every known host, predict its remaining
     /// services, ordered by descending confidence. Known (ip, port) pairs
-    /// are never re-emitted.
+    /// are never re-emitted: they are exactly the hosts' open ports,
+    /// which the expansion skips.
     pub fn expand(
         &self,
         hitlist: &[ServiceObservation],
@@ -72,8 +73,7 @@ impl KnownHostExpander {
         asn_of: &dyn Fn(Ip) -> Option<u32>,
     ) -> Vec<Prediction> {
         let hosts: Vec<HostRecord> = group_by_host(hitlist, &self.net_features, asn_of);
-        let known: IntSet<(u32, u16)> = hitlist.iter().map(|o| (o.ip.0, o.port.0)).collect();
-        build_predictions(&self.rules, &hosts, &known, max_predictions)
+        build_predictions(&self.rules, &hosts, &[], max_predictions)
     }
 }
 

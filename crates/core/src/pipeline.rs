@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use gps_engine::ExecLedger;
 use gps_scan::{BandwidthLedger, RateModel, ScanConfig, ScanPhase, Scanner, ServiceObservation};
 use gps_synthnet::Internet;
-use gps_types::{IntSet, Ip, PortSet, ServiceKey};
+use gps_types::{IntMap, IntSet, Ip, PortSet, ServiceKey};
 
 use crate::config::GpsConfig;
 use crate::dataset::Dataset;
@@ -78,7 +78,7 @@ pub struct GpsRun {
     pub predictions_total: usize,
     pub predictions_scanned: usize,
     /// Prediction probes spent per target port (Figure 4b's GPS bars).
-    pub predictions_per_port: std::collections::HashMap<u16, u64>,
+    pub predictions_per_port: IntMap<u16, u64>,
     pub min_prob_used: f64,
     pub timings: PhaseTimings,
     /// True if the Equation 3 budget stopped a phase early.
@@ -165,6 +165,8 @@ pub fn run_gps(net: &Internet, dataset: &Dataset, config: &GpsConfig) -> GpsRun 
     let mut curve = DiscoveryCurve::default();
     curve.push(tracker.snapshot(scanner.ledger().full_scans(universe)));
 
+    // Seed pairs plus every priors response so far: a priors response is
+    // kept once, and only if the seed did not already see it.
     let mut known: IntSet<(u32, u16)> = filtered.iter().map(|o| (o.ip.0, o.port.0)).collect();
     let mut prior_observations: Vec<ServiceObservation> = Vec::new();
     let mut truncated = false;
@@ -206,17 +208,20 @@ pub fn run_gps(net: &Internet, dataset: &Dataset, config: &GpsConfig) -> GpsRun 
     let compiled_rules = crate::compiled::CompiledRules::from_rules(&rules);
     let prior_hosts: Vec<HostRecord> =
         group_by_host(&prior_observations, &config.net_features, &asn_of);
+    // A prior host's own responses are its open ports, which the
+    // expansion skips; the seed's services on the same IP are the only
+    // other known pairs left to exclude.
     let predictions: Vec<Prediction> = build_predictions(
         &compiled_rules,
         &prior_hosts,
-        &known,
+        &seed_hosts,
         config.max_predictions,
     );
     let rules_build = t0.elapsed();
 
     let predictions_total = predictions.len();
     let mut predictions_scanned = 0usize;
-    let mut predictions_per_port: HashMap<u16, u64> = HashMap::new();
+    let mut predictions_per_port: IntMap<u16, u64> = IntMap::default();
     let chunk_size = (predictions.len() / (config.curve_points / 2).max(1)).max(256);
     for chunk in predictions.chunks(chunk_size) {
         let cost = chunk.len() as u64;
@@ -232,7 +237,6 @@ pub fn run_gps(net: &Internet, dataset: &Dataset, config: &GpsConfig) -> GpsRun 
         tracker.charge_probes(scanner.ledger().total_probes() - before);
         for obs in found {
             tracker.record(obs.key());
-            known.insert((obs.ip.0, obs.port.0));
         }
         predictions_scanned += chunk.len();
         curve.push(tracker.snapshot(scanner.ledger().full_scans(universe)));

@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use gps_types::{IntSet, Ip, Port, ServiceKey};
+use gps_types::{Ip, Port, ServiceKey};
 
 use crate::compiled::{CompiledRules, PredictScratch};
 use crate::host::HostRecord;
@@ -112,9 +112,13 @@ impl Prediction {
 /// Steps 2–3: match priors-scan hosts against the rules and emit the
 /// ordered predictions list.
 ///
-/// * `prior_hosts` — host-grouped responsive services from the priors scan;
-/// * `known` — (ip, port) pairs already observed (seed + priors); never
-///   re-predicted;
+/// * `prior_hosts` — host-grouped responsive services from the priors scan,
+///   sorted by IP (as [`group_by_host`](crate::host::group_by_host) emits
+///   them); a host's own open ports are never predicted;
+/// * `exclude` — hosts whose services were already observed elsewhere
+///   (the seed scan), sorted by IP; their ports are never re-predicted on
+///   the same IP. One merge-join walk over the two sorted lists finds
+///   each prior host's match, so no per-candidate hash probe is made;
 /// * `max_predictions` — hard cap (keeps the highest-probability entries).
 ///
 /// Each host is one [`CompiledRules::expand`] — the kernel a warm server
@@ -124,12 +128,18 @@ impl Prediction {
 pub fn build_predictions(
     rules: &CompiledRules,
     prior_hosts: &[HostRecord],
-    known: &IntSet<(u32, u16)>,
+    exclude: &[HostRecord],
     max_predictions: usize,
 ) -> Vec<Prediction> {
     let mut scratch = PredictScratch::default();
     let mut predictions: Vec<Prediction> = Vec::new();
+    let mut exclude = exclude.iter().peekable();
     for host in prior_hosts {
+        while exclude.next_if(|seen| seen.ip < host.ip).is_some() {}
+        let excluded = match exclude.peek() {
+            Some(seen) if seen.ip == host.ip => seen.services.as_slice(),
+            _ => &[],
+        };
         rules.expand(
             &mut scratch,
             host.services
@@ -140,7 +150,11 @@ pub fn build_predictions(
         predictions.extend(
             scratch
                 .harvest()
-                .filter(|&(port, _)| !known.contains(&(host.ip.0, port.0)))
+                .filter(|&(port, _)| {
+                    excluded
+                        .binary_search_by_key(&port, |service| service.port)
+                        .is_err()
+                })
                 .map(|(port, prob)| Prediction {
                     ip: host.ip,
                     port,
@@ -234,8 +248,7 @@ mod tests {
         let prior = group_by_host(&[obs(100, 80, Some(7))], &[NetFeature::Slash(16)], &|_| {
             None
         });
-        let known = IntSet::default();
-        let preds = build_predictions(&rules, &prior, &known, 1000);
+        let preds = build_predictions(&rules, &prior, &[], 1000);
         assert!(
             preds
                 .iter()
@@ -256,19 +269,27 @@ mod tests {
             &[NetFeature::Slash(16)],
             &|_| None,
         );
-        let preds = build_predictions(&rules, &prior, &IntSet::default(), 1000);
+        let preds = build_predictions(&rules, &prior, &[], 1000);
         assert!(
             !preds
                 .iter()
                 .any(|p| p.ip == Ip(100) && p.port == Port(8082)),
             "open port must not be re-predicted"
         );
-        // Same via the known set.
+        // Same when another scan saw it: the exclusion list names it.
         let prior = group_by_host(&[obs(100, 80, Some(7))], &[NetFeature::Slash(16)], &|_| {
             None
         });
-        let known: IntSet<(u32, u16)> = [(100u32, 8082u16)].into_iter().collect();
-        let preds = build_predictions(&rules, &prior, &known, 1000);
+        let seen = group_by_host(
+            &[
+                obs(99, 8082, None),
+                obs(100, 8082, None),
+                obs(101, 22, None),
+            ],
+            &[NetFeature::Slash(16)],
+            &|_| None,
+        );
+        let preds = build_predictions(&rules, &prior, &seen, 1000);
         assert!(!preds
             .iter()
             .any(|p| p.ip == Ip(100) && p.port == Port(8082)));
@@ -285,7 +306,7 @@ mod tests {
             &[NetFeature::Slash(16)],
             &|_| None,
         );
-        let preds = build_predictions(&rules, &prior, &IntSet::default(), 1000);
+        let preds = build_predictions(&rules, &prior, &[], 1000);
         assert!(preds.is_empty(), "{preds:?}");
     }
 
@@ -304,7 +325,7 @@ mod tests {
         let prior = group_by_host(&[obs(100, 80, Some(7))], &[NetFeature::Slash(16)], &|_| {
             None
         });
-        let preds = build_predictions(&rules, &prior, &IntSet::default(), 1000);
+        let preds = build_predictions(&rules, &prior, &[], 1000);
         // The NaN never beats the 0.0 slot: port 9999 surfaces with the
         // or_insert default, ranked below the real prediction.
         assert_eq!(preds.len(), 2);
@@ -323,9 +344,9 @@ mod tests {
             prior_observations.push(obs(ip, 80, Some(7)));
         }
         let prior = group_by_host(&prior_observations, &[NetFeature::Slash(16)], &|_| None);
-        let capped = build_predictions(&rules, &prior, &IntSet::default(), 10);
+        let capped = build_predictions(&rules, &prior, &[], 10);
         assert_eq!(capped.len(), 10);
-        let full = build_predictions(&rules, &prior, &IntSet::default(), usize::MAX);
+        let full = build_predictions(&rules, &prior, &[], usize::MAX);
         let min_kept = capped.iter().map(|p| p.prob).fold(f64::INFINITY, f64::min);
         let max_dropped = full[10..].iter().map(|p| p.prob).fold(0.0, f64::max);
         assert!(min_kept >= max_dropped);

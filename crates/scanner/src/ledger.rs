@@ -33,15 +33,6 @@ impl ScanPhase {
     const fn index(self) -> usize {
         self as usize
     }
-
-    pub const fn name(self) -> &'static str {
-        match self {
-            ScanPhase::Seed => "seed",
-            ScanPhase::Priors => "priors",
-            ScanPhase::Predict => "predict",
-            ScanPhase::Baseline => "baseline",
-        }
-    }
 }
 
 /// Bytes on the wire per probe at each pipeline stage (Ethernet + IP + TCP,

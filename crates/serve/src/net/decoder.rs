@@ -17,10 +17,10 @@
 //! split at any byte boundary, several pipelined frames in one read — and
 //! yields complete payloads as they close. The router feeds it the same
 //! way (its front read bursts and its backend links), and the blocking
-//! `Client` uses it too (`read_frame_payload` drives it with exact-sized
-//! reads), so "parses a torn length prefix correctly" and "negotiates the
-//! format exactly once" are properties of one implementation, tested
-//! once, at every split point.
+//! `Client` uses it too (`read_frame_payload` takes one frame at a time
+//! out of its buffered reader), so "parses a torn length prefix
+//! correctly" and "negotiates the format exactly once" are properties of
+//! one implementation, tested once, at every split point.
 
 use std::fmt;
 
@@ -123,16 +123,6 @@ impl FrameDecoder {
         matches!(self.state, State::Prefix { got: 0, .. })
     }
 
-    /// Exactly how many bytes complete the current prefix or body. A
-    /// caller that reads at most this many (`read_frame_payload`) never
-    /// consumes bytes belonging to the next frame.
-    pub fn need(&self) -> usize {
-        match &self.state {
-            State::Prefix { got, .. } => 4 - got,
-            State::Body { need, buf } => need - buf.len(),
-        }
-    }
-
     /// Negotiate on the first frame, enforce on every later one.
     fn check_format(&mut self, payload: &[u8]) -> Result<(), DecodeError> {
         let is_binary = payload.starts_with(&GPSQ_MAGIC);
@@ -159,12 +149,26 @@ impl FrameDecoder {
     /// is poisoned garbage — the connection owning it must close.
     pub fn feed(&mut self, mut chunk: &[u8], out: &mut Vec<Vec<u8>>) -> Result<(), DecodeError> {
         while !chunk.is_empty() {
+            if let Some(payload) = self.next_frame(&mut chunk)? {
+                out.push(payload);
+            }
+        }
+        Ok(())
+    }
+
+    /// Consume the front of `chunk` up to the end of the first frame it
+    /// completes and return that payload, or `None` once the chunk runs
+    /// out mid-frame. Whatever is left in `chunk` belongs to later frames,
+    /// so a blocking reader (`read_frame_payload`) takes exactly one frame
+    /// out of its buffer. Errors poison the decoder as in [`feed`](Self::feed).
+    pub fn next_frame(&mut self, chunk: &mut &[u8]) -> Result<Option<Vec<u8>>, DecodeError> {
+        while !chunk.is_empty() {
             match &mut self.state {
                 State::Prefix { got, bytes } => {
                     let take = chunk.len().min(4 - *got);
                     bytes[*got..*got + take].copy_from_slice(&chunk[..take]);
                     *got += take;
-                    chunk = &chunk[take..];
+                    *chunk = &chunk[take..];
                     if *got == 4 {
                         let len = u32::from_be_bytes(*bytes);
                         if len > self.max_frame {
@@ -175,28 +179,27 @@ impl FrameDecoder {
                             // empty payload then fails JSON parsing, which
                             // is the *caller's* concern — framing is fine).
                             self.check_format(&[])?;
-                            out.push(Vec::new());
                             self.state = State::Prefix {
                                 got: 0,
                                 bytes: [0; 4],
                             };
-                        } else {
-                            // Capacity is capped below the declared
-                            // length: a peer that *claims* a huge frame
-                            // but never sends it must not reserve that
-                            // memory (C10K × 16 MB claims would). The
-                            // buffer grows with bytes actually received.
-                            self.state = State::Body {
-                                need: len as usize,
-                                buf: Vec::with_capacity((len as usize).min(64 * 1024)),
-                            };
+                            return Ok(Some(Vec::new()));
                         }
+                        // Capacity is capped below the declared length: a
+                        // peer that *claims* a huge frame but never sends
+                        // it must not reserve that memory (C10K × 16 MB
+                        // claims would). The buffer grows with bytes
+                        // actually received.
+                        self.state = State::Body {
+                            need: len as usize,
+                            buf: Vec::with_capacity((len as usize).min(64 * 1024)),
+                        };
                     }
                 }
                 State::Body { need, buf } => {
                     let take = chunk.len().min(*need - buf.len());
                     buf.extend_from_slice(&chunk[..take]);
-                    chunk = &chunk[take..];
+                    *chunk = &chunk[take..];
                     if buf.len() == *need {
                         let payload = std::mem::take(buf);
                         self.state = State::Prefix {
@@ -204,12 +207,12 @@ impl FrameDecoder {
                             bytes: [0; 4],
                         };
                         self.check_format(&payload)?;
-                        out.push(payload);
+                        return Ok(Some(payload));
                     }
                 }
             }
         }
-        Ok(())
+        Ok(None)
     }
 }
 
@@ -400,20 +403,25 @@ mod tests {
     }
 
     #[test]
-    fn need_tracks_exact_remaining_bytes() {
+    fn next_frame_stops_at_the_frame_boundary() {
         let mut decoder = FrameDecoder::new(CAP);
-        let mut out = Vec::new();
-        assert_eq!(decoder.need(), 4);
-        decoder.feed(&5u32.to_be_bytes()[..2], &mut out).unwrap();
-        assert_eq!(decoder.need(), 2);
-        decoder.feed(&5u32.to_be_bytes()[2..], &mut out).unwrap();
-        assert_eq!(decoder.need(), 5);
-        decoder.feed(b"he", &mut out).unwrap();
-        assert_eq!(decoder.need(), 3);
-        decoder.feed(b"llo", &mut out).unwrap();
-        assert_eq!(out, vec![b"hello".to_vec()]);
-        assert_eq!(decoder.need(), 4);
+        let bytes = encode(&["hello", "{}"]);
+        // A torn prefix, then a torn body: nothing completes, every byte
+        // is taken.
+        let mut chunk = &bytes[..2];
+        assert_eq!(decoder.next_frame(&mut chunk), Ok(None));
+        assert!(chunk.is_empty());
+        let mut chunk = &bytes[2..6];
+        assert_eq!(decoder.next_frame(&mut chunk), Ok(None));
+        assert!(chunk.is_empty() && !decoder.at_boundary());
+        // The rest of the first frame plus all of the second: only the
+        // first comes out, and the second is left untouched.
+        let mut chunk = &bytes[6..];
+        assert_eq!(decoder.next_frame(&mut chunk), Ok(Some(b"hello".to_vec())));
+        assert_eq!(chunk, &bytes[9..]);
         assert!(decoder.at_boundary());
+        assert_eq!(decoder.next_frame(&mut chunk), Ok(Some(b"{}".to_vec())));
+        assert!(chunk.is_empty());
     }
 
     proptest! {

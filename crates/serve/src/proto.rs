@@ -54,7 +54,7 @@
 //! both produce one `Reply`, and `encode_reply` frames every reply for
 //! its envelope.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -97,7 +97,7 @@ pub fn write_frame(w: &mut impl Write, json: &Json) -> io::Result<()> {
 }
 
 /// Read one frame; `Ok(None)` on clean EOF before a length prefix.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
+pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Json>> {
     match read_frame_text(r)? {
         None => Ok(None),
         Some(text) => Json::parse(&text)
@@ -111,7 +111,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
 /// non-UTF-8): the stream position can no longer be trusted, so the
 /// connection must close. Whether the text parses is the caller's concern
 /// — the server replies to well-framed garbage instead of disconnecting.
-pub fn read_frame_text(r: &mut impl Read) -> io::Result<Option<String>> {
+pub fn read_frame_text(r: &mut impl BufRead) -> io::Result<Option<String>> {
     let mut decoder = FrameDecoder::new(MAX_FRAME_BYTES);
     match read_frame_payload(r, &mut decoder)? {
         None => Ok(None),
@@ -141,38 +141,46 @@ pub fn read_frame_text(r: &mut impl Read) -> io::Result<Option<String>> {
 /// the caller's concern — the server replies to well-framed garbage
 /// instead of disconnecting.
 pub(crate) fn read_frame_payload(
-    r: &mut impl Read,
+    r: &mut impl BufRead,
     decoder: &mut FrameDecoder,
 ) -> io::Result<Option<Vec<u8>>> {
-    // Driven with exact-sized reads (`need()`), so a length prefix or body
-    // torn across arbitrarily small TCP segments reassembles correctly
-    // and no byte of the *next* frame is ever consumed. Only EOF before
+    // The decoder takes bytes out of the reader's buffer up to the end of
+    // one frame and no further, so a length prefix or body torn across
+    // arbitrarily small TCP segments reassembles correctly and the bytes
+    // of later frames stay buffered for the next call. Only EOF before
     // the first length byte is a clean close; EOF midway through a frame
-    // is truncation from a dead peer. Exact-sized reads also mean a feed
-    // completes at most one frame, so nothing is ever buffered between
-    // calls except inside the decoder itself.
-    let mut frames = Vec::with_capacity(1);
-    let mut chunk = [0u8; 16 * 1024];
+    // is truncation from a dead peer.
     loop {
-        let want = decoder.need().min(chunk.len());
-        let n = match r.read(&mut chunk[..want]) {
-            Ok(0) => {
-                return if decoder.at_boundary() {
-                    Ok(None)
-                } else {
-                    Err(io::ErrorKind::UnexpectedEof.into())
-                };
-            }
-            Ok(n) => n,
+        let buffered = match r.fill_buf() {
+            Ok(buffered) => buffered,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         };
-        decoder
-            .feed(&chunk[..n], &mut frames)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        if let Some(payload) = frames.pop() {
-            return Ok(Some(payload));
+        if buffered.is_empty() {
+            return if decoder.at_boundary() {
+                Ok(None)
+            } else {
+                Err(io::ErrorKind::UnexpectedEof.into())
+            };
         }
+        let mut rest = buffered;
+        let frame = decoder
+            .next_frame(&mut rest)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let taken = buffered.len() - rest.len();
+        r.consume(taken);
+        if frame.is_some() {
+            return Ok(frame);
+        }
+    }
+}
+
+/// True when `buffered` opens with one whole frame: a 4-byte big-endian
+/// length prefix followed by at least that many bytes.
+fn holds_whole_frame(buffered: &[u8]) -> bool {
+    match buffered.split_first_chunk::<4>() {
+        Some((prefix, body)) => body.len() >= u32::from_be_bytes(*prefix) as usize,
+        None => false,
     }
 }
 
@@ -938,19 +946,22 @@ impl Client {
     /// Send one single-query predict without waiting for the reply
     /// (pipelined mode); returns the request id to pass to
     /// [`predict_recv`](Self::predict_recv). The frame is buffered, not
-    /// flushed: it waits in the client's buffer until the next receive
-    /// flushes before reading (or the buffer fills), so only sends made
-    /// back to back share a `write(2)`. A sliding window that receives
-    /// one reply per send pays one `write(2)` per query. Responses come
-    /// back in request order (the server guarantees it), so receive in
-    /// send order, per connection.
+    /// flushed: it waits in the client's buffer until a receive has to
+    /// read the socket (or the buffer fills). A sliding window that
+    /// receives one reply per send therefore pays one `write(2)` per
+    /// burst of replies the socket delivered, not one per query.
+    /// Responses come back in request order (the server guarantees it),
+    /// so receive in send order, per connection.
     pub fn predict_send(&mut self, model: Option<&str>, query: &Query) -> io::Result<u64> {
         self.send_predict(model, std::slice::from_ref(query), false)
     }
 
     /// Receive the next pipelined predict response, which must answer
     /// the request whose [`predict_send`](Self::predict_send) returned
-    /// `id`. Flushes any buffered sends first.
+    /// `id`. A reply already whole in the client's read buffer is taken
+    /// from there and buffered sends stay buffered; otherwise they are
+    /// flushed before the socket is read, so the server always holds
+    /// every request it is being waited on for.
     pub fn predict_recv(&mut self, id: u64) -> io::Result<Ranked> {
         let mut rankings = self.recv_predict(id, false)?;
         Ok(rankings
@@ -1003,10 +1014,14 @@ impl Client {
         Ok(id)
     }
 
-    /// Flush buffered sends, then receive the predict reply to request
-    /// `id`: one ranking for a single, one per query for a batch.
+    /// Receive the predict reply to request `id`: one ranking for a
+    /// single, one per query for a batch. Buffered sends are flushed only
+    /// when that reply is not already whole in the read buffer, so sends
+    /// made while buffered replies drain share one `write(2)`.
     fn recv_predict(&mut self, id: u64, batch: bool) -> io::Result<Vec<Ranked>> {
-        self.writer.flush()?;
+        if !(self.decoder.at_boundary() && holds_whole_frame(self.reader.buffer())) {
+            self.writer.flush()?;
+        }
         if self.wire == WireFormat::Binary {
             return match self.read_binary_response()? {
                 wire::Response::Predict { id: got, ranking } if !batch => {

@@ -161,9 +161,9 @@ fn predictions_digest(predictions: &[gps::core::Prediction]) -> u64 {
 }
 
 /// The predictions list `run_gps` scanned, rebuilt from the run's public
-/// parts: `known` is every seed service plus every priors-scan response,
-/// the priors scan is replayed over the entries the run scanned, and the
-/// run's own rules expand the responsive hosts.
+/// parts: the priors scan is replayed over the entries the run scanned,
+/// keeping each response the seed did not already see, and the run's own
+/// rules expand the responsive hosts with the seed's services excluded.
 fn replayed_predictions(
     net: &Internet,
     dataset: &Dataset,
@@ -194,11 +194,10 @@ fn replayed_predictions(
     }
     let asn_of = |ip: Ip| net.asn_of(ip).map(|a| a.0);
     let prior_hosts = gps::core::group_by_host(&prior_observations, &config.net_features, &asn_of);
-    let known = seen.into_iter().collect();
     gps::core::build_predictions(
         &gps::core::CompiledRules::from_rules(&run.rules),
         &prior_hosts,
-        &known,
+        &run.seed_host_records,
         config.max_predictions,
     )
 }

@@ -603,8 +603,9 @@ fn compiled_kernel_parity_across_universes() {
 /// to the rule-map algorithm it replaced: on the same tiny universes,
 /// `build_predictions` over the run's seed hosts equals a fold of
 /// `FeatureRules::get` over every `service_keys` key into a
-/// `(ip, port) -> prob` map, with open ports and a `known` set (every
-/// third service) excluded, sorted by `(prob desc, ip, port)` and capped.
+/// `(ip, port) -> prob` map, with open ports and an exclusion list (every
+/// third pair the rules predict, as if another scan had already seen it)
+/// excluded, sorted by `(prob desc, ip, port)` and capped.
 #[test]
 fn build_predictions_matches_rule_map_fold_across_universes() {
     use gps::core::{FeatureRules, HostRecord, Prediction};
@@ -613,7 +614,7 @@ fn build_predictions_matches_rule_map_fold_across_universes() {
     fn oracle(
         rules: &FeatureRules,
         hosts: &[HostRecord],
-        known: &gps::types::IntSet<(u32, u16)>,
+        seen: &HashSet<(u32, u16)>,
         max_predictions: usize,
     ) -> Vec<Prediction> {
         let mut best: HashMap<(u32, u16), f64> = HashMap::new();
@@ -622,7 +623,7 @@ fn build_predictions_matches_rule_map_fold_across_universes() {
             for service in &host.services {
                 gps::core::host::service_keys(service, &host.nets, Interactions::ALL, &mut |key| {
                     for &(port, prob) in rules.get(&key).unwrap_or_default() {
-                        if open.contains(&port.0) || known.contains(&(host.ip.0, port.0)) {
+                        if open.contains(&port.0) || seen.contains(&(host.ip.0, port.0)) {
                             continue;
                         }
                         let slot = best.entry((host.ip.0, port.0)).or_insert(0.0);
@@ -671,20 +672,36 @@ fn build_predictions_matches_rule_map_fold_across_universes() {
         );
         let compiled = gps::core::CompiledRules::from_rules(&run.rules);
         let hosts = &run.seed_host_records;
-        let known: gps::types::IntSet<(u32, u16)> = hosts
+        let unexcluded = gps::core::build_predictions(&compiled, hosts, &[], usize::MAX);
+        let template = hosts[0].services[0].clone();
+        let seen_services: Vec<ServiceObservation> = unexcluded
             .iter()
-            .flat_map(|h| h.services.iter().map(move |s| (h.ip.0, s.port.0)))
             .step_by(3)
+            .map(|p| ServiceObservation {
+                ip: p.ip,
+                port: p.port,
+                ..template.clone()
+            })
             .collect();
+        let exclude = gps::core::group_by_host(&seen_services, &[], &|_| None);
+        let seen: HashSet<(u32, u16)> = seen_services.iter().map(|s| (s.ip.0, s.port.0)).collect();
+        assert!(!seen.is_empty(), "seed {seed}: nothing to exclude");
         for max_predictions in [usize::MAX, 100] {
-            let got = gps::core::build_predictions(&compiled, hosts, &known, max_predictions);
-            let want = oracle(&run.rules, hosts, &known, max_predictions);
+            let got = gps::core::build_predictions(&compiled, hosts, &exclude, max_predictions);
+            let want = oracle(&run.rules, hosts, &seen, max_predictions);
             assert!(!want.is_empty(), "seed {seed}: the oracle predicts nothing");
             assert_eq!(
                 bits(&got),
                 bits(&want),
                 "seed {seed}, max {max_predictions}"
             );
+            if max_predictions == usize::MAX {
+                assert_eq!(
+                    got.len(),
+                    unexcluded.len() - seen.len(),
+                    "seed {seed}: the exclusion removes exactly the pairs it names"
+                );
+            }
         }
     }
 }

@@ -3,7 +3,7 @@
 //! length prefixes, trailing garbage, and connection caps.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -730,6 +730,68 @@ fn one_write_burst_crossing_high_water_answers_in_order() {
     assert_eq!(server.stats().requests, BURST as u64 + 1);
 }
 
+/// A pipelining client pays for the wire once per burst: a receive whose
+/// reply is already whole in the client's read buffer leaves the sends
+/// made since buffered, and the next receive that has to read the socket
+/// flushes them. The server's request counter is the witness that the
+/// later sends stayed in the client until then. Distinct `top`s make
+/// every reply distinct, so a reply taken out of order cannot pass.
+#[test]
+fn buffered_replies_drain_without_flushing_later_sends() {
+    const PORTS: u16 = 64;
+    const WINDOW: usize = 4;
+    for wire in [WireFormat::Binary, WireFormat::Json] {
+        let (server, addr) = spawn_model(wide_priors_model(PORTS), TransportConfig::default());
+        let queries: Vec<Query> = (0..WINDOW + 2)
+            .map(|i| {
+                let mut query = Query::new(Ip::from_octets(10, 0, 0, 1));
+                query.top = PORTS as usize - i;
+                query
+            })
+            .collect();
+        let check = |i: usize, ranked: Ranked| {
+            let expected = server.model().predict(&queries[i]);
+            assert!(
+                ranked.len() == expected.len()
+                    && ranked.iter().zip(&expected).all(|(got, want)| {
+                        got.0 == want.0 && got.1.to_bits() == want.1.to_bits()
+                    }),
+                "{wire:?}: reply {i} differs from the model's answer"
+            );
+        };
+        let mut client = Client::connect_with(addr, wire).expect("connect");
+        let mut ids: Vec<u64> = queries[..WINDOW]
+            .iter()
+            .map(|query| client.predict_send(None, query).expect("buffered send"))
+            .collect();
+        // The first receive finds nothing buffered: it flushes the window
+        // as one write, which the server answers as one burst, so the
+        // other replies arrive with the first.
+        check(0, client.predict_recv(ids[0]).expect("first reply"));
+        assert_eq!(server.stats().requests, WINDOW as u64, "{wire:?}");
+
+        // Two more sends while three replies wait in the read buffer.
+        for query in &queries[WINDOW..] {
+            ids.push(client.predict_send(None, query).expect("buffered send"));
+        }
+        for (i, &id) in ids.iter().enumerate().take(WINDOW).skip(1) {
+            check(i, client.predict_recv(id).expect("buffered reply"));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(
+            server.stats().requests,
+            WINDOW as u64,
+            "{wire:?}: draining buffered replies flushed the later sends"
+        );
+
+        // Nothing is buffered now: this receive flushes both sends.
+        for (i, &id) in ids.iter().enumerate().skip(WINDOW) {
+            check(i, client.predict_recv(id).expect("reply after the flush"));
+        }
+        assert_eq!(server.stats().requests, WINDOW as u64 + 2, "{wire:?}");
+    }
+}
+
 /// A legal batch whose reply passes the frame cap: 256 cold queries, each
 /// ranking 8,000 ports (about 20 MB of GPSQ, more as JSON). On GPSQ, on
 /// framed JSON and through the GPSQ admin envelope the batch is answered
@@ -1373,7 +1435,7 @@ mod router_hop {
     }
 
     /// Read the next reply, which must answer request `id`.
-    fn read_reply(wire: WireFormat, reader: &mut impl Read, id: u64) -> Said {
+    fn read_reply(wire: WireFormat, reader: &mut impl BufRead, id: u64) -> Said {
         let (got, said) = match wire {
             WireFormat::Json => {
                 let reply = read_frame(reader).expect("read").expect("a reply");
